@@ -61,7 +61,7 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use disks_cluster::{Cluster, ClusterConfig, HeatSnapshot, NetworkModel, RoutePolicy};
+use disks_cluster::{Cluster, ClusterConfig, HeatSnapshot, NetworkModel};
 use disks_core::{build_all_indexes, observed_split, DFunction, IndexConfig, NpdIndex, SgkQuery};
 use disks_partition::{
     LayoutProfile, MultilevelPartitioner, PartitionMetrics, Partitioner, Partitioning,
@@ -306,7 +306,6 @@ fn run_arm(
             cache_heat: arm.cache_heat,
             batch_window: BATCH_WINDOW,
             replicas: 1,
-            route: RoutePolicy::LeastLoaded,
             placement_heat: arm.placement_heat,
             ..ClusterConfig::default()
         },

@@ -52,7 +52,7 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use disks_cluster::{Cluster, ClusterConfig, NetworkModel, RoutePolicy};
+use disks_cluster::{Cluster, ClusterConfig, NetworkModel};
 use disks_core::{build_all_indexes, DFunction, IndexConfig, NpdIndex, SgkQuery};
 use disks_partition::{MultilevelPartitioner, Partitioner, Partitioning};
 use disks_roadnet::zipf::Zipf;
@@ -229,7 +229,6 @@ fn build(
             coverage_cache_bytes: 0,
             batch_window: BATCH_WINDOW,
             replicas,
-            route: RoutePolicy::LeastLoaded,
             placement_heat: heat,
             ..ClusterConfig::default()
         },

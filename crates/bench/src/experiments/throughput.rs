@@ -255,7 +255,7 @@ const MEASURED_REPS: usize = 3;
 /// One warmup then [`MEASURED_REPS`] measured pipelined runs, keeping the
 /// best-throughput one — the sweep compares windows, not host scheduling.
 fn measure(cluster: &Cluster, fs: &[DFunction]) -> Measured {
-    let _ = cluster.run_pipelined(fs).expect("warmup batch");
+    let _ = cluster.run_batched(fs).expect("warmup batch");
     let mut best: Option<Measured> = None;
     for _ in 0..MEASURED_REPS {
         let m = measure_once(cluster, fs);
@@ -272,7 +272,7 @@ fn measure_once(cluster: &Cluster, fs: &[DFunction]) -> Measured {
     let _ = cluster.take_service_latencies();
     let (fr_before, _) = cluster.link_message_totals();
     let (c2w_before, w2c_before) = cluster.link_totals();
-    let (results, elapsed) = cluster.run_pipelined(fs).expect("measured batch");
+    let (results, elapsed) = cluster.run_batched(fs).expect("measured batch");
     assert_eq!(results.len(), fs.len());
     let (fr_after, _) = cluster.link_message_totals();
     let (c2w_after, w2c_after) = cluster.link_totals();
@@ -356,9 +356,9 @@ pub fn throughput(ds: &Dataset, params: &Params) -> (Table, ThroughputSummary) {
         // then the measured batch runs warm and its counter delta yields
         // the hit rate.
         let cached = build(ds, &partitioning, indexes.clone(), machines, 64 << 20, 1, false);
-        let _ = cached.run_pipelined(&fs).expect("warmup batch");
+        let _ = cached.run_batched(&fs).expect("warmup batch");
         let before = cached.cache_counters();
-        let (results, elapsed) = cached.run_pipelined(&fs).expect("cached batch");
+        let (results, elapsed) = cached.run_batched(&fs).expect("cached batch");
         assert_eq!(results.len(), fs.len());
         let delta = cached.cache_counters().since(&before);
         let qps_cached = fs.len() as f64 / elapsed.as_secs_f64().max(1e-9);
@@ -425,10 +425,10 @@ pub fn throughput(ds: &Dataset, params: &Params) -> (Table, ThroughputSummary) {
             // teaches every worker's slot directory; the trace snapshot
             // below then isolates the measured batch's controller
             // decisions.
-            let _ = cluster.run_pipelined(&fs).expect("warmup batch");
+            let _ = cluster.run_batched(&fs).expect("warmup batch");
             for _ in 0..8 {
                 let before = cluster.window_trace().iter().max().copied();
-                let _ = cluster.run_pipelined(&fs).expect("warmup batch");
+                let _ = cluster.run_batched(&fs).expect("warmup batch");
                 if cluster.window_trace().iter().max().copied() == before {
                     break;
                 }

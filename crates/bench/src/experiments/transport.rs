@@ -139,12 +139,12 @@ fn measure_point(
     fs: &[DFunction],
 ) -> TransportPoint {
     let cluster = build(ds, partitioning, indexes.to_vec(), machines, transport, adaptive);
-    let _ = cluster.run_pipelined(fs).expect("warmup batch");
+    let _ = cluster.run_batched(fs).expect("warmup batch");
     let mut best: Option<(f64, u64, u64, u64, u64)> = None;
     for _ in 0..MEASURED_REPS {
         let _ = cluster.take_service_latencies();
         let (c2w_before, w2c_before) = cluster.link_totals();
-        let (results, elapsed) = cluster.run_pipelined(fs).expect("measured batch");
+        let (results, elapsed) = cluster.run_batched(fs).expect("measured batch");
         assert_eq!(results.len(), fs.len());
         let (c2w_after, w2c_after) = cluster.link_totals();
         let lat: Vec<u64> =

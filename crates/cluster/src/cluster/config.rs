@@ -1,0 +1,521 @@
+//! Cluster construction parameters and the one table that reads them from
+//! the environment.
+//!
+//! Every `DISKS_*` knob is one row of [`KNOBS`]: its name, the forms it
+//! accepts, and the field it sets. [`ClusterConfig::from_env`] walks the
+//! table once; a value that is not one of the accepted forms is a
+//! [`ConfigError`] naming the variable, never a silent default.
+
+use std::fmt;
+use std::str::FromStr;
+use std::time::Duration;
+
+use disks_core::LayoutMode;
+
+use crate::health::HedgeMode;
+use crate::transport::{FaultPlan, HeartbeatConfig, NetworkModel, TransportKind};
+
+/// Cluster construction parameters. Fields with a `DISKS_*` variable take
+/// it as their default (see [`ClusterConfig::from_env`] for the accepted
+/// forms and the values with every variable unset).
+#[derive(Debug, Clone)]
+pub struct ClusterConfig {
+    /// Number of worker machines; `None` = one per fragment (the paper's
+    /// default deployment).
+    pub machines: Option<usize>,
+    /// Network model for modeled response times.
+    pub network: NetworkModel,
+    /// Maximum silence (no worker progress) the gather loop tolerates
+    /// before declaring the outstanding fragments stalled and
+    /// re-dispatching them.
+    pub deadline: Duration,
+    /// Total dispatch attempts per fragment task (initial + retries); at
+    /// least 1.
+    pub max_attempts: u32,
+    /// When the retry budget is exhausted, return a degraded result listing
+    /// the unanswered fragments instead of failing with
+    /// [`disks_core::QueryError::WorkerTimeout`].
+    pub allow_partial: bool,
+    /// Deterministic fault schedule injected into the links and workers
+    /// (the fault-tolerance test substrate; `None` in production).
+    pub faults: Option<FaultPlan>,
+    /// Byte budget of each worker's coverage cache; `0` disables caching.
+    /// Env: `DISKS_COVERAGE_CACHE`.
+    pub coverage_cache_bytes: usize,
+    /// Cross-query batching window: up to this many admitted plans of a
+    /// stream are merged into one [`disks_core::SuperPlan`] per worker per
+    /// round. `0` or `1` disables batching (one `Evaluate` frame per query
+    /// per worker). Under [`ClusterConfig::batch_adaptive`] this is the
+    /// *initial* window. Env: `DISKS_BATCH`.
+    pub batch_window: usize,
+    /// Latency-aware adaptive batching: the window size is chosen per batch
+    /// by an AIMD [`crate::WindowController`] seeded with `batch_window`,
+    /// growing while a backlog waits and per-query p99 stays under
+    /// [`ClusterConfig::batch_p99_target`], halving when it degrades.
+    /// Adaptive windows also ship slot-reference–elided `BatchRef` frames
+    /// to workers whose slot directory is believed warm. Env:
+    /// `DISKS_BATCH=adaptive`.
+    pub batch_adaptive: bool,
+    /// Time bound on an open adaptive window: ingress closes a window when
+    /// it reaches the controller-chosen size *or* this much time has
+    /// elapsed since it opened, whichever comes first — a latency floor for
+    /// sparse streams (`Duration::MAX` = size-only closing). Ignored under
+    /// fixed windows. Env: `DISKS_BATCH_WINDOW_MS`.
+    pub batch_window_ms: Duration,
+    /// Per-query p99 service-latency target (window dispatch → last
+    /// fragment response) the adaptive controller steers toward.
+    pub batch_p99_target: Duration,
+    /// Per-worker in-flight estimated-cost budget ([`disks_core::CostParams`]
+    /// units) for cost-model admission; `0` disables overload control
+    /// entirely. Queries whose cost cannot fit are shed with
+    /// [`disks_core::QueryError::Overloaded`] before any frame is encoded.
+    /// Env: `DISKS_COST_LIMIT`.
+    pub cost_limit: u64,
+    /// Fraction of [`ClusterConfig::cost_limit`] at which brownout
+    /// degradation begins: above it the cluster serves partial results and
+    /// sheds cache-cold queries rather than queueing more work.
+    /// `f64::INFINITY` disables brownout; meaningless while `cost_limit` is
+    /// 0. Env: `DISKS_BROWNOUT`.
+    pub brownout: f64,
+    /// Base delay of the exponential, deterministically jittered backoff
+    /// applied to narrowed per-fragment retries; `Duration::ZERO` retries
+    /// immediately (the pre-backoff behavior). Env: `DISKS_RETRY_BACKOFF`.
+    pub retry_backoff: Duration,
+    /// Capacity (frames, at least 1) of each worker's bounded request
+    /// queue. The coordinator `try_send`s first and counts
+    /// [`crate::OverloadCounters::queue_full_events`] before falling back
+    /// to a blocking send, so saturation is observed instead of absorbed.
+    pub queue_capacity: usize,
+    /// Transport carrying coordinator↔worker frames: in-process crossbeam
+    /// channels, or loopback TCP sockets with length-prefixed framing,
+    /// keepalives, and read-timeout supervision — same wire codec, same
+    /// counters, same fault plans. Env: `DISKS_TRANSPORT`.
+    pub transport: TransportKind,
+    /// TCP supervision timing — keepalive interval and read timeout.
+    /// Ignored by the channel transport. Env: `DISKS_HEARTBEAT_MS`,
+    /// `DISKS_TCP_READ_TIMEOUT_MS`.
+    pub heartbeat: HeartbeatConfig,
+    /// Number of extra engine copies of every fragment hosted on machines
+    /// other than its primary (`DESIGN.md` §6h), each dispatch window
+    /// routed to the least-loaded host. `0` disables replication — the
+    /// placement and every transcript degenerate bit-for-bit to the
+    /// single-owner assignment. Capped at `machines - 1`. Ignored by
+    /// [`crate::Cluster::build_remote`]: remote workers rebuild their own
+    /// engines under the round-robin placement. Env: `DISKS_REPLICAS`.
+    pub replicas: usize,
+    /// Per-fragment heat estimates steering replica *placement* (hotter
+    /// fragments claim the idlest machines first); one entry per fragment.
+    /// `None` (the default) treats every fragment as equally hot. Set
+    /// programmatically — e.g. from a profiling run's per-machine compute
+    /// or a [`crate::HeatSnapshot`] profile — not from the environment.
+    pub placement_heat: Option<Vec<u64>>,
+    /// Heat-aware coverage-cache admission threshold (DESIGN.md §6i):
+    /// slots looked up at least this many times resist eviction, one-shot
+    /// slots are admitted at the eviction end; `0` keeps the plain LRU
+    /// (bit-identical to the pre-layout cache). Env: `DISKS_CACHE_HEAT`;
+    /// unset, it follows `DISKS_LAYOUT` — 3 under `workload`, 0 under
+    /// `static`.
+    pub cache_heat: u32,
+    /// Straggler hedging over replicas (DESIGN.md §6j): when a dispatched
+    /// slot is still missing answers past the hedge deadline —
+    /// `max(hedge_ms, 4 × evaluation p99)` — the missing fragments are
+    /// speculatively re-dispatched (narrowed) to a different live replica;
+    /// first answer wins, the loser's late frame dedups as a duplicate.
+    /// [`HedgeMode::Off`] (the default) is bit-identical to the pre-health
+    /// cluster; a no-op without ≥1 replica. Env: `DISKS_HEDGE`.
+    pub hedge: HedgeMode,
+    /// Floor of the hedge deadline in milliseconds (at least 1); it also
+    /// covers the cold start before any evaluation p99 exists.
+    pub hedge_ms: u64,
+    /// Quarantine with probation (DESIGN.md §6j): machines whose suspicion
+    /// score crosses the health board's threshold are softly removed from
+    /// least-loaded replica selection and probed under jittered backoff
+    /// until reinstated; a fragment with no healthy host degrades to its
+    /// least-suspect replica. Off (the default) is bit-identical to the
+    /// pre-health cluster. Env: `DISKS_QUARANTINE`.
+    pub quarantine: bool,
+    /// Evaluator threads per worker (DESIGN.md §6k), at least 1: `1` (the
+    /// default) is the classic sequential worker, bit-for-bit; `n > 1` fans
+    /// the distinct coverage slots of each frame across `n - 1` helper
+    /// threads plus the worker thread, then commits serially — answers,
+    /// cache/LRU ledgers, and wire bytes are identical to `1` at any thread
+    /// count. Env: `DISKS_WORKER_THREADS`.
+    pub worker_threads: usize,
+}
+
+/// A `DISKS_*` variable whose value is not one of its accepted forms.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The offending variable.
+    pub var: &'static str,
+    /// Its value as found.
+    pub value: String,
+    /// The forms the variable accepts.
+    pub expected: String,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}={:?}: expected {}", self.var, self.value, self.expected)
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+/// One row of the knob table.
+struct Knob {
+    var: &'static str,
+    /// Accepted forms, quoted verbatim in [`ConfigError::expected`].
+    expected: &'static str,
+    /// Store a (trimmed) value into its field; `None` when the value is
+    /// not an accepted form.
+    set: fn(&mut ClusterConfig, &str) -> Option<()>,
+}
+
+/// `0`/`off`/`false` or `1`/`on`/`true`, any case.
+fn switch(v: &str) -> Option<bool> {
+    match v.to_ascii_lowercase().as_str() {
+        "0" | "off" | "false" => Some(false),
+        "1" | "on" | "true" => Some(true),
+        _ => None,
+    }
+}
+
+/// A non-negative number, `off`/`false` reading as zero.
+fn count<T: FromStr + Default>(v: &str) -> Option<T> {
+    match switch(v) {
+        Some(false) => Some(T::default()),
+        _ => v.parse().ok(),
+    }
+}
+
+/// A positive number of milliseconds.
+fn positive_millis(v: &str) -> Option<Duration> {
+    v.parse().ok().filter(|&ms: &u64| ms > 0).map(Duration::from_millis)
+}
+
+const KNOBS: &[Knob] = &[
+    Knob {
+        var: "DISKS_COVERAGE_CACHE",
+        expected: "a byte count, or 0/off/false to disable caching",
+        set: |c, v| count(v).map(|n| c.coverage_cache_bytes = n),
+    },
+    Knob {
+        var: "DISKS_BATCH",
+        expected: "a window size, 0/1/off/false to disable batching, or adaptive",
+        set: |c, v| {
+            if v.eq_ignore_ascii_case("adaptive") {
+                c.batch_adaptive = true;
+                return Some(());
+            }
+            count(v).map(|n: usize| c.batch_window = n.max(1))
+        },
+    },
+    Knob {
+        var: "DISKS_BATCH_WINDOW_MS",
+        expected: "milliseconds, or 0/off/false for size-only window closing",
+        set: |c, v| {
+            count(v).map(|ms| {
+                c.batch_window_ms = if ms == 0 { Duration::MAX } else { Duration::from_millis(ms) }
+            })
+        },
+    },
+    Knob {
+        var: "DISKS_COST_LIMIT",
+        expected: "an integer cost budget, or 0/off/false to disable admission control",
+        set: |c, v| count(v).map(|n| c.cost_limit = n),
+    },
+    Knob {
+        var: "DISKS_BROWNOUT",
+        expected: "a fraction of the cost budget in (0, 1], or 0/off/false to disable brownout",
+        set: |c, v| {
+            count(v)
+                .filter(|f: &f64| (0.0..=1.0).contains(f))
+                .map(|f| c.brownout = if f == 0.0 { f64::INFINITY } else { f })
+        },
+    },
+    Knob {
+        var: "DISKS_RETRY_BACKOFF",
+        expected: "milliseconds, or 0/off/false for immediate retries",
+        set: |c, v| count(v).map(|ms| c.retry_backoff = Duration::from_millis(ms)),
+    },
+    Knob {
+        var: "DISKS_TRANSPORT",
+        expected: "channel or tcp",
+        set: |c, v| {
+            [("channel", TransportKind::Channel), ("tcp", TransportKind::Tcp)]
+                .into_iter()
+                .find(|(name, _)| v.eq_ignore_ascii_case(name))
+                .map(|(_, kind)| c.transport = kind)
+        },
+    },
+    Knob {
+        var: "DISKS_HEARTBEAT_MS",
+        expected: "milliseconds, at least 1",
+        set: |c, v| positive_millis(v).map(|d| c.heartbeat.interval = d),
+    },
+    Knob {
+        var: "DISKS_TCP_READ_TIMEOUT_MS",
+        expected: "milliseconds, at least 1",
+        set: |c, v| positive_millis(v).map(|d| c.heartbeat.read_timeout = d),
+    },
+    Knob {
+        var: "DISKS_REPLICAS",
+        expected: "a replica count, or 0/off/false for single-owner placement",
+        set: |c, v| count(v).map(|n| c.replicas = n),
+    },
+    Knob {
+        var: "DISKS_CACHE_HEAT",
+        expected: "a lookup count, or 0/off/false for plain LRU",
+        set: |c, v| count(v).map(|n| c.cache_heat = n),
+    },
+    Knob {
+        var: "DISKS_HEDGE",
+        expected: "adaptive, or 0/off/false to disable hedging",
+        set: |c, v| {
+            let adaptive = v.eq_ignore_ascii_case("adaptive");
+            (adaptive || switch(v) == Some(false))
+                .then(|| c.hedge = if adaptive { HedgeMode::Adaptive } else { HedgeMode::Off })
+        },
+    },
+    Knob {
+        var: "DISKS_QUARANTINE",
+        expected: "1/on/true to enable, 0/off/false to disable",
+        set: |c, v| switch(v).map(|on| c.quarantine = on),
+    },
+    Knob {
+        var: "DISKS_WORKER_THREADS",
+        expected: "a thread count, or 0/off/false for the sequential worker",
+        set: |c, v| count(v).map(|n: usize| c.worker_threads = n.max(1)),
+    },
+];
+
+impl ClusterConfig {
+    /// The configuration the process environment asks for: the shipped
+    /// defaults, overridden by whichever `DISKS_*` variables are set.
+    ///
+    /// With every variable unset: 64 MiB coverage cache, fixed batching
+    /// windows of 16 (2 ms time bound and 50 ms p99 target once adaptive),
+    /// no cost limit (brownout at 0.75 once there is one), 2 ms retry
+    /// backoff, channel transport, 100 ms / 1 s heartbeat, no replicas,
+    /// plain-LRU cache admission (`cache_heat` 3 under
+    /// `DISKS_LAYOUT=workload`), hedging and quarantine off (50 ms hedge
+    /// floor), one evaluator thread per worker.
+    pub fn from_env() -> Result<ClusterConfig, ConfigError> {
+        Self::from_lookup(|var| std::env::var(var).ok())
+    }
+
+    /// [`ClusterConfig::from_env`] over any variable lookup, so the table
+    /// can be exercised without touching the process environment.
+    pub fn from_lookup(
+        lookup: impl Fn(&str) -> Option<String>,
+    ) -> Result<ClusterConfig, ConfigError> {
+        let layout = LayoutMode::parse(lookup("DISKS_LAYOUT").as_deref());
+        let mut config = ClusterConfig {
+            machines: None,
+            // The paper's setting: a 100 Mb TP-LINK switch.
+            network: NetworkModel::switch_100mbps(),
+            deadline: Duration::from_secs(30),
+            max_attempts: 3,
+            allow_partial: false,
+            faults: None,
+            coverage_cache_bytes: 64 << 20,
+            batch_window: 16,
+            batch_adaptive: false,
+            batch_window_ms: Duration::from_millis(2),
+            batch_p99_target: Duration::from_micros(50_000),
+            cost_limit: 0,
+            brownout: 0.75,
+            retry_backoff: Duration::from_millis(2),
+            queue_capacity: 1024,
+            transport: TransportKind::Channel,
+            heartbeat: HeartbeatConfig::default(),
+            replicas: 0,
+            placement_heat: None,
+            cache_heat: if layout.is_workload() { 3 } else { 0 },
+            hedge: HedgeMode::Off,
+            hedge_ms: 50,
+            quarantine: false,
+            worker_threads: 1,
+        };
+        for knob in KNOBS {
+            let Some(value) = lookup(knob.var) else { continue };
+            if (knob.set)(&mut config, value.trim()).is_none() {
+                return Err(ConfigError {
+                    var: knob.var,
+                    value,
+                    expected: knob.expected.to_string(),
+                });
+            }
+        }
+        // The two heartbeat variables are only meaningful as a pair.
+        let HeartbeatConfig { interval, read_timeout } = config.heartbeat;
+        if let Err(e) = HeartbeatConfig::checked(interval, read_timeout) {
+            return Err(ConfigError {
+                var: "DISKS_TCP_READ_TIMEOUT_MS",
+                value: read_timeout.as_millis().to_string(),
+                expected: e.to_string(),
+            });
+        }
+        Ok(config)
+    }
+
+    /// Clamp the fields with a documented minimum and split off the fault
+    /// plan (consumed building the links): the form [`crate::Cluster`]
+    /// keeps for its lifetime.
+    pub(super) fn normalised(mut self) -> (ClusterConfig, Option<FaultPlan>) {
+        self.max_attempts = self.max_attempts.max(1);
+        self.queue_capacity = self.queue_capacity.max(1);
+        self.worker_threads = self.worker_threads.max(1);
+        self.hedge_ms = self.hedge_ms.max(1);
+        let faults = self.faults.take();
+        (self, faults)
+    }
+}
+
+impl Default for ClusterConfig {
+    /// [`ClusterConfig::from_env`], for `..ClusterConfig::default()`
+    /// literals.
+    ///
+    /// # Panics
+    /// Panics with the [`ConfigError`] message when a `DISKS_*` variable
+    /// holds a value it does not accept; binaries call `from_env` first and
+    /// exit cleanly instead.
+    fn default() -> Self {
+        Self::from_env().unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn with(vars: &[(&str, &str)]) -> Result<ClusterConfig, ConfigError> {
+        ClusterConfig::from_lookup(|var| {
+            vars.iter().find(|(k, _)| *k == var).map(|(_, v)| v.to_string())
+        })
+    }
+
+    #[test]
+    fn empty_lookup_is_the_shipped_defaults() {
+        let c = with(&[]).unwrap();
+        assert_eq!(c.coverage_cache_bytes, 64 << 20);
+        assert_eq!((c.batch_window, c.batch_adaptive), (16, false));
+        assert_eq!(c.batch_window_ms, Duration::from_millis(2));
+        assert_eq!((c.cost_limit, c.brownout), (0, 0.75));
+        assert_eq!(c.retry_backoff, Duration::from_millis(2));
+        assert_eq!((c.replicas, c.cache_heat, c.worker_threads), (0, 0, 1));
+        assert_eq!((c.hedge, c.quarantine), (HedgeMode::Off, false));
+        assert_eq!(c.transport, TransportKind::Channel);
+        assert_eq!(c.heartbeat.interval, Duration::from_millis(100));
+        assert_eq!(c.heartbeat.read_timeout, Duration::from_secs(1));
+    }
+
+    #[test]
+    fn every_knob_accepts_its_documented_forms() {
+        for off in ["0", "off", "FALSE"] {
+            let c = with(&[
+                ("DISKS_COVERAGE_CACHE", off),
+                ("DISKS_BATCH", off),
+                ("DISKS_BATCH_WINDOW_MS", off),
+                ("DISKS_COST_LIMIT", off),
+                ("DISKS_BROWNOUT", off),
+                ("DISKS_RETRY_BACKOFF", off),
+                ("DISKS_REPLICAS", off),
+                ("DISKS_CACHE_HEAT", off),
+                ("DISKS_HEDGE", off),
+                ("DISKS_QUARANTINE", off),
+                ("DISKS_WORKER_THREADS", off),
+            ])
+            .unwrap();
+            assert_eq!((c.coverage_cache_bytes, c.batch_window, c.batch_adaptive), (0, 1, false));
+            assert_eq!(c.batch_window_ms, Duration::MAX);
+            assert_eq!((c.cost_limit, c.brownout), (0, f64::INFINITY));
+            assert_eq!(c.retry_backoff, Duration::ZERO);
+            assert_eq!((c.replicas, c.cache_heat, c.worker_threads), (0, 0, 1));
+            assert_eq!((c.hedge, c.quarantine), (HedgeMode::Off, false));
+        }
+        let c = with(&[
+            ("DISKS_COVERAGE_CACHE", " 4096 "),
+            ("DISKS_BATCH", "8"),
+            ("DISKS_BATCH_WINDOW_MS", "1"),
+            ("DISKS_COST_LIMIT", "5000000"),
+            ("DISKS_BROWNOUT", "0.9"),
+            ("DISKS_RETRY_BACKOFF", "3"),
+            ("DISKS_TRANSPORT", "TCP"),
+            ("DISKS_HEARTBEAT_MS", "20"),
+            ("DISKS_TCP_READ_TIMEOUT_MS", "300"),
+            ("DISKS_REPLICAS", "1"),
+            ("DISKS_CACHE_HEAT", "5"),
+            ("DISKS_HEDGE", "adaptive"),
+            ("DISKS_QUARANTINE", "1"),
+            ("DISKS_WORKER_THREADS", "4"),
+        ])
+        .unwrap();
+        assert_eq!((c.coverage_cache_bytes, c.batch_window, c.batch_adaptive), (4096, 8, false));
+        assert_eq!(c.batch_window_ms, Duration::from_millis(1));
+        assert_eq!((c.cost_limit, c.brownout), (5_000_000, 0.9));
+        assert_eq!(c.retry_backoff, Duration::from_millis(3));
+        assert_eq!(c.transport, TransportKind::Tcp);
+        assert_eq!(c.heartbeat.interval, Duration::from_millis(20));
+        assert_eq!(c.heartbeat.read_timeout, Duration::from_millis(300));
+        assert_eq!((c.replicas, c.cache_heat, c.worker_threads), (1, 5, 4));
+        assert_eq!((c.hedge, c.quarantine), (HedgeMode::Adaptive, true));
+
+        // `adaptive` keeps the window as the controller's seed.
+        let c = with(&[("DISKS_BATCH", "Adaptive")]).unwrap();
+        assert_eq!((c.batch_window, c.batch_adaptive), (16, true));
+        assert_eq!(
+            with(&[("DISKS_TRANSPORT", "channel")]).unwrap().transport,
+            TransportKind::Channel
+        );
+    }
+
+    #[test]
+    fn cache_heat_default_follows_the_layout_mode() {
+        assert_eq!(with(&[("DISKS_LAYOUT", "workload")]).unwrap().cache_heat, 3);
+        assert_eq!(with(&[("DISKS_LAYOUT", "static")]).unwrap().cache_heat, 0);
+        let pinned = with(&[("DISKS_LAYOUT", "workload"), ("DISKS_CACHE_HEAT", "0")]).unwrap();
+        assert_eq!(pinned.cache_heat, 0);
+    }
+
+    #[test]
+    fn garbage_in_any_variable_is_an_error_naming_it() {
+        for knob in KNOBS {
+            for bad in ["garbage", "", "-1", "5e6"] {
+                let err = with(&[(knob.var, bad)]).expect_err(knob.var);
+                assert_eq!((err.var, err.value.as_str()), (knob.var, bad));
+                assert_eq!(err.expected, knob.expected);
+                assert!(err.to_string().starts_with(knob.var), "{err}");
+            }
+        }
+        // The two typos the lenient parsers used to swallow.
+        assert!(with(&[("DISKS_HEDGE", "adaptiv")]).is_err());
+        assert!(with(&[("DISKS_HEDGE", "fixed")]).is_err());
+    }
+
+    #[test]
+    fn heartbeat_pair_is_validated_together() {
+        let err = with(&[("DISKS_HEARTBEAT_MS", "2000")]).unwrap_err();
+        assert_eq!(err.var, "DISKS_TCP_READ_TIMEOUT_MS");
+        assert!(err.expected.contains("must exceed the keepalive interval"), "{err}");
+        assert!(with(&[("DISKS_HEARTBEAT_MS", "0")]).is_err());
+    }
+
+    #[test]
+    fn readme_knob_table_lists_exactly_the_table_s_variables() {
+        let readme = include_str!("../../../../README.md");
+        let mut documented: Vec<&str> = readme
+            .lines()
+            .filter(|l| l.starts_with("| `"))
+            .filter_map(|l| l.split('|').nth(2))
+            .filter_map(|env| env.trim().trim_matches('`').split('=').next())
+            .filter(|name| name.starts_with("DISKS_"))
+            .collect();
+        documented.sort_unstable();
+        documented.dedup();
+        let mut table: Vec<&str> = KNOBS.iter().map(|k| k.var).chain(["DISKS_LAYOUT"]).collect();
+        table.sort_unstable();
+        assert_eq!(documented, table);
+    }
+}

@@ -1,0 +1,433 @@
+//! The one request path: the overload ladder sorts a stream into admission
+//! groups, a group is charged, cut into windows, sent, gathered and
+//! released, and each member's [`QueryStats`] is read off its group. A
+//! single query is a stream of one — a group of one, a window of one.
+
+use std::time::{Duration, Instant};
+
+use bytes::Bytes;
+use disks_core::{QueryError, QueryPlan, SuperPlan};
+
+use super::gather::{GatherReport, GatherState};
+use super::route::Sent;
+use super::Cluster;
+use crate::cache::CacheCounters;
+use crate::message::{encode_frame, Request, Response};
+use crate::stats::{MachineCost, QueryStats};
+
+/// What the overload ladder decided for one query of a stream.
+#[derive(Debug)]
+pub(super) enum Disposition {
+    /// Queued in the current admission group; rewritten to `Ran` at flush.
+    Pending,
+    /// Rejected by validity admission before any grouping.
+    Invalid(QueryError),
+    /// Shed by cost admission with this `retry_after` (milliseconds).
+    Shed(u64),
+    /// Dispatched as slot `pos` of admission group `group`.
+    Ran { group: usize, pos: usize },
+}
+
+/// One flushed admission group: its gather report (slot indices are
+/// positions within the group) plus group-level outcome data.
+pub(super) struct GroupRun {
+    /// Estimated cost per member, in group slot order.
+    costs: Vec<u64>,
+    report: GatherReport,
+    /// Fatal gather error — every member query inherits it.
+    pub(super) error: Option<QueryError>,
+    /// The group's initial dispatch, all windows together.
+    sent: Sent,
+    /// Offset from stream start when the group's gather completed; member
+    /// queries report it as `wall_time`, making queueing delay visible.
+    elapsed: Duration,
+    /// Whether the group ran browned-out (partial-result semantics).
+    browned: bool,
+}
+
+/// Result of [`Cluster::run_stream_core`]: per-query dispositions plus the
+/// flushed groups they reference.
+pub(super) struct StreamRun {
+    pub(super) disposition: Vec<Disposition>,
+    pub(super) groups: Vec<GroupRun>,
+}
+
+/// Dispatch and gather one group's slots given its first query id and
+/// whether partial results are acceptable.
+type Exchange<'a> = dyn FnMut(u64, bool) -> (Result<GatherReport, QueryError>, Sent) + 'a;
+
+impl Cluster {
+    /// Steps 2–3 of the overload ladder for one priced plan arriving on top
+    /// of `queued` not-yet-dispatched cost: `Some(retry_after_millis)` when
+    /// the query must be shed — its cost alone exceeds the budget, or
+    /// brownout is active and it is cache-cold.
+    pub(super) fn shed(&self, plan: &QueryPlan, cost: u64, queued: u64) -> Option<u64> {
+        if !self.gauge.enabled() {
+            return None;
+        }
+        if cost > self.gauge.cost_limit()
+            || (self.gauge.brownout_at(queued) && self.has_cold_slot(plan))
+        {
+            let retry = self.gauge.shed(queued, cost);
+            return Some((retry.as_millis() as u64).max(1));
+        }
+        None
+    }
+
+    /// The admission-grouped dispatch/gather core every plan query goes
+    /// through ([`Cluster::run_stream`], and through it [`Cluster::run`] and
+    /// [`Cluster::run_batched`]). Walks the stream in order, applying the
+    /// overload ladder per query:
+    ///
+    /// 1. invalid (failed [`Cluster::admit`]) → typed error, no dispatch;
+    /// 2. estimated cost alone over the budget → shed, no dispatch;
+    /// 3. brownout active and the query cache-cold → shed, no dispatch;
+    /// 4. cost does not fit the budget on top of the queued group → the
+    ///    group is flushed first (a *queue pause*: dispatch + gather, which
+    ///    bounds every worker's in-flight cost), then the query queues;
+    /// 5. otherwise the query joins the current group.
+    ///
+    /// A group that flushes at ≥ the brownout fraction of the budget runs
+    /// with partial-result semantics (degrade before shedding) — so a lone
+    /// query costing at least that fraction runs browned, where a
+    /// synchronous ladder measuring only the (empty) in-flight gauge never
+    /// would. With overload control disabled (`cost_limit = 0`) the whole
+    /// stream is one group and the ladder is inert — exactly the
+    /// pre-overload behavior.
+    ///
+    /// `on_response` receives first-seen `Results` payloads keyed by the
+    /// query's *original stream index*.
+    pub(super) fn run_stream_core(
+        &self,
+        plans: Vec<Result<QueryPlan, QueryError>>,
+        start: Instant,
+        on_response: &mut dyn FnMut(usize, Response, u64),
+    ) -> StreamRun {
+        let mut disposition: Vec<Disposition> = Vec::with_capacity(plans.len());
+        let mut groups: Vec<GroupRun> = Vec::new();
+        let mut pending: Vec<(usize, QueryPlan, u64)> = Vec::new();
+        let mut pending_cost: u64 = 0;
+        for (i, plan) in plans.into_iter().enumerate() {
+            let plan = match plan {
+                Ok(p) => p,
+                Err(e) => {
+                    disposition.push(Disposition::Invalid(e));
+                    continue;
+                }
+            };
+            let cost = plan.estimated_cost(&self.cost_params);
+            if let Some(retry_after) = self.shed(&plan, cost, pending_cost) {
+                disposition.push(Disposition::Shed(retry_after));
+                continue;
+            }
+            if self.gauge.enabled()
+                && pending_cost.saturating_add(cost) > self.gauge.cost_limit()
+                && !pending.is_empty()
+            {
+                self.gauge.note_queue_pause();
+                self.flush_group(&mut pending, &mut disposition, &mut groups, start, on_response);
+                pending_cost = 0;
+            }
+            self.gauge.note_admitted();
+            self.charge_heat(&plan);
+            disposition.push(Disposition::Pending);
+            pending_cost = pending_cost.saturating_add(cost);
+            pending.push((i, plan, cost));
+        }
+        self.flush_group(&mut pending, &mut disposition, &mut groups, start, on_response);
+        StreamRun { disposition, groups }
+    }
+
+    /// Dispatch and gather the queued admission group.
+    fn flush_group(
+        &self,
+        pending: &mut Vec<(usize, QueryPlan, u64)>,
+        disposition: &mut [Disposition],
+        groups: &mut Vec<GroupRun>,
+        start: Instant,
+        on_response: &mut dyn FnMut(usize, Response, u64),
+    ) {
+        if pending.is_empty() {
+            return;
+        }
+        let mut members: Vec<usize> = Vec::with_capacity(pending.len());
+        let mut plans: Vec<QueryPlan> = Vec::with_capacity(pending.len());
+        let mut costs: Vec<u64> = Vec::with_capacity(pending.len());
+        for (pos, (i, plan, cost)) in pending.drain(..).enumerate() {
+            disposition[i] = Disposition::Ran { group: groups.len(), pos };
+            members.push(i);
+            plans.push(plan);
+            costs.push(cost);
+        }
+        let group = self.run_group(&costs, start, &mut |base, allow_partial| {
+            // Retries always narrow to single-query `Evaluate` frames for
+            // only the failed queries, however the window was batched.
+            let make_request = |slot: usize, frags: Vec<u32>| Request::Evaluate {
+                query_id: base + 1 + slot as u64,
+                plan: plans[slot].clone(),
+                fragments: frags,
+            };
+            let mut slot_on_response =
+                |slot: usize, resp: Response, bytes: u64| on_response(members[slot], resp, bytes);
+            if self.adaptive_enabled() {
+                self.run_group_adaptive(
+                    base,
+                    &plans,
+                    &costs,
+                    allow_partial,
+                    &make_request,
+                    &mut slot_on_response,
+                )
+            } else {
+                let sent = self.dispatch_plans(base, &plans, &costs);
+                let gathered = self.gather(
+                    base,
+                    plans.len(),
+                    allow_partial,
+                    &make_request,
+                    &mut slot_on_response,
+                );
+                (gathered, sent)
+            }
+        });
+        groups.push(group);
+    }
+
+    /// The one place a group of admitted work — member `i` priced
+    /// `costs[i]` — is numbered, charged against the gauge, exchanged with
+    /// the workers and released (on success and failure alike). A group
+    /// flushing at ≥ the brownout fraction of the budget runs with
+    /// partial-result semantics.
+    pub(super) fn run_group(
+        &self,
+        costs: &[u64],
+        start: Instant,
+        exchange: &mut Exchange<'_>,
+    ) -> GroupRun {
+        let n = costs.len();
+        let group_cost = costs.iter().fold(0u64, |a, &c| a.saturating_add(c));
+        let browned = self.gauge.brownout_at(group_cost);
+        if browned {
+            for _ in 0..n {
+                self.gauge.note_browned_out();
+            }
+        }
+        let base = self.query_counter.get();
+        self.query_counter.set(base + n as u64);
+        self.gauge.charge(group_cost);
+        let (gathered, sent) = exchange(base, self.config.allow_partial || browned);
+        self.gauge.release(group_cost);
+        let (report, error) = match gathered {
+            Ok(r) => (r, None),
+            Err(e) => {
+                (GatherReport { retries_by_slot: vec![0; n], ..GatherReport::default() }, Some(e))
+            }
+        };
+        GroupRun { costs: costs.to_vec(), report, error, sent, elapsed: start.elapsed(), browned }
+    }
+
+    /// The one [`QueryStats`] constructor: the stats of member `pos` of a
+    /// flushed group, given what its own responses carried.
+    ///
+    /// Shared-by-construction fields are group-level values: `wall_time` is
+    /// the group's completion offset from stream start, `timeouts`,
+    /// `respawned_workers` and the discarded-frame counters are the
+    /// group's, and `coordinator_to_worker_bytes` is `c2w_each`, the
+    /// caller's even split of the dispatch bytes (a super-plan frame has no
+    /// exact per-query split). The modeled response time charges that same
+    /// split as the request transfer — except for a group of one, which is
+    /// charged its largest single frame: the links are parallel, so a lone
+    /// query waits for one frame, not for the sum over machines.
+    pub(super) fn query_stats(
+        &self,
+        g: &GroupRun,
+        pos: usize,
+        per_machine: Vec<MachineCost>,
+        cache: CacheCounters,
+        results: usize,
+        c2w_each: u64,
+    ) -> QueryStats {
+        let mut degraded: Vec<u32> =
+            g.report.degraded.iter().filter(|&&(s, _)| s == pos).map(|&(_, f)| f).collect();
+        degraded.sort_unstable();
+        degraded.dedup();
+        let request_bytes = if g.costs.len() == 1 { g.sent.largest_frame } else { c2w_each };
+        QueryStats {
+            wall_time: g.elapsed,
+            coordinator_to_worker_bytes: c2w_each,
+            worker_to_coordinator_bytes: per_machine.iter().map(|m| m.response_bytes).sum(),
+            per_machine,
+            inter_worker_bytes: 0, // no worker↔worker links exist (Theorem 3)
+            // Each narrowed re-dispatch is an extra coordinator round.
+            rounds: 1 + g.report.retries_by_slot[pos],
+            results,
+            retries: g.report.retries_by_slot[pos],
+            timeouts: g.report.timeouts,
+            respawned_workers: g.sent.respawns + g.report.respawned_workers,
+            degraded_fragments: degraded,
+            duplicate_responses: g.report.duplicate_responses,
+            corrupt_frames: g.report.corrupt_frames,
+            out_of_window_responses: g.report.out_of_window_responses,
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            cache_evictions: cache.evictions,
+            cache_bypassed: cache.bypassed,
+            estimated_cost: g.costs[pos],
+            browned_out: g.browned,
+            ..QueryStats::default()
+        }
+        .finalize(&self.config.network, request_bytes)
+    }
+
+    /// Fixed-window dispatch of one admission group: every
+    /// `batch_window`-sized chunk ships as its own window before any
+    /// response is gathered, so workers process their queues concurrently.
+    fn dispatch_plans(&self, base: u64, plans: &[QueryPlan], costs: &[u64]) -> Sent {
+        let window = self.config.batch_window.max(1);
+        let mut sent = Sent::default();
+        for (w, (chunk, chunk_costs)) in plans.chunks(window).zip(costs.chunks(window)).enumerate()
+        {
+            sent.absorb(self.dispatch_window(
+                base + (w * window) as u64,
+                chunk,
+                chunk_costs,
+                false,
+            ));
+        }
+        sent
+    }
+
+    /// Adaptive streaming dispatch of one admission group: plans are
+    /// admitted into an *open* window, draining in-flight responses of
+    /// earlier windows between admissions; the window closes at the
+    /// controller-chosen size or after [`ClusterConfig::batch_window_ms`],
+    /// whichever comes first, is dispatched (reference-elided where the
+    /// target's slot directory is believed warm), and feeds the controller
+    /// its completed-query latencies. Answers are byte-identical to the
+    /// fixed-window path — only frame boundaries and slot encodings differ.
+    ///
+    /// [`ClusterConfig::batch_window_ms`]: super::ClusterConfig::batch_window_ms
+    fn run_group_adaptive(
+        &self,
+        base: u64,
+        plans: &[QueryPlan],
+        costs: &[u64],
+        allow_partial: bool,
+        make_request: &dyn Fn(usize, Vec<u32>) -> Request,
+        on_response: &mut dyn FnMut(usize, Response, u64),
+    ) -> (Result<GatherReport, QueryError>, Sent) {
+        let n = plans.len();
+        let mut gs = GatherState::new(self, n, allow_partial);
+        let mut sent = Sent::default();
+        let mut s = 0usize;
+        while s < n {
+            let target = self.controller.borrow().window().max(1);
+            let mut opened = Instant::now();
+            // A window never closes empty; past that, time-closed ingress:
+            // admit until the controller's size is reached or the window's
+            // time budget elapses, using the wait to overlap gathers.
+            let mut end = s + 1;
+            while end < n && end - s < target {
+                let drain_start = Instant::now();
+                if let Err(e) = self.gather_drain(base, &mut gs, make_request, on_response) {
+                    return (Err(e), sent);
+                }
+                // The time budget bounds how long early queries wait on
+                // *ingress* — time spent usefully draining earlier windows'
+                // responses doesn't count against it, or heavy gathers
+                // would shrink every window to the clock instead of the
+                // controller's choice.
+                opened += drain_start.elapsed();
+                if opened.elapsed() >= self.config.batch_window_ms {
+                    break;
+                }
+                end += 1;
+            }
+            sent.absorb(self.dispatch_window(
+                base + s as u64,
+                &plans[s..end],
+                &costs[s..end],
+                true,
+            ));
+            // Re-derive the adaptive hedge deadline per window so it tracks
+            // the controller's evolving p99 across the stream.
+            gs.hedge_after = self.hedge_after();
+            gs.activate(s, end);
+            let mut controller = self.controller.borrow_mut();
+            for (service, eval) in self.note_service_latencies(&mut gs) {
+                controller.observe(service, eval);
+            }
+            controller.on_window_closed(end - s, n - end);
+            drop(controller);
+            s = end;
+        }
+        let out = self.gather_finish(base, &mut gs, make_request, on_response);
+        let mut controller = self.controller.borrow_mut();
+        for (service, eval) in self.note_service_latencies(&mut gs) {
+            controller.observe(service, eval);
+        }
+        (out, sent)
+    }
+
+    /// Dispatch one closed window of admitted plans for queries
+    /// `window_base+1 ..= window_base+chunk.len()`: a lone plan ships as a
+    /// plain `Evaluate`, ≥2 plans merge into one [`SuperPlan`] shipped as a
+    /// single `Batch` frame per machine. With `elide` (adaptive windows)
+    /// the super-plan ships **reference-elided** where it can: coverage
+    /// slots the machine's directory is believed to know are encoded as
+    /// compact slot ids (`ElidedSlot::Cached`, 5 bytes) instead of full
+    /// `DTerm` specs, and full-spec entries teach the directory for next
+    /// time. A machine whose directory turns out stale NACKs with
+    /// `QueryError::SlotUnknown`, repaired by full-spec narrowed retries —
+    /// see `gather_process_frame`.
+    fn dispatch_window(
+        &self,
+        window_base: u64,
+        chunk: &[QueryPlan],
+        costs: &[u64],
+        elide: bool,
+    ) -> Sent {
+        // The window's full-spec request; only its fragment list varies
+        // by target.
+        let mut request = if chunk.len() >= 2 {
+            Request::Batch { base: window_base, plan: SuperPlan::merge(chunk), fragments: vec![] }
+        } else {
+            Request::Evaluate {
+                query_id: window_base + 1,
+                plan: chunk[0].clone(),
+                fragments: vec![],
+            }
+        };
+        // A single-owner broadcast sends every machine the same full-spec
+        // bytes: encode them once.
+        let mut broadcast: Option<Bytes> = None;
+        self.send_routed(costs.iter().sum(), &mut |m, frags| {
+            if let (true, Request::Batch { plan, .. }) = (elide, &request) {
+                let mut believed = self.believed.borrow_mut();
+                // `None`: an over-wide plan (beyond the compact codec's
+                // u16/u8 ranges) falls back to full specs.
+                if let Some(elided) = plan.try_elide(&mut self.slot_ids.borrow_mut(), &believed[m])
+                {
+                    // Once this FIFO frame lands, every id in it is in
+                    // the worker's directory: full-spec entries teach
+                    // it, references were already believed known.
+                    believed[m].extend(elided.slot_ids());
+                    return encode_frame(&Request::BatchRef {
+                        base: window_base,
+                        plan: elided,
+                        fragments: frags,
+                    });
+                }
+            }
+            if frags.is_empty() {
+                return broadcast.get_or_insert_with(|| encode_frame(&request)).clone();
+            }
+            if let Request::Batch { fragments, .. } | Request::Evaluate { fragments, .. } =
+                &mut request
+            {
+                *fragments = frags;
+            }
+            encode_frame(&request)
+        })
+    }
+}

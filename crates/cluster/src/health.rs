@@ -11,7 +11,7 @@
 //! * **Suspect** — suspicion in `[suspect, quarantine)`; still routable but
 //!   deprioritized as a hedge target and by `least_suspect` ordering.
 //! * **Quarantined** — suspicion crossed `quarantine_threshold`; softly
-//!   removed from `RoutePolicy::LeastLoaded` replica selection and probed
+//!   removed from least-loaded replica selection and probed
 //!   under jittered backoff until `probation_successes` consecutive probe
 //!   acks reinstate it.
 //!
@@ -38,11 +38,9 @@ pub enum HedgeMode {
     /// No speculative re-dispatch (bit-identical to the pre-health cluster).
     #[default]
     Off,
-    /// Hedge any slot still missing answers `DISKS_HEDGE_MS` after dispatch.
-    Fixed,
     /// Hedge past [`HEDGE_P99_MULTIPLE`] × the observed evaluation p99,
-    /// floored at `DISKS_HEDGE_MS` (the floor also covers the cold start
-    /// before a p99 exists).
+    /// floored at `ClusterConfig::hedge_ms` (the floor also covers the cold
+    /// start before a p99 exists).
     Adaptive,
 }
 

@@ -24,10 +24,10 @@
 //!   §5.2 strategy applies: an unassigned task goes to an idle machine.
 //!   Beyond the paper, the [`Placement`] layer can host replicas of the
 //!   hottest fragments' engines on extra machines
-//!   ([`ClusterConfig::replicas`], env `DISKS_REPLICAS`) and route each
-//!   per-query fragment evaluation to the least-loaded replica
-//!   ([`ClusterConfig::route`], env `DISKS_ROUTE`); any replica answers the
-//!   same coverage, so results stay byte-identical (`DESIGN.md` §6h).
+//!   ([`ClusterConfig::replicas`], env `DISKS_REPLICAS`) and routes each
+//!   per-query fragment evaluation to the least-loaded replica; any replica
+//!   answers the same coverage, so results stay byte-identical (`DESIGN.md`
+//!   §6h).
 //!
 //! Beyond the paper's fault-free setting, the runtime is fault-tolerant:
 //! a deterministic [`FaultPlan`] can drop, delay, duplicate, or corrupt
@@ -80,13 +80,13 @@ pub mod worker;
 
 pub use adaptive::WindowController;
 pub use cache::{CacheCounters, CoverageCache};
-pub use cluster::{Cluster, ClusterConfig, QueryOutcome, RemoteWorkerCommand};
+pub use cluster::{Cluster, ClusterConfig, ConfigError, QueryOutcome, RemoteWorkerCommand};
 pub use framing::{FrameAssembler, StreamEvent};
 pub use health::{HealthBoard, HealthConfig, HealthState, HedgeMode};
 pub use heat::HeatSnapshot;
 pub use message::{BatchAnswer, Request, Response, WireCost};
 pub use overload::{retry_after, OverloadCounters, PressureGauge};
-pub use scheduler::{Placement, RoutePolicy};
+pub use scheduler::Placement;
 pub use stats::{MachineCost, QueryStats, RecoveryCounters};
 pub use transport::{
     tcp_worker_endpoint, FaultAction, FaultPlan, HeartbeatConfig, HeartbeatConfigError,

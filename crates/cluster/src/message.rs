@@ -10,6 +10,8 @@ use disks_core::{ElidedSuperPlan, QueryCost, QueryError, QueryPlan, Ranked, Supe
 use disks_roadnet::codec::{Decode, Encode};
 use disks_roadnet::{DecodeError, NodeId};
 
+use crate::cache::CacheCounters;
+
 /// Coordinator → worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
@@ -96,6 +98,18 @@ pub struct WireCost {
     /// serial path, which does not time individual slots. Lets the
     /// coordinator attribute evaluation p99 to compute vs queueing.
     pub eval_hist: [u32; EVAL_HIST_BUCKETS],
+}
+
+impl WireCost {
+    /// The worker's coverage-cache activity for the task.
+    pub fn cache_counters(&self) -> CacheCounters {
+        CacheCounters {
+            hits: self.cache_hits,
+            misses: self.cache_misses,
+            evictions: self.cache_evictions,
+            bypassed: self.cache_bypassed,
+        }
+    }
 }
 
 /// Buckets in [`WireCost::eval_hist`].

@@ -128,12 +128,6 @@ impl PressureGauge {
         self.pressure_with(0)
     }
 
-    /// Whether queueing `extra` cost on top of the in-flight cost would
-    /// exceed the budget (never true while overload control is disabled).
-    pub fn would_overflow(&self, extra: u64) -> bool {
-        self.enabled() && self.in_flight.get().saturating_add(extra) > self.cost_limit
-    }
-
     /// Whether the brownout ladder is active at the given extra queued cost.
     pub fn brownout_at(&self, extra: u64) -> bool {
         self.enabled() && self.brownout.is_finite() && self.pressure_with(extra) >= self.brownout

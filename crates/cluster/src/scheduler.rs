@@ -18,17 +18,6 @@
 
 use disks_partition::FragmentId;
 
-/// How the coordinator picks among a fragment's replicas per dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoutePolicy {
-    /// Always the primary (bit-identical to the pre-replication cluster).
-    Primary,
-    /// The replica with the least cumulative routed cost (deterministic:
-    /// ties break toward the smallest machine id).
-    #[default]
-    LeastLoaded,
-}
-
 /// A static fragment → machine placement with optional replica sets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {

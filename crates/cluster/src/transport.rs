@@ -474,22 +474,6 @@ pub enum TransportKind {
     Tcp,
 }
 
-impl TransportKind {
-    /// Resolve from `DISKS_TRANSPORT` (`tcp` or `channel`; default
-    /// channel).
-    pub fn from_env() -> TransportKind {
-        match std::env::var("DISKS_TRANSPORT") {
-            Ok(v) if v.trim().eq_ignore_ascii_case("tcp") => TransportKind::Tcp,
-            _ => TransportKind::Channel,
-        }
-    }
-}
-
-fn env_millis(var: &str, default_ms: u64) -> Duration {
-    let ms = std::env::var(var).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default_ms);
-    Duration::from_millis(ms.max(1))
-}
-
 /// Microseconds elapsed since a lazily-pinned process-wide epoch — the
 /// shared clock behind every health-plane timestamp (pump keepalive
 /// arrivals, suspicion scoring). A plain monotonic counter keeps the pumps'
@@ -568,42 +552,15 @@ impl HeartbeatConfig {
         }
         Ok(HeartbeatConfig { interval, read_timeout })
     }
-
-    /// Resolve from the environment without clamping, surfacing the typed
-    /// error for callers (the worker binary, tests) that want to reject a
-    /// bad deployment loudly.
-    pub fn try_from_env() -> Result<HeartbeatConfig, HeartbeatConfigError> {
-        Self::checked(
-            env_millis("DISKS_HEARTBEAT_MS", 100),
-            env_millis("DISKS_TCP_READ_TIMEOUT_MS", 1000),
-        )
-    }
-
-    /// Resolve from the environment, clamping any rejected combination back
-    /// to a safe shape (read timeout raised to 10× the interval — the
-    /// default 100ms/1000ms ratio) with a one-line warning, so library
-    /// construction paths (`ClusterConfig::default`) stay infallible.
-    pub fn from_env() -> HeartbeatConfig {
-        match Self::try_from_env() {
-            Ok(cfg) => cfg,
-            Err(e) => {
-                let interval = env_millis("DISKS_HEARTBEAT_MS", 100).max(Duration::from_millis(1));
-                let cfg = HeartbeatConfig { interval, read_timeout: interval * 10 };
-                eprintln!(
-                    "disks: invalid heartbeat config ({e}); clamped to \
-                     interval={}ms read_timeout={}ms",
-                    cfg.interval.as_millis(),
-                    cfg.read_timeout.as_millis()
-                );
-                cfg
-            }
-        }
-    }
 }
 
 impl Default for HeartbeatConfig {
+    /// The shipped timing: a keepalive every 100 ms, a 1 s read timeout.
     fn default() -> HeartbeatConfig {
-        HeartbeatConfig::from_env()
+        HeartbeatConfig {
+            interval: Duration::from_millis(100),
+            read_timeout: Duration::from_secs(1),
+        }
     }
 }
 

@@ -46,7 +46,7 @@ fn build_cluster(
     cache_bytes: usize,
     kill_at: Option<u64>,
 ) -> Cluster {
-    build_cluster_on(net, p, cache_bytes, kill_at, TransportKind::from_env())
+    build_cluster_on(net, p, cache_bytes, kill_at, ClusterConfig::default().transport)
 }
 
 fn build_cluster_on(

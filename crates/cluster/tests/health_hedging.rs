@@ -24,7 +24,7 @@ use rand::{Rng, SeedableRng};
 
 use disks_cluster::{
     Cluster, ClusterConfig, FaultPlan, HealthBoard, HealthConfig, HeartbeatConfig,
-    HeartbeatConfigError, HedgeMode, LinkDirection, NetworkModel, RoutePolicy, TransportKind,
+    HeartbeatConfigError, HedgeMode, LinkDirection, NetworkModel, TransportKind,
 };
 use disks_core::{build_all_indexes, CentralizedCoverage, IndexConfig, SgkQuery};
 use disks_partition::{FragmentId, MultilevelPartitioner, Partitioner, Partitioning};
@@ -71,7 +71,6 @@ fn base_config() -> ClusterConfig {
         deadline: Duration::from_millis(1000),
         coverage_cache_bytes: 64 << 20,
         replicas: 1,
-        route: RoutePolicy::LeastLoaded,
         hedge: HedgeMode::Off,
         hedge_ms: 50,
         quarantine: false,
@@ -145,7 +144,7 @@ fn hedge_recovers_stalled_tcp_primary_before_read_timeout() {
 
 /// The same chaos shape on the in-process channel transport (no keepalives,
 /// no read timeout — the delay simply parks the worker thread for 400 ms),
-/// with the *fixed* hedge deadline: identical acceptance — exact answers
+/// with the hedge deadline at its 10 ms floor: identical acceptance — exact answers
 /// with zero timeouts, retries, or respawns, and at least one hedge win.
 #[test]
 fn hedge_recovers_delayed_channel_primary() {
@@ -159,7 +158,7 @@ fn hedge_recovers_delayed_channel_primary() {
         ClusterConfig {
             placement_heat: Some(vec![1000, 1, 1]),
             faults: Some(plan),
-            hedge: HedgeMode::Fixed,
+            hedge: HedgeMode::Adaptive,
             hedge_ms: 10,
             ..base_config()
         },
@@ -205,7 +204,7 @@ fn killed_hedge_target_falls_back_to_retry() {
         TransportKind::Channel,
         ClusterConfig {
             faults: Some(plan),
-            hedge: HedgeMode::Fixed,
+            hedge: HedgeMode::Adaptive,
             hedge_ms: 10,
             deadline: Duration::from_millis(120),
             ..base_config()
@@ -251,7 +250,7 @@ fn quarantined_machine_is_probed_and_reinstated() {
         ClusterConfig {
             placement_heat: Some(vec![1000, 1, 1]),
             faults: Some(plan),
-            hedge: HedgeMode::Fixed,
+            hedge: HedgeMode::Adaptive,
             hedge_ms: 10,
             quarantine: true,
             // The channel transport sends no keepalives; the interval only
@@ -408,7 +407,7 @@ proptest! {
         let (a, fa, ba, ra) = run(HedgeMode::Off, 50, false);
         let (b, fb, bb, rb) = run(HedgeMode::Off, 50, true);
         // A hedge armed 60 s out never fires: arming must be free too.
-        let (c, fc, bc, rc_) = run(HedgeMode::Fixed, 60_000, false);
+        let (c, fc, bc, rc_) = run(HedgeMode::Adaptive, 60_000, false);
         prop_assert_eq!(&a, &b, "quarantine-armed healthy cluster diverged");
         prop_assert_eq!(&a, &c, "armed-but-unfired hedge diverged");
         prop_assert_eq!(fa, fb);
@@ -425,7 +424,7 @@ proptest! {
 }
 
 /// `HeartbeatConfig::checked` rejects nonsense with *typed* errors an
-/// operator (or `try_from_env`) can match on, and passes valid budgets
+/// operator (or `ClusterConfig::from_env`) can match on, and passes valid budgets
 /// through unchanged.
 #[test]
 fn heartbeat_validation_yields_typed_errors() {

@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 
 use disks_cluster::{
     CacheCounters, Cluster, ClusterConfig, FaultPlan, HedgeMode, NetworkModel, QueryOutcome,
-    RoutePolicy, TransportKind,
+    TransportKind,
 };
 use disks_core::{build_all_indexes, CentralizedCoverage, DFunction, IndexConfig, SetOp, Term};
 use disks_partition::{MultilevelPartitioner, Partitioner, Partitioning};
@@ -190,8 +190,7 @@ fn chaos_with_pool(transport: TransportKind) {
             worker_threads: 4,
             transport,
             replicas: 1,
-            route: RoutePolicy::LeastLoaded,
-            hedge: HedgeMode::Fixed,
+            hedge: HedgeMode::Adaptive,
             hedge_ms: 200,
             quarantine: true,
             faults: Some(faults),

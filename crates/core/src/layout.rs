@@ -26,12 +26,18 @@ pub enum LayoutMode {
 }
 
 impl LayoutMode {
-    /// Parse `DISKS_LAYOUT`: `workload` (any case) selects
+    /// Read `DISKS_LAYOUT` from the process environment (see
+    /// [`LayoutMode::parse`]).
+    pub fn from_env() -> Self {
+        Self::parse(std::env::var("DISKS_LAYOUT").ok().as_deref())
+    }
+
+    /// Parse a `DISKS_LAYOUT` value: `workload` (any case) selects
     /// [`LayoutMode::Workload`]; `static`, unset, or anything else is
     /// [`LayoutMode::Static`].
-    pub fn from_env() -> Self {
-        match std::env::var("DISKS_LAYOUT") {
-            Ok(v) if v.eq_ignore_ascii_case("workload") => LayoutMode::Workload,
+    pub fn parse(value: Option<&str>) -> Self {
+        match value {
+            Some(v) if v.eq_ignore_ascii_case("workload") => LayoutMode::Workload,
             _ => LayoutMode::Static,
         }
     }

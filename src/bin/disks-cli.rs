@@ -56,6 +56,15 @@ fn main() {
     }
 }
 
+/// The cluster configuration the `DISKS_*` environment asks for; a value a
+/// variable does not accept ends the process with exit code 2.
+fn cluster_config() -> ClusterConfig {
+    ClusterConfig::from_env().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        exit(2);
+    })
+}
+
 fn usage() {
     eprintln!(
         "disks-cli <generate|stats|partition|index|query|topk> [options]\n\
@@ -258,7 +267,7 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
     let indexes = load_indexes(Path::new(opts.require("index-dir")?), &p)?;
     let keywords = parse_keywords(&net, opts.require("keywords")?)?;
     let r: u64 = opts.get_parse("r", 10 * net.avg_edge_weight())?;
-    let cluster = Cluster::build(&net, &p, indexes, ClusterConfig::default());
+    let cluster = Cluster::build(&net, &p, indexes, cluster_config());
     let q = SgkQuery::new(keywords, r);
     let outcome = cluster.run_sgkq(&q).map_err(|e| e.to_string())?;
     println!(
@@ -301,7 +310,7 @@ fn cmd_topk(opts: &Opts) -> Result<(), String> {
         "sum" => ScoreCombine::Sum,
         other => return Err(format!("unknown combine '{other}' (max|sum)")),
     };
-    let cluster = Cluster::build(&net, &p, indexes, ClusterConfig::default());
+    let cluster = Cluster::build(&net, &p, indexes, cluster_config());
     let q = TopKQuery::new(keywords, k, horizon, combine);
     let (ranked, stats) = cluster.run_topk(&q).map_err(|e| e.to_string())?;
     for (i, &(score, node)) in ranked.iter().enumerate() {

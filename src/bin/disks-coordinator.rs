@@ -34,10 +34,12 @@ fn main() {
     let query_seed: u64 = get("--query-seed").and_then(|v| v.parse().ok()).unwrap_or(0x5EED);
     let queries: usize = get("--queries").and_then(|v| v.parse().ok()).unwrap_or(200);
     let cache: usize = get("--cache").and_then(|v| v.parse().ok()).unwrap_or(64 << 20);
-    let threads: usize = get("--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(ClusterConfig::worker_threads_from_env)
-        .max(1);
+    let env = ClusterConfig::from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        exit(2);
+    });
+    let threads: usize =
+        get("--threads").and_then(|v| v.parse().ok()).unwrap_or(env.worker_threads).max(1);
 
     let net = workload::grid_net(seed);
     let p = workload::partition(&net, fragments);
@@ -45,7 +47,7 @@ fn main() {
         machines: Some(machines),
         coverage_cache_bytes: cache,
         worker_threads: threads,
-        ..ClusterConfig::default()
+        ..env
     };
 
     let cluster = match mode.as_str() {

@@ -20,9 +20,7 @@ use std::time::{Duration, Instant};
 
 use disks::cluster::framing::write_hello;
 use disks::cluster::worker::worker_loop;
-use disks::cluster::{
-    tcp_worker_endpoint, ClusterConfig, HeartbeatConfig, LinkCounters, LinkSender, WorkerFaults,
-};
+use disks::cluster::{tcp_worker_endpoint, ClusterConfig, LinkCounters, LinkSender, WorkerFaults};
 use disks::workload;
 
 fn main() {
@@ -39,18 +37,18 @@ fn main() {
     let fragments: usize = get("--fragments").and_then(|v| v.parse().ok()).unwrap_or(machines);
     let seed: u64 = get("--seed").and_then(|v| v.parse().ok()).unwrap_or(0xD15C);
     let cache: usize = get("--cache").and_then(|v| v.parse().ok()).unwrap_or(64 << 20);
-    // Heat-admission threshold: flag first, then the same DISKS_CACHE_HEAT /
-    // DISKS_LAYOUT environment defaulting the in-process workers use (the
-    // coordinator's env propagates to spawned worker processes).
-    let cache_heat: u32 = get("--cache-heat")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(ClusterConfig::cache_heat_from_env);
-    // Evaluator threads: flag first, then the same DISKS_WORKER_THREADS
-    // defaulting the in-process workers use.
-    let threads: usize = get("--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(ClusterConfig::worker_threads_from_env)
-        .max(1);
+    // The same DISKS_* environment defaulting the in-process workers use
+    // (the coordinator's env propagates to spawned worker processes).
+    let env = ClusterConfig::from_env().unwrap_or_else(|e| {
+        eprintln!("disks-worker {machine}: {e}");
+        exit(2);
+    });
+    // Heat-admission threshold and evaluator threads: flag first, then
+    // DISKS_CACHE_HEAT / DISKS_LAYOUT and DISKS_WORKER_THREADS.
+    let cache_heat: u32 =
+        get("--cache-heat").and_then(|v| v.parse().ok()).unwrap_or(env.cache_heat);
+    let threads: usize =
+        get("--threads").and_then(|v| v.parse().ok()).unwrap_or(env.worker_threads).max(1);
 
     let net = workload::grid_net(seed);
     let p = workload::partition(&net, fragments);
@@ -76,7 +74,7 @@ fn main() {
         eprintln!("disks-worker {machine}: hello: {e}");
         exit(1);
     }
-    let endpoint = match tcp_worker_endpoint(stream, machine, HeartbeatConfig::from_env(), None) {
+    let endpoint = match tcp_worker_endpoint(stream, machine, env.heartbeat, None) {
         Ok(ep) => ep,
         Err(e) => {
             eprintln!("disks-worker {machine}: endpoint: {e}");

@@ -1,0 +1,158 @@
+//! One request path: a single query is a stream of one. Under three
+//! configurations written out in full (so no `DISKS_*` lane changes what is
+//! tested), `Cluster::run` and a one-element `Cluster::run_stream` report
+//! the same outcome, both equal the centralized oracle, no worker ever
+//! talks to another, and every coordinator→worker frame is accounted for.
+
+use std::time::Duration;
+
+use disks::baseline::centralized::CentralizedEngine;
+use disks::cluster::transport::TransportKind;
+use disks::cluster::{Cluster, ClusterConfig, FaultPlan, HeartbeatConfig, HedgeMode, NetworkModel};
+use disks::core::{
+    build_all_indexes, DFunction, IndexConfig, QClassQuery, RangeKeywordQuery, SetOp, SgkQuery,
+    Term,
+};
+use disks::partition::{MultilevelPartitioner, Partitioner};
+use disks::roadnet::generator::GridNetworkConfig;
+use disks::roadnet::{KeywordId, NodeId, RoadNetwork};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// The shipped configuration, every environment-driven field spelled out.
+fn shipped() -> ClusterConfig {
+    ClusterConfig {
+        machines: Some(2),
+        network: NetworkModel::instant(),
+        deadline: Duration::from_millis(500),
+        max_attempts: 3,
+        allow_partial: false,
+        faults: None,
+        coverage_cache_bytes: 64 << 20,
+        batch_window: 16,
+        batch_adaptive: false,
+        batch_window_ms: Duration::from_millis(2),
+        batch_p99_target: Duration::from_millis(50),
+        cost_limit: 0,
+        brownout: 0.75,
+        retry_backoff: Duration::from_millis(2),
+        queue_capacity: 1024,
+        transport: TransportKind::Channel,
+        heartbeat: HeartbeatConfig::default(),
+        replicas: 0,
+        placement_heat: None,
+        cache_heat: 0,
+        hedge: HedgeMode::Off,
+        hedge_ms: 50,
+        quarantine: false,
+        worker_threads: 1,
+    }
+}
+
+/// 48 seeded queries cycling SGKQ → RKQ → Q-class over the six most
+/// frequent keywords.
+fn stream(net: &RoadNetwork) -> Vec<DFunction> {
+    let freqs = net.keyword_frequencies();
+    let mut ranked: Vec<usize> = (0..freqs.len()).filter(|&k| freqs[k] > 0).collect();
+    ranked.sort_unstable_by_key(|&k| std::cmp::Reverse(freqs[k]));
+    ranked.truncate(6);
+    let objects: Vec<NodeId> = net.node_ids().filter(|&n| net.is_object(n)).collect();
+    let e = net.avg_edge_weight();
+    let mut rng = StdRng::seed_from_u64(0x0E1A);
+    (0..48)
+        .map(|i| {
+            let mut kw = || KeywordId(ranked[rng.gen_range(0..ranked.len())] as u32);
+            let (a, b) = (kw(), kw());
+            let r = e * (2 + i as u64 % 4);
+            match i % 3 {
+                0 => SgkQuery::new(vec![a, b], r).to_dfunction(),
+                1 => RangeKeywordQuery::new(objects[i * 7 % objects.len()], vec![a], r)
+                    .to_dfunction(),
+                _ => QClassQuery::new(DFunction::single(Term::Keyword(a), r).then(
+                    SetOp::Subtract,
+                    Term::Keyword(b),
+                    e,
+                ))
+                .to_dfunction(),
+            }
+        })
+        .collect()
+}
+
+/// `c2w == dispatch + retries + prewarm + hedges + probes`, exactly.
+fn assert_ledger_closes(cluster: &Cluster, what: &str) {
+    let (c2w, _) = cluster.link_message_totals();
+    let (oc, rc) = (cluster.overload_counters(), cluster.recovery_counters());
+    assert_eq!(
+        c2w,
+        oc.dispatch_frames + rc.retries + rc.prewarm_frames + rc.hedges + rc.probe_frames,
+        "{what}: frame ledger must close: {oc:?} {rc:?}"
+    );
+}
+
+#[test]
+fn a_single_query_is_a_stream_of_one() {
+    let net = GridNetworkConfig::tiny(0x0E1A).generate();
+    let p = MultilevelPartitioner::default().partition(&net, 4);
+    let fs = stream(&net);
+    let configs = [
+        ("shipped defaults", shipped()),
+        ("adaptive windows", ClusterConfig { batch_adaptive: true, ..shipped() }),
+        (
+            "replica + hedging + mid-stream kill",
+            ClusterConfig {
+                replicas: 1,
+                hedge: HedgeMode::Adaptive,
+                hedge_ms: 10,
+                // Least-loaded routing hands machine 0 some fragment of
+                // nearly every query, so its 20th request arrives well
+                // inside the 48-query sequential pass.
+                faults: Some(FaultPlan::new(0x0E1A).kill_worker(0, 20)),
+                ..shipped()
+            },
+        ),
+    ];
+    for (name, config) in configs {
+        let build = || {
+            let indexes = build_all_indexes(&net, &p, &IndexConfig::unbounded());
+            Cluster::build(&net, &p, indexes, config.clone())
+        };
+        let (solo, streamed) = (build(), build());
+        let mut oracle = CentralizedEngine::new(&net);
+        for (i, f) in fs.iter().enumerate() {
+            let a = solo.run(f).unwrap_or_else(|e| panic!("{name}: run {i}: {e}"));
+            let (mut items, _) = streamed.run_stream(std::slice::from_ref(f));
+            let b = items.pop().unwrap().unwrap_or_else(|e| panic!("{name}: stream {i}: {e}"));
+            assert_eq!(a.results, oracle.run(f).unwrap().0, "{name}: query {i} vs oracle");
+            assert_eq!(a.results, b.results, "{name}: query {i}");
+            let stats = |s: &disks::cluster::QueryStats| {
+                (
+                    s.retries,
+                    s.rounds,
+                    s.degraded_fragments.clone(),
+                    s.estimated_cost,
+                    (s.cache_hits, s.cache_misses, s.cache_evictions, s.cache_bypassed),
+                    s.inter_worker_bytes,
+                )
+            };
+            assert_eq!(stats(&a.stats), stats(&b.stats), "{name}: query {i} stats");
+            assert_eq!(a.stats.inter_worker_bytes, 0, "{name}: query {i}: Theorem 3");
+        }
+        // The same stream as one submission rides the windowed path.
+        let (items, _) = solo.run_stream(&fs);
+        for (i, (f, item)) in fs.iter().zip(items).enumerate() {
+            let o = item.unwrap_or_else(|e| panic!("{name}: batched {i}: {e}"));
+            assert_eq!(o.results, oracle.run(f).unwrap().0, "{name}: batched query {i}");
+            assert_eq!(o.stats.inter_worker_bytes, 0, "{name}: batched query {i}: Theorem 3");
+        }
+        if config.faults.is_some() {
+            for c in [&solo, &streamed] {
+                assert!(c.recovery_counters().respawned_workers >= 1, "{name}: the kill fired");
+            }
+        }
+        assert_ledger_closes(&solo, name);
+        assert_ledger_closes(&streamed, name);
+        solo.shutdown();
+        streamed.shutdown();
+    }
+}
