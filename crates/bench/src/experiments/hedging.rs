@@ -383,17 +383,21 @@ mod tests {
         );
 
         // The adaptive arm speculates past the stalls: hedges fire, at
-        // least one wins, and answers stay exact (asserted inside). How far
-        // the tail drops is a wall-clock ratio — the deadline is 4× the
-        // *measured* evaluation p99, which a loaded test host inflates past
-        // the injected delay — so `repro --exp hedging` reports it and no
-        // test asserts it (it failed 1 run in 3 under `DISKS_TRANSPORT=tcp`
-        // on a 2-core host).
+        // least one wins, answers stay exact (asserted inside), and the
+        // tail drops well below the off arm. (The ≤ 0.5× acceptance
+        // headline is pinned on the quiet-machine bench artifact; this
+        // unit test runs amid the parallel suite and leaves headroom.)
         let adaptive = summary.point("adaptive").expect("adaptive arm");
         assert!(adaptive.hedges >= 1, "adaptive arm must hedge: {adaptive:?}");
         assert!(adaptive.hedge_wins >= 1, "at least one hedge must win: {adaptive:?}");
         assert_eq!(adaptive.retries, 0);
-        assert!(summary.p99_ratio().is_some(), "both arms measured");
+        let ratio = summary.p99_ratio().expect("both arms measured");
+        assert!(
+            ratio < 0.75,
+            "adaptive p99 {}us not well below off p99 {}us (ratio {ratio:.2})",
+            adaptive.p99_micros,
+            off.p99_micros
+        );
         // Speculation costs frames; the ledger (asserted per arm) keeps
         // them accounted.
         assert!(adaptive.frames >= off.frames);

@@ -348,12 +348,19 @@ impl ClusterConfig {
                 });
             }
         }
-        // The two heartbeat variables are only meaningful as a pair.
+        // The two heartbeat variables are only meaningful as a pair. The
+        // defaults pass, so a failing pair has at least one of them set:
+        // blame the timeout when it was given, else the interval (`expected`
+        // quotes both effective values).
         let HeartbeatConfig { interval, read_timeout } = config.heartbeat;
         if let Err(e) = HeartbeatConfig::checked(interval, read_timeout) {
+            let var = ["DISKS_TCP_READ_TIMEOUT_MS", "DISKS_HEARTBEAT_MS"]
+                .into_iter()
+                .find(|var| lookup(var).is_some())
+                .expect("the default heartbeat pair is valid");
             return Err(ConfigError {
-                var: "DISKS_TCP_READ_TIMEOUT_MS",
-                value: read_timeout.as_millis().to_string(),
+                var,
+                value: lookup(var).unwrap_or_default(),
                 expected: e.to_string(),
             });
         }
@@ -496,9 +503,15 @@ mod tests {
 
     #[test]
     fn heartbeat_pair_is_validated_together() {
+        // The error names a variable the operator set, never a default.
         let err = with(&[("DISKS_HEARTBEAT_MS", "2000")]).unwrap_err();
-        assert_eq!(err.var, "DISKS_TCP_READ_TIMEOUT_MS");
-        assert!(err.expected.contains("must exceed the keepalive interval"), "{err}");
+        assert_eq!((err.var, err.value.as_str()), ("DISKS_HEARTBEAT_MS", "2000"));
+        assert!(err.expected.contains("read timeout 1000ms must exceed"), "{err}");
+        let err = with(&[("DISKS_TCP_READ_TIMEOUT_MS", "50")]).unwrap_err();
+        assert_eq!((err.var, err.value.as_str()), ("DISKS_TCP_READ_TIMEOUT_MS", "50"));
+        assert!(err.expected.contains("the keepalive interval 100ms"), "{err}");
+        let both = [("DISKS_HEARTBEAT_MS", "300"), ("DISKS_TCP_READ_TIMEOUT_MS", "300")];
+        assert_eq!(with(&both).unwrap_err().var, "DISKS_TCP_READ_TIMEOUT_MS");
         assert!(with(&[("DISKS_HEARTBEAT_MS", "0")]).is_err());
     }
 

@@ -95,6 +95,11 @@ impl Cluster {
     /// stream is one group and the ladder is inert — exactly the
     /// pre-overload behavior.
     ///
+    /// Under adaptive windows a group of one (every [`Cluster::run`]) takes
+    /// the fixed branch: one slow lone query must not halve the window the
+    /// next stream starts with, move the hedge deadline's p99, or grow the
+    /// window trace by an entry per query.
+    ///
     /// `on_response` receives first-seen `Results` payloads keyed by the
     /// query's *original stream index*.
     pub(super) fn run_stream_core(
@@ -169,7 +174,9 @@ impl Cluster {
             };
             let mut slot_on_response =
                 |slot: usize, resp: Response, bytes: u64| on_response(members[slot], resp, bytes);
-            if self.adaptive_enabled() {
+            // A group of one has no window to size: it ships the same lone
+            // `Evaluate` either way and must not feed the controller.
+            if self.adaptive_enabled() && plans.len() > 1 {
                 self.run_group_adaptive(
                     base,
                     &plans,

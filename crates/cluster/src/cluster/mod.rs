@@ -93,6 +93,14 @@ pub(crate) fn slot_key(&(term, radius): &(Term, u64)) -> (u8, u64, u64) {
     }
 }
 
+/// A slot-heat ledger's entries hottest first: count descending, ties by
+/// [`slot_key`].
+fn ranked_heat(heat: &HashMap<(Term, u64), u64>) -> Vec<((Term, u64), u64)> {
+    let mut ranked: Vec<((Term, u64), u64)> = heat.iter().map(|(&k, &v)| (k, v)).collect();
+    ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| slot_key(&a.0).cmp(&slot_key(&b.0))));
+    ranked
+}
+
 /// Result + statistics of one distributed query.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
@@ -256,7 +264,8 @@ impl Cluster {
     /// worker→coordinator links. A delta of `(0, 0)` around a rejected
     /// query proves no worker ever saw it.
     pub fn link_totals(&self) -> (u64, u64) {
-        self.link_bytes()
+        let c2w = self.workers.borrow().iter().map(|w| w.link.counters().bytes()).sum();
+        (c2w, self.from_workers.bytes())
     }
 
     /// Admit a query plan (coordinator-side admission): every invalid query
@@ -285,11 +294,8 @@ impl Cluster {
     /// The `k` hottest coverage slots by lifetime dispatch count,
     /// deterministically ordered (count desc, then slot key).
     fn hottest_slots(&self, k: usize) -> Vec<DTerm> {
-        let heat = self.slot_heat.borrow();
-        let mut ranked: Vec<(&(Term, u64), &u64)> = heat.iter().collect();
-        ranked
-            .sort_unstable_by(|a, b| b.1.cmp(a.1).then_with(|| slot_key(a.0).cmp(&slot_key(b.0))));
-        ranked.into_iter().take(k).map(|(&(term, radius), _)| DTerm { term, radius }).collect()
+        let ranked = ranked_heat(&self.slot_heat.borrow());
+        ranked.into_iter().take(k).map(|((term, radius), _)| DTerm { term, radius }).collect()
     }
 
     /// Export the slot-heat ledger as a portable [`HeatSnapshot`]: every
@@ -300,11 +306,7 @@ impl Cluster {
     /// split, heat-seeded placement) to re-lay the cluster out around the
     /// workload it actually served.
     pub fn heat_snapshot(&self) -> HeatSnapshot {
-        let heat = self.slot_heat.borrow();
-        let mut ranked: Vec<((Term, u64), u64)> = heat.iter().map(|(&k, &v)| (k, v)).collect();
-        ranked.sort_unstable_by(|a, b| {
-            b.1.cmp(&a.1).then_with(|| slot_key(&a.0).cmp(&slot_key(&b.0)))
-        });
+        let ranked = ranked_heat(&self.slot_heat.borrow());
         HeatSnapshot {
             entries: ranked.into_iter().map(|((term, r), count)| (term, r, count)).collect(),
         }
@@ -330,11 +332,9 @@ impl Cluster {
             });
         }
         if heat.len() > HEAT_CAP {
-            let mut ranked: Vec<((Term, u64), u64)> = heat.drain().collect();
-            ranked.sort_unstable_by(|a, b| {
-                b.1.cmp(&a.1).then_with(|| slot_key(&a.0).cmp(&slot_key(&b.0)))
-            });
+            let mut ranked = ranked_heat(&heat);
             ranked.truncate(HEAT_CAP);
+            heat.clear();
             heat.extend(ranked);
         }
     }
@@ -353,12 +353,6 @@ impl Cluster {
     /// on the same metric.
     pub fn take_service_latencies(&self) -> Vec<Duration> {
         self.service_lat.borrow_mut().drain(..).map(Duration::from_micros).collect()
-    }
-
-    /// Bytes sent over the coordinator→worker and worker→coordinator links.
-    fn link_bytes(&self) -> (u64, u64) {
-        let c2w = self.workers.borrow().iter().map(|w| w.link.counters().bytes()).sum();
-        (c2w, self.from_workers.bytes())
     }
 
     /// Lifetime frames (not bytes) sent over the coordinator→worker and
@@ -425,7 +419,7 @@ impl Cluster {
                 self.admit(&p).map(|()| p)
             })
             .collect();
-        let (c2w_before, _) = self.link_bytes();
+        let (c2w_before, _) = self.link_totals();
         let mut results: Vec<Vec<NodeId>> = vec![Vec::new(); n];
         let mut per_machine: Vec<Vec<MachineCost>> =
             vec![vec![MachineCost::default(); self.num_machines()]; n];
@@ -440,7 +434,7 @@ impl Cluster {
         };
         let stream = self.run_stream_core(plans, start, &mut on_response);
         let elapsed = start.elapsed();
-        let (c2w_after, _) = self.link_bytes();
+        let (c2w_after, _) = self.link_totals();
         let ran = stream.disposition.iter().filter(|d| matches!(d, Disposition::Ran { .. })).count()
             as u64;
         let c2w_each = (c2w_after - c2w_before).checked_div(ran).unwrap_or(0);
@@ -520,7 +514,7 @@ impl Cluster {
         }
         self.gauge.note_admitted();
         let start = Instant::now();
-        let (c2w_before, _) = self.link_bytes();
+        let (c2w_before, _) = self.link_totals();
         let mut per_machine: Vec<MachineCost> = vec![MachineCost::default(); self.num_machines()];
         let mut cache = CacheCounters::default();
         let mut lists: Vec<Vec<disks_core::Ranked>> = Vec::new();
@@ -545,7 +539,7 @@ impl Cluster {
             return Err(e);
         }
         let merged = disks_core::merge_topk(lists, q.k);
-        let c2w = self.link_bytes().0 - c2w_before;
+        let c2w = self.link_totals().0 - c2w_before;
         let stats = self.query_stats(&group, 0, per_machine, cache, merged.len(), c2w);
         Ok((merged, stats))
     }

@@ -51,6 +51,28 @@ impl WorkerPeer {
             },
         }
     }
+
+    /// Join the thread / reap the process, giving a live process `grace` to
+    /// exit on its own before it is killed. Safe to call twice (the handle
+    /// is taken).
+    fn reap(&mut self, grace: Duration) {
+        match self {
+            WorkerPeer::Thread(join) => {
+                if let Some(join) = join.take() {
+                    let _ = join.join();
+                }
+            }
+            WorkerPeer::Process(child) => {
+                let Some(mut c) = child.take() else { return };
+                let deadline = Instant::now() + grace;
+                while matches!(c.try_wait(), Ok(None)) && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                let _ = c.kill();
+                let _ = c.wait();
+            }
+        }
+    }
 }
 
 /// Command line relaunched whenever a remote worker must be (re)spawned —
@@ -207,6 +229,33 @@ fn spawn_local_worker(
     }
 }
 
+/// The coordinator end of a remote worker's socket. Remote workers cannot
+/// share the coordinator's counters, so the ingress pump counts w2c frames
+/// on receipt instead; fault injectors cannot reach them at all.
+fn remote_link(
+    stream: TcpStream,
+    m: usize,
+    counters: Arc<LinkCounters>,
+    resp_tx: &LinkSender,
+    from_workers: &Arc<LinkCounters>,
+    config: &ClusterConfig,
+) -> io::Result<Box<dyn Link>> {
+    let received = Some(Arc::clone(from_workers));
+    let (heartbeat, capacity) = (config.heartbeat, config.queue_capacity);
+    let link = TcpLink::spawn(
+        stream,
+        m,
+        counters,
+        None,
+        None,
+        resp_tx.raw(),
+        received,
+        heartbeat,
+        capacity,
+    )?;
+    Ok(Box::new(link))
+}
+
 /// The shared worker→coordinator response channel, as [`counted_link`]
 /// returns it: sender, receiver, and the counters both ends share.
 type ResponseLink = (LinkSender, Receiver<Bytes>, Arc<LinkCounters>);
@@ -345,21 +394,10 @@ impl Cluster {
         }
         let mut workers = Vec::with_capacity(machines);
         for (m, stream) in streams.into_iter().enumerate() {
-            // Remote workers cannot share the coordinator's counters, so
-            // the ingress pump counts w2c frames on receipt instead.
-            let tcp = TcpLink::spawn(
-                stream.expect("accepted above"),
-                m,
-                Arc::new(LinkCounters::default()),
-                None,
-                None,
-                resp_tx.raw(),
-                Some(Arc::clone(&from_workers)),
-                config.heartbeat,
-                config.queue_capacity,
-            )?;
+            let counters = Arc::new(LinkCounters::default());
+            let stream = stream.expect("accepted above");
             workers.push(WorkerHandle {
-                link: Box::new(tcp),
+                link: remote_link(stream, m, counters, &resp_tx, &from_workers, &config)?,
                 faults: LinkFaults::default(),
                 peer: WorkerPeer::Process(children[m].take()),
             });
@@ -468,19 +506,7 @@ impl Cluster {
         // Closing first guarantees a TCP worker thread sees EOF and exits,
         // so the join below cannot hang on a half-dead peer.
         w.link.close();
-        match &mut w.peer {
-            WorkerPeer::Thread(join) => {
-                if let Some(join) = join.take() {
-                    let _ = join.join(); // thread already finished; reap it
-                }
-            }
-            WorkerPeer::Process(child) => {
-                if let Some(mut c) = child.take() {
-                    let _ = c.kill();
-                    let _ = c.wait();
-                }
-            }
-        }
+        w.peer.reap(Duration::ZERO);
         let counters = Arc::clone(w.link.counters());
         if let EngineSource::Remote { listener, commands } = &self.respawn.source {
             let (link, child) = self
@@ -565,18 +591,9 @@ impl Cluster {
             }
         };
         listener.set_nonblocking(false)?;
-        let link = TcpLink::spawn(
-            stream,
-            m,
-            counters,
-            None,
-            None,
-            self.resp_tx.raw(),
-            Some(Arc::clone(&self.from_workers)),
-            self.config.heartbeat,
-            self.config.queue_capacity,
-        )?;
-        Ok((Box::new(link) as Box<dyn Link>, child))
+        let link =
+            remote_link(stream, m, counters, &self.resp_tx, &self.from_workers, &self.config)?;
+        Ok((link, child))
     }
 
     /// Deliver one request frame to machine `m`, respawning it first if its
@@ -614,33 +631,9 @@ impl Cluster {
             let _ = w.link.send_raw(frame.clone());
         }
         for w in workers.iter_mut() {
-            match &mut w.peer {
-                WorkerPeer::Thread(join) => {
-                    if let Some(join) = join.take() {
-                        let _ = join.join();
-                    }
-                }
-                WorkerPeer::Process(child) => {
-                    if let Some(mut c) = child.take() {
-                        // Give the process a moment to exit on the shutdown
-                        // frame, then force it.
-                        let deadline = Instant::now() + Duration::from_secs(5);
-                        loop {
-                            match c.try_wait() {
-                                Ok(Some(_)) => break,
-                                Ok(None) if Instant::now() < deadline => {
-                                    std::thread::sleep(Duration::from_millis(10));
-                                }
-                                _ => {
-                                    let _ = c.kill();
-                                    let _ = c.wait();
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+            // Give a process a moment to exit on the shutdown frame, then
+            // force it.
+            w.peer.reap(Duration::from_secs(5));
             w.link.close();
         }
     }

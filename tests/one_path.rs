@@ -1,8 +1,9 @@
 //! One request path: a single query is a stream of one. Under three
 //! configurations written out in full (so no `DISKS_*` lane changes what is
-//! tested), `Cluster::run` and a one-element `Cluster::run_stream` report
-//! the same outcome, both equal the centralized oracle, no worker ever
-//! talks to another, and every coordinator→worker frame is accounted for.
+//! tested), the same 48 queries asked one `Cluster::run` at a time and then
+//! as one `Cluster::run_stream` equal the centralized oracle both ways, no
+//! worker ever talks to another, and every coordinator→worker frame is
+//! accounted for.
 
 use std::time::Duration;
 
@@ -113,46 +114,31 @@ fn a_single_query_is_a_stream_of_one() {
         ),
     ];
     for (name, config) in configs {
-        let build = || {
-            let indexes = build_all_indexes(&net, &p, &IndexConfig::unbounded());
-            Cluster::build(&net, &p, indexes, config.clone())
-        };
-        let (solo, streamed) = (build(), build());
+        let indexes = build_all_indexes(&net, &p, &IndexConfig::unbounded());
+        let cluster = Cluster::build(&net, &p, indexes, config.clone());
         let mut oracle = CentralizedEngine::new(&net);
+        let expected: Vec<_> = fs.iter().map(|f| oracle.run(f).unwrap().0).collect();
         for (i, f) in fs.iter().enumerate() {
-            let a = solo.run(f).unwrap_or_else(|e| panic!("{name}: run {i}: {e}"));
-            let (mut items, _) = streamed.run_stream(std::slice::from_ref(f));
-            let b = items.pop().unwrap().unwrap_or_else(|e| panic!("{name}: stream {i}: {e}"));
-            assert_eq!(a.results, oracle.run(f).unwrap().0, "{name}: query {i} vs oracle");
-            assert_eq!(a.results, b.results, "{name}: query {i}");
-            let stats = |s: &disks::cluster::QueryStats| {
-                (
-                    s.retries,
-                    s.rounds,
-                    s.degraded_fragments.clone(),
-                    s.estimated_cost,
-                    (s.cache_hits, s.cache_misses, s.cache_evictions, s.cache_bypassed),
-                    s.inter_worker_bytes,
-                )
-            };
-            assert_eq!(stats(&a.stats), stats(&b.stats), "{name}: query {i} stats");
-            assert_eq!(a.stats.inter_worker_bytes, 0, "{name}: query {i}: Theorem 3");
+            let o = cluster.run(f).unwrap_or_else(|e| panic!("{name}: run {i}: {e}"));
+            assert_eq!(o.results, expected[i], "{name}: query {i} vs oracle");
+            assert_eq!(o.stats.rounds, 1 + o.stats.retries, "{name}: query {i} rounds");
+            assert_eq!(o.stats.inter_worker_bytes, 0, "{name}: query {i}: Theorem 3");
+        }
+        // A window of one has no size to choose: lone queries leave the
+        // adaptive controller alone.
+        assert!(cluster.window_trace().is_empty(), "{name}: `run` fed the window controller");
+        if config.faults.is_some() {
+            assert!(cluster.recovery_counters().respawned_workers >= 1, "{name}: the kill fired");
         }
         // The same stream as one submission rides the windowed path.
-        let (items, _) = solo.run_stream(&fs);
-        for (i, (f, item)) in fs.iter().zip(items).enumerate() {
-            let o = item.unwrap_or_else(|e| panic!("{name}: batched {i}: {e}"));
-            assert_eq!(o.results, oracle.run(f).unwrap().0, "{name}: batched query {i}");
-            assert_eq!(o.stats.inter_worker_bytes, 0, "{name}: batched query {i}: Theorem 3");
+        let (items, _) = cluster.run_stream(&fs);
+        for (i, item) in items.into_iter().enumerate() {
+            let o = item.unwrap_or_else(|e| panic!("{name}: streamed {i}: {e}"));
+            assert_eq!(o.results, expected[i], "{name}: streamed query {i} vs oracle");
+            assert_eq!(o.stats.inter_worker_bytes, 0, "{name}: streamed query {i}: Theorem 3");
         }
-        if config.faults.is_some() {
-            for c in [&solo, &streamed] {
-                assert!(c.recovery_counters().respawned_workers >= 1, "{name}: the kill fired");
-            }
-        }
-        assert_ledger_closes(&solo, name);
-        assert_ledger_closes(&streamed, name);
-        solo.shutdown();
-        streamed.shutdown();
+        assert_eq!(cluster.window_trace().is_empty(), !config.batch_adaptive, "{name}");
+        assert_ledger_closes(&cluster, name);
+        cluster.shutdown();
     }
 }
