@@ -8,8 +8,9 @@
 //! paper's machines evaluate their fragment's task in a single process);
 //! with more threads an [`EvalPool`] fans the distinct coverage slots of a
 //! frame out across evaluator threads and a serial commit pass replays the
-//! results in slot-table order, so every byte on the wire and every cache
-//! ledger mutation is identical to the serial worker (see `DESIGN.md` §6k).
+//! results in the order the lazy plan driver asks for them, so every byte on
+//! the wire and every cache ledger mutation is identical to the serial
+//! worker (see `DESIGN.md` §6k).
 //!
 //! Engine evaluation runs under `catch_unwind`, so a panicking task becomes
 //! a typed [`Response::Failed`] on the wire instead of a dead thread; a
@@ -121,9 +122,10 @@ impl WorkerEngine {
     }
 
     /// The concrete engine a plan with the given max radius evaluates on —
-    /// the §5.5 routing decision, read-only. Parallel slot evaluation must
-    /// run each slot on the engine its *first referencing query* routes to,
-    /// because primary and secondary record different per-slot costs.
+    /// the §5.5 routing decision, read-only. Primary and secondary record
+    /// different per-slot costs, so a prefetched slot may only stand in for
+    /// a search on the engine that computed it: prefetch tables are keyed by
+    /// this engine's [`engine_key`].
     fn routed_engine(&self, max_radius: u64) -> &FragmentEngine {
         match self {
             WorkerEngine::Single(e) => e,
@@ -274,14 +276,20 @@ fn helper_loop(rounds: Receiver<RoundMsg>) {
 /// prefetch job produces and what the commit pass substitutes on a miss.
 type SlotCoverage = (Arc<BitSet>, QueryCost);
 
-/// Phase-1 output: per hosted-engine index, the coverages computed off the
-/// serial path (keyed by slot) and the wall-clock each took. Empty when the
-/// pool is serial or the frame has no uncached slots — the commit pass then
-/// *is* the classic serial worker.
+/// Phase-1 output: per routed engine ([`engine_key`]), the coverages
+/// computed off the serial path (keyed by slot) and the wall-clock each
+/// took. Empty when the pool is serial or the frame has no uncached slots —
+/// the commit pass then *is* the classic serial worker.
 #[derive(Default)]
 struct Prefetched {
     covs: HashMap<usize, HashMap<(Term, u64), SlotCoverage>>,
     micros: HashMap<usize, HashMap<(Term, u64), u64>>,
+}
+
+/// Identity of a concrete engine for the length of one frame (its address:
+/// engines do not move while a frame is answered).
+fn engine_key(engine: &FragmentEngine) -> usize {
+    engine as *const FragmentEngine as usize
 }
 
 /// A worker's slot-evaluation pool: `threads - 1` long-lived helper threads
@@ -314,13 +322,17 @@ impl EvalPool {
     }
 
     /// Phase 1 of the two-phase protocol: walk the frame's queries in
-    /// commit order, collect each distinct slot at its *first* non-skipped
-    /// reference (routing it to the engine that reference would use), skip
-    /// slots the cache predicts as hits, and evaluate the rest
-    /// concurrently. The returned table never changes what commit does —
-    /// only whether a given Dijkstra runs here (parallel) or there
-    /// (serial fallback for predicted hits evicted mid-frame and for slots
-    /// whose parallel evaluation panicked).
+    /// commit order, collect each distinct slot of each routed engine at its
+    /// first non-skipped reference, skip slots the cache predicts as hits,
+    /// and evaluate the rest concurrently. This is speculation: the lazy
+    /// driver of the commit pass fetches a subset of a plan's slots that
+    /// depends on the coverages themselves, so the pool may search a slot
+    /// commit never asks for. What is known without searching is skipped —
+    /// a query whose plan has a zero-seed conjunct on this fragment fetches
+    /// nothing there. The returned table never changes what commit does —
+    /// only whether a given Dijkstra runs here (parallel) or there (serial
+    /// fallback for predicted hits evicted mid-frame and for slots whose
+    /// parallel evaluation panicked).
     fn prefetch(
         &mut self,
         engines: &[WorkerEngine],
@@ -337,7 +349,7 @@ impl EvalPool {
         let mut owners: Vec<(usize, (Term, u64))> = Vec::new();
         for (i, engine) in hosted_ref(engines, fragments) {
             let fragment = engine.fragment().0;
-            let mut seen: HashSet<(Term, u64)> = HashSet::new();
+            let mut seen: HashSet<(usize, Term, u64)> = HashSet::new();
             for (qi, qplan) in queries.iter().enumerate() {
                 if presets[qi].is_some() {
                     continue; // NACKed in commit without evaluating
@@ -346,8 +358,12 @@ impl EvalPool {
                     continue; // commit panics this query before any slot work
                 }
                 let routed = engine.routed_engine(qplan.max_radius());
+                if qplan.has_empty_conjunct(|s| routed.seed_count(s.term, s.radius)) {
+                    continue; // commit answers empty without a fetch
+                }
+                let key = engine_key(routed);
                 for slot in qplan.slots() {
-                    if !seen.insert((slot.term, slot.radius)) {
+                    if !seen.insert((key, slot.term, slot.radius)) {
                         continue; // later references share the first result
                     }
                     if cache.peek(fragment, slot.term, slot.radius) {
@@ -358,7 +374,7 @@ impl EvalPool {
                         radius: slot.radius,
                         engine: routed as *const FragmentEngine,
                     });
-                    owners.push((i, (slot.term, slot.radius)));
+                    owners.push((key, (slot.term, slot.radius)));
                 }
             }
         }
@@ -367,10 +383,10 @@ impl EvalPool {
         }
         let results = self.run_round(jobs);
         let mut out = Prefetched::default();
-        for ((i, key), outcome) in owners.into_iter().zip(results) {
+        for ((engine, slot), outcome) in owners.into_iter().zip(results) {
             if let Some((pair, micros)) = outcome {
-                out.covs.entry(i).or_default().insert(key, pair);
-                out.micros.entry(i).or_default().insert(key, micros);
+                out.covs.entry(engine).or_default().insert(slot, pair);
+                out.micros.entry(engine).or_default().insert(slot, micros);
             }
         }
         out
@@ -512,7 +528,8 @@ pub fn worker_loop(
             Request::Evaluate { query_id, plan, fragments } => {
                 // Phase 1 (no-op at threads = 1): evaluate the plan's
                 // distinct uncached slots concurrently; the commit below
-                // replays them in slot-table order through the same store.
+                // takes the ones its lazy driver asks for, in its order,
+                // through the same store.
                 let prefetched = pool.prefetch(
                     &engines,
                     &fragments,
@@ -526,7 +543,8 @@ pub fn worker_loop(
                     let fragment = engine.fragment().0;
                     let panic_now = inject_panic && i == 0;
                     let cache_before = cache.counters();
-                    let ready = prefetched.covs.get(&i).unwrap_or(&empty);
+                    let routed = engine_key(engine.routed_engine(plan.max_radius()));
+                    let ready = prefetched.covs.get(&routed).unwrap_or(&empty);
                     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
                         if panic_now {
                             panic!("injected evaluation fault");
@@ -543,7 +561,7 @@ pub fn worker_loop(
                             wire.cache_evictions = delta.evictions;
                             wire.cache_bypassed = delta.bypassed;
                             wire.replica = machine_id as u64;
-                            attribute_parallel(&mut wire, &cost, prefetched.micros.get(&i));
+                            attribute_parallel(&mut wire, &cost, prefetched.micros.get(&routed));
                             encode_frame(&Response::Results {
                                 query_id,
                                 fragment,
@@ -644,8 +662,8 @@ pub fn worker_loop(
 /// (the `BatchRef` NACK path). With a parallel pool the frame's distinct
 /// uncached slots — across *all* hosted fragments — are evaluated
 /// concurrently first; the loop below is then the commit pass, running the
-/// unchanged serial protocol with each Dijkstra replaced by its prefetched
-/// result. Returns `false` when the coordinator is gone.
+/// unchanged serial protocol with each Dijkstra it asks for replaced by its
+/// prefetched result. Returns `false` when the coordinator is gone.
 #[allow(clippy::too_many_arguments)]
 fn answer_batch(
     machine_id: usize,
@@ -663,7 +681,6 @@ fn answer_batch(
     let empty = HashMap::new();
     for (i, engine) in hosted(engines, fragments) {
         let fragment = engine.fragment().0;
-        let ready = prefetched.covs.get(&i).unwrap_or(&empty);
         let mut store = BatchStore {
             inner: FragmentCacheStore { fragment, cache: &mut *cache },
             resolved: HashMap::new(),
@@ -676,6 +693,8 @@ fn answer_batch(
                 continue;
             }
             let panic_now = inject_panic && i == 0 && qi == 0;
+            let routed = engine_key(engine.routed_engine(qplan.max_radius()));
+            let ready = prefetched.covs.get(&routed).unwrap_or(&empty);
             let cache_before = store.inner.cache.counters();
             let shared_before = store.shared;
             let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -694,7 +713,7 @@ fn answer_batch(
                     wire.cache_bypassed = delta.bypassed;
                     wire.batch_shared = store.shared - shared_before;
                     wire.replica = machine_id as u64;
-                    attribute_parallel(&mut wire, &cost, prefetched.micros.get(&i));
+                    attribute_parallel(&mut wire, &cost, prefetched.micros.get(&routed));
                     BatchAnswer::Results { nodes, cost: wire }
                 }
                 Ok(Err(e)) => BatchAnswer::Failed(e),

@@ -1,13 +1,16 @@
 //! Intra-worker parallel slot evaluation (DESIGN.md §6k) is a pure compute
 //! optimization: the two-phase protocol evaluates a frame's distinct
-//! coverage slots on a pool of evaluator threads, then commits serially in
-//! slot-table order — so a cluster at any `worker_threads` must be
-//! *value-identical* to the sequential worker. These tests close that
-//! contract three ways: a property test over arbitrary Zipf slot tables
-//! (answers, per-machine value-plane costs, cache ledger, and frame/byte
-//! ledgers all equal across thread counts), a kill/hedge/quarantine chaos
-//! run with the pool enabled on both transports, and an injected-panic case
-//! proving poisoned slots degrade to the serial failure path.
+//! coverage slots on a pool of evaluator threads, then commits serially,
+//! taking what the lazy plan driver asks for in its order — so a cluster at
+//! any `worker_threads` must be *value-identical* to the sequential worker.
+//! These tests close that contract four ways: a property test over
+//! arbitrary Zipf slot tables (answers, per-machine value-plane costs,
+//! cache ledger, and frame/byte ledgers all equal across thread counts),
+//! the same parity on a rare-keyword stream whose plans have empty operands
+//! (the pool speculates on slots the commit pass never asks for), a
+//! kill/hedge/quarantine chaos run with the pool enabled on both
+//! transports, and an injected-panic case proving poisoned slots degrade to
+//! the serial failure path.
 
 use std::time::Duration;
 
@@ -19,7 +22,9 @@ use disks_cluster::{
     CacheCounters, Cluster, ClusterConfig, FaultPlan, HedgeMode, NetworkModel, QueryOutcome,
     TransportKind,
 };
-use disks_core::{build_all_indexes, CentralizedCoverage, DFunction, IndexConfig, SetOp, Term};
+use disks_core::{
+    build_all_indexes, CentralizedCoverage, DFunction, IndexConfig, QueryPlan, SetOp, Term,
+};
 use disks_partition::{MultilevelPartitioner, Partitioner, Partitioning};
 use disks_roadnet::generator::GridNetworkConfig;
 use disks_roadnet::zipf::Zipf;
@@ -46,6 +51,39 @@ fn zipf_stream(net: &RoadNetwork, seed: u64, n: usize) -> Vec<DFunction> {
                 let kw2 = KeywordId(ranked[zipf.sample(&mut rng)] as u32);
                 let op = if rng.gen_bool(0.5) { SetOp::Union } else { SetOp::Intersect };
                 f = f.then(op, Term::Keyword(kw2), radii[rng.gen_range(0..radii.len())]);
+            }
+            f
+        })
+        .collect()
+}
+
+/// A seeded stream over the ten *rarest* keywords at radii of zero to two
+/// edges: 3–5-term intersections, some with a `∪` or a `−` spliced in, so
+/// on most fragments some operand has no seed or the accumulator empties
+/// before the last operand — the plans the lazy driver cuts short.
+fn rare_stream(net: &RoadNetwork, seed: u64, n: usize) -> Vec<DFunction> {
+    let freqs = net.keyword_frequencies();
+    let mut ranked: Vec<usize> = (0..freqs.len()).filter(|&k| freqs[k] > 0).collect();
+    ranked.sort_unstable_by_key(|&k| freqs[k]);
+    ranked.truncate(10);
+    let e = net.avg_edge_weight();
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| {
+            let operand = |rng: &mut StdRng| {
+                let kw = KeywordId(ranked[rng.gen_range(0..ranked.len())] as u32);
+                (Term::Keyword(kw), e * rng.gen_range(0..3))
+            };
+            let (term, radius) = operand(&mut rng);
+            let mut f = DFunction::single(term, radius);
+            for _ in 0..rng.gen_range(2..5) {
+                let op = match rng.gen_range(0..6) {
+                    0 => SetOp::Union,
+                    1 => SetOp::Subtract,
+                    _ => SetOp::Intersect,
+                };
+                let (term, radius) = operand(&mut rng);
+                f = f.then(op, term, radius);
             }
             f
         })
@@ -115,6 +153,20 @@ fn assert_value_identical(a: &[QueryOutcome], b: &[QueryOutcome], label: &str) {
     }
 }
 
+/// One run of `fs` at a thread count: the outcomes, the frame and byte
+/// ledgers of both directions, and the cache ledger — which must equal the
+/// per-query attribution at every thread count on its own.
+type Ledgers = ((u64, u64), (u64, u64), CacheCounters);
+
+fn run_at(cluster: Cluster, fs: &[DFunction], threads: usize) -> (Vec<QueryOutcome>, Ledgers) {
+    let (outcomes, _) = cluster.run_batched(fs).expect("stream");
+    assert_eq!(outcomes.len(), fs.len());
+    assert_eq!(summed_cache(&outcomes), cluster.cache_counters(), "threads {threads}");
+    let ledgers = (cluster.link_message_totals(), cluster.link_totals(), cluster.cache_counters());
+    cluster.shutdown();
+    (outcomes, ledgers)
+}
+
 proptest! {
     // Each case builds three clusters; keep the sample small but the
     // streams adversarial (shared slots, evictions, multi-fragment fan-out).
@@ -135,18 +187,11 @@ proptest! {
         let p = MultilevelPartitioner::default().partition(&net, 3);
         let fs = zipf_stream(&net, stream_seed, n);
 
-        let mut runs = Vec::new();
-        let mut ledgers = Vec::new();
-        for threads in [1usize, 2, 4] {
-            let cluster = build(&net, &p, pinned_config(threads));
-            let (outcomes, _) = cluster.run_batched(&fs).expect("stream");
-            prop_assert_eq!(outcomes.len(), fs.len());
-            // Attribution closes on every thread count independently.
-            prop_assert_eq!(summed_cache(&outcomes), cluster.cache_counters());
-            ledgers.push((cluster.link_message_totals(), cluster.link_totals()));
-            runs.push(outcomes);
-            cluster.shutdown();
-        }
+        let (runs, ledgers): (Vec<_>, Vec<_>) =
+            [1usize, 2, 4]
+                .iter()
+                .map(|&threads| run_at(build(&net, &p, pinned_config(threads)), &fs, threads))
+                .unzip();
 
         // Answers stay oracle-exact (spot-checked once; the pairwise
         // value-identity below carries it to the other thread counts).
@@ -158,9 +203,46 @@ proptest! {
         assert_value_identical(&runs[0], &runs[1], "threads 1 vs 2");
         assert_value_identical(&runs[0], &runs[2], "threads 1 vs 4");
         // Frame ledger: same frames, same bytes, both directions — the
-        // pool may not add, drop, or resize a single frame.
+        // pool may not add, drop, or resize a single frame — and the same
+        // cache ledger.
         prop_assert_eq!(ledgers[0], ledgers[1]);
         prop_assert_eq!(ledgers[0], ledgers[2]);
+    }
+}
+
+/// The pool searches ahead of a commit pass that stops early: on a stream
+/// whose plans have empty operands it computes slots commit never fetches.
+/// None of that may show — answers, `WireCost` counters, frames, bytes and
+/// the cache ledger are those of the sequential worker. The bi-level leg
+/// (primary `maxR` of one edge, so two-edge radii route to the secondary)
+/// adds queries of one frame that search the same slot on different levels.
+#[test]
+fn parity_holds_when_the_commit_pass_skips_what_the_pool_searched() {
+    let net = GridNetworkConfig::tiny(0x42).generate();
+    let p = MultilevelPartitioner::default().partition(&net, 3);
+    let fs = rare_stream(&net, 0x1A2E, 64);
+    let primary = IndexConfig::with_max_r(net.avg_edge_weight());
+    let builders: [(&str, &dyn Fn(usize) -> Cluster); 2] = [
+        ("single", &|threads| build(&net, &p, pinned_config(threads))),
+        ("bi-level", &|threads| Cluster::build_bilevel(&net, &p, &primary, pinned_config(threads))),
+    ];
+    let mut oracle = CentralizedCoverage::new(&net);
+    for (name, build) in builders {
+        let (serial, serial_ledgers) = run_at(build(1), &fs, 1);
+        let (pooled, pooled_ledgers) = run_at(build(4), &fs, 4);
+        assert_value_identical(&serial, &pooled, name);
+        assert_eq!(serial_ledgers, pooled_ledgers, "{name}");
+
+        let (mut fetched, mut eager) = (0, 0);
+        for (f, o) in fs.iter().zip(&serial) {
+            assert_eq!(o.results, oracle.evaluate(f).unwrap(), "{name}: {f} not exact");
+            let shared: u64 = o.stats.per_machine.iter().map(|m| m.batch_shared).sum();
+            fetched += o.stats.cache_hits + o.stats.cache_misses + shared;
+            eager += QueryPlan::lower(f).num_slots() as u64 * 3;
+        }
+        // The stream is what it claims to be: well under half the slots an
+        // eager worker resolves are ever fetched.
+        assert!(2 * fetched < eager, "{name}: {fetched} of {eager} slot lookups: not lazy");
     }
 }
 

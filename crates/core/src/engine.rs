@@ -75,7 +75,8 @@ pub struct QueryCost {
     pub results: usize,
     /// Wall-clock spent.
     pub elapsed: Duration,
-    /// Per-slot breakdown of the aggregates above, in slot order.
+    /// Per-slot breakdown of the aggregates above, in evaluation order: one
+    /// entry per slot the lazy driver fetched, none for a slot it skipped.
     pub per_slot: Vec<SlotCost>,
 }
 
@@ -264,13 +265,62 @@ impl FragmentEngine {
             + self.dl_node_entries.values().map(|v| v.len() * 12 + 8).sum::<usize>()
     }
 
+    /// Radius validation happens at coordinator admission; this is the
+    /// last-line guard, in debug builds only.
+    fn debug_assert_admitted(&self, radius: u64) {
+        debug_assert!(
+            radius <= self.max_r,
+            "radius {radius} exceeds index maxR {} — admission should have rejected this query",
+            self.max_r
+        );
+    }
+
+    /// What a search for `term` bounded by `bound` starts from: the local
+    /// nodes bearing the term, at distance 0, and the DL portal pairs with
+    /// `d ≤ bound` (Step 2's "retain pairs with distance at most r"; the
+    /// lists are sorted by distance).
+    ///
+    /// A `Term::Node` with no entry is either farther than `bound` from
+    /// every portal of P (empty local coverage — correct) or not DL-indexed
+    /// under ObjectsOnly scope. The coordinator validates locations against
+    /// the scope; the engine cannot tell the two apart without global data
+    /// (see `DlScope`).
+    fn seed_sources(&self, term: Term, bound: u64) -> (&[u32], &[(u32, u64)]) {
+        fn within(pairs: Option<&Vec<(u32, u64)>>, bound: u64) -> &[(u32, u64)] {
+            pairs.map_or(&[], |p| &p[..p.partition_point(|&(_, d)| d <= bound)])
+        }
+        match term {
+            Term::Keyword(k) => (
+                self.kw_nodes.get(&k).map_or(&[], Vec::as_slice),
+                within(self.keyword_portals.get(&k), bound),
+            ),
+            Term::Node(l) => match self.local_of.get(&l.0) {
+                Some(local) => (std::slice::from_ref(local), &[]),
+                None => (&[], within(self.dl_node_entries.get(&l.0), bound)),
+            },
+        }
+    }
+
+    /// The seed list of a search and its αⱼ, the DL pairs it inspected.
+    fn seeds(&self, term: Term, bound: u64) -> (Vec<(u32, u64)>, usize) {
+        let (locals, portals) = self.seed_sources(term, bound);
+        (locals.iter().map(|&n| (n, 0)).chain(portals.iter().copied()).collect(), portals.len())
+    }
+
+    /// How many nodes a search for `R(term, radius)` would start from, known
+    /// without searching. Zero means the local coverage is empty; otherwise
+    /// it ranks the ∩ operands of a plan, cheapest first.
+    pub fn seed_count(&self, term: Term, radius: u64) -> usize {
+        let (locals, portals) = self.seed_sources(term, radius);
+        locals.len() + portals.len()
+    }
+
     /// Compute the local keyword coverage `R(term, radius) ∩ P` (Steps 1–3
     /// of Alg. 2 plus the coverage Dijkstra).
     ///
     /// The result is a pure function of the immutable engine, returned as an
     /// `Arc` so callers (and the cluster-layer coverage cache) can share it
-    /// across queries without copying. Radius validation happens at
-    /// coordinator admission; the guard here is a debug assert only.
+    /// across queries without copying.
     pub fn coverage(
         &mut self,
         term: Term,
@@ -295,50 +345,9 @@ impl FragmentEngine {
         term: Term,
         radius: u64,
     ) -> Result<(Arc<BitSet>, QueryCost), QueryError> {
-        debug_assert!(
-            radius <= self.max_r,
-            "radius {radius} exceeds index maxR {} — admission should have rejected this query",
-            self.max_r
-        );
-        let mut cost = QueryCost::default();
-        let mut seeds: Vec<(u32, u64)> = Vec::new();
-        match term {
-            Term::Keyword(k) => {
-                if let Some(locals) = self.kw_nodes.get(&k) {
-                    seeds.extend(locals.iter().map(|&n| (n, 0)));
-                }
-                if let Some(pairs) = self.keyword_portals.get(&k) {
-                    // Sorted by distance → early break at radius (Step 2's
-                    // "retain pairs with distance at most r").
-                    for &(portal, d) in pairs {
-                        if d > radius {
-                            break;
-                        }
-                        cost.alpha += 1;
-                        seeds.push((portal, d));
-                    }
-                }
-            }
-            Term::Node(l) => {
-                if let Some(&local) = self.local_of.get(&l.0) {
-                    seeds.push((local, 0));
-                } else if let Some(pairs) = self.dl_node_entries.get(&l.0) {
-                    for &(portal, d) in pairs {
-                        if d > radius {
-                            break;
-                        }
-                        cost.alpha += 1;
-                        seeds.push((portal, d));
-                    }
-                }
-                // No entry: either the location is farther than `radius`
-                // from every portal of P (empty local coverage — correct),
-                // or it is not DL-indexed under ObjectsOnly scope. The
-                // coordinator validates locations against the scope; the
-                // engine itself cannot distinguish the two cases without
-                // global data (see `DlScope`).
-            }
-        }
+        self.debug_assert_admitted(radius);
+        let (seeds, alpha) = self.seeds(term, radius);
+        let mut cost = QueryCost { alpha, ..QueryCost::default() };
         let mut cov = BitSet::new(self.globals.len());
         let stats = ws.run(self, &seeds, radius, |n, _| {
             cov.insert(n as usize);
@@ -367,42 +376,9 @@ impl FragmentEngine {
         term: Term,
         bound: u64,
     ) -> Result<(Vec<(u32, u64)>, QueryCost), QueryError> {
-        debug_assert!(
-            bound <= self.max_r,
-            "bound {bound} exceeds index maxR {} — admission should have rejected this query",
-            self.max_r
-        );
-        let mut cost = QueryCost::default();
-        let mut seeds: Vec<(u32, u64)> = Vec::new();
-        match term {
-            Term::Keyword(k) => {
-                if let Some(locals) = self.kw_nodes.get(&k) {
-                    seeds.extend(locals.iter().map(|&n| (n, 0)));
-                }
-                if let Some(pairs) = self.keyword_portals.get(&k) {
-                    for &(portal, d) in pairs {
-                        if d > bound {
-                            break;
-                        }
-                        cost.alpha += 1;
-                        seeds.push((portal, d));
-                    }
-                }
-            }
-            Term::Node(l) => {
-                if let Some(&local) = self.local_of.get(&l.0) {
-                    seeds.push((local, 0));
-                } else if let Some(pairs) = self.dl_node_entries.get(&l.0) {
-                    for &(portal, d) in pairs {
-                        if d > bound {
-                            break;
-                        }
-                        cost.alpha += 1;
-                        seeds.push((portal, d));
-                    }
-                }
-            }
-        }
+        self.debug_assert_admitted(bound);
+        let (seeds, alpha) = self.seeds(term, bound);
+        let mut cost = QueryCost { alpha, ..QueryCost::default() };
         let mut table = Vec::new();
         let mut ws = std::mem::replace(&mut self.ws, DijkstraWorkspace::new(0));
         let stats = ws.run(&*self, &seeds, bound, |n, d| {
@@ -486,12 +462,14 @@ impl FragmentEngine {
         self.evaluate_plan_with_cache(plan, &mut NoCache)
     }
 
-    /// Evaluate a normalized plan, consulting `store` per coverage slot.
+    /// Evaluate a normalized plan, consulting `store` for each coverage slot
+    /// the plan's lazy driver asks for.
     ///
     /// This is the layered split of Alg. 2: a per-slot coverage stage (each
-    /// slot either served from `store` or computed and offered back) and a
-    /// combine stage running the plan's operator program. Lemma 1 semantics
-    /// are identical to [`Self::evaluate`]; a hit skips the Dijkstra, never
+    /// fetched slot either served from `store` or computed and offered back)
+    /// driven by [`QueryPlan::evaluate_lazy`], which stops asking once the
+    /// local answer is known to be empty. Lemma 1 semantics are identical to
+    /// [`Self::evaluate`]; a hit or a skipped slot saves a Dijkstra, never
     /// changes the answer.
     pub fn evaluate_plan_with_cache(
         &mut self,
@@ -510,53 +488,56 @@ impl FragmentEngine {
     /// `store` exactly as a fresh computation would be, so cache admissions,
     /// evictions, and counters replay in serial order. Absent slots (a
     /// predicted hit evicted mid-frame, or a slot whose parallel evaluation
-    /// panicked) fall back to the in-place serial computation.
+    /// panicked) fall back to the in-place serial computation; entries the
+    /// driver never asks for are ignored.
     pub fn evaluate_plan_prefetched(
         &mut self,
         plan: &QueryPlan,
         store: &mut dyn CoverageStore,
         prefetched: &HashMap<(Term, u64), (Arc<BitSet>, QueryCost)>,
     ) -> Result<(Vec<NodeId>, QueryCost), QueryError> {
+        // Checked here as well as per search: a plan may never search.
+        self.debug_assert_admitted(plan.max_radius());
         let start = std::time::Instant::now();
         let mut total = QueryCost { beta: self.sc_size, ..QueryCost::default() };
-        let mut coverages: Vec<Arc<BitSet>> = Vec::with_capacity(plan.num_slots());
-        for slot in plan.slots() {
-            if let Some(hit) = store.lookup(slot) {
-                let nodes = hit.count();
-                total.coverage_nodes += nodes;
-                total.per_slot.push(SlotCost {
-                    term: slot.term,
-                    radius: slot.radius,
-                    alpha: 0,
-                    settled: 0,
-                    pushed: 0,
-                    coverage_nodes: nodes,
-                    cached: true,
-                });
-                coverages.push(hit);
-                continue;
-            }
-            let (cov, cost) = match prefetched.get(&(slot.term, slot.radius)) {
-                Some((cov, cost)) => (Arc::clone(cov), cost.clone()),
-                None => self.coverage(slot.term, slot.radius)?,
-            };
-            store.store(slot, &cov);
-            total.absorb(&cost);
-            coverages.push(cov);
-        }
-        // Single-operand plans (the common 1-keyword SGKQ/RKQ shape) read
-        // the coverage directly instead of cloning it through `combine`.
-        let mut result: Vec<NodeId> = match plan.single_slot() {
-            Some(slot) => coverages[slot as usize].iter().map(|i| self.globals[i]).collect(),
-            None => plan.combine(&coverages).iter().map(|i| self.globals[i]).collect(),
-        };
-        result.sort_unstable();
+        // Split borrows: a search mutates `ws` while reading `self`'s CSR.
+        let mut ws = std::mem::replace(&mut self.ws, DijkstraWorkspace::new(0));
+        let local = plan.evaluate_lazy(
+            self.globals.len(),
+            |slot| self.seed_count(slot.term, slot.radius),
+            |slot| {
+                if let Some(hit) = store.lookup(slot) {
+                    let nodes = hit.count();
+                    total.coverage_nodes += nodes;
+                    total.per_slot.push(SlotCost {
+                        term: slot.term,
+                        radius: slot.radius,
+                        alpha: 0,
+                        settled: 0,
+                        pushed: 0,
+                        coverage_nodes: nodes,
+                        cached: true,
+                    });
+                    return Ok(hit);
+                }
+                let (cov, cost) = match prefetched.get(&(slot.term, slot.radius)) {
+                    Some((cov, cost)) => (Arc::clone(cov), cost.clone()),
+                    None => self.coverage_with(&mut ws, slot.term, slot.radius)?,
+                };
+                store.store(slot, &cov);
+                total.absorb(&cost);
+                Ok(cov)
+            },
+        );
+        self.ws = ws;
+        let local = local?;
+        let result = self.to_global(&local);
         total.results = result.len();
         total.elapsed = start.elapsed();
         Ok((result, total))
     }
 
-    /// Translate a local coverage bitset to global node ids (test helper).
+    /// Translate a local coverage bitset to global node ids, sorted.
     pub fn to_global(&self, cov: &BitSet) -> Vec<NodeId> {
         let mut v: Vec<NodeId> = cov.iter().map(|i| self.globals[i]).collect();
         v.sort_unstable();

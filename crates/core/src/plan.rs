@@ -12,6 +12,8 @@
 //! and the union over fragments is taken by the coordinator exactly as for
 //! the original D-function.
 
+use std::sync::Arc;
+
 use bytes::{Buf, BufMut};
 
 use disks_roadnet::codec::{Decode, Encode};
@@ -57,7 +59,8 @@ impl CostParams {
     /// population × radius expressed in average edge lengths (a hop-count
     /// proxy for Dijkstra expansion depth). Monotone in both the keyword's
     /// frequency and the slot radius; never zero, so every admitted slot
-    /// charges the pressure gauge.
+    /// charges the pressure gauge. An upper bound per fragment: a worker
+    /// searches the slot only where the plan's lazy driver asks for it.
     pub fn slot_cost(&self, slot: &DTerm) -> u64 {
         let population = match slot.term {
             Term::Keyword(k) => {
@@ -148,18 +151,110 @@ impl QueryPlan {
 
     /// Theorem 5 pre-dispatch cost estimate: the summed slot costs (distinct
     /// coverages × expected coverage size). Deduplicated slots are charged
-    /// once, mirroring what a worker actually evaluates. Always ≥ 1, so an
-    /// admitted query is never free under the pressure gauge.
+    /// once. An upper bound on what a worker evaluates — [`Self::evaluate_lazy`]
+    /// skips slots an empty accumulator no longer depends on, which admission
+    /// cannot foresee. Always ≥ 1, so an admitted query is never free under
+    /// the pressure gauge.
     pub fn estimated_cost(&self, params: &CostParams) -> u64 {
         self.slots.iter().map(|s| params.slot_cost(s)).fold(0u64, u64::saturating_add).max(1)
+    }
+
+    /// The order [`Self::evaluate_lazy`] takes the operands in — the first
+    /// one, then `(operator, slot)` pairs — or `None` when the result is
+    /// empty before anything is fetched.
+    ///
+    /// The program is split at its last `∪`. Up to there the order is the
+    /// program's. What follows is a left-associated run of ∩/−, which
+    /// commutes: `acc = prefix ∩ ⋂pos ∖ ⋃neg`, the first operand joining
+    /// `pos` when there is no `∪`. `pos` goes in ascending `seeds` (the
+    /// number of nodes a slot's search would start from; ties keep program
+    /// order), then `neg`. A conjunct with no seed has an empty coverage,
+    /// and so has everything intersected with it.
+    fn lazy_order(&self, seeds: impl Fn(&DTerm) -> usize) -> Option<(u32, Vec<(SetOp, u32)>)> {
+        let last_union = self.ops.iter().rposition(|&(op, _)| op == SetOp::Union);
+        let (prefix, tail) = self.ops.split_at(last_union.map_or(0, |u| u + 1));
+        let of = |want: SetOp| tail.iter().filter(move |&&(op, _)| op == want).map(|&(_, s)| s);
+        let head = if last_union.is_none() { Some(self.first) } else { None };
+        let mut pos: Vec<(usize, u32)> = head
+            .into_iter()
+            .chain(of(SetOp::Intersect))
+            .map(|slot| (seeds(&self.slots[slot as usize]), slot))
+            .collect();
+        pos.sort_by_key(|&(seeds, _)| seeds);
+        if pos.first().is_some_and(|&(seeds, _)| seeds == 0) {
+            return None;
+        }
+        let first = if last_union.is_none() { pos.remove(0).1 } else { self.first };
+        let pos = pos.into_iter().map(|(_, slot)| (SetOp::Intersect, slot));
+        let neg = of(SetOp::Subtract).map(|slot| (SetOp::Subtract, slot));
+        Some((first, prefix.iter().copied().chain(pos).chain(neg).collect()))
+    }
+
+    /// Whether the result is empty before anything is fetched: some conjunct
+    /// after the last `∪` starts from no seed. `seeds` as in
+    /// [`Self::evaluate_lazy`].
+    pub fn has_empty_conjunct(&self, seeds: impl Fn(&DTerm) -> usize) -> bool {
+        self.lazy_order(seeds).is_none()
+    }
+
+    /// Evaluate the program, fetching a slot's coverage only when the
+    /// accumulator still depends on it.
+    ///
+    /// The prefix up to the last `∪` runs in program order; the ∩ operands
+    /// after it run in ascending `seeds` — the number of nodes a slot's
+    /// search would start from — with ties in program order, so cache state
+    /// and counters are reproducible; then the − operands. A ∩/− operand is
+    /// not fetched while the accumulator is empty, which after the last `∪`
+    /// ends the evaluation, and a conjunct with no seed ends it before the
+    /// first fetch. `fetch` is called at most once per slot. The result
+    /// equals [`Self::combine`] over all coverages; `capacity` is the
+    /// coverages' capacity, for a result nothing was fetched for.
+    pub fn evaluate_lazy<E>(
+        &self,
+        capacity: usize,
+        seeds: impl Fn(&DTerm) -> usize,
+        mut fetch: impl FnMut(&DTerm) -> Result<Arc<BitSet>, E>,
+    ) -> Result<Arc<BitSet>, E> {
+        let Some((first, order)) = self.lazy_order(seeds) else {
+            return Ok(Arc::new(BitSet::new(capacity)));
+        };
+        let mut fetched: Vec<Option<Arc<BitSet>>> = vec![None; self.slots.len()];
+        let mut get = |slot: u32| -> Result<Arc<BitSet>, E> {
+            Ok(Arc::clone(match &mut fetched[slot as usize] {
+                Some(coverage) => coverage,
+                unfetched => unfetched.insert(fetch(&self.slots[slot as usize])?),
+            }))
+        };
+        // `acc` shares the first coverage until an operator has to change
+        // it, so a one-operand plan returns that coverage uncopied.
+        let mut acc = get(first)?;
+        let mut live = !acc.is_empty();
+        for (op, slot) in order {
+            if !live && op != SetOp::Union {
+                continue; // ∅ ∩ X = ∅ − X = ∅, whatever X is
+            }
+            let rhs = get(slot)?;
+            let set = Arc::make_mut(&mut acc);
+            live = match op {
+                SetOp::Union => {
+                    set.union_with(&rhs);
+                    live || !rhs.is_empty()
+                }
+                SetOp::Intersect => set.intersect_with(&rhs),
+                SetOp::Subtract => set.subtract(&rhs),
+            };
+        }
+        Ok(acc)
     }
 
     /// Run the combine program over per-slot coverages. `coverages[i]` must
     /// be the coverage of `slots()[i]`; all bitsets must share a capacity.
     ///
-    /// Left-associated chains of ∩/− only shrink the accumulator, so once it
-    /// empties with no ∪ remaining the rest of the program is skipped — the
-    /// word kernels report liveness for free.
+    /// This is the eager reference [`Self::evaluate_lazy`] is tested against:
+    /// it needs every coverage up front. Left-associated chains of ∩/− only
+    /// shrink the accumulator, so once it empties with no ∪ remaining the
+    /// remaining word loops are skipped — the word kernels report liveness
+    /// for free — but the searches behind `coverages` are already paid for.
     pub fn combine<C: std::ops::Deref<Target = BitSet>>(&self, coverages: &[C]) -> BitSet {
         assert_eq!(coverages.len(), self.slots.len(), "one coverage per slot required");
         let last_union = self.ops.iter().rposition(|&(op, _)| op == SetOp::Union);
@@ -730,6 +825,57 @@ mod tests {
         let plan = QueryPlan::lower(&f);
         let got = plan.combine(&[set(8, &[0, 1]), set(8, &[2, 3]), set(8, &[5])]);
         assert_eq!(got.iter().collect::<Vec<_>>(), vec![5]);
+    }
+
+    /// The slots `evaluate_lazy` fetches, in order, with the result, for
+    /// per-slot `(seeds, elements)` over a capacity of 8.
+    fn lazy_trace(plan: &QueryPlan, slots: &[(usize, &[usize])]) -> (Vec<u32>, Vec<usize>) {
+        let index = |t: &DTerm| plan.slots().iter().position(|s| s == t).unwrap();
+        let mut order = Vec::new();
+        let result = plan
+            .evaluate_lazy(
+                8,
+                |t| slots[index(t)].0,
+                |t| {
+                    order.push(index(t) as u32);
+                    Ok::<_, ()>(set(8, slots[index(t)].1))
+                },
+            )
+            .unwrap();
+        let eager: Vec<_> = slots.iter().map(|&(_, elems)| set(8, elems)).collect();
+        assert_eq!(*result, plan.combine(&eager), "lazy and eager results differ");
+        (order, result.iter().collect())
+    }
+
+    fn chain(ops: &[SetOp]) -> QueryPlan {
+        let mut f = DFunction::single(Term::Keyword(KeywordId(0)), 1);
+        for (i, &op) in ops.iter().enumerate() {
+            f = f.then(op, Term::Keyword(KeywordId(i as u32 + 1)), 1);
+        }
+        QueryPlan::lower(&f)
+    }
+
+    #[test]
+    fn lazy_runs_conjuncts_by_seed_count_then_subtrahends_and_stops_when_empty() {
+        use SetOp::{Intersect, Subtract, Union};
+        // #0 − #1 ∩ #2 ∩ #3: conjuncts #0, #2, #3 by seeds (the tie between
+        // #0 and #3 keeps program order), then the subtrahend #1.
+        let plan = chain(&[Subtract, Intersect, Intersect]);
+        let sets: [(usize, &[usize]); 4] =
+            [(5, &[1, 2, 3]), (9, &[3]), (2, &[1, 2, 3, 4]), (5, &[2, 3])];
+        assert_eq!(lazy_trace(&plan, &sets), (vec![2, 0, 3, 1], vec![2]));
+        // The accumulator empties at #0 ∩ #2: #3 and #1 are never fetched.
+        let sets: [(usize, &[usize]); 4] = [(5, &[1]), (9, &[3]), (2, &[4]), (5, &[2, 3])];
+        assert_eq!(lazy_trace(&plan, &sets), (vec![2, 0], vec![]));
+        // A conjunct without a seed: nothing is fetched at all, prefix included.
+        let plan = chain(&[Union, Intersect]);
+        let sets: [(usize, &[usize]); 3] = [(5, &[1]), (9, &[3]), (0, &[])];
+        assert_eq!(lazy_trace(&plan, &sets), (vec![], vec![]));
+        // Before the last ∪ the order is the program's; a ∩ operand is not
+        // fetched while the accumulator is empty, the ∪ operand always is.
+        let plan = chain(&[Intersect, Intersect, Union]);
+        let sets: [(usize, &[usize]); 4] = [(5, &[1]), (0, &[]), (9, &[1]), (1, &[6])];
+        assert_eq!(lazy_trace(&plan, &sets), (vec![0, 1, 3], vec![6]));
     }
 
     fn batch_of_plans() -> Vec<QueryPlan> {

@@ -210,9 +210,11 @@ fn instant_network_model_reduces_modeled_time() {
     let b = fast.run_sgkq(&q).unwrap();
     assert_eq!(a.results, b.results);
     // Same compute, but the modeled response of the 100 Mb switch includes
-    // latency + serialization.
-    assert!(a.stats.modeled_response_time >= a.stats.slowest_task);
-    assert!(b.stats.modeled_response_time <= a.stats.modeled_response_time + a.stats.slowest_task);
+    // latency + serialization. Compared net of each run's own measured
+    // compute: two wall-clock task times differ by whatever the scheduler
+    // did, the modeled network share does not.
+    assert!(a.stats.modeled_response_time > a.stats.slowest_task);
+    assert_eq!(b.stats.modeled_response_time, b.stats.slowest_task);
     slow.shutdown();
     fast.shutdown();
 }

@@ -1,9 +1,11 @@
 //! One request path: a single query is a stream of one. Under three
 //! configurations written out in full (so no `DISKS_*` lane changes what is
-//! tested), the same 48 queries asked one `Cluster::run` at a time and then
+//! tested), the same 53 queries asked one `Cluster::run` at a time and then
 //! as one `Cluster::run_stream` equal the centralized oracle both ways, no
 //! worker ever talks to another, and every coordinator→worker frame is
-//! accounted for.
+//! accounted for. The last five are rare-keyword queries a fragment can
+//! answer without fetching every slot: the workers look up fewer coverages
+//! than slots × fragments for them.
 
 use std::time::Duration;
 
@@ -11,8 +13,8 @@ use disks::baseline::centralized::CentralizedEngine;
 use disks::cluster::transport::TransportKind;
 use disks::cluster::{Cluster, ClusterConfig, FaultPlan, HeartbeatConfig, HedgeMode, NetworkModel};
 use disks::core::{
-    build_all_indexes, DFunction, IndexConfig, QClassQuery, RangeKeywordQuery, SetOp, SgkQuery,
-    Term,
+    build_all_indexes, DFunction, IndexConfig, QClassQuery, QueryPlan, RangeKeywordQuery, SetOp,
+    SgkQuery, Term,
 };
 use disks::partition::{MultilevelPartitioner, Partitioner};
 use disks::roadnet::generator::GridNetworkConfig;
@@ -50,17 +52,30 @@ fn shipped() -> ClusterConfig {
     }
 }
 
+const FRAGMENTS: usize = 4;
+/// Queries of the stream before the rare-keyword ones.
+const ORDINARY: usize = 48;
+
 /// 48 seeded queries cycling SGKQ → RKQ → Q-class over the six most
-/// frequent keywords.
+/// frequent keywords, then four 5-term SGKQs over the rarest keywords and
+/// one `(A ∩ B) ∪ C − D` with a rare `A`.
 fn stream(net: &RoadNetwork) -> Vec<DFunction> {
     let freqs = net.keyword_frequencies();
     let mut ranked: Vec<usize> = (0..freqs.len()).filter(|&k| freqs[k] > 0).collect();
     ranked.sort_unstable_by_key(|&k| std::cmp::Reverse(freqs[k]));
+    let rare: Vec<KeywordId> = ranked.iter().rev().take(8).map(|&k| KeywordId(k as u32)).collect();
     ranked.truncate(6);
     let objects: Vec<NodeId> = net.node_ids().filter(|&n| net.is_object(n)).collect();
     let e = net.avg_edge_weight();
     let mut rng = StdRng::seed_from_u64(0x0E1A);
-    (0..48)
+    let sgkq5 = (0..4).map(|i| SgkQuery::new(rare[i..i + 5].to_vec(), e * (1 + i as u64 % 2)));
+    let union_after_rare = QClassQuery::new(
+        DFunction::single(Term::Keyword(rare[0]), e)
+            .then(SetOp::Intersect, Term::Keyword(rare[1]), e)
+            .then(SetOp::Union, Term::Keyword(KeywordId(ranked[0] as u32)), e)
+            .then(SetOp::Subtract, Term::Keyword(KeywordId(ranked[1] as u32)), e),
+    );
+    (0..ORDINARY)
         .map(|i| {
             let mut kw = || KeywordId(ranked[rng.gen_range(0..ranked.len())] as u32);
             let (a, b) = (kw(), kw());
@@ -77,7 +92,16 @@ fn stream(net: &RoadNetwork) -> Vec<DFunction> {
                 .to_dfunction(),
             }
         })
+        .chain(sgkq5.map(|q| q.to_dfunction()))
+        .chain([union_after_rare.to_dfunction()])
         .collect()
+}
+
+/// Coverages the workers looked up for one query: LRU hits and misses plus
+/// the slots another query of the same frame had already resolved.
+fn lookups(o: &disks::cluster::QueryOutcome) -> u64 {
+    let shared: u64 = o.stats.per_machine.iter().map(|m| m.batch_shared).sum();
+    o.stats.cache_hits + o.stats.cache_misses + shared
 }
 
 /// `c2w == dispatch + retries + prewarm + hedges + probes`, exactly.
@@ -94,8 +118,10 @@ fn assert_ledger_closes(cluster: &Cluster, what: &str) {
 #[test]
 fn a_single_query_is_a_stream_of_one() {
     let net = GridNetworkConfig::tiny(0x0E1A).generate();
-    let p = MultilevelPartitioner::default().partition(&net, 4);
+    let p = MultilevelPartitioner::default().partition(&net, FRAGMENTS);
     let fs = stream(&net);
+    let eager_lookups: Vec<u64> =
+        fs.iter().map(|f| (QueryPlan::lower(f).num_slots() * FRAGMENTS) as u64).collect();
     let configs = [
         ("shipped defaults", shipped()),
         ("adaptive windows", ClusterConfig { batch_adaptive: true, ..shipped() }),
@@ -123,6 +149,10 @@ fn a_single_query_is_a_stream_of_one() {
             assert_eq!(o.results, expected[i], "{name}: query {i} vs oracle");
             assert_eq!(o.stats.rounds, 1 + o.stats.retries, "{name}: query {i} rounds");
             assert_eq!(o.stats.inter_worker_bytes, 0, "{name}: query {i}: Theorem 3");
+            assert!(lookups(&o) <= eager_lookups[i], "{name}: query {i} looked a slot up twice");
+            if i >= ORDINARY {
+                assert!(lookups(&o) < eager_lookups[i], "{name}: query {i} fetched every slot");
+            }
         }
         // A window of one has no size to choose: lone queries leave the
         // adaptive controller alone.
@@ -136,6 +166,9 @@ fn a_single_query_is_a_stream_of_one() {
             let o = item.unwrap_or_else(|e| panic!("{name}: streamed {i}: {e}"));
             assert_eq!(o.results, expected[i], "{name}: streamed query {i} vs oracle");
             assert_eq!(o.stats.inter_worker_bytes, 0, "{name}: streamed query {i}: Theorem 3");
+            if i >= ORDINARY {
+                assert!(lookups(&o) < eager_lookups[i], "{name}: streamed {i} fetched every slot");
+            }
         }
         assert_eq!(cluster.window_trace().is_empty(), !config.batch_adaptive, "{name}");
         assert_ledger_closes(&cluster, name);
