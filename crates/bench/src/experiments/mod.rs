@@ -86,7 +86,9 @@ impl Deployment {
         let (results, costs) = self.evaluate(f);
         let slowest = costs.iter().map(|c| c.elapsed).max().unwrap_or(Duration::ZERO);
         let network = disks_cluster::NetworkModel::switch_100mbps();
-        // Request ≈ encoded D-function; response ≈ 4 bytes/node + header.
+        // Request ≈ encoded D-function; response ≈ 4 bytes/node + header:
+        // the raw-id upper bound (the cluster's run-length answers weigh
+        // less, DESIGN §6d), kept so Figs. 10–17 stay comparable.
         let request_bytes = 16 * f.num_terms() as u64 + 16;
         let largest_response = costs.iter().map(|c| 4 * c.results as u64 + 32).max().unwrap_or(0);
         let _ = results;

@@ -13,9 +13,7 @@ use disks_partition::FragmentId;
 
 use super::{Cluster, STRAGGLER_GRACE};
 use crate::cache::CacheCounters;
-use crate::message::{
-    decode_frame, encode_frame, results_frame_len, BatchAnswer, Request, Response,
-};
+use crate::message::{decode_frame, decode_gather_items, encode_frame, Request, Response};
 use crate::overload::{backoff_delay, splitmix64};
 use crate::transport::epoch_micros;
 
@@ -398,9 +396,8 @@ impl Cluster {
         make_request: &dyn Fn(usize, Vec<u32>) -> Request,
         on_response: &mut dyn FnMut(usize, Response, u64),
     ) -> Result<(), QueryError> {
-        let frame_bytes = frame.len() as u64;
-        let response = match decode_frame::<Response>(frame) {
-            Ok(r) => r,
+        let items = match decode_gather_items(frame) {
+            Ok(items) => items,
             Err(_) => {
                 gs.report.corrupt_frames += 1;
                 return Ok(());
@@ -408,44 +405,24 @@ impl Cluster {
         };
         // Health-plane traffic: a probe ack is proof of life plus one
         // probation success, never counted against any query window.
-        if let Response::ProbeAck { machine, .. } = &response {
+        if let [(Response::ProbeAck { machine, .. }, _)] = items.as_slice() {
             let m = *machine as usize;
             if m < self.placement.num_machines() {
                 self.health.borrow_mut().note_probe_ack(m, epoch_micros());
             }
             return Ok(());
         }
-        // A batch frame expands into one positional answer per member
-        // query; each then flows through the same window/dedup/retry
-        // machinery as a standalone frame. Per-answer bytes are what the
-        // answer's standalone result frame would have cost
-        // (`results_frame_len`), keeping per-query byte attribution
-        // comparable across batched and unbatched runs.
-        let items: Vec<(Response, u64)> = match response {
-            Response::BatchResults { base: chunk_base, fragment, answers } => answers
-                .into_iter()
-                .enumerate()
-                .map(|(i, answer)| {
-                    let query_id = chunk_base + 1 + i as u64;
-                    match answer {
-                        BatchAnswer::Results { nodes, cost } => {
-                            let bytes = results_frame_len(nodes.len() as u64);
-                            (Response::Results { query_id, fragment, nodes, cost }, bytes)
-                        }
-                        BatchAnswer::Failed(error) => {
-                            (Response::Failed { query_id, fragment, error }, 0)
-                        }
-                    }
-                })
-                .collect(),
-            other => vec![(other, frame_bytes)],
-        };
+        // A batch frame arrives expanded into one positional answer per
+        // member query; each flows through the same window/dedup/retry
+        // machinery as a standalone frame, charged the bytes its standalone
+        // result frame would have cost (`decode_gather_items`), so per-query
+        // byte attribution is comparable across batched and unbatched runs.
         for (response, bytes) in items {
             let (qid, fragment) = match &response {
                 Response::Results { query_id, fragment, .. }
                 | Response::TopKResults { query_id, fragment, .. }
                 | Response::Failed { query_id, fragment, .. } => (*query_id, *fragment),
-                Response::BatchResults { .. } => unreachable!("expanded above"),
+                Response::BatchResults { .. } => unreachable!("expanded by the decoder"),
                 Response::ProbeAck { .. } => unreachable!("intercepted above"),
             };
             if qid <= base || qid > base + gs.n as u64 || fragment as usize >= gs.k {

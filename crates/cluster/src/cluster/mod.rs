@@ -31,6 +31,7 @@
 //! [`ClusterConfig::allow_partial`], degrades the result and lists the
 //! fragment in [`QueryStats::degraded_fragments`].
 
+mod assemble;
 mod config;
 mod dispatch;
 mod gather;
@@ -50,6 +51,7 @@ use disks_core::{
 };
 use disks_roadnet::NodeId;
 
+pub use self::assemble::AnswerGather;
 pub use self::config::{ClusterConfig, ConfigError};
 pub use self::supervise::RemoteWorkerCommand;
 
@@ -104,7 +106,7 @@ fn ranked_heat(heat: &HashMap<(Term, u64), u64>) -> Vec<((Term, u64), u64)> {
 /// Result + statistics of one distributed query.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
-    /// Union of per-fragment results, sorted by node id. When
+    /// Union of per-fragment results, strictly ascending by node id. When
     /// [`QueryStats::degraded_fragments`] is non-empty this is the union of
     /// the fragments that *did* answer.
     pub results: Vec<NodeId>,
@@ -156,6 +158,9 @@ pub struct Cluster {
     /// dispatch (workers cannot — they are share-nothing; see
     /// `FragmentEngine::coverage`).
     is_object: Vec<bool>,
+    /// Scratch bitmap over V that dense answers are assembled through
+    /// (`run_stream`); zero between queries.
+    answer_gather: RefCell<AnswerGather>,
     /// Largest radius the cluster admits: the indexes' `maxR` for a bounded
     /// single-level deployment, [`disks_roadnet::INF`] for unbounded or §5.5 bi-level
     /// deployments (whose secondary serves any radius).
@@ -420,7 +425,8 @@ impl Cluster {
             })
             .collect();
         let (c2w_before, _) = self.link_totals();
-        let mut results: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        // Each query's fragment lists as they arrive: ascending, disjoint.
+        let mut lists: Vec<Vec<Vec<NodeId>>> = vec![Vec::new(); n];
         let mut per_machine: Vec<Vec<MachineCost>> =
             vec![vec![MachineCost::default(); self.num_machines()]; n];
         let mut cache_by_slot: Vec<CacheCounters> = vec![CacheCounters::default(); n];
@@ -429,7 +435,9 @@ impl Cluster {
                 let m = self.serving_machine(fragment, &cost);
                 per_machine[i][m].absorb(fragment, &cost, nodes.len() as u64, bytes);
                 cache_by_slot[i].absorb(&cost.cache_counters());
-                results[i].extend(nodes);
+                if !nodes.is_empty() {
+                    lists[i].push(nodes);
+                }
             }
         };
         let stream = self.run_stream_core(plans, start, &mut on_response);
@@ -439,6 +447,7 @@ impl Cluster {
             as u64;
         let c2w_each = (c2w_after - c2w_before).checked_div(ran).unwrap_or(0);
 
+        let mut gather = self.answer_gather.borrow_mut();
         let out = stream
             .disposition
             .iter()
@@ -452,8 +461,7 @@ impl Cluster {
                     if let Some(e) = &g.error {
                         return Err(e.clone());
                     }
-                    let mut nodes = std::mem::take(&mut results[i]);
-                    nodes.sort_unstable();
+                    let nodes = gather.assemble(std::mem::take(&mut lists[i]));
                     let stats = self.query_stats(
                         g,
                         *pos,

@@ -17,7 +17,7 @@ use disks_core::{CostParams, DlScope, FragmentEngine, NpdIndex, SlotIdTable};
 use disks_partition::{FragmentId, Partitioning};
 use disks_roadnet::{RoadNetwork, INF};
 
-use super::{Cluster, ClusterConfig, PREWARM_TOP_K};
+use super::{AnswerGather, Cluster, ClusterConfig, PREWARM_TOP_K};
 use crate::adaptive::WindowController;
 use crate::cache::CacheCounters;
 use crate::framing;
@@ -452,6 +452,7 @@ impl Cluster {
             placement,
             dl_scope,
             is_object: spec.net.node_ids().map(|n| spec.net.is_object(n)).collect(),
+            answer_gather: RefCell::new(AnswerGather::new(spec.net.num_nodes())),
             admission_max_r,
             controller: RefCell::new(WindowController::new(
                 config.batch_window,

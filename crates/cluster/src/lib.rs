@@ -80,7 +80,9 @@ pub mod worker;
 
 pub use adaptive::WindowController;
 pub use cache::{CacheCounters, CoverageCache};
-pub use cluster::{Cluster, ClusterConfig, ConfigError, QueryOutcome, RemoteWorkerCommand};
+pub use cluster::{
+    AnswerGather, Cluster, ClusterConfig, ConfigError, QueryOutcome, RemoteWorkerCommand,
+};
 pub use framing::{FrameAssembler, StreamEvent};
 pub use health::{HealthBoard, HealthConfig, HealthState, HedgeMode};
 pub use heat::HeatSnapshot;

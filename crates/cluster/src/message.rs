@@ -7,10 +7,11 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use disks_core::{ElidedSuperPlan, QueryCost, QueryError, QueryPlan, Ranked, SuperPlan, TopKQuery};
-use disks_roadnet::codec::{Decode, Encode};
+use disks_roadnet::codec::{decode_len, Decode, Encode};
 use disks_roadnet::{DecodeError, NodeId};
 
 use crate::cache::CacheCounters;
+use crate::framing::MAX_FRAME_LEN;
 
 /// Coordinator → worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,7 +149,9 @@ impl From<&QueryCost> for WireCost {
 /// Worker → coordinator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
-    /// Results for one fragment hosted by the worker.
+    /// Results for one fragment hosted by the worker: global node ids,
+    /// strictly ascending (`FragmentEngine::to_global`'s order) — the wire
+    /// layout ([`encode_ids`]) and the coordinator's gather both rely on it.
     Results { query_id: u64, fragment: u32, nodes: Vec<NodeId>, cost: WireCost },
     /// Locally ranked top-k results for one fragment.
     TopKResults { query_id: u64, fragment: u32, ranked: Vec<Ranked>, cost: WireCost },
@@ -167,10 +170,14 @@ pub enum Response {
     ProbeAck { machine: u32, nonce: u64 },
 }
 
+/// Tag byte of a [`Response::BatchResults`] frame.
+const BATCH_RESULTS_TAG: u8 = 3;
+
 /// One query's outcome inside a [`Response::BatchResults`] frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BatchAnswer {
-    /// The query's local result on this fragment.
+    /// The query's local result on this fragment (strictly ascending, as
+    /// in [`Response::Results`]).
     Results { nodes: Vec<NodeId>, cost: WireCost },
     /// The query failed on this fragment; the rest of the batch is
     /// unaffected (the coordinator re-dispatches just this query).
@@ -182,7 +189,7 @@ impl Encode for BatchAnswer {
         match self {
             BatchAnswer::Results { nodes, cost } => {
                 0u8.encode(buf);
-                nodes.encode(buf);
+                encode_ids(nodes, buf);
                 cost.encode(buf);
             }
             BatchAnswer::Failed(error) => {
@@ -192,16 +199,41 @@ impl Encode for BatchAnswer {
         }
     }
 }
-impl Decode for BatchAnswer {
-    fn decode(buf: &mut impl Buf) -> Result<Self, DecodeError> {
+impl BatchAnswer {
+    /// Decode one answer and report what its standalone
+    /// [`Response::Results`] frame would have weighed
+    /// ([`results_frame_len`] of the id bytes just read; 0 for a failure,
+    /// which is charged nothing).
+    fn decode_measured(buf: &mut impl Buf) -> Result<(Self, u64), DecodeError> {
         match u8::decode(buf)? {
             0 => {
-                Ok(BatchAnswer::Results { nodes: Vec::decode(buf)?, cost: WireCost::decode(buf)? })
+                let before = buf.remaining();
+                let nodes = decode_ids(buf)?;
+                let id_bytes = (before - buf.remaining()) as u64;
+                let cost = WireCost::decode(buf)?;
+                Ok((BatchAnswer::Results { nodes, cost }, results_frame_len(id_bytes)))
             }
-            1 => Ok(BatchAnswer::Failed(QueryError::decode(buf)?)),
+            1 => Ok((BatchAnswer::Failed(QueryError::decode(buf)?), 0)),
             tag => Err(DecodeError::BadTag { context: "BatchAnswer", tag }),
         }
     }
+}
+
+/// Decode the answer list of a [`Response::BatchResults`] frame, handing
+/// each answer and its byte charge (see [`BatchAnswer::decode_measured`]) to
+/// `keep` — the one reader behind both [`Response::decode`] and
+/// [`decode_gather_items`].
+fn decode_answers<T>(
+    buf: &mut impl Buf,
+    mut keep: impl FnMut(BatchAnswer, u64) -> T,
+) -> Result<Vec<T>, DecodeError> {
+    let len = decode_len(buf, "BatchResults.answers")?;
+    let mut out = Vec::with_capacity(len.min(buf.remaining() / size_of::<T>()));
+    for _ in 0..len {
+        let (answer, bytes) = BatchAnswer::decode_measured(buf)?;
+        out.push(keep(answer, bytes));
+    }
+    Ok(out)
 }
 
 /// Encoded size of a [`WireCost`]: thirteen fixed-width `u64` fields plus
@@ -209,16 +241,148 @@ impl Decode for BatchAnswer {
 /// byte ledgers independent of the (nondeterministic) timing values.
 pub(crate) const WIRE_COST_LEN: u64 = 13 * 8 + EVAL_HIST_BUCKETS as u64 * 4;
 
-/// Exact encoded size of a [`Response::Results`] frame carrying `n_nodes`
-/// result ids: tag + query id + fragment + length prefix + ids + cost.
+/// Exact encoded size of a [`Response::Results`] frame whose id list
+/// encodes ([`encode_ids`]) to `id_bytes`: tag + query id + fragment + ids +
+/// cost.
 ///
 /// Used to apportion a batch frame's bytes to its member queries — each
 /// answer is charged what its standalone result frame would have cost, so
 /// per-query byte accounting is comparable across batched and unbatched
 /// runs (the batch frame itself is smaller than the sum; the saving is
 /// visible in the link totals).
-pub(crate) fn results_frame_len(n_nodes: u64) -> u64 {
-    1 + 8 + 4 + 4 + 4 * n_nodes + WIRE_COST_LEN
+pub(crate) fn results_frame_len(id_bytes: u64) -> u64 {
+    1 + 8 + 4 + id_bytes + WIRE_COST_LEN
+}
+
+/// Most ids one answer may expand to: what the raw 4-byte layout could carry
+/// in the largest legal frame. A run costs O(1) bytes whatever its length,
+/// so without this bound a few bytes could claim 2³² ids.
+pub const MAX_ANSWER_IDS: usize = MAX_FRAME_LEN / 4;
+
+/// Ids [`decode_ids`] reserves before it has read a run, whatever count the
+/// input claims (64 KiB; a fragment's whole answer on the benchmark's
+/// dataset fits, a larger one grows as its runs are validated).
+const ANSWER_RESERVE_IDS: usize = 1 << 14;
+
+/// Longest varint the answer layout uses: gap and run length are below 2³³
+/// (a 32-bit gap shifted by the flag bit), which is 5 × 7 bits.
+const VARINT_MAX_BYTES: usize = 5;
+
+fn put_varint(mut v: u64, buf: &mut impl BufMut) {
+    while v >= 0x80 {
+        buf.put_u8(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.put_u8(v as u8);
+}
+
+/// Read a little-endian base-128 varint of at most [`VARINT_MAX_BYTES`]
+/// bytes (so the value is below 2³⁵ and no later sum can overflow `u64`)
+/// off the front of `unread`.
+fn get_varint(unread: &mut &[u8]) -> Result<u64, DecodeError> {
+    let mut v = 0u64;
+    for (i, &b) in unread.iter().take(VARINT_MAX_BYTES).enumerate() {
+        v |= u64::from(b & 0x7f) << (7 * i);
+        if b & 0x80 == 0 {
+            *unread = &unread[i + 1..];
+            return Ok(v);
+        }
+    }
+    Err(if unread.len() < VARINT_MAX_BYTES {
+        DecodeError::UnexpectedEof { needed: unread.len() + 1, remaining: unread.len() }
+    } else {
+        DecodeError::LengthOutOfRange { context: "answer varint longer than 5 bytes", len: v }
+    })
+}
+
+/// Write an answer's id list — the one wire form of a strictly ascending
+/// `Vec<NodeId>` in [`Response::Results`] and [`BatchAnswer::Results`]:
+///
+/// ```text
+/// answer := varint(count) run*
+/// run    := varint(gap << 1 | has_len) [varint(len - 2)]   (has_len ⇔ len ≥ 2)
+/// ```
+///
+/// A run is `len` consecutive ids starting `gap` above the smallest id not
+/// yet ruled out (0 at first, the previous run's last id + 1 afterwards),
+/// so an isolated id costs a delta-varint, a run of any length O(1) bytes,
+/// an empty answer one byte, and a list that does not ascend has no
+/// encoding at all. The bytes depend only on the ids.
+///
+/// # Panics
+/// Panics if `nodes` is not strictly ascending or holds more than
+/// [`MAX_ANSWER_IDS`] ids: both are bugs in the caller (engines produce
+/// ascending answers by construction), and writing either would put a frame
+/// on the wire that decodes to a different answer or not at all.
+pub fn encode_ids(nodes: &[NodeId], buf: &mut impl BufMut) {
+    fn put_run(gap: u64, len: u64, buf: &mut impl BufMut) {
+        if len == 1 {
+            put_varint(gap << 1, buf);
+        } else {
+            put_varint(gap << 1 | 1, buf);
+            put_varint(len - 2, buf);
+        }
+    }
+    assert!(nodes.len() <= MAX_ANSWER_IDS, "answer of {} ids exceeds the wire bound", nodes.len());
+    put_varint(nodes.len() as u64, buf);
+    let mut ids = nodes.iter().map(|n| u64::from(n.0));
+    let Some(mut start) = ids.next() else { return };
+    // The open run is `start..end`; `next` is where the previous one ended.
+    let (mut next, mut end) = (0, start + 1);
+    for id in ids {
+        if id == end {
+            end += 1;
+            continue;
+        }
+        assert!(id > end, "answer ids must be strictly ascending ({id} after {})", end - 1);
+        put_run(start - next, end - start, buf);
+        (next, start, end) = (end, id, id + 1);
+    }
+    put_run(start - next, end - start, buf);
+}
+
+/// Read an id list written by [`encode_ids`]. Everything is validated
+/// before memory is committed to it: the count against [`MAX_ANSWER_IDS`],
+/// each run against the ids the count still allows and against `u32::MAX`;
+/// the up-front reservation does not depend on the claimed count beyond
+/// [`ANSWER_RESERVE_IDS`]. The result is strictly ascending whatever the
+/// bytes were.
+pub fn decode_ids(buf: &mut impl Buf) -> Result<Vec<NodeId>, DecodeError> {
+    // Parse off the unread slice (`chunk` is all of it in this workspace's
+    // `bytes`) and advance once: a varint is 1–5 bytes, too small to pay the
+    // buffer's per-read bookkeeping for each.
+    let mut unread = buf.chunk();
+    let before = unread.len();
+    let count = get_varint(&mut unread)?;
+    if count > MAX_ANSWER_IDS as u64 {
+        return Err(DecodeError::LengthOutOfRange { context: "answer id count", len: count });
+    }
+    let count = count as usize;
+    let mut out = Vec::with_capacity(count.min(ANSWER_RESERVE_IDS));
+    let mut next = 0u64;
+    while out.len() < count {
+        let head = get_varint(&mut unread)?;
+        let start = next + (head >> 1);
+        let len = if head & 1 == 1 { get_varint(&mut unread)? + 2 } else { 1 };
+        let end = start + len;
+        if end > 1 << 32 {
+            return Err(DecodeError::LengthOutOfRange {
+                context: "answer run past u32::MAX",
+                len: end,
+            });
+        }
+        if len > (count - out.len()) as u64 {
+            return Err(DecodeError::LengthOutOfRange {
+                context: "answer run past the declared count",
+                len,
+            });
+        }
+        out.extend((start..end).map(|id| NodeId(id as u32)));
+        next = end;
+    }
+    let read = before - unread.len();
+    buf.advance(read);
+    Ok(out)
 }
 
 impl Encode for WireCost {
@@ -346,7 +510,7 @@ impl Encode for Response {
                 0u8.encode(buf);
                 query_id.encode(buf);
                 fragment.encode(buf);
-                nodes.encode(buf);
+                encode_ids(nodes, buf);
                 cost.encode(buf);
             }
             Response::Failed { query_id, fragment, error } => {
@@ -363,7 +527,7 @@ impl Encode for Response {
                 cost.encode(buf);
             }
             Response::BatchResults { base, fragment, answers } => {
-                3u8.encode(buf);
+                BATCH_RESULTS_TAG.encode(buf);
                 base.encode(buf);
                 fragment.encode(buf);
                 answers.encode(buf);
@@ -382,7 +546,7 @@ impl Decode for Response {
             0 => Ok(Response::Results {
                 query_id: u64::decode(buf)?,
                 fragment: u32::decode(buf)?,
-                nodes: Vec::decode(buf)?,
+                nodes: decode_ids(buf)?,
                 cost: WireCost::decode(buf)?,
             }),
             1 => Ok(Response::Failed {
@@ -396,10 +560,10 @@ impl Decode for Response {
                 ranked: Vec::decode(buf)?,
                 cost: WireCost::decode(buf)?,
             }),
-            3 => Ok(Response::BatchResults {
+            BATCH_RESULTS_TAG => Ok(Response::BatchResults {
                 base: u64::decode(buf)?,
                 fragment: u32::decode(buf)?,
-                answers: Vec::decode(buf)?,
+                answers: decode_answers(buf, |answer, _| answer)?,
             }),
             4 => Ok(Response::ProbeAck { machine: u32::decode(buf)?, nonce: u64::decode(buf)? }),
             tag => Err(DecodeError::BadTag { context: "Response", tag }),
@@ -417,13 +581,49 @@ pub fn encode_frame<T: Encode>(msg: &T) -> Bytes {
 /// Decode a message from a frame, requiring full consumption.
 pub fn decode_frame<T: Decode>(mut bytes: Bytes) -> Result<T, DecodeError> {
     let msg = T::decode(&mut bytes)?;
+    expect_consumed(&bytes)?;
+    Ok(msg)
+}
+
+fn expect_consumed(bytes: &Bytes) -> Result<(), DecodeError> {
     if bytes.has_remaining() {
         return Err(DecodeError::LengthOutOfRange {
             context: "trailing bytes after frame",
             len: bytes.remaining() as u64,
         });
     }
-    Ok(msg)
+    Ok(())
+}
+
+/// Decode a worker's frame into the responses the gather handles one at a
+/// time, each with the worker→coordinator bytes charged to it. A batch
+/// frame expands into one standalone response per member query (`answers[i]`
+/// answers query `base + 1 + i`), charged what its own result frame would
+/// have weighed — measured while its ids are read, not by walking them
+/// again; any other frame is one item charged the frame's length.
+pub(crate) fn decode_gather_items(mut frame: Bytes) -> Result<Vec<(Response, u64)>, DecodeError> {
+    if frame.first() != Some(&BATCH_RESULTS_TAG) {
+        let frame_bytes = frame.len() as u64;
+        return Ok(vec![(decode_frame(frame)?, frame_bytes)]);
+    }
+    frame.advance(1);
+    let base = u64::decode(&mut frame)?;
+    let fragment = u32::decode(&mut frame)?;
+    let mut query_id = base;
+    let items = decode_answers(&mut frame, |answer, bytes| {
+        // A corrupt base that wraps lands outside every window and is
+        // dropped there; it must not overflow here.
+        query_id = query_id.wrapping_add(1);
+        let response = match answer {
+            BatchAnswer::Results { nodes, cost } => {
+                Response::Results { query_id, fragment, nodes, cost }
+            }
+            BatchAnswer::Failed(error) => Response::Failed { query_id, fragment, error },
+        };
+        (response, bytes)
+    })?;
+    expect_consumed(&frame)?;
+    Ok(items)
 }
 
 #[cfg(test)]
@@ -654,35 +854,169 @@ mod tests {
         assert!(warm_len < full_len, "elided {warm_len} vs full {full_len}");
     }
 
+    /// The id-list bytes of `nodes` alone.
+    fn id_bytes(nodes: &[NodeId]) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        encode_ids(nodes, &mut buf);
+        buf.to_vec()
+    }
+
     #[test]
     fn results_frame_len_matches_encoded_size() {
-        for n in [0usize, 1, 7, 1000] {
-            let resp = Response::Results {
-                query_id: 42,
+        let lists: [Vec<u32>; 5] = [
+            vec![],
+            vec![7],
+            (0..1000).collect(),
+            (0..1000).map(|i| i * 3).collect(),
+            vec![5, 6, 7, 300, 70_000, 70_001, u32::MAX],
+        ];
+        for ids in lists {
+            let nodes: Vec<NodeId> = ids.into_iter().map(NodeId).collect();
+            let results = |query_id| Response::Results {
+                query_id,
                 fragment: 3,
-                nodes: (0..n as u32).map(NodeId).collect(),
+                nodes: nodes.clone(),
                 cost: WireCost::default(),
             };
-            assert_eq!(encode_frame(&resp).len() as u64, results_frame_len(n as u64));
+            let standalone = encode_frame(&results(42)).len() as u64;
+            assert_eq!(standalone, results_frame_len(id_bytes(&nodes).len() as u64));
+            // The same answer inside a batch frame is charged exactly that,
+            // by the decoder that read it.
+            let batch = Response::BatchResults {
+                base: 41,
+                fragment: 3,
+                answers: vec![
+                    BatchAnswer::Failed(QueryError::EmptyQuery),
+                    BatchAnswer::Results { nodes: nodes.clone(), cost: WireCost::default() },
+                ],
+            };
+            let items = decode_gather_items(encode_frame(&batch)).unwrap();
+            assert!(matches!(items[0], (Response::Failed { query_id: 42, fragment: 3, .. }, 0)));
+            assert_eq!(items[1], (results(43), standalone));
         }
     }
 
     #[test]
-    fn result_frame_size_scales_with_result_count() {
-        let small = Response::Results {
-            query_id: 1,
-            fragment: 0,
-            nodes: vec![NodeId(1)],
-            cost: WireCost::default(),
+    fn answer_layout_byte_by_byte() {
+        // count, then runs of (gap << 1 | has_len) [len - 2].
+        assert_eq!(id_bytes(&[]), [0]);
+        assert_eq!(id_bytes(&[NodeId(0)]), [1, 0]);
+        assert_eq!(id_bytes(&[NodeId(5)]), [1, 10]);
+        // 5..=7 is one run: gap 5, length 3 → (5 << 1 | 1), 3 - 2.
+        assert_eq!(id_bytes(&[NodeId(5), NodeId(6), NodeId(7)]), [3, 11, 1]);
+        // 9 follows 7 with one id (8) skipped: gap 1, no length.
+        assert_eq!(id_bytes(&[NodeId(5), NodeId(6), NodeId(7), NodeId(9)]), [4, 11, 1, 2]);
+        // A gap of 64 needs a second varint byte: 128 = 0x80 0x01.
+        assert_eq!(id_bytes(&[NodeId(0), NodeId(65)]), [2, 0, 0x80, 0x01]);
+        // The largest id: gap 2³² − 1 shifted by the flag is 5 bytes.
+        assert_eq!(id_bytes(&[NodeId(u32::MAX)]), [1, 0xfe, 0xff, 0xff, 0xff, 0x1f]);
+        // Every node of a 2²⁰-node network costs what three ids do.
+        let all: Vec<NodeId> = (0..1 << 20).map(NodeId).collect();
+        assert_eq!(id_bytes(&all), [0x80, 0x80, 0x40, 1, 0xfe, 0xff, 0x3f]);
+    }
+
+    #[test]
+    fn result_frame_size_follows_runs_not_ids() {
+        let frame_len = |ids: Vec<u32>| {
+            encode_frame(&Response::Results {
+                query_id: 1,
+                fragment: 0,
+                nodes: ids.into_iter().map(NodeId).collect(),
+                cost: WireCost::default(),
+            })
+            .len()
         };
-        let large = Response::Results {
-            query_id: 1,
-            fragment: 0,
-            nodes: (0..1000).map(NodeId).collect(),
-            cost: WireCost::default(),
+        let one = frame_len(vec![1]);
+        // 1 000 consecutive ids are one run: a 2-byte count and a 2-byte
+        // length where the lone id had a 1-byte count and none.
+        assert_eq!(frame_len((1..=1000).collect()) - one, 3);
+        // 1 000 ids with no two consecutive degrade to a delta-varint: one
+        // byte an id here (gaps < 64), never the 4 of the raw layout.
+        assert_eq!(frame_len((0..1000).map(|i| 1 + 2 * i).collect()) - one, 1 + 999);
+        // An empty answer is one byte.
+        assert_eq!(one - frame_len(vec![]), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn encoding_a_list_that_does_not_ascend_fails_loudly() {
+        id_bytes(&[NodeId(4), NodeId(9), NodeId(9)]);
+    }
+
+    fn decode_id_bytes(bytes: &[u8]) -> Result<Vec<NodeId>, DecodeError> {
+        let mut buf = Bytes::from(bytes);
+        let ids = decode_ids(&mut buf)?;
+        expect_consumed(&buf)?;
+        Ok(ids)
+    }
+
+    #[test]
+    fn answer_decoder_rejects_what_it_cannot_trust() {
+        let out_of_range = |r: Result<Vec<NodeId>, DecodeError>| match r {
+            Err(DecodeError::LengthOutOfRange { context, .. }) => context,
+            other => panic!("expected a typed length error, got {other:?}"),
         };
-        let s = encode_frame(&small).len();
-        let l = encode_frame(&large).len();
-        assert_eq!(l - s, 999 * 4, "4 bytes per extra node id");
+        // A count above MAX_ANSWER_IDS (2²⁴ here) fails on the count alone.
+        assert_eq!(MAX_ANSWER_IDS, 1 << 24);
+        assert_eq!(out_of_range(decode_id_bytes(&[0x81, 0x80, 0x80, 0x08])), "answer id count");
+        assert_eq!(
+            out_of_range(decode_id_bytes(&[0xff, 0xff, 0xff, 0xff, 0x7f])),
+            "answer id count"
+        );
+        // The bound itself is legal — and reserves nothing near 64 MiB
+        // before a run backs the claim: this input ends after the count.
+        assert!(matches!(
+            decode_id_bytes(&[0x80, 0x80, 0x80, 0x08]),
+            Err(DecodeError::UnexpectedEof { .. })
+        ));
+        // A run longer than the ids the count still allows.
+        assert_eq!(out_of_range(decode_id_bytes(&[3, 1, 2])), "answer run past the declared count");
+        assert_eq!(
+            out_of_range(decode_id_bytes(&[2, 0, 1, 0])),
+            "answer run past the declared count"
+        );
+        // A 2³²-id run in a 12-byte answer: past u32::MAX and past any count.
+        assert_eq!(
+            out_of_range(decode_id_bytes(&[
+                0x80, 0x80, 0x80, 0x08, 1, 0xfe, 0xff, 0xff, 0xff, 0x0f, 0, 0
+            ])),
+            "answer run past the declared count"
+        );
+        // Runs that would carry an id past u32::MAX.
+        assert_eq!(
+            out_of_range(decode_id_bytes(&[2, 0xfe, 0xff, 0xff, 0xff, 0x1f, 0])),
+            "answer run past u32::MAX"
+        );
+        assert_eq!(
+            out_of_range(decode_id_bytes(&[2, 0xff, 0xff, 0xff, 0xff, 0x1f, 0])),
+            "answer run past u32::MAX"
+        );
+        // A varint that does not end within 5 bytes.
+        assert_eq!(
+            out_of_range(decode_id_bytes(&[1, 0x80, 0x80, 0x80, 0x80, 0x80, 0])),
+            "answer varint longer than 5 bytes"
+        );
+        // Bytes after the last declared id are trailing garbage.
+        assert_eq!(out_of_range(decode_id_bytes(&[1, 0, 0])), "trailing bytes after frame");
+        // A list that does not ascend has no encoding: a zero gap is the
+        // *next* id, so any accepted input decodes strictly ascending.
+        assert_eq!(decode_id_bytes(&[3, 0, 0, 0]).unwrap(), [NodeId(0), NodeId(1), NodeId(2)]);
+    }
+
+    #[test]
+    fn corrupt_batch_frame_cannot_buy_a_large_allocation() {
+        // Tag, base, fragment — then an answer count of u32::MAX with no
+        // bytes behind it (17 bytes in all). `Vec<BatchAnswer>` once reserved
+        // 2²⁰ × 176 B for this; now the count fails against what remains.
+        let mut buf = BytesMut::new();
+        buf.put_u8(BATCH_RESULTS_TAG);
+        buf.put_u64_le(7);
+        buf.put_u32_le(0);
+        buf.put_u32_le(u32::MAX);
+        let frame = buf.freeze();
+        let expected =
+            DecodeError::LengthOutOfRange { context: "BatchResults.answers", len: 0xffff_ffff };
+        assert_eq!(decode_frame::<Response>(frame.clone()), Err(expected.clone()));
+        assert_eq!(decode_gather_items(frame), Err(expected));
     }
 }

@@ -1,0 +1,275 @@
+//! Property tests for the answer plane: the run-length id layout of
+//! `Response::Results` / `BatchAnswer::Results` round-trips every strictly
+//! ascending id set and rejects everything else typed, without panicking and
+//! without committing memory to a claim it has not validated; and the
+//! coordinator's gather returns the sorted union of its fragment lists on
+//! both sides of its density rule, leaving its scratch bitmap zero.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::BTreeSet;
+
+use bytes::Bytes;
+use proptest::prelude::*;
+
+use disks_cluster::message::{decode_frame, encode_frame, MAX_ANSWER_IDS};
+use disks_cluster::{AnswerGather, BatchAnswer, Response, WireCost};
+use disks_core::QueryError;
+use disks_roadnet::{DecodeError, NodeId};
+
+thread_local! {
+    /// The largest single allocation this thread has asked for since the
+    /// cell was last reset.
+    static LARGEST_ALLOC: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, noting each thread's largest request so a test can
+/// show a hostile frame never bought memory proportional to its claim.
+struct Watching;
+
+fn note(size: usize) {
+    // `try_with`: the allocator also runs while a thread's locals are torn down.
+    let _ = LARGEST_ALLOC.try_with(|l| l.set(l.get().max(size)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; `note` only writes a thread-local cell
+// and never allocates.
+unsafe impl GlobalAlloc for Watching {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's obligations are passed through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Watching = Watching;
+
+/// The largest allocation `f` makes on this thread.
+fn largest_alloc_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST_ALLOC.with(|l| l.set(0));
+    let out = f();
+    (out, LARGEST_ALLOC.with(Cell::get))
+}
+
+fn nodes(ids: impl IntoIterator<Item = u32>) -> Vec<NodeId> {
+    ids.into_iter().map(NodeId).collect()
+}
+
+fn results(nodes: Vec<NodeId>) -> Response {
+    Response::Results {
+        query_id: 9,
+        fragment: 2,
+        nodes,
+        cost: WireCost { settled: 7, ..WireCost::default() },
+    }
+}
+
+fn batch(lists: Vec<Vec<NodeId>>) -> Response {
+    let mut answers: Vec<BatchAnswer> = lists
+        .into_iter()
+        .map(|nodes| BatchAnswer::Results { nodes, cost: WireCost::default() })
+        .collect();
+    answers.insert(answers.len() / 2, BatchAnswer::Failed(QueryError::EmptyQuery));
+    Response::BatchResults { base: 40, fragment: 1, answers }
+}
+
+fn strictly_ascending(ids: &[NodeId]) -> bool {
+    ids.windows(2).all(|w| w[0] < w[1])
+}
+
+/// Strictly ascending id sets mixing runs of consecutive ids with isolated
+/// ones, near both ends of the id space and in between.
+fn arb_ids() -> impl Strategy<Value = Vec<NodeId>> {
+    let start = prop_oneof![0u32..300, any::<u32>(), (u32::MAX - 300)..=u32::MAX];
+    proptest::collection::vec((start, 0u32..40), 0..24).prop_map(|runs| {
+        let set: BTreeSet<u32> = runs
+            .into_iter()
+            .flat_map(|(start, len)| (0..=len).filter_map(move |i| start.checked_add(i)))
+            .collect();
+        nodes(set)
+    })
+}
+
+#[test]
+fn named_id_sets_round_trip() {
+    let sets: Vec<Vec<NodeId>> = vec![
+        vec![],
+        nodes([0]),
+        nodes([u32::MAX]),
+        nodes([0, u32::MAX]),
+        // One run covering a whole network.
+        nodes(0..1 << 16),
+        // No two ids consecutive, then every second pair consecutive.
+        nodes((0..5000).map(|i| i * 2)),
+        nodes((0..5000).map(|i| i * 2 - i % 2)),
+        nodes((u32::MAX - 70)..=u32::MAX),
+    ];
+    for set in &sets {
+        let frame = encode_frame(&results(set.clone()));
+        assert_eq!(decode_frame::<Response>(frame).unwrap(), results(set.clone()));
+    }
+    let frame = encode_frame(&batch(sets.clone()));
+    assert_eq!(decode_frame::<Response>(frame).unwrap(), batch(sets));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Any strictly ascending id set survives both frames that carry
+    /// answers, and the bytes are a function of the answer alone.
+    #[test]
+    fn ascending_id_sets_round_trip(lists in proptest::collection::vec(arb_ids(), 1..5)) {
+        for list in &lists {
+            let message = results(list.clone());
+            let frame = encode_frame(&message);
+            prop_assert_eq!(&frame, &encode_frame(&message));
+            prop_assert_eq!(decode_frame::<Response>(frame).unwrap(), message);
+        }
+        let message = batch(lists);
+        prop_assert_eq!(decode_frame::<Response>(encode_frame(&message)).unwrap(), message);
+    }
+
+    /// No strict prefix of a valid frame decodes: a cut anywhere — inside a
+    /// varint, between runs, inside the cost — is a typed error.
+    #[test]
+    fn every_strict_prefix_of_a_valid_frame_fails(lists in proptest::collection::vec(arb_ids(), 1..4)) {
+        for frame in [encode_frame(&results(lists[0].clone())), encode_frame(&batch(lists))] {
+            for cut in 0..frame.len() {
+                prop_assert!(
+                    decode_frame::<Response>(frame.slice(0..cut)).is_err(),
+                    "prefix of {} of {} bytes decoded", cut, frame.len()
+                );
+            }
+        }
+    }
+
+    /// Arbitrary bytes — bare, or behind a `Results` / `BatchResults` header
+    /// so the id decoder is what they reach — never panic, and whatever
+    /// decodes is strictly ascending and within the answer-size bound.
+    #[test]
+    fn arbitrary_bytes_never_panic(
+        header in 0u8..3,
+        body in proptest::collection::vec(any::<u8>(), 0..200),
+    ) {
+        let mut bytes = match header {
+            0 => vec![],
+            1 => [&[0u8][..], &9u64.to_le_bytes(), &2u32.to_le_bytes()].concat(),
+            _ => [&[3u8][..], &40u64.to_le_bytes(), &1u32.to_le_bytes(), &1u32.to_le_bytes(), &[0]]
+                .concat(),
+        };
+        bytes.extend(&body);
+        let lists: Vec<Vec<NodeId>> = match decode_frame::<Response>(Bytes::from(bytes)) {
+            Ok(Response::Results { nodes, .. }) => vec![nodes],
+            Ok(Response::BatchResults { answers, .. }) => answers
+                .into_iter()
+                .filter_map(|a| match a {
+                    BatchAnswer::Results { nodes, .. } => Some(nodes),
+                    BatchAnswer::Failed(_) => None,
+                })
+                .collect(),
+            _ => vec![],
+        };
+        for list in lists {
+            prop_assert!(strictly_ascending(&list));
+            prop_assert!(list.len() <= MAX_ANSWER_IDS);
+        }
+    }
+
+    /// k disjoint ascending lists come back as the sort of their
+    /// concatenation below, at and above the density rule, and the scratch
+    /// bitmap is zero again afterwards — also when a list names an id the
+    /// bitmap has no bit for.
+    #[test]
+    fn gather_equals_sorted_concatenation(
+        universe in 1usize..3000,
+        k in 1usize..6,
+        // Answer size relative to the rule's threshold: −2..=+2 around it,
+        // or anywhere up to the whole universe.
+        around in prop_oneof![(0usize..5).prop_map(Some), Just(None)],
+        picks in proptest::collection::vec(any::<u32>(), 3000),
+        deal in proptest::collection::vec(any::<u8>(), 3000),
+        stray in prop_oneof![Just(None), (0u32..200).prop_map(Some)],
+    ) {
+        let mut gather = AnswerGather::new(universe);
+        let threshold = universe.div_ceil(64);
+        let size = match around {
+            Some(d) => (threshold + d).saturating_sub(2).min(universe),
+            None => picks[0] as usize % (universe + 1),
+        };
+        // A partial Fisher–Yates draw of `size` distinct ids, each dealt to
+        // one of the k lists.
+        let mut ids: Vec<u32> = (0..universe as u32).collect();
+        for (i, &pick) in picks.iter().enumerate().take(size) {
+            ids.swap(i, i + pick as usize % (universe - i));
+        }
+        let mut lists: Vec<Vec<NodeId>> = vec![Vec::new(); k];
+        let mut chosen = ids[..size].to_vec();
+        chosen.sort_unstable();
+        for (i, id) in chosen.into_iter().enumerate() {
+            lists[deal[i] as usize % k].push(NodeId(id));
+        }
+        // An id at or past |V|: inside the bitmap's last word or beyond it.
+        if let Some(beyond) = stray {
+            lists[k - 1].push(NodeId(universe as u32 + beyond));
+        }
+        let total: usize = lists.iter().map(Vec::len).sum();
+        prop_assert_eq!(gather.is_dense(total), total >= threshold);
+        let mut expected: Vec<NodeId> = lists.concat();
+        expected.sort();
+        // Twice through the same scratch: the first call must leave it clean.
+        for _ in 0..2 {
+            prop_assert_eq!(&gather.assemble(lists.clone()), &expected);
+            prop_assert!(gather.is_clear());
+        }
+    }
+}
+
+/// A hostile answer of a few bytes: declaring more ids than any frame may
+/// carry, or a run of 2³² ids, is refused before memory is committed to the
+/// claim; a count at the bound itself reserves a fixed amount, not 64 MiB.
+#[test]
+fn tiny_frames_with_huge_claims_are_rejected_before_allocating() {
+    let results_header = [&[0u8][..], &9u64.to_le_bytes(), &2u32.to_le_bytes()].concat();
+    let varint = |mut v: u64| {
+        let mut out = Vec::new();
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+        out
+    };
+    let bound = MAX_ANSWER_IDS as u64;
+    let claims: [(&str, Vec<u8>); 4] = [
+        ("count above the bound", varint(bound + 1)),
+        ("count of 2^32", varint(1 << 32)),
+        // count = the bound, then one run: gap 0, has_len, len 2^32.
+        ("run of 2^32 ids", [varint(bound), varint(1), varint((1u64 << 32) - 2)].concat()),
+        // A legal count with nothing behind it.
+        ("count at the bound, truncated", varint(bound)),
+    ];
+    for (what, answer) in claims {
+        assert!(answer.len() <= 16, "{what}: {} bytes", answer.len());
+        let frame = Bytes::from([&results_header[..], &answer].concat());
+        let (decoded, largest) = largest_alloc_during(|| decode_frame::<Response>(frame));
+        assert!(
+            matches!(
+                decoded,
+                Err(DecodeError::LengthOutOfRange { .. } | DecodeError::UnexpectedEof { .. })
+            ),
+            "{what}: {decoded:?}"
+        );
+        assert!(largest <= 64 << 10, "{what}: allocated {largest} bytes");
+    }
+}

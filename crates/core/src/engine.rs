@@ -166,6 +166,13 @@ impl FragmentEngine {
         let fragment = index.fragment();
         let members = partitioning.nodes(fragment);
         let globals: Vec<NodeId> = members.to_vec();
+        // Local id order is global id order: `to_global` maps an ascending
+        // bitset walk to an ascending answer with no sort, and the answer
+        // wire layout and the coordinator's gather both need that order.
+        assert!(
+            globals.windows(2).all(|w| w[0] < w[1]),
+            "fragment {fragment:?}: member node ids must be strictly ascending"
+        );
         let mut local_of = HashMap::with_capacity(globals.len());
         for (i, &g) in globals.iter().enumerate() {
             local_of.insert(g.0, i as u32);
@@ -537,10 +544,12 @@ impl FragmentEngine {
         Ok((result, total))
     }
 
-    /// Translate a local coverage bitset to global node ids, sorted.
+    /// Translate a local coverage bitset to global node ids, strictly
+    /// ascending: `BitSet::iter` ascends and so does `globals` (checked in
+    /// [`FragmentEngine::new`]).
     pub fn to_global(&self, cov: &BitSet) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = cov.iter().map(|i| self.globals[i]).collect();
-        v.sort_unstable();
+        let mut v = Vec::with_capacity(cov.count());
+        v.extend(cov.iter().map(|i| self.globals[i]));
         v
     }
 }

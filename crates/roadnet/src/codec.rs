@@ -12,10 +12,6 @@ use bytes::{Buf, BufMut};
 
 use crate::error::DecodeError;
 
-/// Sanity bound on any decoded length prefix (counts, not bytes), to fail fast
-/// on corrupt input instead of attempting a huge allocation.
-pub const MAX_LEN: u64 = 1 << 32;
-
 /// Extension helpers for encoding.
 pub trait Encode {
     fn encode(&self, buf: &mut impl BufMut);
@@ -134,7 +130,9 @@ impl<T: Encode> Encode for Vec<T> {
 impl<T: Decode> Decode for Vec<T> {
     fn decode(buf: &mut impl Buf) -> Result<Self, DecodeError> {
         let len = decode_len(buf, "Vec")?;
-        let mut out = Vec::with_capacity(len.min(1 << 20));
+        // Reserve no more memory than there are bytes in hand: a corrupt
+        // prefix must not turn a short frame into a large allocation.
+        let mut out = Vec::with_capacity(len.min(buf.remaining() / size_of::<T>().max(1)));
         for _ in 0..len {
             out.push(T::decode(buf)?);
         }
@@ -189,13 +187,15 @@ pub fn encode_len(len: usize, buf: &mut impl BufMut) {
     buf.put_u32_le(len32);
 }
 
-/// Decode a `u32` collection length with a sanity bound.
+/// Decode a `u32` collection length. Every element of every collection in
+/// these formats encodes to at least one byte, so a count above the bytes
+/// that remain is corrupt: it fails here, before the caller allocates for it.
 pub fn decode_len(buf: &mut impl Buf, context: &'static str) -> Result<usize, DecodeError> {
-    let len = u64::from(u32::decode(buf)?);
-    if len > MAX_LEN {
-        return Err(DecodeError::LengthOutOfRange { context, len });
+    let len = u32::decode(buf)? as usize;
+    if len > buf.remaining() {
+        return Err(DecodeError::LengthOutOfRange { context, len: len as u64 });
     }
-    Ok(len as usize)
+    Ok(len)
 }
 
 /// Encode a magic+version header.
@@ -259,6 +259,25 @@ mod tests {
             let res = Vec::<u32>::decode(&mut slice);
             assert!(res.is_err(), "prefix of length {cut} must fail to decode");
         }
+    }
+
+    #[test]
+    fn length_prefix_beyond_the_input_is_rejected_before_allocating() {
+        // A `Vec<u32>` cut after its second element: the prefix still says 3.
+        let mut buf = BytesMut::new();
+        vec![1u32, 2, 3].encode(&mut buf);
+        let mut cut = buf.freeze().slice(0..4 + 8);
+        assert!(matches!(Vec::<u32>::decode(&mut cut), Err(DecodeError::UnexpectedEof { .. })));
+        // A count no input of this size can hold fails on the prefix alone,
+        // whatever the element type would have cost in memory.
+        let mut buf = BytesMut::new();
+        buf.put_u32_le(u32::MAX);
+        buf.put_slice(&[0; 5]);
+        let mut bytes = buf.freeze();
+        assert_eq!(
+            Vec::<(u64, u64)>::decode(&mut bytes),
+            Err(DecodeError::LengthOutOfRange { context: "Vec", len: u64::from(u32::MAX) })
+        );
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! worker ever talks to another, and every coordinator→worker frame is
 //! accounted for. The last five are rare-keyword queries a fragment can
 //! answer without fetching every slot: the workers look up fewer coverages
-//! than slots × fragments for them.
+//! than slots × fragments for them. A second test asks one dense query (a
+//! frequent keyword at a radius that covers most of a larger network): its
+//! answer costs fewer worker→coordinator bytes than its raw 4-byte ids would.
 
 use std::time::Duration;
 
@@ -115,14 +117,9 @@ fn assert_ledger_closes(cluster: &Cluster, what: &str) {
     );
 }
 
-#[test]
-fn a_single_query_is_a_stream_of_one() {
-    let net = GridNetworkConfig::tiny(0x0E1A).generate();
-    let p = MultilevelPartitioner::default().partition(&net, FRAGMENTS);
-    let fs = stream(&net);
-    let eager_lookups: Vec<u64> =
-        fs.iter().map(|f| (QueryPlan::lower(f).num_slots() * FRAGMENTS) as u64).collect();
-    let configs = [
+/// The three configurations both tests run under.
+fn configs() -> [(&'static str, ClusterConfig); 3] {
+    [
         ("shipped defaults", shipped()),
         ("adaptive windows", ClusterConfig { batch_adaptive: true, ..shipped() }),
         (
@@ -138,8 +135,17 @@ fn a_single_query_is_a_stream_of_one() {
                 ..shipped()
             },
         ),
-    ];
-    for (name, config) in configs {
+    ]
+}
+
+#[test]
+fn a_single_query_is_a_stream_of_one() {
+    let net = GridNetworkConfig::tiny(0x0E1A).generate();
+    let p = MultilevelPartitioner::default().partition(&net, FRAGMENTS);
+    let fs = stream(&net);
+    let eager_lookups: Vec<u64> =
+        fs.iter().map(|f| (QueryPlan::lower(f).num_slots() * FRAGMENTS) as u64).collect();
+    for (name, config) in configs() {
         let indexes = build_all_indexes(&net, &p, &IndexConfig::unbounded());
         let cluster = Cluster::build(&net, &p, indexes, config.clone());
         let mut oracle = CentralizedEngine::new(&net);
@@ -172,6 +178,38 @@ fn a_single_query_is_a_stream_of_one() {
         }
         assert_eq!(cluster.window_trace().is_empty(), !config.batch_adaptive, "{name}");
         assert_ledger_closes(&cluster, name);
+        cluster.shutdown();
+    }
+}
+
+/// A dense answer is worth less on the wire than its ids: the most frequent
+/// keyword at `maxR` covers most of the network, the fragments ship runs of
+/// consecutive ids, and the coordinator's bitmap gather returns them in the
+/// oracle's order. (The raw layout cost `4 × |answer|` in ids alone, before
+/// four frames' headers and costs.)
+#[test]
+fn a_dense_answer_ships_fewer_bytes_than_its_raw_ids() {
+    let net = GridNetworkConfig::small(0x0E1A).generate();
+    let p = MultilevelPartitioner::default().partition(&net, FRAGMENTS);
+    let max_r = 40 * net.avg_edge_weight();
+    let freqs = net.keyword_frequencies();
+    let top = (0..freqs.len()).max_by_key(|&k| freqs[k]).unwrap();
+    let dense = SgkQuery::new(vec![KeywordId(top as u32)], max_r).to_dfunction();
+    let expected = CentralizedEngine::new(&net).run(&dense).unwrap().0;
+    assert!(expected.len() * 64 >= net.num_nodes(), "the query must take the dense gather");
+    for (name, config) in configs() {
+        let indexes = build_all_indexes(&net, &p, &IndexConfig::with_max_r(max_r));
+        let cluster = Cluster::build(&net, &p, indexes, config);
+        for pass in ["cold", "cached"] {
+            let o = cluster.run(&dense).unwrap_or_else(|e| panic!("{name}: {pass}: {e}"));
+            assert_eq!(o.results, expected, "{name}: {pass} vs oracle");
+            assert!(
+                o.stats.worker_to_coordinator_bytes < 4 * o.results.len() as u64,
+                "{name}: {pass}: {} bytes for {} ids",
+                o.stats.worker_to_coordinator_bytes,
+                o.results.len()
+            );
+        }
         cluster.shutdown();
     }
 }
