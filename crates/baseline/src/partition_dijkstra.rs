@@ -38,7 +38,12 @@ impl Graph for FragmentView<'_> {
         self.net.num_nodes()
     }
 
-    fn for_each_neighbor(&self, node: u32, f: &mut dyn FnMut(u32, Weight)) {
+    /// The network's lightest edge: a subgraph's minimum is no smaller.
+    fn min_arc_weight(&self) -> Weight {
+        self.net.min_arc_weight()
+    }
+
+    fn for_each_neighbor(&self, node: u32, mut f: impl FnMut(u32, Weight)) {
         if self.assignment[node as usize] != self.fragment {
             return;
         }

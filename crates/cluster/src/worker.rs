@@ -255,8 +255,9 @@ fn run_jobs(round: &EvalRound, results: &Sender<EvalOutcome>, ws: &mut DijkstraW
             // path for failures.
             Ok(Err(_)) => None,
             Err(_) => {
-                // The panic may have left the workspace mid-epoch (dirty
-                // dial buckets); a fresh one re-arms lazily on first use.
+                // The panic may have left the workspace mid-search (entries
+                // still in its buckets); a fresh one re-arms lazily on first
+                // use.
                 *ws = DijkstraWorkspace::new(0);
                 None
             }

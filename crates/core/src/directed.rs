@@ -219,9 +219,11 @@ pub struct DirectedFragmentEngine {
     fragment: u32,
     max_r: u64,
     globals: Vec<NodeId>,
+    /// Local directed CSR, `(head, weight)` interleaved.
     adj_offsets: Vec<u32>,
-    adj_node: Vec<u32>,
-    adj_weight: Vec<Weight>,
+    adj: Vec<(u32, Weight)>,
+    /// Lightest arc of `adj`, SC arcs included.
+    min_arc_weight: Weight,
     kw_nodes: HashMap<KeywordId, Vec<u32>>,
     keyword_portals: HashMap<KeywordId, Vec<(u32, u64)>>,
     ws: DijkstraWorkspace,
@@ -232,11 +234,15 @@ impl Graph for DirectedFragmentEngine {
         self.globals.len()
     }
 
-    fn for_each_neighbor(&self, node: u32, f: &mut dyn FnMut(u32, Weight)) {
+    fn min_arc_weight(&self) -> Weight {
+        self.min_arc_weight
+    }
+
+    fn for_each_neighbor(&self, node: u32, mut f: impl FnMut(u32, Weight)) {
         let lo = self.adj_offsets[node as usize] as usize;
         let hi = self.adj_offsets[node as usize + 1] as usize;
-        for i in lo..hi {
-            f(self.adj_node[i], self.adj_weight[i]);
+        for &(v, w) in &self.adj[lo..hi] {
+            f(v, w);
         }
     }
 }
@@ -253,29 +259,19 @@ impl DirectedFragmentEngine {
         for (i, &g) in globals.iter().enumerate() {
             local_of.insert(g.0, i as u32);
         }
-        let mut adj: Vec<Vec<(u32, Weight)>> = vec![Vec::new(); globals.len()];
+        let mut lists: Vec<Vec<(u32, Weight)>> = vec![Vec::new(); globals.len()];
         for (i, &g) in globals.iter().enumerate() {
             for (to, w) in net.out_neighbors(g) {
                 if let Some(&lt) = local_of.get(&to.0) {
-                    adj[i].push((lt, w));
+                    lists[i].push((lt, w));
                 }
             }
         }
         for &(from, to, d) in &index.sc {
             let w = Weight::try_from(d).map_err(|_| IndexError::WeightOverflow { distance: d })?;
-            adj[local_of[&from.0] as usize].push((local_of[&to.0], w));
+            lists[local_of[&from.0] as usize].push((local_of[&to.0], w));
         }
-        let mut adj_offsets = Vec::with_capacity(globals.len() + 1);
-        adj_offsets.push(0u32);
-        let mut adj_node = Vec::new();
-        let mut adj_weight = Vec::new();
-        for list in &adj {
-            for &(n, w) in list {
-                adj_node.push(n);
-                adj_weight.push(w);
-            }
-            adj_offsets.push(adj_node.len() as u32);
-        }
+        let (adj_offsets, adj, min_arc_weight) = crate::engine::interleaved_csr(&lists);
         let mut kw_nodes: HashMap<KeywordId, Vec<u32>> = HashMap::new();
         for (i, &g) in globals.iter().enumerate() {
             for &k in net.keywords(g) {
@@ -295,8 +291,8 @@ impl DirectedFragmentEngine {
             max_r: index.max_r,
             globals,
             adj_offsets,
-            adj_node,
-            adj_weight,
+            adj,
+            min_arc_weight,
             kw_nodes,
             keyword_portals,
             ws: DijkstraWorkspace::new(nl),

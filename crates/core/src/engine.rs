@@ -119,14 +119,15 @@ pub struct FragmentEngine {
     fragment: FragmentId,
     max_r: u64,
     dl_scope: DlScope,
-    /// local id → global id.
+    /// local id → global id, strictly ascending: global → local is a
+    /// binary search.
     globals: Vec<NodeId>,
-    /// global id → local id.
-    local_of: HashMap<u32, u32>,
-    /// Local CSR over `P ∪ SC(P)` (both arcs for every undirected edge).
+    /// Local CSR over `P ∪ SC(P)` (both arcs for every undirected edge),
+    /// `(neighbor, weight)` interleaved: a relaxation reads both.
     adj_offsets: Vec<u32>,
-    adj_node: Vec<u32>,
-    adj_weight: Vec<Weight>,
+    adj: Vec<(u32, Weight)>,
+    /// Lightest arc of `adj`, shortcuts included.
+    min_arc_weight: Weight,
     /// Local inverted index: keyword → local node ids containing it.
     kw_nodes: HashMap<KeywordId, Vec<u32>>,
     /// §3.7 aggregation with portals translated to local ids:
@@ -139,19 +140,69 @@ pub struct FragmentEngine {
     ws: DijkstraWorkspace,
 }
 
+/// What one bounded search starts from, borrowed from the engine.
+struct Seeds<'a> {
+    /// The term's own node, when the term is a member of the fragment.
+    own: Option<u32>,
+    /// Local nodes bearing the term's keyword. Like `own`, at distance 0.
+    locals: &'a [u32],
+    /// DL portal pairs `(local portal, d)` with `d` within the bound; their
+    /// number is the search's αⱼ.
+    portals: &'a [(u32, u64)],
+}
+
+impl Seeds<'_> {
+    fn count(&self) -> usize {
+        usize::from(self.own.is_some()) + self.locals.len() + self.portals.len()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        let at_zero = self.own.iter().chain(self.locals).map(|&n| (n, 0));
+        at_zero.chain(self.portals.iter().copied())
+    }
+}
+
 impl Graph for FragmentEngine {
     fn num_nodes(&self) -> usize {
         self.globals.len()
     }
 
     #[inline]
-    fn for_each_neighbor(&self, node: u32, f: &mut dyn FnMut(u32, Weight)) {
+    fn min_arc_weight(&self) -> Weight {
+        self.min_arc_weight
+    }
+
+    #[inline]
+    fn for_each_neighbor(&self, node: u32, mut f: impl FnMut(u32, Weight)) {
         let lo = self.adj_offsets[node as usize] as usize;
         let hi = self.adj_offsets[node as usize + 1] as usize;
-        for i in lo..hi {
-            f(self.adj_node[i], self.adj_weight[i]);
+        for &(v, w) in &self.adj[lo..hi] {
+            f(v, w);
         }
     }
+}
+
+/// Per-node arc lists as one CSR — `(offsets, arcs, lightest arc)` — the
+/// lightest arc (1 when there is none) being taken over exactly the arcs a
+/// search of the CSR can traverse.
+pub(crate) fn interleaved_csr(
+    lists: &[Vec<(u32, Weight)>],
+) -> (Vec<u32>, Vec<(u32, Weight)>, Weight) {
+    let mut offsets = Vec::with_capacity(lists.len() + 1);
+    offsets.push(0u32);
+    let mut arcs = Vec::new();
+    for list in lists {
+        arcs.extend_from_slice(list);
+        offsets.push(arcs.len() as u32);
+    }
+    let lightest = arcs.iter().map(|&(_, w)| w).min().unwrap_or(1);
+    (offsets, arcs, lightest)
+}
+
+/// The local id of global node `g` in a fragment whose members, in local id
+/// order, are the strictly ascending `globals`.
+fn local_id(globals: &[NodeId], g: NodeId) -> Option<u32> {
+    globals.binary_search(&g).ok().map(|i| i as u32)
 }
 
 impl FragmentEngine {
@@ -173,36 +224,24 @@ impl FragmentEngine {
             globals.windows(2).all(|w| w[0] < w[1]),
             "fragment {fragment:?}: member node ids must be strictly ascending"
         );
-        let mut local_of = HashMap::with_capacity(globals.len());
-        for (i, &g) in globals.iter().enumerate() {
-            local_of.insert(g.0, i as u32);
-        }
+        // Portals and shortcut ends are members of the fragment.
+        let local_of = |g: NodeId| local_id(&globals, g).expect("index node outside its fragment");
         // Local adjacency: intra-fragment original edges + SC shortcuts.
-        let mut adj: Vec<Vec<(u32, Weight)>> = vec![Vec::new(); globals.len()];
+        let mut lists: Vec<Vec<(u32, Weight)>> = vec![Vec::new(); globals.len()];
         for (i, &g) in globals.iter().enumerate() {
             for (nb, w) in net.neighbors(g) {
-                if let Some(&ln) = local_of.get(&nb.0) {
-                    adj[i].push((ln, w));
+                if let Some(ln) = local_id(&globals, nb) {
+                    lists[i].push((ln, w));
                 }
             }
         }
         for &(a, b, d) in index.shortcuts() {
             let w = Weight::try_from(d).map_err(|_| IndexError::WeightOverflow { distance: d })?;
-            let (la, lb) = (local_of[&a.0], local_of[&b.0]);
-            adj[la as usize].push((lb, w));
-            adj[lb as usize].push((la, w));
+            let (la, lb) = (local_of(a), local_of(b));
+            lists[la as usize].push((lb, w));
+            lists[lb as usize].push((la, w));
         }
-        let mut adj_offsets = Vec::with_capacity(globals.len() + 1);
-        adj_offsets.push(0u32);
-        let mut adj_node = Vec::new();
-        let mut adj_weight = Vec::new();
-        for list in &adj {
-            for &(n, w) in list {
-                adj_node.push(n);
-                adj_weight.push(w);
-            }
-            adj_offsets.push(adj_node.len() as u32);
-        }
+        let (adj_offsets, adj, min_arc_weight) = interleaved_csr(&lists);
         // Local keyword inverted index.
         let mut kw_nodes: HashMap<KeywordId, Vec<u32>> = HashMap::new();
         for (i, &g) in globals.iter().enumerate() {
@@ -213,14 +252,12 @@ impl FragmentEngine {
         // DL with local portal ids.
         let mut keyword_portals = HashMap::new();
         for (&kw, list) in &index.keyword_portals {
-            let translated: Vec<(u32, u64)> =
-                list.iter().map(|&(p, d)| (local_of[&p.0], d)).collect();
+            let translated: Vec<(u32, u64)> = list.iter().map(|&(p, d)| (local_of(p), d)).collect();
             keyword_portals.insert(kw, translated);
         }
         let mut dl_node_entries = HashMap::new();
         for (node, list) in index.dl_entries() {
-            let translated: Vec<(u32, u64)> =
-                list.iter().map(|&(p, d)| (local_of[&p.0], d)).collect();
+            let translated: Vec<(u32, u64)> = list.iter().map(|&(p, d)| (local_of(p), d)).collect();
             dl_node_entries.insert(node.0, translated);
         }
         let num_local = globals.len();
@@ -229,10 +266,9 @@ impl FragmentEngine {
             max_r: index.max_r(),
             dl_scope: index.dl_scope(),
             globals,
-            local_of,
             adj_offsets,
-            adj_node,
-            adj_weight,
+            adj,
+            min_arc_weight,
             kw_nodes,
             keyword_portals,
             dl_node_entries,
@@ -263,10 +299,8 @@ impl FragmentEngine {
     /// Approximate resident bytes of the engine's state.
     pub fn memory_bytes(&self) -> usize {
         self.globals.len() * 4
-            + self.local_of.len() * 8
             + self.adj_offsets.len() * 4
-            + self.adj_node.len() * 4
-            + self.adj_weight.len() * 4
+            + self.adj.len() * std::mem::size_of::<(u32, Weight)>()
             + self.kw_nodes.values().map(|v| v.len() * 4 + 8).sum::<usize>()
             + self.keyword_portals.values().map(|v| v.len() * 12 + 8).sum::<usize>()
             + self.dl_node_entries.values().map(|v| v.len() * 12 + 8).sum::<usize>()
@@ -282,44 +316,79 @@ impl FragmentEngine {
         );
     }
 
-    /// What a search for `term` bounded by `bound` starts from: the local
-    /// nodes bearing the term, at distance 0, and the DL portal pairs with
-    /// `d ≤ bound` (Step 2's "retain pairs with distance at most r"; the
-    /// lists are sorted by distance).
+    /// What a search for `term` bounded by `bound` starts from (Step 2's
+    /// "retain pairs with distance at most r"; the DL lists are sorted by
+    /// distance).
     ///
-    /// A `Term::Node` with no entry is either farther than `bound` from
-    /// every portal of P (empty local coverage — correct) or not DL-indexed
-    /// under ObjectsOnly scope. The coordinator validates locations against
-    /// the scope; the engine cannot tell the two apart without global data
-    /// (see `DlScope`).
-    fn seed_sources(&self, term: Term, bound: u64) -> (&[u32], &[(u32, u64)]) {
+    /// A `Term::Node` outside the fragment with no DL entry is either
+    /// farther than `bound` from every portal of P (empty local coverage —
+    /// correct) or not DL-indexed under ObjectsOnly scope. The coordinator
+    /// validates locations against the scope; the engine cannot tell the
+    /// two apart without global data (see `DlScope`).
+    fn seed_sources(&self, term: Term, bound: u64) -> Seeds<'_> {
         fn within(pairs: Option<&Vec<(u32, u64)>>, bound: u64) -> &[(u32, u64)] {
             pairs.map_or(&[], |p| &p[..p.partition_point(|&(_, d)| d <= bound)])
         }
         match term {
-            Term::Keyword(k) => (
-                self.kw_nodes.get(&k).map_or(&[], Vec::as_slice),
-                within(self.keyword_portals.get(&k), bound),
-            ),
-            Term::Node(l) => match self.local_of.get(&l.0) {
-                Some(local) => (std::slice::from_ref(local), &[]),
-                None => (&[], within(self.dl_node_entries.get(&l.0), bound)),
+            Term::Keyword(k) => Seeds {
+                own: None,
+                locals: self.kw_nodes.get(&k).map_or(&[], Vec::as_slice),
+                portals: within(self.keyword_portals.get(&k), bound),
+            },
+            Term::Node(l) => match local_id(&self.globals, l) {
+                own @ Some(_) => Seeds { own, locals: &[], portals: &[] },
+                None => Seeds {
+                    own: None,
+                    locals: &[],
+                    portals: within(self.dl_node_entries.get(&l.0), bound),
+                },
             },
         }
-    }
-
-    /// The seed list of a search and its αⱼ, the DL pairs it inspected.
-    fn seeds(&self, term: Term, bound: u64) -> (Vec<(u32, u64)>, usize) {
-        let (locals, portals) = self.seed_sources(term, bound);
-        (locals.iter().map(|&n| (n, 0)).chain(portals.iter().copied()).collect(), portals.len())
     }
 
     /// How many nodes a search for `R(term, radius)` would start from, known
     /// without searching. Zero means the local coverage is empty; otherwise
     /// it ranks the ∩ operands of a plan, cheapest first.
     pub fn seed_count(&self, term: Term, radius: u64) -> usize {
-        let (locals, portals) = self.seed_sources(term, radius);
-        locals.len() + portals.len()
+        self.seed_sources(term, radius).count()
+    }
+
+    /// The bounded search behind [`Self::coverage_with`] and
+    /// [`Self::distance_table`]: `visit(local id, distance)` for every local
+    /// node within `bound` of `term`, in the kernel's settle order, and the
+    /// search's Theorem 5 accounting.
+    fn search(
+        &self,
+        ws: &mut DijkstraWorkspace,
+        term: Term,
+        bound: u64,
+        mut visit: impl FnMut(u32, u64),
+    ) -> QueryCost {
+        self.debug_assert_admitted(bound);
+        let seeds = self.seed_sources(term, bound);
+        let stats = ws.run(self, seeds.iter(), bound, |n, d| {
+            visit(n, d);
+            Control::Continue
+        });
+        // Every node settles once and none is refused: what settled is the
+        // coverage.
+        let slot = SlotCost {
+            term,
+            radius: bound,
+            alpha: seeds.portals.len(),
+            settled: stats.settled,
+            pushed: stats.pushed,
+            coverage_nodes: stats.settled,
+            cached: false,
+        };
+        QueryCost {
+            alpha: slot.alpha,
+            settled: slot.settled,
+            pushed: slot.pushed,
+            coverage_nodes: slot.coverage_nodes,
+            per_slot: vec![slot],
+            ..QueryCost::default()
+        }
     }
 
     /// Compute the local keyword coverage `R(term, radius) ∩ P` (Steps 1–3
@@ -352,59 +421,24 @@ impl FragmentEngine {
         term: Term,
         radius: u64,
     ) -> Result<(Arc<BitSet>, QueryCost), QueryError> {
-        self.debug_assert_admitted(radius);
-        let (seeds, alpha) = self.seeds(term, radius);
-        let mut cost = QueryCost { alpha, ..QueryCost::default() };
         let mut cov = BitSet::new(self.globals.len());
-        let stats = ws.run(self, &seeds, radius, |n, _| {
-            cov.insert(n as usize);
-            Control::Continue
-        });
-        cost.settled = stats.settled;
-        cost.pushed = stats.pushed;
-        cost.coverage_nodes = cov.count();
-        cost.per_slot.push(SlotCost {
-            term,
-            radius,
-            alpha: cost.alpha,
-            settled: cost.settled,
-            pushed: cost.pushed,
-            coverage_nodes: cost.coverage_nodes,
-            cached: false,
-        });
+        let cost = self.search(ws, term, radius, |n, _| cov.insert(n as usize));
         Ok((Arc::new(cov), cost))
     }
 
     /// Local per-node distances for one term: `(local id, d(node, term))`
     /// for every local node within `bound` (the coverage Dijkstra of Alg. 2
-    /// with distances kept). Exact for `bound ≤ maxR` (Theorem 3).
+    /// with distances kept), in no particular order. Exact for
+    /// `bound ≤ maxR` (Theorem 3).
     pub fn distance_table(
         &mut self,
         term: Term,
         bound: u64,
     ) -> Result<(Vec<(u32, u64)>, QueryCost), QueryError> {
-        self.debug_assert_admitted(bound);
-        let (seeds, alpha) = self.seeds(term, bound);
-        let mut cost = QueryCost { alpha, ..QueryCost::default() };
         let mut table = Vec::new();
         let mut ws = std::mem::replace(&mut self.ws, DijkstraWorkspace::new(0));
-        let stats = ws.run(&*self, &seeds, bound, |n, d| {
-            table.push((n, d));
-            Control::Continue
-        });
+        let cost = self.search(&mut ws, term, bound, |n, d| table.push((n, d)));
         self.ws = ws;
-        cost.settled = stats.settled;
-        cost.pushed = stats.pushed;
-        cost.coverage_nodes = table.len();
-        cost.per_slot.push(SlotCost {
-            term,
-            radius: bound,
-            alpha: cost.alpha,
-            settled: cost.settled,
-            pushed: cost.pushed,
-            coverage_nodes: cost.coverage_nodes,
-            cached: false,
-        });
         Ok((table, cost))
     }
 

@@ -459,7 +459,7 @@ mod tests {
         // are never expanded.
         use disks_roadnet::dijkstra::Control;
         let mut d_avoid = INF;
-        ws.run(net, &[(a.0, 0)], INF - 1, |n, d| {
+        ws.run(net, [(a.0, 0)], INF - 1, |n, d| {
             if n == b.0 {
                 d_avoid = d;
                 return Control::Stop;

@@ -42,7 +42,7 @@ pub fn build_naive_index(
     let mut settled_total = 0u64;
 
     for &portal in portals {
-        let stats = ws.run(net, &[(portal.0, 0)], max_r, |u, d| {
+        let stats = ws.run(net, [(portal.0, 0)], max_r, |u, d| {
             if u == portal.0 {
                 return Control::Continue;
             }

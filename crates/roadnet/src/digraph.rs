@@ -139,6 +139,7 @@ impl DirectedRoadNetworkBuilder {
             inv,
             vocab: self.vocab,
             num_arcs: self.arcs.len(),
+            min_arc_weight: self.arcs.iter().map(|a| a.2).min().unwrap_or(1),
         })
     }
 }
@@ -158,6 +159,8 @@ pub struct DirectedRoadNetwork {
     inv: HashMap<KeywordId, Vec<NodeId>>,
     vocab: Vocabulary,
     num_arcs: usize,
+    /// Lightest arc, found at `build` (1 for an arcless network).
+    min_arc_weight: Weight,
 }
 
 impl DirectedRoadNetwork {
@@ -243,7 +246,12 @@ impl Graph for DirectedView<'_> {
         self.net.num_nodes()
     }
 
-    fn for_each_neighbor(&self, node: u32, f: &mut dyn FnMut(u32, Weight)) {
+    /// The network's lightest arc: reversal keeps every weight.
+    fn min_arc_weight(&self) -> Weight {
+        self.net.min_arc_weight
+    }
+
+    fn for_each_neighbor(&self, node: u32, mut f: impl FnMut(u32, Weight)) {
         let (offsets, nodes, weights) = if self.reversed {
             (&self.net.in_offsets, &self.net.in_node, &self.net.in_weight)
         } else {

@@ -1,13 +1,14 @@
 //! Reusable Dijkstra toolkit.
 //!
-//! Every shortest-path computation in the system — NPD-index construction
-//! (Alg. 1), fragment query evaluation (Alg. 2), centralized ground truth,
-//! and the baselines — goes through [`DijkstraWorkspace`]. The workspace owns
-//! the distance array and the heap and is reused across runs with epoch
-//! stamping, so repeated searches on a large graph do not pay O(n)
-//! re-initialization (a pattern recommended by the Rust perf guides for hot
-//! database loops).
+//! Every shortest-path computation in the system — fragment query evaluation
+//! (Alg. 2), centralized ground truth, and the baselines — goes through
+//! [`DijkstraWorkspace`] (NPD-index construction, Alg. 1, keeps a heap of its
+//! own: its tie rules depend on the settle order). The workspace owns the
+//! distance array and the queues and is reused across runs; a run resets only
+//! the entries the previous one wrote, so repeated searches on a large graph
+//! do not pay O(n) re-initialization.
 
+use std::borrow::Borrow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -21,8 +22,13 @@ use crate::INF;
 pub trait Graph {
     /// Number of nodes; node ids are `0..num_nodes()`.
     fn num_nodes(&self) -> usize;
+    /// A lower bound (≥ 1) on the weight of every arc `for_each_neighbor`
+    /// can yield, computed by the graph from its own arcs. The bounded
+    /// kernel derives its bucket width from it, so a value above the true
+    /// minimum breaks searches; 1 is always sound.
+    fn min_arc_weight(&self) -> Weight;
     /// Invoke `f(neighbor, weight)` for every outgoing arc of `node`.
-    fn for_each_neighbor(&self, node: u32, f: &mut dyn FnMut(u32, Weight));
+    fn for_each_neighbor(&self, node: u32, f: impl FnMut(u32, Weight));
 }
 
 /// What the settle callback tells the search to do next.
@@ -42,73 +48,90 @@ pub enum Control {
 pub struct SearchStats {
     /// Nodes settled (popped with their final distance).
     pub settled: usize,
-    /// Heap pushes performed (relaxations that improved a distance).
+    /// Queue pushes performed (relaxations that improved a distance).
     pub pushed: usize,
 }
 
-/// Largest `bound + 1` for which the Dial bucket-queue fast path is used.
+/// Largest bucket count the bucket kernel is used for.
 ///
-/// Every production coverage search is bounded by its slot radius, which the
-/// bench datasets keep well under this (radii are a few tens of average edge
-/// lengths); the bucket array costs 24 bytes per distance unit and is reused
-/// across runs, so the cap bounds workspace memory at ~1.5 MiB worst case.
-const DIAL_MAX_BUCKETS: usize = 1 << 16;
+/// A workspace keeps one `Vec` header (24 bytes) per bucket plus the heap
+/// block behind every bucket a search has ever pushed into (retained across
+/// runs, a few entries each), so the cap bounds the headers at 1.5 MiB; at
+/// the bench datasets' radii and arc weights a search spans a few hundred
+/// buckets.
+const MAX_BUCKETS: u64 = 1 << 16;
 
-/// The queue kernel behind a bounded search (see [`DijkstraWorkspace`]).
-/// [`DijkstraWorkspace::run`] picks one from the bound alone; benchmarks
-/// pit them against each other explicitly via
-/// [`DijkstraWorkspace::run_with`].
+/// The queue kernel behind a search (see [`DijkstraWorkspace`]).
+/// [`DijkstraWorkspace::run`] picks one with [`kernel_for`]; benchmarks pit
+/// them against each other explicitly via [`DijkstraWorkspace::run_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
-    /// Dial bucket queue (`bound < 2^16`).
-    Dial,
-    /// Binary heap over packed `(dist << 32) | node` keys (`bound < 2^32`).
-    PackedHeap,
+    /// Bucket queue of width Δ (`bound / Δ < 2^16`).
+    Bucket,
     /// Binary heap over `(u64, u32)` tuples (any bound).
-    WideHeap,
+    Heap,
 }
 
-/// The kernel [`DijkstraWorkspace::run`] selects for `bound` —
-/// deterministic and bound-only, so serial and parallel evaluations of the
-/// same slot always take the same code path.
-pub fn kernel_for(bound: u64) -> Kernel {
-    if (bound as usize) < DIAL_MAX_BUCKETS {
-        Kernel::Dial
-    } else if bound < (1 << 32) {
-        Kernel::PackedHeap
+/// log₂ of the bucket width Δ = 2^⌊log₂ w_min⌋, the largest power of two no
+/// arc is lighter than.
+fn bucket_shift(w_min: Weight) -> u32 {
+    w_min.max(1).ilog2()
+}
+
+/// The kernel [`DijkstraWorkspace::run`] selects for a search bounded by
+/// `bound` on a graph whose lightest arc weighs `w_min` — a function of
+/// those two alone, so serial and parallel evaluations of the same slot
+/// always take the same code path.
+pub fn kernel_for(bound: u64, w_min: Weight) -> Kernel {
+    if (bound >> bucket_shift(w_min)) < MAX_BUCKETS {
+        Kernel::Bucket
     } else {
-        Kernel::WideHeap
+        Kernel::Heap
     }
 }
 
 /// A reusable single-source / multi-source Dijkstra workspace.
 ///
-/// Distances are valid only for nodes whose stamp equals the current epoch;
-/// `reset` is O(1) (bumps the epoch) except on epoch wrap, where it clears in
-/// O(n) (happens once every ~4 billion runs).
+/// `dist` holds [`INF`] for every node outside `touched`; a run starts by
+/// resetting the nodes the previous run wrote, so reuse costs no more than
+/// the search itself did.
 ///
-/// Three kernels sit behind [`DijkstraWorkspace::run`], picked by the search
-/// bound alone (so the choice is deterministic for a given slot):
+/// Two kernels sit behind [`DijkstraWorkspace::run`], picked by
+/// [`kernel_for`]:
 ///
-/// * `bound < DIAL_MAX_BUCKETS`: a Dial bucket queue — O(1) decrease-key and
-///   pop, no comparisons. Settles in nondecreasing distance order like the
-///   heaps, but breaks equal-distance ties in bucket (LIFO) order rather
-///   than node-id order, so `pushed` may differ from the heap kernels —
-///   deterministically — while the settled set and distances are identical.
-/// * `bound < 2^32`: a binary heap over packed `(dist << 32) | node` u64
-///   keys — same pop order as the tuple heap (distance, then node id) with
-///   half the key width and cheaper comparisons.
-/// * otherwise (unbounded searches): the original `(u64, u32)` tuple heap.
+/// * **Buckets of width Δ = 2^⌊log₂ w_min⌋**, `w_min` being the graph's
+///   lightest arc. Every arc is ≥ Δ, so relaxing a node of bucket ⌊d/Δ⌋
+///   can only push into a *later* bucket: when a bucket starts draining,
+///   each of its live entries (`(d, node)` with `d == dist[node]`) is final.
+///   Label-setting is kept — every node settles once, with its exact
+///   distance — with no comparisons and no sift, and `bound / Δ + 1`
+///   buckets instead of `bound + 1`. With `w_min = 1` this is Dial's
+///   queue.
+/// * **A binary heap** over `(u64, u32)` tuples, for unbounded searches and
+///   bounds too wide for the bucket array.
 #[derive(Debug)]
 pub struct DijkstraWorkspace {
     dist: Vec<u64>,
-    stamp: Vec<u32>,
-    epoch: u32,
+    /// Nodes whose `dist` the last run wrote.
+    touched: Vec<u32>,
     heap: BinaryHeap<Reverse<(u64, u32)>>,
-    packed: BinaryHeap<Reverse<u64>>,
-    /// Dial buckets indexed by distance; all empty between runs (the run
-    /// either drains them or sweeps the touched range on early stop).
-    buckets: Vec<Vec<u32>>,
+    /// Δ-wide buckets of `(dist, node)`; all empty between runs (a run
+    /// either drains them or sweeps what an early stop leaves).
+    buckets: Vec<Vec<(u64, u32)>>,
+}
+
+/// Lower `dist[v]` to `nd` if that improves it, recording the first write.
+#[inline]
+fn improve(dist: &mut [u64], touched: &mut Vec<u32>, v: u32, nd: u64) -> bool {
+    let cur = &mut dist[v as usize];
+    if nd >= *cur {
+        return false;
+    }
+    if *cur == INF {
+        touched.push(v);
+    }
+    *cur = nd;
+    true
 }
 
 impl DijkstraWorkspace {
@@ -116,10 +139,8 @@ impl DijkstraWorkspace {
     pub fn new(num_nodes: usize) -> Self {
         DijkstraWorkspace {
             dist: vec![INF; num_nodes],
-            stamp: vec![0; num_nodes],
-            epoch: 0,
+            touched: Vec::new(),
             heap: BinaryHeap::new(),
-            packed: BinaryHeap::new(),
             buckets: Vec::new(),
         }
     }
@@ -128,187 +149,150 @@ impl DijkstraWorkspace {
     pub fn ensure_capacity(&mut self, num_nodes: usize) {
         if self.dist.len() < num_nodes {
             self.dist.resize(num_nodes, INF);
-            self.stamp.resize(num_nodes, 0);
         }
-    }
-
-    fn begin_epoch(&mut self) {
-        self.heap.clear();
-        self.packed.clear();
-        if self.epoch == u32::MAX {
-            self.stamp.fill(0);
-            self.epoch = 1;
-        } else {
-            self.epoch += 1;
-        }
-    }
-
-    #[inline]
-    fn current_dist(&self, node: u32) -> u64 {
-        if self.stamp[node as usize] == self.epoch {
-            self.dist[node as usize]
-        } else {
-            INF
-        }
-    }
-
-    #[inline]
-    fn set_dist(&mut self, node: u32, d: u64) {
-        self.dist[node as usize] = d;
-        self.stamp[node as usize] = self.epoch;
     }
 
     /// Distance computed by the **last** run for `node` (INF if untouched).
-    /// Only settled nodes have final distances; unsettled stamped nodes hold
+    /// Only settled nodes have final distances; unsettled touched nodes hold
     /// tentative values that are still upper bounds.
     pub fn last_dist(&self, node: u32) -> u64 {
-        self.current_dist(node)
+        self.dist[node as usize]
     }
 
     /// Run Dijkstra from `sources` (each with an initial distance), bounded
     /// by `bound` (nodes farther than `bound` are neither settled nor
-    /// reported). `on_settle(node, dist)` fires exactly once per settled node
-    /// in nondecreasing distance order and steers the search via [`Control`].
+    /// reported). `on_settle(node, dist)` fires exactly once per settled
+    /// node, with its exact distance, and steers the search via [`Control`].
+    ///
+    /// **Settle order** is nondecreasing in ⌊d/Δ⌋ and unspecified inside a
+    /// bucket, Δ being 1 under the heap and the bucket width (≤ the graph's
+    /// lightest arc) under the bucket kernel: a caller may rely on a settled
+    /// distance being final, not on nearer nodes having settled before it.
     pub fn run<G: Graph + ?Sized>(
         &mut self,
         graph: &G,
-        sources: &[(u32, u64)],
+        sources: impl IntoIterator<Item = impl Borrow<(u32, u64)>>,
         bound: u64,
         on_settle: impl FnMut(u32, u64) -> Control,
     ) -> SearchStats {
-        self.run_with(kernel_for(bound), graph, sources, bound, on_settle)
+        let kernel = kernel_for(bound, graph.min_arc_weight());
+        self.run_with(kernel, graph, sources, bound, on_settle)
     }
 
     /// [`Self::run`] with an explicitly chosen kernel — the benchmark seam
     /// for pitting the kernels against each other on identical searches.
     /// The caller owns the validity contract [`kernel_for`] encodes:
-    /// `Dial` requires `bound < 2^16`, `PackedHeap` requires
-    /// `bound < 2^32`.
+    /// `Bucket` requires `bound / Δ < 2^16`.
     pub fn run_with<G: Graph + ?Sized>(
         &mut self,
         kernel: Kernel,
         graph: &G,
-        sources: &[(u32, u64)],
+        sources: impl IntoIterator<Item = impl Borrow<(u32, u64)>>,
         bound: u64,
         on_settle: impl FnMut(u32, u64) -> Control,
     ) -> SearchStats {
         self.ensure_capacity(graph.num_nodes());
-        self.begin_epoch();
+        self.heap.clear();
+        for v in self.touched.drain(..) {
+            self.dist[v as usize] = INF;
+        }
         match kernel {
-            Kernel::Dial => {
-                assert!((bound as usize) < DIAL_MAX_BUCKETS, "Dial needs bound < 2^16");
-                self.run_dial(graph, sources, bound, on_settle)
-            }
-            Kernel::PackedHeap => {
-                assert!(bound < (1 << 32), "PackedHeap needs bound < 2^32");
-                self.run_packed(graph, sources, bound, on_settle)
-            }
-            Kernel::WideHeap => self.run_wide(graph, sources, bound, on_settle),
+            Kernel::Bucket => self.run_buckets(graph, sources, bound, on_settle),
+            Kernel::Heap => self.run_heap(graph, sources, bound, on_settle),
         }
     }
 
-    /// Dial bucket-queue kernel: one bucket per distance unit, drained in
-    /// order. Entries carry no distance (the bucket index is the distance);
-    /// staleness is detected by comparing against the settled distance.
-    fn run_dial<G: Graph + ?Sized>(
+    /// Bucket kernel: bucket `b` holds the entries with ⌊d/Δ⌋ = `b`, buckets
+    /// drain in ascending order, entries inside one in arrival order.
+    fn run_buckets<G: Graph + ?Sized>(
         &mut self,
         graph: &G,
-        sources: &[(u32, u64)],
+        sources: impl IntoIterator<Item = impl Borrow<(u32, u64)>>,
         bound: u64,
         mut on_settle: impl FnMut(u32, u64) -> Control,
     ) -> SearchStats {
-        let nb = bound as usize + 1;
+        let w_min = graph.min_arc_weight();
+        let shift = bucket_shift(w_min);
+        debug_assert!(w_min >= 1 && 1u64 << shift <= u64::from(w_min), "Δ must not exceed w_min");
+        assert!((bound >> shift) < MAX_BUCKETS, "Bucket needs bound / Δ < 2^16");
+        let nb = (bound >> shift) as usize + 1;
         if self.buckets.len() < nb {
             self.buckets.resize_with(nb, Vec::new);
         }
+        let (dist, touched, buckets) = (&mut self.dist[..], &mut self.touched, &mut self.buckets);
         let mut stats = SearchStats::default();
-        let mut remaining = 0usize; // queued entries, stale included
         let mut lo = nb; // lowest touched bucket
         let mut hi = 0usize; // highest touched bucket
-        for &(s, d0) in sources {
-            if d0 <= bound && d0 < self.current_dist(s) {
-                self.set_dist(s, d0);
-                self.buckets[d0 as usize].push(s);
+        for source in sources {
+            let &(s, d0) = source.borrow();
+            if d0 <= bound && improve(dist, touched, s, d0) {
+                let b = (d0 >> shift) as usize;
+                buckets[b].push((d0, s));
                 stats.pushed += 1;
-                remaining += 1;
-                lo = lo.min(d0 as usize);
-                hi = hi.max(d0 as usize);
+                lo = lo.min(b);
+                hi = hi.max(b);
             }
         }
-        let mut i = lo;
-        let mut stopped = false;
-        while remaining > 0 {
-            // Non-negative weights mean every queued entry sits at >= i, so
-            // the scan never restarts.
-            while self.buckets[i].is_empty() {
-                i += 1;
-            }
-            let u = self.buckets[i].pop().expect("non-empty bucket");
-            remaining -= 1;
-            let d = i as u64;
-            if d > self.current_dist(u) {
-                continue; // stale entry — u settled at a smaller distance
-            }
-            stats.settled += 1;
-            match on_settle(u, d) {
-                Control::Stop => {
-                    stopped = true;
-                    break;
+        let mut b = lo;
+        'search: while b <= hi {
+            // Nothing lands in `b` while it drains (every arc is ≥ Δ), so it
+            // can leave the array for the borrow and come back with its
+            // capacity.
+            let mut bucket = std::mem::take(&mut buckets[b]);
+            for &(d, u) in &bucket {
+                if d != dist[u as usize] {
+                    continue; // stale entry — u has a smaller distance
                 }
-                Control::SkipNeighbors => continue,
-                Control::Continue => {}
-            }
-            // Relax in place: split borrows so the adjacency closure can
-            // update the distance arrays without a temporary allocation.
-            let (dist, stamp, buckets) = (&mut self.dist, &mut self.stamp, &mut self.buckets);
-            let epoch = self.epoch;
-            let pushed = &mut stats.pushed;
-            graph.for_each_neighbor(u, &mut |v, w| {
-                let nd = d + u64::from(w);
-                if nd <= bound {
-                    let vi = v as usize;
-                    let cur = if stamp[vi] == epoch { dist[vi] } else { INF };
-                    if nd < cur {
-                        dist[vi] = nd;
-                        stamp[vi] = epoch;
-                        buckets[nd as usize].push(v);
-                        *pushed += 1;
-                        remaining += 1;
-                        hi = hi.max(nd as usize);
+                stats.settled += 1;
+                match on_settle(u, d) {
+                    Control::Stop => {
+                        // Leave every bucket empty for the next run.
+                        buckets[b + 1..=hi].iter_mut().for_each(Vec::clear);
+                        bucket.clear();
+                        buckets[b] = bucket;
+                        break 'search;
                     }
+                    Control::SkipNeighbors => continue,
+                    Control::Continue => {}
                 }
-            });
-        }
-        // Leave every bucket empty for the next run: a completed search
-        // drained them all; an early stop sweeps the still-touched range.
-        if stopped && remaining > 0 {
-            for b in &mut self.buckets[i..=hi] {
-                b.clear();
+                graph.for_each_neighbor(u, |v, w| {
+                    debug_assert!(w >= w_min, "arc {u}→{v} of weight {w} is below w_min {w_min}");
+                    // `nd <= bound` comes before any narrowing or index.
+                    let nd = d.saturating_add(u64::from(w));
+                    if nd <= bound && improve(dist, touched, v, nd) {
+                        let to = (nd >> shift) as usize;
+                        buckets[to].push((nd, v));
+                        stats.pushed += 1;
+                        hi = hi.max(to);
+                    }
+                });
             }
+            bucket.clear();
+            buckets[b] = bucket;
+            b += 1;
         }
         stats
     }
 
-    /// Binary-heap kernel over packed `(dist << 32) | node` keys — valid
-    /// whenever `bound < 2^32`, with pop order identical to the tuple heap.
-    fn run_packed<G: Graph + ?Sized>(
+    /// Tuple-heap kernel for unbounded (or absurdly wide) searches.
+    fn run_heap<G: Graph + ?Sized>(
         &mut self,
         graph: &G,
-        sources: &[(u32, u64)],
+        sources: impl IntoIterator<Item = impl Borrow<(u32, u64)>>,
         bound: u64,
         mut on_settle: impl FnMut(u32, u64) -> Control,
     ) -> SearchStats {
+        let (dist, touched, heap) = (&mut self.dist[..], &mut self.touched, &mut self.heap);
         let mut stats = SearchStats::default();
-        for &(s, d0) in sources {
-            if d0 <= bound && d0 < self.current_dist(s) {
-                self.set_dist(s, d0);
-                self.packed.push(Reverse((d0 << 32) | u64::from(s)));
+        for source in sources {
+            let &(s, d0) = source.borrow();
+            if d0 <= bound && improve(dist, touched, s, d0) {
+                heap.push(Reverse((d0, s)));
                 stats.pushed += 1;
             }
         }
-        while let Some(Reverse(key)) = self.packed.pop() {
-            let (d, u) = (key >> 32, key as u32);
-            if d > self.current_dist(u) {
+        while let Some(Reverse((d, u))) = heap.pop() {
+            if d != dist[u as usize] {
                 continue; // stale heap entry
             }
             stats.settled += 1;
@@ -317,69 +301,11 @@ impl DijkstraWorkspace {
                 Control::SkipNeighbors => continue,
                 Control::Continue => {}
             }
-            let (dist, stamp, packed) = (&mut self.dist, &mut self.stamp, &mut self.packed);
-            let epoch = self.epoch;
-            let pushed = &mut stats.pushed;
-            graph.for_each_neighbor(u, &mut |v, w| {
-                let nd = d + u64::from(w);
-                if nd <= bound {
-                    let vi = v as usize;
-                    let cur = if stamp[vi] == epoch { dist[vi] } else { INF };
-                    if nd < cur {
-                        dist[vi] = nd;
-                        stamp[vi] = epoch;
-                        packed.push(Reverse((nd << 32) | u64::from(v)));
-                        *pushed += 1;
-                    }
-                }
-            });
-        }
-        stats
-    }
-
-    /// Tuple-heap kernel for unbounded (or absurdly wide) searches, where
-    /// distances may not fit in 32 bits.
-    fn run_wide<G: Graph + ?Sized>(
-        &mut self,
-        graph: &G,
-        sources: &[(u32, u64)],
-        bound: u64,
-        mut on_settle: impl FnMut(u32, u64) -> Control,
-    ) -> SearchStats {
-        let mut stats = SearchStats::default();
-        for &(s, d0) in sources {
-            if d0 <= bound && d0 < self.current_dist(s) {
-                self.set_dist(s, d0);
-                self.heap.push(Reverse((d0, s)));
-                stats.pushed += 1;
-            }
-        }
-        while let Some(Reverse((d, u))) = self.heap.pop() {
-            if d > self.current_dist(u) {
-                continue; // stale heap entry
-            }
-            stats.settled += 1;
-            match on_settle(u, d) {
-                Control::Stop => break,
-                Control::SkipNeighbors => continue,
-                Control::Continue => {}
-            }
-            // Relax in place: split borrows so the adjacency closure can
-            // update the distance arrays without a temporary allocation.
-            let (dist, stamp, heap) = (&mut self.dist, &mut self.stamp, &mut self.heap);
-            let epoch = self.epoch;
-            let pushed = &mut stats.pushed;
-            graph.for_each_neighbor(u, &mut |v, w| {
+            graph.for_each_neighbor(u, |v, w| {
                 let nd = d.saturating_add(u64::from(w));
-                if nd <= bound {
-                    let vi = v as usize;
-                    let cur = if stamp[vi] == epoch { dist[vi] } else { INF };
-                    if nd < cur {
-                        dist[vi] = nd;
-                        stamp[vi] = epoch;
-                        heap.push(Reverse((nd, v)));
-                        *pushed += 1;
-                    }
+                if nd <= bound && improve(dist, touched, v, nd) {
+                    heap.push(Reverse((nd, v)));
+                    stats.pushed += 1;
                 }
             });
         }
@@ -388,7 +314,7 @@ impl DijkstraWorkspace {
 
     /// All-destinations distances from a single source, bounded by `bound`.
     /// Returns `(node, dist)` pairs for every reachable node within the
-    /// bound, in nondecreasing distance order.
+    /// bound, in settle order (see [`Self::run`]).
     pub fn distances_from<G: Graph + ?Sized>(
         &mut self,
         graph: &G,
@@ -396,7 +322,7 @@ impl DijkstraWorkspace {
         bound: u64,
     ) -> Vec<(u32, u64)> {
         let mut out = Vec::new();
-        self.run(graph, &[(source, 0)], bound, |n, d| {
+        self.run(graph, [(source, 0)], bound, |n, d| {
             out.push((n, d));
             Control::Continue
         });
@@ -406,7 +332,7 @@ impl DijkstraWorkspace {
     /// Point-to-point distance with early termination.
     pub fn distance<G: Graph + ?Sized>(&mut self, graph: &G, source: u32, target: u32) -> u64 {
         let mut found = INF;
-        self.run(graph, &[(source, 0)], INF - 1, |n, d| {
+        self.run(graph, [(source, 0)], INF - 1, |n, d| {
             if n == target {
                 found = d;
                 Control::Stop
@@ -429,14 +355,19 @@ impl DijkstraWorkspace {
         }
         let mut marks = std::collections::HashSet::with_capacity(targets.len());
         marks.extend(targets.iter().copied());
+        // A settled target may be followed by a nearer one of the same
+        // bucket; a node a whole lightest arc (≥ Δ) past the best target
+        // shows that bucket has drained.
+        let w_min = u64::from(graph.min_arc_weight());
         let mut found = INF;
-        self.run(graph, &[(source, 0)], INF - 1, |n, d| {
-            if marks.contains(&n) {
-                found = d;
-                Control::Stop
-            } else {
-                Control::Continue
+        self.run(graph, [(source, 0)], INF - 1, |n, d| {
+            if d >= found.saturating_add(w_min) {
+                return Control::Stop;
             }
+            if marks.contains(&n) {
+                found = found.min(d);
+            }
+            Control::Continue
         });
         found
     }
@@ -451,9 +382,8 @@ impl DijkstraWorkspace {
         sources: &[u32],
         radius: u64,
     ) -> Vec<(u32, u64)> {
-        let seeded: Vec<(u32, u64)> = sources.iter().map(|&s| (s, 0)).collect();
         let mut out = Vec::new();
-        self.run(graph, &seeded, radius, |n, d| {
+        self.run(graph, sources.iter().map(|&s| (s, 0)), radius, |n, d| {
             out.push((n, d));
             Control::Continue
         });
@@ -547,7 +477,7 @@ mod tests {
         let (g, names) = figure1_network();
         let mut ws = DijkstraWorkspace::new(g.num_nodes());
         let mut last = 0u64;
-        ws.run(&g, &[(names["A"].0, 0)], INF - 1, |_, d| {
+        ws.run(&g, [(names["A"].0, 0)], INF - 1, |_, d| {
             assert!(d >= last);
             last = d;
             Control::Continue
@@ -580,7 +510,7 @@ mod tests {
         let (g, names) = figure1_network();
         let mut ws = DijkstraWorkspace::new(g.num_nodes());
         let mut settled = 0;
-        ws.run(&g, &[(names["A"].0, 0)], INF - 1, |_, _| {
+        ws.run(&g, [(names["A"].0, 0)], INF - 1, |_, _| {
             settled += 1;
             Control::Stop
         });
@@ -593,7 +523,7 @@ mod tests {
         let mut ws = DijkstraWorkspace::new(g.num_nodes());
         // Refuse to expand anything: only sources get settled.
         let mut settled = Vec::new();
-        ws.run(&g, &[(names["A"].0, 0), (names["D"].0, 0)], INF - 1, |n, _| {
+        ws.run(&g, [(names["A"].0, 0), (names["D"].0, 0)], INF - 1, |n, _| {
             settled.push(n);
             Control::SkipNeighbors
         });
@@ -639,21 +569,21 @@ mod tests {
     fn stats_count_settles_and_pushes() {
         let (g, names) = figure1_network();
         let mut ws = DijkstraWorkspace::new(g.num_nodes());
-        let stats = ws.run(&g, &[(names["A"].0, 0)], INF - 1, |_, _| Control::Continue);
+        let stats = ws.run(&g, [(names["A"].0, 0)], INF - 1, |_, _| Control::Continue);
         assert_eq!(stats.settled, 5);
         assert!(stats.pushed >= 5);
     }
 
-    /// Collect the settled (node, dist) set for one bound on one kernel by
-    /// forcing the dispatch with an artificial bound.
-    fn settled_at_bound(
+    /// The settled `(node, dist)` set of one search on one kernel, sorted.
+    fn settled_with(
         ws: &mut DijkstraWorkspace,
+        kernel: Kernel,
         g: &impl Graph,
         sources: &[(u32, u64)],
         bound: u64,
     ) -> Vec<(u32, u64)> {
         let mut out = Vec::new();
-        ws.run(g, sources, bound, |n, d| {
+        ws.run_with(kernel, g, sources, bound, |n, d| {
             out.push((n, d));
             Control::Continue
         });
@@ -661,9 +591,10 @@ mod tests {
         out
     }
 
-    /// A deterministic pseudo-random sparse graph large enough that the
-    /// three kernels genuinely diverge in traversal order.
-    fn lcg_network(nodes: usize, edges: usize) -> crate::RoadNetwork {
+    /// A deterministic pseudo-random sparse graph, weights in
+    /// `w_lo..w_lo + 50`, large enough that the kernels genuinely diverge in
+    /// traversal order.
+    fn lcg_network(nodes: usize, edges: usize, w_lo: u32) -> crate::RoadNetwork {
         use crate::graph::RoadNetworkBuilder;
         let mut b = RoadNetworkBuilder::new();
         let ids: Vec<_> = (0..nodes).map(|i| b.add_node(i as f32, 0.0, &[])).collect();
@@ -676,7 +607,7 @@ mod tests {
         while added < edges {
             let u = (next() as usize) % nodes;
             let v = (next() as usize) % nodes;
-            let w = (next() % 50 + 1) as u32;
+            let w = (next() % 50) as u32 + w_lo;
             if u != v && b.add_edge(ids[u], ids[v], w).is_ok() {
                 added += 1;
             }
@@ -685,74 +616,40 @@ mod tests {
     }
 
     #[test]
-    fn dial_packed_and_wide_kernels_agree_on_settled_sets() {
-        let g = lcg_network(200, 600);
-        let mut ws = DijkstraWorkspace::new(g.num_nodes());
-        let sources = [(0u32, 0u64), (17, 3), (42, 11)];
-        for bound in [0u64, 1, 7, 40, 200, 1000] {
-            // `bound` < DIAL_MAX_BUCKETS dispatches to the Dial kernel; the
-            // heap kernels are reached through private entry points here so
-            // the same bound exercises all three.
-            ws.begin_epoch();
-            let dial = {
-                let mut out = Vec::new();
-                ws.ensure_capacity(g.num_nodes());
-                ws.run_dial(&g, &sources, bound, |n, d| {
-                    out.push((n, d));
-                    Control::Continue
-                });
-                out.sort_unstable();
-                out
-            };
-            ws.begin_epoch();
-            let packed = {
-                let mut out = Vec::new();
-                ws.run_packed(&g, &sources, bound, |n, d| {
-                    out.push((n, d));
-                    Control::Continue
-                });
-                out.sort_unstable();
-                out
-            };
-            ws.begin_epoch();
-            let wide = {
-                let mut out = Vec::new();
-                ws.run_wide(&g, &sources, bound, |n, d| {
-                    out.push((n, d));
-                    Control::Continue
-                });
-                out.sort_unstable();
-                out
-            };
-            assert_eq!(dial, packed, "dial vs packed at bound {bound}");
-            assert_eq!(packed, wide, "packed vs wide at bound {bound}");
-        }
+    fn kernel_choice_follows_bound_over_bucket_width() {
+        assert_eq!(kernel_for(0, 1), Kernel::Bucket);
+        assert_eq!(kernel_for((1 << 16) - 1, 1), Kernel::Bucket);
+        assert_eq!(kernel_for(1 << 16, 1), Kernel::Heap);
+        // w_min 100 → Δ = 64: the hand-over moves out by the same factor.
+        assert_eq!(kernel_for((1 << 22) - 1, 100), Kernel::Bucket);
+        assert_eq!(kernel_for(1 << 22, 100), Kernel::Heap);
+        assert_eq!(kernel_for(INF - 1, Weight::MAX), Kernel::Heap);
     }
 
     #[test]
-    fn packed_heap_matches_wide_heap_pushed_exactly() {
-        // The packed key orders by (dist, node) exactly like the tuple heap,
-        // so even tie-dependent stats must match between the two heap paths.
-        let g = lcg_network(150, 400);
-        let mut ws = DijkstraWorkspace::new(g.num_nodes());
-        for bound in [5u64, 33, 250, 4000] {
-            ws.begin_epoch();
-            let p = ws.run_packed(&g, &[(3, 0), (99, 2)], bound, |_, _| Control::Continue);
-            ws.begin_epoch();
-            let w = ws.run_wide(&g, &[(3, 0), (99, 2)], bound, |_, _| Control::Continue);
-            assert_eq!(p, w, "packed vs wide stats at bound {bound}");
+    fn bucket_and_heap_kernels_agree_on_settled_sets() {
+        let sources = [(0u32, 0u64), (17, 3), (42, 11)];
+        // Lightest arcs 1 (Δ = 1, Dial's queue) and 8 or more (Δ ≥ 8).
+        for w_lo in [1, 8] {
+            let g = lcg_network(200, 600, w_lo);
+            let mut ws = DijkstraWorkspace::new(g.num_nodes());
+            for bound in [0u64, 1, 7, 40, 200, 1000] {
+                let bucket = settled_with(&mut ws, Kernel::Bucket, &g, &sources, bound);
+                let heap = settled_with(&mut ws, Kernel::Heap, &g, &sources, bound);
+                assert_eq!(bucket, heap, "bucket vs heap at bound {bound}, w_lo {w_lo}");
+            }
         }
     }
 
     #[test]
     fn dial_early_stop_leaves_workspace_clean() {
-        let g = lcg_network(100, 300);
+        let g = lcg_network(100, 300, 1);
         let mut ws = DijkstraWorkspace::new(g.num_nodes());
-        // Stop mid-search (Dial path), then verify a fresh bounded run still
-        // produces the exact settled set — stale bucket entries would
+        // Stop mid-search (bucket path), then verify a fresh bounded run
+        // still produces the exact settled set — stale bucket entries would
         // corrupt it.
         let mut seen = 0;
-        ws.run(&g, &[(0, 0)], 500, |_, _| {
+        ws.run(&g, [(0, 0)], 500, |_, _| {
             seen += 1;
             if seen == 3 {
                 Control::Stop
@@ -760,25 +657,23 @@ mod tests {
                 Control::Continue
             }
         });
-        let after = settled_at_bound(&mut ws, &g, &[(0, 0)], 120);
-        ws.begin_epoch();
-        let mut reference = Vec::new();
-        ws.run_wide(&g, &[(0, 0)], 120, |n, d| {
-            reference.push((n, d));
-            Control::Continue
-        });
-        reference.sort_unstable();
+        assert_eq!(kernel_for(120, g.min_arc_weight()), Kernel::Bucket);
+        let after = settled_with(&mut ws, Kernel::Bucket, &g, &[(0, 0)], 120);
+        let reference = settled_with(&mut ws, Kernel::Heap, &g, &[(0, 0)], 120);
         assert_eq!(after, reference);
     }
 
     #[test]
-    fn dial_settle_order_is_nondecreasing() {
-        let g = lcg_network(120, 350);
+    fn bucket_settle_order_is_nondecreasing_in_bucket_index() {
+        let g = lcg_network(120, 350, 8);
+        let shift = bucket_shift(g.min_arc_weight());
+        assert!(shift >= 3);
+        assert_eq!(kernel_for(800, g.min_arc_weight()), Kernel::Bucket);
         let mut ws = DijkstraWorkspace::new(g.num_nodes());
         let mut last = 0u64;
-        ws.run(&g, &[(0, 0), (60, 5)], 800, |_, d| {
-            assert!(d >= last, "settle order regressed: {d} after {last}");
-            last = d;
+        ws.run(&g, [(0, 0), (60, 5)], 800, |_, d| {
+            assert!(d >> shift >= last, "settle order regressed: {d} after bucket {last}");
+            last = d >> shift;
             Control::Continue
         });
     }

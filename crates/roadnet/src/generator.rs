@@ -508,7 +508,10 @@ mod tests {
             fn num_nodes(&self) -> usize {
                 self.0.num_nodes()
             }
-            fn for_each_neighbor(&self, node: u32, f: &mut dyn FnMut(u32, u32)) {
+            fn min_arc_weight(&self) -> u32 {
+                1
+            }
+            fn for_each_neighbor(&self, node: u32, mut f: impl FnMut(u32, u32)) {
                 for (u, _) in self.0.neighbors(crate::NodeId(node)) {
                     f(u.0, 1);
                 }

@@ -197,6 +197,7 @@ impl RoadNetworkBuilder {
         let total_weight: u64 = self.edges.iter().map(|&(_, _, w)| u64::from(w)).sum();
         let avg_edge_weight =
             if self.edges.is_empty() { 0 } else { (total_weight / self.edges.len() as u64).max(1) };
+        let min_edge_weight = self.edges.iter().map(|&(_, _, w)| w).min().unwrap_or(1);
 
         Ok(RoadNetwork {
             coords: self.coords,
@@ -210,6 +211,7 @@ impl RoadNetworkBuilder {
             vocab: self.vocab,
             num_edges: self.edges.len(),
             avg_edge_weight,
+            min_edge_weight,
         })
     }
 }
@@ -228,6 +230,8 @@ pub struct RoadNetwork {
     vocab: Vocabulary,
     num_edges: usize,
     avg_edge_weight: u64,
+    /// Lightest edge, found at `build` (1 for an edgeless network).
+    min_edge_weight: Weight,
 }
 
 impl RoadNetwork {
@@ -446,11 +450,16 @@ impl Graph for RoadNetwork {
     }
 
     #[inline]
-    fn for_each_neighbor(&self, node: u32, f: &mut dyn FnMut(u32, Weight)) {
+    fn min_arc_weight(&self) -> Weight {
+        self.min_edge_weight
+    }
+
+    #[inline]
+    fn for_each_neighbor(&self, node: u32, mut f: impl FnMut(u32, Weight)) {
         let lo = self.adj_offsets[node as usize] as usize;
         let hi = self.adj_offsets[node as usize + 1] as usize;
-        for i in lo..hi {
-            f(self.adj_node[i], self.adj_weight[i]);
+        for (&v, &w) in self.adj_node[lo..hi].iter().zip(&self.adj_weight[lo..hi]) {
+            f(v, w);
         }
     }
 }

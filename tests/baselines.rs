@@ -69,7 +69,7 @@ fn bsp_and_iterative_agree_on_raw_sssp() {
     assert_eq!(bsp_dist, iter_dist);
     let mut ws = DijkstraWorkspace::new(net.num_nodes());
     let mut reference = vec![INF; net.num_nodes()];
-    ws.run(&net, &sources, INF - 1, |n, d| {
+    ws.run(&net, sources, INF - 1, |n, d| {
         reference[n as usize] = d;
         disks::roadnet::dijkstra::Control::Continue
     });

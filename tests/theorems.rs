@@ -192,6 +192,7 @@ struct LocalWithShortcuts<'a> {
     assignment: &'a [u32],
     fragment: u32,
     extra: Vec<Vec<(u32, u32)>>,
+    min_weight: u32,
 }
 
 impl<'a> LocalWithShortcuts<'a> {
@@ -202,12 +203,14 @@ impl<'a> LocalWithShortcuts<'a> {
         shortcuts: &[(NodeId, NodeId, u64)],
     ) -> Self {
         let mut extra: Vec<Vec<(u32, u32)>> = vec![Vec::new(); net.num_nodes()];
+        let mut min_weight = net.min_arc_weight();
         for &(a, b, d) in shortcuts {
             let w = u32::try_from(d).expect("shortcut weight fits u32");
             extra[a.index()].push((b.0, w));
             extra[b.index()].push((a.0, w));
+            min_weight = min_weight.min(w);
         }
-        LocalWithShortcuts { net, assignment: p.assignment(), fragment: f.0, extra }
+        LocalWithShortcuts { net, assignment: p.assignment(), fragment: f.0, extra, min_weight }
     }
 }
 
@@ -216,7 +219,11 @@ impl Graph for LocalWithShortcuts<'_> {
         self.net.num_nodes()
     }
 
-    fn for_each_neighbor(&self, node: u32, f: &mut dyn FnMut(u32, u32)) {
+    fn min_arc_weight(&self) -> u32 {
+        self.min_weight
+    }
+
+    fn for_each_neighbor(&self, node: u32, mut f: impl FnMut(u32, u32)) {
         if self.assignment[node as usize] != self.fragment {
             return;
         }
