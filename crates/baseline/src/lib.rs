@@ -14,6 +14,8 @@
 //!   shortest-path scheme of Tang et al. \[23\]: local Dijkstra per fragment
 //!   plus boundary-exchange rounds until a fixpoint.
 
+#![forbid(unsafe_code)]
+
 pub mod bsp;
 pub mod bsp_dijkstra;
 pub mod centralized;

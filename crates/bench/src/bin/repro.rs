@@ -5,8 +5,8 @@
 //! repro [--scale paper|bench|smoke] [--exp <id>[,<id>...]] [--out DIR]
 //!
 //! ids: tab1 tab2 tab3 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15
-//!      fig16 fig17 comm ablation throughput overload parallel transport
-//!      replication layout hedging topk all (default: all)
+//!      fig16 fig17 comm ablation throughput overload transport replication
+//!      layout hedging topk all (default: all)
 //! ```
 //!
 //! Results are printed and written under `--out` (default `results/`) as
@@ -121,7 +121,6 @@ fn main() {
         "ablation",
         "throughput",
         "overload",
-        "parallel",
         "transport",
         "replication",
         "layout",
@@ -337,32 +336,6 @@ fn main() {
                 println!(
                     "[recovery] retries={rt}, reroutes={rr}, hedges={hg} (wins {hw}), \
                      quarantines={qr}"
-                );
-            }
-            println!();
-        }
-    }
-    if wants("parallel") {
-        if let Some(ds) = &aus {
-            let (table, summary) = exp::parallel(ds, &params);
-            emit("parallel_aus", table);
-            let path = std::path::Path::new(&args.out).join("BENCH_parallel.json");
-            if let Err(e) = std::fs::create_dir_all(&args.out)
-                .and_then(|()| std::fs::write(&path, summary.to_json()))
-            {
-                eprintln!("failed to save BENCH_parallel.json: {e}");
-            } else {
-                println!("[json] {} ({} thread points)", path.display(), summary.points.len());
-            }
-            // Pool headline: compute scaling from intra-worker parallel slot
-            // evaluation, with the value plane asserted identical to serial
-            // inside the experiment. The 2x acceptance bound at 4 threads
-            // only binds on hosts with >= 4 cores (asserted in-experiment).
-            if let (Some(s2), Some(s4)) = (summary.speedup_at(2), summary.speedup_at(4)) {
-                println!(
-                    "[parallel] {} cores: speedup {:.2}x at 2 threads, {:.2}x at 4 \
-                     (answers/frames/bytes identical to serial)",
-                    summary.host_cores, s2, s4
                 );
             }
             println!();

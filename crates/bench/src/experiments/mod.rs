@@ -17,7 +17,6 @@ mod hedging;
 mod layout;
 mod mix;
 mod overload;
-mod parallel;
 mod replication;
 mod size;
 mod throughput;
@@ -30,7 +29,6 @@ pub use hedging::{hedging, HedgingPoint, HedgingSummary};
 pub use layout::{layout, LayoutArm, LayoutSummary};
 pub use mix::{fig16_dfunctions, fig17_rkq, topk_extension};
 pub use overload::{overload, OverloadPoint, OverloadSummary};
-pub use parallel::{parallel, ParallelPoint, ParallelSummary};
 pub use replication::{replication, ReplicationPoint, ReplicationSummary};
 pub use size::{fig7_index_size, fig8_index_size_unbounded, tab1_datasets, tab3_indexing_time};
 pub use throughput::{throughput, ThroughputPoint, ThroughputSummary};

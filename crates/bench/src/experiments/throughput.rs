@@ -14,7 +14,6 @@
 //! Besides the [`Table`], the experiment returns a [`ThroughputSummary`]
 //! that `repro` serializes to `results/BENCH_throughput.json`.
 
-use disks_cluster::message::EVAL_HIST_BUCKETS;
 use disks_cluster::{Cluster, ClusterConfig, NetworkModel, RecoveryCounters};
 use disks_core::{build_all_indexes, DFunction, IndexConfig, NpdIndex};
 use disks_partition::{MultilevelPartitioner, Partitioner, Partitioning};
@@ -94,14 +93,6 @@ pub struct ThroughputPoint {
     /// Sequential warm per-query latency percentiles.
     pub p50_micros: u64,
     pub p99_micros: u64,
-    /// Worker evaluation busy time over the sequential warm runs, summed
-    /// across machines (timing plane — serial workers count whole-frame
-    /// evaluation, pooled workers sum per-slot job micros; see §6k).
-    pub busy_micros: u64,
-    /// Per-slot evaluation-latency histogram (log2-µs buckets) over the
-    /// same runs. All-zero at `worker_threads = 1` (the serial path skips
-    /// per-slot attribution); populated under `DISKS_WORKER_THREADS` lanes.
-    pub eval_hist: [u64; EVAL_HIST_BUCKETS],
     /// Lifetime Theorem 6 unbalance factor U of the cached cluster
     /// (max/min observed compute across busy machines; 1.0 = balanced).
     pub unbalance: f64,
@@ -144,8 +135,7 @@ impl ThroughputSummary {
             s.push_str(&format!(
                 "    {{\"machines\": {}, \"qps_cached\": {:.1}, \"qps_uncached\": {:.1}, \
                  \"qps_batched\": {:.1}, \"cache_hit_rate\": {:.4}, \"p50_micros\": {}, \
-                 \"p99_micros\": {}, \"busy_micros\": {}, \"eval_hist\": [{}], \
-                 \"unbalance\": {:.3}, \"reroutes\": {}, \"hedges\": {}, \
+                 \"p99_micros\": {}, \"unbalance\": {:.3}, \"reroutes\": {}, \"hedges\": {}, \
                  \"hedge_wins\": {}, \"quarantines\": {}, \"batch_sweep\": [",
                 p.machines,
                 p.qps_cached,
@@ -154,8 +144,6 @@ impl ThroughputSummary {
                 p.cache_hit_rate,
                 p.p50_micros,
                 p.p99_micros,
-                p.busy_micros,
-                p.eval_hist.iter().map(u64::to_string).collect::<Vec<_>>().join(", "),
                 p.unbalance,
                 p.reroutes,
                 p.hedges,
@@ -362,21 +350,10 @@ pub fn throughput(ds: &Dataset, params: &Params) -> (Table, ThroughputSummary) {
         assert_eq!(results.len(), fs.len());
         let delta = cached.cache_counters().since(&before);
         let qps_cached = fs.len() as f64 / elapsed.as_secs_f64().max(1e-9);
-        // Sequential warm runs for per-query latency percentiles, plus the
-        // worker-side timing plane (pool busy time and the per-slot
-        // evaluation histogram) summed over the same runs.
-        let mut busy_micros = 0u64;
-        let mut eval_hist = [0u64; EVAL_HIST_BUCKETS];
+        // Sequential warm runs for per-query latency percentiles.
         let (p50, p99) = percentiles(
             fs.iter()
-                .map(|f| {
-                    let o = cached.run(f).expect("latency run");
-                    busy_micros += o.stats.total_busy_micros();
-                    for (d, s) in eval_hist.iter_mut().zip(o.stats.total_eval_hist()) {
-                        *d += s;
-                    }
-                    o.stats.wall_time.as_micros() as u64
-                })
+                .map(|f| cached.run(f).expect("latency run").stats.wall_time.as_micros() as u64)
                 .collect(),
         );
         let unbalance = cached.unbalance_factor();
@@ -489,8 +466,6 @@ pub fn throughput(ds: &Dataset, params: &Params) -> (Table, ThroughputSummary) {
             cache_hit_rate: delta.hit_rate(),
             p50_micros: p50,
             p99_micros: p99,
-            busy_micros,
-            eval_hist,
             unbalance,
             batch_sweep,
             adaptive,
@@ -524,10 +499,6 @@ mod tests {
             // must serve well over half the lookups.
             assert!(p.cache_hit_rate > 0.5, "hit rate {} too low", p.cache_hit_rate);
             assert!(p.p50_micros <= p.p99_micros);
-            // The timing plane reports busy time on serial and pooled
-            // workers alike; the histogram only fills under a pool
-            // (worker_threads > 1), so no lower bound is asserted here.
-            assert!(p.busy_micros > 0);
             // Frame economy is deterministic: ceil(n/window)/n frames per
             // query per worker — 1.0 unbatched, < 0.25 at window ≥ 8 for
             // the 20-query smoke batch.
@@ -576,8 +547,6 @@ mod tests {
         let json = summary.to_json();
         assert!(json.contains("\"qps_cached\""));
         assert!(json.contains("\"qps_batched\""));
-        assert!(json.contains("\"busy_micros\""));
-        assert!(json.contains("\"eval_hist\""));
         assert!(json.contains("\"batch_sweep\""));
         assert!(json.contains("\"frames_per_query_per_worker\""));
         assert!(json.contains("\"c2w_bytes_per_query\""));

@@ -287,18 +287,6 @@ impl CoverageCache {
         }
     }
 
-    /// Read-only residency probe: is `(fragment, term, radius)` cached
-    /// right now? Unlike [`Self::get`] this touches **nothing** — no
-    /// recency refresh, no heat count, no hit/miss counters — so the worker
-    /// pool can predict which slots of a frame need computing without
-    /// perturbing the ledger the serial commit pass will replay. A `true`
-    /// answer can still turn into a commit-time miss (an earlier commit in
-    /// the same frame may evict the entry); the commit pass recomputes
-    /// serially in that case.
-    pub fn peek(&self, fragment: u32, term: Term, radius: u64) -> bool {
-        !self.is_disabled() && self.entries.contains_key(&(fragment, term, radius))
-    }
-
     /// Insert a coverage, evicting least-recently-used entries until it
     /// fits. A coverage larger than the whole budget is not cached, and
     /// neither is one whose *content* is below the per-entry bookkeeping

@@ -3,9 +3,11 @@
 //!
 //! Every `DISKS_*` knob is one row of [`KNOBS`]: its name, the forms it
 //! accepts, and the field it sets. [`ClusterConfig::from_env`] walks the
-//! table once; a value that is not one of the accepted forms is a
-//! [`ConfigError`] naming the variable, never a silent default.
+//! table once; a value that is not one of the accepted forms, or a `DISKS_*`
+//! name the table does not hold, is a [`ConfigError`] naming the variable,
+//! never a silent default.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
 use std::time::Duration;
@@ -134,20 +136,14 @@ pub struct ClusterConfig {
     /// least-suspect replica. Off (the default) is bit-identical to the
     /// pre-health cluster. Env: `DISKS_QUARANTINE`.
     pub quarantine: bool,
-    /// Evaluator threads per worker (DESIGN.md §6k), at least 1: `1` (the
-    /// default) is the classic sequential worker, bit-for-bit; `n > 1` fans
-    /// the distinct coverage slots of each frame across `n - 1` helper
-    /// threads plus the worker thread, then commits serially — answers,
-    /// cache/LRU ledgers, and wire bytes are identical to `1` at any thread
-    /// count. Env: `DISKS_WORKER_THREADS`.
-    pub worker_threads: usize,
 }
 
-/// A `DISKS_*` variable whose value is not one of its accepted forms.
+/// A `DISKS_*` variable whose value is not one of its accepted forms, or
+/// whose name is not one this build reads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError {
     /// The offending variable.
-    pub var: &'static str,
+    pub var: String,
     /// Its value as found.
     pub value: String,
     /// The forms the variable accepts.
@@ -283,11 +279,6 @@ const KNOBS: &[Knob] = &[
         expected: "1/on/true to enable, 0/off/false to disable",
         set: |c, v| switch(v).map(|on| c.quarantine = on),
     },
-    Knob {
-        var: "DISKS_WORKER_THREADS",
-        expected: "a thread count, or 0/off/false for the sequential worker",
-        set: |c, v| count(v).map(|n: usize| c.worker_threads = n.max(1)),
-    },
 ];
 
 impl ClusterConfig {
@@ -300,16 +291,39 @@ impl ClusterConfig {
     /// backoff, channel transport, 100 ms / 1 s heartbeat, no replicas,
     /// plain-LRU cache admission (`cache_heat` 3 under
     /// `DISKS_LAYOUT=workload`), hedging and quarantine off (50 ms hedge
-    /// floor), one evaluator thread per worker.
+    /// floor).
+    ///
+    /// A `DISKS_*` variable that is neither a row of the table nor
+    /// `DISKS_LAYOUT` is an error too: a removed or misspelt knob is
+    /// reported, not run as its default.
     pub fn from_env() -> Result<ClusterConfig, ConfigError> {
-        Self::from_lookup(|var| std::env::var(var).ok())
+        // `vars_os`: `vars` panics on any entry that is not Unicode.
+        Self::from_vars(std::env::vars_os().filter_map(|(name, value)| {
+            Some((name.into_string().ok()?, value.to_string_lossy().into_owned()))
+        }))
     }
 
-    /// [`ClusterConfig::from_env`] over any variable lookup, so the table
-    /// can be exercised without touching the process environment.
-    pub fn from_lookup(
-        lookup: impl Fn(&str) -> Option<String>,
+    /// [`ClusterConfig::from_env`] over any list of `(name, value)` pairs,
+    /// so the table can be exercised without touching the process
+    /// environment. Names outside `DISKS_*` are ignored.
+    pub fn from_vars(
+        vars: impl IntoIterator<Item = (String, String)>,
     ) -> Result<ClusterConfig, ConfigError> {
+        // Sorted, so the unknown name reported is the same on every run.
+        let vars: BTreeMap<String, String> =
+            vars.into_iter().filter(|(name, _)| name.starts_with("DISKS_")).collect();
+        let known = || ["DISKS_LAYOUT"].into_iter().chain(KNOBS.iter().map(|k| k.var));
+        if let Some((name, value)) = vars.iter().find(|(name, _)| known().all(|k| k != *name)) {
+            return Err(ConfigError {
+                var: name.clone(),
+                value: value.clone(),
+                expected: format!(
+                    "a variable this build reads ({})",
+                    known().collect::<Vec<_>>().join(", ")
+                ),
+            });
+        }
+        let lookup = |var: &str| vars.get(var).cloned();
         let layout = LayoutMode::parse(lookup("DISKS_LAYOUT").as_deref());
         let mut config = ClusterConfig {
             machines: None,
@@ -336,13 +350,12 @@ impl ClusterConfig {
             hedge: HedgeMode::Off,
             hedge_ms: 50,
             quarantine: false,
-            worker_threads: 1,
         };
         for knob in KNOBS {
             let Some(value) = lookup(knob.var) else { continue };
             if (knob.set)(&mut config, value.trim()).is_none() {
                 return Err(ConfigError {
-                    var: knob.var,
+                    var: knob.var.to_string(),
                     value,
                     expected: knob.expected.to_string(),
                 });
@@ -359,7 +372,7 @@ impl ClusterConfig {
                 .find(|var| lookup(var).is_some())
                 .expect("the default heartbeat pair is valid");
             return Err(ConfigError {
-                var,
+                var: var.to_string(),
                 value: lookup(var).unwrap_or_default(),
                 expected: e.to_string(),
             });
@@ -373,7 +386,6 @@ impl ClusterConfig {
     pub(super) fn normalised(mut self) -> (ClusterConfig, Option<FaultPlan>) {
         self.max_attempts = self.max_attempts.max(1);
         self.queue_capacity = self.queue_capacity.max(1);
-        self.worker_threads = self.worker_threads.max(1);
         self.hedge_ms = self.hedge_ms.max(1);
         let faults = self.faults.take();
         (self, faults)
@@ -398,9 +410,7 @@ mod tests {
     use super::*;
 
     fn with(vars: &[(&str, &str)]) -> Result<ClusterConfig, ConfigError> {
-        ClusterConfig::from_lookup(|var| {
-            vars.iter().find(|(k, _)| *k == var).map(|(_, v)| v.to_string())
-        })
+        ClusterConfig::from_vars(vars.iter().map(|(k, v)| (k.to_string(), v.to_string())))
     }
 
     #[test]
@@ -411,7 +421,7 @@ mod tests {
         assert_eq!(c.batch_window_ms, Duration::from_millis(2));
         assert_eq!((c.cost_limit, c.brownout), (0, 0.75));
         assert_eq!(c.retry_backoff, Duration::from_millis(2));
-        assert_eq!((c.replicas, c.cache_heat, c.worker_threads), (0, 0, 1));
+        assert_eq!((c.replicas, c.cache_heat), (0, 0));
         assert_eq!((c.hedge, c.quarantine), (HedgeMode::Off, false));
         assert_eq!(c.transport, TransportKind::Channel);
         assert_eq!(c.heartbeat.interval, Duration::from_millis(100));
@@ -432,14 +442,13 @@ mod tests {
                 ("DISKS_CACHE_HEAT", off),
                 ("DISKS_HEDGE", off),
                 ("DISKS_QUARANTINE", off),
-                ("DISKS_WORKER_THREADS", off),
             ])
             .unwrap();
             assert_eq!((c.coverage_cache_bytes, c.batch_window, c.batch_adaptive), (0, 1, false));
             assert_eq!(c.batch_window_ms, Duration::MAX);
             assert_eq!((c.cost_limit, c.brownout), (0, f64::INFINITY));
             assert_eq!(c.retry_backoff, Duration::ZERO);
-            assert_eq!((c.replicas, c.cache_heat, c.worker_threads), (0, 0, 1));
+            assert_eq!((c.replicas, c.cache_heat), (0, 0));
             assert_eq!((c.hedge, c.quarantine), (HedgeMode::Off, false));
         }
         let c = with(&[
@@ -456,7 +465,6 @@ mod tests {
             ("DISKS_CACHE_HEAT", "5"),
             ("DISKS_HEDGE", "adaptive"),
             ("DISKS_QUARANTINE", "1"),
-            ("DISKS_WORKER_THREADS", "4"),
         ])
         .unwrap();
         assert_eq!((c.coverage_cache_bytes, c.batch_window, c.batch_adaptive), (4096, 8, false));
@@ -466,7 +474,7 @@ mod tests {
         assert_eq!(c.transport, TransportKind::Tcp);
         assert_eq!(c.heartbeat.interval, Duration::from_millis(20));
         assert_eq!(c.heartbeat.read_timeout, Duration::from_millis(300));
-        assert_eq!((c.replicas, c.cache_heat, c.worker_threads), (1, 5, 4));
+        assert_eq!((c.replicas, c.cache_heat), (1, 5));
         assert_eq!((c.hedge, c.quarantine), (HedgeMode::Adaptive, true));
 
         // `adaptive` keeps the window as the controller's seed.
@@ -491,7 +499,7 @@ mod tests {
         for knob in KNOBS {
             for bad in ["garbage", "", "-1", "5e6"] {
                 let err = with(&[(knob.var, bad)]).expect_err(knob.var);
-                assert_eq!((err.var, err.value.as_str()), (knob.var, bad));
+                assert_eq!((err.var.as_str(), err.value.as_str()), (knob.var, bad));
                 assert_eq!(err.expected, knob.expected);
                 assert!(err.to_string().starts_with(knob.var), "{err}");
             }
@@ -502,13 +510,29 @@ mod tests {
     }
 
     #[test]
+    fn a_disks_variable_outside_the_table_is_an_error_naming_it() {
+        // A knob this build does not have (never had, or had and removed),
+        // and a misspelt one.
+        for (name, value) in [("DISKS_THREADS", "4"), ("DISKS_HEGDE", "adaptive")] {
+            let err = with(&[("DISKS_BATCH", "8"), (name, value)]).expect_err(name);
+            assert_eq!((err.var.as_str(), err.value.as_str()), (name, value));
+            assert!(err.to_string().starts_with(name), "{err}");
+            for known in KNOBS.iter().map(|k| k.var).chain(["DISKS_LAYOUT"]) {
+                assert!(err.expected.contains(known), "{err}");
+            }
+        }
+        // Other programs' variables are none of this table's business.
+        assert!(with(&[("PATH", "/bin"), ("DISK_BATCH", "x"), ("disks_batch", "x")]).is_ok());
+    }
+
+    #[test]
     fn heartbeat_pair_is_validated_together() {
         // The error names a variable the operator set, never a default.
         let err = with(&[("DISKS_HEARTBEAT_MS", "2000")]).unwrap_err();
-        assert_eq!((err.var, err.value.as_str()), ("DISKS_HEARTBEAT_MS", "2000"));
+        assert_eq!((err.var.as_str(), err.value.as_str()), ("DISKS_HEARTBEAT_MS", "2000"));
         assert!(err.expected.contains("read timeout 1000ms must exceed"), "{err}");
         let err = with(&[("DISKS_TCP_READ_TIMEOUT_MS", "50")]).unwrap_err();
-        assert_eq!((err.var, err.value.as_str()), ("DISKS_TCP_READ_TIMEOUT_MS", "50"));
+        assert_eq!((err.var.as_str(), err.value.as_str()), ("DISKS_TCP_READ_TIMEOUT_MS", "50"));
         assert!(err.expected.contains("the keepalive interval 100ms"), "{err}");
         let both = [("DISKS_HEARTBEAT_MS", "300"), ("DISKS_TCP_READ_TIMEOUT_MS", "300")];
         assert_eq!(with(&both).unwrap_err().var, "DISKS_TCP_READ_TIMEOUT_MS");

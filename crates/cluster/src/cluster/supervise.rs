@@ -175,8 +175,7 @@ fn spawn_local_worker(
     worker_faults: WorkerFaults,
     resp_tx: &LinkSender,
 ) -> (Box<dyn Link>, JoinHandle<()>) {
-    let (cache_budget, cache_heat, threads) =
-        (config.coverage_cache_bytes, config.cache_heat, config.worker_threads);
+    let (cache_budget, cache_heat) = (config.coverage_cache_bytes, config.cache_heat);
     let spawn_thread = move |requests: Receiver<Bytes>, responses: LinkSender| {
         std::thread::Builder::new()
             .name(format!("disks-worker-{m}"))
@@ -189,7 +188,6 @@ fn spawn_local_worker(
                     worker_faults,
                     cache_budget,
                     cache_heat,
-                    threads,
                 )
             })
             .expect("spawn worker")

@@ -65,6 +65,8 @@
 //! `DISKS_RETRY_BACKOFF`), and respawned workers are pre-warmed with the
 //! hottest coverage slots before retry traffic reaches them.
 
+#![forbid(unsafe_code)]
+
 pub mod adaptive;
 pub mod cache;
 pub mod cluster;

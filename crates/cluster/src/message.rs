@@ -85,20 +85,6 @@ pub struct WireCost {
     /// the coordinator uses it to attribute compute to the machine that
     /// actually did the work rather than the primary it would have guessed.
     pub replica: u64,
-    /// Evaluator busy time (µs) attributed to this task: the summed
-    /// wall-clock of the coverage computations charged to it across however
-    /// many pool threads ran them. On the serial path this equals
-    /// `elapsed_micros`; with the pool it can exceed wall-clock (that gap —
-    /// busy vs elapsed — is the utilization signal). Timing, so values are
-    /// nondeterministic; the field is fixed-width so frame *bytes* are not.
-    pub busy_micros: u64,
-    /// Log₂-µs histogram of per-slot evaluation latencies for the slots
-    /// computed (not cache-served) for this task: bucket `i` counts slots
-    /// whose evaluation took `[2^i, 2^{i+1})` µs (bucket 0 includes sub-µs,
-    /// bucket 15 is open-ended). Populated by the worker pool; zero on the
-    /// serial path, which does not time individual slots. Lets the
-    /// coordinator attribute evaluation p99 to compute vs queueing.
-    pub eval_hist: [u32; EVAL_HIST_BUCKETS],
 }
 
 impl WireCost {
@@ -110,18 +96,6 @@ impl WireCost {
             evictions: self.cache_evictions,
             bypassed: self.cache_bypassed,
         }
-    }
-}
-
-/// Buckets in [`WireCost::eval_hist`].
-pub const EVAL_HIST_BUCKETS: usize = 16;
-
-/// The [`WireCost::eval_hist`] bucket for a per-slot evaluation latency.
-pub fn eval_hist_bucket(micros: u64) -> usize {
-    if micros == 0 {
-        0
-    } else {
-        (63 - micros.leading_zeros() as usize).min(EVAL_HIST_BUCKETS - 1)
     }
 }
 
@@ -140,8 +114,6 @@ impl From<&QueryCost> for WireCost {
             batch_shared: 0,
             cache_bypassed: 0,
             replica: 0,
-            busy_micros: c.elapsed.as_micros() as u64,
-            eval_hist: [0; EVAL_HIST_BUCKETS],
         }
     }
 }
@@ -236,10 +208,10 @@ fn decode_answers<T>(
     Ok(out)
 }
 
-/// Encoded size of a [`WireCost`]: thirteen fixed-width `u64` fields plus
-/// the fixed-width evaluation-latency histogram. Fixed width keeps frame
-/// byte ledgers independent of the (nondeterministic) timing values.
-pub(crate) const WIRE_COST_LEN: u64 = 13 * 8 + EVAL_HIST_BUCKETS as u64 * 4;
+/// Encoded size of a [`WireCost`]: twelve fixed-width `u64` fields. Fixed
+/// width keeps frame byte ledgers independent of the (nondeterministic)
+/// timing values.
+pub(crate) const WIRE_COST_LEN: u64 = 12 * 8;
 
 /// Exact encoded size of a [`Response::Results`] frame whose id list
 /// encodes ([`encode_ids`]) to `id_bytes`: tag + query id + fragment + ids +
@@ -399,10 +371,6 @@ impl Encode for WireCost {
         self.batch_shared.encode(buf);
         self.cache_bypassed.encode(buf);
         self.replica.encode(buf);
-        self.busy_micros.encode(buf);
-        for b in &self.eval_hist {
-            b.encode(buf);
-        }
     }
 }
 impl Decode for WireCost {
@@ -420,14 +388,6 @@ impl Decode for WireCost {
             batch_shared: u64::decode(buf)?,
             cache_bypassed: u64::decode(buf)?,
             replica: u64::decode(buf)?,
-            busy_micros: u64::decode(buf)?,
-            eval_hist: {
-                let mut hist = [0u32; EVAL_HIST_BUCKETS];
-                for b in &mut hist {
-                    *b = u32::decode(buf)?;
-                }
-                hist
-            },
         })
     }
 }
@@ -687,8 +647,6 @@ mod tests {
                 batch_shared: 10,
                 cache_bypassed: 11,
                 replica: 12,
-                busy_micros: 13,
-                eval_hist: std::array::from_fn(|i| 100 + i as u32),
             },
         };
         let frame = encode_frame(&resp);

@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use crate::message::{WireCost, EVAL_HIST_BUCKETS};
+use crate::message::WireCost;
 use crate::transport::NetworkModel;
 
 /// Cost incurred by one machine for one query (summed over the fragments it
@@ -26,16 +26,6 @@ pub struct MachineCost {
     /// Coverage slots served from the intra-batch shared result map
     /// (0 outside batched dispatch; see `WireCost::batch_shared`).
     pub batch_shared: u64,
-    /// Evaluator-thread busy time (µs) this machine spent on the query —
-    /// commit-side elapsed plus any off-thread slot compute the query
-    /// consumed. Equals `compute` on sequential workers; under a parallel
-    /// pool `busy / compute` is the pool's utilization factor (> 1 means
-    /// slots genuinely overlapped). Timing plane: never part of parity.
-    pub busy_micros: u64,
-    /// Log₂-bucketed per-slot evaluation latencies (µs) for the slots this
-    /// machine computed off-thread (all zero on sequential workers; see
-    /// `eval_hist_bucket`).
-    pub eval_hist: [u32; EVAL_HIST_BUCKETS],
 }
 
 impl MachineCost {
@@ -49,10 +39,6 @@ impl MachineCost {
         self.results += results;
         self.response_bytes += bytes;
         self.batch_shared += cost.batch_shared;
-        self.busy_micros += cost.busy_micros;
-        for (bucket, n) in self.eval_hist.iter_mut().zip(cost.eval_hist) {
-            *bucket += n;
-        }
     }
 }
 
@@ -201,24 +187,6 @@ impl QueryStats {
     /// Aggregate settled nodes across machines.
     pub fn total_settled(&self) -> u64 {
         self.per_machine.iter().map(|m| m.settled).sum()
-    }
-
-    /// Aggregate evaluator busy time across machines (µs) — the numerator
-    /// of the worker-pool utilization fraction `busy / compute`.
-    pub fn total_busy_micros(&self) -> u64 {
-        self.per_machine.iter().map(|m| m.busy_micros).sum()
-    }
-
-    /// Aggregate per-slot evaluation-latency histogram across machines
-    /// (all zero on sequential workers).
-    pub fn total_eval_hist(&self) -> [u64; EVAL_HIST_BUCKETS] {
-        let mut out = [0u64; EVAL_HIST_BUCKETS];
-        for m in &self.per_machine {
-            for (total, n) in out.iter_mut().zip(m.eval_hist) {
-                *total += u64::from(n);
-            }
-        }
-        out
     }
 }
 

@@ -2,39 +2,30 @@
 //!
 //! A worker is an OS thread that owns the [`FragmentEngine`]s of the
 //! fragments assigned to it — and nothing else. Its only I/O is the request
-//! channel from the coordinator and the counted response link back. With
-//! `worker_threads = 1` (the default) tasks for the fragments a machine
-//! hosts are processed sequentially, modeling one CPU per machine (the
-//! paper's machines evaluate their fragment's task in a single process);
-//! with more threads an [`EvalPool`] fans the distinct coverage slots of a
-//! frame out across evaluator threads and a serial commit pass replays the
-//! results in the order the lazy plan driver asks for them, so every byte on
-//! the wire and every cache ledger mutation is identical to the serial
-//! worker (see `DESIGN.md` §6k).
+//! channel from the coordinator and the counted response link back. Tasks
+//! for the fragments a machine hosts are processed sequentially, one CPU per
+//! machine: the paper's machines evaluate their fragment's task in a single
+//! process, and the response is the slowest task (Theorem 5).
 //!
 //! Engine evaluation runs under `catch_unwind`, so a panicking task becomes
 //! a typed [`Response::Failed`] on the wire instead of a dead thread; a
 //! thread that does die (simulated crash) is detected and respawned by the
 //! coordinator.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::Receiver;
 
 use disks_core::bitset::BitSet;
 use disks_core::dfunc::{DTerm, Term};
 use disks_core::{BiLevelIndex, CoverageStore, FragmentEngine, QueryCost, QueryError, QueryPlan};
-use disks_roadnet::{DijkstraWorkspace, NodeId};
+use disks_roadnet::NodeId;
 
-use crate::cache::CoverageCache;
-use crate::message::{
-    decode_frame, encode_frame, eval_hist_bucket, BatchAnswer, Request, Response, WireCost,
-};
+use crate::cache::{CacheCounters, CoverageCache};
+use crate::message::{decode_frame, encode_frame, BatchAnswer, Request, Response, WireCost};
 use crate::transport::LinkSender;
 
 /// Injected lifecycle faults for one worker spawn (testing substrate; both
@@ -106,33 +97,6 @@ impl WorkerEngine {
         }
     }
 
-    /// [`Self::evaluate_plan_with_store`] with a table of already-computed
-    /// coverages — the serial commit half of the two-phase batch protocol.
-    /// With an empty table this *is* the serial path.
-    pub fn evaluate_plan_prefetched(
-        &mut self,
-        plan: &QueryPlan,
-        store: &mut dyn CoverageStore,
-        prefetched: &HashMap<(Term, u64), (Arc<BitSet>, QueryCost)>,
-    ) -> Result<(Vec<NodeId>, QueryCost), QueryError> {
-        match self {
-            WorkerEngine::Single(e) => e.evaluate_plan_prefetched(plan, store, prefetched),
-            WorkerEngine::BiLevel(b) => b.evaluate_plan_prefetched(plan, store, prefetched),
-        }
-    }
-
-    /// The concrete engine a plan with the given max radius evaluates on —
-    /// the §5.5 routing decision, read-only. Primary and secondary record
-    /// different per-slot costs, so a prefetched slot may only stand in for
-    /// a search on the engine that computed it: prefetch tables are keyed by
-    /// this engine's [`engine_key`].
-    fn routed_engine(&self, max_radius: u64) -> &FragmentEngine {
-        match self {
-            WorkerEngine::Single(e) => e,
-            WorkerEngine::BiLevel(b) => b.engine_for_ref(max_radius),
-        }
-    }
-
     /// Local top-k on the hosted fragment.
     pub fn topk_local(
         &mut self,
@@ -190,255 +154,58 @@ impl CoverageStore for BatchStore<'_> {
     }
 }
 
-/// One coverage slot queued for off-thread evaluation: the slot spec plus a
-/// raw pointer to the routed engine. The pointer is only dereferenced while
-/// the worker thread is blocked inside [`EvalPool::run_round`], which holds
-/// the engines borrowed; see the safety notes on [`EvalRound`].
-struct EvalJob {
-    term: Term,
-    radius: u64,
-    engine: *const FragmentEngine,
+/// What the worker reads off a task's store before and after the task, to
+/// report the difference in its [`WireCost`]: the LRU's running counters and
+/// the slots served from the batch-shared map so far.
+trait TaskStore: CoverageStore {
+    fn ledger(&self) -> (CacheCounters, u64);
 }
 
-/// One round of slot evaluations, shared read-only with every helper
-/// thread. Helpers claim jobs by atomically bumping `next` (work stealing
-/// without a queue), so an expensive slot never blocks the cheap ones
-/// behind it on one thread.
-struct EvalRound {
-    jobs: Vec<EvalJob>,
-    next: AtomicUsize,
-}
-
-// SAFETY: `EvalRound` crosses threads carrying `*const FragmentEngine`.
-// The pointers come from an immutable borrow of the worker's engines taken
-// by `EvalPool::prefetch`, and `run_round` does not return until every job
-// has been claimed and finished (all results received, or every helper's
-// result sender dropped — which a helper only does after its last claimed
-// job completes). The worker thread therefore cannot mutate an engine while
-// any helper still dereferences these pointers; a helper may briefly
-// outlive the round holding the `Arc<EvalRound>` itself, but after its last
-// send it only touches `next`, never the engines. `coverage_with` takes
-// `&self` — each helper brings its own `DijkstraWorkspace`, so concurrent
-// slot evaluations share the engine read-only.
-unsafe impl Send for EvalRound {}
-unsafe impl Sync for EvalRound {}
-
-/// Result of one evaluated job: `None` records a panic (or query error) —
-/// the slot is simply absent from the prefetched table, so the serial
-/// commit recomputes it in place and surfaces the identical failure at the
-/// identical point.
-struct EvalOutcome {
-    job: usize,
-    result: Option<(Arc<BitSet>, QueryCost)>,
-    micros: u64,
-}
-
-type RoundMsg = (Arc<EvalRound>, Sender<EvalOutcome>);
-
-/// Claim-and-evaluate loop shared by helpers and the worker thread itself.
-fn run_jobs(round: &EvalRound, results: &Sender<EvalOutcome>, ws: &mut DijkstraWorkspace) {
-    loop {
-        let i = round.next.fetch_add(1, Ordering::Relaxed);
-        let Some(job) = round.jobs.get(i) else { break };
-        // SAFETY: see `EvalRound` — the engine outlives the round and is
-        // only read.
-        let engine = unsafe { &*job.engine };
-        let start = Instant::now();
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            engine.coverage_with(ws, job.term, job.radius)
-        }));
-        let micros = start.elapsed().as_micros() as u64;
-        let result = match outcome {
-            Ok(Ok(pair)) => Some(pair),
-            // Typed query errors replay serially in commit (same error, same
-            // point in the frame) — dropping the early copy keeps one code
-            // path for failures.
-            Ok(Err(_)) => None,
-            Err(_) => {
-                // The panic may have left the workspace mid-search (entries
-                // still in its buckets); a fresh one re-arms lazily on first
-                // use.
-                *ws = DijkstraWorkspace::new(0);
-                None
-            }
-        };
-        let _ = results.send(EvalOutcome { job: i, result, micros });
+impl TaskStore for FragmentCacheStore<'_> {
+    fn ledger(&self) -> (CacheCounters, u64) {
+        (self.cache.counters(), 0)
     }
 }
 
-fn helper_loop(rounds: Receiver<RoundMsg>) {
-    let mut ws = DijkstraWorkspace::new(0);
-    while let Ok((round, results)) = rounds.recv() {
-        run_jobs(&round, &results, &mut ws);
+impl TaskStore for BatchStore<'_> {
+    fn ledger(&self) -> (CacheCounters, u64) {
+        (self.inner.cache.counters(), self.shared)
     }
 }
 
-/// A slot's computed coverage with its query-cost accounting — what one
-/// prefetch job produces and what the commit pass substitutes on a miss.
-type SlotCoverage = (Arc<BitSet>, QueryCost);
-
-/// Phase-1 output: per routed engine ([`engine_key`]), the coverages
-/// computed off the serial path (keyed by slot) and the wall-clock each
-/// took. Empty when the pool is serial or the frame has no uncached slots —
-/// the commit pass then *is* the classic serial worker.
-#[derive(Default)]
-struct Prefetched {
-    covs: HashMap<usize, HashMap<(Term, u64), SlotCoverage>>,
-    micros: HashMap<usize, HashMap<(Term, u64), u64>>,
-}
-
-/// Identity of a concrete engine for the length of one frame (its address:
-/// engines do not move while a frame is answered).
-fn engine_key(engine: &FragmentEngine) -> usize {
-    engine as *const FragmentEngine as usize
-}
-
-/// A worker's slot-evaluation pool: `threads - 1` long-lived helper threads
-/// plus the worker thread itself, which participates in every round. With
-/// `threads <= 1` no helpers are spawned and every request takes the
-/// literal serial path. Helpers die with the pool (channel disconnect), so
-/// a crashed-and-respawned worker never leaks evaluator threads.
-pub struct EvalPool {
-    helpers: Vec<Sender<RoundMsg>>,
-    ws: DijkstraWorkspace,
-}
-
-impl EvalPool {
-    pub fn new(machine_id: usize, threads: usize) -> EvalPool {
-        let mut helpers = Vec::new();
-        for h in 1..threads.max(1) {
-            let (tx, rx) = crossbeam::channel::unbounded();
-            let name = format!("disks-m{machine_id}-eval{h}");
-            std::thread::Builder::new()
-                .name(name)
-                .spawn(move || helper_loop(rx))
-                .expect("spawn evaluator thread");
-            helpers.push(tx);
+/// One plan on one hosted engine — the only way from a decoded frame to an
+/// answer. The evaluation runs under `catch_unwind`, so a panic (injected by
+/// `panic_now`, or genuine) becomes a typed [`QueryError::WorkerPanic`]; on
+/// success the wire cost carries the cache activity the task caused.
+fn evaluate_task(
+    machine_id: usize,
+    engine: &mut WorkerEngine,
+    plan: &QueryPlan,
+    store: &mut impl TaskStore,
+    panic_now: bool,
+) -> Result<(Vec<NodeId>, WireCost), QueryError> {
+    let (cache_before, shared_before) = store.ledger();
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+        if panic_now {
+            panic!("injected evaluation fault");
         }
-        EvalPool { helpers, ws: DijkstraWorkspace::new(0) }
-    }
-
-    fn parallel(&self) -> bool {
-        !self.helpers.is_empty()
-    }
-
-    /// Phase 1 of the two-phase protocol: walk the frame's queries in
-    /// commit order, collect each distinct slot of each routed engine at its
-    /// first non-skipped reference, skip slots the cache predicts as hits,
-    /// and evaluate the rest concurrently. This is speculation: the lazy
-    /// driver of the commit pass fetches a subset of a plan's slots that
-    /// depends on the coverages themselves, so the pool may search a slot
-    /// commit never asks for. What is known without searching is skipped —
-    /// a query whose plan has a zero-seed conjunct on this fragment fetches
-    /// nothing there. The returned table never changes what commit does —
-    /// only whether a given Dijkstra runs here (parallel) or there (serial
-    /// fallback for predicted hits evicted mid-frame and for slots whose
-    /// parallel evaluation panicked).
-    fn prefetch(
-        &mut self,
-        engines: &[WorkerEngine],
-        fragments: &[u32],
-        queries: &[QueryPlan],
-        presets: &[Option<QueryError>],
-        inject_panic: bool,
-        cache: &CoverageCache,
-    ) -> Prefetched {
-        if !self.parallel() {
-            return Prefetched::default();
+        engine.evaluate_plan_with_store(plan, store)
+    }));
+    match outcome {
+        Ok(Ok((nodes, cost))) => {
+            let (cache_after, shared_after) = store.ledger();
+            let delta = cache_after.since(&cache_before);
+            let mut wire = WireCost::from(&cost);
+            wire.cache_hits = delta.hits;
+            wire.cache_misses = delta.misses;
+            wire.cache_evictions = delta.evictions;
+            wire.cache_bypassed = delta.bypassed;
+            wire.batch_shared = shared_after - shared_before;
+            wire.replica = machine_id as u64;
+            Ok((nodes, wire))
         }
-        let mut jobs = Vec::new();
-        let mut owners: Vec<(usize, (Term, u64))> = Vec::new();
-        for (i, engine) in hosted_ref(engines, fragments) {
-            let fragment = engine.fragment().0;
-            let mut seen: HashSet<(usize, Term, u64)> = HashSet::new();
-            for (qi, qplan) in queries.iter().enumerate() {
-                if presets[qi].is_some() {
-                    continue; // NACKed in commit without evaluating
-                }
-                if inject_panic && i == 0 && qi == 0 {
-                    continue; // commit panics this query before any slot work
-                }
-                let routed = engine.routed_engine(qplan.max_radius());
-                if qplan.has_empty_conjunct(|s| routed.seed_count(s.term, s.radius)) {
-                    continue; // commit answers empty without a fetch
-                }
-                let key = engine_key(routed);
-                for slot in qplan.slots() {
-                    if !seen.insert((key, slot.term, slot.radius)) {
-                        continue; // later references share the first result
-                    }
-                    if cache.peek(fragment, slot.term, slot.radius) {
-                        continue; // predicted LRU hit: commit serves it
-                    }
-                    jobs.push(EvalJob {
-                        term: slot.term,
-                        radius: slot.radius,
-                        engine: routed as *const FragmentEngine,
-                    });
-                    owners.push((key, (slot.term, slot.radius)));
-                }
-            }
-        }
-        if jobs.is_empty() {
-            return Prefetched::default();
-        }
-        let results = self.run_round(jobs);
-        let mut out = Prefetched::default();
-        for ((engine, slot), outcome) in owners.into_iter().zip(results) {
-            if let Some((pair, micros)) = outcome {
-                out.covs.entry(engine).or_default().insert(slot, pair);
-                out.micros.entry(engine).or_default().insert(slot, micros);
-            }
-        }
-        out
-    }
-
-    /// Fan one round of jobs across the helpers and this thread; block
-    /// until every job is accounted for. Results come back indexed, so the
-    /// claim order (a scheduling artifact) never leaks into commit order.
-    fn run_round(&mut self, jobs: Vec<EvalJob>) -> Vec<Option<(SlotCoverage, u64)>> {
-        let n = jobs.len();
-        let round = Arc::new(EvalRound { jobs, next: AtomicUsize::new(0) });
-        let (tx, rx) = crossbeam::channel::unbounded();
-        for helper in &self.helpers {
-            // A dead helper (it would take a panic outside catch_unwind)
-            // just means fewer claimants; the round still completes.
-            let _ = helper.send((Arc::clone(&round), tx.clone()));
-        }
-        run_jobs(&round, &tx, &mut self.ws);
-        drop(tx);
-        let mut out: Vec<Option<(SlotCoverage, u64)>> = (0..n).map(|_| None).collect();
-        let mut got = 0;
-        while got < n {
-            // Disconnect before `n` results means a helper died mid-claim;
-            // its jobs stay `None` and fall back to serial recompute.
-            let Ok(o) = rx.recv() else { break };
-            out[o.job] = o.result.map(|pair| (pair, o.micros));
-            got += 1;
-        }
-        out
-    }
-}
-
-/// Fold the parallel-evaluation timing a query consumed into its wire cost:
-/// `busy_micros` accumulates off-thread compute on top of the commit-side
-/// elapsed time, and the latency histogram buckets each slot this query was
-/// first to reference. Timing-plane only — these fields are excluded from
-/// value parity, exactly like `elapsed_micros`.
-fn attribute_parallel(
-    wire: &mut WireCost,
-    cost: &QueryCost,
-    micros: Option<&HashMap<(Term, u64), u64>>,
-) {
-    let Some(per_slot) = micros else { return };
-    for sc in &cost.per_slot {
-        if sc.cached {
-            continue;
-        }
-        if let Some(&us) = per_slot.get(&(sc.term, sc.radius)) {
-            wire.busy_micros += us;
-            wire.eval_hist[eval_hist_bucket(us)] += 1;
-        }
+        Ok(Err(e)) => Err(e),
+        Err(payload) => Err(QueryError::WorkerPanic(panic_message(payload))),
     }
 }
 
@@ -448,7 +215,6 @@ fn attribute_parallel(
 /// re-dispatched (retried) tasks remain idempotent by construction; a
 /// respawned worker gets a fresh (cold) cache because the cache lives and
 /// dies with the thread.
-#[allow(clippy::too_many_arguments)]
 pub fn worker_loop(
     machine_id: usize,
     mut engines: Vec<WorkerEngine>,
@@ -457,10 +223,8 @@ pub fn worker_loop(
     faults: WorkerFaults,
     cache_budget: usize,
     cache_heat: u32,
-    threads: usize,
 ) {
     let mut cache = CoverageCache::with_heat(cache_budget, cache_heat);
-    let mut pool = EvalPool::new(machine_id, threads);
     // Slot directory for reference elision: global slot id → full spec,
     // taught by the full-spec entries of `BatchRef` frames. Separate from
     // the coverage cache (evicting a coverage only costs a recompute from
@@ -527,58 +291,20 @@ pub fn worker_loop(
                 }
             }
             Request::Evaluate { query_id, plan, fragments } => {
-                // Phase 1 (no-op at threads = 1): evaluate the plan's
-                // distinct uncached slots concurrently; the commit below
-                // takes the ones its lazy driver asks for, in its order,
-                // through the same store.
-                let prefetched = pool.prefetch(
-                    &engines,
-                    &fragments,
-                    std::slice::from_ref(&plan),
-                    &[None],
-                    inject_panic,
-                    &cache,
-                );
-                let empty = HashMap::new();
                 for (i, engine) in hosted(&mut engines, &fragments) {
                     let fragment = engine.fragment().0;
-                    let panic_now = inject_panic && i == 0;
-                    let cache_before = cache.counters();
-                    let routed = engine_key(engine.routed_engine(plan.max_radius()));
-                    let ready = prefetched.covs.get(&routed).unwrap_or(&empty);
-                    let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-                        if panic_now {
-                            panic!("injected evaluation fault");
-                        }
-                        let mut store = FragmentCacheStore { fragment, cache: &mut cache };
-                        engine.evaluate_plan_prefetched(&plan, &mut store, ready)
-                    }));
-                    let frame = match outcome {
-                        Ok(Ok((nodes, cost))) => {
-                            let delta = cache.counters().since(&cache_before);
-                            let mut wire = WireCost::from(&cost);
-                            wire.cache_hits = delta.hits;
-                            wire.cache_misses = delta.misses;
-                            wire.cache_evictions = delta.evictions;
-                            wire.cache_bypassed = delta.bypassed;
-                            wire.replica = machine_id as u64;
-                            attribute_parallel(&mut wire, &cost, prefetched.micros.get(&routed));
-                            encode_frame(&Response::Results {
-                                query_id,
-                                fragment,
-                                nodes,
-                                cost: wire,
-                            })
-                        }
-                        Ok(Err(e)) => {
-                            encode_frame(&Response::Failed { query_id, fragment, error: e })
-                        }
-                        Err(payload) => encode_frame(&Response::Failed {
-                            query_id,
-                            fragment,
-                            error: QueryError::WorkerPanic(panic_message(payload)),
-                        }),
-                    };
+                    let mut store = FragmentCacheStore { fragment, cache: &mut cache };
+                    let task = evaluate_task(
+                        machine_id,
+                        engine,
+                        &plan,
+                        &mut store,
+                        inject_panic && i == 0,
+                    );
+                    let frame = encode_frame(&match task {
+                        Ok((nodes, cost)) => Response::Results { query_id, fragment, nodes, cost },
+                        Err(error) => Response::Failed { query_id, fragment, error },
+                    });
                     if !responses.send(frame) {
                         return; // coordinator gone
                     }
@@ -617,7 +343,6 @@ pub fn worker_loop(
                     &presets,
                     inject_panic,
                     &mut cache,
-                    &mut pool,
                     &responses,
                 ) {
                     return;
@@ -647,7 +372,6 @@ pub fn worker_loop(
                     &presets,
                     inject_panic,
                     &mut cache,
-                    &mut pool,
                     &responses,
                 ) {
                     return;
@@ -660,11 +384,7 @@ pub fn worker_loop(
 /// Evaluate a batch of split per-query plans on every hosted fragment,
 /// sharing slots through a per-fragment [`BatchStore`]. `presets[qi]`, when
 /// set, short-circuits query `qi` to a typed failure without evaluating it
-/// (the `BatchRef` NACK path). With a parallel pool the frame's distinct
-/// uncached slots — across *all* hosted fragments — are evaluated
-/// concurrently first; the loop below is then the commit pass, running the
-/// unchanged serial protocol with each Dijkstra it asks for replaced by its
-/// prefetched result. Returns `false` when the coordinator is gone.
+/// (the `BatchRef` NACK path). Returns `false` when the coordinator is gone.
 #[allow(clippy::too_many_arguments)]
 fn answer_batch(
     machine_id: usize,
@@ -675,11 +395,8 @@ fn answer_batch(
     presets: &[Option<QueryError>],
     inject_panic: bool,
     cache: &mut CoverageCache,
-    pool: &mut EvalPool,
     responses: &LinkSender,
 ) -> bool {
-    let prefetched = pool.prefetch(engines, fragments, queries, presets, inject_panic, cache);
-    let empty = HashMap::new();
     for (i, engine) in hosted(engines, fragments) {
         let fragment = engine.fragment().0;
         let mut store = BatchStore {
@@ -694,33 +411,9 @@ fn answer_batch(
                 continue;
             }
             let panic_now = inject_panic && i == 0 && qi == 0;
-            let routed = engine_key(engine.routed_engine(qplan.max_radius()));
-            let ready = prefetched.covs.get(&routed).unwrap_or(&empty);
-            let cache_before = store.inner.cache.counters();
-            let shared_before = store.shared;
-            let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-                if panic_now {
-                    panic!("injected evaluation fault");
-                }
-                engine.evaluate_plan_prefetched(qplan, &mut store, ready)
-            }));
-            answers.push(match outcome {
-                Ok(Ok((nodes, cost))) => {
-                    let delta = store.inner.cache.counters().since(&cache_before);
-                    let mut wire = WireCost::from(&cost);
-                    wire.cache_hits = delta.hits;
-                    wire.cache_misses = delta.misses;
-                    wire.cache_evictions = delta.evictions;
-                    wire.cache_bypassed = delta.bypassed;
-                    wire.batch_shared = store.shared - shared_before;
-                    wire.replica = machine_id as u64;
-                    attribute_parallel(&mut wire, &cost, prefetched.micros.get(&routed));
-                    BatchAnswer::Results { nodes, cost: wire }
-                }
-                Ok(Err(e)) => BatchAnswer::Failed(e),
-                Err(payload) => {
-                    BatchAnswer::Failed(QueryError::WorkerPanic(panic_message(payload)))
-                }
+            answers.push(match evaluate_task(machine_id, engine, qplan, &mut store, panic_now) {
+                Ok((nodes, cost)) => BatchAnswer::Results { nodes, cost },
+                Err(e) => BatchAnswer::Failed(e),
             });
         }
         let frame = encode_frame(&Response::BatchResults { base, fragment, answers });
@@ -739,18 +432,6 @@ fn hosted<'a>(
 ) -> impl Iterator<Item = (usize, &'a mut WorkerEngine)> {
     engines
         .iter_mut()
-        .filter(move |e| fragments.is_empty() || fragments.contains(&e.fragment().0))
-        .enumerate()
-}
-
-/// Read-only twin of [`hosted`] for the prefetch pass — identical filter
-/// and enumeration, so hosted indices line up between the two phases.
-fn hosted_ref<'a>(
-    engines: &'a [WorkerEngine],
-    fragments: &'a [u32],
-) -> impl Iterator<Item = (usize, &'a WorkerEngine)> {
-    engines
-        .iter()
         .filter(move |e| fragments.is_empty() || fragments.contains(&e.fragment().0))
         .enumerate()
 }
@@ -779,7 +460,7 @@ mod tests {
         let (req_tx, req_rx) = unbounded();
         let (resp_tx, resp_rx, counters) = counted_link();
         let handle = std::thread::spawn(move || {
-            worker_loop(0, engines, req_rx, resp_tx, WorkerFaults::default(), 1 << 20, 0, 1)
+            worker_loop(0, engines, req_rx, resp_tx, WorkerFaults::default(), 1 << 20, 0)
         });
 
         let freqs = net.keyword_frequencies();
@@ -828,7 +509,7 @@ mod tests {
         let (req_tx, req_rx) = unbounded();
         let (resp_tx, resp_rx, _) = counted_link();
         let handle = std::thread::spawn(move || {
-            worker_loop(0, engines, req_rx, resp_tx, WorkerFaults::default(), 0, 0, 1)
+            worker_loop(0, engines, req_rx, resp_tx, WorkerFaults::default(), 0, 0)
         });
         let f = DFunction::single(Term::Keyword(KeywordId(0)), 1_000_000_000);
         let plan = QueryPlan::lower(&f);
@@ -860,7 +541,7 @@ mod tests {
         let (req_tx, req_rx) = unbounded();
         let (resp_tx, resp_rx, _) = counted_link();
         let handle = std::thread::spawn(move || {
-            worker_loop(0, engines, req_rx, resp_tx, WorkerFaults::default(), 1 << 20, 0, 1)
+            worker_loop(0, engines, req_rx, resp_tx, WorkerFaults::default(), 1 << 20, 0)
         });
         let freqs = net.keyword_frequencies();
         let top = KeywordId((0..freqs.len()).max_by_key(|&k| freqs[k]).unwrap() as u32);
@@ -905,7 +586,7 @@ mod tests {
         let (req_tx, req_rx) = unbounded();
         let (resp_tx, resp_rx, _) = counted_link();
         let handle = std::thread::spawn(move || {
-            worker_loop(0, engines, req_rx, resp_tx, WorkerFaults::default(), 1 << 20, 0, 1)
+            worker_loop(0, engines, req_rx, resp_tx, WorkerFaults::default(), 1 << 20, 0)
         });
         req_tx.send(Bytes::from_static(&[0xde, 0xad])).unwrap();
         // Worker survives; a valid shutdown still works.
@@ -933,7 +614,7 @@ mod tests {
         let (req_tx, req_rx) = unbounded();
         let (resp_tx, resp_rx, _) = counted_link();
         let handle = std::thread::spawn(move || {
-            worker_loop(0, engines, req_rx, resp_tx, faults, 1 << 20, 0, 1)
+            worker_loop(0, engines, req_rx, resp_tx, faults, 1 << 20, 0)
         });
         (req_tx, resp_rx, handle, net)
     }

@@ -167,16 +167,6 @@ impl BiLevelIndex {
         }
     }
 
-    /// Immutable-routing twin of [`Self::engine_for`], for read-only slot
-    /// evaluation (the worker pool shares the routed engine across threads).
-    pub fn engine_for_ref(&self, max_radius: u64) -> &FragmentEngine {
-        if max_radius <= self.max_r {
-            &self.primary
-        } else {
-            &self.secondary
-        }
-    }
-
     /// Evaluate a normalized plan, routing by its max radius and consulting
     /// `store` per coverage slot.
     pub fn evaluate_plan_with_cache(
@@ -185,20 +175,6 @@ impl BiLevelIndex {
         store: &mut dyn CoverageStore,
     ) -> Result<(Vec<NodeId>, QueryCost), QueryError> {
         self.engine_for(plan.max_radius()).evaluate_plan_with_cache(plan, store)
-    }
-
-    /// [`FragmentEngine::evaluate_plan_prefetched`] routed by max radius —
-    /// the commit half of the worker pool's two-phase batch protocol.
-    pub fn evaluate_plan_prefetched(
-        &mut self,
-        plan: &QueryPlan,
-        store: &mut dyn CoverageStore,
-        prefetched: &std::collections::HashMap<
-            (crate::dfunc::Term, u64),
-            (std::sync::Arc<crate::bitset::BitSet>, QueryCost),
-        >,
-    ) -> Result<(Vec<NodeId>, QueryCost), QueryError> {
-        self.engine_for(plan.max_radius()).evaluate_plan_prefetched(plan, store, prefetched)
     }
 }
 

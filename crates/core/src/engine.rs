@@ -409,13 +409,10 @@ impl FragmentEngine {
         out
     }
 
-    /// [`Self::coverage`] against a caller-owned workspace: the engine is
-    /// only *read*, so independent slots of a batch can be evaluated
-    /// concurrently from one shared engine, each thread bringing its own
-    /// [`DijkstraWorkspace`]. Identical result and cost accounting to
-    /// [`Self::coverage`] (which delegates here with the resident
-    /// workspace).
-    pub fn coverage_with(
+    /// [`Self::coverage`] against a workspace the caller took out of the
+    /// engine: the search mutates the workspace while reading the engine's
+    /// CSR, and the plan driver's closures hold `&self` meanwhile.
+    fn coverage_with(
         &self,
         ws: &mut DijkstraWorkspace,
         term: Term,
@@ -517,26 +514,6 @@ impl FragmentEngine {
         plan: &QueryPlan,
         store: &mut dyn CoverageStore,
     ) -> Result<(Vec<NodeId>, QueryCost), QueryError> {
-        self.evaluate_plan_prefetched(plan, store, &HashMap::new())
-    }
-
-    /// [`Self::evaluate_plan_with_cache`] with a table of already-computed
-    /// coverages (the commit half of the worker pool's two-phase protocol).
-    ///
-    /// For every store miss the slot is first looked up in `prefetched`;
-    /// present entries stand in for the Dijkstra the serial path would run
-    /// right here — same coverage, same recorded cost — and are offered to
-    /// `store` exactly as a fresh computation would be, so cache admissions,
-    /// evictions, and counters replay in serial order. Absent slots (a
-    /// predicted hit evicted mid-frame, or a slot whose parallel evaluation
-    /// panicked) fall back to the in-place serial computation; entries the
-    /// driver never asks for are ignored.
-    pub fn evaluate_plan_prefetched(
-        &mut self,
-        plan: &QueryPlan,
-        store: &mut dyn CoverageStore,
-        prefetched: &HashMap<(Term, u64), (Arc<BitSet>, QueryCost)>,
-    ) -> Result<(Vec<NodeId>, QueryCost), QueryError> {
         // Checked here as well as per search: a plan may never search.
         self.debug_assert_admitted(plan.max_radius());
         let start = std::time::Instant::now();
@@ -561,10 +538,7 @@ impl FragmentEngine {
                     });
                     return Ok(hit);
                 }
-                let (cov, cost) = match prefetched.get(&(slot.term, slot.radius)) {
-                    Some((cov, cost)) => (Arc::clone(cov), cost.clone()),
-                    None => self.coverage_with(&mut ws, slot.term, slot.radius)?,
-                };
+                let (cov, cost) = self.coverage_with(&mut ws, slot.term, slot.radius)?;
                 store.store(slot, &cov);
                 total.absorb(&cost);
                 Ok(cov)

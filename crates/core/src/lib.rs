@@ -24,6 +24,8 @@
 //! * [`bilevel`] — the §5.5 bi-level index that routes queries with
 //!   `r > maxR` to an unbounded secondary index.
 
+#![forbid(unsafe_code)]
+
 pub mod bilevel;
 pub mod bitset;
 pub mod coverage;

@@ -190,13 +190,6 @@ impl QueryPlan {
         Some((first, prefix.iter().copied().chain(pos).chain(neg).collect()))
     }
 
-    /// Whether the result is empty before anything is fetched: some conjunct
-    /// after the last `∪` starts from no seed. `seeds` as in
-    /// [`Self::evaluate_lazy`].
-    pub fn has_empty_conjunct(&self, seeds: impl Fn(&DTerm) -> usize) -> bool {
-        self.lazy_order(seeds).is_none()
-    }
-
     /// Evaluate the program, fetching a slot's coverage only when the
     /// accumulator still depends on it.
     ///

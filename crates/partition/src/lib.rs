@@ -17,6 +17,8 @@
 //! the edge cut, and balance statistics consumed by the load-balance
 //! analysis (Theorem 6).
 
+#![forbid(unsafe_code)]
+
 pub mod bfs;
 pub mod fragment;
 pub mod grid;

@@ -18,6 +18,8 @@
 //! are strictly positive `u32`s, so sums over paths of any realistic length
 //! cannot overflow.
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod digraph;
 pub mod dijkstra;

@@ -22,8 +22,27 @@ use disks::cluster::{Cluster, ClusterConfig, RemoteWorkerCommand};
 use disks::core::{build_all_indexes, IndexConfig};
 use disks::workload;
 
+/// Every flag takes one value.
+const FLAGS: &[&str] = &[
+    "--mode",
+    "--worker",
+    "--machines",
+    "--fragments",
+    "--seed",
+    "--query-seed",
+    "--queries",
+    "--cache",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(unknown) = args.iter().step_by(2).find(|a| !FLAGS.contains(&a.as_str())) {
+        eprintln!(
+            "disks-coordinator: unknown flag '{unknown}' (expected one of {})",
+            FLAGS.join(" ")
+        );
+        exit(2);
+    }
     let get = |flag: &str| -> Option<String> {
         args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
     };
@@ -38,17 +57,10 @@ fn main() {
         eprintln!("{e}");
         exit(2);
     });
-    let threads: usize =
-        get("--threads").and_then(|v| v.parse().ok()).unwrap_or(env.worker_threads).max(1);
 
     let net = workload::grid_net(seed);
     let p = workload::partition(&net, fragments);
-    let config = ClusterConfig {
-        machines: Some(machines),
-        coverage_cache_bytes: cache,
-        worker_threads: threads,
-        ..env
-    };
+    let config = ClusterConfig { machines: Some(machines), coverage_cache_bytes: cache, ..env };
 
     let cluster = match mode.as_str() {
         "tcp" => {
@@ -80,8 +92,6 @@ fn main() {
                         &seed.to_string(),
                         "--cache",
                         &cache.to_string(),
-                        "--threads",
-                        &threads.to_string(),
                     ]
                     .iter()
                     .map(|s| s.to_string())

@@ -3,7 +3,6 @@
 //! ```text
 //! disks-worker --connect 127.0.0.1:PORT --machine M --machines N \
 //!              --fragments K --seed S [--cache BYTES] [--cache-heat N]
-//!              [--threads T]
 //! ```
 //!
 //! The worker rebuilds its machine's fragment engines deterministically
@@ -23,13 +22,21 @@ use disks::cluster::worker::worker_loop;
 use disks::cluster::{tcp_worker_endpoint, ClusterConfig, LinkCounters, LinkSender, WorkerFaults};
 use disks::workload;
 
+/// Every flag takes one value.
+const FLAGS: &[&str] =
+    &["--connect", "--machine", "--machines", "--fragments", "--seed", "--cache", "--cache-heat"];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(unknown) = args.iter().step_by(2).find(|a| !FLAGS.contains(&a.as_str())) {
+        eprintln!("disks-worker: unknown flag '{unknown}' (expected one of {})", FLAGS.join(" "));
+        exit(2);
+    }
     let get = |flag: &str| -> Option<String> {
         args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
     };
     let Some(addr) = get("--connect") else {
-        eprintln!("usage: disks-worker --connect ADDR --machine M --machines N --fragments K --seed S [--cache BYTES] [--cache-heat N] [--threads T]");
+        eprintln!("usage: disks-worker --connect ADDR --machine M --machines N --fragments K --seed S [--cache BYTES] [--cache-heat N]");
         exit(2);
     };
     let machine: usize = get("--machine").and_then(|v| v.parse().ok()).unwrap_or(0);
@@ -43,12 +50,10 @@ fn main() {
         eprintln!("disks-worker {machine}: {e}");
         exit(2);
     });
-    // Heat-admission threshold and evaluator threads: flag first, then
-    // DISKS_CACHE_HEAT / DISKS_LAYOUT and DISKS_WORKER_THREADS.
+    // Heat-admission threshold: flag first, then DISKS_CACHE_HEAT /
+    // DISKS_LAYOUT.
     let cache_heat: u32 =
         get("--cache-heat").and_then(|v| v.parse().ok()).unwrap_or(env.cache_heat);
-    let threads: usize =
-        get("--threads").and_then(|v| v.parse().ok()).unwrap_or(env.worker_threads).max(1);
 
     let net = workload::grid_net(seed);
     let p = workload::partition(&net, fragments);
@@ -90,6 +95,5 @@ fn main() {
         WorkerFaults::default(),
         cache,
         cache_heat,
-        threads,
     );
 }

@@ -47,6 +47,8 @@
 //! cluster.shutdown();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod demo;
 pub mod workload;
 

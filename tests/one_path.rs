@@ -1,4 +1,4 @@
-//! One request path: a single query is a stream of one. Under three
+//! One request path: a single query is a stream of one. Under four
 //! configurations written out in full (so no `DISKS_*` lane changes what is
 //! tested), the same 53 queries asked one `Cluster::run` at a time and then
 //! as one `Cluster::run_stream` equal the centralized oracle both ways, no
@@ -8,6 +8,8 @@
 //! than slots × fragments for them. A second test asks one dense query (a
 //! frequent keyword at a radius that covers most of a larger network): its
 //! answer costs fewer worker→coordinator bytes than its raw 4-byte ids would.
+//! A third starts both binaries with a knob this build no longer has, as a
+//! flag and as a `DISKS_*` variable: each refuses it by name.
 
 use std::time::Duration;
 
@@ -50,7 +52,6 @@ fn shipped() -> ClusterConfig {
         hedge: HedgeMode::Off,
         hedge_ms: 50,
         quarantine: false,
-        worker_threads: 1,
     }
 }
 
@@ -117,11 +118,15 @@ fn assert_ledger_closes(cluster: &Cluster, what: &str) {
     );
 }
 
-/// The three configurations both tests run under.
-fn configs() -> [(&'static str, ClusterConfig); 3] {
+/// The four configurations both tests run under.
+fn configs() -> [(&'static str, ClusterConfig); 4] {
     [
         ("shipped defaults", shipped()),
         ("adaptive windows", ClusterConfig { batch_adaptive: true, ..shipped() }),
+        (
+            "adaptive windows over TCP",
+            ClusterConfig { batch_adaptive: true, transport: TransportKind::Tcp, ..shipped() },
+        ),
         (
             "replica + hedging + mid-stream kill",
             ClusterConfig {
@@ -211,5 +216,33 @@ fn a_dense_answer_ships_fewer_bytes_than_its_raw_ids() {
             );
         }
         cluster.shutdown();
+    }
+}
+
+/// A removed or misspelt knob is refused by name, never run as its default:
+/// `--threads` selected an evaluator pool that no longer exists, and no
+/// `DISKS_*` variable outside the config table is read as anything. (Both
+/// binaries read the environment before the worker dials or the coordinator
+/// builds anything.)
+#[test]
+fn a_knob_this_build_does_not_have_is_refused_by_name() {
+    let binaries = [
+        (env!("CARGO_BIN_EXE_disks-worker"), ["--connect", "127.0.0.1:9"]),
+        (env!("CARGO_BIN_EXE_disks-coordinator"), ["--mode", "local"]),
+    ];
+    for (binary, valid) in binaries {
+        let refused = |flags: &[&str], var: Option<(&str, &str)>, name: &str| {
+            let out = std::process::Command::new(binary)
+                .args(valid)
+                .args(flags)
+                .envs(var)
+                .output()
+                .expect("spawn");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{binary} {flags:?} {var:?}: {stderr}");
+            assert!(stderr.contains(name), "{binary} {flags:?} {var:?}: {stderr}");
+        };
+        refused(&["--threads", "4"], None, "--threads");
+        refused(&[], Some(("DISKS_THREADS", "4")), "DISKS_THREADS");
     }
 }
