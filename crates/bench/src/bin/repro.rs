@@ -5,8 +5,8 @@
 //! repro [--scale paper|bench|smoke] [--exp <id>[,<id>...]] [--out DIR]
 //!
 //! ids: tab1 tab2 tab3 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15
-//!      fig16 fig17 comm ablation throughput overload transport replication
-//!      layout hedging topk all (default: all)
+//!      fig16 fig17 comm ablation overload transport replication layout
+//!      hedging topk all (default: all)
 //! ```
 //!
 //! Results are printed and written under `--out` (default `results/`) as
@@ -119,7 +119,6 @@ fn main() {
         "fig17",
         "comm",
         "ablation",
-        "throughput",
         "overload",
         "transport",
         "replication",
@@ -230,62 +229,6 @@ fn main() {
             emit("ablation_kw_aggregation_aus", exp::ablation_keyword_aggregation(ds, &params));
         }
     }
-    if wants("throughput") {
-        if let Some(ds) = &aus {
-            let (table, summary) = exp::throughput(ds, &params);
-            emit("throughput_aus", table);
-            let path = std::path::Path::new(&args.out).join("BENCH_throughput.json");
-            if let Err(e) = std::fs::create_dir_all(&args.out)
-                .and_then(|()| std::fs::write(&path, summary.to_json()))
-            {
-                eprintln!("failed to save BENCH_throughput.json: {e}");
-            } else {
-                println!("[json] {} ({} machine points)", path.display(), summary.points.len());
-            }
-            // Batched dispatch headline: uncached pipelined speedup from
-            // cross-query super-plans (window 16) over the unbatched path.
-            for p in &summary.points {
-                if p.qps_uncached > 0.0 {
-                    println!(
-                        "[batch] machines={}: {:.0} -> {:.0} q/s uncached, {:.2}x speedup",
-                        p.machines,
-                        p.qps_uncached,
-                        p.qps_batched,
-                        p.qps_batched / p.qps_uncached
-                    );
-                }
-                // Adaptive streaming dispatch vs the best fixed window
-                // (w=64): throughput ratio and the dispatch-byte savings
-                // from slot-reference elision in steady state.
-                if let Some(w64) = p.batch_sweep.iter().find(|b| b.window == 64) {
-                    let a = &p.adaptive;
-                    if w64.qps > 0.0 && w64.c2w_bytes_per_query > 0.0 {
-                        println!(
-                            "[adaptive] machines={}: {:.0} q/s ({:.2}x of w=64), \
-                             c2w {:.0} -> {:.0} B/query ({:.0}% saved), p99 {}us, nacks={}",
-                            p.machines,
-                            a.qps,
-                            a.qps / w64.qps,
-                            w64.c2w_bytes_per_query,
-                            a.c2w_bytes_per_query,
-                            (1.0 - a.c2w_bytes_per_query / w64.c2w_bytes_per_query) * 100.0,
-                            a.p99_micros,
-                            a.slot_nacks
-                        );
-                    }
-                }
-                // Health-plane recovery over this point's clusters (only
-                // nonzero under DISKS_HEDGE / DISKS_QUARANTINE lanes).
-                if p.reroutes + p.hedges + p.quarantines > 0 {
-                    println!(
-                        "[recovery] machines={}: reroutes={}, hedges={} (wins {}), quarantines={}",
-                        p.machines, p.reroutes, p.hedges, p.hedge_wins, p.quarantines
-                    );
-                }
-            }
-            println!();
-        }
-    }
     if wants("overload") {
         if let Some(ds) = &aus {
             let (table, summary) = exp::overload(ds, &params);
@@ -354,14 +297,9 @@ fn main() {
                 println!("[json] {} ({} points)", path.display(), summary.points.len());
             }
             // Socket-cost headline: TCP throughput as a fraction of the
-            // in-process channel links, per dispatch mode.
-            for mode in ["window16", "adaptive"] {
-                if let Some(ratio) = summary.tcp_ratio(mode) {
-                    println!(
-                        "[transport] {mode}: tcp at {:.0}% of channel throughput",
-                        ratio * 100.0
-                    );
-                }
+            // in-process channel links.
+            if let Some(ratio) = summary.tcp_ratio() {
+                println!("[transport] tcp at {:.0}% of channel throughput", ratio * 100.0);
             }
             println!();
         }

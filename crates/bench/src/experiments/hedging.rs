@@ -184,7 +184,6 @@ fn build(
             deadline: Duration::from_secs(5),
             coverage_cache_bytes: 0,
             batch_window: 1,
-            batch_adaptive: false,
             replicas: 1,
             faults,
             hedge,

@@ -39,7 +39,7 @@
 //! Theorem 6 unbalance factor over the best pass, max/min machine work
 //! in the same deterministic counters (the timer-based
 //! [`Cluster::unbalance_factor`] reads the same ratio cluster-lifetime,
-//! which the throughput and overload experiments report).
+//! which the overload experiment reports).
 //!
 //! [`experiments`]: crate::experiments
 //!

@@ -3,10 +3,10 @@
 //!
 //! The `Link` seam makes the transport invisible to the protocol, so the
 //! same pipelined SGKQ batch is pushed through a channel-linked and a
-//! TCP-linked cluster at the fixed headline batch window (16) and under
-//! adaptive streaming dispatch. Byte and frame ledgers are transport-
-//! invariant (framing prefixes and keepalives are never counted), so
-//! `bytes_per_query` doubles as a cross-transport consistency check while
+//! TCP-linked cluster at the shipped batch window (16). Byte and frame
+//! ledgers are transport-invariant (framing prefixes and keepalives are
+//! never counted), so `bytes_per_query` doubles as a cross-transport
+//! consistency check while
 //! qps/p50/p99 expose the socket's real cost: syscalls, copies, and the
 //! pump threads' handoffs. Besides the [`Table`], the experiment returns a
 //! [`TransportSummary`] that `repro` serializes to
@@ -21,20 +21,19 @@ use crate::params::Params;
 use crate::queries::QueryGenerator;
 use crate::report::Table;
 
-/// The fixed batch window the non-adaptive rows are measured at — the same
-/// headline window the throughput experiment reports.
+/// The batch window every row is measured at — the shipped default.
 const WINDOW: usize = 16;
 
 /// Measured pipelined batches per point; the best-throughput one is kept
 /// (the experiment compares transports, not host scheduling).
 const MEASURED_REPS: usize = 3;
 
-/// One transport × dispatch-mode measurement.
+/// One transport's measurement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransportPoint {
     /// "channel" or "tcp".
     pub transport: String,
-    /// "window16" or "adaptive".
+    /// The dispatch window, as "window16".
     pub mode: String,
     pub qps: f64,
     /// Per-query service latency percentiles over the measured batch (µs).
@@ -57,10 +56,10 @@ pub struct TransportSummary {
 }
 
 impl TransportSummary {
-    /// The TCP/channel throughput ratio for one mode, if both rows exist.
-    pub fn tcp_ratio(&self, mode: &str) -> Option<f64> {
-        let chan = self.points.iter().find(|p| p.transport == "channel" && p.mode == mode)?;
-        let tcp = self.points.iter().find(|p| p.transport == "tcp" && p.mode == mode)?;
+    /// The TCP/channel throughput ratio, if both rows exist.
+    pub fn tcp_ratio(&self) -> Option<f64> {
+        let chan = self.points.iter().find(|p| p.transport == "channel")?;
+        let tcp = self.points.iter().find(|p| p.transport == "tcp")?;
         (chan.qps > 0.0).then(|| tcp.qps / chan.qps)
     }
 
@@ -97,7 +96,6 @@ fn build(
     indexes: Vec<NpdIndex>,
     machines: usize,
     transport: TransportKind,
-    adaptive: bool,
 ) -> Cluster {
     Cluster::build(
         &ds.net,
@@ -108,12 +106,6 @@ fn build(
             network: NetworkModel::instant(),
             coverage_cache_bytes: 0,
             batch_window: WINDOW,
-            batch_adaptive: adaptive,
-            // Non-binding guards, as in the throughput sweep: closed-loop
-            // batches backlog every query at dispatch, so a binding target
-            // would measure the guard instead of the transport.
-            batch_window_ms: std::time::Duration::from_millis(100),
-            batch_p99_target: std::time::Duration::from_secs(30),
             transport,
             ..ClusterConfig::default()
         },
@@ -135,10 +127,9 @@ fn measure_point(
     indexes: &[NpdIndex],
     machines: usize,
     transport: TransportKind,
-    adaptive: bool,
     fs: &[DFunction],
 ) -> TransportPoint {
-    let cluster = build(ds, partitioning, indexes.to_vec(), machines, transport, adaptive);
+    let cluster = build(ds, partitioning, indexes.to_vec(), machines, transport);
     let _ = cluster.run_batched(fs).expect("warmup batch");
     let mut best: Option<(f64, u64, u64, u64, u64)> = None;
     for _ in 0..MEASURED_REPS {
@@ -164,7 +155,7 @@ fn measure_point(
             TransportKind::Channel => "channel".into(),
             TransportKind::Tcp => "tcp".into(),
         },
-        mode: if adaptive { "adaptive".into() } else { format!("window{WINDOW}") },
+        mode: format!("window{WINDOW}"),
         qps,
         p50_micros,
         p99_micros,
@@ -173,7 +164,7 @@ fn measure_point(
     }
 }
 
-/// Channel vs TCP on the same pipelined batch, fixed window and adaptive.
+/// Channel vs TCP on the same pipelined batch.
 pub fn transport(ds: &Dataset, params: &Params) -> (Table, TransportSummary) {
     let e = ds.net.avg_edge_weight();
     let max_r = params.max_r(e);
@@ -211,20 +202,18 @@ pub fn transport(ds: &Dataset, params: &Params) -> (Table, TransportSummary) {
             "c2w B/query".into(),
         ],
     );
-    for adaptive in [false, true] {
-        for transport in [TransportKind::Channel, TransportKind::Tcp] {
-            let p = measure_point(ds, &partitioning, &indexes, machines, transport, adaptive, &fs);
-            t.push(vec![
-                p.transport.clone(),
-                p.mode.clone(),
-                format!("{:.0}", p.qps),
-                format!("{}us", p.p50_micros),
-                format!("{}us", p.p99_micros),
-                format!("{:.0}", p.bytes_per_query),
-                format!("{:.0}", p.c2w_bytes_per_query),
-            ]);
-            summary.points.push(p);
-        }
+    for transport in [TransportKind::Channel, TransportKind::Tcp] {
+        let p = measure_point(ds, &partitioning, &indexes, machines, transport, &fs);
+        t.push(vec![
+            p.transport.clone(),
+            p.mode.clone(),
+            format!("{:.0}", p.qps),
+            format!("{}us", p.p50_micros),
+            format!("{}us", p.p99_micros),
+            format!("{:.0}", p.bytes_per_query),
+            format!("{:.0}", p.c2w_bytes_per_query),
+        ]);
+        summary.points.push(p);
     }
     (t, summary)
 }
@@ -240,24 +229,22 @@ mod tests {
         let params =
             Params { num_fragments: 4, queries_per_point: 2, num_keywords: 3, ..Params::default() };
         let (t, summary) = transport(&ds, &params);
-        assert_eq!(t.rows.len(), 4);
-        assert_eq!(summary.points.len(), 4);
+        assert_eq!(t.rows.len(), 2);
+        assert_eq!(summary.points.len(), 2);
         for p in &summary.points {
             assert!(p.qps > 0.0, "{p:?}");
             assert!(p.p50_micros <= p.p99_micros, "{p:?}");
             assert!(p.bytes_per_query > 0.0, "{p:?}");
         }
-        // The protocol ledger is transport-invariant: at the fixed window,
-        // channel and TCP ship byte-identical dispatches and responses.
-        let fixed: Vec<_> = summary.points.iter().filter(|p| p.mode == "window16").collect();
-        assert_eq!(fixed.len(), 2);
+        // The protocol ledger is transport-invariant: channel and TCP ship
+        // byte-identical dispatches and responses.
+        let fixed = &summary.points;
         assert_eq!(fixed[0].bytes_per_query, fixed[1].bytes_per_query, "ledger parity");
         assert_eq!(fixed[0].c2w_bytes_per_query, fixed[1].c2w_bytes_per_query);
-        assert!(summary.tcp_ratio("window16").is_some());
-        assert!(summary.tcp_ratio("adaptive").is_some());
+        assert!(summary.tcp_ratio().is_some());
         let json = summary.to_json();
         assert!(json.contains("\"transport\": \"tcp\""));
-        assert!(json.contains("\"mode\": \"adaptive\""));
+        assert!(json.contains("\"mode\": \"window16\""));
         assert!(json.contains("\"bytes_per_query\""));
         assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'));
     }

@@ -47,26 +47,8 @@ pub struct ClusterConfig {
     /// Cross-query batching window: up to this many admitted plans of a
     /// stream are merged into one [`disks_core::SuperPlan`] per worker per
     /// round. `0` or `1` disables batching (one `Evaluate` frame per query
-    /// per worker). Under [`ClusterConfig::batch_adaptive`] this is the
-    /// *initial* window. Env: `DISKS_BATCH`.
+    /// per worker). Env: `DISKS_BATCH`.
     pub batch_window: usize,
-    /// Latency-aware adaptive batching: the window size is chosen per batch
-    /// by an AIMD [`crate::WindowController`] seeded with `batch_window`,
-    /// growing while a backlog waits and per-query p99 stays under
-    /// [`ClusterConfig::batch_p99_target`], halving when it degrades.
-    /// Adaptive windows also ship slot-reference–elided `BatchRef` frames
-    /// to workers whose slot directory is believed warm. Env:
-    /// `DISKS_BATCH=adaptive`.
-    pub batch_adaptive: bool,
-    /// Time bound on an open adaptive window: ingress closes a window when
-    /// it reaches the controller-chosen size *or* this much time has
-    /// elapsed since it opened, whichever comes first — a latency floor for
-    /// sparse streams (`Duration::MAX` = size-only closing). Ignored under
-    /// fixed windows. Env: `DISKS_BATCH_WINDOW_MS`.
-    pub batch_window_ms: Duration,
-    /// Per-query p99 service-latency target (window dispatch → last
-    /// fragment response) the adaptive controller steers toward.
-    pub batch_p99_target: Duration,
     /// Per-worker in-flight estimated-cost budget ([`disks_core::CostParams`]
     /// units) for cost-model admission; `0` disables overload control
     /// entirely. Queries whose cost cannot fit are shed with
@@ -198,23 +180,8 @@ const KNOBS: &[Knob] = &[
     },
     Knob {
         var: "DISKS_BATCH",
-        expected: "a window size, 0/1/off/false to disable batching, or adaptive",
-        set: |c, v| {
-            if v.eq_ignore_ascii_case("adaptive") {
-                c.batch_adaptive = true;
-                return Some(());
-            }
-            count(v).map(|n: usize| c.batch_window = n.max(1))
-        },
-    },
-    Knob {
-        var: "DISKS_BATCH_WINDOW_MS",
-        expected: "milliseconds, or 0/off/false for size-only window closing",
-        set: |c, v| {
-            count(v).map(|ms| {
-                c.batch_window_ms = if ms == 0 { Duration::MAX } else { Duration::from_millis(ms) }
-            })
-        },
+        expected: "a window size, or 0/1/off/false to disable batching",
+        set: |c, v| count(v).map(|n: usize| c.batch_window = n.max(1)),
     },
     Knob {
         var: "DISKS_COST_LIMIT",
@@ -286,8 +253,7 @@ impl ClusterConfig {
     /// defaults, overridden by whichever `DISKS_*` variables are set.
     ///
     /// With every variable unset: 64 MiB coverage cache, fixed batching
-    /// windows of 16 (2 ms time bound and 50 ms p99 target once adaptive),
-    /// no cost limit (brownout at 0.75 once there is one), 2 ms retry
+    /// windows of 16, no cost limit (brownout at 0.75 once there is one), 2 ms retry
     /// backoff, channel transport, 100 ms / 1 s heartbeat, no replicas,
     /// plain-LRU cache admission (`cache_heat` 3 under
     /// `DISKS_LAYOUT=workload`), hedging and quarantine off (50 ms hedge
@@ -335,9 +301,6 @@ impl ClusterConfig {
             faults: None,
             coverage_cache_bytes: 64 << 20,
             batch_window: 16,
-            batch_adaptive: false,
-            batch_window_ms: Duration::from_millis(2),
-            batch_p99_target: Duration::from_micros(50_000),
             cost_limit: 0,
             brownout: 0.75,
             retry_backoff: Duration::from_millis(2),
@@ -385,6 +348,7 @@ impl ClusterConfig {
     /// keeps for its lifetime.
     pub(super) fn normalised(mut self) -> (ClusterConfig, Option<FaultPlan>) {
         self.max_attempts = self.max_attempts.max(1);
+        self.batch_window = self.batch_window.max(1);
         self.queue_capacity = self.queue_capacity.max(1);
         self.hedge_ms = self.hedge_ms.max(1);
         let faults = self.faults.take();
@@ -417,8 +381,7 @@ mod tests {
     fn empty_lookup_is_the_shipped_defaults() {
         let c = with(&[]).unwrap();
         assert_eq!(c.coverage_cache_bytes, 64 << 20);
-        assert_eq!((c.batch_window, c.batch_adaptive), (16, false));
-        assert_eq!(c.batch_window_ms, Duration::from_millis(2));
+        assert_eq!(c.batch_window, 16);
         assert_eq!((c.cost_limit, c.brownout), (0, 0.75));
         assert_eq!(c.retry_backoff, Duration::from_millis(2));
         assert_eq!((c.replicas, c.cache_heat), (0, 0));
@@ -434,7 +397,6 @@ mod tests {
             let c = with(&[
                 ("DISKS_COVERAGE_CACHE", off),
                 ("DISKS_BATCH", off),
-                ("DISKS_BATCH_WINDOW_MS", off),
                 ("DISKS_COST_LIMIT", off),
                 ("DISKS_BROWNOUT", off),
                 ("DISKS_RETRY_BACKOFF", off),
@@ -444,8 +406,7 @@ mod tests {
                 ("DISKS_QUARANTINE", off),
             ])
             .unwrap();
-            assert_eq!((c.coverage_cache_bytes, c.batch_window, c.batch_adaptive), (0, 1, false));
-            assert_eq!(c.batch_window_ms, Duration::MAX);
+            assert_eq!((c.coverage_cache_bytes, c.batch_window), (0, 1));
             assert_eq!((c.cost_limit, c.brownout), (0, f64::INFINITY));
             assert_eq!(c.retry_backoff, Duration::ZERO);
             assert_eq!((c.replicas, c.cache_heat), (0, 0));
@@ -454,7 +415,6 @@ mod tests {
         let c = with(&[
             ("DISKS_COVERAGE_CACHE", " 4096 "),
             ("DISKS_BATCH", "8"),
-            ("DISKS_BATCH_WINDOW_MS", "1"),
             ("DISKS_COST_LIMIT", "5000000"),
             ("DISKS_BROWNOUT", "0.9"),
             ("DISKS_RETRY_BACKOFF", "3"),
@@ -467,8 +427,7 @@ mod tests {
             ("DISKS_QUARANTINE", "1"),
         ])
         .unwrap();
-        assert_eq!((c.coverage_cache_bytes, c.batch_window, c.batch_adaptive), (4096, 8, false));
-        assert_eq!(c.batch_window_ms, Duration::from_millis(1));
+        assert_eq!((c.coverage_cache_bytes, c.batch_window), (4096, 8));
         assert_eq!((c.cost_limit, c.brownout), (5_000_000, 0.9));
         assert_eq!(c.retry_backoff, Duration::from_millis(3));
         assert_eq!(c.transport, TransportKind::Tcp);
@@ -477,9 +436,6 @@ mod tests {
         assert_eq!((c.replicas, c.cache_heat), (1, 5));
         assert_eq!((c.hedge, c.quarantine), (HedgeMode::Adaptive, true));
 
-        // `adaptive` keeps the window as the controller's seed.
-        let c = with(&[("DISKS_BATCH", "Adaptive")]).unwrap();
-        assert_eq!((c.batch_window, c.batch_adaptive), (16, true));
         assert_eq!(
             with(&[("DISKS_TRANSPORT", "channel")]).unwrap().transport,
             TransportKind::Channel
@@ -504,9 +460,13 @@ mod tests {
                 assert!(err.to_string().starts_with(knob.var), "{err}");
             }
         }
-        // The two typos the lenient parsers used to swallow.
+        // The two typos the lenient parsers used to swallow, and a form an
+        // earlier build accepted.
         assert!(with(&[("DISKS_HEDGE", "adaptiv")]).is_err());
         assert!(with(&[("DISKS_HEDGE", "fixed")]).is_err());
+        let err = with(&[("DISKS_BATCH", "adaptive")]).unwrap_err();
+        assert_eq!(err.var, "DISKS_BATCH");
+        assert_eq!(err.expected, "a window size, or 0/1/off/false to disable batching");
     }
 
     #[test]

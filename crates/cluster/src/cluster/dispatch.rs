@@ -2,13 +2,20 @@
 //! groups, a group is charged, cut into windows, sent, gathered and
 //! released, and each member's [`QueryStats`] is read off its group. A
 //! single query is a stream of one — a group of one, a window of one.
+//!
+//! There is one windowing rule: a group is cut into
+//! [`ClusterConfig::batch_window`]-sized chunks in stream order and every
+//! chunk is dispatched before any response is gathered. A chunk of one
+//! ships as `Evaluate`, a larger one as one merged `Batch` per machine.
+//!
+//! [`ClusterConfig::batch_window`]: super::ClusterConfig::batch_window
 
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use disks_core::{QueryError, QueryPlan, SuperPlan};
 
-use super::gather::{GatherReport, GatherState};
+use super::gather::GatherReport;
 use super::route::Sent;
 use super::Cluster;
 use crate::cache::CacheCounters;
@@ -95,11 +102,6 @@ impl Cluster {
     /// stream is one group and the ladder is inert — exactly the
     /// pre-overload behavior.
     ///
-    /// Under adaptive windows a group of one (every [`Cluster::run`]) takes
-    /// the fixed branch: one slow lone query must not halve the window the
-    /// next stream starts with, move the hedge deadline's p99, or grow the
-    /// window trace by an entry per query.
-    ///
     /// `on_response` receives first-seen `Results` payloads keyed by the
     /// query's *original stream index*.
     pub(super) fn run_stream_core(
@@ -174,28 +176,10 @@ impl Cluster {
             };
             let mut slot_on_response =
                 |slot: usize, resp: Response, bytes: u64| on_response(members[slot], resp, bytes);
-            // A group of one has no window to size: it ships the same lone
-            // `Evaluate` either way and must not feed the controller.
-            if self.adaptive_enabled() && plans.len() > 1 {
-                self.run_group_adaptive(
-                    base,
-                    &plans,
-                    &costs,
-                    allow_partial,
-                    &make_request,
-                    &mut slot_on_response,
-                )
-            } else {
-                let sent = self.dispatch_plans(base, &plans, &costs);
-                let gathered = self.gather(
-                    base,
-                    plans.len(),
-                    allow_partial,
-                    &make_request,
-                    &mut slot_on_response,
-                );
-                (gathered, sent)
-            }
+            let sent = self.dispatch_plans(base, &plans, &costs);
+            let gathered =
+                self.gather(base, plans.len(), allow_partial, &make_request, &mut slot_on_response);
+            (gathered, sent)
         });
         groups.push(group);
     }
@@ -286,116 +270,25 @@ impl Cluster {
         .finalize(&self.config.network, request_bytes)
     }
 
-    /// Fixed-window dispatch of one admission group: every
-    /// `batch_window`-sized chunk ships as its own window before any
-    /// response is gathered, so workers process their queues concurrently.
+    /// Dispatch of one admission group: every `batch_window`-sized chunk
+    /// ships as its own window before any response is gathered, so workers
+    /// process their queues concurrently.
     fn dispatch_plans(&self, base: u64, plans: &[QueryPlan], costs: &[u64]) -> Sent {
-        let window = self.config.batch_window.max(1);
+        let window = self.config.batch_window;
         let mut sent = Sent::default();
         for (w, (chunk, chunk_costs)) in plans.chunks(window).zip(costs.chunks(window)).enumerate()
         {
-            sent.absorb(self.dispatch_window(
-                base + (w * window) as u64,
-                chunk,
-                chunk_costs,
-                false,
-            ));
+            sent.absorb(self.dispatch_window(base + (w * window) as u64, chunk, chunk_costs));
         }
         sent
     }
 
-    /// Adaptive streaming dispatch of one admission group: plans are
-    /// admitted into an *open* window, draining in-flight responses of
-    /// earlier windows between admissions; the window closes at the
-    /// controller-chosen size or after [`ClusterConfig::batch_window_ms`],
-    /// whichever comes first, is dispatched (reference-elided where the
-    /// target's slot directory is believed warm), and feeds the controller
-    /// its completed-query latencies. Answers are byte-identical to the
-    /// fixed-window path — only frame boundaries and slot encodings differ.
-    ///
-    /// [`ClusterConfig::batch_window_ms`]: super::ClusterConfig::batch_window_ms
-    fn run_group_adaptive(
-        &self,
-        base: u64,
-        plans: &[QueryPlan],
-        costs: &[u64],
-        allow_partial: bool,
-        make_request: &dyn Fn(usize, Vec<u32>) -> Request,
-        on_response: &mut dyn FnMut(usize, Response, u64),
-    ) -> (Result<GatherReport, QueryError>, Sent) {
-        let n = plans.len();
-        let mut gs = GatherState::new(self, n, allow_partial);
-        let mut sent = Sent::default();
-        let mut s = 0usize;
-        while s < n {
-            let target = self.controller.borrow().window().max(1);
-            let mut opened = Instant::now();
-            // A window never closes empty; past that, time-closed ingress:
-            // admit until the controller's size is reached or the window's
-            // time budget elapses, using the wait to overlap gathers.
-            let mut end = s + 1;
-            while end < n && end - s < target {
-                let drain_start = Instant::now();
-                if let Err(e) = self.gather_drain(base, &mut gs, make_request, on_response) {
-                    return (Err(e), sent);
-                }
-                // The time budget bounds how long early queries wait on
-                // *ingress* — time spent usefully draining earlier windows'
-                // responses doesn't count against it, or heavy gathers
-                // would shrink every window to the clock instead of the
-                // controller's choice.
-                opened += drain_start.elapsed();
-                if opened.elapsed() >= self.config.batch_window_ms {
-                    break;
-                }
-                end += 1;
-            }
-            sent.absorb(self.dispatch_window(
-                base + s as u64,
-                &plans[s..end],
-                &costs[s..end],
-                true,
-            ));
-            // Re-derive the adaptive hedge deadline per window so it tracks
-            // the controller's evolving p99 across the stream.
-            gs.hedge_after = self.hedge_after();
-            gs.activate(s, end);
-            let mut controller = self.controller.borrow_mut();
-            for (service, eval) in self.note_service_latencies(&mut gs) {
-                controller.observe(service, eval);
-            }
-            controller.on_window_closed(end - s, n - end);
-            drop(controller);
-            s = end;
-        }
-        let out = self.gather_finish(base, &mut gs, make_request, on_response);
-        let mut controller = self.controller.borrow_mut();
-        for (service, eval) in self.note_service_latencies(&mut gs) {
-            controller.observe(service, eval);
-        }
-        (out, sent)
-    }
-
-    /// Dispatch one closed window of admitted plans for queries
+    /// Dispatch one window of admitted plans for queries
     /// `window_base+1 ..= window_base+chunk.len()`: a lone plan ships as a
     /// plain `Evaluate`, ≥2 plans merge into one [`SuperPlan`] shipped as a
-    /// single `Batch` frame per machine. With `elide` (adaptive windows)
-    /// the super-plan ships **reference-elided** where it can: coverage
-    /// slots the machine's directory is believed to know are encoded as
-    /// compact slot ids (`ElidedSlot::Cached`, 5 bytes) instead of full
-    /// `DTerm` specs, and full-spec entries teach the directory for next
-    /// time. A machine whose directory turns out stale NACKs with
-    /// `QueryError::SlotUnknown`, repaired by full-spec narrowed retries —
-    /// see `gather_process_frame`.
-    fn dispatch_window(
-        &self,
-        window_base: u64,
-        chunk: &[QueryPlan],
-        costs: &[u64],
-        elide: bool,
-    ) -> Sent {
-        // The window's full-spec request; only its fragment list varies
-        // by target.
+    /// single `Batch` frame per machine.
+    fn dispatch_window(&self, window_base: u64, chunk: &[QueryPlan], costs: &[u64]) -> Sent {
+        // The window's request; only its fragment list varies by target.
         let mut request = if chunk.len() >= 2 {
             Request::Batch { base: window_base, plan: SuperPlan::merge(chunk), fragments: vec![] }
         } else {
@@ -405,27 +298,10 @@ impl Cluster {
                 fragments: vec![],
             }
         };
-        // A single-owner broadcast sends every machine the same full-spec
-        // bytes: encode them once.
+        // A single-owner broadcast sends every machine the same bytes:
+        // encode them once.
         let mut broadcast: Option<Bytes> = None;
-        self.send_routed(costs.iter().sum(), &mut |m, frags| {
-            if let (true, Request::Batch { plan, .. }) = (elide, &request) {
-                let mut believed = self.believed.borrow_mut();
-                // `None`: an over-wide plan (beyond the compact codec's
-                // u16/u8 ranges) falls back to full specs.
-                if let Some(elided) = plan.try_elide(&mut self.slot_ids.borrow_mut(), &believed[m])
-                {
-                    // Once this FIFO frame lands, every id in it is in
-                    // the worker's directory: full-spec entries teach
-                    // it, references were already believed known.
-                    believed[m].extend(elided.slot_ids());
-                    return encode_frame(&Request::BatchRef {
-                        base: window_base,
-                        plan: elided,
-                        fragments: frags,
-                    });
-                }
-            }
+        self.send_routed(costs.iter().sum(), &mut |frags| {
             if frags.is_empty() {
                 return broadcast.get_or_insert_with(|| encode_frame(&request)).clone();
             }

@@ -1,7 +1,8 @@
 //! The gather state machine: collect one response per `(slot, fragment)`,
 //! dedup, retry stalled or failed fragments with narrowed re-dispatches
 //! under backoff, hedge stragglers onto other replicas, and classify what
-//! arrives late.
+//! arrives late. A gather starts after every window of its group has been
+//! dispatched, so all of its slots are outstanding from the first frame.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -27,9 +28,6 @@ pub(super) struct GatherReport {
     pub(super) duplicate_responses: u64,
     pub(super) corrupt_frames: u64,
     pub(super) out_of_window_responses: u64,
-    /// `SlotUnknown` NACKs for elided frames, each repaired by a full-spec
-    /// narrowed retry (counted in `retries` too).
-    pub(super) slot_nacks: u32,
     /// Narrowed retries moved to a *different* replica of their fragment
     /// (replicated placements only; counted in `retries` too).
     pub(super) reroutes: u32,
@@ -47,41 +45,36 @@ pub(super) struct GatherReport {
     pub(super) retries_by_slot: Vec<u32>,
 }
 
-/// Resumable gather bookkeeping: which query slots are active (dispatched),
-/// which `(slot, fragment)` pairs answered, per-pair retry budgets, and
-/// per-slot dispatch/completion timing. The all-at-once [`Cluster::gather`]
-/// is a thin wrapper — activate every slot, then finish — while adaptive
-/// streaming dispatch activates window by window, draining in-flight
-/// responses between windows.
-pub(super) struct GatherState {
+/// Bookkeeping of one [`Cluster::gather`]: which `(slot, fragment)` pairs
+/// answered, per-pair retry budgets, and per-slot completion timing. Every
+/// slot is outstanding from construction — a group's windows are all
+/// dispatched before its gather starts.
+struct GatherState {
     n: usize,
     k: usize,
     allow_partial: bool,
-    /// Whether each query slot has been dispatched yet.
-    active: Vec<bool>,
     responded: Vec<Vec<bool>>,
     attempts: Vec<Vec<u32>>,
     report: GatherReport,
-    /// Outstanding responses among active slots.
+    /// Outstanding responses over all slots.
     missing: usize,
     missing_by_slot: Vec<usize>,
     /// Narrowed retries waiting out their backoff: (due, slot, fragments).
     pending_retries: Vec<(Instant, usize, Vec<u32>)>,
     stall_deadline: Instant,
-    dispatched_at: Vec<Option<Instant>>,
-    /// `(service, evaluation)` latency pairs of slots completed since the
-    /// last `take_latencies` — the window controller's feedback signal.
+    /// When the gather began, i.e. when the group's dispatch completed —
+    /// the start of every slot's service-latency clock.
+    dispatched_at: Instant,
+    /// `(service, evaluation)` latency pairs of completed slots, in µs.
     /// Service is dispatch → last fragment response; evaluation is the
-    /// worker-reported time of the slot's slowest fragment, so the
-    /// controller can separate queue wait from real work.
-    latencies: Vec<(Duration, Duration)>,
+    /// worker-reported time of the slot's slowest fragment.
+    latencies: Vec<(u64, u64)>,
     /// Per-slot maximum worker-reported evaluation time (µs) among the
     /// fragments answered so far.
     eval_micros: Vec<u64>,
     /// Deadline offset after which an outstanding slot is hedged (`None` =
-    /// hedging off or no replicas to hedge onto). Refreshed per adaptive
-    /// window so the adaptive deadline follows the evolving p99.
-    pub(super) hedge_after: Option<Duration>,
+    /// hedging off or no replicas to hedge onto).
+    hedge_after: Option<Duration>,
     /// Per-slot hedge deadline; cleared once the slot hedges (at most one
     /// hedge per slot) or is disarmed.
     hedge_at: Vec<Option<Instant>>,
@@ -91,54 +84,39 @@ pub(super) struct GatherState {
 }
 
 impl GatherState {
-    pub(super) fn new(cluster: &Cluster, n: usize, allow_partial: bool) -> GatherState {
+    /// All `n` slots outstanding on every fragment, their service-latency
+    /// clocks started and (when hedging is armed) their hedge deadlines set.
+    fn new(cluster: &Cluster, n: usize, allow_partial: bool) -> GatherState {
         let k = cluster.placement.num_fragments();
+        let now = Instant::now();
+        let hedge_after = cluster.hedge_after();
         GatherState {
             n,
             k,
             allow_partial,
-            active: vec![false; n],
             responded: vec![vec![false; k]; n],
             attempts: vec![vec![1u32; k]; n],
             report: GatherReport { retries_by_slot: vec![0; n], ..GatherReport::default() },
-            missing: 0,
-            missing_by_slot: vec![0; n],
+            missing: n * k,
+            missing_by_slot: vec![k; n],
             pending_retries: Vec::new(),
             // The deadline measures *silence*, not total time: any
             // in-window frame resets it, so a long streak of slow-but-live
             // responses is never mistaken for a stall.
-            stall_deadline: Instant::now() + cluster.config.deadline,
-            dispatched_at: vec![None; n],
+            stall_deadline: now + cluster.config.deadline,
+            dispatched_at: now,
             latencies: Vec::new(),
             eval_micros: vec![0; n],
-            hedge_after: cluster.hedge_after(),
-            hedge_at: vec![None; n],
+            hedge_after,
+            hedge_at: vec![hedge_after.map(|d| now + d); n],
             hedge_targets: HashMap::new(),
         }
     }
 
-    /// Mark slots `[from, to)` dispatched: their fragments join the
-    /// outstanding set, their service-latency clocks start, and (when
-    /// hedging is armed) their hedge deadlines are set.
-    pub(super) fn activate(&mut self, from: usize, to: usize) {
-        let now = Instant::now();
-        for slot in from..to {
-            debug_assert!(!self.active[slot], "slot activated twice");
-            self.active[slot] = true;
-            self.missing += self.k;
-            self.missing_by_slot[slot] = self.k;
-            self.dispatched_at[slot] = Some(now);
-            self.hedge_at[slot] = self.hedge_after.map(|d| now + d);
-        }
-    }
-
-    /// Earliest pending hedge deadline among active slots still missing
-    /// answers (`None` when hedging is off or nothing is armed).
+    /// Earliest pending hedge deadline among slots still missing answers
+    /// (`None` when hedging is off or nothing is armed).
     fn next_hedge_due(&self) -> Option<Instant> {
-        (0..self.n)
-            .filter(|&s| self.active[s] && self.missing_by_slot[s] > 0)
-            .filter_map(|s| self.hedge_at[s])
-            .min()
+        (0..self.n).filter(|&s| self.missing_by_slot[s] > 0).filter_map(|s| self.hedge_at[s]).min()
     }
 
     /// Record one answered `(slot, fragment)` pair, closing the slot's
@@ -147,16 +125,9 @@ impl GatherState {
         self.missing -= 1;
         self.missing_by_slot[slot] -= 1;
         if self.missing_by_slot[slot] == 0 {
-            if let Some(t0) = self.dispatched_at[slot] {
-                self.latencies.push((t0.elapsed(), Duration::from_micros(self.eval_micros[slot])));
-            }
+            let service = self.dispatched_at.elapsed().as_micros() as u64;
+            self.latencies.push((service, self.eval_micros[slot]));
         }
-    }
-
-    /// Drain the `(service, evaluation)` latency samples accumulated since
-    /// the last call.
-    fn take_latencies(&mut self) -> Vec<(Duration, Duration)> {
-        std::mem::take(&mut self.latencies)
     }
 }
 
@@ -211,57 +182,6 @@ impl Cluster {
         pending.push((Instant::now() + delay, slot, frags));
     }
 
-    /// The shared deadline-aware gather: collect one response per fragment
-    /// for each of the `n` queries `base+1 ..= base+n`, retrying stalled or
-    /// transiently failed fragments with narrowed re-dispatches.
-    ///
-    /// `allow_partial` is passed per gather (rather than read from the
-    /// config) because brownout degrades a group to partial semantics even
-    /// when the cluster default is strict.
-    ///
-    /// Retries are spaced by [`ClusterConfig::retry_backoff`]: instead of
-    /// re-dispatching immediately, each narrowed retry is scheduled
-    /// `base · 2^(retry−1)` (plus deterministic jitter) in the future, so a
-    /// struggling worker is not hammered by synchronized retry bursts.
-    ///
-    /// `on_response` receives each first-seen in-window `Results` /
-    /// `TopKResults` payload along with its query slot and frame size.
-    pub(super) fn gather(
-        &self,
-        base: u64,
-        n: usize,
-        allow_partial: bool,
-        make_request: &dyn Fn(usize, Vec<u32>) -> Request,
-        on_response: &mut dyn FnMut(usize, Response, u64),
-    ) -> Result<GatherReport, QueryError> {
-        let mut gs = GatherState::new(self, n, allow_partial);
-        gs.activate(0, n);
-        let out = self.gather_finish(base, &mut gs, make_request, on_response);
-        self.note_service_latencies(&mut gs);
-        out
-    }
-
-    /// Drain the gather state's completed-query service latencies into the
-    /// cluster's sample ring (for [`Cluster::take_service_latencies`]) and
-    /// return them — the adaptive path feeds the same values to the window
-    /// controller.
-    pub(super) fn note_service_latencies(&self, gs: &mut GatherState) -> Vec<(Duration, Duration)> {
-        let lats = gs.take_latencies();
-        let mut ring = self.service_lat.borrow_mut();
-        let mut evals = self.eval_lat.borrow_mut();
-        for (service, eval) in &lats {
-            if ring.len() == 4096 {
-                ring.pop_front();
-            }
-            ring.push_back(service.as_micros() as u64);
-            if evals.len() == 4096 {
-                evals.pop_front();
-            }
-            evals.push_back(eval.as_micros() as u64);
-        }
-        lats
-    }
-
     /// Flush scheduled retries whose backoff has elapsed, skipping
     /// fragments that answered while the retry waited.
     fn gather_flush_retries(
@@ -288,7 +208,7 @@ impl Cluster {
         }
     }
 
-    /// Fire overdue hedges: every active slot past its hedge deadline with
+    /// Fire overdue hedges: every slot past its hedge deadline with
     /// answers still missing gets its missing fragments speculatively
     /// re-dispatched — narrowed, through the same `make_request` shape a
     /// retry uses — to an alternate live, un-quarantined replica. At most
@@ -311,7 +231,7 @@ impl Cluster {
                 continue;
             }
             gs.hedge_at[slot] = None;
-            if !gs.active[slot] || gs.missing_by_slot[slot] == 0 {
+            if gs.missing_by_slot[slot] == 0 {
                 continue;
             }
             let mut groups: Vec<(usize, Vec<u32>)> = Vec::new();
@@ -363,27 +283,6 @@ impl Cluster {
         Ok(frame)
     }
 
-    /// Non-blocking drain: flush due retries, then process every response
-    /// frame already queued. The adaptive ingress calls this between
-    /// admissions to an open window so `SuperPlan::merge` and dispatch of
-    /// the next window overlap in-flight gathers instead of queueing
-    /// behind them.
-    pub(super) fn gather_drain(
-        &self,
-        base: u64,
-        gs: &mut GatherState,
-        make_request: &dyn Fn(usize, Vec<u32>) -> Request,
-        on_response: &mut dyn FnMut(usize, Response, u64),
-    ) -> Result<(), QueryError> {
-        self.gather_flush_retries(gs, make_request);
-        self.health_tick(&mut gs.report.respawned_workers);
-        self.gather_flush_hedges(gs, make_request);
-        while let Ok(frame) = self.try_recv_response() {
-            self.gather_process_frame(base, gs, frame, make_request, on_response)?;
-        }
-        Ok(())
-    }
-
     /// Process one response frame against the gather state: window and
     /// duplicate filtering, retry scheduling for retryable failures, and
     /// first-seen payload delivery. Returns only fatal (non-retryable,
@@ -431,10 +330,6 @@ impl Cluster {
             }
             let slot = (qid - base - 1) as usize;
             let f = fragment as usize;
-            if !gs.active[slot] {
-                gs.report.out_of_window_responses += 1;
-                continue;
-            }
             if gs.responded[slot][f] {
                 gs.report.duplicate_responses += 1;
                 continue;
@@ -442,19 +337,6 @@ impl Cluster {
             gs.stall_deadline = Instant::now() + self.config.deadline;
             match response {
                 Response::Failed { error, .. } => {
-                    if let QueryError::SlotUnknown { .. } = &error {
-                        // An elided reference outran the worker's directory
-                        // (typically a respawn wiped it): drop every belief
-                        // about that machine and fall back to full-spec
-                        // narrowed re-dispatches through the retry path.
-                        gs.report.slot_nacks += 1;
-                        // Any replica of the fragment may have served the
-                        // elided frame, so drop beliefs about all of them.
-                        let mut believed = self.believed.borrow_mut();
-                        for &m in self.placement.replicas_of(FragmentId(fragment)) {
-                            believed[m].clear();
-                        }
-                    }
                     if !error.is_retryable() {
                         return Err(error);
                     }
@@ -548,18 +430,33 @@ impl Cluster {
         }
     }
 
-    /// Blocking completion of a gather: collect one response per fragment
-    /// for every *active* slot, retrying stalled or transiently failed
-    /// fragments with narrowed re-dispatches, then drain stragglers. Folds
-    /// the report into the lifetime counters on success and failure alike.
-    pub(super) fn gather_finish(
+    /// The shared deadline-aware gather: collect one response per fragment
+    /// for each of the `n` queries `base+1 ..= base+n`, retrying stalled or
+    /// transiently failed fragments with narrowed re-dispatches.
+    ///
+    /// `allow_partial` is passed per gather (rather than read from the
+    /// config) because brownout degrades a group to partial semantics even
+    /// when the cluster default is strict.
+    ///
+    /// Retries are spaced by [`ClusterConfig::retry_backoff`]: instead of
+    /// re-dispatching immediately, each narrowed retry is scheduled
+    /// `base · 2^(retry−1)` (plus deterministic jitter) in the future, so a
+    /// struggling worker is not hammered by synchronized retry bursts.
+    ///
+    /// `on_response` receives each first-seen in-window `Results` /
+    /// `TopKResults` payload along with its query slot and frame size. The
+    /// report is folded into the lifetime counters on success and failure
+    /// alike.
+    pub(super) fn gather(
         &self,
         base: u64,
-        gs: &mut GatherState,
+        n: usize,
+        allow_partial: bool,
         make_request: &dyn Fn(usize, Vec<u32>) -> Request,
         on_response: &mut dyn FnMut(usize, Response, u64),
     ) -> Result<GatherReport, QueryError> {
-        let (n, k) = (gs.n, gs.k);
+        let gs = &mut GatherState::new(self, n, allow_partial);
+        let k = gs.k;
         let outcome = loop {
             if gs.missing == 0 {
                 // Drain stragglers (duplicated frames, late answers landing
@@ -601,8 +498,8 @@ impl Cluster {
             self.gather_flush_hedges(gs, make_request);
             // Fast path: drain already-queued frames without the
             // park/unpark round-trip `recv_timeout` pays even when a frame
-            // is ready (the machines=2 throughput cliff; see
-            // EXPERIMENTS.md).
+            // is ready (a futex round-trip per frame once two or more
+            // workers outpace the coordinator).
             let received = match self.try_recv_response() {
                 Ok(frame) => Ok(frame),
                 Err(TryRecvError::Disconnected) => Err(RecvTimeoutError::Disconnected),
@@ -638,9 +535,6 @@ impl Cluster {
                     let mut exhausted: Vec<u32> = Vec::new();
                     let mut retry_by_slot: Vec<Vec<u32>> = vec![Vec::new(); n];
                     for (slot, retries) in retry_by_slot.iter_mut().enumerate() {
-                        if !gs.active[slot] {
-                            continue;
-                        }
                         for f in 0..k {
                             if gs.responded[slot][f] {
                                 continue;
@@ -693,7 +587,26 @@ impl Cluster {
             }
         };
         self.note_recovery(&gs.report);
+        self.note_service_latencies(&gs.latencies);
         outcome.map(|()| std::mem::take(&mut gs.report))
+    }
+
+    /// Append a gather's completed-query latencies to the cluster's sample
+    /// rings: service time for [`Cluster::take_service_latencies`],
+    /// evaluation time for the hedge deadline.
+    fn note_service_latencies(&self, lats: &[(u64, u64)]) {
+        let mut ring = self.service_lat.borrow_mut();
+        let mut evals = self.eval_lat.borrow_mut();
+        for &(service, eval) in lats {
+            if ring.len() == 4096 {
+                ring.pop_front();
+            }
+            ring.push_back(service);
+            if evals.len() == 4096 {
+                evals.pop_front();
+            }
+            evals.push_back(eval);
+        }
     }
 
     /// Fold one gather's recovery events into the lifetime counters.
@@ -705,7 +618,6 @@ impl Cluster {
         c.duplicate_responses += report.duplicate_responses;
         c.corrupt_frames += report.corrupt_frames;
         c.out_of_window_responses += report.out_of_window_responses;
-        c.slot_nacks += report.slot_nacks as u64;
         c.reroutes += report.reroutes as u64;
         c.hedges += report.hedges as u64;
         c.hedge_wins += report.hedge_wins as u64;

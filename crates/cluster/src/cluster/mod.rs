@@ -4,9 +4,11 @@
 //! the [`disks_core::FragmentEngine`]s of its assigned fragments (built from
 //! the global network **once**, here — after that the global network is no
 //! longer consulted by any worker), plus a request channel and a counted
-//! response link. Queries fan out as one `Evaluate` frame per busy machine and gather
-//! one `Results` frame per hosted fragment; the final result is the union of
-//! per-fragment results (Lemma 1).
+//! response link. A stream is cut into `batch_window`-sized windows, all
+//! dispatched before any is gathered: a window of one fans out as one
+//! `Evaluate` frame per busy machine and gathers one `Results` frame per
+//! hosted fragment, a larger one as one `Batch` / `BatchResults` pair; the
+//! final result is the union of per-fragment results (Lemma 1).
 //!
 //! The `impl Cluster` is split by responsibility: `config` (the knob
 //! table), `supervise` (build / spawn / respawn / shutdown), `route`
@@ -39,7 +41,7 @@ mod route;
 mod supervise;
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -47,7 +49,7 @@ use bytes::Bytes;
 use crossbeam::channel::Receiver;
 use disks_core::{
     CostParams, DFunction, DTerm, DlScope, QClassQuery, QueryError, QueryPlan, RangeKeywordQuery,
-    SgkQuery, SlotIdTable, Term,
+    SgkQuery, Term,
 };
 use disks_roadnet::NodeId;
 
@@ -57,7 +59,6 @@ pub use self::supervise::RemoteWorkerCommand;
 
 use self::dispatch::Disposition;
 use self::supervise::{RespawnSpec, WorkerHandle};
-use crate::adaptive::WindowController;
 use crate::cache::CacheCounters;
 use crate::health::HealthBoard;
 use crate::heat::HeatSnapshot;
@@ -165,25 +166,13 @@ pub struct Cluster {
     /// single-level deployment, [`disks_roadnet::INF`] for unbounded or §5.5 bi-level
     /// deployments (whose secondary serves any radius).
     admission_max_r: u64,
-    /// The latency-aware window controller (adaptive mode only).
-    controller: RefCell<WindowController>,
-    /// Fragment-stable global slot ids, grown monotonically as slots are
-    /// first dispatched — the coordinator side of reference elision.
-    slot_ids: RefCell<SlotIdTable>,
-    /// Per-machine slot ids the coordinator believes the worker's directory
-    /// knows (taught by earlier `BatchRef` full-spec entries). Beliefs are
-    /// *not* cleared on respawn: staleness is repaired by the worker's
-    /// `SlotUnknown` NACK followed by a full-spec re-dispatch, so
-    /// correctness never depends on this view being fresh.
-    believed: RefCell<Vec<HashSet<u32>>>,
     /// Ring of recent per-query service latencies (µs, dispatch → last
-    /// fragment response) from grouped runs on either dispatch path —
-    /// drained by [`Cluster::take_service_latencies`] for benchmarking.
+    /// fragment response) — drained by [`Cluster::take_service_latencies`]
+    /// for benchmarking.
     service_lat: RefCell<VecDeque<u64>>,
     /// Ring of recent per-query *evaluation* latencies (µs, the
     /// worker-reported slowest fragment) — the adaptive hedge deadline's
-    /// fixed-window fallback signal. Kept separate from `service_lat`
-    /// deliberately: wire stalls inflate service latency (exactly the tail
+    /// signal. Kept separate from `service_lat` deliberately: wire stalls inflate service latency (exactly the tail
     /// hedging recovers), and feeding recovered tails back into the
     /// deadline would run it away from the very stall it must beat.
     eval_lat: RefCell<VecDeque<u64>>,
@@ -353,9 +342,7 @@ impl Cluster {
 
     /// Drain the recorded per-query service latencies (dispatch → last
     /// fragment response) of grouped runs since the last call, in
-    /// completion order. Recorded on the fixed-window and adaptive paths
-    /// alike, so benchmarks can compare tail latency across dispatch modes
-    /// on the same metric.
+    /// completion order.
     pub fn take_service_latencies(&self) -> Vec<Duration> {
         self.service_lat.borrow_mut().drain(..).map(Duration::from_micros).collect()
     }
@@ -366,18 +353,6 @@ impl Cluster {
     pub fn link_message_totals(&self) -> (u64, u64) {
         let c2w = self.workers.borrow().iter().map(|w| w.link.counters().messages()).sum();
         (c2w, self.from_workers.messages())
-    }
-
-    /// Whether adaptive streaming dispatch is active for grouped streams
-    /// ([`ClusterConfig::batch_adaptive`] with a batching window > 1).
-    pub fn adaptive_enabled(&self) -> bool {
-        self.config.batch_adaptive && self.config.batch_window > 1
-    }
-
-    /// The adaptive controller's window size after each closed window, in
-    /// close order (empty under fixed windows).
-    pub fn window_trace(&self) -> Vec<u32> {
-        self.controller.borrow().trace().to_vec()
     }
 
     /// Run a D-function distributedly: lower it to a [`QueryPlan`], admit
@@ -532,7 +507,7 @@ impl Cluster {
                 query: q.clone(),
                 fragments: frags,
             };
-            let sent = self.send_routed(cost, &mut |m, frags| encode_frame(&request(m, frags)));
+            let sent = self.send_routed(cost, &mut |frags| encode_frame(&request(0, frags)));
             let mut on_response = |_: usize, response: Response, bytes: u64| {
                 if let Response::TopKResults { fragment, ranked, cost, .. } = response {
                     let m = self.serving_machine(fragment, &cost);

@@ -40,26 +40,19 @@ impl Cluster {
 
     /// Deadline offset after which an outstanding slot is hedged, or `None`
     /// when hedging is off or the placement has no replicas to hedge onto:
-    /// [`HEDGE_P99_MULTIPLE`] × the observed evaluation p99 (window
-    /// controller first, the evaluation-latency ring as the fixed-window
-    /// fallback), floored at `hedge_ms` — the floor also covers the cold
-    /// start before any p99 exists. Both signals are *evaluation* time
-    /// (worker-reported compute), never end-to-end service time: a stalled
-    /// wire inflates service latency, and a deadline fed its own recovered
-    /// tails would run away past the stall it exists to beat.
+    /// [`HEDGE_P99_MULTIPLE`] × the p99 of the evaluation-latency ring,
+    /// floored at `hedge_ms` — the floor also covers the cold start before
+    /// any p99 exists. The signal is *evaluation* time (worker-reported
+    /// compute), never end-to-end service time: a stalled wire inflates
+    /// service latency, and a deadline fed its own recovered tails would
+    /// run away past the stall it exists to beat.
     pub(super) fn hedge_after(&self) -> Option<Duration> {
         if self.config.hedge == HedgeMode::Off || !self.placement.is_replicated() {
             return None;
         }
-        let p99 = self.controller.borrow().p99().or_else(|| {
-            let ring = self.eval_lat.borrow();
-            let mut v: Vec<u64> = ring.iter().copied().collect();
-            if v.is_empty() {
-                return None;
-            }
-            v.sort_unstable();
-            Some(Duration::from_micros(v[(v.len() - 1) * 99 / 100]))
-        });
+        let mut v: Vec<u64> = self.eval_lat.borrow().iter().copied().collect();
+        v.sort_unstable();
+        let p99 = v.get(v.len().saturating_sub(1) * 99 / 100).copied().map(Duration::from_micros);
         let adaptive = p99.map_or(Duration::ZERO, |p| p * HEDGE_P99_MULTIPLE);
         Some(adaptive.max(Duration::from_millis(self.config.hedge_ms)))
     }
@@ -174,7 +167,7 @@ impl Cluster {
     }
 
     /// The one initial-dispatch send loop. A single-owner placement
-    /// broadcasts: every busy machine gets `encode(m, [])` and evaluates
+    /// broadcasts: every busy machine gets `encode([])` and evaluates
     /// all the fragments it hosts. A replicated placement is routed, one
     /// routing decision of `window_cost` per call: each machine gets only
     /// its routed fragments (exactly one replica answers each task), so
@@ -185,7 +178,7 @@ impl Cluster {
     pub(super) fn send_routed(
         &self,
         window_cost: u64,
-        encode: &mut dyn FnMut(usize, Vec<u32>) -> Bytes,
+        encode: &mut dyn FnMut(Vec<u32>) -> Bytes,
     ) -> Sent {
         let targets: Vec<(usize, Vec<u32>)> = if self.placement.is_replicated() {
             self.route_fragments(window_cost);
@@ -195,7 +188,7 @@ impl Cluster {
         };
         let mut sent = Sent::default();
         for (m, frags) in targets {
-            let frame = encode(m, frags);
+            let frame = encode(frags);
             sent.largest_frame = sent.largest_frame.max(frame.len() as u64);
             self.send_to_worker(m, &frame, &mut sent.respawns);
             self.gauge.note_dispatch_frames(1);

@@ -2,7 +2,7 @@
 //! remote processes), detecting and respawning dead ones, and teardown.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -13,12 +13,11 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
-use disks_core::{CostParams, DlScope, FragmentEngine, NpdIndex, SlotIdTable};
+use disks_core::{CostParams, DlScope, FragmentEngine, NpdIndex};
 use disks_partition::{FragmentId, Partitioning};
 use disks_roadnet::{RoadNetwork, INF};
 
 use super::{AnswerGather, Cluster, ClusterConfig, PREWARM_TOP_K};
-use crate::adaptive::WindowController;
 use crate::cache::CacheCounters;
 use crate::framing;
 use crate::health::{HealthBoard, HealthConfig};
@@ -452,12 +451,6 @@ impl Cluster {
             is_object: spec.net.node_ids().map(|n| spec.net.is_object(n)).collect(),
             answer_gather: RefCell::new(AnswerGather::new(spec.net.num_nodes())),
             admission_max_r,
-            controller: RefCell::new(WindowController::new(
-                config.batch_window,
-                config.batch_p99_target,
-            )),
-            slot_ids: RefCell::new(SlotIdTable::new()),
-            believed: RefCell::new(vec![HashSet::new(); machines]),
             service_lat: RefCell::new(VecDeque::new()),
             eval_lat: RefCell::new(VecDeque::new()),
             cost_params: CostParams::from_network(&spec.net),

@@ -44,8 +44,8 @@ pub enum HedgeMode {
     Adaptive,
 }
 
-/// Adaptive hedge deadline = this multiple of the evaluation p99 tracked by
-/// the `WindowController` / service-latency ring.
+/// Adaptive hedge deadline = this multiple of the p99 of the cluster's
+/// evaluation-latency ring.
 pub const HEDGE_P99_MULTIPLE: u32 = 4;
 
 /// Graded machine health (replaces the binary `worker_is_dead`).

@@ -24,9 +24,10 @@ use disks_roadnet::{DecodeError, KeywordId, NodeId};
 /// Magic + version word opening every encoded snapshot ("DHS" + v1).
 const HEADER: u32 = 0x4448_5301;
 
-/// Sanity bound on the entry count: far above the coordinator's `HEAT_CAP`
-/// but low enough to reject garbage length prefixes before allocating.
-const MAX_ENTRIES: u32 = 1 << 24;
+/// Encoded size of one `(term, radius, count)` entry: a tagged `u32` term
+/// and two `u64`s. A declared count the remaining input cannot hold is
+/// rejected before anything is allocated for it.
+const ENTRY_BYTES: usize = 5 + 8 + 8;
 
 /// A point-in-time export of the slot-heat ledger: one `(term, radius,
 /// count)` triple per slot, hottest first (count descending, ties broken
@@ -65,14 +66,14 @@ impl HeatSnapshot {
         if header != HEADER {
             return Err(DecodeError::BadHeader { expected: HEADER, found: header });
         }
-        let n = u32::decode(&mut buf)?;
-        if n > MAX_ENTRIES {
+        let n = u32::decode(&mut buf)? as usize;
+        if n > buf.remaining() / ENTRY_BYTES {
             return Err(DecodeError::LengthOutOfRange {
                 context: "HeatSnapshot entries",
                 len: n as u64,
             });
         }
-        let mut entries = Vec::with_capacity(n as usize);
+        let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
             let term = Term::decode(&mut buf)?;
             let radius = u64::decode(&mut buf)?;
@@ -121,9 +122,14 @@ mod tests {
         let bytes = snap.encode_bytes();
         assert_eq!(HeatSnapshot::decode_bytes(&bytes).unwrap(), snap);
         assert_eq!(snap.total(), 24);
-        // Truncation → typed EOF, not a panic.
-        assert!(matches!(
+        // Truncation → the declared entries no longer fit: a typed error,
+        // not a panic; inside the header it is a typed EOF.
+        assert_eq!(
             HeatSnapshot::decode_bytes(&bytes[..bytes.len() - 3]),
+            Err(DecodeError::LengthOutOfRange { context: "HeatSnapshot entries", len: 3 })
+        );
+        assert!(matches!(
+            HeatSnapshot::decode_bytes(&bytes[..6]),
             Err(DecodeError::UnexpectedEof { .. })
         ));
         // Wrong magic word.
@@ -137,6 +143,14 @@ mod tests {
             HeatSnapshot::decode_bytes(&long),
             Err(DecodeError::LengthOutOfRange { .. })
         ));
+        // A count the input cannot hold is refused before it is allocated
+        // for: eight bytes must not reserve room for 2²⁴ entries.
+        let mut huge = bytes[..4].to_vec();
+        huge.extend_from_slice(&(1u32 << 24).to_le_bytes());
+        assert_eq!(
+            HeatSnapshot::decode_bytes(&huge),
+            Err(DecodeError::LengthOutOfRange { context: "HeatSnapshot entries", len: 1 << 24 })
+        );
     }
 
     #[test]

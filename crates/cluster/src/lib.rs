@@ -67,7 +67,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod adaptive;
 pub mod cache;
 pub mod cluster;
 pub mod framing;
@@ -80,7 +79,6 @@ pub mod stats;
 pub mod transport;
 pub mod worker;
 
-pub use adaptive::WindowController;
 pub use cache::{CacheCounters, CoverageCache};
 pub use cluster::{
     AnswerGather, Cluster, ClusterConfig, ConfigError, QueryOutcome, RemoteWorkerCommand,

@@ -3,10 +3,15 @@
 //! Messages are encoded with the hand-written binary codec so the byte
 //! counts reported in the communication experiments are exactly what a TCP
 //! implementation would put on the wire (minus transport framing).
+//!
+//! A plan's evaluation is asked for two ways — [`Request::Evaluate`] for one
+//! query, [`Request::Batch`] for a merged window — and either names every
+//! coverage slot by its full `(term, radius)` spec, so a frame means the same
+//! to a worker whatever it has or has not seen before.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use disks_core::{ElidedSuperPlan, QueryCost, QueryError, QueryPlan, Ranked, SuperPlan, TopKQuery};
+use disks_core::{QueryCost, QueryError, QueryPlan, Ranked, SuperPlan, TopKQuery};
 use disks_roadnet::codec::{decode_len, Decode, Encode};
 use disks_roadnet::{DecodeError, NodeId};
 
@@ -37,13 +42,6 @@ pub enum Request {
     /// herd of cache-cold misses). No response is produced. Same
     /// fragment-narrowing rule as `Evaluate`.
     Prewarm { slots: Vec<disks_core::DTerm>, fragments: Vec<u32> },
-    /// A [`Request::Batch`] with known-cached slots elided to compact slot
-    /// ids (same id ↔ spec binding for the cluster's lifetime). The worker
-    /// resolves references against its slot directory; queries touching an
-    /// unknown id are NACKed with [`QueryError::SlotUnknown`] and the
-    /// coordinator re-dispatches them full-spec, so correctness never
-    /// depends on the coordinator's cached-slot view being fresh.
-    BatchRef { base: u64, plan: ElidedSuperPlan, fragments: Vec<u32> },
     /// Terminate the worker loop.
     Shutdown,
     /// Health-plane liveness probe of a quarantined machine: the worker
@@ -419,12 +417,6 @@ impl Encode for Request {
                 slots.encode(buf);
                 fragments.encode(buf);
             }
-            Request::BatchRef { base, plan, fragments } => {
-                5u8.encode(buf);
-                base.encode(buf);
-                plan.encode(buf);
-                fragments.encode(buf);
-            }
             Request::Probe { nonce } => {
                 6u8.encode(buf);
                 nonce.encode(buf);
@@ -452,11 +444,8 @@ impl Decode for Request {
                 fragments: Vec::decode(buf)?,
             }),
             4 => Ok(Request::Prewarm { slots: Vec::decode(buf)?, fragments: Vec::decode(buf)? }),
-            5 => Ok(Request::BatchRef {
-                base: u64::decode(buf)?,
-                plan: ElidedSuperPlan::decode(buf)?,
-                fragments: Vec::decode(buf)?,
-            }),
+            // 5 is retired (an earlier build's reference-elided batch), not
+            // reused: such a frame is a typed error, never a misparse.
             6 => Ok(Request::Probe { nonce: u64::decode(buf)? }),
             tag => Err(DecodeError::BadTag { context: "Request", tag }),
         }
@@ -723,6 +712,11 @@ mod tests {
         let mut buf = BytesMut::new();
         buf.put_u8(250);
         assert!(decode_frame::<Response>(buf.freeze()).is_err());
+        // A retired tag stays unassigned.
+        assert_eq!(
+            decode_frame::<Request>(Bytes::from_static(&[5, 0, 0])),
+            Err(DecodeError::BadTag { context: "Request", tag: 5 })
+        );
     }
 
     #[test]
@@ -784,32 +778,6 @@ mod tests {
             })
             .sum();
         assert!(batched < single / 2, "batched {batched} vs unbatched {single}");
-    }
-
-    #[test]
-    fn batch_ref_round_trip_and_elided_frame_is_smaller() {
-        use disks_core::{SetOp, SlotIdTable};
-        use std::collections::HashSet;
-        let f = DFunction::single(Term::Keyword(KeywordId(0)), 5).then(
-            SetOp::Intersect,
-            Term::Keyword(KeywordId(1)),
-            5,
-        );
-        let plans = vec![QueryPlan::lower(&f); 4];
-        let sp = SuperPlan::merge(&plans);
-        let mut table = SlotIdTable::new();
-        let cold = sp.try_elide(&mut table, &HashSet::new()).unwrap();
-        let believed: HashSet<u32> = cold.slot_ids().collect();
-        let warm = sp.try_elide(&mut table, &believed).unwrap();
-        let req = Request::BatchRef { base: 100, plan: warm.clone(), fragments: vec![0, 3] };
-        let frame = encode_frame(&req);
-        assert_eq!(decode_frame::<Request>(frame).unwrap(), req);
-        // The warm reference frame beats the equivalent full-spec Batch frame.
-        let full_len =
-            encode_frame(&Request::Batch { base: 100, plan: sp, fragments: vec![0, 3] }).len();
-        let warm_len =
-            encode_frame(&Request::BatchRef { base: 100, plan: warm, fragments: vec![0, 3] }).len();
-        assert!(warm_len < full_len, "elided {warm_len} vs full {full_len}");
     }
 
     /// The id-list bytes of `nodes` alone.

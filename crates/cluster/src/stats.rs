@@ -132,10 +132,6 @@ pub struct RecoveryCounters {
     pub prewarm_frames: u64,
     /// Coverage slots shipped in those `Prewarm` frames.
     pub prewarmed_slots: u64,
-    /// `SlotUnknown` NACKs received for elided batch frames whose slot
-    /// references a (typically respawned) worker could not resolve; each is
-    /// repaired by a narrowed full-spec re-dispatch counted in `retries`.
-    pub slot_nacks: u64,
     /// Narrowed retries moved to a *different* replica of their fragment
     /// (replicated placements only — always 0 under `DISKS_REPLICAS=0`);
     /// each is counted in `retries` too.

@@ -5,7 +5,10 @@
 //! channel from the coordinator and the counted response link back. Tasks
 //! for the fragments a machine hosts are processed sequentially, one CPU per
 //! machine: the paper's machines evaluate their fragment's task in a single
-//! process, and the response is the slowest task (Theorem 5).
+//! process, and the response is the slowest task (Theorem 5). Besides its
+//! coverage cache a worker keeps nothing between requests: every frame
+//! carries the full specs of the slots it needs, so a respawned worker
+//! answers its first frame like any other.
 //!
 //! Engine evaluation runs under `catch_unwind`, so a panicking task becomes
 //! a typed [`Response::Failed`] on the wire instead of a dead thread; a
@@ -225,12 +228,6 @@ pub fn worker_loop(
     cache_heat: u32,
 ) {
     let mut cache = CoverageCache::with_heat(cache_budget, cache_heat);
-    // Slot directory for reference elision: global slot id → full spec,
-    // taught by the full-spec entries of `BatchRef` frames. Separate from
-    // the coverage cache (evicting a coverage only costs a recompute from
-    // the remembered spec, not a NACK) and, like the cache, it dies with
-    // the thread — a respawned worker NACKs stale references.
-    let mut directory: HashMap<u32, DTerm> = HashMap::new();
     let mut request_count: u64 = 0;
     while let Ok(frame) = requests.recv() {
         let request = match decode_frame::<Request>(frame) {
@@ -333,43 +330,12 @@ pub fn worker_loop(
                 // store below, so per-query results are bit-identical to the
                 // unbatched path while each distinct slot is resolved once.
                 let queries = plan.split();
-                let presets = vec![None; queries.len()];
                 if !answer_batch(
                     machine_id,
                     &mut engines,
                     &fragments,
                     base,
                     &queries,
-                    &presets,
-                    inject_panic,
-                    &mut cache,
-                    &responses,
-                ) {
-                    return;
-                }
-            }
-            Request::BatchRef { base, plan, fragments } => {
-                // Resolve slot references against the directory (full-spec
-                // entries teach it as a side effect). Queries touching an
-                // unknown id are NACKed typed — never evaluated against a
-                // placeholder — while the rest of the batch proceeds
-                // normally, bit-identical to a full-spec `Batch`.
-                let resolved = plan.resolve(&mut directory);
-                let queries = resolved.plan.split();
-                let presets: Vec<Option<QueryError>> = resolved
-                    .affected
-                    .iter()
-                    .map(|&hit| {
-                        hit.then(|| QueryError::SlotUnknown { ids: resolved.unknown.clone() })
-                    })
-                    .collect();
-                if !answer_batch(
-                    machine_id,
-                    &mut engines,
-                    &fragments,
-                    base,
-                    &queries,
-                    &presets,
                     inject_panic,
                     &mut cache,
                     &responses,
@@ -382,9 +348,8 @@ pub fn worker_loop(
 }
 
 /// Evaluate a batch of split per-query plans on every hosted fragment,
-/// sharing slots through a per-fragment [`BatchStore`]. `presets[qi]`, when
-/// set, short-circuits query `qi` to a typed failure without evaluating it
-/// (the `BatchRef` NACK path). Returns `false` when the coordinator is gone.
+/// sharing slots through a per-fragment [`BatchStore`]. Returns `false` when
+/// the coordinator is gone.
 #[allow(clippy::too_many_arguments)]
 fn answer_batch(
     machine_id: usize,
@@ -392,7 +357,6 @@ fn answer_batch(
     fragments: &[u32],
     base: u64,
     queries: &[QueryPlan],
-    presets: &[Option<QueryError>],
     inject_panic: bool,
     cache: &mut CoverageCache,
     responses: &LinkSender,
@@ -406,10 +370,6 @@ fn answer_batch(
         };
         let mut answers = Vec::with_capacity(queries.len());
         for (qi, qplan) in queries.iter().enumerate() {
-            if let Some(nack) = &presets[qi] {
-                answers.push(BatchAnswer::Failed(nack.clone()));
-                continue;
-            }
             let panic_now = inject_panic && i == 0 && qi == 0;
             answers.push(match evaluate_task(machine_id, engine, qplan, &mut store, panic_now) {
                 Ok((nodes, cost)) => BatchAnswer::Results { nodes, cost },
@@ -711,91 +671,6 @@ mod tests {
                 assert_eq!(c2.settled, 0, "shared slot skips the Dijkstra");
             }
             other => panic!("expected results, got {other:?}"),
-        }
-        req_tx.send(encode_frame(&Request::Shutdown)).unwrap();
-        handle.join().unwrap();
-    }
-
-    /// One `BatchResults` frame per hosted fragment, sorted by fragment.
-    fn recv_batch(
-        resp_rx: &crossbeam::channel::Receiver<Bytes>,
-        expect_base: u64,
-    ) -> Vec<(u32, Vec<BatchAnswer>)> {
-        let mut frames = Vec::new();
-        for _ in 0..2 {
-            match decode_frame::<Response>(resp_rx.recv().unwrap()).unwrap() {
-                Response::BatchResults { base, fragment, answers } => {
-                    assert_eq!(base, expect_base);
-                    frames.push((fragment, answers));
-                }
-                other => panic!("unexpected response: {other:?}"),
-            }
-        }
-        frames.sort_by_key(|(fragment, _)| *fragment);
-        frames
-    }
-
-    /// The slot-reference elision contract, worker side: a reference-only
-    /// frame to a cold directory NACKs every query typed (never evaluates a
-    /// placeholder), a full-spec frame teaches the directory while
-    /// answering, and the same reference-only frame then resolves to
-    /// bit-identical answers.
-    #[test]
-    fn batch_ref_nacks_cold_references_then_answers_after_teaching() {
-        use disks_core::{SlotIdTable, SuperPlan};
-        use std::collections::HashSet;
-        let (req_tx, resp_rx, handle, net) = spawn_worker(68, WorkerFaults::default());
-        let kw = top_kw(&net);
-        let r = 2 * net.avg_edge_weight();
-        let a = QueryPlan::lower(&DFunction::single(Term::Keyword(kw), r));
-        let b = QueryPlan::lower(&DFunction::single(Term::Keyword(kw), 2 * r));
-        let sp = SuperPlan::merge(&[a, b]);
-        let mut table = SlotIdTable::new();
-        let full = sp.try_elide(&mut table, &HashSet::new()).unwrap();
-        assert_eq!(full.num_elided(), 0, "nothing believed yet");
-        let ids: HashSet<u32> = full.slot_ids().collect();
-        let refs = sp.try_elide(&mut table, &ids).unwrap();
-        assert_eq!(refs.num_elided(), sp.num_slots(), "every slot elides");
-
-        // Reference-only frame to a cold worker: the directory was never
-        // taught, so every query NACKs with the sorted unknown ids.
-        let req = Request::BatchRef { base: 10, plan: refs.clone(), fragments: vec![] };
-        req_tx.send(encode_frame(&req)).unwrap();
-        let mut want: Vec<u32> = ids.iter().copied().collect();
-        want.sort_unstable();
-        for (_, answers) in recv_batch(&resp_rx, 10) {
-            assert_eq!(answers.len(), 2);
-            for answer in &answers {
-                match answer {
-                    BatchAnswer::Failed(QueryError::SlotUnknown { ids: unknown }) => {
-                        assert_eq!(unknown, &want, "NACK names the missing ids");
-                    }
-                    other => panic!("cold reference must NACK, got {other:?}"),
-                }
-            }
-        }
-
-        // Full-spec frame: answers and teaches the directory as a side effect.
-        let req = Request::BatchRef { base: 20, plan: full, fragments: vec![] };
-        req_tx.send(encode_frame(&req)).unwrap();
-        let taught = recv_batch(&resp_rx, 20);
-
-        // The same reference-only frame now resolves: identical answers.
-        let req = Request::BatchRef { base: 30, plan: refs, fragments: vec![] };
-        req_tx.send(encode_frame(&req)).unwrap();
-        let elided = recv_batch(&resp_rx, 30);
-        for ((tf, t), (ef, e)) in taught.iter().zip(&elided) {
-            assert_eq!(tf, ef);
-            assert_eq!(t.len(), e.len());
-            for (ta, ea) in t.iter().zip(e) {
-                match (ta, ea) {
-                    (
-                        BatchAnswer::Results { nodes: tn, .. },
-                        BatchAnswer::Results { nodes: en, .. },
-                    ) => assert_eq!(tn, en, "elided references never change the answer"),
-                    other => panic!("expected results on both paths, got {other:?}"),
-                }
-            }
         }
         req_tx.send(encode_frame(&Request::Shutdown)).unwrap();
         handle.join().unwrap();

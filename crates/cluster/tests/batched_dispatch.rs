@@ -62,10 +62,6 @@ fn build_cluster(
             deadline: Duration::from_millis(3000),
             coverage_cache_bytes: 64 << 20,
             batch_window,
-            // These tests pin exact frame counts per fixed window, so the
-            // adaptive controller stays off even under `DISKS_BATCH=adaptive`
-            // CI lanes (adaptive equivalence has its own suite).
-            batch_adaptive: false,
             faults,
             ..ClusterConfig::default()
         },

@@ -1,6 +1,6 @@
 //! Property tests for the [`HeatSnapshot`] codec (DESIGN.md §6i): encode →
-//! decode is the identity for arbitrary ledgers, and corrupt/truncated
-//! input decodes to a typed error, never a panic.
+//! decode is the identity for arbitrary ledgers, and corrupt, truncated or
+//! arbitrary input decodes to a typed error, never a panic.
 
 use disks_cluster::HeatSnapshot;
 use disks_core::Term;
@@ -36,6 +36,25 @@ proptest! {
         let bytes = snap.encode_bytes();
         let cut = cut % bytes.len();
         prop_assert!(HeatSnapshot::decode_bytes(&bytes[..cut]).is_err());
+    }
+
+    /// Arbitrary bytes, with and without a valid header in front, never
+    /// panic, and a snapshot that does decode holds no more entries than
+    /// its input had room for and re-encodes to that input.
+    #[test]
+    fn arbitrary_bytes_never_panic(
+        tail in collection::vec(any::<u8>(), 0..256),
+        valid_header in any::<bool>(),
+    ) {
+        let mut bytes = Vec::new();
+        if valid_header {
+            bytes.extend_from_slice(&HeatSnapshot::default().encode_bytes()[..4]);
+        }
+        bytes.extend_from_slice(&tail);
+        if let Ok(snap) = HeatSnapshot::decode_bytes(&bytes) {
+            prop_assert!(snap.entries.len() * 21 <= bytes.len());
+            prop_assert_eq!(&snap.encode_bytes()[..], &bytes[..]);
+        }
     }
 
     /// The profile projection conserves total dispatch weight: every

@@ -170,11 +170,9 @@ fn killing_hottest_fragment_primary_reroutes_to_surviving_replica() {
             replicas: 1,
             placement_heat: Some(heat),
             faults: Some(FaultPlan::new(0x0DD5).kill_worker(0, 10)),
-            // Fixed windows of 8 put 25 frames on machine 0's link, so the
-            // 10th-request kill is sure to fire; an AIMD-grown window would
-            // send fewer than 10 and the test would never kill anything.
+            // Windows of 8 put 25 frames on machine 0's link, so the
+            // 10th-request kill is sure to fire.
             batch_window: 8,
-            batch_adaptive: false,
             ..base_config()
         },
     );

@@ -85,12 +85,6 @@ pub enum QueryError {
     /// monotonically with the measured pressure at shed time). Shedding
     /// happens coordinator-side, so a shed query costs zero wire bytes.
     Overloaded { retry_after_millis: u64 },
-    /// A slot-reference NACK: the worker received an elided plan referencing
-    /// global slot ids it has never been taught the `(term, radius)` spec
-    /// for (it respawned since the coordinator last sent the full spec).
-    /// Retryable — the coordinator falls back to a full-spec re-dispatch,
-    /// so correctness never depends on the coordinator's view being fresh.
-    SlotUnknown { ids: Vec<u32> },
 }
 
 impl QueryError {
@@ -103,12 +97,7 @@ impl QueryError {
     /// *immediately* retryable — the same submission would be shed again;
     /// the client must wait out `retry_after_millis` first.
     pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            QueryError::WorkerPanic(_)
-                | QueryError::WorkerTimeout { .. }
-                | QueryError::SlotUnknown { .. }
-        )
+        matches!(self, QueryError::WorkerPanic(_) | QueryError::WorkerTimeout { .. })
     }
 }
 
@@ -129,9 +118,6 @@ impl fmt::Display for QueryError {
             }
             QueryError::Overloaded { retry_after_millis } => {
                 write!(f, "cluster overloaded; retry after {retry_after_millis}ms")
-            }
-            QueryError::SlotUnknown { ids } => {
-                write!(f, "worker does not know slot ids {ids:?}; re-send full specs")
             }
         }
     }
@@ -171,10 +157,6 @@ impl Encode for QueryError {
                 6u8.encode(buf);
                 retry_after_millis.encode(buf);
             }
-            QueryError::SlotUnknown { ids } => {
-                7u8.encode(buf);
-                ids.encode(buf);
-            }
         }
     }
 }
@@ -193,7 +175,8 @@ impl Decode for QueryError {
                 attempts: u32::decode(buf)?,
             }),
             6 => Ok(QueryError::Overloaded { retry_after_millis: u64::decode(buf)? }),
-            7 => Ok(QueryError::SlotUnknown { ids: Vec::decode(buf)? }),
+            // 7 is retired (an earlier build's slot-reference NACK), not
+            // reused.
             tag => Err(DecodeError::BadTag { context: "QueryError", tag }),
         }
     }
@@ -214,7 +197,6 @@ mod tests {
             QueryError::WorkerPanic("index out of bounds".into()),
             QueryError::WorkerTimeout { fragments: vec![1, 3], attempts: 3 },
             QueryError::Overloaded { retry_after_millis: 12 },
-            QueryError::SlotUnknown { ids: vec![0, 7, 31] },
         ];
         for e in cases {
             let mut buf = BytesMut::new();
@@ -223,13 +205,17 @@ mod tests {
             assert_eq!(QueryError::decode(&mut bytes).unwrap(), e);
             assert!(!bytes.has_remaining(), "full consumption for {e}");
         }
+        // A retired tag stays unassigned.
+        assert_eq!(
+            QueryError::decode(&mut &[7u8, 0, 0, 0, 0][..]),
+            Err(DecodeError::BadTag { context: "QueryError", tag: 7 })
+        );
     }
 
     #[test]
     fn retryability_classification() {
         assert!(QueryError::WorkerPanic("x".into()).is_retryable());
         assert!(QueryError::WorkerTimeout { fragments: vec![0], attempts: 1 }.is_retryable());
-        assert!(QueryError::SlotUnknown { ids: vec![4] }.is_retryable());
         assert!(!QueryError::EmptyQuery.is_retryable());
         assert!(!QueryError::RadiusExceedsMaxR { r: 2, max_r: 1 }.is_retryable());
         assert!(!QueryError::Engine("x".into()).is_retryable());

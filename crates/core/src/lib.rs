@@ -53,8 +53,6 @@ pub use index::{
     IndexConfig, IndexStats, NpdIndex,
 };
 pub use layout::LayoutMode;
-pub use plan::{
-    CostParams, ElidedSlot, ElidedSuperPlan, QueryPlan, ResolvedBatch, SlotIdTable, SuperPlan,
-};
+pub use plan::{CostParams, QueryPlan, SuperPlan};
 pub use query::{QClassQuery, RangeKeywordQuery, SgkQuery};
 pub use topk::{centralized_topk, merge_topk, Ranked, ScoreCombine, TopKQuery};

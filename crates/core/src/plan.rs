@@ -374,246 +374,6 @@ impl SuperPlan {
     }
 }
 
-/// Coordinator-side registry of **global slot ids**: a dense id per distinct
-/// `(term, radius)` spec, stable for the cluster's lifetime. Ids are
-/// fragment-stable — the spec, not any per-worker state, defines the id — so
-/// the same id means the same coverage slot on every machine, and a worker
-/// that learns the binding once (from a full-spec entry) can resolve compact
-/// references forever after, across cache evictions (an evicted coverage is
-/// recomputed from the remembered spec, not NACKed).
-#[derive(Debug, Default)]
-pub struct SlotIdTable {
-    ids: std::collections::HashMap<DTerm, u32>,
-}
-
-impl SlotIdTable {
-    pub fn new() -> Self {
-        SlotIdTable::default()
-    }
-
-    /// The global id for a slot spec, assigning the next dense id on first
-    /// sight.
-    pub fn id_of(&mut self, slot: &DTerm) -> u32 {
-        let next = self.ids.len() as u32;
-        *self.ids.entry(*slot).or_insert(next)
-    }
-
-    /// Number of distinct slot specs seen so far.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-}
-
-/// One slot of an [`ElidedSuperPlan`]: either the full `(term, radius)` spec
-/// (teaching the receiving worker the id→spec binding) or a bare reference
-/// to an id the coordinator believes the worker already knows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ElidedSlot {
-    Full { id: u32, spec: DTerm },
-    Cached { id: u32 },
-}
-
-impl ElidedSlot {
-    pub fn id(&self) -> u32 {
-        match *self {
-            ElidedSlot::Full { id, .. } | ElidedSlot::Cached { id } => id,
-        }
-    }
-}
-
-/// A [`SuperPlan`] with known-cached slots elided to compact id references
-/// and the combine programs packed into narrow (u16/u8) fields — the payload
-/// of a `BatchRef` dispatch frame. Decoding enforces the same invariants as
-/// `SuperPlan` (non-empty slots/programs, every program index in range);
-/// resolving id references happens worker-side against its slot directory,
-/// with unknown ids reported back as a typed `SlotUnknown` NACK.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ElidedSuperPlan {
-    slots: Vec<ElidedSlot>,
-    programs: Vec<Program>,
-}
-
-/// The worker-side result of resolving an [`ElidedSuperPlan`] against its
-/// id→spec directory.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResolvedBatch {
-    /// The reconstructed super-plan. Slots whose id was unknown hold a
-    /// placeholder spec; they are only reachable from `affected` programs,
-    /// which the worker must NACK instead of evaluating.
-    pub plan: SuperPlan,
-    /// Referenced slot ids absent from the directory (sorted, deduplicated).
-    pub unknown: Vec<u32>,
-    /// Per query (batch order): does its program reference an unknown slot?
-    pub affected: Vec<bool>,
-}
-
-impl SuperPlan {
-    /// Elide this super-plan against a per-worker `believed` cached-id set.
-    /// Returns `None` when the plan does not fit the compact encoding
-    /// (≥ 2¹⁶ slots or programs, or a program with > 255 operators) — the
-    /// caller falls back to the plain full-spec `Batch` frame.
-    pub fn try_elide(
-        &self,
-        table: &mut SlotIdTable,
-        believed: &std::collections::HashSet<u32>,
-    ) -> Option<ElidedSuperPlan> {
-        if self.slots.len() > u16::MAX as usize || self.programs.len() > u16::MAX as usize {
-            return None;
-        }
-        if self.programs.iter().any(|p| p.ops.len() > u8::MAX as usize) {
-            return None;
-        }
-        let slots = self
-            .slots
-            .iter()
-            .map(|s| {
-                let id = table.id_of(s);
-                if believed.contains(&id) {
-                    ElidedSlot::Cached { id }
-                } else {
-                    ElidedSlot::Full { id, spec: *s }
-                }
-            })
-            .collect();
-        Some(ElidedSuperPlan { slots, programs: self.programs.clone() })
-    }
-}
-
-impl ElidedSuperPlan {
-    /// Number of queries in the batch.
-    pub fn num_queries(&self) -> usize {
-        self.programs.len()
-    }
-
-    /// Global ids of every slot in the frame, in slot order.
-    pub fn slot_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.slots.iter().map(ElidedSlot::id)
-    }
-
-    /// How many slots shipped as bare references (elided specs).
-    pub fn num_elided(&self) -> usize {
-        self.slots.iter().filter(|s| matches!(s, ElidedSlot::Cached { .. })).count()
-    }
-
-    /// Resolve id references against a worker's id→spec directory. Full
-    /// entries teach the directory; unknown references are reported in
-    /// `unknown` with the programs that touch them flagged `affected`.
-    pub fn resolve(&self, directory: &mut std::collections::HashMap<u32, DTerm>) -> ResolvedBatch {
-        let mut unknown = Vec::new();
-        let mut missing = vec![false; self.slots.len()];
-        let slots: Vec<DTerm> = self
-            .slots
-            .iter()
-            .enumerate()
-            .map(|(i, s)| match *s {
-                ElidedSlot::Full { id, spec } => {
-                    directory.insert(id, spec);
-                    spec
-                }
-                ElidedSlot::Cached { id } => match directory.get(&id) {
-                    Some(spec) => *spec,
-                    None => {
-                        missing[i] = true;
-                        unknown.push(id);
-                        // Placeholder; never evaluated (the program is NACKed).
-                        DTerm { term: Term::Keyword(disks_roadnet::KeywordId(u32::MAX)), radius: 0 }
-                    }
-                },
-            })
-            .collect();
-        unknown.sort_unstable();
-        unknown.dedup();
-        let affected = self
-            .programs
-            .iter()
-            .map(|p| {
-                std::iter::once(p.first)
-                    .chain(p.ops.iter().map(|&(_, i)| i))
-                    .any(|i| missing[i as usize])
-            })
-            .collect();
-        ResolvedBatch {
-            plan: SuperPlan { slots, programs: self.programs.clone() },
-            unknown,
-            affected,
-        }
-    }
-}
-
-impl Encode for ElidedSuperPlan {
-    fn encode(&self, buf: &mut impl BufMut) {
-        (self.slots.len() as u16).encode(buf);
-        for s in &self.slots {
-            match *s {
-                ElidedSlot::Full { id, spec } => {
-                    0u8.encode(buf);
-                    id.encode(buf);
-                    spec.encode(buf);
-                }
-                ElidedSlot::Cached { id } => {
-                    1u8.encode(buf);
-                    id.encode(buf);
-                }
-            }
-        }
-        (self.programs.len() as u16).encode(buf);
-        for p in &self.programs {
-            (p.first as u16).encode(buf);
-            (p.ops.len() as u8).encode(buf);
-            for &(op, idx) in &p.ops {
-                op.encode(buf);
-                (idx as u16).encode(buf);
-            }
-        }
-    }
-}
-impl Decode for ElidedSuperPlan {
-    fn decode(buf: &mut impl Buf) -> Result<Self, DecodeError> {
-        let ns = u16::decode(buf)? as usize;
-        if ns == 0 {
-            return Err(DecodeError::LengthOutOfRange { context: "ElidedSuperPlan.slots", len: 0 });
-        }
-        let mut slots = Vec::with_capacity(ns);
-        for _ in 0..ns {
-            slots.push(match u8::decode(buf)? {
-                0 => ElidedSlot::Full { id: u32::decode(buf)?, spec: DTerm::decode(buf)? },
-                1 => ElidedSlot::Cached { id: u32::decode(buf)? },
-                tag => return Err(DecodeError::BadTag { context: "ElidedSlot", tag }),
-            });
-        }
-        let np = u16::decode(buf)? as usize;
-        if np == 0 {
-            return Err(DecodeError::LengthOutOfRange {
-                context: "ElidedSuperPlan.programs",
-                len: 0,
-            });
-        }
-        let mut programs = Vec::with_capacity(np);
-        for _ in 0..np {
-            let first = u16::decode(buf)? as u32;
-            let n_ops = u8::decode(buf)? as usize;
-            let mut ops = Vec::with_capacity(n_ops);
-            for _ in 0..n_ops {
-                ops.push((SetOp::decode(buf)?, u16::decode(buf)? as u32));
-            }
-            for idx in std::iter::once(first).chain(ops.iter().map(|&(_, i)| i)) {
-                if (idx as usize) >= ns {
-                    return Err(DecodeError::LengthOutOfRange {
-                        context: "ElidedSuperPlan slot index",
-                        len: u64::from(idx),
-                    });
-                }
-            }
-            programs.push(Program { first, ops });
-        }
-        Ok(ElidedSuperPlan { slots, programs })
-    }
-}
-
 impl Encode for SuperPlan {
     fn encode(&self, buf: &mut impl BufMut) {
         self.slots.encode(buf);
@@ -979,128 +739,6 @@ mod tests {
         let inflated = CostParams::new(vec![u64::MAX], 10, 1);
         let kw = QueryPlan::lower(&DFunction::single(Term::Keyword(KeywordId(0)), 0));
         assert_eq!(kw.estimated_cost(&inflated), 10);
-    }
-
-    #[test]
-    fn slot_id_table_assigns_stable_dense_ids() {
-        let a = DTerm { term: Term::Keyword(KeywordId(0)), radius: 5 };
-        let b = DTerm { term: Term::Keyword(KeywordId(0)), radius: 9 };
-        let mut table = SlotIdTable::new();
-        assert_eq!(table.id_of(&a), 0);
-        assert_eq!(table.id_of(&b), 1);
-        assert_eq!(table.id_of(&a), 0, "repeat lookups are stable");
-        assert_eq!(table.len(), 2);
-    }
-
-    #[test]
-    fn elide_round_trips_and_resolves_exactly() {
-        use std::collections::{HashMap, HashSet};
-        let plans = batch_of_plans();
-        let sp = SuperPlan::merge(&plans);
-        let mut table = SlotIdTable::new();
-        // Cold coordinator view: everything ships full-spec.
-        let cold = sp.try_elide(&mut table, &HashSet::new()).unwrap();
-        assert_eq!(cold.num_elided(), 0);
-        let mut dir = HashMap::new();
-        let r = cold.resolve(&mut dir);
-        assert!(r.unknown.is_empty());
-        assert!(r.affected.iter().all(|&a| !a));
-        assert_eq!(r.plan, sp);
-        assert_eq!(r.plan.split(), plans);
-        // Warm view: every id believed cached → every spec elided; the
-        // directory the cold frame taught resolves them all.
-        let believed: HashSet<u32> = cold.slot_ids().collect();
-        let warm = sp.try_elide(&mut table, &believed).unwrap();
-        assert_eq!(warm.num_elided(), sp.num_slots());
-        let r2 = warm.resolve(&mut dir);
-        assert!(r2.unknown.is_empty());
-        assert_eq!(r2.plan, sp);
-        // A fresh (respawned) directory NACKs every referenced id.
-        let mut fresh = HashMap::new();
-        let r3 = warm.resolve(&mut fresh);
-        let mut want: Vec<u32> = believed.into_iter().collect();
-        want.sort_unstable();
-        assert_eq!(r3.unknown, want);
-        assert!(r3.affected.iter().all(|&a| a));
-    }
-
-    #[test]
-    fn partially_unknown_references_flag_only_touching_programs() {
-        use std::collections::{HashMap, HashSet};
-        let plans = batch_of_plans();
-        let sp = SuperPlan::merge(&plans);
-        let mut table = SlotIdTable::new();
-        let all: HashSet<u32> =
-            (0..sp.num_slots() as u32).map(|i| table.id_of(&sp.slots()[i as usize])).collect();
-        let warm = sp.try_elide(&mut table, &all).unwrap();
-        // Teach the directory all but the *last* shared slot (k2, radius 9 —
-        // referenced only by the third query).
-        let mut dir = HashMap::new();
-        for (i, s) in sp.slots().iter().enumerate().take(sp.num_slots() - 1) {
-            dir.insert(i as u32, *s);
-        }
-        let r = warm.resolve(&mut dir);
-        assert_eq!(r.unknown, vec![(sp.num_slots() - 1) as u32]);
-        assert_eq!(r.affected, vec![false, false, true]);
-        // Unaffected programs split out bit-identical to the originals.
-        let split = r.plan.split();
-        assert_eq!(split[0], plans[0]);
-        assert_eq!(split[1], plans[1]);
-    }
-
-    #[test]
-    fn elided_codec_round_trips_and_shrinks_warm_frames() {
-        use bytes::BytesMut;
-        use std::collections::HashSet;
-        let sp = SuperPlan::merge(&batch_of_plans());
-        let mut table = SlotIdTable::new();
-        let cold = sp.try_elide(&mut table, &HashSet::new()).unwrap();
-        let believed: HashSet<u32> = cold.slot_ids().collect();
-        let warm = sp.try_elide(&mut table, &believed).unwrap();
-        for plan in [&cold, &warm] {
-            let mut buf = BytesMut::new();
-            plan.encode(&mut buf);
-            let mut bytes = buf.freeze();
-            assert_eq!(&ElidedSuperPlan::decode(&mut bytes).unwrap(), plan);
-            assert!(!bytes.has_remaining());
-        }
-        let len = |p: &dyn Fn(&mut BytesMut)| {
-            let mut buf = BytesMut::new();
-            p(&mut buf);
-            buf.len()
-        };
-        let plain = len(&|b: &mut BytesMut| sp.encode(b));
-        let cold_len = len(&|b: &mut BytesMut| cold.encode(b));
-        let warm_len = len(&|b: &mut BytesMut| warm.encode(b));
-        // Even the cold elided frame beats the plain frame (narrow program
-        // fields); the warm frame drops the 13-byte specs too.
-        assert!(cold_len < plain, "cold {cold_len} vs plain {plain}");
-        assert!(warm_len < cold_len, "warm {warm_len} vs cold {cold_len}");
-    }
-
-    #[test]
-    fn elided_decode_rejects_out_of_range_index_and_bad_tag() {
-        use bytes::BytesMut;
-        let bad = ElidedSuperPlan {
-            slots: vec![ElidedSlot::Cached { id: 0 }],
-            programs: vec![Program { first: 7, ops: Vec::new() }],
-        };
-        let mut buf = BytesMut::new();
-        bad.encode(&mut buf);
-        let mut bytes = buf.freeze();
-        assert!(matches!(
-            ElidedSuperPlan::decode(&mut bytes),
-            Err(DecodeError::LengthOutOfRange { context: "ElidedSuperPlan slot index", .. })
-        ));
-        // A slot tag outside {0, 1} is rejected.
-        let mut buf = BytesMut::new();
-        1u16.encode(&mut buf);
-        9u8.encode(&mut buf);
-        let mut bytes = buf.freeze();
-        assert!(matches!(
-            ElidedSuperPlan::decode(&mut bytes),
-            Err(DecodeError::BadTag { context: "ElidedSlot", tag: 9 })
-        ));
     }
 
     #[test]

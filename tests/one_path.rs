@@ -37,9 +37,6 @@ fn shipped() -> ClusterConfig {
         faults: None,
         coverage_cache_bytes: 64 << 20,
         batch_window: 16,
-        batch_adaptive: false,
-        batch_window_ms: Duration::from_millis(2),
-        batch_p99_target: Duration::from_millis(50),
         cost_limit: 0,
         brownout: 0.75,
         retry_backoff: Duration::from_millis(2),
@@ -122,10 +119,10 @@ fn assert_ledger_closes(cluster: &Cluster, what: &str) {
 fn configs() -> [(&'static str, ClusterConfig); 4] {
     [
         ("shipped defaults", shipped()),
-        ("adaptive windows", ClusterConfig { batch_adaptive: true, ..shipped() }),
+        ("fixed windows over TCP", ClusterConfig { transport: TransportKind::Tcp, ..shipped() }),
         (
-            "adaptive windows over TCP",
-            ClusterConfig { batch_adaptive: true, transport: TransportKind::Tcp, ..shipped() },
+            "windows of one, coverage cache off",
+            ClusterConfig { batch_window: 1, coverage_cache_bytes: 0, ..shipped() },
         ),
         (
             "replica + hedging + mid-stream kill",
@@ -165,9 +162,6 @@ fn a_single_query_is_a_stream_of_one() {
                 assert!(lookups(&o) < eager_lookups[i], "{name}: query {i} fetched every slot");
             }
         }
-        // A window of one has no size to choose: lone queries leave the
-        // adaptive controller alone.
-        assert!(cluster.window_trace().is_empty(), "{name}: `run` fed the window controller");
         if config.faults.is_some() {
             assert!(cluster.recovery_counters().respawned_workers >= 1, "{name}: the kill fired");
         }
@@ -181,7 +175,6 @@ fn a_single_query_is_a_stream_of_one() {
                 assert!(lookups(&o) < eager_lookups[i], "{name}: streamed {i} fetched every slot");
             }
         }
-        assert_eq!(cluster.window_trace().is_empty(), !config.batch_adaptive, "{name}");
         assert_ledger_closes(&cluster, name);
         cluster.shutdown();
     }
