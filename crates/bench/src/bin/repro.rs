@@ -5,8 +5,8 @@
 //! repro [--scale paper|bench|smoke] [--exp <id>[,<id>...]] [--out DIR]
 //!
 //! ids: tab1 tab2 tab3 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15
-//!      fig16 fig17 comm ablation overload transport replication layout
-//!      hedging topk all (default: all)
+//!      fig16 fig17 comm ablation overload transport replication hedging
+//!      topk all (default: all)
 //! ```
 //!
 //! Results are printed and written under `--out` (default `results/`) as
@@ -122,7 +122,6 @@ fn main() {
         "overload",
         "transport",
         "replication",
-        "layout",
         "hedging",
         "topk",
     ]
@@ -334,45 +333,6 @@ fn main() {
             let us: Vec<String> =
                 summary.points.iter().map(|p| format!("{:.2}", p.unbalance)).collect();
             println!("[replication] unbalance U by replicas: {}", us.join(" -> "));
-            println!();
-        }
-    }
-    if wants("layout") {
-        if let Some(ds) = &aus {
-            let (table, summary) = exp::layout(ds, &params);
-            emit("layout_aus", table);
-            let path = std::path::Path::new(&args.out).join("BENCH_layout.json");
-            if let Err(e) = std::fs::create_dir_all(&args.out)
-                .and_then(|()| std::fs::write(&path, summary.to_json()))
-            {
-                eprintln!("failed to save BENCH_layout.json: {e}");
-            } else {
-                println!("[json] {} ({} arms)", path.display(), summary.arms.len());
-            }
-            // Layout headline: what the observed workload is worth when it
-            // drives partitioning, the bi-level split, placement, and cache
-            // admission at once.
-            if let (Some(b), Some(w), Some(x)) =
-                (summary.arm("blind"), summary.arm("workload"), summary.speedup())
-            {
-                println!(
-                    "[layout] workload-aware vs blind: {:.0} -> {:.0} q/s ({:.2}x), \
-                     wcut {} -> {}, hit rate {:.0}% -> {:.0}%, U {:.2} -> {:.2}",
-                    b.goodput,
-                    w.goodput,
-                    x,
-                    b.weighted_cut,
-                    w.weighted_cut,
-                    100.0 * b.cache_hit_rate,
-                    100.0 * w.cache_hit_rate,
-                    b.unbalance,
-                    w.unbalance
-                );
-            }
-            println!(
-                "[layout] bi-level split: static {} -> observed {}",
-                summary.static_max_r, summary.observed_split_r
-            );
             println!();
         }
     }

@@ -14,7 +14,6 @@
 mod ablation;
 mod comm;
 mod hedging;
-mod layout;
 mod mix;
 mod overload;
 mod replication;
@@ -25,7 +24,6 @@ mod transport;
 pub use ablation::{ablation_keyword_aggregation, ablation_minimality, ablation_partitioner};
 pub use comm::comm_contrast;
 pub use hedging::{hedging, HedgingPoint, HedgingSummary};
-pub use layout::{layout, LayoutArm, LayoutSummary};
 pub use mix::{fig16_dfunctions, fig17_rkq, topk_extension};
 pub use overload::{overload, OverloadPoint, OverloadSummary};
 pub use replication::{replication, ReplicationPoint, ReplicationSummary};

@@ -18,21 +18,13 @@
 //! a slot reaches the LRU, so these counters stay exact — intra-batch
 //! re-references are reported separately as `WireCost::batch_shared`.
 //!
-//! Recency is an intrusive doubly-linked list over an arena (O(1) evict,
-//! refresh, and insert), not a timestamp scan. With a heat threshold of 0
-//! the cache is a plain LRU whose eviction order is byte-identical to the
-//! original linear-scan implementation (every touch moves exactly one
-//! entry to the MRU end, so list order *is* timestamp order). A threshold
-//! `T > 0` turns on **heat-aware admission** (DESIGN.md §6i): per-slot
-//! lookup counts decide where an entry enters the recency order —
-//! - a slot looked up `≥ T` times is *hot*: it lives on a separate hot
-//!   list that is only evicted once the cold list is empty, and a resident
-//!   cold entry is promoted the moment its lookups cross the threshold;
-//! - a slot seen only once so far is a *one-shot*: it is admitted at the
-//!   LRU end of the cold list, first in line for eviction, so a stream of
-//!   cold slots cannot flush the warm working set;
-//! - anything in between enters the cold list at the MRU end, exactly
-//!   like a plain LRU insert.
+//! Recency is one intrusive doubly-linked list over an arena (O(1) evict,
+//! refresh, and insert), not a timestamp scan: every touch moves exactly
+//! one entry to the MRU end, so list order *is* timestamp order and the
+//! eviction order is that of the original linear-scan implementation
+//! (`tests::recency_list_matches_linear_scan_model`). There is one
+//! eviction policy; the lookup-count *heat admission* that once sat beside
+//! it was removed on the benchmark's evidence (DESIGN.md §6i).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -87,7 +79,7 @@ impl CacheCounters {
 
 type Key = (u32, Term, u64);
 
-/// Sentinel for "no neighbour" in the intrusive lists.
+/// Sentinel for "no neighbour" in the intrusive list.
 const NONE: u32 = u32::MAX;
 
 struct Node {
@@ -96,10 +88,9 @@ struct Node {
     bytes: usize,
     prev: u32,
     next: u32,
-    hot: bool,
 }
 
-/// One recency order: `head` is the MRU end, `tail` the LRU end.
+/// The recency order: `head` is the MRU end, `tail` the LRU end.
 #[derive(Clone, Copy)]
 struct RecencyList {
     head: u32,
@@ -138,27 +129,9 @@ fn push_front(slots: &mut [Node], list: &mut RecencyList, i: u32) {
     }
 }
 
-fn push_back(slots: &mut [Node], list: &mut RecencyList, i: u32) {
-    slots[i as usize].next = NONE;
-    slots[i as usize].prev = list.tail;
-    if list.tail != NONE {
-        slots[list.tail as usize].next = i;
-    }
-    list.tail = i;
-    if list.head == NONE {
-        list.head = i;
-    }
-}
-
 /// Fixed per-entry overhead charged on top of the bitset payload (key,
 /// hash-map slot, and entry metadata — an estimate, not an exact count).
 const ENTRY_OVERHEAD: usize = 64;
-
-/// Bound on the lookup-count table: when it grows past this many slots all
-/// counts are halved and zeroes dropped (the same decay shape as the
-/// coordinator's slot-heat epochs), so one-shot churn cannot grow it
-/// without bound. Order-independent, hence deterministic.
-const SEEN_CAP: usize = 8192;
 
 /// A byte-bounded LRU of coverage bitsets. A budget of 0 disables the
 /// cache entirely: every lookup misses without counting, inserts are
@@ -169,37 +142,21 @@ pub struct CoverageCache {
     entries: HashMap<Key, u32>,
     slots: Vec<Node>,
     free: Vec<u32>,
-    cold: RecencyList,
-    hot: RecencyList,
-    /// Lookups before a slot counts as hot; 0 disables heat admission
-    /// (plain LRU, byte-identical to the historical behaviour).
-    heat_threshold: u32,
-    /// Per-slot lookup counts, maintained only when `heat_threshold > 0`.
-    seen: HashMap<Key, u32>,
+    recency: RecencyList,
     counters: CacheCounters,
 }
 
 impl CoverageCache {
-    /// Create a plain-LRU cache bounded to `budget_bytes` of bitset
-    /// payload plus per-entry overhead. `0` disables caching.
+    /// Create an LRU cache bounded to `budget_bytes` of bitset payload
+    /// plus per-entry overhead. `0` disables caching.
     pub fn new(budget_bytes: usize) -> Self {
-        Self::with_heat(budget_bytes, 0)
-    }
-
-    /// Create a cache with heat-aware admission: slots looked up at least
-    /// `heat_threshold` times resist eviction, one-shot slots are admitted
-    /// at the eviction end. `heat_threshold == 0` is the plain LRU.
-    pub fn with_heat(budget_bytes: usize, heat_threshold: u32) -> Self {
         CoverageCache {
             budget_bytes,
             bytes: 0,
             entries: HashMap::new(),
             slots: Vec::new(),
             free: Vec::new(),
-            cold: RecencyList::EMPTY,
-            hot: RecencyList::EMPTY,
-            heat_threshold,
-            seen: HashMap::new(),
+            recency: RecencyList::EMPTY,
             counters: CacheCounters::default(),
         }
     }
@@ -207,11 +164,6 @@ impl CoverageCache {
     /// Whether the cache is a disabled no-op.
     pub fn is_disabled(&self) -> bool {
         self.budget_bytes == 0
-    }
-
-    /// The configured heat-admission threshold (0 = plain LRU).
-    pub fn heat_threshold(&self) -> u32 {
-        self.heat_threshold
     }
 
     /// Lifetime counters.
@@ -233,50 +185,17 @@ impl CoverageCache {
         self.entries.is_empty()
     }
 
-    /// Bump the lookup count for `key`, decaying the table when it
-    /// overflows. Returns the new count.
-    fn note_lookup(&mut self, key: Key) -> u32 {
-        let c = self.seen.entry(key).or_insert(0);
-        *c = c.saturating_add(1);
-        let c = *c;
-        if self.seen.len() > SEEN_CAP {
-            self.seen.retain(|_, n| {
-                *n /= 2;
-                *n > 0
-            });
-        }
-        c
-    }
-
-    fn detach(&mut self, i: u32) {
-        if self.slots[i as usize].hot {
-            unlink(&mut self.slots, &mut self.hot, i);
-        } else {
-            unlink(&mut self.slots, &mut self.cold, i);
-        }
-    }
-
     /// Look up the coverage for `(fragment, term, radius)`, refreshing its
-    /// recency on a hit. With heat admission on, the lookup also counts
-    /// toward the slot's heat, and a resident entry whose count crosses
-    /// the threshold is promoted to the hot list.
+    /// recency on a hit.
     pub fn get(&mut self, fragment: u32, term: Term, radius: u64) -> Option<Arc<BitSet>> {
         if self.is_disabled() {
             return None;
         }
         let key = (fragment, term, radius);
-        let seen = if self.heat_threshold > 0 { self.note_lookup(key) } else { 0 };
         match self.entries.get(&key).copied() {
             Some(i) => {
-                self.detach(i);
-                if self.heat_threshold > 0 && seen >= self.heat_threshold {
-                    self.slots[i as usize].hot = true;
-                }
-                if self.slots[i as usize].hot {
-                    push_front(&mut self.slots, &mut self.hot, i);
-                } else {
-                    push_front(&mut self.slots, &mut self.cold, i);
-                }
+                unlink(&mut self.slots, &mut self.recency, i);
+                push_front(&mut self.slots, &mut self.recency, i);
                 self.counters.hits += 1;
                 Some(self.slots[i as usize].coverage.clone())
             }
@@ -310,7 +229,7 @@ impl CoverageCache {
         }
         let key = (fragment, term, radius);
         if let Some(i) = self.entries.remove(&key) {
-            self.detach(i);
+            unlink(&mut self.slots, &mut self.recency, i);
             self.bytes -= self.slots[i as usize].bytes;
             self.free.push(i);
         }
@@ -319,40 +238,25 @@ impl CoverageCache {
         }
         let i = match self.free.pop() {
             Some(i) => {
-                self.slots[i as usize] =
-                    Node { key, coverage, bytes, prev: NONE, next: NONE, hot: false };
+                self.slots[i as usize] = Node { key, coverage, bytes, prev: NONE, next: NONE };
                 i
             }
             None => {
                 let i = self.slots.len() as u32;
-                self.slots.push(Node { key, coverage, bytes, prev: NONE, next: NONE, hot: false });
+                self.slots.push(Node { key, coverage, bytes, prev: NONE, next: NONE });
                 i
             }
         };
-        if self.heat_threshold == 0 {
-            push_front(&mut self.slots, &mut self.cold, i);
-        } else {
-            let seen = self.seen.get(&key).copied().unwrap_or(0);
-            if seen >= self.heat_threshold {
-                self.slots[i as usize].hot = true;
-                push_front(&mut self.slots, &mut self.hot, i);
-            } else if seen <= 1 {
-                // One-shot so far: admitted last, first in eviction order.
-                push_back(&mut self.slots, &mut self.cold, i);
-            } else {
-                push_front(&mut self.slots, &mut self.cold, i);
-            }
-        }
+        push_front(&mut self.slots, &mut self.recency, i);
         self.bytes += bytes;
         self.entries.insert(key, i);
     }
 
-    /// Evict the cold LRU entry, falling back to the hot LRU only when no
-    /// cold entry remains. O(1): both orders are intrusive lists.
+    /// Evict the LRU entry. O(1): the order is an intrusive list.
     fn evict_lru(&mut self) {
-        let victim = if self.cold.tail != NONE { self.cold.tail } else { self.hot.tail };
+        let victim = self.recency.tail;
         assert!(victim != NONE, "evict_lru called on empty cache with bytes outstanding");
-        self.detach(victim);
+        unlink(&mut self.slots, &mut self.recency, victim);
         let node = &self.slots[victim as usize];
         self.bytes -= node.bytes;
         self.entries.remove(&node.key).expect("victim present");
@@ -483,7 +387,7 @@ mod tests {
     /// Reference model of the historical linear-scan implementation:
     /// timestamped entries, eviction by minimum `last_used`. Ticks are
     /// unique so the scan never ties — the recency list must reproduce its
-    /// eviction order byte-for-byte at heat threshold 0.
+    /// eviction order byte-for-byte.
     struct ScanModel {
         budget: usize,
         bytes: usize,
@@ -566,79 +470,5 @@ mod tests {
         for k in 0..8u32 {
             assert_eq!(c.get(0, kw(k), 0).is_some(), m.get((0, kw(k), 0)).is_some());
         }
-    }
-
-    #[test]
-    fn hot_entries_resist_eviction() {
-        let one = fat(64, 0).memory_bytes() + ENTRY_OVERHEAD;
-        let mut c = CoverageCache::with_heat(2 * one + one / 2, 2);
-        assert_eq!(c.heat_threshold(), 2);
-        // kw1 is looked up twice before its insert → hot on admission.
-        assert!(c.get(0, kw(1), 0).is_none());
-        assert!(c.get(0, kw(1), 0).is_none());
-        c.insert(0, kw(1), 0, fat(64, 1));
-        // kw2 and kw3 are one-shots; admitting kw3 must evict kw2, the
-        // cold entry, even though kw1 is the least recently touched.
-        assert!(c.get(0, kw(2), 0).is_none());
-        c.insert(0, kw(2), 0, fat(64, 2));
-        assert!(c.get(0, kw(3), 0).is_none());
-        c.insert(0, kw(3), 0, fat(64, 3));
-        assert_eq!(c.counters().evictions, 1);
-        assert!(c.get(0, kw(1), 0).is_some(), "hot entry survives");
-        assert!(c.get(0, kw(2), 0).is_none(), "cold entry evicted");
-        assert!(c.get(0, kw(3), 0).is_some());
-    }
-
-    #[test]
-    fn one_shot_slots_are_first_out() {
-        let one = fat(64, 0).memory_bytes() + ENTRY_OVERHEAD;
-        let mut c = CoverageCache::with_heat(2 * one + one / 2, 3);
-        // kw1 reaches two lookups (below the threshold of 3) → admitted at
-        // the cold MRU end like a plain LRU insert.
-        assert!(c.get(0, kw(1), 0).is_none());
-        assert!(c.get(0, kw(1), 0).is_none());
-        c.insert(0, kw(1), 0, fat(64, 1));
-        // kw2 is a one-shot → admitted at the cold LRU end, so it goes
-        // first even though it is the most recently inserted.
-        assert!(c.get(0, kw(2), 0).is_none());
-        c.insert(0, kw(2), 0, fat(64, 2));
-        assert!(c.get(0, kw(3), 0).is_none());
-        c.insert(0, kw(3), 0, fat(64, 3));
-        assert_eq!(c.counters().evictions, 1);
-        assert!(c.get(0, kw(1), 0).is_some(), "warm entry survives the one-shot");
-        assert!(c.get(0, kw(2), 0).is_none(), "one-shot evicted first");
-    }
-
-    #[test]
-    fn resident_entry_promotes_on_crossing_threshold() {
-        let one = fat(64, 0).memory_bytes() + ENTRY_OVERHEAD;
-        let mut c = CoverageCache::with_heat(2 * one + one / 2, 3);
-        assert!(c.get(0, kw(1), 0).is_none());
-        c.insert(0, kw(1), 0, fat(64, 1));
-        // Two hits take kw1's lookups to 3 → promoted to the hot list.
-        assert!(c.get(0, kw(1), 0).is_some());
-        assert!(c.get(0, kw(1), 0).is_some());
-        // A pair of fresh inserts evicts from the cold list only.
-        assert!(c.get(0, kw(2), 0).is_none());
-        c.insert(0, kw(2), 0, fat(64, 2));
-        assert!(c.get(0, kw(3), 0).is_none());
-        c.insert(0, kw(3), 0, fat(64, 3));
-        assert_eq!(c.counters().evictions, 1);
-        assert!(c.get(0, kw(1), 0).is_some(), "promoted entry survives");
-    }
-
-    #[test]
-    fn hot_list_evicts_when_cold_is_empty() {
-        let one = fat(64, 0).memory_bytes() + ENTRY_OVERHEAD;
-        let mut c = CoverageCache::with_heat(2 * one + one / 2, 1);
-        // Threshold 1: every looked-up slot is hot on admission.
-        for k in 1..=3u32 {
-            assert!(c.get(0, kw(k), 0).is_none());
-            c.insert(0, kw(k), 0, fat(64, k as usize));
-        }
-        assert_eq!(c.counters().evictions, 1, "hot LRU evicted once cold is empty");
-        assert!(c.get(0, kw(1), 0).is_none(), "oldest hot entry evicted");
-        assert!(c.get(0, kw(2), 0).is_some());
-        assert!(c.get(0, kw(3), 0).is_some());
     }
 }

@@ -12,8 +12,6 @@ use std::fmt;
 use std::str::FromStr;
 use std::time::Duration;
 
-use disks_core::LayoutMode;
-
 use crate::health::HedgeMode;
 use crate::transport::{FaultPlan, HeartbeatConfig, NetworkModel, TransportKind};
 
@@ -90,16 +88,9 @@ pub struct ClusterConfig {
     /// Per-fragment heat estimates steering replica *placement* (hotter
     /// fragments claim the idlest machines first); one entry per fragment.
     /// `None` (the default) treats every fragment as equally hot. Set
-    /// programmatically — e.g. from a profiling run's per-machine compute
-    /// or a [`crate::HeatSnapshot`] profile — not from the environment.
+    /// programmatically — e.g. from a profiling run's per-machine compute —
+    /// not from the environment.
     pub placement_heat: Option<Vec<u64>>,
-    /// Heat-aware coverage-cache admission threshold (DESIGN.md §6i):
-    /// slots looked up at least this many times resist eviction, one-shot
-    /// slots are admitted at the eviction end; `0` keeps the plain LRU
-    /// (bit-identical to the pre-layout cache). Env: `DISKS_CACHE_HEAT`;
-    /// unset, it follows `DISKS_LAYOUT` — 3 under `workload`, 0 under
-    /// `static`.
-    pub cache_heat: u32,
     /// Straggler hedging over replicas (DESIGN.md §6j): when a dispatched
     /// slot is still missing answers past the hedge deadline —
     /// `max(hedge_ms, 4 × evaluation p99)` — the missing fragments are
@@ -228,11 +219,6 @@ const KNOBS: &[Knob] = &[
         set: |c, v| count(v).map(|n| c.replicas = n),
     },
     Knob {
-        var: "DISKS_CACHE_HEAT",
-        expected: "a lookup count, or 0/off/false for plain LRU",
-        set: |c, v| count(v).map(|n| c.cache_heat = n),
-    },
-    Knob {
         var: "DISKS_HEDGE",
         expected: "adaptive, or 0/off/false to disable hedging",
         set: |c, v| {
@@ -255,13 +241,10 @@ impl ClusterConfig {
     /// With every variable unset: 64 MiB coverage cache, fixed batching
     /// windows of 16, no cost limit (brownout at 0.75 once there is one), 2 ms retry
     /// backoff, channel transport, 100 ms / 1 s heartbeat, no replicas,
-    /// plain-LRU cache admission (`cache_heat` 3 under
-    /// `DISKS_LAYOUT=workload`), hedging and quarantine off (50 ms hedge
-    /// floor).
+    /// hedging and quarantine off (50 ms hedge floor).
     ///
-    /// A `DISKS_*` variable that is neither a row of the table nor
-    /// `DISKS_LAYOUT` is an error too: a removed or misspelt knob is
-    /// reported, not run as its default.
+    /// A `DISKS_*` variable that is not a row of the table is an error
+    /// too: a removed or misspelt knob is reported, not run as its default.
     pub fn from_env() -> Result<ClusterConfig, ConfigError> {
         // `vars_os`: `vars` panics on any entry that is not Unicode.
         Self::from_vars(std::env::vars_os().filter_map(|(name, value)| {
@@ -278,7 +261,7 @@ impl ClusterConfig {
         // Sorted, so the unknown name reported is the same on every run.
         let vars: BTreeMap<String, String> =
             vars.into_iter().filter(|(name, _)| name.starts_with("DISKS_")).collect();
-        let known = || ["DISKS_LAYOUT"].into_iter().chain(KNOBS.iter().map(|k| k.var));
+        let known = || KNOBS.iter().map(|k| k.var);
         if let Some((name, value)) = vars.iter().find(|(name, _)| known().all(|k| k != *name)) {
             return Err(ConfigError {
                 var: name.clone(),
@@ -290,7 +273,6 @@ impl ClusterConfig {
             });
         }
         let lookup = |var: &str| vars.get(var).cloned();
-        let layout = LayoutMode::parse(lookup("DISKS_LAYOUT").as_deref());
         let mut config = ClusterConfig {
             machines: None,
             // The paper's setting: a 100 Mb TP-LINK switch.
@@ -309,7 +291,6 @@ impl ClusterConfig {
             heartbeat: HeartbeatConfig::default(),
             replicas: 0,
             placement_heat: None,
-            cache_heat: if layout.is_workload() { 3 } else { 0 },
             hedge: HedgeMode::Off,
             hedge_ms: 50,
             quarantine: false,
@@ -384,7 +365,7 @@ mod tests {
         assert_eq!(c.batch_window, 16);
         assert_eq!((c.cost_limit, c.brownout), (0, 0.75));
         assert_eq!(c.retry_backoff, Duration::from_millis(2));
-        assert_eq!((c.replicas, c.cache_heat), (0, 0));
+        assert_eq!(c.replicas, 0);
         assert_eq!((c.hedge, c.quarantine), (HedgeMode::Off, false));
         assert_eq!(c.transport, TransportKind::Channel);
         assert_eq!(c.heartbeat.interval, Duration::from_millis(100));
@@ -401,7 +382,6 @@ mod tests {
                 ("DISKS_BROWNOUT", off),
                 ("DISKS_RETRY_BACKOFF", off),
                 ("DISKS_REPLICAS", off),
-                ("DISKS_CACHE_HEAT", off),
                 ("DISKS_HEDGE", off),
                 ("DISKS_QUARANTINE", off),
             ])
@@ -409,7 +389,7 @@ mod tests {
             assert_eq!((c.coverage_cache_bytes, c.batch_window), (0, 1));
             assert_eq!((c.cost_limit, c.brownout), (0, f64::INFINITY));
             assert_eq!(c.retry_backoff, Duration::ZERO);
-            assert_eq!((c.replicas, c.cache_heat), (0, 0));
+            assert_eq!(c.replicas, 0);
             assert_eq!((c.hedge, c.quarantine), (HedgeMode::Off, false));
         }
         let c = with(&[
@@ -422,7 +402,6 @@ mod tests {
             ("DISKS_HEARTBEAT_MS", "20"),
             ("DISKS_TCP_READ_TIMEOUT_MS", "300"),
             ("DISKS_REPLICAS", "1"),
-            ("DISKS_CACHE_HEAT", "5"),
             ("DISKS_HEDGE", "adaptive"),
             ("DISKS_QUARANTINE", "1"),
         ])
@@ -433,21 +412,13 @@ mod tests {
         assert_eq!(c.transport, TransportKind::Tcp);
         assert_eq!(c.heartbeat.interval, Duration::from_millis(20));
         assert_eq!(c.heartbeat.read_timeout, Duration::from_millis(300));
-        assert_eq!((c.replicas, c.cache_heat), (1, 5));
+        assert_eq!(c.replicas, 1);
         assert_eq!((c.hedge, c.quarantine), (HedgeMode::Adaptive, true));
 
         assert_eq!(
             with(&[("DISKS_TRANSPORT", "channel")]).unwrap().transport,
             TransportKind::Channel
         );
-    }
-
-    #[test]
-    fn cache_heat_default_follows_the_layout_mode() {
-        assert_eq!(with(&[("DISKS_LAYOUT", "workload")]).unwrap().cache_heat, 3);
-        assert_eq!(with(&[("DISKS_LAYOUT", "static")]).unwrap().cache_heat, 0);
-        let pinned = with(&[("DISKS_LAYOUT", "workload"), ("DISKS_CACHE_HEAT", "0")]).unwrap();
-        assert_eq!(pinned.cache_heat, 0);
     }
 
     #[test]
@@ -477,7 +448,7 @@ mod tests {
             let err = with(&[("DISKS_BATCH", "8"), (name, value)]).expect_err(name);
             assert_eq!((err.var.as_str(), err.value.as_str()), (name, value));
             assert!(err.to_string().starts_with(name), "{err}");
-            for known in KNOBS.iter().map(|k| k.var).chain(["DISKS_LAYOUT"]) {
+            for known in KNOBS.iter().map(|k| k.var) {
                 assert!(err.expected.contains(known), "{err}");
             }
         }
@@ -511,7 +482,7 @@ mod tests {
             .collect();
         documented.sort_unstable();
         documented.dedup();
-        let mut table: Vec<&str> = KNOBS.iter().map(|k| k.var).chain(["DISKS_LAYOUT"]).collect();
+        let mut table: Vec<&str> = KNOBS.iter().map(|k| k.var).collect();
         table.sort_unstable();
         assert_eq!(documented, table);
     }

@@ -61,7 +61,6 @@ use self::dispatch::Disposition;
 use self::supervise::{RespawnSpec, WorkerHandle};
 use crate::cache::CacheCounters;
 use crate::health::HealthBoard;
-use crate::heat::HeatSnapshot;
 use crate::message::{encode_frame, Request, Response};
 use crate::overload::{OverloadCounters, PressureGauge};
 use crate::scheduler::Placement;
@@ -290,20 +289,6 @@ impl Cluster {
     fn hottest_slots(&self, k: usize) -> Vec<DTerm> {
         let ranked = ranked_heat(&self.slot_heat.borrow());
         ranked.into_iter().take(k).map(|((term, radius), _)| DTerm { term, radius }).collect()
-    }
-
-    /// Export the slot-heat ledger as a portable [`HeatSnapshot`]: every
-    /// tracked `(term, radius)` slot with its lifetime dispatch count,
-    /// hottest first (count descending, ties by the deterministic slot
-    /// key). Feed the snapshot's [`HeatSnapshot::to_profile`] into the
-    /// offline layout pipeline (query-weighted refinement, observed-radius
-    /// split, heat-seeded placement) to re-lay the cluster out around the
-    /// workload it actually served.
-    pub fn heat_snapshot(&self) -> HeatSnapshot {
-        let ranked = ranked_heat(&self.slot_heat.borrow());
-        HeatSnapshot {
-            entries: ranked.into_iter().map(|((term, r), count)| (term, r, count)).collect(),
-        }
     }
 
     /// Record a plan's coverage slots in the heat map (admission time).

@@ -174,20 +174,12 @@ fn spawn_local_worker(
     worker_faults: WorkerFaults,
     resp_tx: &LinkSender,
 ) -> (Box<dyn Link>, JoinHandle<()>) {
-    let (cache_budget, cache_heat) = (config.coverage_cache_bytes, config.cache_heat);
+    let cache_budget = config.coverage_cache_bytes;
     let spawn_thread = move |requests: Receiver<Bytes>, responses: LinkSender| {
         std::thread::Builder::new()
             .name(format!("disks-worker-{m}"))
             .spawn(move || {
-                worker_loop(
-                    m,
-                    engines,
-                    requests,
-                    responses,
-                    worker_faults,
-                    cache_budget,
-                    cache_heat,
-                )
+                worker_loop(m, engines, requests, responses, worker_faults, cache_budget)
             })
             .expect("spawn worker")
     };

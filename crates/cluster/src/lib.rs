@@ -71,7 +71,6 @@ pub mod cache;
 pub mod cluster;
 pub mod framing;
 pub mod health;
-pub mod heat;
 pub mod message;
 pub mod overload;
 pub mod scheduler;
@@ -85,7 +84,6 @@ pub use cluster::{
 };
 pub use framing::{FrameAssembler, StreamEvent};
 pub use health::{HealthBoard, HealthConfig, HealthState, HedgeMode};
-pub use heat::HeatSnapshot;
 pub use message::{BatchAnswer, Request, Response, WireCost};
 pub use overload::{retry_after, OverloadCounters, PressureGauge};
 pub use scheduler::Placement;

@@ -225,9 +225,8 @@ pub fn worker_loop(
     responses: LinkSender,
     faults: WorkerFaults,
     cache_budget: usize,
-    cache_heat: u32,
 ) {
-    let mut cache = CoverageCache::with_heat(cache_budget, cache_heat);
+    let mut cache = CoverageCache::new(cache_budget);
     let mut request_count: u64 = 0;
     while let Ok(frame) = requests.recv() {
         let request = match decode_frame::<Request>(frame) {
@@ -420,7 +419,7 @@ mod tests {
         let (req_tx, req_rx) = unbounded();
         let (resp_tx, resp_rx, counters) = counted_link();
         let handle = std::thread::spawn(move || {
-            worker_loop(0, engines, req_rx, resp_tx, WorkerFaults::default(), 1 << 20, 0)
+            worker_loop(0, engines, req_rx, resp_tx, WorkerFaults::default(), 1 << 20)
         });
 
         let freqs = net.keyword_frequencies();
@@ -469,7 +468,7 @@ mod tests {
         let (req_tx, req_rx) = unbounded();
         let (resp_tx, resp_rx, _) = counted_link();
         let handle = std::thread::spawn(move || {
-            worker_loop(0, engines, req_rx, resp_tx, WorkerFaults::default(), 0, 0)
+            worker_loop(0, engines, req_rx, resp_tx, WorkerFaults::default(), 0)
         });
         let f = DFunction::single(Term::Keyword(KeywordId(0)), 1_000_000_000);
         let plan = QueryPlan::lower(&f);
@@ -501,7 +500,7 @@ mod tests {
         let (req_tx, req_rx) = unbounded();
         let (resp_tx, resp_rx, _) = counted_link();
         let handle = std::thread::spawn(move || {
-            worker_loop(0, engines, req_rx, resp_tx, WorkerFaults::default(), 1 << 20, 0)
+            worker_loop(0, engines, req_rx, resp_tx, WorkerFaults::default(), 1 << 20)
         });
         let freqs = net.keyword_frequencies();
         let top = KeywordId((0..freqs.len()).max_by_key(|&k| freqs[k]).unwrap() as u32);
@@ -546,7 +545,7 @@ mod tests {
         let (req_tx, req_rx) = unbounded();
         let (resp_tx, resp_rx, _) = counted_link();
         let handle = std::thread::spawn(move || {
-            worker_loop(0, engines, req_rx, resp_tx, WorkerFaults::default(), 1 << 20, 0)
+            worker_loop(0, engines, req_rx, resp_tx, WorkerFaults::default(), 1 << 20)
         });
         req_tx.send(Bytes::from_static(&[0xde, 0xad])).unwrap();
         // Worker survives; a valid shutdown still works.
@@ -573,9 +572,8 @@ mod tests {
             .collect();
         let (req_tx, req_rx) = unbounded();
         let (resp_tx, resp_rx, _) = counted_link();
-        let handle = std::thread::spawn(move || {
-            worker_loop(0, engines, req_rx, resp_tx, faults, 1 << 20, 0)
-        });
+        let handle =
+            std::thread::spawn(move || worker_loop(0, engines, req_rx, resp_tx, faults, 1 << 20));
         (req_tx, resp_rx, handle, net)
     }
 

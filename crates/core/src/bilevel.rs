@@ -6,7 +6,7 @@
 //! [`BiLevelIndex`] wraps two [`FragmentEngine`]s and routes each D-function
 //! by its largest radius.
 
-use disks_partition::{FragmentId, LayoutProfile, Partitioning};
+use disks_partition::{FragmentId, Partitioning};
 use disks_roadnet::{NodeId, RoadNetwork, INF};
 
 use crate::dfunc::DFunction;
@@ -14,23 +14,6 @@ use crate::engine::{CoverageStore, FragmentEngine, NoCache, QueryCost};
 use crate::error::{IndexError, QueryError};
 use crate::index::{build_index, IndexConfig, NpdIndex};
 use crate::plan::QueryPlan;
-
-/// Quantile of the observed radius distribution the workload-aware split
-/// sizes the primary for: the primary admits (at least) this share of the
-/// observed query weight, the unbounded secondary absorbs the tail.
-pub const SPLIT_QUANTILE: f64 = 0.90;
-
-/// The workload-aware primary `maxR` (DESIGN.md §6i): the smallest observed
-/// radius covering [`SPLIT_QUANTILE`] of the profile's query weight,
-/// clamped to `[1, static_max_r]` — the observed split only ever *shrinks*
-/// the primary relative to the static configuration, and an empty profile
-/// falls back to the static value.
-pub fn observed_split(profile: &LayoutProfile, static_max_r: u64) -> u64 {
-    match profile.radius_quantile(SPLIT_QUANTILE) {
-        Some(r) => r.clamp(1, static_max_r),
-        None => static_max_r,
-    }
-}
 
 /// Which level served a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,42 +44,6 @@ impl BiLevelIndex {
         let secondary_cfg = IndexConfig { max_r: INF, ..*config };
         let secondary_idx = build_index(net, partitioning, fragment, &secondary_cfg);
         Self::from_indexes(net, partitioning, &primary_idx, &secondary_idx)
-    }
-
-    /// Workload-aware build: the primary's `maxR` is the
-    /// [`observed_split`] of `profile`'s radius distribution instead of
-    /// the static `config.max_r` (which remains the upper clamp and the
-    /// fallback for an empty profile). The routing threshold still serves
-    /// every admitted radius exactly, so results are identical to the
-    /// static build — only which level answers, and the primary's size,
-    /// change.
-    pub fn build_with_profile(
-        net: &RoadNetwork,
-        partitioning: &Partitioning,
-        fragment: FragmentId,
-        config: &IndexConfig,
-        profile: &LayoutProfile,
-    ) -> Result<Self, IndexError> {
-        let cfg = IndexConfig { max_r: observed_split(profile, config.max_r), ..*config };
-        Self::build(net, partitioning, fragment, &cfg)
-    }
-
-    /// Mode-dispatched build: `DISKS_LAYOUT=workload` routes to
-    /// [`Self::build_with_profile`], while the default `static` mode calls
-    /// [`Self::build`] with `config` untouched — bit-identical to the
-    /// pre-layout behaviour.
-    pub fn build_auto(
-        net: &RoadNetwork,
-        partitioning: &Partitioning,
-        fragment: FragmentId,
-        config: &IndexConfig,
-        profile: &LayoutProfile,
-    ) -> Result<Self, IndexError> {
-        if crate::layout::LayoutMode::from_env().is_workload() {
-            Self::build_with_profile(net, partitioning, fragment, config, profile)
-        } else {
-            Self::build(net, partitioning, fragment, config)
-        }
     }
 
     /// Wrap pre-built indexes (primary bounded, secondary unbounded).
@@ -232,64 +179,6 @@ mod tests {
         let net = GridNetworkConfig::tiny(51).generate();
         let p = MultilevelPartitioner::default().partition(&net, 2);
         let _ = BiLevelIndex::build(&net, &p, FragmentId(0), &IndexConfig::unbounded());
-    }
-
-    #[test]
-    fn observed_split_follows_the_radius_quantile() {
-        let mut profile = LayoutProfile::new();
-        assert_eq!(observed_split(&profile, 500), 500, "empty profile → static cap");
-        // 90 queries at r=40, 10 at r=400: the 0.9 quantile is 40.
-        profile.record_radius(40, 90);
-        profile.record_radius(400, 10);
-        assert_eq!(observed_split(&profile, 500), 40);
-        // The static config stays an upper clamp.
-        assert_eq!(observed_split(&profile, 25), 25);
-        // A tail-heavy profile keeps a large primary.
-        let mut tail = LayoutProfile::new();
-        tail.record_radius(400, 100);
-        assert_eq!(observed_split(&tail, 500), 400);
-    }
-
-    #[test]
-    fn profile_build_shrinks_the_primary_without_changing_answers() {
-        let net = GridNetworkConfig::tiny(53).generate();
-        let p = MultilevelPartitioner::default().partition(&net, 3);
-        let e = net.avg_edge_weight();
-        let cfg = IndexConfig::with_max_r(20 * e);
-        let kw = top_keyword(&net);
-        // Observed workload: almost everything at 2e, a sliver at 20e.
-        let mut profile = LayoutProfile::new();
-        profile.record_radius(2 * e, 95);
-        profile.record_radius(20 * e, 5);
-        let mut central = CentralizedCoverage::new(&net);
-        let mut got: Vec<NodeId> = Vec::new();
-        for f in p.fragment_ids() {
-            let mut bi = BiLevelIndex::build_with_profile(&net, &p, f, &cfg, &profile).unwrap();
-            assert_eq!(bi.max_r(), 2 * e, "split picked from the observed distribution");
-            // A radius beyond the observed split now routes to the
-            // secondary — and the answer is still exact.
-            let q = DFunction::single(Term::Keyword(kw), 4 * e);
-            let (r, _, served) = bi.evaluate(&q).unwrap();
-            assert_eq!(served, ServedBy::Secondary);
-            got.extend(r);
-        }
-        got.sort_unstable();
-        assert_eq!(got, central.evaluate(&DFunction::single(Term::Keyword(kw), 4 * e)).unwrap());
-    }
-
-    #[test]
-    fn auto_build_defaults_to_the_static_split() {
-        if std::env::var("DISKS_LAYOUT").is_ok_and(|v| v.eq_ignore_ascii_case("workload")) {
-            return; // the CI workload lane exercises the other arm
-        }
-        let net = GridNetworkConfig::tiny(54).generate();
-        let p = MultilevelPartitioner::default().partition(&net, 2);
-        let e = net.avg_edge_weight();
-        let cfg = IndexConfig::with_max_r(10 * e);
-        let mut profile = LayoutProfile::new();
-        profile.record_radius(e, 100);
-        let bi = BiLevelIndex::build_auto(&net, &p, FragmentId(0), &cfg, &profile).unwrap();
-        assert_eq!(bi.max_r(), 10 * e, "static mode ignores the profile");
     }
 
     #[test]

@@ -40,21 +40,26 @@ impl Decode for DlScope {
     }
 }
 
-fn encode_pairs(pairs: &[(NodeId, u64)], buf: &mut impl BufMut) {
-    encode_len(pairs.len(), buf);
-    for &(n, d) in pairs {
-        n.encode(buf);
-        d.encode(buf);
-    }
-}
-
-fn decode_pairs(buf: &mut impl Buf) -> Result<Vec<(NodeId, u64)>, DecodeError> {
-    let len = decode_len(buf, "dl pairs")?;
-    let mut out = Vec::with_capacity(len.min(1 << 20));
+/// Decode a table of `key → pairs` entries. [`to_binary`] writes a table in
+/// strictly ascending key order, so any other order — a repeated key
+/// included — is corrupt, not a second spelling of the same index.
+fn decode_table<K: Decode + Copy + Ord + std::hash::Hash>(
+    buf: &mut impl Buf,
+    context: &'static str,
+) -> Result<HashMap<K, Vec<(NodeId, u64)>>, DecodeError> {
+    let len = decode_len(buf, context)?;
+    // An entry is at least a key and a length prefix.
+    let mut table = HashMap::with_capacity(len.min(buf.remaining() / 8));
+    let mut last = None;
     for _ in 0..len {
-        out.push((NodeId::decode(buf)?, u64::decode(buf)?));
+        let key = K::decode(buf)?;
+        if last.is_some_and(|last| last >= key) {
+            return Err(DecodeError::LengthOutOfRange { context, len: len as u64 });
+        }
+        last = Some(key);
+        table.insert(key, Vec::decode(buf)?);
     }
-    Ok(out)
+    Ok(table)
 }
 
 /// Encode an index to bytes.
@@ -76,26 +81,27 @@ pub fn to_binary(index: &NpdIndex) -> Bytes {
     encode_len(entries.len(), &mut buf);
     for (n, list) in entries {
         n.encode(&mut buf);
-        encode_pairs(list, &mut buf);
+        list.encode(&mut buf);
     }
     let mut kws: Vec<(&KeywordId, &Vec<(NodeId, u64)>)> = index.keyword_portals.iter().collect();
     kws.sort_unstable_by_key(|(k, _)| k.0);
     encode_len(kws.len(), &mut buf);
     for (k, list) in kws {
         k.encode(&mut buf);
-        encode_pairs(list, &mut buf);
+        list.encode(&mut buf);
     }
     buf.freeze()
 }
 
-/// Decode an index from bytes.
+/// Decode an index from bytes: exactly one index, in the one form
+/// [`to_binary`] writes, with nothing after it.
 pub fn from_binary(mut bytes: Bytes) -> Result<NpdIndex, IndexError> {
     decode_header(&mut bytes, INDEX_MAGIC)?;
     let fragment = FragmentId(u32::decode(&mut bytes)?);
     let max_r = u64::decode(&mut bytes)?;
     let dl_scope = DlScope::decode(&mut bytes)?;
     let sc_len = decode_len(&mut bytes, "sc")?;
-    let mut sc = Vec::with_capacity(sc_len.min(1 << 20));
+    let mut sc = Vec::with_capacity(sc_len.min(bytes.remaining() / 16));
     for _ in 0..sc_len {
         sc.push((
             NodeId::decode(&mut bytes)?,
@@ -103,17 +109,14 @@ pub fn from_binary(mut bytes: Bytes) -> Result<NpdIndex, IndexError> {
             u64::decode(&mut bytes)?,
         ));
     }
-    let entry_len = decode_len(&mut bytes, "dl entries")?;
-    let mut dl_entries = HashMap::with_capacity(entry_len.min(1 << 20));
-    for _ in 0..entry_len {
-        let n = NodeId::decode(&mut bytes)?;
-        dl_entries.insert(n, decode_pairs(&mut bytes)?);
-    }
-    let kw_len = decode_len(&mut bytes, "keyword portals")?;
-    let mut keyword_portals = HashMap::with_capacity(kw_len.min(1 << 20));
-    for _ in 0..kw_len {
-        let k = KeywordId::decode(&mut bytes)?;
-        keyword_portals.insert(k, decode_pairs(&mut bytes)?);
+    let dl_entries = decode_table(&mut bytes, "dl entries")?;
+    let keyword_portals = decode_table(&mut bytes, "keyword portals")?;
+    if bytes.has_remaining() {
+        return Err(DecodeError::LengthOutOfRange {
+            context: "bytes after the index",
+            len: bytes.remaining() as u64,
+        }
+        .into());
     }
     Ok(NpdIndex {
         fragment,
@@ -156,6 +159,7 @@ mod tests {
     use crate::index::{build_index, IndexConfig};
     use disks_partition::{MultilevelPartitioner, Partitioner};
     use disks_roadnet::generator::GridNetworkConfig;
+    use proptest::prelude::*;
 
     fn sample_index() -> NpdIndex {
         let net = GridNetworkConfig::tiny(8).generate();
@@ -212,10 +216,97 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A file is one index in the encoder's form and nothing else: bytes
+    /// after it, or a DL table whose keys repeat or descend, are corruption,
+    /// not something to load around.
+    #[test]
+    fn load_index_rejects_trailing_bytes_and_keys_out_of_order() {
+        let dir = std::env::temp_dir().join(format!("disks-idx-strict-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("frag1.npd");
+        let rejected = |blob: &[u8], what: &str| {
+            std::fs::write(&path, blob).unwrap();
+            let got = load_index(&path, FragmentId(1));
+            assert!(
+                matches!(got, Err(IndexError::Decode(DecodeError::LengthOutOfRange { .. }))),
+                "{what}: {:?}",
+                got.map(|i| i.distances_recorded())
+            );
+        };
+
+        let mut appended = to_binary(&sample_index()).to_vec();
+        appended.extend_from_slice(&[0; 7]);
+        rejected(&appended, "7 bytes after the index");
+
+        // The second was found by the bit-flip proptest below (a flipped
+        // key bit, 8 → 10): it decoded, and re-encoded sorted, to other bytes.
+        for (keys, what) in [([3, 3], "a repeated DL key"), ([10, 9], "descending DL keys")] {
+            let mut blob = BytesMut::new();
+            encode_header(INDEX_MAGIC, &mut blob);
+            (1u32, u64::MAX).encode(&mut blob);
+            DlScope::AllNodes.encode(&mut blob);
+            encode_len(0, &mut blob); // sc
+            encode_len(keys.len(), &mut blob); // dl entries
+            for key in keys {
+                NodeId(key).encode(&mut blob);
+                vec![(NodeId(4), 9u64)].encode(&mut blob);
+            }
+            encode_len(0, &mut blob); // keyword portals
+            rejected(&blob, what);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn encoded_size_matches_blob() {
         let idx = sample_index();
         assert_eq!(encoded_size(&idx), to_binary(&idx).len());
         assert!(encoded_size(&idx) > 0);
+    }
+
+    /// What decodes is the encoder's own form: it re-encodes to the input,
+    /// every byte of it.
+    fn decodes_only_to_its_own_encoding(raw: Vec<u8>) -> Result<(), TestCaseError> {
+        if let Ok(index) = from_binary(Bytes::from(raw.clone())) {
+            prop_assert!(to_binary(&index)[..] == raw[..], "decoded, but re-encodes differently");
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes — half of them zero, so that length prefixes are
+        /// often small enough to pass — never panic the decoder, bare or
+        /// behind a valid header. (Every reservation is bounded by the bytes
+        /// in hand, so none can exhaust memory either.)
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            body in collection::vec(prop_oneof![Just(0u8), any::<u8>()], 0..256)
+        ) {
+            let mut raw = BytesMut::new();
+            encode_header(INDEX_MAGIC, &mut raw);
+            raw.extend_from_slice(&body);
+            decodes_only_to_its_own_encoding(raw.to_vec())?;
+            decodes_only_to_its_own_encoding(body)?;
+        }
+
+        /// One flipped bit anywhere in a valid file, and any number of bytes
+        /// appended to it, either fail to decode or change nothing the
+        /// encoder would not write back.
+        #[test]
+        fn bit_flips_and_trailing_bytes_of_a_valid_blob(
+            at in any::<usize>(),
+            bit in 0u8..8,
+            tail in collection::vec(any::<u8>(), 1..9),
+        ) {
+            let valid = to_binary(&sample_index()).to_vec();
+            let mut flipped = valid.clone();
+            flipped[at % valid.len()] ^= 1 << bit;
+            decodes_only_to_its_own_encoding(flipped)?;
+            let mut longer = valid;
+            longer.extend_from_slice(&tail);
+            decodes_only_to_its_own_encoding(longer)?;
+        }
     }
 }

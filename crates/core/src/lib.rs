@@ -34,12 +34,11 @@ pub mod directed;
 pub mod engine;
 pub mod error;
 pub mod index;
-pub mod layout;
 pub mod plan;
 pub mod query;
 pub mod topk;
 
-pub use bilevel::{observed_split, BiLevelIndex};
+pub use bilevel::BiLevelIndex;
 pub use coverage::CentralizedCoverage;
 pub use dfunc::{DFunction, DTerm, SetOp, Term};
 pub use directed::{
@@ -52,7 +51,6 @@ pub use index::{
     build_all_indexes, build_index, build_index_with_threads, build_naive_index, DlScope,
     IndexConfig, IndexStats, NpdIndex,
 };
-pub use layout::LayoutMode;
 pub use plan::{CostParams, QueryPlan, SuperPlan};
 pub use query::{QClassQuery, RangeKeywordQuery, SgkQuery};
 pub use topk::{centralized_topk, merge_topk, Ranked, ScoreCombine, TopKQuery};

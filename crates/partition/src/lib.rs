@@ -22,14 +22,12 @@
 pub mod bfs;
 pub mod fragment;
 pub mod grid;
-pub mod layout;
 pub mod metrics;
 pub mod multilevel;
 
 pub use bfs::BfsPartitioner;
 pub use fragment::{FragmentId, Partitioning};
 pub use grid::GridPartitioner;
-pub use layout::{refine_weighted, weighted_cut, LayoutProfile, HEAT_DIFFUSION_HOPS};
 pub use metrics::PartitionMetrics;
 pub use multilevel::MultilevelPartitioner;
 

@@ -11,12 +11,6 @@ pub struct PartitionMetrics {
     pub k: usize,
     /// Cross-fragment edges.
     pub cut_edges: usize,
-    /// Query-weighted edge cut (`layout::weighted_cut`): each cut edge
-    /// costs `1 + heat(u) + heat(v)`. [`PartitionMetrics::compute`] has no
-    /// profile, so it reports the zero-heat degenerate value, which equals
-    /// `cut_edges`; use [`PartitionMetrics::compute_weighted`] to score
-    /// against an observed workload.
-    pub weighted_cut: u64,
     /// Cut edges as a fraction of all edges.
     pub cut_fraction: f64,
     /// Largest fragment size / ideal size.
@@ -37,7 +31,6 @@ impl PartitionMetrics {
         PartitionMetrics {
             k: p.num_fragments(),
             cut_edges: p.cut_edges(),
-            weighted_cut: p.cut_edges() as u64,
             cut_fraction: if net.num_edges() == 0 {
                 0.0
             } else {
@@ -50,25 +43,16 @@ impl PartitionMetrics {
             max_portals: portal_counts.iter().copied().max().unwrap_or(0),
         }
     }
-
-    /// Like [`compute`](Self::compute), but scoring `weighted_cut` against
-    /// a per-node query heat vector (see `layout::weighted_cut`).
-    pub fn compute_weighted(net: &RoadNetwork, p: &Partitioning, node_heat: &[u64]) -> Self {
-        let mut m = Self::compute(net, p);
-        m.weighted_cut = crate::layout::weighted_cut(net, p, node_heat);
-        m
-    }
 }
 
 impl std::fmt::Display for PartitionMetrics {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "k={} cut={} ({:.2}%) wcut={} balance={:.3} sizes=[{}, {}] portals={} (max {})",
+            "k={} cut={} ({:.2}%) balance={:.3} sizes=[{}, {}] portals={} (max {})",
             self.k,
             self.cut_edges,
             self.cut_fraction * 100.0,
-            self.weighted_cut,
             self.balance,
             self.min_size,
             self.max_size,
@@ -91,9 +75,6 @@ mod tests {
         let m = PartitionMetrics::compute(&net, &p);
         assert_eq!(m.k, 4);
         assert_eq!(m.cut_edges, p.cut_edges());
-        assert_eq!(m.weighted_cut, p.cut_edges() as u64, "no profile → zero-heat degenerate");
-        let heavy = PartitionMetrics::compute_weighted(&net, &p, &vec![1u64; net.num_nodes()]);
-        assert_eq!(heavy.weighted_cut, 3 * p.cut_edges() as u64, "uniform heat 1 → 1+1+1 per edge");
         assert!(m.min_size <= m.max_size);
         assert!(m.cut_fraction > 0.0 && m.cut_fraction < 1.0);
         assert!(m.total_portals >= m.max_portals);

@@ -121,30 +121,7 @@ impl Partitioner for MultilevelPartitioner {
     }
 }
 
-impl MultilevelPartitioner {
-    /// Workload-aware post-pass (DESIGN.md §6i): refine an existing
-    /// partitioning against a query-log profile, minimizing the
-    /// query-weighted edge cut under this partitioner's balance settings.
-    /// The profile's node heat is diffused [`HEAT_DIFFUSION_HOPS`] rounds
-    /// first — object nodes hang off the interior of the road graph while
-    /// cut edges run between road nodes, and a query's Dijkstra work
-    /// spreads over its objects' neighborhoods, so undiffused heat rarely
-    /// touches a cut edge at all. Returns the input assignment untouched
-    /// when the profile is empty.
-    ///
-    /// [`HEAT_DIFFUSION_HOPS`]: crate::layout::HEAT_DIFFUSION_HOPS
-    pub fn refine_with_profile(
-        &self,
-        net: &RoadNetwork,
-        p: &Partitioning,
-        profile: &crate::layout::LayoutProfile,
-    ) -> Partitioning {
-        let heat = profile.node_heat_diffused(net, crate::layout::HEAT_DIFFUSION_HOPS);
-        crate::layout::refine_weighted(net, p, &heat, self.epsilon, self.refine_passes)
-    }
-}
-
-pub(crate) fn balance_cap(total_weight: u64, k: usize, epsilon: f64) -> u64 {
+fn balance_cap(total_weight: u64, k: usize, epsilon: f64) -> u64 {
     let ideal = total_weight as f64 / k as f64;
     (ideal * (1.0 + epsilon)).ceil() as u64 + 1
 }

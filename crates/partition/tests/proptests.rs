@@ -4,11 +4,9 @@
 use proptest::prelude::*;
 
 use disks_partition::{
-    refine_weighted, weighted_cut, BfsPartitioner, GridPartitioner, LayoutProfile,
-    MultilevelPartitioner, PartitionMetrics, Partitioner,
+    BfsPartitioner, GridPartitioner, MultilevelPartitioner, PartitionMetrics, Partitioner,
 };
 use disks_roadnet::generator::GridNetworkConfig;
-use disks_roadnet::KeywordId;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -61,53 +59,5 @@ proptest! {
             }
         }
         prop_assert_eq!(listed, expected);
-    }
-
-    /// All-equal weights degenerate to the unweighted cut: with zero heat
-    /// the weighted cut *is* the cut-edge count, and with uniform heat `h`
-    /// it is exactly `(1 + 2h) · cut_edges`.
-    #[test]
-    fn uniform_weights_degenerate_to_unweighted_cut(
-        seed in 0u64..5000, k in 1usize..8, h in 0u64..64
-    ) {
-        let net = GridNetworkConfig::tiny(seed).generate();
-        let p = MultilevelPartitioner::default().partition(&net, k);
-        let uniform = vec![h; net.num_nodes()];
-        prop_assert_eq!(
-            weighted_cut(&net, &p, &uniform),
-            (1 + 2 * h) * p.cut_edges() as u64
-        );
-        let m = PartitionMetrics::compute_weighted(&net, &p, &vec![0u64; net.num_nodes()]);
-        prop_assert_eq!(m.weighted_cut, m.cut_edges as u64);
-    }
-
-    /// Refinement never increases the weighted cut, keeps the partitioning
-    /// valid, and preserves the fragment count — for arbitrary workload
-    /// profiles over arbitrary networks.
-    #[test]
-    fn weighted_refinement_never_increases_weighted_cut(
-        seed in 0u64..5000,
-        k in 2usize..8,
-        kws in proptest::collection::vec((0u32..12, 1u64..100), 0..6),
-        passes in 1usize..5,
-    ) {
-        let net = GridNetworkConfig::tiny(seed).generate();
-        let blind = MultilevelPartitioner::default().partition(&net, k);
-        let mut profile = LayoutProfile::new();
-        for &(kw, w) in &kws {
-            profile.record_keyword(KeywordId(kw), w);
-        }
-        let heat = profile.node_heat(&net);
-        let before = weighted_cut(&net, &blind, &heat);
-        let refined = refine_weighted(&net, &blind, &heat, 0.05, passes);
-        refined.validate(&net).unwrap();
-        prop_assert_eq!(refined.num_fragments(), k);
-        let after = weighted_cut(&net, &refined, &heat);
-        prop_assert!(after <= before, "refinement increased weighted cut: {} -> {}", before, after);
-        // The blind cut is a valid weighted cut too: refinement with zero
-        // heat must also be monotone in the plain cut metric.
-        let zero = vec![0u64; net.num_nodes()];
-        let plain = refine_weighted(&net, &blind, &zero, 0.05, passes);
-        prop_assert!(plain.cut_edges() <= blind.cut_edges());
     }
 }

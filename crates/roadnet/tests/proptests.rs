@@ -37,6 +37,22 @@ fn arb_net() -> impl Strategy<Value = RoadNetwork> {
         })
 }
 
+/// Feed `bytes` to the graph codec (`Vocabulary::decode` included): it must
+/// not panic, and a network that does decode is one the rest of the system
+/// can index into — every edge between nodes it has, every keyword id
+/// inside its vocabulary.
+fn decode_and_check(mut bytes: &[u8]) -> Result<(), TestCaseError> {
+    if let Ok(net) = RoadNetwork::decode(&mut bytes) {
+        for (a, b, _) in net.edges() {
+            prop_assert!(a.index() < net.num_nodes() && b.index() < net.num_nodes());
+        }
+        for n in net.node_ids() {
+            prop_assert!(net.keywords(n).iter().all(|k| k.index() < net.vocab().len()));
+        }
+    }
+    Ok(())
+}
+
 /// Reference Bellman–Ford (no heap, no epoch tricks).
 fn bellman_ford(net: &RoadNetwork, src: u32) -> Vec<u64> {
     let n = net.num_nodes();
@@ -87,6 +103,31 @@ proptest! {
         for n in net.node_ids() {
             prop_assert_eq!(back.keywords(n), net.keywords(n));
         }
+    }
+
+    /// Arbitrary bytes — half of them zero, so that length prefixes are
+    /// often small enough to pass — bare, and behind a one-word vocabulary
+    /// so they reach the node and edge tables.
+    #[test]
+    fn arbitrary_bytes_never_panic_the_graph_codec(
+        bytes in proptest::collection::vec(prop_oneof![Just(0u8), any::<u8>()], 0..192)
+    ) {
+        decode_and_check(&bytes)?;
+        let mut framed = vec![1, 0, 0, 0, 1, 0, 0, 0, b'w'];
+        framed.extend_from_slice(&bytes);
+        decode_and_check(&framed)?;
+    }
+
+    #[test]
+    fn a_flipped_bit_never_panics_the_graph_codec(
+        net in arb_net(), at in any::<usize>(), bit in 0u8..8
+    ) {
+        let mut buf = bytes::BytesMut::new();
+        net.encode(&mut buf);
+        let mut bytes = buf.to_vec();
+        let at = at % bytes.len();
+        bytes[at] ^= 1 << bit;
+        decode_and_check(&bytes)?;
     }
 
     #[test]

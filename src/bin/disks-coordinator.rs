@@ -20,7 +20,10 @@ use std::process::exit;
 use disks::cluster::transport::TransportKind;
 use disks::cluster::{Cluster, ClusterConfig, RemoteWorkerCommand};
 use disks::core::{build_all_indexes, IndexConfig};
+use disks::flags::{args_or_exit, value_or_exit};
 use disks::workload;
+
+const BINARY: &str = "disks-coordinator";
 
 /// Every flag takes one value.
 const FLAGS: &[&str] = &[
@@ -35,28 +38,23 @@ const FLAGS: &[&str] = &[
 ];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(unknown) = args.iter().step_by(2).find(|a| !FLAGS.contains(&a.as_str())) {
-        eprintln!(
-            "disks-coordinator: unknown flag '{unknown}' (expected one of {})",
-            FLAGS.join(" ")
-        );
-        exit(2);
-    }
-    let get = |flag: &str| -> Option<String> {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-    };
-    let mode = get("--mode").unwrap_or_else(|| "tcp".to_string());
-    let machines: usize = get("--machines").and_then(|v| v.parse().ok()).unwrap_or(3);
-    let fragments: usize = get("--fragments").and_then(|v| v.parse().ok()).unwrap_or(machines);
-    let seed: u64 = get("--seed").and_then(|v| v.parse().ok()).unwrap_or(0xD15C);
-    let query_seed: u64 = get("--query-seed").and_then(|v| v.parse().ok()).unwrap_or(0x5EED);
-    let queries: usize = get("--queries").and_then(|v| v.parse().ok()).unwrap_or(200);
-    let cache: usize = get("--cache").and_then(|v| v.parse().ok()).unwrap_or(64 << 20);
+    let args = args_or_exit(BINARY, FLAGS);
+    let mode: String =
+        value_or_exit(BINARY, &args, "--mode", "tcp or local").unwrap_or_else(|| "tcp".to_string());
+    let machines: usize =
+        value_or_exit(BINARY, &args, "--machines", "a machine count").unwrap_or(3);
+    let fragments: usize =
+        value_or_exit(BINARY, &args, "--fragments", "a fragment count").unwrap_or(machines);
+    let seed: u64 = value_or_exit(BINARY, &args, "--seed", "an integer seed").unwrap_or(0xD15C);
+    let query_seed: u64 =
+        value_or_exit(BINARY, &args, "--query-seed", "an integer seed").unwrap_or(0x5EED);
+    let queries: usize = value_or_exit(BINARY, &args, "--queries", "a query count").unwrap_or(200);
     let env = ClusterConfig::from_env().unwrap_or_else(|e| {
         eprintln!("{e}");
         exit(2);
     });
+    let cache: usize =
+        value_or_exit(BINARY, &args, "--cache", "a byte count").unwrap_or(env.coverage_cache_bytes);
 
     let net = workload::grid_net(seed);
     let p = workload::partition(&net, fragments);
@@ -64,7 +62,7 @@ fn main() {
 
     let cluster = match mode.as_str() {
         "tcp" => {
-            let Some(worker) = get("--worker") else {
+            let Some(worker) = value_or_exit::<String>(BINARY, &args, "--worker", "a path") else {
                 eprintln!("--mode tcp requires --worker PATH");
                 exit(2);
             };

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! disks-worker --connect 127.0.0.1:PORT --machine M --machines N \
-//!              --fragments K --seed S [--cache BYTES] [--cache-heat N]
+//!              --fragments K --seed S [--cache BYTES]
 //! ```
 //!
 //! The worker rebuilds its machine's fragment engines deterministically
@@ -20,40 +20,35 @@ use std::time::{Duration, Instant};
 use disks::cluster::framing::write_hello;
 use disks::cluster::worker::worker_loop;
 use disks::cluster::{tcp_worker_endpoint, ClusterConfig, LinkCounters, LinkSender, WorkerFaults};
+use disks::flags::{args_or_exit, value_or_exit};
 use disks::workload;
+
+const BINARY: &str = "disks-worker";
 
 /// Every flag takes one value.
 const FLAGS: &[&str] =
-    &["--connect", "--machine", "--machines", "--fragments", "--seed", "--cache", "--cache-heat"];
+    &["--connect", "--machine", "--machines", "--fragments", "--seed", "--cache"];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(unknown) = args.iter().step_by(2).find(|a| !FLAGS.contains(&a.as_str())) {
-        eprintln!("disks-worker: unknown flag '{unknown}' (expected one of {})", FLAGS.join(" "));
-        exit(2);
-    }
-    let get = |flag: &str| -> Option<String> {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-    };
-    let Some(addr) = get("--connect") else {
-        eprintln!("usage: disks-worker --connect ADDR --machine M --machines N --fragments K --seed S [--cache BYTES] [--cache-heat N]");
+    let args = args_or_exit(BINARY, FLAGS);
+    let Some(addr) = value_or_exit::<String>(BINARY, &args, "--connect", "an address") else {
+        eprintln!("usage: disks-worker --connect ADDR --machine M --machines N --fragments K --seed S [--cache BYTES]");
         exit(2);
     };
-    let machine: usize = get("--machine").and_then(|v| v.parse().ok()).unwrap_or(0);
-    let machines: usize = get("--machines").and_then(|v| v.parse().ok()).unwrap_or(1);
-    let fragments: usize = get("--fragments").and_then(|v| v.parse().ok()).unwrap_or(machines);
-    let seed: u64 = get("--seed").and_then(|v| v.parse().ok()).unwrap_or(0xD15C);
-    let cache: usize = get("--cache").and_then(|v| v.parse().ok()).unwrap_or(64 << 20);
+    let machine: usize = value_or_exit(BINARY, &args, "--machine", "a machine index").unwrap_or(0);
+    let machines: usize =
+        value_or_exit(BINARY, &args, "--machines", "a machine count").unwrap_or(1);
+    let fragments: usize =
+        value_or_exit(BINARY, &args, "--fragments", "a fragment count").unwrap_or(machines);
+    let seed: u64 = value_or_exit(BINARY, &args, "--seed", "an integer seed").unwrap_or(0xD15C);
     // The same DISKS_* environment defaulting the in-process workers use
     // (the coordinator's env propagates to spawned worker processes).
     let env = ClusterConfig::from_env().unwrap_or_else(|e| {
         eprintln!("disks-worker {machine}: {e}");
         exit(2);
     });
-    // Heat-admission threshold: flag first, then DISKS_CACHE_HEAT /
-    // DISKS_LAYOUT.
-    let cache_heat: u32 =
-        get("--cache-heat").and_then(|v| v.parse().ok()).unwrap_or(env.cache_heat);
+    let cache: usize =
+        value_or_exit(BINARY, &args, "--cache", "a byte count").unwrap_or(env.coverage_cache_bytes);
 
     let net = workload::grid_net(seed);
     let p = workload::partition(&net, fragments);
@@ -87,13 +82,5 @@ fn main() {
         }
     };
     let responses = LinkSender::over(endpoint.egress, Arc::new(LinkCounters::default()));
-    worker_loop(
-        machine,
-        engines,
-        endpoint.requests,
-        responses,
-        WorkerFaults::default(),
-        cache,
-        cache_heat,
-    );
+    worker_loop(machine, engines, endpoint.requests, responses, WorkerFaults::default(), cache);
 }

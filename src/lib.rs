@@ -50,6 +50,7 @@
 #![forbid(unsafe_code)]
 
 pub mod demo;
+pub mod flags;
 pub mod workload;
 
 pub use disks_baseline as baseline;

@@ -9,7 +9,8 @@
 //! frequent keyword at a radius that covers most of a larger network): its
 //! answer costs fewer worker→coordinator bytes than its raw 4-byte ids would.
 //! A third starts both binaries with a knob this build no longer has, as a
-//! flag and as a `DISKS_*` variable: each refuses it by name.
+//! flag and as a `DISKS_*` variable, and with a flag value that is not of
+//! the flag's form: each refuses it by name.
 
 use std::time::Duration;
 
@@ -45,7 +46,6 @@ fn shipped() -> ClusterConfig {
         heartbeat: HeartbeatConfig::default(),
         replicas: 0,
         placement_heat: None,
-        cache_heat: 0,
         hedge: HedgeMode::Off,
         hedge_ms: 50,
         quarantine: false,
@@ -213,17 +213,19 @@ fn a_dense_answer_ships_fewer_bytes_than_its_raw_ids() {
 }
 
 /// A removed or misspelt knob is refused by name, never run as its default:
-/// `--threads` selected an evaluator pool that no longer exists, and no
-/// `DISKS_*` variable outside the config table is read as anything. (Both
-/// binaries read the environment before the worker dials or the coordinator
-/// builds anything.)
+/// the two flags selected an evaluator pool and a cache admission policy that
+/// no longer exist, and no `DISKS_*` variable outside the config table is
+/// read as anything. A flag this build does have is refused the same way
+/// when its value is not of the flag's form. (Both binaries read their flags
+/// and the environment before the worker dials or the coordinator builds
+/// anything.)
 #[test]
 fn a_knob_this_build_does_not_have_is_refused_by_name() {
     let binaries = [
-        (env!("CARGO_BIN_EXE_disks-worker"), ["--connect", "127.0.0.1:9"]),
-        (env!("CARGO_BIN_EXE_disks-coordinator"), ["--mode", "local"]),
+        (env!("CARGO_BIN_EXE_disks-worker"), ["--connect", "127.0.0.1:9"], ["--machine", "x"]),
+        (env!("CARGO_BIN_EXE_disks-coordinator"), ["--mode", "local"], ["--machines", "three"]),
     ];
-    for (binary, valid) in binaries {
+    for (binary, valid, bad_value) in binaries {
         let refused = |flags: &[&str], var: Option<(&str, &str)>, name: &str| {
             let out = std::process::Command::new(binary)
                 .args(valid)
@@ -236,6 +238,9 @@ fn a_knob_this_build_does_not_have_is_refused_by_name() {
             assert!(stderr.contains(name), "{binary} {flags:?} {var:?}: {stderr}");
         };
         refused(&["--threads", "4"], None, "--threads");
+        refused(&["--cache-heat", "3"], None, "--cache-heat");
         refused(&[], Some(("DISKS_THREADS", "4")), "DISKS_THREADS");
+        refused(&bad_value, None, &format!("{}: expected", bad_value.join(" ")));
+        refused(&["--cache", "2MiB"], None, "--cache 2MiB: expected a byte count");
     }
 }
