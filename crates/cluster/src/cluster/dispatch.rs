@@ -15,11 +15,11 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use disks_core::{QueryError, QueryPlan, SuperPlan};
 
-use super::gather::GatherReport;
+use super::gather::{GatherReport, Sink};
 use super::route::Sent;
 use super::Cluster;
 use crate::cache::CacheCounters;
-use crate::message::{encode_frame, Request, Response};
+use crate::message::{encode_frame, Request};
 use crate::stats::{MachineCost, QueryStats};
 
 /// What the overload ladder decided for one query of a stream.
@@ -73,7 +73,7 @@ impl Cluster {
             return None;
         }
         if cost > self.gauge.cost_limit()
-            || (self.gauge.brownout_at(queued) && self.has_cold_slot(plan))
+            || (self.gauge.brownout_at(queued) && self.slot_heat.borrow().has_cold(plan))
         {
             let retry = self.gauge.shed(queued, cost);
             return Some((retry.as_millis() as u64).max(1));
@@ -102,13 +102,13 @@ impl Cluster {
     /// stream is one group and the ladder is inert — exactly the
     /// pre-overload behavior.
     ///
-    /// `on_response` receives first-seen `Results` payloads keyed by the
-    /// query's *original stream index*.
+    /// `on_event` receives each query's gather events ([`Sink`]) keyed by
+    /// its *original stream index*.
     pub(super) fn run_stream_core(
         &self,
         plans: Vec<Result<QueryPlan, QueryError>>,
         start: Instant,
-        on_response: &mut dyn FnMut(usize, Response, u64),
+        on_event: &mut Sink,
     ) -> StreamRun {
         let mut disposition: Vec<Disposition> = Vec::with_capacity(plans.len());
         let mut groups: Vec<GroupRun> = Vec::new();
@@ -132,16 +132,16 @@ impl Cluster {
                 && !pending.is_empty()
             {
                 self.gauge.note_queue_pause();
-                self.flush_group(&mut pending, &mut disposition, &mut groups, start, on_response);
+                self.flush_group(&mut pending, &mut disposition, &mut groups, start, on_event);
                 pending_cost = 0;
             }
             self.gauge.note_admitted();
-            self.charge_heat(&plan);
+            self.slot_heat.borrow_mut().charge(plan.slots());
             disposition.push(Disposition::Pending);
             pending_cost = pending_cost.saturating_add(cost);
             pending.push((i, plan, cost));
         }
-        self.flush_group(&mut pending, &mut disposition, &mut groups, start, on_response);
+        self.flush_group(&mut pending, &mut disposition, &mut groups, start, on_event);
         StreamRun { disposition, groups }
     }
 
@@ -152,7 +152,7 @@ impl Cluster {
         disposition: &mut [Disposition],
         groups: &mut Vec<GroupRun>,
         start: Instant,
-        on_response: &mut dyn FnMut(usize, Response, u64),
+        on_event: &mut Sink,
     ) {
         if pending.is_empty() {
             return;
@@ -174,11 +174,10 @@ impl Cluster {
                 plan: plans[slot].clone(),
                 fragments: frags,
             };
-            let mut slot_on_response =
-                |slot: usize, resp: Response, bytes: u64| on_response(members[slot], resp, bytes);
+            let mut on_slot_event = |slot: usize, event| on_event(members[slot], event);
             let sent = self.dispatch_plans(base, &plans, &costs);
             let gathered =
-                self.gather(base, plans.len(), allow_partial, &make_request, &mut slot_on_response);
+                self.gather(base, plans.len(), allow_partial, &make_request, &mut on_slot_event);
             (gathered, sent)
         });
         groups.push(group);

@@ -12,11 +12,30 @@ use crossbeam::channel::{RecvTimeoutError, TryRecvError};
 use disks_core::QueryError;
 use disks_partition::FragmentId;
 
-use super::{Cluster, STRAGGLER_GRACE};
+use super::Cluster;
 use crate::cache::CacheCounters;
 use crate::message::{decode_frame, decode_gather_items, encode_frame, Request, Response};
 use crate::overload::{backoff_delay, splitmix64};
 use crate::transport::epoch_micros;
+
+/// How long the straggler drain waits for a frame the wire ledger says was
+/// sent but that has not yet been consumed (crossing the TCP pumps takes
+/// microseconds; a frame that misses this is lost and gets forgiven).
+const STRAGGLER_GRACE: Duration = Duration::from_millis(25);
+
+/// What a gather tells its sink about one query slot.
+pub(super) enum GatherEvent {
+    /// A first-seen in-window `Results` / `TopKResults` payload and the
+    /// bytes its standalone frame would have cost.
+    Payload(Response, u64),
+    /// The slot's last outstanding fragment has answered or been given up
+    /// on under `allow_partial`; every payload it will ever get has been
+    /// delivered. Sent once per slot of a gather that returns `Ok`.
+    Complete,
+}
+
+/// A gather's sink: events keyed by query slot.
+pub(super) type Sink<'a> = dyn FnMut(usize, GatherEvent) + 'a;
 
 /// Bookkeeping for one gather: recovery events observed plus the
 /// `(slot, fragment)` pairs given up on under `allow_partial`.
@@ -119,14 +138,23 @@ impl GatherState {
         (0..self.n).filter(|&s| self.missing_by_slot[s] > 0).filter_map(|s| self.hedge_at[s]).min()
     }
 
-    /// Record one answered `(slot, fragment)` pair, closing the slot's
-    /// service-latency sample when its last fragment answers.
-    fn note_answered(&mut self, slot: usize) {
+    /// Record one answered `(slot, fragment)` pair — with its payload, or
+    /// `None` for a fragment given up on — and hand the sink what follows:
+    /// the payload, then [`GatherEvent::Complete`] if it was the slot's last
+    /// outstanding pair, whose service-latency sample closes here too.
+    fn note_answered(&mut self, slot: usize, payload: Option<(Response, u64)>, sink: &mut Sink) {
         self.missing -= 1;
         self.missing_by_slot[slot] -= 1;
-        if self.missing_by_slot[slot] == 0 {
+        let complete = self.missing_by_slot[slot] == 0;
+        if complete {
             let service = self.dispatched_at.elapsed().as_micros() as u64;
             self.latencies.push((service, self.eval_micros[slot]));
+        }
+        if let Some((response, bytes)) = payload {
+            sink(slot, GatherEvent::Payload(response, bytes));
+        }
+        if complete {
+            sink(slot, GatherEvent::Complete);
         }
     }
 }
@@ -285,7 +313,7 @@ impl Cluster {
 
     /// Process one response frame against the gather state: window and
     /// duplicate filtering, retry scheduling for retryable failures, and
-    /// first-seen payload delivery. Returns only fatal (non-retryable,
+    /// delivery to the sink. Returns only fatal (non-retryable,
     /// non-degradable) errors.
     fn gather_process_frame(
         &self,
@@ -293,7 +321,7 @@ impl Cluster {
         gs: &mut GatherState,
         frame: Bytes,
         make_request: &dyn Fn(usize, Vec<u32>) -> Request,
-        on_response: &mut dyn FnMut(usize, Response, u64),
+        sink: &mut Sink,
     ) -> Result<(), QueryError> {
         let items = match decode_gather_items(frame) {
             Ok(items) => items,
@@ -358,8 +386,8 @@ impl Cluster {
                         );
                     } else if gs.allow_partial {
                         gs.responded[slot][f] = true;
-                        gs.note_answered(slot);
                         gs.report.degraded.push((slot, fragment));
+                        gs.note_answered(slot, None, sink);
                     } else {
                         return Err(error);
                     }
@@ -389,8 +417,7 @@ impl Cluster {
                             gs.report.hedge_wins += 1;
                         }
                     }
-                    gs.note_answered(slot);
-                    on_response(slot, payload, bytes);
+                    gs.note_answered(slot, Some((payload, bytes)), sink);
                 }
             }
         }
@@ -443,17 +470,18 @@ impl Cluster {
     /// `base · 2^(retry−1)` (plus deterministic jitter) in the future, so a
     /// struggling worker is not hammered by synchronized retry bursts.
     ///
-    /// `on_response` receives each first-seen in-window `Results` /
-    /// `TopKResults` payload along with its query slot and frame size. The
-    /// report is folded into the lifetime counters on success and failure
-    /// alike.
+    /// `sink` receives each slot's [`GatherEvent`]s: its first-seen
+    /// in-window payloads, then `Complete` — on the give-up paths of
+    /// `allow_partial` as on the ordinary one, so a gather that returns `Ok`
+    /// has completed every slot. The report is folded into the lifetime
+    /// counters on success and failure alike.
     pub(super) fn gather(
         &self,
         base: u64,
         n: usize,
         allow_partial: bool,
         make_request: &dyn Fn(usize, Vec<u32>) -> Request,
-        on_response: &mut dyn FnMut(usize, Response, u64),
+        sink: &mut Sink,
     ) -> Result<GatherReport, QueryError> {
         let gs = &mut GatherState::new(self, n, allow_partial);
         let k = gs.k;
@@ -519,9 +547,7 @@ impl Cluster {
             };
             match received {
                 Ok(frame) => {
-                    if let Err(e) =
-                        self.gather_process_frame(base, gs, frame, make_request, on_response)
-                    {
+                    if let Err(e) = self.gather_process_frame(base, gs, frame, make_request, sink) {
                         break Err(e);
                     }
                 }
@@ -546,8 +572,8 @@ impl Cluster {
                                 exhausted.push(f as u32);
                                 if gs.allow_partial {
                                     gs.responded[slot][f] = true;
-                                    gs.note_answered(slot);
                                     gs.report.degraded.push((slot, f as u32));
+                                    gs.note_answered(slot, None, sink);
                                 }
                             }
                         }

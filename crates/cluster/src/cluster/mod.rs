@@ -13,9 +13,9 @@
 //! The `impl Cluster` is split by responsibility: `config` (the knob
 //! table), `supervise` (build / spawn / respawn / shutdown), `route`
 //! (replica choice, the routed send loop, the health plane), `gather` (the
-//! response state machine) and `dispatch` (ladder → group → windows →
-//! stats). This file keeps the struct, admission, the slot-heat ledger and
-//! the public entry points — all of which end in the one path through
+//! response state machine), `dispatch` (ladder → group → windows → stats)
+//! and `heat` (the slot-heat ledger). This file keeps the struct, admission
+//! and the public entry points — all of which end in the one path through
 //! `dispatch`.
 //!
 //! # Failure model
@@ -37,19 +37,19 @@ mod assemble;
 mod config;
 mod dispatch;
 mod gather;
+mod heat;
 mod route;
 mod supervise;
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
 use disks_core::{
-    CostParams, DFunction, DTerm, DlScope, QClassQuery, QueryError, QueryPlan, RangeKeywordQuery,
-    SgkQuery, Term,
+    CostParams, DFunction, DlScope, QClassQuery, QueryError, QueryPlan, RangeKeywordQuery, SgkQuery,
 };
 use disks_roadnet::NodeId;
 
@@ -58,6 +58,8 @@ pub use self::config::{ClusterConfig, ConfigError};
 pub use self::supervise::RemoteWorkerCommand;
 
 use self::dispatch::Disposition;
+use self::gather::GatherEvent;
+use self::heat::SlotHeat;
 use self::supervise::{RespawnSpec, WorkerHandle};
 use crate::cache::CacheCounters;
 use crate::health::HealthBoard;
@@ -66,42 +68,6 @@ use crate::overload::{OverloadCounters, PressureGauge};
 use crate::scheduler::Placement;
 use crate::stats::{MachineCost, QueryStats, RecoveryCounters};
 use crate::transport::{LinkCounters, LinkSender};
-
-/// How many of the hottest coverage slots a freshly respawned worker is
-/// pre-warmed with before any retry traffic reaches it.
-const PREWARM_TOP_K: usize = 8;
-
-/// How long the straggler drain waits for a frame the wire ledger says was
-/// sent but that has not yet been consumed (crossing the TCP pumps takes
-/// microseconds; a frame that misses this is lost and gets forgiven).
-const STRAGGLER_GRACE: Duration = Duration::from_millis(25);
-
-/// Admissions between slot-heat decay epochs: every `HEAT_EPOCH` admitted
-/// queries the ledger halves every count (dropping zeros), so heat tracks
-/// recent traffic instead of the whole lifetime.
-const HEAT_EPOCH: u64 = 1024;
-
-/// Hard size cap on the slot-heat ledger: past it, only the hottest
-/// `HEAT_CAP` slots are retained (deterministic rank: count descending,
-/// then slot key), bounding coordinator memory on unbounded slot churn.
-const HEAT_CAP: usize = 4096;
-
-/// Deterministic total order on coverage-slot keys, used to break heat
-/// ties: keyword slots before node slots, then id, then radius.
-pub(crate) fn slot_key(&(term, radius): &(Term, u64)) -> (u8, u64, u64) {
-    match term {
-        Term::Keyword(kw) => (0, kw.0 as u64, radius),
-        Term::Node(n) => (1, n.index() as u64, radius),
-    }
-}
-
-/// A slot-heat ledger's entries hottest first: count descending, ties by
-/// [`slot_key`].
-fn ranked_heat(heat: &HashMap<(Term, u64), u64>) -> Vec<((Term, u64), u64)> {
-    let mut ranked: Vec<((Term, u64), u64)> = heat.iter().map(|(&k, &v)| (k, v)).collect();
-    ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| slot_key(&a.0).cmp(&slot_key(&b.0))));
-    ranked
-}
 
 /// Result + statistics of one distributed query.
 #[derive(Debug, Clone)]
@@ -123,7 +89,7 @@ pub struct Cluster {
     resp_tx: LinkSender,
     from_workers: Arc<LinkCounters>,
     /// Lifetime count of frames consumed off `responses`, matched against
-    /// `from_workers.messages()` by the straggler drain in `gather_finish`
+    /// `from_workers.messages()` by the straggler drain that ends `gather`,
     /// so duplicate/late-frame attribution does not depend on how the
     /// transport's pump threads happen to be scheduled.
     consumed_responses: Cell<u64>,
@@ -150,16 +116,14 @@ pub struct Cluster {
     /// to the replica named on each response frame — the observed compute
     /// behind [`Cluster::unbalance_factor`].
     compute_micros: RefCell<Vec<u64>>,
-    /// Admissions since build, driving the slot-heat decay epochs.
-    heat_admissions: Cell<u64>,
     /// DL scope of the indexes, for query-location validation.
     dl_scope: DlScope,
     /// Global object bitmap: the coordinator validates RKQ locations before
     /// dispatch (workers cannot — they are share-nothing; see
     /// `FragmentEngine::coverage`).
     is_object: Vec<bool>,
-    /// Scratch bitmap over V that dense answers are assembled through
-    /// (`run_stream`); zero between queries.
+    /// Scratch bitmap over V that dense answers are assembled through, each
+    /// as its last fragment answers (`run_stream`); zero between queries.
     answer_gather: RefCell<AnswerGather>,
     /// Largest radius the cluster admits: the indexes' `maxR` for a bounded
     /// single-level deployment, [`disks_roadnet::INF`] for unbounded or §5.5 bi-level
@@ -180,10 +144,10 @@ pub struct Cluster {
     cost_params: CostParams,
     /// The shared overload dial: in-flight estimated cost vs. the budget.
     gauge: PressureGauge,
-    /// Dispatch counts per `(term, radius)` coverage slot — the brownout
-    /// ladder's notion of cache-warm, and the pre-warm set for respawned
-    /// workers.
-    slot_heat: RefCell<HashMap<(Term, u64), u64>>,
+    /// Dispatch counts per `(term, radius)` coverage slot, charged at
+    /// admission — the brownout ladder's notion of cache-warm, and the
+    /// pre-warm set for respawned workers.
+    slot_heat: RefCell<SlotHeat>,
     query_counter: Cell<u64>,
     respawn: RespawnSpec,
     recovery: Cell<RecoveryCounters>,
@@ -284,47 +248,6 @@ impl Cluster {
         Ok(())
     }
 
-    /// The `k` hottest coverage slots by lifetime dispatch count,
-    /// deterministically ordered (count desc, then slot key).
-    fn hottest_slots(&self, k: usize) -> Vec<DTerm> {
-        let ranked = ranked_heat(&self.slot_heat.borrow());
-        ranked.into_iter().take(k).map(|((term, radius), _)| DTerm { term, radius }).collect()
-    }
-
-    /// Record a plan's coverage slots in the heat map (admission time).
-    ///
-    /// The ledger is bounded two ways: every [`HEAT_EPOCH`] admissions all
-    /// counts halve (dropping zeros), an exponential decay that keeps heat
-    /// tracking *recent* traffic; and past [`HEAT_CAP`] distinct slots only
-    /// the hottest cap survive, bounding memory under unbounded slot churn.
-    fn charge_heat(&self, plan: &QueryPlan) {
-        let mut heat = self.slot_heat.borrow_mut();
-        for s in plan.slots() {
-            *heat.entry((s.term, s.radius)).or_insert(0) += 1;
-        }
-        let admissions = self.heat_admissions.get() + 1;
-        self.heat_admissions.set(admissions);
-        if admissions.is_multiple_of(HEAT_EPOCH) {
-            heat.retain(|_, c| {
-                *c /= 2;
-                *c > 0
-            });
-        }
-        if heat.len() > HEAT_CAP {
-            let mut ranked = ranked_heat(&heat);
-            ranked.truncate(HEAT_CAP);
-            heat.clear();
-            heat.extend(ranked);
-        }
-    }
-
-    /// Whether any of the plan's coverage slots has never been dispatched —
-    /// the brownout ladder sheds such cache-cold queries first.
-    fn has_cold_slot(&self, plan: &QueryPlan) -> bool {
-        let heat = self.slot_heat.borrow();
-        plan.slots().iter().any(|s| !heat.contains_key(&(s.term, s.radius)))
-    }
-
     /// Drain the recorded per-query service latencies (dispatch → last
     /// fragment response) of grouped runs since the last call, in
     /// completion order.
@@ -371,6 +294,10 @@ impl Cluster {
     /// construction — notably `wall_time`, the query's *group* completion
     /// offset from stream start, so queueing delay behind earlier admission
     /// groups is visible in tail latencies.
+    ///
+    /// A query's answer is assembled when its last fragment answers, while
+    /// the workers evaluate the windows behind it; what is left after the
+    /// last frame is the statistics.
     pub fn run_stream(
         &self,
         fs: &[DFunction],
@@ -385,13 +312,17 @@ impl Cluster {
             })
             .collect();
         let (c2w_before, _) = self.link_totals();
-        // Each query's fragment lists as they arrive: ascending, disjoint.
+        let mut gather = self.answer_gather.borrow_mut();
+        debug_assert!(gather.is_clear());
+        // Each query's fragment lists as they arrive (ascending, disjoint),
+        // then its assembled answer.
         let mut lists: Vec<Vec<Vec<NodeId>>> = vec![Vec::new(); n];
+        let mut answers: Vec<Option<Vec<NodeId>>> = vec![None; n];
         let mut per_machine: Vec<Vec<MachineCost>> =
             vec![vec![MachineCost::default(); self.num_machines()]; n];
         let mut cache_by_slot: Vec<CacheCounters> = vec![CacheCounters::default(); n];
-        let mut on_response = |i: usize, response: Response, bytes: u64| {
-            if let Response::Results { fragment, nodes, cost, .. } = response {
+        let mut on_event = |i: usize, event: GatherEvent| match event {
+            GatherEvent::Payload(Response::Results { fragment, nodes, cost, .. }, bytes) => {
                 let m = self.serving_machine(fragment, &cost);
                 per_machine[i][m].absorb(fragment, &cost, nodes.len() as u64, bytes);
                 cache_by_slot[i].absorb(&cost.cache_counters());
@@ -399,15 +330,19 @@ impl Cluster {
                     lists[i].push(nodes);
                 }
             }
+            GatherEvent::Payload(..) => {}
+            GatherEvent::Complete => {
+                answers[i] = Some(gather.assemble(std::mem::take(&mut lists[i])));
+            }
         };
-        let stream = self.run_stream_core(plans, start, &mut on_response);
+        let stream = self.run_stream_core(plans, start, &mut on_event);
+        debug_assert!(gather.is_clear());
         let elapsed = start.elapsed();
         let (c2w_after, _) = self.link_totals();
         let ran = stream.disposition.iter().filter(|d| matches!(d, Disposition::Ran { .. })).count()
             as u64;
         let c2w_each = (c2w_after - c2w_before).checked_div(ran).unwrap_or(0);
 
-        let mut gather = self.answer_gather.borrow_mut();
         let out = stream
             .disposition
             .iter()
@@ -421,7 +356,7 @@ impl Cluster {
                     if let Some(e) = &g.error {
                         return Err(e.clone());
                     }
-                    let nodes = gather.assemble(std::mem::take(&mut lists[i]));
+                    let nodes = answers[i].take().expect("a gather that ends Ok closed every slot");
                     let stats = self.query_stats(
                         g,
                         *pos,
@@ -493,15 +428,19 @@ impl Cluster {
                 fragments: frags,
             };
             let sent = self.send_routed(cost, &mut |frags| encode_frame(&request(0, frags)));
-            let mut on_response = |_: usize, response: Response, bytes: u64| {
-                if let Response::TopKResults { fragment, ranked, cost, .. } = response {
+            let mut on_event = |_: usize, event: GatherEvent| {
+                if let GatherEvent::Payload(
+                    Response::TopKResults { fragment, ranked, cost, .. },
+                    bytes,
+                ) = event
+                {
                     let m = self.serving_machine(fragment, &cost);
                     per_machine[m].absorb(fragment, &cost, ranked.len() as u64, bytes);
                     cache.absorb(&cost.cache_counters());
                     lists.push(ranked);
                 }
             };
-            (self.gather(base, 1, allow_partial, &request, &mut on_response), sent)
+            (self.gather(base, 1, allow_partial, &request, &mut on_event), sent)
         });
         if let Some(e) = group.error {
             return Err(e);

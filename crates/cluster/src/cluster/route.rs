@@ -2,6 +2,7 @@
 //! the health filter, the one routed send loop, retry re-routing, and the
 //! health plane (hedge deadline, suspicion refresh, probation probes).
 
+use std::collections::VecDeque;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -30,6 +31,14 @@ impl Sent {
     }
 }
 
+/// Nearest-rank p99 of a sample ring (`None` when it is empty): the value a
+/// full sort would hold at index `(len − 1) · 99 / 100`, found by selection.
+fn p99(ring: &VecDeque<u64>) -> Option<u64> {
+    let mut v: Vec<u64> = ring.iter().copied().collect();
+    let rank = v.len().checked_sub(1)? * 99 / 100;
+    Some(*v.select_nth_unstable(rank).1)
+}
+
 impl Cluster {
     /// Whether the health plane is live: with both knobs off the board is
     /// never fed, refreshed, or consulted, keeping the default dispatch
@@ -50,9 +59,7 @@ impl Cluster {
         if self.config.hedge == HedgeMode::Off || !self.placement.is_replicated() {
             return None;
         }
-        let mut v: Vec<u64> = self.eval_lat.borrow().iter().copied().collect();
-        v.sort_unstable();
-        let p99 = v.get(v.len().saturating_sub(1) * 99 / 100).copied().map(Duration::from_micros);
+        let p99 = p99(&self.eval_lat.borrow()).map(Duration::from_micros);
         let adaptive = p99.map_or(Duration::ZERO, |p| p * HEDGE_P99_MULTIPLE);
         Some(adaptive.max(Duration::from_millis(self.config.hedge_ms)))
     }
@@ -261,6 +268,28 @@ impl Cluster {
             m
         } else {
             self.placement.machine_of(f)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::overload::splitmix64;
+
+    #[test]
+    fn p99_selects_what_a_sort_would_read() {
+        for len in [0usize, 1, 99, 100, 4096] {
+            for seed in 0..4u64 {
+                // Few distinct values, so ties straddle the rank.
+                let ring: VecDeque<u64> = (0..len as u64)
+                    .map(|i| splitmix64(seed << 32 | i) % if seed % 2 == 0 { 50 } else { 1 << 40 })
+                    .collect();
+                let mut sorted: Vec<u64> = ring.iter().copied().collect();
+                sorted.sort_unstable();
+                let expected = sorted.get(len.saturating_sub(1) * 99 / 100).copied();
+                assert_eq!(p99(&ring), expected, "len={len} seed={seed}");
+            }
         }
     }
 }

@@ -2,7 +2,7 @@
 //! remote processes), detecting and respawning dead ones, and teardown.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -17,7 +17,7 @@ use disks_core::{CostParams, DlScope, FragmentEngine, NpdIndex};
 use disks_partition::{FragmentId, Partitioning};
 use disks_roadnet::{RoadNetwork, INF};
 
-use super::{AnswerGather, Cluster, ClusterConfig, PREWARM_TOP_K};
+use super::{AnswerGather, Cluster, ClusterConfig};
 use crate::cache::CacheCounters;
 use crate::framing;
 use crate::health::{HealthBoard, HealthConfig};
@@ -31,6 +31,10 @@ use crate::transport::{
     TransportKind,
 };
 use crate::worker::{worker_loop, WorkerEngine, WorkerFaults};
+
+/// How many of the hottest coverage slots a freshly respawned worker is
+/// pre-warmed with before any retry traffic reaches it.
+const PREWARM_TOP_K: usize = 8;
 
 /// How a worker peer is hosted: an in-process thread (channel and loopback
 /// TCP transports) or a separate OS process (remote clusters).
@@ -437,7 +441,6 @@ impl Cluster {
             route_load: RefCell::new(vec![0; machines]),
             route_weight,
             compute_micros: RefCell::new(vec![0; machines]),
-            heat_admissions: Cell::new(0),
             placement,
             dl_scope,
             is_object: spec.net.node_ids().map(|n| spec.net.is_object(n)).collect(),
@@ -447,7 +450,7 @@ impl Cluster {
             eval_lat: RefCell::new(VecDeque::new()),
             cost_params: CostParams::from_network(&spec.net),
             gauge: PressureGauge::new(config.cost_limit, config.brownout),
-            slot_heat: RefCell::new(HashMap::new()),
+            slot_heat: RefCell::default(),
             query_counter: Cell::new(0),
             respawn: spec,
             recovery: Cell::new(RecoveryCounters::default()),
@@ -518,7 +521,7 @@ impl Cluster {
             w.peer = WorkerPeer::Thread(Some(join));
         }
         if self.config.coverage_cache_bytes > 0 {
-            let slots = self.hottest_slots(PREWARM_TOP_K);
+            let slots = self.slot_heat.borrow().hottest(PREWARM_TOP_K);
             if !slots.is_empty() {
                 let num_slots = slots.len() as u64;
                 let frame = encode_frame(&Request::Prewarm { slots, fragments: vec![] });

@@ -179,6 +179,53 @@ fn exhausted_budget_with_allow_partial_degrades() {
     cluster.shutdown();
 }
 
+/// The give-up path closes a streamed query like any other: a worker killed
+/// between the windows of one stream, with no retry budget, leaves the
+/// queries of the windows it never answered degraded — each still `Ok`,
+/// assembled from exactly the fragments that did answer.
+#[test]
+fn a_worker_killed_between_windows_degrades_only_its_fragments() {
+    let net = GridNetworkConfig::tiny(99).generate();
+    let p: Partitioning = MultilevelPartitioner::default().partition(&net, 4);
+    let indexes = build_all_indexes(&net, &p, &IndexConfig::unbounded());
+    let config = ClusterConfig {
+        max_attempts: 1,
+        allow_partial: true,
+        // 40 queries are three windows, so machine 0 dies on the second of
+        // its three frames; pinned single-owner so no replica covers for it.
+        batch_window: 16,
+        replicas: 0,
+        ..fault_config(FaultPlan::new(99).kill_worker(0, 2))
+    };
+    let cluster = Cluster::build(&net, &p, indexes, config);
+    let (kw, e) = (top_keyword(&net), net.avg_edge_weight());
+    let queries: Vec<SgkQuery> =
+        (0..40).map(|i| SgkQuery::new(vec![kw], (2 + i) * e / 2)).collect();
+    let fs: Vec<_> = queries.iter().map(SgkQuery::to_dfunction).collect();
+
+    let (outcomes, _) = cluster.run_stream(&fs);
+
+    let mut central = CentralizedCoverage::new(&net);
+    let (mut whole, mut degraded) = (0, 0);
+    for (q, outcome) in queries.iter().zip(outcomes) {
+        let outcome = outcome.expect("a degraded query is still Ok");
+        let lost = &outcome.stats.degraded_fragments;
+        if lost.is_empty() {
+            whole += 1;
+        } else {
+            degraded += 1;
+        }
+        let mut expected = central.sgkq(q).unwrap();
+        expected.retain(|&n| !lost.contains(&p.fragment_of(n).0));
+        assert_eq!(outcome.results, expected, "r={} lost {lost:?}", q.radius);
+        assert_eq!(outcome.stats.results, expected.len());
+    }
+    assert!(whole >= 16, "the first window was answered in full ({whole})");
+    assert!(degraded >= 16, "the second window lost machine 0 ({degraded})");
+    assert!(cluster.recovery_counters().timeouts >= 1, "silence is how the kill shows");
+    cluster.shutdown();
+}
+
 /// An aborted query's in-flight responses show up during the *next* gather
 /// and must be dropped as out-of-window, not spliced into the wrong result.
 /// (Invalid queries no longer produce this scenario — admission rejects

@@ -8,7 +8,10 @@
 //! than slots × fragments for them. A second test asks one dense query (a
 //! frequent keyword at a radius that covers most of a larger network): its
 //! answer costs fewer worker→coordinator bytes than its raw 4-byte ids would.
-//! A third starts both binaries with a knob this build no longer has, as a
+//! A third runs 1 728 five-keyword SGKQs at never-repeating radii as 27
+//! four-window submissions: the answers are the oracle's while the
+//! coordinator's slot-heat ledger passes its cap and an epoch halving.
+//! A fourth starts both binaries with a knob this build no longer has, as a
 //! flag and as a `DISKS_*` variable, and with a flag value that is not of
 //! the flag's form: each refuses it by name.
 
@@ -52,6 +55,14 @@ fn shipped() -> ClusterConfig {
     }
 }
 
+/// The keywords some node bears, most frequent first.
+fn keywords_by_frequency(net: &RoadNetwork) -> Vec<usize> {
+    let freqs = net.keyword_frequencies();
+    let mut ranked: Vec<usize> = (0..freqs.len()).filter(|&k| freqs[k] > 0).collect();
+    ranked.sort_unstable_by_key(|&k| std::cmp::Reverse(freqs[k]));
+    ranked
+}
+
 const FRAGMENTS: usize = 4;
 /// Queries of the stream before the rare-keyword ones.
 const ORDINARY: usize = 48;
@@ -60,9 +71,7 @@ const ORDINARY: usize = 48;
 /// frequent keywords, then four 5-term SGKQs over the rarest keywords and
 /// one `(A ∩ B) ∪ C − D` with a rare `A`.
 fn stream(net: &RoadNetwork) -> Vec<DFunction> {
-    let freqs = net.keyword_frequencies();
-    let mut ranked: Vec<usize> = (0..freqs.len()).filter(|&k| freqs[k] > 0).collect();
-    ranked.sort_unstable_by_key(|&k| std::cmp::Reverse(freqs[k]));
+    let mut ranked = keywords_by_frequency(net);
     let rare: Vec<KeywordId> = ranked.iter().rev().take(8).map(|&k| KeywordId(k as u32)).collect();
     ranked.truncate(6);
     let objects: Vec<NodeId> = net.node_ids().filter(|&n| net.is_object(n)).collect();
@@ -178,6 +187,50 @@ fn a_single_query_is_a_stream_of_one() {
         assert_ledger_closes(&cluster, name);
         cluster.shutdown();
     }
+}
+
+/// A long stream of never-repeating slots, submitted 64 queries at a time:
+/// every chunk is four windows, so the answers of one are assembled while
+/// the workers evaluate the next, and the 8 640 distinct slots take the
+/// coordinator's slot-heat ledger past its cap and through an epoch halving
+/// mid-stream. None of it shows: every answer is the oracle's, small or
+/// most of the network, every frame is accounted for, nothing is recovered.
+#[test]
+fn a_long_stream_of_fresh_slots_is_answered_chunk_by_chunk() {
+    const QUERIES: usize = 27 * 64;
+    let net = GridNetworkConfig::tiny(0x0E1A).generate();
+    let p = MultilevelPartitioner::default().partition(&net, FRAGMENTS);
+    let ranked = keywords_by_frequency(&net);
+    assert!(ranked.len() >= 6);
+    let e = net.avg_edge_weight();
+    // Query `i` has a radius of its own, so each of its five slots is new.
+    let fs: Vec<DFunction> = (0..QUERIES)
+        .map(|i| {
+            let kws = (0..5).map(|j| KeywordId(ranked[(i + j) % ranked.len().min(8)] as u32));
+            SgkQuery::new(kws.collect(), e + 3 * i as u64).to_dfunction()
+        })
+        .collect();
+    let indexes = build_all_indexes(&net, &p, &IndexConfig::unbounded());
+    let cluster = Cluster::build(&net, &p, indexes, shipped());
+    let mut oracle = CentralizedEngine::new(&net);
+    let (mut sparse, mut dense) = (0, 0);
+    for (c, chunk) in fs.chunks(64).enumerate() {
+        let (items, _) = cluster.run_stream(chunk);
+        for (i, (f, item)) in chunk.iter().zip(items).enumerate() {
+            let o = item.unwrap_or_else(|e| panic!("chunk {c} query {i}: {e}"));
+            assert_eq!(o.results, oracle.run(f).unwrap().0, "chunk {c} query {i} vs oracle");
+            assert!(o.stats.degraded_fragments.is_empty(), "chunk {c} query {i}");
+            if o.results.len() * 64 >= net.num_nodes() {
+                dense += 1;
+            } else {
+                sparse += 1;
+            }
+        }
+    }
+    assert!(sparse >= 64 && dense >= 64, "both sides of the gather: {sparse} / {dense}");
+    assert_ledger_closes(&cluster, "long stream");
+    assert_eq!(cluster.recovery_counters(), Default::default(), "nothing to recover from");
+    cluster.shutdown();
 }
 
 /// A dense answer is worth less on the wire than its ids: the most frequent
