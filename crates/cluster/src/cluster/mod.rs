@@ -49,7 +49,8 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
 use disks_core::{
-    CostParams, DFunction, DlScope, QClassQuery, QueryError, QueryPlan, RangeKeywordQuery, SgkQuery,
+    CostParams, DFunction, DlScope, NodeRuns, QClassQuery, QueryError, QueryPlan,
+    RangeKeywordQuery, SgkQuery,
 };
 use disks_roadnet::NodeId;
 
@@ -314,9 +315,9 @@ impl Cluster {
         let (c2w_before, _) = self.link_totals();
         let mut gather = self.answer_gather.borrow_mut();
         debug_assert!(gather.is_clear());
-        // Each query's fragment lists as they arrive (ascending, disjoint),
-        // then its assembled answer.
-        let mut lists: Vec<Vec<Vec<NodeId>>> = vec![Vec::new(); n];
+        // Each query's fragment answers as they arrive (disjoint), then its
+        // assembled answer.
+        let mut lists: Vec<Vec<NodeRuns>> = vec![Vec::new(); n];
         let mut answers: Vec<Option<Vec<NodeId>>> = vec![None; n];
         let mut per_machine: Vec<Vec<MachineCost>> =
             vec![vec![MachineCost::default(); self.num_machines()]; n];
@@ -332,7 +333,7 @@ impl Cluster {
             }
             GatherEvent::Payload(..) => {}
             GatherEvent::Complete => {
-                answers[i] = Some(gather.assemble(std::mem::take(&mut lists[i])));
+                answers[i] = Some(gather.assemble(&std::mem::take(&mut lists[i])));
             }
         };
         let stream = self.run_stream_core(plans, start, &mut on_event);

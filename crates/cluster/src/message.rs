@@ -11,9 +11,9 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use disks_core::{QueryCost, QueryError, QueryPlan, Ranked, SuperPlan, TopKQuery};
+use disks_core::{NodeRuns, QueryCost, QueryError, QueryPlan, Ranked, SuperPlan, TopKQuery};
 use disks_roadnet::codec::{decode_len, Decode, Encode};
-use disks_roadnet::{DecodeError, NodeId};
+use disks_roadnet::DecodeError;
 
 use crate::cache::CacheCounters;
 use crate::framing::MAX_FRAME_LEN;
@@ -119,10 +119,11 @@ impl From<&QueryCost> for WireCost {
 /// Worker → coordinator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
-    /// Results for one fragment hosted by the worker: global node ids,
-    /// strictly ascending (`FragmentEngine::to_global`'s order) — the wire
-    /// layout ([`encode_ids`]) and the coordinator's gather both rely on it.
-    Results { query_id: u64, fragment: u32, nodes: Vec<NodeId>, cost: WireCost },
+    /// Results for one fragment hosted by the worker: global node ids as
+    /// `FragmentEngine::to_global` reads them off the local bitset — the
+    /// form the wire layout ([`encode_runs`]) writes and the coordinator's
+    /// gather unions, never expanded in between.
+    Results { query_id: u64, fragment: u32, nodes: NodeRuns, cost: WireCost },
     /// Locally ranked top-k results for one fragment.
     TopKResults { query_id: u64, fragment: u32, ranked: Vec<Ranked>, cost: WireCost },
     /// The query failed on this worker, with the typed error encoded on the
@@ -146,9 +147,9 @@ const BATCH_RESULTS_TAG: u8 = 3;
 /// One query's outcome inside a [`Response::BatchResults`] frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BatchAnswer {
-    /// The query's local result on this fragment (strictly ascending, as
-    /// in [`Response::Results`]).
-    Results { nodes: Vec<NodeId>, cost: WireCost },
+    /// The query's local result on this fragment (as in
+    /// [`Response::Results`]).
+    Results { nodes: NodeRuns, cost: WireCost },
     /// The query failed on this fragment; the rest of the batch is
     /// unaffected (the coordinator re-dispatches just this query).
     Failed(QueryError),
@@ -159,7 +160,7 @@ impl Encode for BatchAnswer {
         match self {
             BatchAnswer::Results { nodes, cost } => {
                 0u8.encode(buf);
-                encode_ids(nodes, buf);
+                encode_runs(nodes, buf);
                 cost.encode(buf);
             }
             BatchAnswer::Failed(error) => {
@@ -178,7 +179,7 @@ impl BatchAnswer {
         match u8::decode(buf)? {
             0 => {
                 let before = buf.remaining();
-                let nodes = decode_ids(buf)?;
+                let nodes = decode_runs(buf)?;
                 let id_bytes = (before - buf.remaining()) as u64;
                 let cost = WireCost::decode(buf)?;
                 Ok((BatchAnswer::Results { nodes, cost }, results_frame_len(id_bytes)))
@@ -212,7 +213,7 @@ fn decode_answers<T>(
 pub(crate) const WIRE_COST_LEN: u64 = 12 * 8;
 
 /// Exact encoded size of a [`Response::Results`] frame whose id list
-/// encodes ([`encode_ids`]) to `id_bytes`: tag + query id + fragment + ids +
+/// encodes ([`encode_runs`]) to `id_bytes`: tag + query id + fragment + ids +
 /// cost.
 ///
 /// Used to apportion a batch frame's bytes to its member queries — each
@@ -225,31 +226,45 @@ pub(crate) fn results_frame_len(id_bytes: u64) -> u64 {
 }
 
 /// Most ids one answer may expand to: what the raw 4-byte layout could carry
-/// in the largest legal frame. A run costs O(1) bytes whatever its length,
-/// so without this bound a few bytes could claim 2³² ids.
-pub const MAX_ANSWER_IDS: usize = MAX_FRAME_LEN / 4;
+/// in the largest legal frame. [`NodeRuns`] cannot hold more, so no encoder
+/// can be handed an over-long answer; the decoder checks the claimed count
+/// against it before anything else.
+pub const MAX_ANSWER_IDS: usize = NodeRuns::MAX_IDS;
+const _: () = assert!(MAX_ANSWER_IDS == MAX_FRAME_LEN / 4);
 
-/// Ids [`decode_ids`] reserves before it has read a run, whatever count the
-/// input claims (64 KiB; a fragment's whole answer on the benchmark's
-/// dataset fits, a larger one grows as its runs are validated).
-const ANSWER_RESERVE_IDS: usize = 1 << 14;
+/// Runs [`decode_runs`] reserves before it has read one, whatever the input
+/// claims (2 KiB; a fragment's answer on the benchmark's dataset is ~200
+/// runs, a larger one grows as its runs are validated). The count bounds the
+/// runs only from above — ten ids a run is typical — and reserving for it
+/// was measured at twice the decode time of this.
+const ANSWER_RESERVE_RUNS: usize = 256;
 
 /// Longest varint the answer layout uses: gap and run length are below 2³³
 /// (a 32-bit gap shifted by the flag bit), which is 5 × 7 bits.
 const VARINT_MAX_BYTES: usize = 5;
 
-fn put_varint(mut v: u64, buf: &mut impl BufMut) {
+/// Write `v` as a little-endian base-128 varint at the front of `out`;
+/// returns the bytes written (at most [`VARINT_MAX_BYTES`] for `v < 2³⁵`).
+fn write_varint(mut v: u64, out: &mut [u8]) -> usize {
+    let mut n = 0;
     while v >= 0x80 {
-        buf.put_u8(v as u8 | 0x80);
+        out[n] = v as u8 | 0x80;
         v >>= 7;
+        n += 1;
     }
-    buf.put_u8(v as u8);
+    out[n] = v as u8;
+    n + 1
 }
 
 /// Read a little-endian base-128 varint of at most [`VARINT_MAX_BYTES`]
 /// bytes (so the value is below 2³⁵ and no later sum can overflow `u64`)
 /// off the front of `unread`.
 fn get_varint(unread: &mut &[u8]) -> Result<u64, DecodeError> {
+    // Most gaps and lengths are below 128: one byte, no loop.
+    if let [b @ 0..0x80, rest @ ..] = *unread {
+        *unread = rest;
+        return Ok(u64::from(*b));
+    }
     let mut v = 0u64;
     for (i, &b) in unread.iter().take(VARINT_MAX_BYTES).enumerate() {
         v |= u64::from(b & 0x7f) << (7 * i);
@@ -265,8 +280,8 @@ fn get_varint(unread: &mut &[u8]) -> Result<u64, DecodeError> {
     })
 }
 
-/// Write an answer's id list — the one wire form of a strictly ascending
-/// `Vec<NodeId>` in [`Response::Results`] and [`BatchAnswer::Results`]:
+/// Write an answer — the one wire form of the [`NodeRuns`] in
+/// [`Response::Results`] and [`BatchAnswer::Results`]:
 ///
 /// ```text
 /// answer := varint(count) run*
@@ -276,48 +291,42 @@ fn get_varint(unread: &mut &[u8]) -> Result<u64, DecodeError> {
 /// A run is `len` consecutive ids starting `gap` above the smallest id not
 /// yet ruled out (0 at first, the previous run's last id + 1 afterwards),
 /// so an isolated id costs a delta-varint, a run of any length O(1) bytes,
-/// an empty answer one byte, and a list that does not ascend has no
-/// encoding at all. The bytes depend only on the ids.
-///
-/// # Panics
-/// Panics if `nodes` is not strictly ascending or holds more than
-/// [`MAX_ANSWER_IDS`] ids: both are bugs in the caller (engines produce
-/// ascending answers by construction), and writing either would put a frame
-/// on the wire that decodes to a different answer or not at all.
-pub fn encode_ids(nodes: &[NodeId], buf: &mut impl BufMut) {
-    fn put_run(gap: u64, len: u64, buf: &mut impl BufMut) {
+/// an empty answer one byte. `count` is the number of ids, not runs. The
+/// bytes depend only on the ids: a `NodeRuns` holds maximal runs, so after
+/// the first run a gap is never 0.
+fn encode_runs(nodes: &NodeRuns, buf: &mut impl BufMut) {
+    // Varints are assembled here and appended a chunk at a time: the
+    // buffer's per-call bookkeeping is paid per ~50 runs, not per byte.
+    let mut chunk = [0u8; 256];
+    let mut n = write_varint(nodes.len() as u64, &mut chunk);
+    let mut next = 0u64;
+    for &(start, len) in nodes.runs() {
+        if n + 2 * VARINT_MAX_BYTES > chunk.len() {
+            buf.put_slice(&chunk[..n]);
+            n = 0;
+        }
+        let (start, len) = (u64::from(start), u64::from(len));
+        let gap = start - next;
         if len == 1 {
-            put_varint(gap << 1, buf);
+            n += write_varint(gap << 1, &mut chunk[n..]);
         } else {
-            put_varint(gap << 1 | 1, buf);
-            put_varint(len - 2, buf);
+            n += write_varint(gap << 1 | 1, &mut chunk[n..]);
+            n += write_varint(len - 2, &mut chunk[n..]);
         }
+        next = start + len;
     }
-    assert!(nodes.len() <= MAX_ANSWER_IDS, "answer of {} ids exceeds the wire bound", nodes.len());
-    put_varint(nodes.len() as u64, buf);
-    let mut ids = nodes.iter().map(|n| u64::from(n.0));
-    let Some(mut start) = ids.next() else { return };
-    // The open run is `start..end`; `next` is where the previous one ended.
-    let (mut next, mut end) = (0, start + 1);
-    for id in ids {
-        if id == end {
-            end += 1;
-            continue;
-        }
-        assert!(id > end, "answer ids must be strictly ascending ({id} after {})", end - 1);
-        put_run(start - next, end - start, buf);
-        (next, start, end) = (end, id, id + 1);
-    }
-    put_run(start - next, end - start, buf);
+    buf.put_slice(&chunk[..n]);
 }
 
-/// Read an id list written by [`encode_ids`]. Everything is validated
-/// before memory is committed to it: the count against [`MAX_ANSWER_IDS`],
-/// each run against the ids the count still allows and against `u32::MAX`;
-/// the up-front reservation does not depend on the claimed count beyond
-/// [`ANSWER_RESERVE_IDS`]. The result is strictly ascending whatever the
-/// bytes were.
-pub fn decode_ids(buf: &mut impl Buf) -> Result<Vec<NodeId>, DecodeError> {
+/// Read an answer written by [`encode_runs`] — and nothing else: each id set
+/// has one encoding, so a run that touches the one before it (a gap of 0
+/// after the first run) is refused like any other malformed input.
+/// Everything is validated before memory is committed to it: the count
+/// against [`MAX_ANSWER_IDS`], each run against the ids the count still
+/// allows and against `u32::MAX`; a run costs at least a byte, so the
+/// up-front reservation is bounded by the input that remains (and by
+/// [`ANSWER_RESERVE_RUNS`]), whatever count it claims.
+fn decode_runs(buf: &mut impl Buf) -> Result<NodeRuns, DecodeError> {
     // Parse off the unread slice (`chunk` is all of it in this workspace's
     // `bytes`) and advance once: a varint is 1–5 bytes, too small to pay the
     // buffer's per-read bookkeeping for each.
@@ -327,13 +336,15 @@ pub fn decode_ids(buf: &mut impl Buf) -> Result<Vec<NodeId>, DecodeError> {
     if count > MAX_ANSWER_IDS as u64 {
         return Err(DecodeError::LengthOutOfRange { context: "answer id count", len: count });
     }
-    let count = count as usize;
-    let mut out = Vec::with_capacity(count.min(ANSWER_RESERVE_IDS));
+    let reserve = (count as usize).min(unread.len()).min(ANSWER_RESERVE_RUNS);
+    let mut out = NodeRuns::with_capacity(reserve);
+    let mut left = count;
     let mut next = 0u64;
-    while out.len() < count {
+    while left > 0 {
         let head = get_varint(&mut unread)?;
-        let start = next + (head >> 1);
+        let gap = head >> 1;
         let len = if head & 1 == 1 { get_varint(&mut unread)? + 2 } else { 1 };
+        let start = next + gap;
         let end = start + len;
         if end > 1 << 32 {
             return Err(DecodeError::LengthOutOfRange {
@@ -341,13 +352,20 @@ pub fn decode_ids(buf: &mut impl Buf) -> Result<Vec<NodeId>, DecodeError> {
                 len: end,
             });
         }
-        if len > (count - out.len()) as u64 {
+        if len > left {
             return Err(DecodeError::LengthOutOfRange {
                 context: "answer run past the declared count",
                 len,
             });
         }
-        out.extend((start..end).map(|id| NodeId(id as u32)));
+        if gap == 0 && next > 0 {
+            return Err(DecodeError::LengthOutOfRange {
+                context: "answer run touching the run before it",
+                len: start,
+            });
+        }
+        out.push_run(start as u32, len as u32);
+        left -= len;
         next = end;
     }
     let read = before - unread.len();
@@ -459,7 +477,7 @@ impl Encode for Response {
                 0u8.encode(buf);
                 query_id.encode(buf);
                 fragment.encode(buf);
-                encode_ids(nodes, buf);
+                encode_runs(nodes, buf);
                 cost.encode(buf);
             }
             Response::Failed { query_id, fragment, error } => {
@@ -495,7 +513,7 @@ impl Decode for Response {
             0 => Ok(Response::Results {
                 query_id: u64::decode(buf)?,
                 fragment: u32::decode(buf)?,
-                nodes: decode_ids(buf)?,
+                nodes: decode_runs(buf)?,
                 cost: WireCost::decode(buf)?,
             }),
             1 => Ok(Response::Failed {
@@ -579,7 +597,7 @@ pub(crate) fn decode_gather_items(mut frame: Bytes) -> Result<Vec<(Response, u64
 mod tests {
     use super::*;
     use disks_core::{DFunction, Term};
-    use disks_roadnet::KeywordId;
+    use disks_roadnet::{KeywordId, NodeId};
 
     #[test]
     fn request_round_trip() {
@@ -622,7 +640,7 @@ mod tests {
         let resp = Response::Results {
             query_id: 9,
             fragment: 2,
-            nodes: vec![NodeId(1), NodeId(5)],
+            nodes: vec![NodeId(1), NodeId(5)].into(),
             cost: WireCost {
                 alpha: 1,
                 beta: 2,
@@ -720,6 +738,28 @@ mod tests {
     }
 
     #[test]
+    fn adjacent_runs_rejected() {
+        // {0, 1, 2} is one run — count 3, gap 0 with a length, 3 − 2 — and
+        // that is its only encoding.
+        assert_eq!(id_bytes(&[NodeId(0), NodeId(1), NodeId(2)]), [3, 1, 1]);
+        assert_eq!(decode_id_bytes(&[3, 1, 1]).unwrap(), [NodeId(0), NodeId(1), NodeId(2)]);
+        // The same ids as three one-id runs, or as 0..=1 then 2: the later
+        // runs' gap of 0 makes them touch the run before, which no encoder
+        // writes. Refused, so no two byte strings decode to one answer.
+        for (bytes, at) in [(&[3, 0, 0, 0][..], 1), (&[3, 1, 0, 0], 2)] {
+            assert_eq!(
+                decode_id_bytes(bytes),
+                Err(DecodeError::LengthOutOfRange {
+                    context: "answer run touching the run before it",
+                    len: at,
+                })
+            );
+        }
+        // A first run at id 0 has gap 0 and is fine; so is any later gap ≥ 1.
+        assert_eq!(decode_id_bytes(&[2, 0, 2]).unwrap(), [NodeId(0), NodeId(2)]);
+    }
+
+    #[test]
     fn batch_round_trip() {
         use disks_core::SetOp;
         let plans: Vec<QueryPlan> = [
@@ -743,7 +783,7 @@ mod tests {
             fragment: 3,
             answers: vec![
                 BatchAnswer::Results {
-                    nodes: vec![NodeId(2), NodeId(9)],
+                    nodes: vec![NodeId(2), NodeId(9)].into(),
                     cost: WireCost { batch_shared: 1, ..Default::default() },
                 },
                 BatchAnswer::Failed(QueryError::RadiusExceedsMaxR { r: 9, max_r: 4 }),
@@ -783,7 +823,7 @@ mod tests {
     /// The id-list bytes of `nodes` alone.
     fn id_bytes(nodes: &[NodeId]) -> Vec<u8> {
         let mut buf = BytesMut::new();
-        encode_ids(nodes, &mut buf);
+        encode_runs(&nodes.to_vec().into(), &mut buf);
         buf.to_vec()
     }
 
@@ -801,7 +841,7 @@ mod tests {
             let results = |query_id| Response::Results {
                 query_id,
                 fragment: 3,
-                nodes: nodes.clone(),
+                nodes: nodes.clone().into(),
                 cost: WireCost::default(),
             };
             let standalone = encode_frame(&results(42)).len() as u64;
@@ -813,7 +853,7 @@ mod tests {
                 fragment: 3,
                 answers: vec![
                     BatchAnswer::Failed(QueryError::EmptyQuery),
-                    BatchAnswer::Results { nodes: nodes.clone(), cost: WireCost::default() },
+                    BatchAnswer::Results { nodes: nodes.clone().into(), cost: WireCost::default() },
                 ],
             };
             let items = decode_gather_items(encode_frame(&batch)).unwrap();
@@ -871,9 +911,9 @@ mod tests {
 
     fn decode_id_bytes(bytes: &[u8]) -> Result<Vec<NodeId>, DecodeError> {
         let mut buf = Bytes::from(bytes);
-        let ids = decode_ids(&mut buf)?;
+        let runs = decode_runs(&mut buf)?;
         expect_consumed(&buf)?;
-        Ok(ids)
+        Ok(runs.to_vec())
     }
 
     #[test]
@@ -924,9 +964,9 @@ mod tests {
         );
         // Bytes after the last declared id are trailing garbage.
         assert_eq!(out_of_range(decode_id_bytes(&[1, 0, 0])), "trailing bytes after frame");
-        // A list that does not ascend has no encoding: a zero gap is the
-        // *next* id, so any accepted input decodes strictly ascending.
-        assert_eq!(decode_id_bytes(&[3, 0, 0, 0]).unwrap(), [NodeId(0), NodeId(1), NodeId(2)]);
+        // A list that does not ascend has no encoding: a gap counts up from
+        // the previous run's end, so any accepted input decodes strictly
+        // ascending (and a zero gap there is refused: `adjacent_runs_rejected`).
     }
 
     #[test]

@@ -24,8 +24,9 @@ use crossbeam::channel::Receiver;
 
 use disks_core::bitset::BitSet;
 use disks_core::dfunc::{DTerm, Term};
-use disks_core::{BiLevelIndex, CoverageStore, FragmentEngine, QueryCost, QueryError, QueryPlan};
-use disks_roadnet::NodeId;
+use disks_core::{
+    BiLevelIndex, CoverageStore, FragmentEngine, NodeRuns, QueryCost, QueryError, QueryPlan,
+};
 
 use crate::cache::{CacheCounters, CoverageCache};
 use crate::message::{decode_frame, encode_frame, BatchAnswer, Request, Response, WireCost};
@@ -81,7 +82,7 @@ impl WorkerEngine {
         &mut self,
         plan: &QueryPlan,
         cache: &mut CoverageCache,
-    ) -> Result<(Vec<NodeId>, QueryCost), QueryError> {
+    ) -> Result<(NodeRuns, QueryCost), QueryError> {
         let mut store = FragmentCacheStore { fragment: self.fragment().0, cache };
         self.evaluate_plan_with_store(plan, &mut store)
     }
@@ -93,7 +94,7 @@ impl WorkerEngine {
         &mut self,
         plan: &QueryPlan,
         store: &mut dyn CoverageStore,
-    ) -> Result<(Vec<NodeId>, QueryCost), QueryError> {
+    ) -> Result<(NodeRuns, QueryCost), QueryError> {
         match self {
             WorkerEngine::Single(e) => e.evaluate_plan_with_cache(plan, store),
             WorkerEngine::BiLevel(b) => b.evaluate_plan_with_cache(plan, store),
@@ -186,7 +187,7 @@ fn evaluate_task(
     plan: &QueryPlan,
     store: &mut impl TaskStore,
     panic_now: bool,
-) -> Result<(Vec<NodeId>, WireCost), QueryError> {
+) -> Result<(NodeRuns, WireCost), QueryError> {
     let (cache_before, shared_before) = store.ledger();
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
         if panic_now {

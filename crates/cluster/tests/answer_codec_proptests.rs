@@ -1,9 +1,10 @@
-//! Property tests for the answer plane: the run-length id layout of
-//! `Response::Results` / `BatchAnswer::Results` round-trips every strictly
-//! ascending id set and rejects everything else typed, without panicking and
+//! Property tests for the answer plane: the run-length layout of the
+//! `NodeRuns` in `Response::Results` / `BatchAnswer::Results` round-trips
+//! every strictly ascending id set — ids and bytes both: a set has one
+//! encoding — and rejects everything else typed, without panicking and
 //! without committing memory to a claim it has not validated; and the
-//! coordinator's gather returns the sorted union of its fragment lists on
-//! both sides of its density rule, leaving its scratch bitmap zero.
+//! coordinator's gather returns the sorted union of its fragments' answers
+//! on both sides of its density rule, leaving its scratch bitmap zero.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,7 +15,7 @@ use proptest::prelude::*;
 
 use disks_cluster::message::{decode_frame, encode_frame, MAX_ANSWER_IDS};
 use disks_cluster::{AnswerGather, BatchAnswer, Response, WireCost};
-use disks_core::QueryError;
+use disks_core::{NodeRuns, QueryError};
 use disks_roadnet::{DecodeError, NodeId};
 
 thread_local! {
@@ -70,7 +71,7 @@ fn results(nodes: Vec<NodeId>) -> Response {
     Response::Results {
         query_id: 9,
         fragment: 2,
-        nodes,
+        nodes: nodes.into(),
         cost: WireCost { settled: 7, ..WireCost::default() },
     }
 }
@@ -78,14 +79,34 @@ fn results(nodes: Vec<NodeId>) -> Response {
 fn batch(lists: Vec<Vec<NodeId>>) -> Response {
     let mut answers: Vec<BatchAnswer> = lists
         .into_iter()
-        .map(|nodes| BatchAnswer::Results { nodes, cost: WireCost::default() })
+        .map(|nodes| BatchAnswer::Results { nodes: nodes.into(), cost: WireCost::default() })
         .collect();
     answers.insert(answers.len() / 2, BatchAnswer::Failed(QueryError::EmptyQuery));
     Response::BatchResults { base: 40, fragment: 1, answers }
 }
 
-fn strictly_ascending(ids: &[NodeId]) -> bool {
-    ids.windows(2).all(|w| w[0] < w[1])
+/// The answers a decoded frame carries, in order.
+fn answers_of(response: Response) -> Vec<NodeRuns> {
+    match response {
+        Response::Results { nodes, .. } => vec![nodes],
+        Response::BatchResults { answers, .. } => answers
+            .into_iter()
+            .filter_map(|a| match a {
+                BatchAnswer::Results { nodes, .. } => Some(nodes),
+                BatchAnswer::Failed(_) => None,
+            })
+            .collect(),
+        _ => vec![],
+    }
+}
+
+/// Runs ascend with at least one absent id between neighbours, none is
+/// empty or reaches past `u32::MAX`, and the id count is their sum.
+fn canonical(answer: &NodeRuns) -> bool {
+    let runs = answer.runs();
+    runs.iter().all(|&(start, len)| len >= 1 && u64::from(start) + u64::from(len) <= 1 << 32)
+        && runs.windows(2).all(|w| u64::from(w[1].0) > u64::from(w[0].0) + u64::from(w[0].1))
+        && runs.iter().map(|r| r.1 as usize).sum::<usize>() == answer.len()
 }
 
 /// Strictly ascending id sets mixing runs of consecutive ids with isolated
@@ -127,17 +148,30 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Any strictly ascending id set survives both frames that carry
-    /// answers, and the bytes are a function of the answer alone.
+    /// answers — as the same ids, and re-encoding to the same bytes — and
+    /// the bytes are a function of the answer alone.
     #[test]
     fn ascending_id_sets_round_trip(lists in proptest::collection::vec(arb_ids(), 1..5)) {
         for list in &lists {
             let message = results(list.clone());
             let frame = encode_frame(&message);
             prop_assert_eq!(&frame, &encode_frame(&message));
-            prop_assert_eq!(decode_frame::<Response>(frame).unwrap(), message);
+            let decoded = decode_frame::<Response>(frame.clone()).unwrap();
+            prop_assert_eq!(&encode_frame(&decoded), &frame);
+            prop_assert_eq!(&decoded, &message);
+            let ids: Vec<NodeId> = answers_of(decoded).remove(0).into_iter().collect();
+            prop_assert_eq!(&ids, list);
         }
-        let message = batch(lists);
-        prop_assert_eq!(decode_frame::<Response>(encode_frame(&message)).unwrap(), message);
+        let message = batch(lists.clone());
+        let frame = encode_frame(&message);
+        let decoded = decode_frame::<Response>(frame.clone()).unwrap();
+        prop_assert_eq!(&encode_frame(&decoded), &frame);
+        prop_assert_eq!(&decoded, &message);
+        for (answer, list) in answers_of(decoded).into_iter().zip(&lists) {
+            prop_assert!(canonical(&answer));
+            prop_assert_eq!(answer.len(), list.len());
+            prop_assert_eq!(&answer.into_iter().collect::<Vec<_>>(), list);
+        }
     }
 
     /// No strict prefix of a valid frame decodes: a cut anywhere — inside a
@@ -155,8 +189,11 @@ proptest! {
     }
 
     /// Arbitrary bytes — bare, or behind a `Results` / `BatchResults` header
-    /// so the id decoder is what they reach — never panic, and whatever
-    /// decodes is strictly ascending and within the answer-size bound.
+    /// so the answer decoder is what they reach — never panic and never buy
+    /// an allocation larger than the input could back (a run costs at least
+    /// a byte and holds 8); whatever decodes is canonical, within the
+    /// answer-size bound, and re-encodes to the very bytes it came from: the
+    /// decoder accepts what the encoder writes and nothing else.
     #[test]
     fn arbitrary_bytes_never_panic(
         header in 0u8..3,
@@ -169,31 +206,30 @@ proptest! {
                 .concat(),
         };
         bytes.extend(&body);
-        let lists: Vec<Vec<NodeId>> = match decode_frame::<Response>(Bytes::from(bytes)) {
-            Ok(Response::Results { nodes, .. }) => vec![nodes],
-            Ok(Response::BatchResults { answers, .. }) => answers
-                .into_iter()
-                .filter_map(|a| match a {
-                    BatchAnswer::Results { nodes, .. } => Some(nodes),
-                    BatchAnswer::Failed(_) => None,
-                })
-                .collect(),
-            _ => vec![],
-        };
-        for list in lists {
-            prop_assert!(strictly_ascending(&list));
-            prop_assert!(list.len() <= MAX_ANSWER_IDS);
+        let frame = Bytes::from(bytes);
+        let (decoded, largest) = largest_alloc_during(|| decode_frame::<Response>(frame.clone()));
+        prop_assert!(largest <= 8 * frame.len(), "{} bytes bought {}", frame.len(), largest);
+        let Ok(response) = decoded else { return Ok(()) };
+        if matches!(response, Response::Results { .. } | Response::BatchResults { .. }) {
+            prop_assert_eq!(&encode_frame(&response), &frame);
+        }
+        for answer in answers_of(response) {
+            prop_assert!(canonical(&answer));
+            prop_assert!(answer.len() <= MAX_ANSWER_IDS);
         }
     }
 
-    /// k disjoint ascending lists come back as the sort of their
-    /// concatenation below, at and above the density rule, and the scratch
-    /// bitmap is zero again afterwards — also when a list names an id the
-    /// bitmap has no bit for.
+    /// k disjoint ascending lists, each through a frame and back, come out
+    /// of the gather as the sort of their concatenation below, at and above
+    /// the density rule, and the scratch bitmap is zero again afterwards —
+    /// also when a list names an id the bitmap has no bit for.
     #[test]
     fn gather_equals_sorted_concatenation(
         universe in 1usize..3000,
         k in 1usize..6,
+        // Ids are dealt to the lists in blocks of this many: 1 leaves a list
+        // few runs longer than an id, 200 gives it runs across several words.
+        block in prop_oneof![Just(1usize), 2usize..200],
         // Answer size relative to the rule's threshold: −2..=+2 around it,
         // or anywhere up to the whole universe.
         around in prop_oneof![(0usize..5).prop_map(Some), Just(None)],
@@ -217,7 +253,7 @@ proptest! {
         let mut chosen = ids[..size].to_vec();
         chosen.sort_unstable();
         for (i, id) in chosen.into_iter().enumerate() {
-            lists[deal[i] as usize % k].push(NodeId(id));
+            lists[deal[i / block] as usize % k].push(NodeId(id));
         }
         // An id at or past |V|: inside the bitmap's last word or beyond it.
         if let Some(beyond) = stray {
@@ -225,11 +261,14 @@ proptest! {
         }
         let total: usize = lists.iter().map(Vec::len).sum();
         prop_assert_eq!(gather.is_dense(total), total >= threshold);
-        let mut expected: Vec<NodeId> = lists.concat();
-        expected.sort();
+        let expected: BTreeSet<NodeId> = lists.iter().flatten().copied().collect();
+        prop_assert_eq!(expected.len(), total);
+        let expected: Vec<NodeId> = expected.into_iter().collect();
+        let answers = answers_of(decode_frame(encode_frame(&batch(lists))).unwrap());
+        prop_assert_eq!(answers.len(), k);
         // Twice through the same scratch: the first call must leave it clean.
         for _ in 0..2 {
-            prop_assert_eq!(&gather.assemble(lists.clone()), &expected);
+            prop_assert_eq!(&gather.assemble(&answers), &expected);
             prop_assert!(gather.is_clear());
         }
     }
@@ -237,7 +276,8 @@ proptest! {
 
 /// A hostile answer of a few bytes: declaring more ids than any frame may
 /// carry, or a run of 2³² ids, is refused before memory is committed to the
-/// claim; a count at the bound itself reserves a fixed amount, not 64 MiB.
+/// claim; a count at the bound itself reserves for the runs the bytes behind
+/// it could hold — 8 bytes a remaining input byte — not 64 MiB.
 #[test]
 fn tiny_frames_with_huge_claims_are_rejected_before_allocating() {
     let results_header = [&[0u8][..], &9u64.to_le_bytes(), &2u32.to_le_bytes()].concat();
@@ -262,6 +302,7 @@ fn tiny_frames_with_huge_claims_are_rejected_before_allocating() {
     for (what, answer) in claims {
         assert!(answer.len() <= 16, "{what}: {} bytes", answer.len());
         let frame = Bytes::from([&results_header[..], &answer].concat());
+        let frame_len = frame.len();
         let (decoded, largest) = largest_alloc_during(|| decode_frame::<Response>(frame));
         assert!(
             matches!(
@@ -270,6 +311,6 @@ fn tiny_frames_with_huge_claims_are_rejected_before_allocating() {
             ),
             "{what}: {decoded:?}"
         );
-        assert!(largest <= 64 << 10, "{what}: allocated {largest} bytes");
+        assert!(largest <= 8 * frame_len, "{what}: {frame_len} bytes bought {largest}");
     }
 }

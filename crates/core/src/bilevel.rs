@@ -14,6 +14,7 @@ use crate::engine::{CoverageStore, FragmentEngine, NoCache, QueryCost};
 use crate::error::{IndexError, QueryError};
 use crate::index::{build_index, IndexConfig, NpdIndex};
 use crate::plan::QueryPlan;
+use crate::runs::NodeRuns;
 
 /// Which level served a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,7 +100,7 @@ impl BiLevelIndex {
         let (r, c) = self.evaluate_plan_with_cache(&plan, &mut NoCache)?;
         let served =
             if plan.max_radius() <= self.max_r { ServedBy::Primary } else { ServedBy::Secondary };
-        Ok((r, c, served))
+        Ok((r.to_vec(), c, served))
     }
 
     /// The engine that would serve a plan with the given max radius (§5.5
@@ -120,7 +121,7 @@ impl BiLevelIndex {
         &mut self,
         plan: &QueryPlan,
         store: &mut dyn CoverageStore,
-    ) -> Result<(Vec<NodeId>, QueryCost), QueryError> {
+    ) -> Result<(NodeRuns, QueryCost), QueryError> {
         self.engine_for(plan.max_radius()).evaluate_plan_with_cache(plan, store)
     }
 }

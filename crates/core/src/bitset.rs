@@ -113,6 +113,12 @@ impl BitSet {
         self.len
     }
 
+    /// The backing words, element `i` at bit `i % 64` of word `i / 64`; bits
+    /// at or past `capacity()` are zero.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Resident bytes of the backing storage (used for cache accounting).
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.words.len() * 8

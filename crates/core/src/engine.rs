@@ -37,6 +37,7 @@ use crate::dfunc::{DFunction, DTerm, Term};
 use crate::error::{IndexError, QueryError};
 use crate::index::{DlScope, NpdIndex};
 use crate::plan::QueryPlan;
+use crate::runs::NodeRuns;
 
 /// Local sentinel for "not reached this term" in the top-k scorer.
 const INF_LOCAL: u64 = u64::MAX;
@@ -122,6 +123,9 @@ pub struct FragmentEngine {
     /// local id → global id, strictly ascending: global → local is a
     /// binary search.
     globals: Vec<NodeId>,
+    /// [`NodeRuns::breaks`] of `globals`: where a run of local ids stops
+    /// being a run of global ids.
+    breaks: BitSet,
     /// Local CSR over `P ∪ SC(P)` (both arcs for every undirected edge),
     /// `(neighbor, weight)` interleaved: a relaxation reads both.
     adj_offsets: Vec<u32>,
@@ -217,9 +221,9 @@ impl FragmentEngine {
         let fragment = index.fragment();
         let members = partitioning.nodes(fragment);
         let globals: Vec<NodeId> = members.to_vec();
-        // Local id order is global id order: `to_global` maps an ascending
-        // bitset walk to an ascending answer with no sort, and the answer
-        // wire layout and the coordinator's gather both need that order.
+        // Local id order is global id order: `to_global` reads an ascending
+        // answer off the bitset's words with no sort, and the answer wire
+        // layout and the coordinator's gather both need that order.
         assert!(
             globals.windows(2).all(|w| w[0] < w[1]),
             "fragment {fragment:?}: member node ids must be strictly ascending"
@@ -265,6 +269,7 @@ impl FragmentEngine {
             fragment,
             max_r: index.max_r(),
             dl_scope: index.dl_scope(),
+            breaks: NodeRuns::breaks(&globals),
             globals,
             adj_offsets,
             adj,
@@ -299,6 +304,7 @@ impl FragmentEngine {
     /// Approximate resident bytes of the engine's state.
     pub fn memory_bytes(&self) -> usize {
         self.globals.len() * 4
+            + self.breaks.memory_bytes()
             + self.adj_offsets.len() * 4
             + self.adj.len() * std::mem::size_of::<(u32, Weight)>()
             + self.kw_nodes.values().map(|v| v.len() * 4 + 8).sum::<usize>()
@@ -492,12 +498,14 @@ impl FragmentEngine {
         self.evaluate_plan(&QueryPlan::lower(f))
     }
 
-    /// Evaluate a normalized plan without a coverage store.
+    /// Evaluate a normalized plan without a coverage store, the answer
+    /// expanded to ids.
     pub fn evaluate_plan(
         &mut self,
         plan: &QueryPlan,
     ) -> Result<(Vec<NodeId>, QueryCost), QueryError> {
-        self.evaluate_plan_with_cache(plan, &mut NoCache)
+        let (runs, cost) = self.evaluate_plan_with_cache(plan, &mut NoCache)?;
+        Ok((runs.to_vec(), cost))
     }
 
     /// Evaluate a normalized plan, consulting `store` for each coverage slot
@@ -508,12 +516,13 @@ impl FragmentEngine {
     /// driven by [`QueryPlan::evaluate_lazy`], which stops asking once the
     /// local answer is known to be empty. Lemma 1 semantics are identical to
     /// [`Self::evaluate`]; a hit or a skipped slot saves a Dijkstra, never
-    /// changes the answer.
+    /// changes the answer. The answer stays in the run-level form the wire
+    /// and the coordinator's gather take.
     pub fn evaluate_plan_with_cache(
         &mut self,
         plan: &QueryPlan,
         store: &mut dyn CoverageStore,
-    ) -> Result<(Vec<NodeId>, QueryCost), QueryError> {
+    ) -> Result<(NodeRuns, QueryCost), QueryError> {
         // Checked here as well as per search: a plan may never search.
         self.debug_assert_admitted(plan.max_radius());
         let start = std::time::Instant::now();
@@ -553,12 +562,10 @@ impl FragmentEngine {
     }
 
     /// Translate a local coverage bitset to global node ids, strictly
-    /// ascending: `BitSet::iter` ascends and so does `globals` (checked in
-    /// [`FragmentEngine::new`]).
-    pub fn to_global(&self, cov: &BitSet) -> Vec<NodeId> {
-        let mut v = Vec::with_capacity(cov.count());
-        v.extend(cov.iter().map(|i| self.globals[i]));
-        v
+    /// ascending because `globals` is (checked in [`FragmentEngine::new`]),
+    /// at a cost that follows the answer's runs, not its ids.
+    pub fn to_global(&self, cov: &BitSet) -> NodeRuns {
+        NodeRuns::from_bitset(cov, &self.globals, &self.breaks)
     }
 }
 
@@ -696,8 +703,8 @@ mod tests {
         let mut store = MapStore(Map::new());
         let (first, _) = engine.evaluate_plan_with_cache(&plan, &mut store).unwrap();
         let (second, warm_cost) = engine.evaluate_plan_with_cache(&plan, &mut store).unwrap();
-        assert_eq!(first, expect);
-        assert_eq!(second, expect);
+        assert_eq!(first.to_vec(), expect);
+        assert_eq!(second.to_vec(), expect);
         assert!(warm_cost.per_slot.iter().all(|s| s.cached && s.settled == 0));
         assert_eq!(warm_cost.settled, 0);
         assert_eq!(warm_cost.coverage_nodes, cold_cost.coverage_nodes);

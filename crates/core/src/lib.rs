@@ -19,6 +19,8 @@
 //! * [`engine`] — the per-fragment query engine of Algorithm 2: extended
 //!   fragment construction and per-term coverage Dijkstra, instrumented with
 //!   the Theorem 5 cost model.
+//! * [`runs`] — the run-level form a fragment's answer keeps from the
+//!   engine's bitset to the coordinator's bitmap.
 //! * [`coverage`] — centralized whole-graph evaluation used as ground truth
 //!   and as the "1 fragment" baseline.
 //! * [`bilevel`] — the §5.5 bi-level index that routes queries with
@@ -36,6 +38,7 @@ pub mod error;
 pub mod index;
 pub mod plan;
 pub mod query;
+pub mod runs;
 pub mod topk;
 
 pub use bilevel::BiLevelIndex;
@@ -53,4 +56,5 @@ pub use index::{
 };
 pub use plan::{CostParams, QueryPlan, SuperPlan};
 pub use query::{QClassQuery, RangeKeywordQuery, SgkQuery};
+pub use runs::NodeRuns;
 pub use topk::{centralized_topk, merge_topk, Ranked, ScoreCombine, TopKQuery};

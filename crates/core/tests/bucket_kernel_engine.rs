@@ -39,7 +39,7 @@ fn check_engines_against_oracle(net: &RoadNetwork, delta: std::ops::RangeInclusi
                     .filter(|n| members.binary_search(n).is_ok())
                     .collect();
                 let (cov, cost) = engine.coverage(term, radius).unwrap();
-                assert_eq!(engine.to_global(&cov), expect, "{term:?} r={radius}");
+                assert_eq!(engine.to_global(&cov).to_vec(), expect, "{term:?} r={radius}");
                 assert_eq!(cost.settled, expect.len(), "every covered node settles once");
 
                 let (table, _) = engine.distance_table(term, radius).unwrap();

@@ -83,7 +83,7 @@ proptest! {
                     .map(|s| engine.coverage(s.term, s.radius).unwrap().0)
                     .collect();
                 prop_assert_eq!(
-                    &lazy, &engine.to_global(&plan.combine(&eager)),
+                    &lazy, &engine.to_global(&plan.combine(&eager)).to_vec(),
                     "{} on fragment {:?}", &f, engine.fragment()
                 );
                 prop_assert!(cost.per_slot.len() <= plan.num_slots());
