@@ -749,7 +749,11 @@ fn egress_pump(
 /// The socket transport's reading pump: reassembles the framed stream and
 /// forwards payload frames into `out`. Exits — marking the link down and
 /// closing the socket — on EOF, reset, read timeout (heartbeat miss), or a
-/// framing error (torn or over-length frame).
+/// framing error (torn or over-length frame). When it is `out`'s consumer
+/// that is gone, not the link, it closes the reading half only: the sending
+/// half belongs to the egress pump, which first writes out what that
+/// consumer had queued — a crashed worker's last answers — and then closes
+/// the socket itself.
 fn ingress_pump(
     mut wire: TcpStream,
     out: Sender<Bytes>,
@@ -774,7 +778,9 @@ fn ingress_pump(
                                 c.record_send(f.len() as u64);
                             }
                             if out.send(f).is_err() {
-                                break 'link;
+                                down.store(true, Ordering::Release);
+                                let _ = wire.shutdown(Shutdown::Read);
+                                return;
                             }
                         }
                         Ok(Some(StreamEvent::Keepalive)) => {
@@ -930,6 +936,49 @@ pub fn loopback_pair() -> std::io::Result<(TcpStream, TcpStream)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A worker that dies with answers still queued behind a slow socket
+    /// loses none of them: its ingress pump finds the request receiver gone
+    /// on the next frame, and must leave the sending half to the egress
+    /// pump. (Closing both halves there cut off every answer not yet
+    /// written — seen as stall retries of windows answered before a kill.)
+    /// The egress pump's stall keeps the answers queued for as long as the
+    /// ingress pump needs; what crosses afterwards does not depend on it.
+    #[test]
+    fn answers_queued_when_the_worker_died_still_cross_the_socket() {
+        use crate::framing::{write_frame, FrameAssembler, StreamEvent};
+        use std::io::Read;
+
+        let (mut coordinator_side, worker_side) = loopback_pair().unwrap();
+        let stall = FaultPlan::new(1)
+            .stall_link(0, LinkDirection::WorkerToCoordinator, 1, 200)
+            .transport_faults_for(0, LinkDirection::WorkerToCoordinator);
+        let TcpWorkerEndpoint { requests, egress } =
+            tcp_worker_endpoint(worker_side, 0, HeartbeatConfig::default(), stall).unwrap();
+        let answers = [Bytes::from_static(b"answer 1"), Bytes::from_static(b"answer 2")];
+        for answer in &answers {
+            egress.send(answer.clone()).unwrap();
+        }
+        // The worker thread is gone, and a request arrives for it.
+        drop((requests, egress));
+        write_frame(&mut coordinator_side, b"request").unwrap();
+
+        coordinator_side.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let (mut asm, mut buf, mut got) = (FrameAssembler::new(), [0u8; 256], Vec::new());
+        loop {
+            let n = coordinator_side.read(&mut buf).expect("the answers, then an orderly close");
+            if n == 0 {
+                break;
+            }
+            asm.extend(&buf[..n]);
+            while let Some(event) = asm.next_event().unwrap() {
+                if let StreamEvent::Frame(f) = event {
+                    got.push(f);
+                }
+            }
+        }
+        assert_eq!(got, answers);
+    }
 
     #[test]
     fn counters_track_bytes_and_messages() {

@@ -26,6 +26,10 @@ pub enum ServedBy {
 }
 
 /// A bounded primary + unbounded secondary engine pair for one fragment.
+///
+/// Reach masks (see [`FragmentEngine`]) are each engine's own: the primary
+/// builds them at its `maxR` as its keywords are searched, the secondary
+/// (`maxR = INF`) keeps none — a plan routed there is capped by nothing.
 pub struct BiLevelIndex {
     primary: FragmentEngine,
     secondary: FragmentEngine,
@@ -172,6 +176,41 @@ mod tests {
             got_large,
             central.evaluate(&DFunction::single(Term::Keyword(kw), 20 * e)).unwrap()
         );
+    }
+
+    /// Each level keeps its own reach masks: the bounded primary builds
+    /// them as its keywords are searched, the unbounded secondary never
+    /// does, and a conjunction routed to either level is the oracle's the
+    /// first time and the second.
+    #[test]
+    fn each_level_keeps_its_own_reach_masks() {
+        let net = GridNetworkConfig::tiny(53).generate();
+        let p = MultilevelPartitioner::default().partition(&net, 3);
+        let e = net.avg_edge_weight();
+        let cfg = IndexConfig::with_max_r(4 * e);
+        let freqs = net.keyword_frequencies();
+        let mut ranked: Vec<usize> = (0..freqs.len()).collect();
+        ranked.sort_unstable_by_key(|&k| std::cmp::Reverse(freqs[k]));
+        let (a, b) = (KeywordId(ranked[0] as u32), KeywordId(ranked[1] as u32));
+        let mut central = CentralizedCoverage::new(&net);
+        let mut levels: Vec<BiLevelIndex> =
+            p.fragment_ids().map(|f| BiLevelIndex::build(&net, &p, f, &cfg).unwrap()).collect();
+        let fresh: Vec<(usize, usize)> = levels
+            .iter()
+            .map(|bi| (bi.primary.memory_bytes(), bi.secondary.memory_bytes()))
+            .collect();
+        for r in [2 * e, 20 * e, 3 * e, 21 * e] {
+            let f = DFunction::intersection_of(&[a, b], r);
+            let mut got: Vec<NodeId> = Vec::new();
+            for bi in &mut levels {
+                got.extend(bi.evaluate(&f).unwrap().0);
+            }
+            got.sort_unstable();
+            assert_eq!(got, central.evaluate(&f).unwrap(), "r = {r}");
+        }
+        let grown = |bi: &BiLevelIndex| (bi.primary.memory_bytes(), bi.secondary.memory_bytes());
+        assert!(levels.iter().zip(&fresh).all(|(bi, fresh)| grown(bi).1 == fresh.1));
+        assert!(levels.iter().zip(&fresh).any(|(bi, fresh)| grown(bi).0 > fresh.0));
     }
 
     #[test]

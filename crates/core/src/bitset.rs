@@ -149,6 +149,13 @@ impl BitSet {
         !kernels::any(&self.words)
     }
 
+    /// Overwrite `self` with `other`'s elements, reusing the backing words.
+    /// Panics on capacity mismatch.
+    pub fn copy_from(&mut self, other: &BitSet) {
+        assert_eq!(self.len, other.len, "bitset capacity mismatch");
+        self.words.copy_from_slice(&other.words);
+    }
+
     /// In-place union. Panics on capacity mismatch.
     pub fn union_with(&mut self, other: &BitSet) {
         assert_eq!(self.len, other.len, "bitset capacity mismatch");
@@ -229,6 +236,8 @@ mod tests {
         let mut d = a.clone();
         d.subtract(&b);
         assert_eq!(d.iter().collect::<Vec<_>>(), vec![1, 7]);
+        d.copy_from(&b);
+        assert_eq!(d, b);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //!
 //! * the *extended fragment* `P' = P ∪ SC(P)` as a local CSR graph (Step 1),
 //! * the DL component for seeding cross-fragment distances (Steps 2–3),
-//! * a local inverted keyword index (sources of the virtual keyword nodes).
+//! * a local inverted keyword index (sources of the virtual keyword nodes),
+//! * on a bounded index, a *reach mask* `R(ω, maxR) ∩ P` per keyword searched
+//!   so far — a ceiling on every later coverage of that keyword.
 //!
 //! The paper's "virtual node `Vᵢ` connected by directed 0-weight edges" is
 //! realized as multi-source Dijkstra seeding, which is the same computation
@@ -24,13 +26,13 @@
 //! holds copies of exactly `P ∪ SC(P) ∪ DL(P)` plus local keywords, never a
 //! reference to the global network.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use disks_partition::{FragmentId, Partitioning};
 use disks_roadnet::dijkstra::{Control, Graph};
-use disks_roadnet::{DijkstraWorkspace, KeywordId, NodeId, RoadNetwork, Weight};
+use disks_roadnet::{DijkstraWorkspace, KeywordId, NodeId, RoadNetwork, Weight, INF};
 
 use crate::bitset::BitSet;
 use crate::dfunc::{DFunction, DTerm, Term};
@@ -82,12 +84,21 @@ pub struct QueryCost {
 }
 
 impl QueryCost {
-    fn absorb(&mut self, other: &QueryCost) {
-        self.alpha += other.alpha;
-        self.settled += other.settled;
-        self.pushed += other.pushed;
-        self.coverage_nodes += other.coverage_nodes;
-        self.per_slot.extend_from_slice(&other.per_slot);
+    /// Add one fetched slot to the aggregates and the breakdown.
+    fn absorb(&mut self, slot: SlotCost) {
+        self.alpha += slot.alpha;
+        self.settled += slot.settled;
+        self.pushed += slot.pushed;
+        self.coverage_nodes += slot.coverage_nodes;
+        self.per_slot.push(slot);
+    }
+}
+
+impl From<SlotCost> for QueryCost {
+    fn from(slot: SlotCost) -> Self {
+        let mut cost = QueryCost::default();
+        cost.absorb(slot);
+        cost
     }
 }
 
@@ -132,16 +143,41 @@ pub struct FragmentEngine {
     adj: Vec<(u32, Weight)>,
     /// Lightest arc of `adj`, shortcuts included.
     min_arc_weight: Weight,
-    /// Local inverted index: keyword → local node ids containing it.
-    kw_nodes: HashMap<KeywordId, Vec<u32>>,
-    /// §3.7 aggregation with portals translated to local ids:
-    /// keyword → (local portal, distance), sorted by distance.
-    keyword_portals: HashMap<KeywordId, Vec<(u32, u64)>>,
+    /// The keywords with a seed in the fragment — a local node bearing the
+    /// keyword or a DL pair, so within `max_r` of it — strictly ascending,
+    /// and what the engine holds for each, in the same order. A sorted
+    /// array under a binary search rather than a table dense by id: it
+    /// grows with what a bounded index can reach, not with a vocabulary the
+    /// share-nothing engine never sees, and the ids of a fragment stay in
+    /// L1 — ten compares where two hash maps cost two SipHash rounds.
+    kw_ids: Vec<KeywordId>,
+    kw_entries: Vec<KeywordEntry>,
+    /// Scratch for the ⋂ of a plan's reach masks.
+    ceiling: BitSet,
     /// Node-keyed DL with local portal ids, for `Term::Node` seeds.
     dl_node_entries: HashMap<u32, Vec<(u32, u64)>>,
     /// |SC(P)| — β of Theorem 5.
     sc_size: usize,
     ws: DijkstraWorkspace,
+}
+
+/// What the engine holds for one keyword: its seeds and, once searched, how
+/// far it reaches.
+#[derive(Default)]
+struct KeywordEntry {
+    /// Local nodes bearing the keyword (the local inverted index).
+    locals: Vec<u32>,
+    /// §3.7 aggregation with portals translated to local ids:
+    /// (local portal, distance), sorted by distance.
+    portals: Vec<(u32, u64)>,
+    /// The reach mask `R(keyword, max_r) ∩ P`, left behind by the first
+    /// search a plan needed of the keyword (which ran to `max_r` for it).
+    /// `R(keyword, r) ⊆ R(keyword, max_r)` for every admissible `r`, so it
+    /// bounds every coverage of the keyword from above. A pure function of
+    /// the immutable index, like the rest of the engine: set once, never
+    /// invalidated, and never set when `max_r == INF` — that mask would be
+    /// the whole fragment.
+    reach: OnceLock<BitSet>,
 }
 
 /// What one bounded search starts from, borrowed from the engine.
@@ -246,19 +282,18 @@ impl FragmentEngine {
             lists[lb as usize].push((la, w));
         }
         let (adj_offsets, adj, min_arc_weight) = interleaved_csr(&lists);
-        // Local keyword inverted index.
-        let mut kw_nodes: HashMap<KeywordId, Vec<u32>> = HashMap::new();
+        // Local keyword inverted index, and DL with local portal ids.
+        let mut keywords: BTreeMap<KeywordId, KeywordEntry> = BTreeMap::new();
         for (i, &g) in globals.iter().enumerate() {
             for &k in net.keywords(g) {
-                kw_nodes.entry(k).or_default().push(i as u32);
+                keywords.entry(k).or_default().locals.push(i as u32);
             }
         }
-        // DL with local portal ids.
-        let mut keyword_portals = HashMap::new();
         for (&kw, list) in &index.keyword_portals {
-            let translated: Vec<(u32, u64)> = list.iter().map(|&(p, d)| (local_of(p), d)).collect();
-            keyword_portals.insert(kw, translated);
+            keywords.entry(kw).or_default().portals =
+                list.iter().map(|&(p, d)| (local_of(p), d)).collect();
         }
+        let (kw_ids, kw_entries) = keywords.into_iter().unzip();
         let mut dl_node_entries = HashMap::new();
         for (node, list) in index.dl_entries() {
             let translated: Vec<(u32, u64)> = list.iter().map(|&(p, d)| (local_of(p), d)).collect();
@@ -274,8 +309,9 @@ impl FragmentEngine {
             adj_offsets,
             adj,
             min_arc_weight,
-            kw_nodes,
-            keyword_portals,
+            kw_ids,
+            kw_entries,
+            ceiling: BitSet::new(num_local),
             dl_node_entries,
             sc_size: index.shortcuts().len(),
             ws: DijkstraWorkspace::new(num_local),
@@ -301,15 +337,26 @@ impl FragmentEngine {
         self.dl_scope
     }
 
-    /// Approximate resident bytes of the engine's state.
+    /// Approximate resident bytes of the engine's state, the reach masks
+    /// built so far included.
     pub fn memory_bytes(&self) -> usize {
+        let keyword = |e: &KeywordEntry| {
+            (e.locals.len() * 4 + 8)
+                + (e.portals.len() * 12 + 8)
+                + e.reach.get().map_or(0, BitSet::memory_bytes)
+        };
         self.globals.len() * 4
             + self.breaks.memory_bytes()
             + self.adj_offsets.len() * 4
             + self.adj.len() * std::mem::size_of::<(u32, Weight)>()
-            + self.kw_nodes.values().map(|v| v.len() * 4 + 8).sum::<usize>()
-            + self.keyword_portals.values().map(|v| v.len() * 12 + 8).sum::<usize>()
+            + self.kw_entries.iter().map(keyword).sum::<usize>()
             + self.dl_node_entries.values().map(|v| v.len() * 12 + 8).sum::<usize>()
+    }
+
+    /// What the engine holds for keyword `k`; `None` when `k` has no seed in
+    /// the fragment at any admissible radius.
+    fn keyword(&self, k: KeywordId) -> Option<&KeywordEntry> {
+        self.kw_ids.binary_search(&k).ok().map(|i| &self.kw_entries[i])
     }
 
     /// Radius validation happens at coordinator admission; this is the
@@ -336,11 +383,14 @@ impl FragmentEngine {
             pairs.map_or(&[], |p| &p[..p.partition_point(|&(_, d)| d <= bound)])
         }
         match term {
-            Term::Keyword(k) => Seeds {
-                own: None,
-                locals: self.kw_nodes.get(&k).map_or(&[], Vec::as_slice),
-                portals: within(self.keyword_portals.get(&k), bound),
-            },
+            Term::Keyword(k) => {
+                let entry = self.keyword(k);
+                Seeds {
+                    own: None,
+                    locals: entry.map_or(&[], |e| &e.locals),
+                    portals: within(entry.map(|e| &e.portals), bound),
+                }
+            }
             Term::Node(l) => match local_id(&self.globals, l) {
                 own @ Some(_) => Seeds { own, locals: &[], portals: &[] },
                 None => Seeds {
@@ -359,17 +409,18 @@ impl FragmentEngine {
         self.seed_sources(term, radius).count()
     }
 
-    /// The bounded search behind [`Self::coverage_with`] and
-    /// [`Self::distance_table`]: `visit(local id, distance)` for every local
-    /// node within `bound` of `term`, in the kernel's settle order, and the
-    /// search's Theorem 5 accounting.
+    /// The one bounded search of the engine, behind [`Self::coverage`],
+    /// [`Self::distance_table`] and the plan driver's fetch:
+    /// `visit(local id, distance)` for every local node within `bound` of
+    /// `term`, in the kernel's settle order, and the search's Theorem 5
+    /// accounting as a slot of radius `bound`.
     fn search(
         &self,
         ws: &mut DijkstraWorkspace,
         term: Term,
         bound: u64,
         mut visit: impl FnMut(u32, u64),
-    ) -> QueryCost {
+    ) -> SlotCost {
         self.debug_assert_admitted(bound);
         let seeds = self.seed_sources(term, bound);
         let stats = ws.run(self, seeds.iter(), bound, |n, d| {
@@ -377,8 +428,8 @@ impl FragmentEngine {
             Control::Continue
         });
         // Every node settles once and none is refused: what settled is the
-        // coverage.
-        let slot = SlotCost {
+        // coverage at `bound`.
+        SlotCost {
             term,
             radius: bound,
             alpha: seeds.portals.len(),
@@ -386,14 +437,6 @@ impl FragmentEngine {
             pushed: stats.pushed,
             coverage_nodes: stats.settled,
             cached: false,
-        };
-        QueryCost {
-            alpha: slot.alpha,
-            settled: slot.settled,
-            pushed: slot.pushed,
-            coverage_nodes: slot.coverage_nodes,
-            per_slot: vec![slot],
-            ..QueryCost::default()
         }
     }
 
@@ -408,25 +451,64 @@ impl FragmentEngine {
         term: Term,
         radius: u64,
     ) -> Result<(Arc<BitSet>, QueryCost), QueryError> {
+        let mut cov = BitSet::new(self.globals.len());
         // Split borrows: the search mutates `ws` while reading `self`'s CSR.
         let mut ws = std::mem::replace(&mut self.ws, DijkstraWorkspace::new(0));
-        let out = self.coverage_with(&mut ws, term, radius);
+        let cost = self.search(&mut ws, term, radius, |n, _| cov.insert(n as usize));
         self.ws = ws;
-        out
+        Ok((Arc::new(cov), cost.into()))
     }
 
-    /// [`Self::coverage`] against a workspace the caller took out of the
-    /// engine: the search mutates the workspace while reading the engine's
-    /// CSR, and the plan driver's closures hold `&self` meanwhile.
-    fn coverage_with(
-        &self,
-        ws: &mut DijkstraWorkspace,
-        term: Term,
-        radius: u64,
-    ) -> Result<(Arc<BitSet>, QueryCost), QueryError> {
+    /// Fetch a plan slot's coverage by searching. A keyword's first such
+    /// search on a bounded index runs to `max_r` instead of the slot's
+    /// radius and leaves every node it settles behind as the keyword's
+    /// reach mask; the nodes within the radius are the coverage either way
+    /// (distances are exact up to `max_r`, Theorem 3).
+    fn search_slot(&self, ws: &mut DijkstraWorkspace, slot: &DTerm) -> (BitSet, SlotCost) {
         let mut cov = BitSet::new(self.globals.len());
-        let cost = self.search(ws, term, radius, |n, _| cov.insert(n as usize));
-        Ok((Arc::new(cov), cost))
+        let unreached = match slot.term {
+            Term::Keyword(k) if self.max_r != INF => {
+                self.keyword(k).map(|e| &e.reach).filter(|reach| reach.get().is_none())
+            }
+            _ => None,
+        };
+        let Some(unreached) = unreached else {
+            let cost = self.search(ws, slot.term, slot.radius, |n, _| cov.insert(n as usize));
+            return (cov, cost);
+        };
+        let mut reach = BitSet::new(self.globals.len());
+        let mut cost = self.search(ws, slot.term, self.max_r, |n, d| {
+            reach.insert(n as usize);
+            if d <= slot.radius {
+                cov.insert(n as usize);
+            }
+        });
+        unreached.set(reach).expect("seen unset above, and a plan holds the engine exclusively");
+        cost.radius = slot.radius;
+        cost.coverage_nodes = cov.count();
+        (cov, cost)
+    }
+
+    /// The ⋂ of the reach masks held for the keywords among `conjuncts`, in
+    /// `scratch`: a superset of the conjuncts' ⋂ at any admissible radii.
+    /// `None` when no conjunct has one — a `Term::Node`, a keyword not yet
+    /// searched, an unbounded index.
+    fn reach_ceiling<'c>(
+        &self,
+        conjuncts: &mut dyn Iterator<Item = &DTerm>,
+        scratch: &'c mut BitSet,
+    ) -> Option<&'c BitSet> {
+        let mut masks = conjuncts.filter_map(|slot| match slot.term {
+            Term::Keyword(k) => self.keyword(k)?.reach.get(),
+            Term::Node(_) => None,
+        });
+        scratch.copy_from(masks.next()?);
+        for mask in masks {
+            if !scratch.intersect_with(mask) {
+                break;
+            }
+        }
+        Some(scratch)
     }
 
     /// Local per-node distances for one term: `(local id, d(node, term))`
@@ -442,7 +524,7 @@ impl FragmentEngine {
         let mut ws = std::mem::replace(&mut self.ws, DijkstraWorkspace::new(0));
         let cost = self.search(&mut ws, term, bound, |n, d| table.push((n, d)));
         self.ws = ws;
-        Ok((table, cost))
+        Ok((table, cost.into()))
     }
 
     /// The fragment's local contribution to a top-k query: its best `k`
@@ -463,7 +545,7 @@ impl FragmentEngine {
         let mut this_term = vec![INF_LOCAL; self.globals.len()];
         for &kw in &q.keywords {
             let (table, cost) = self.distance_table(Term::Keyword(kw), q.horizon)?;
-            total.absorb(&cost);
+            cost.per_slot.into_iter().for_each(|slot| total.absorb(slot));
             for &(n, d) in &table {
                 this_term[n as usize] = d;
             }
@@ -514,10 +596,12 @@ impl FragmentEngine {
     /// This is the layered split of Alg. 2: a per-slot coverage stage (each
     /// fetched slot either served from `store` or computed and offered back)
     /// driven by [`QueryPlan::evaluate_lazy`], which stops asking once the
-    /// local answer is known to be empty. Lemma 1 semantics are identical to
-    /// [`Self::evaluate`]; a hit or a skipped slot saves a Dijkstra, never
-    /// changes the answer. The answer stays in the run-level form the wire
-    /// and the coordinator's gather take.
+    /// local answer is known to be empty — from the coverages fetched so
+    /// far, or beforehand from the reach masks of the plan's conjuncts.
+    /// Lemma 1 semantics are identical to [`Self::evaluate`]; a hit or a
+    /// skipped slot saves a Dijkstra, never changes the answer. The answer
+    /// stays in the run-level form the wire and the coordinator's gather
+    /// take.
     pub fn evaluate_plan_with_cache(
         &mut self,
         plan: &QueryPlan,
@@ -527,33 +611,36 @@ impl FragmentEngine {
         self.debug_assert_admitted(plan.max_radius());
         let start = std::time::Instant::now();
         let mut total = QueryCost { beta: self.sc_size, ..QueryCost::default() };
-        // Split borrows: a search mutates `ws` while reading `self`'s CSR.
+        // Split borrows: a search mutates `ws`, and the ceiling is built in
+        // `scratch`, while the driver's closures read the engine.
         let mut ws = std::mem::replace(&mut self.ws, DijkstraWorkspace::new(0));
+        let mut scratch = std::mem::replace(&mut self.ceiling, BitSet::new(0));
+        let (engine, ceiling) = (&*self, &mut scratch);
         let local = plan.evaluate_lazy(
-            self.globals.len(),
-            |slot| self.seed_count(slot.term, slot.radius),
+            engine.globals.len(),
+            |slot| engine.seed_count(slot.term, slot.radius),
+            move |conjuncts| engine.reach_ceiling(conjuncts, ceiling),
             |slot| {
                 if let Some(hit) = store.lookup(slot) {
-                    let nodes = hit.count();
-                    total.coverage_nodes += nodes;
-                    total.per_slot.push(SlotCost {
+                    total.absorb(SlotCost {
                         term: slot.term,
                         radius: slot.radius,
                         alpha: 0,
                         settled: 0,
                         pushed: 0,
-                        coverage_nodes: nodes,
+                        coverage_nodes: hit.count(),
                         cached: true,
                     });
                     return Ok(hit);
                 }
-                let (cov, cost) = self.coverage_with(&mut ws, slot.term, slot.radius)?;
+                let (cov, cost) = engine.search_slot(&mut ws, slot);
+                let cov = Arc::new(cov);
                 store.store(slot, &cov);
-                total.absorb(&cost);
+                total.absorb(cost);
                 Ok(cov)
             },
         );
-        self.ws = ws;
+        (self.ws, self.ceiling) = (ws, scratch);
         let local = local?;
         let result = self.to_global(&local);
         total.results = result.len();
@@ -579,6 +666,15 @@ mod tests {
     use disks_roadnet::generator::GridNetworkConfig;
     use disks_roadnet::graph::figure1_network;
 
+    /// One engine per fragment of a `k`-way split of `net`.
+    fn engines(net: &RoadNetwork, k: usize, cfg: &IndexConfig) -> Vec<FragmentEngine> {
+        let p = MultilevelPartitioner::default().partition(net, k);
+        build_all_indexes(net, &p, cfg)
+            .iter()
+            .map(|idx| FragmentEngine::new(net, &p, idx).unwrap())
+            .collect()
+    }
+
     /// Distributed evaluation = union of fragment evaluations (Lemma 1);
     /// compare against centralized ground truth (Theorem 3 end-to-end).
     fn assert_distributed_matches_centralized(
@@ -587,11 +683,8 @@ mod tests {
         cfg: &IndexConfig,
         f: &DFunction,
     ) {
-        let p = MultilevelPartitioner::default().partition(net, k);
-        let indexes = build_all_indexes(net, &p, cfg);
         let mut distributed: Vec<NodeId> = Vec::new();
-        for idx in &indexes {
-            let mut engine = FragmentEngine::new(net, &p, idx).unwrap();
+        for mut engine in engines(net, k, cfg) {
             let (local, _) = engine.evaluate(f).unwrap();
             distributed.extend(local);
         }
@@ -708,6 +801,129 @@ mod tests {
         assert!(warm_cost.per_slot.iter().all(|s| s.cached && s.settled == 0));
         assert_eq!(warm_cost.settled, 0);
         assert_eq!(warm_cost.coverage_nodes, cold_cost.coverage_nodes);
+    }
+
+    fn masks_built(engine: &FragmentEngine) -> usize {
+        engine.kw_entries.iter().filter(|e| e.reach.get().is_some()).count()
+    }
+
+    /// On a bounded index a keyword's first search runs to `maxR` and leaves
+    /// its reach mask behind; every later one runs to its own radius. The
+    /// masks cap SGKQs, an RKQ, a `−` tail and a `∪` prefix alike, at every
+    /// radius up to `maxR` itself, and the answers stay the oracle's — on
+    /// the pass that builds the masks and on the passes that use them.
+    #[test]
+    fn reach_masks_change_the_searches_never_the_answer() {
+        use crate::dfunc::SetOp::{Intersect, Subtract, Union};
+        let net = GridNetworkConfig::tiny(0x4D).generate();
+        let e = net.avg_edge_weight();
+        let max_r = 8 * e;
+        let mut engines = engines(&net, 3, &IndexConfig::with_max_r(max_r));
+        let freqs = net.keyword_frequencies();
+        let mut ranked: Vec<usize> = (0..freqs.len()).filter(|&k| freqs[k] > 0).collect();
+        ranked.sort_unstable_by_key(|&k| std::cmp::Reverse(freqs[k]));
+        let kw = |i: usize| Term::Keyword(KeywordId(ranked[i] as u32));
+        let rare = |i: usize| kw(ranked.len() - 1 - i);
+        let obj = net.node_ids().find(|&n| net.is_object(n)).unwrap();
+        let queries = |r: u64| {
+            vec![
+                SgkQuery::new(vec![KeywordId(ranked[0] as u32), KeywordId(ranked[1] as u32)], r)
+                    .to_dfunction(),
+                DFunction::single(rare(0), r).then(Intersect, rare(1), r).then(Intersect, kw(2), r),
+                RangeKeywordQuery::new(obj, vec![net.keywords(obj)[0]], r).to_dfunction(),
+                DFunction::single(kw(0), r).then(Intersect, rare(2), r).then(
+                    Subtract,
+                    kw(1),
+                    r / 2,
+                ),
+                DFunction::single(rare(0), r).then(Union, kw(3), r / 2).then(Intersect, rare(1), r),
+            ]
+        };
+        let mut central = CentralizedCoverage::new(&net);
+        let mut searched = std::collections::HashSet::new();
+        let mut widened = 0;
+        for pass in 0..3 {
+            for r in [0, e, 4 * e, max_r] {
+                for f in queries(r) {
+                    let mut got: Vec<NodeId> = Vec::new();
+                    for engine in &mut engines {
+                        let (local, cost) = engine.evaluate(&f).unwrap();
+                        got.extend(local);
+                        for slot in &cost.per_slot {
+                            let first = matches!(slot.term, Term::Keyword(_))
+                                && searched.insert((engine.fragment(), slot.term));
+                            assert!(slot.settled >= slot.coverage_nodes, "{f}: {slot:?}");
+                            if !first {
+                                assert_eq!(slot.settled, slot.coverage_nodes, "{f}: {slot:?}");
+                            }
+                            widened += usize::from(slot.settled > slot.coverage_nodes);
+                        }
+                    }
+                    got.sort_unstable();
+                    assert_eq!(got, central.evaluate(&f).unwrap(), "pass {pass}: {f}");
+                }
+            }
+        }
+        assert!(widened > 0, "no first search reached past its radius");
+        let built: usize = engines.iter().map(masks_built).sum();
+        assert!(built > 0 && built <= searched.len(), "{built} masks, {} searched", searched.len());
+    }
+
+    /// Two keywords a fragment is seeded for whose reach masks do not meet:
+    /// the first conjunction searches both and builds their masks, counted
+    /// in `memory_bytes` to the byte; the second, at another radius, is
+    /// answered ∅ with nothing fetched. An unbounded engine keeps no mask —
+    /// it would be the whole fragment — and searches both times.
+    #[test]
+    fn masks_that_do_not_meet_answer_before_any_fetch() {
+        let net = GridNetworkConfig::tiny(0x4E).generate();
+        let e = net.avg_edge_weight();
+        let max_r = 2 * e;
+        let vocab = net.keyword_frequencies().len() as u32;
+        let disjoint_pair = |engine: &mut FragmentEngine| {
+            let reach: Vec<(Term, Arc<BitSet>)> = (0..vocab)
+                .map(|k| Term::Keyword(KeywordId(k)))
+                .filter_map(|t| {
+                    let seeded = engine.seed_count(t, e) > 0;
+                    seeded.then(|| (t, engine.coverage(t, max_r).unwrap().0))
+                })
+                .collect();
+            reach.iter().enumerate().find_map(|(i, (a, ra))| {
+                reach[i + 1..].iter().find(|(_, rb)| !ra.intersects(rb)).map(|(b, _)| (*a, *b))
+            })
+        };
+        let (index, (a, b)) = engines(&net, 4, &IndexConfig::with_max_r(max_r))
+            .iter_mut()
+            .enumerate()
+            .find_map(|(i, engine)| Some((i, disjoint_pair(engine)?)))
+            .expect("a fragment with two seeded keywords out of each other's reach");
+        let conjunction =
+            |r: u64| DFunction::single(a, r).then(crate::dfunc::SetOp::Intersect, b, r);
+
+        let mut bounded = engines(&net, 4, &IndexConfig::with_max_r(max_r)).swap_remove(index);
+        let fresh = bounded.memory_bytes();
+        let (nodes, cost) = bounded.evaluate(&conjunction(e)).unwrap();
+        assert!(nodes.is_empty());
+        assert_eq!(cost.per_slot.len(), 2, "nothing is known before the first searches");
+        assert_eq!(masks_built(&bounded), 2);
+        let mask_bytes = BitSet::new(bounded.num_local_nodes()).memory_bytes();
+        assert_eq!(bounded.memory_bytes(), fresh + 2 * mask_bytes);
+        let (nodes, cost) = bounded.evaluate(&conjunction(max_r)).unwrap();
+        assert!(nodes.is_empty());
+        assert!(cost.per_slot.is_empty(), "fetched for a known ∅: {:?}", cost.per_slot);
+        assert_eq!((cost.settled, cost.alpha), (0, 0));
+        assert_eq!(bounded.memory_bytes(), fresh + 2 * mask_bytes);
+
+        let mut unbounded = engines(&net, 4, &IndexConfig::unbounded()).swap_remove(index);
+        let fresh = unbounded.memory_bytes();
+        for r in [e, max_r] {
+            let (nodes, cost) = unbounded.evaluate(&conjunction(r)).unwrap();
+            assert!(nodes.is_empty());
+            assert_eq!(cost.per_slot.len(), 2);
+            assert!(cost.per_slot.iter().all(|s| s.settled == s.coverage_nodes));
+        }
+        assert_eq!(masks_built(&unbounded), 0);
+        assert_eq!(unbounded.memory_bytes(), fresh);
     }
 
     #[test]

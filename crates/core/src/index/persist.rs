@@ -42,7 +42,11 @@ impl Decode for DlScope {
 
 /// Decode a table of `key → pairs` entries. [`to_binary`] writes a table in
 /// strictly ascending key order, so any other order — a repeated key
-/// included — is corrupt, not a second spelling of the same index.
+/// included — is corrupt, not a second spelling of the same index. So is a
+/// `(portal, distance)` list that does not ascend by `(distance, portal)`
+/// as every builder sorts it (Rule 2 condition 3): the engine cuts these
+/// lists at a radius by binary search, and would silently lose the seeds
+/// of a list out of order.
 fn decode_table<K: Decode + Copy + Ord + std::hash::Hash>(
     buf: &mut impl Buf,
     context: &'static str,
@@ -57,7 +61,14 @@ fn decode_table<K: Decode + Copy + Ord + std::hash::Hash>(
             return Err(DecodeError::LengthOutOfRange { context, len: len as u64 });
         }
         last = Some(key);
-        table.insert(key, Vec::decode(buf)?);
+        let list = Vec::<(NodeId, u64)>::decode(buf)?;
+        if let Some(at) = list.windows(2).position(|w| (w[0].1, w[0].0) >= (w[1].1, w[1].0)) {
+            return Err(DecodeError::LengthOutOfRange {
+                context: "dl list out of order",
+                len: at as u64 + 1,
+            });
+        }
+        table.insert(key, list);
     }
     Ok(table)
 }
@@ -255,6 +266,42 @@ mod tests {
             rejected(&blob, what);
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Two entries of one list swapped: every key and length still reads
+    /// well, but a cut of the list at a radius between the two distances
+    /// would drop a seed. Refused for both tables.
+    #[test]
+    fn from_binary_rejects_a_dl_list_out_of_order() {
+        fn swap_first_ascent<K>(table: &mut HashMap<K, Vec<(NodeId, u64)>>) {
+            let list = table
+                .values_mut()
+                .find(|list| list.windows(2).any(|w| w[0].1 < w[1].1))
+                .expect("a list with two distances");
+            let at = list.windows(2).position(|w| w[0].1 < w[1].1).unwrap();
+            list.swap(at, at + 1);
+        }
+        let swapped = |swap: fn(&mut NpdIndex)| {
+            let mut index = sample_index();
+            swap(&mut index);
+            from_binary(to_binary(&index)).map(|i| i.distances_recorded())
+        };
+        for (what, swap) in [
+            ("node table", (|i| swap_first_ascent(&mut i.dl_entries)) as fn(&mut NpdIndex)),
+            ("keyword table", |i| swap_first_ascent(&mut i.keyword_portals)),
+        ] {
+            let got = swapped(swap);
+            assert!(
+                matches!(
+                    got,
+                    Err(IndexError::Decode(DecodeError::LengthOutOfRange {
+                        context: "dl list out of order",
+                        ..
+                    }))
+                ),
+                "{what}: {got:?}"
+            );
+        }
     }
 
     #[test]

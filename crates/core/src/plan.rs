@@ -89,6 +89,16 @@ pub struct QueryPlan {
     ops: Vec<(SetOp, u32)>,
 }
 
+/// The order [`QueryPlan::evaluate_lazy`] takes a plan's operands in.
+struct LazyOrder {
+    first: u32,
+    /// The `(operator, slot)` pairs after `first`: the program's prefix up
+    /// to its last `∪`, then the ∩ operands of what follows, then the −.
+    ops: Vec<(SetOp, u32)>,
+    /// How many of `ops` are the prefix; 0 makes `first` a ∩ operand too.
+    prefix: usize,
+}
+
 impl QueryPlan {
     /// Lower a D-function, deduplicating identical `(term, radius)` terms
     /// into shared slots.
@@ -159,9 +169,8 @@ impl QueryPlan {
         self.slots.iter().map(|s| params.slot_cost(s)).fold(0u64, u64::saturating_add).max(1)
     }
 
-    /// The order [`Self::evaluate_lazy`] takes the operands in — the first
-    /// one, then `(operator, slot)` pairs — or `None` when the result is
-    /// empty before anything is fetched.
+    /// The order [`Self::evaluate_lazy`] takes the operands in, or `None`
+    /// when the result is empty before anything is fetched.
     ///
     /// The program is split at its last `∪`. Up to there the order is the
     /// program's. What follows is a left-associated run of ∩/−, which
@@ -170,7 +179,7 @@ impl QueryPlan {
     /// number of nodes a slot's search would start from; ties keep program
     /// order), then `neg`. A conjunct with no seed has an empty coverage,
     /// and so has everything intersected with it.
-    fn lazy_order(&self, seeds: impl Fn(&DTerm) -> usize) -> Option<(u32, Vec<(SetOp, u32)>)> {
+    fn lazy_order(&self, seeds: impl Fn(&DTerm) -> usize) -> Option<LazyOrder> {
         let last_union = self.ops.iter().rposition(|&(op, _)| op == SetOp::Union);
         let (prefix, tail) = self.ops.split_at(last_union.map_or(0, |u| u + 1));
         let of = |want: SetOp| tail.iter().filter(move |&&(op, _)| op == want).map(|&(_, s)| s);
@@ -187,7 +196,8 @@ impl QueryPlan {
         let first = if last_union.is_none() { pos.remove(0).1 } else { self.first };
         let pos = pos.into_iter().map(|(_, slot)| (SetOp::Intersect, slot));
         let neg = of(SetOp::Subtract).map(|slot| (SetOp::Subtract, slot));
-        Some((first, prefix.iter().copied().chain(pos).chain(neg).collect()))
+        let ops = prefix.iter().copied().chain(pos).chain(neg).collect();
+        Some(LazyOrder { first, ops, prefix: prefix.len() })
     }
 
     /// Evaluate the program, fetching a slot's coverage only when the
@@ -202,15 +212,38 @@ impl QueryPlan {
     /// first fetch. `fetch` is called at most once per slot. The result
     /// equals [`Self::combine`] over all coverages; `capacity` is the
     /// coverages' capacity, for a result nothing was fetched for.
-    pub fn evaluate_lazy<E>(
+    ///
+    /// `ceiling` may name a superset of `⋂pos`, the intersection of the
+    /// conjuncts it is handed (`|_| None`: no such set is known). The result
+    /// is `prefix ∩ ⋂pos ∖ ⋃neg ⊆ ⋂pos` whatever the prefix and `neg` hold,
+    /// so an empty ceiling ends the evaluation before the first fetch and
+    /// any other is intersected into the accumulator as the ∩/− run begins,
+    /// emptying it no later than the coverages themselves would. It is
+    /// asked for once, after the seed test, and only when an operand other
+    /// than the conjunct itself stands to be cut: a ∩ after the last `∪`.
+    pub fn evaluate_lazy<'c, E>(
         &self,
         capacity: usize,
         seeds: impl Fn(&DTerm) -> usize,
+        ceiling: impl FnOnce(&mut dyn Iterator<Item = &DTerm>) -> Option<&'c BitSet>,
         mut fetch: impl FnMut(&DTerm) -> Result<Arc<BitSet>, E>,
     ) -> Result<Arc<BitSet>, E> {
-        let Some((first, order)) = self.lazy_order(seeds) else {
+        let Some(LazyOrder { first, ops, prefix }) = self.lazy_order(seeds) else {
             return Ok(Arc::new(BitSet::new(capacity)));
         };
+        // `pos` leads the run after the prefix: it has a ∩ iff it opens with one.
+        let ceiling = match ops.get(prefix) {
+            Some((SetOp::Intersect, _)) => {
+                let head = if prefix == 0 { Some(first) } else { None };
+                let pos = ops[prefix..].iter().take_while(|(op, _)| *op == SetOp::Intersect);
+                let pos = head.into_iter().chain(pos.map(|&(_, slot)| slot));
+                ceiling(&mut pos.map(|slot| &self.slots[slot as usize]))
+            }
+            _ => None,
+        };
+        if ceiling.is_some_and(BitSet::is_empty) {
+            return Ok(Arc::new(BitSet::new(capacity)));
+        }
         let mut fetched: Vec<Option<Arc<BitSet>>> = vec![None; self.slots.len()];
         let mut get = |slot: u32| -> Result<Arc<BitSet>, E> {
             Ok(Arc::clone(match &mut fetched[slot as usize] {
@@ -222,7 +255,10 @@ impl QueryPlan {
         // it, so a one-operand plan returns that coverage uncopied.
         let mut acc = get(first)?;
         let mut live = !acc.is_empty();
-        for (op, slot) in order {
+        for (i, (op, slot)) in ops.into_iter().enumerate() {
+            if let Some(ceiling) = ceiling.filter(|_| i == prefix && live) {
+                live = Arc::make_mut(&mut acc).intersect_with(ceiling);
+            }
             if !live && op != SetOp::Union {
                 continue; // ∅ ∩ X = ∅ − X = ∅, whatever X is
             }
@@ -589,6 +625,7 @@ mod tests {
             .evaluate_lazy(
                 8,
                 |t| slots[index(t)].0,
+                |_| None,
                 |t| {
                     order.push(index(t) as u32);
                     Ok::<_, ()>(set(8, slots[index(t)].1))

@@ -6,8 +6,13 @@
 //!    over fragments equals `CentralizedCoverage`.
 //! 2. What the driver skips is asserted by counters (settled nodes, store
 //!    calls, `per_slot` entries), never by time.
+//! 3. A ceiling — any superset of the ⋂ of the conjuncts after the last `∪`
+//!    — never changes `evaluate_lazy`'s result; an empty one ends the
+//!    evaluation before the first fetch; none is asked for while a conjunct
+//!    is seedless.
 
-use std::collections::HashMap;
+use std::cell::Cell;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -91,6 +96,112 @@ proptest! {
             }
             distributed.sort_unstable();
             prop_assert_eq!(distributed, central.evaluate(&f).unwrap(), "{}", &f);
+        }
+    }
+}
+
+/// How the ceiling handed to the driver relates to `⋂pos`.
+#[derive(Debug, Clone, Copy)]
+enum Ceiling {
+    /// "No such set is known."
+    Unknown,
+    /// Exactly `⋂pos`.
+    Tight,
+    /// `⋂pos` and whatever else the seed adds.
+    Padded(u64),
+    /// Every node of the fragment.
+    Full,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Programs over a pool of 1–5 terms (so slots repeat) with a `∪`
+    /// prefix, `∩` and `−` in any mix, over coverages from empty to full on
+    /// a capacity that is not a whole number of words.
+    #[test]
+    fn a_ceiling_never_changes_the_answer(seed in any::<u64>()) {
+        const CAPACITY: usize = 150;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pool = rng.gen_range(1..=5u32);
+        let term = |rng: &mut StdRng| Term::Keyword(KeywordId(rng.gen_range(0..pool)));
+        let mut f = DFunction::single(term(&mut rng), 1);
+        for _ in 0..rng.gen_range(0..7) {
+            let op = [SetOp::Union, SetOp::Intersect, SetOp::Subtract][rng.gen_range(0..3)];
+            f = f.then(op, term(&mut rng), 1);
+        }
+        let plan = QueryPlan::lower(&f);
+        let sample = |rng: &mut StdRng, density: f64| {
+            let mut set = BitSet::new(CAPACITY);
+            (0..CAPACITY).filter(|_| rng.gen_bool(density)).for_each(|i| set.insert(i));
+            set
+        };
+        let coverages: Vec<Arc<BitSet>> = (0..pool)
+            .map(|_| {
+                let density = [0.0, 0.03, 0.5, 1.0][rng.gen_range(0..4)];
+                Arc::new(sample(&mut rng, density))
+            })
+            .collect();
+        // Seedless only where the coverage is empty, as in an engine.
+        let seeds: Vec<usize> =
+            coverages.iter().map(|c| rng.gen_range(usize::from(!c.is_empty())..4)).collect();
+        let of = |slot: &DTerm| match slot.term {
+            Term::Keyword(k) => k.0 as usize,
+            Term::Node(_) => unreachable!("the pool is keywords"),
+        };
+        let eager: Vec<_> = plan.slots().iter().map(|s| Arc::clone(&coverages[of(s)])).collect();
+        let expect = plan.combine(&eager);
+        // `pos`, read off the D-function: the ∩ operands after the last ∪,
+        // and the first operand when there is none.
+        let last_union = f.rest.iter().rposition(|(op, _)| *op == SetOp::Union);
+        let tail = &f.rest[last_union.map_or(0, |u| u + 1)..];
+        let pos: BTreeSet<usize> = last_union
+            .is_none()
+            .then_some(&f.first)
+            .into_iter()
+            .chain(tail.iter().filter(|(op, _)| *op == SetOp::Intersect).map(|(_, t)| t))
+            .map(of)
+            .collect();
+        let seedless = pos.iter().any(|&t| seeds[t] == 0);
+
+        for kind in [Ceiling::Unknown, Ceiling::Tight, Ceiling::Padded(rng.gen()), Ceiling::Full] {
+            let mut known = BitSet::new(CAPACITY);
+            (0..CAPACITY).for_each(|i| known.insert(i));
+            if let Ceiling::Tight | Ceiling::Padded(_) = kind {
+                pos.iter().for_each(|&t| {
+                    known.intersect_with(&coverages[t]);
+                });
+            }
+            if let Ceiling::Padded(pad) = kind {
+                known.union_with(&sample(&mut StdRng::seed_from_u64(pad), 0.1));
+            }
+            let known = if let Ceiling::Unknown = kind { None } else { Some(known) };
+            let (asked, fetches) = (Cell::new(false), Cell::new(0));
+            let ceiling = |conjuncts: &mut dyn Iterator<Item = &DTerm>| {
+                asked.set(true);
+                let handed: BTreeSet<usize> = conjuncts.map(of).collect();
+                assert_eq!(handed, pos, "{f}: the conjuncts handed over are not `pos`");
+                known.as_ref()
+            };
+            let got = plan
+                .evaluate_lazy(
+                    CAPACITY,
+                    |slot| seeds[of(slot)],
+                    ceiling,
+                    |slot| {
+                        fetches.set(fetches.get() + 1);
+                        Ok::<_, ()>(Arc::clone(&coverages[of(slot)]))
+                    },
+                )
+                .unwrap();
+            prop_assert_eq!(&*got, &expect, "{} under {:?}", &f, kind);
+            prop_assert!(fetches.get() <= plan.num_slots(), "{}: a slot fetched twice", &f);
+            if seedless {
+                prop_assert!(!asked.get(), "{}: a ceiling asked for beside a seedless conjunct", &f);
+            }
+            if seedless || (asked.get() && known.as_ref().is_some_and(BitSet::is_empty)) {
+                prop_assert_eq!(fetches.get(), 0, "{} under {:?}: fetched for a known ∅", &f, kind);
+            }
         }
     }
 }

@@ -14,6 +14,9 @@
 //! A fourth starts both binaries with a knob this build no longer has, as a
 //! flag and as a `DISKS_*` variable, and with a flag value that is not of
 //! the flag's form: each refuses it by name.
+//! A fifth asks 32 rare-keyword SGKQs of a bounded index twice, the second
+//! time at larger radii: the engines' reach masks make the second pass
+//! settle fewer nodes than the first under all four configurations.
 
 use std::time::Duration;
 
@@ -124,7 +127,7 @@ fn assert_ledger_closes(cluster: &Cluster, what: &str) {
     );
 }
 
-/// The four configurations both tests run under.
+/// The four configurations the first, second and fifth tests run under.
 fn configs() -> [(&'static str, ClusterConfig); 4] {
     [
         ("shipped defaults", shipped()),
@@ -231,6 +234,54 @@ fn a_long_stream_of_fresh_slots_is_answered_chunk_by_chunk() {
     assert_ledger_closes(&cluster, "long stream");
     assert_eq!(cluster.recovery_counters(), Default::default(), "nothing to recover from");
     cluster.shutdown();
+}
+
+/// On a bounded index the workers' engines remember how far a keyword
+/// reaches (`R(kw, maxR) ∩ P`, left behind by its first search) and answer ∅
+/// for a conjunction whose reaches do not meet before searching anything.
+/// 32 five-keyword SGKQs over the eight rarest keywords, then the same 32 at
+/// larger radii — no coverage of the first pass can answer a slot of the
+/// second, and without the masks every search of the second pass would
+/// settle at least what its twin in the first did: the answers are the
+/// oracle's both times and the workers settle fewer nodes the second time,
+/// with the coverage cache off as well (the masks are engine state, not
+/// cache entries).
+#[test]
+fn a_keywords_first_search_caps_its_later_conjunctions() {
+    let net = GridNetworkConfig::small(0x0E1A).generate();
+    let p = MultilevelPartitioner::default().partition(&net, FRAGMENTS);
+    let e = net.avg_edge_weight();
+    let max_r = 12 * e;
+    let ranked = keywords_by_frequency(&net);
+    let rare: Vec<KeywordId> = ranked.iter().rev().take(8).map(|&k| KeywordId(k as u32)).collect();
+    let pass = |grown: u64| -> Vec<DFunction> {
+        (0..32)
+            .map(|q| {
+                let r = 4 * e + q as u64 * e / 4 + grown;
+                SgkQuery::new(rare[q % 4..q % 4 + 5].to_vec(), r).to_dfunction()
+            })
+            .collect()
+    };
+    let passes = [pass(0), pass(e / 8)];
+    assert!(passes[1].iter().all(|f| f.max_radius() <= max_r));
+    let mut oracle = CentralizedEngine::new(&net);
+    for (name, config) in configs() {
+        let indexes = build_all_indexes(&net, &p, &IndexConfig::with_max_r(max_r));
+        let cluster = Cluster::build(&net, &p, indexes, config);
+        let settled = passes.each_ref().map(|fs| {
+            let (items, _) = cluster.run_stream(fs);
+            let mut settled = 0;
+            for (i, (f, item)) in fs.iter().zip(items).enumerate() {
+                let o = item.unwrap_or_else(|e| panic!("{name}: query {i}: {e}"));
+                assert_eq!(o.results, oracle.run(f).unwrap().0, "{name}: {f} vs oracle");
+                assert_eq!(o.stats.cache_hits, 0, "{name}: {f}: a slot of this stream repeated");
+                settled += o.stats.per_machine.iter().map(|m| m.settled).sum::<u64>();
+            }
+            settled
+        });
+        assert!(settled[1] < settled[0], "{name}: settled {settled:?}, first pass then second");
+        cluster.shutdown();
+    }
 }
 
 /// A dense answer is worth less on the wire than its ids: the most frequent
