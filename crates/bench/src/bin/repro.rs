@@ -5,8 +5,7 @@
 //! repro [--scale paper|bench|smoke] [--exp <id>[,<id>...]] [--out DIR]
 //!
 //! ids: tab1 tab2 tab3 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15
-//!      fig16 fig17 comm ablation overload transport replication hedging
-//!      topk all (default: all)
+//!      fig16 fig17 comm ablation overload topk all (default: all)
 //! ```
 //!
 //! Results are printed and written under `--out` (default `results/`) as
@@ -108,22 +107,8 @@ fn main() {
     // Lazily generated datasets (each generation is deterministic).
     let need_bri = ["fig7", "fig10", "fig12", "fig14"].iter().any(|e| wants(e));
     let need_aus = [
-        "fig7",
-        "fig8",
-        "tab3",
-        "fig9",
-        "fig11",
-        "fig13",
-        "fig15",
-        "fig16",
-        "fig17",
-        "comm",
-        "ablation",
-        "overload",
-        "transport",
-        "replication",
-        "hedging",
-        "topk",
+        "fig7", "fig8", "tab3", "fig9", "fig11", "fig13", "fig15", "fig16", "fig17", "comm",
+        "ablation", "overload", "topk",
     ]
     .iter()
     .any(|e| wants(e));
@@ -263,116 +248,10 @@ fn main() {
                     summary.service_micros_per_cost, summary.implied_cost_limit, summary.cost_limit
                 );
             }
-            // Health-plane recovery across the sweep (only nonzero under
-            // DISKS_HEDGE / DISKS_QUARANTINE lanes).
-            let (rt, rr, hg, hw, qr) = summary.points.iter().fold((0, 0, 0, 0, 0), |a, p| {
-                (
-                    a.0 + p.retries,
-                    a.1 + p.reroutes,
-                    a.2 + p.hedges,
-                    a.3 + p.hedge_wins,
-                    a.4 + p.quarantines,
-                )
-            });
-            if rt + rr + hg + qr > 0 {
-                println!(
-                    "[recovery] retries={rt}, reroutes={rr}, hedges={hg} (wins {hw}), \
-                     quarantines={qr}"
-                );
-            }
-            println!();
-        }
-    }
-    if wants("transport") {
-        if let Some(ds) = &aus {
-            let (table, summary) = exp::transport(ds, &params);
-            emit("transport_aus", table);
-            let path = std::path::Path::new(&args.out).join("BENCH_transport.json");
-            if let Err(e) = std::fs::create_dir_all(&args.out)
-                .and_then(|()| std::fs::write(&path, summary.to_json()))
-            {
-                eprintln!("failed to save BENCH_transport.json: {e}");
-            } else {
-                println!("[json] {} ({} points)", path.display(), summary.points.len());
-            }
-            // Socket-cost headline: TCP throughput as a fraction of the
-            // in-process channel links.
-            if let Some(ratio) = summary.tcp_ratio() {
-                println!("[transport] tcp at {:.0}% of channel throughput", ratio * 100.0);
-            }
-            println!();
-        }
-    }
-    if wants("replication") {
-        if let Some(ds) = &aus {
-            let (table, summary) = exp::replication(ds, &params);
-            emit("replication_aus", table);
-            let path = std::path::Path::new(&args.out).join("BENCH_replication.json");
-            if let Err(e) = std::fs::create_dir_all(&args.out)
-                .and_then(|()| std::fs::write(&path, summary.to_json()))
-            {
-                eprintln!("failed to save BENCH_replication.json: {e}");
-            } else {
-                println!("[json] {} ({} replica points)", path.display(), summary.points.len());
-            }
-            // Replication headline: goodput gain from spreading the hottest
-            // fragment across replicas, and the Theorem 6 unbalance trend.
-            if let (Some(g0), Some(g2)) = (summary.goodput_at(0), summary.goodput_at(2)) {
-                if g0 > 0.0 {
-                    println!(
-                        "[replication] hot fragment {} ({:.0}% of compute): \
-                         {:.0} -> {:.0} q/s modeled goodput at 2 replicas ({:.2}x)",
-                        summary.hot_fragment,
-                        100.0 * summary.hot_share,
-                        g0,
-                        g2,
-                        g2 / g0
-                    );
-                }
-            }
-            let us: Vec<String> =
-                summary.points.iter().map(|p| format!("{:.2}", p.unbalance)).collect();
-            println!("[replication] unbalance U by replicas: {}", us.join(" -> "));
-            println!();
-        }
-    }
-    if wants("hedging") {
-        if let Some(ds) = &aus {
-            let (table, summary) = exp::hedging(ds, &params);
-            emit("hedging_aus", table);
-            let path = std::path::Path::new(&args.out).join("BENCH_hedging.json");
-            if let Err(e) = std::fs::create_dir_all(&args.out)
-                .and_then(|()| std::fs::write(&path, summary.to_json()))
-            {
-                eprintln!("failed to save BENCH_hedging.json: {e}");
-            } else {
-                println!("[json] {} ({} arms)", path.display(), summary.points.len());
-            }
-            // Hedging headline — the acceptance criterion: with ~1% of
-            // worker frames stalled ≥10× typical service time, adaptive
-            // hedging cuts end-to-end p99 to ≤ 0.5× of hedging-off on
-            // the same stream (answers oracle-exact, ledger closed —
-            // both asserted inside the experiment).
-            if let (Some(off), Some(adaptive), Some(ratio)) =
-                (summary.point("off"), summary.point("adaptive"), summary.p99_ratio())
-            {
-                println!(
-                    "[hedging] 1/{} frames delayed {}ms: p99 {}us -> {}us ({:.2}x), \
-                     hedges={} (wins {}), retries={}",
-                    summary.fault_every,
-                    summary.delay_ms,
-                    off.p99_micros,
-                    adaptive.p99_micros,
-                    ratio,
-                    adaptive.hedges,
-                    adaptive.hedge_wins,
-                    adaptive.retries
-                );
-                if ratio > 0.5 {
-                    eprintln!(
-                        "[hedging] WARNING: p99 ratio {ratio:.2} above the 0.5 acceptance bound"
-                    );
-                }
+            // Recovery across the sweep (nonzero only under fault lanes).
+            let retries: u64 = summary.points.iter().map(|p| p.retries).sum();
+            if retries > 0 {
+                println!("[recovery] retries={retries}");
             }
             println!();
         }

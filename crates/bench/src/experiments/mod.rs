@@ -13,23 +13,17 @@
 
 mod ablation;
 mod comm;
-mod hedging;
 mod mix;
 mod overload;
-mod replication;
 mod size;
 mod time;
-mod transport;
 
 pub use ablation::{ablation_keyword_aggregation, ablation_minimality, ablation_partitioner};
 pub use comm::comm_contrast;
-pub use hedging::{hedging, HedgingPoint, HedgingSummary};
 pub use mix::{fig16_dfunctions, fig17_rkq, topk_extension};
 pub use overload::{overload, OverloadPoint, OverloadSummary};
-pub use replication::{replication, ReplicationPoint, ReplicationSummary};
 pub use size::{fig7_index_size, fig8_index_size_unbounded, tab1_datasets, tab3_indexing_time};
 pub use time::{fig10_11_keywords, fig12_13_fragments, fig14_15_radius, fig9_query_time_vs_maxr};
-pub use transport::{transport, TransportPoint, TransportSummary};
 
 use std::time::Duration;
 

@@ -85,16 +85,9 @@ pub struct OverloadPoint {
     /// compute across busy machines; 1.0 = balanced).
     pub unbalance_on: f64,
     pub unbalance_off: f64,
-    /// Health-plane recovery activity summed over both modes' clusters:
-    /// narrowed retries, replica reroutes, speculative hedges (and wins),
-    /// quarantine transitions. Zero on the default environment; nonzero
-    /// under `DISKS_HEDGE` / `DISKS_QUARANTINE` lanes, where it shows
-    /// what recovery contributed to the measured stream.
+    /// Narrowed retries summed over both modes' clusters: zero unless a
+    /// fault forced recovery during the measured stream.
     pub retries: u64,
-    pub reroutes: u64,
-    pub hedges: u64,
-    pub hedge_wins: u64,
-    pub quarantines: u64,
 }
 
 /// Machine-readable summary of the saturation sweep.
@@ -146,8 +139,7 @@ impl OverloadSummary {
                  \"goodput_on\": {:.1}, \"goodput_off\": {:.1}, \"p50_on_micros\": {}, \
                  \"p99_on_micros\": {}, \"p50_off_micros\": {}, \"p99_off_micros\": {}, \
                  \"frames_on\": {}, \"frames_off\": {}, \"unbalance_on\": {:.3}, \
-                 \"unbalance_off\": {:.3}, \"retries\": {}, \"reroutes\": {}, \"hedges\": {}, \
-                 \"hedge_wins\": {}, \"quarantines\": {}}}{sep}\n",
+                 \"unbalance_off\": {:.3}, \"retries\": {}}}{sep}\n",
                 p.load,
                 p.offered,
                 p.shed_on,
@@ -162,11 +154,7 @@ impl OverloadSummary {
                 p.frames_off,
                 p.unbalance_on,
                 p.unbalance_off,
-                p.retries,
-                p.reroutes,
-                p.hedges,
-                p.hedge_wins,
-                p.quarantines
+                p.retries
             ));
         }
         s.push_str("  ]\n}\n");
@@ -322,7 +310,7 @@ pub fn overload(ds: &Dataset, params: &Params) -> (Table, OverloadSummary) {
             "p99 off".into(),
             "frames on/off".into(),
             "U on/off".into(),
-            "rt/rr/hg/win/quar".into(),
+            "retries".into(),
         ],
     );
     let mut summary = OverloadSummary {
@@ -399,14 +387,7 @@ pub fn overload(ds: &Dataset, params: &Params) -> (Table, OverloadSummary) {
             format!("{}us", off.p99_micros),
             format!("{}/{}", on.frames, off.frames),
             format!("{unbalance_on:.2}/{unbalance_off:.2}"),
-            format!(
-                "{}/{}/{}/{}/{}",
-                rc_on.retries + rc_off.retries,
-                rc_on.reroutes + rc_off.reroutes,
-                rc_on.hedges + rc_off.hedges,
-                rc_on.hedge_wins + rc_off.hedge_wins,
-                rc_on.quarantines + rc_off.quarantines
-            ),
+            (rc_on.retries + rc_off.retries).to_string(),
         ]);
         summary.points.push(OverloadPoint {
             load,
@@ -424,10 +405,6 @@ pub fn overload(ds: &Dataset, params: &Params) -> (Table, OverloadSummary) {
             unbalance_on,
             unbalance_off,
             retries: rc_on.retries + rc_off.retries,
-            reroutes: rc_on.reroutes + rc_off.reroutes,
-            hedges: rc_on.hedges + rc_off.hedges,
-            hedge_wins: rc_on.hedge_wins + rc_off.hedge_wins,
-            quarantines: rc_on.quarantines + rc_off.quarantines,
         });
     }
     (t, summary)
@@ -481,8 +458,7 @@ mod tests {
         assert!(json.contains("\"implied_cost_limit\""));
         assert!(json.contains("\"shed_rate_on\""));
         assert!(json.contains("\"goodput_on\""));
-        assert!(json.contains("\"hedges\""));
-        assert!(json.contains("\"quarantines\""));
+        assert!(json.contains("\"retries\""));
         assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'));
     }
 }

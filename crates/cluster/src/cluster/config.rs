@@ -12,7 +12,6 @@ use std::fmt;
 use std::str::FromStr;
 use std::time::Duration;
 
-use crate::health::HedgeMode;
 use crate::transport::{FaultPlan, HeartbeatConfig, NetworkModel, TransportKind};
 
 /// Cluster construction parameters. Fields with a `DISKS_*` variable take
@@ -77,38 +76,6 @@ pub struct ClusterConfig {
     /// Ignored by the channel transport. Env: `DISKS_HEARTBEAT_MS`,
     /// `DISKS_TCP_READ_TIMEOUT_MS`.
     pub heartbeat: HeartbeatConfig,
-    /// Number of extra engine copies of every fragment hosted on machines
-    /// other than its primary (`DESIGN.md` §6h), each dispatch window
-    /// routed to the least-loaded host. `0` disables replication — the
-    /// placement and every transcript degenerate bit-for-bit to the
-    /// single-owner assignment. Capped at `machines - 1`. Ignored by
-    /// [`crate::Cluster::build_remote`]: remote workers rebuild their own
-    /// engines under the round-robin placement. Env: `DISKS_REPLICAS`.
-    pub replicas: usize,
-    /// Per-fragment heat estimates steering replica *placement* (hotter
-    /// fragments claim the idlest machines first); one entry per fragment.
-    /// `None` (the default) treats every fragment as equally hot. Set
-    /// programmatically — e.g. from a profiling run's per-machine compute —
-    /// not from the environment.
-    pub placement_heat: Option<Vec<u64>>,
-    /// Straggler hedging over replicas (DESIGN.md §6j): when a dispatched
-    /// slot is still missing answers past the hedge deadline —
-    /// `max(hedge_ms, 4 × evaluation p99)` — the missing fragments are
-    /// speculatively re-dispatched (narrowed) to a different live replica;
-    /// first answer wins, the loser's late frame dedups as a duplicate.
-    /// [`HedgeMode::Off`] (the default) is bit-identical to the pre-health
-    /// cluster; a no-op without ≥1 replica. Env: `DISKS_HEDGE`.
-    pub hedge: HedgeMode,
-    /// Floor of the hedge deadline in milliseconds (at least 1); it also
-    /// covers the cold start before any evaluation p99 exists.
-    pub hedge_ms: u64,
-    /// Quarantine with probation (DESIGN.md §6j): machines whose suspicion
-    /// score crosses the health board's threshold are softly removed from
-    /// least-loaded replica selection and probed under jittered backoff
-    /// until reinstated; a fragment with no healthy host degrades to its
-    /// least-suspect replica. Off (the default) is bit-identical to the
-    /// pre-health cluster. Env: `DISKS_QUARANTINE`.
-    pub quarantine: bool,
 }
 
 /// A `DISKS_*` variable whose value is not one of its accepted forms, or
@@ -213,25 +180,6 @@ const KNOBS: &[Knob] = &[
         expected: "milliseconds, at least 1",
         set: |c, v| positive_millis(v).map(|d| c.heartbeat.read_timeout = d),
     },
-    Knob {
-        var: "DISKS_REPLICAS",
-        expected: "a replica count, or 0/off/false for single-owner placement",
-        set: |c, v| count(v).map(|n| c.replicas = n),
-    },
-    Knob {
-        var: "DISKS_HEDGE",
-        expected: "adaptive, or 0/off/false to disable hedging",
-        set: |c, v| {
-            let adaptive = v.eq_ignore_ascii_case("adaptive");
-            (adaptive || switch(v) == Some(false))
-                .then(|| c.hedge = if adaptive { HedgeMode::Adaptive } else { HedgeMode::Off })
-        },
-    },
-    Knob {
-        var: "DISKS_QUARANTINE",
-        expected: "1/on/true to enable, 0/off/false to disable",
-        set: |c, v| switch(v).map(|on| c.quarantine = on),
-    },
 ];
 
 impl ClusterConfig {
@@ -240,8 +188,7 @@ impl ClusterConfig {
     ///
     /// With every variable unset: 64 MiB coverage cache, fixed batching
     /// windows of 16, no cost limit (brownout at 0.75 once there is one), 2 ms retry
-    /// backoff, channel transport, 100 ms / 1 s heartbeat, no replicas,
-    /// hedging and quarantine off (50 ms hedge floor).
+    /// backoff, channel transport, 100 ms / 1 s heartbeat.
     ///
     /// A `DISKS_*` variable that is not a row of the table is an error
     /// too: a removed or misspelt knob is reported, not run as its default.
@@ -289,11 +236,6 @@ impl ClusterConfig {
             queue_capacity: 1024,
             transport: TransportKind::Channel,
             heartbeat: HeartbeatConfig::default(),
-            replicas: 0,
-            placement_heat: None,
-            hedge: HedgeMode::Off,
-            hedge_ms: 50,
-            quarantine: false,
         };
         for knob in KNOBS {
             let Some(value) = lookup(knob.var) else { continue };
@@ -331,7 +273,6 @@ impl ClusterConfig {
         self.max_attempts = self.max_attempts.max(1);
         self.batch_window = self.batch_window.max(1);
         self.queue_capacity = self.queue_capacity.max(1);
-        self.hedge_ms = self.hedge_ms.max(1);
         let faults = self.faults.take();
         (self, faults)
     }
@@ -365,8 +306,6 @@ mod tests {
         assert_eq!(c.batch_window, 16);
         assert_eq!((c.cost_limit, c.brownout), (0, 0.75));
         assert_eq!(c.retry_backoff, Duration::from_millis(2));
-        assert_eq!(c.replicas, 0);
-        assert_eq!((c.hedge, c.quarantine), (HedgeMode::Off, false));
         assert_eq!(c.transport, TransportKind::Channel);
         assert_eq!(c.heartbeat.interval, Duration::from_millis(100));
         assert_eq!(c.heartbeat.read_timeout, Duration::from_secs(1));
@@ -381,16 +320,11 @@ mod tests {
                 ("DISKS_COST_LIMIT", off),
                 ("DISKS_BROWNOUT", off),
                 ("DISKS_RETRY_BACKOFF", off),
-                ("DISKS_REPLICAS", off),
-                ("DISKS_HEDGE", off),
-                ("DISKS_QUARANTINE", off),
             ])
             .unwrap();
             assert_eq!((c.coverage_cache_bytes, c.batch_window), (0, 1));
             assert_eq!((c.cost_limit, c.brownout), (0, f64::INFINITY));
             assert_eq!(c.retry_backoff, Duration::ZERO);
-            assert_eq!(c.replicas, 0);
-            assert_eq!((c.hedge, c.quarantine), (HedgeMode::Off, false));
         }
         let c = with(&[
             ("DISKS_COVERAGE_CACHE", " 4096 "),
@@ -401,9 +335,6 @@ mod tests {
             ("DISKS_TRANSPORT", "TCP"),
             ("DISKS_HEARTBEAT_MS", "20"),
             ("DISKS_TCP_READ_TIMEOUT_MS", "300"),
-            ("DISKS_REPLICAS", "1"),
-            ("DISKS_HEDGE", "adaptive"),
-            ("DISKS_QUARANTINE", "1"),
         ])
         .unwrap();
         assert_eq!((c.coverage_cache_bytes, c.batch_window), (4096, 8));
@@ -412,8 +343,6 @@ mod tests {
         assert_eq!(c.transport, TransportKind::Tcp);
         assert_eq!(c.heartbeat.interval, Duration::from_millis(20));
         assert_eq!(c.heartbeat.read_timeout, Duration::from_millis(300));
-        assert_eq!(c.replicas, 1);
-        assert_eq!((c.hedge, c.quarantine), (HedgeMode::Adaptive, true));
 
         assert_eq!(
             with(&[("DISKS_TRANSPORT", "channel")]).unwrap().transport,
@@ -431,10 +360,9 @@ mod tests {
                 assert!(err.to_string().starts_with(knob.var), "{err}");
             }
         }
-        // The two typos the lenient parsers used to swallow, and a form an
-        // earlier build accepted.
-        assert!(with(&[("DISKS_HEDGE", "adaptiv")]).is_err());
-        assert!(with(&[("DISKS_HEDGE", "fixed")]).is_err());
+        // A typo a lenient parser would swallow, and a form an earlier build
+        // accepted.
+        assert!(with(&[("DISKS_TRANSPORT", "tpc")]).is_err());
         let err = with(&[("DISKS_BATCH", "adaptive")]).unwrap_err();
         assert_eq!(err.var, "DISKS_BATCH");
         assert_eq!(err.expected, "a window size, or 0/1/off/false to disable batching");
@@ -442,9 +370,15 @@ mod tests {
 
     #[test]
     fn a_disks_variable_outside_the_table_is_an_error_naming_it() {
-        // A knob this build does not have (never had, or had and removed),
-        // and a misspelt one.
-        for (name, value) in [("DISKS_THREADS", "4"), ("DISKS_HEGDE", "adaptive")] {
+        // A knob this build never had, three it had and removed, and a
+        // misspelt one.
+        for (name, value) in [
+            ("DISKS_THREADS", "4"),
+            ("DISKS_REPLICAS", "1"),
+            ("DISKS_HEDGE", "adaptive"),
+            ("DISKS_QUARANTINE", "1"),
+            ("DISKS_BACTH", "8"),
+        ] {
             let err = with(&[("DISKS_BATCH", "8"), (name, value)]).expect_err(name);
             assert_eq!((err.var.as_str(), err.value.as_str()), (name, value));
             assert!(err.to_string().starts_with(name), "{err}");

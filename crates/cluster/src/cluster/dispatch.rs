@@ -7,6 +7,8 @@
 //! [`ClusterConfig::batch_window`]-sized chunks in stream order and every
 //! chunk is dispatched before any response is gathered. A chunk of one
 //! ships as `Evaluate`, a larger one as one merged `Batch` per machine.
+//! Every fragment has one owner, so a window is one frame, encoded once and
+//! sent to every busy machine.
 //!
 //! [`ClusterConfig::batch_window`]: super::ClusterConfig::batch_window
 
@@ -16,11 +18,20 @@ use bytes::Bytes;
 use disks_core::{QueryError, QueryPlan, SuperPlan};
 
 use super::gather::{GatherReport, Sink};
-use super::route::Sent;
 use super::Cluster;
 use crate::cache::CacheCounters;
 use crate::message::{encode_frame, Request};
 use crate::stats::{MachineCost, QueryStats};
+
+/// What one initial dispatch put on the wire.
+#[derive(Debug, Default, Clone, Copy)]
+pub(super) struct Sent {
+    /// Dead workers respawned on the way.
+    respawns: u32,
+    /// Size of the largest single frame (links are parallel, so this — not
+    /// the sum — is what the modeled dispatch latency charges).
+    largest_frame: u64,
+}
 
 /// What the overload ladder decided for one query of a stream.
 #[derive(Debug)]
@@ -175,7 +186,7 @@ impl Cluster {
                 fragments: frags,
             };
             let mut on_slot_event = |slot: usize, event| on_event(members[slot], event);
-            let sent = self.dispatch_plans(base, &plans, &costs);
+            let sent = self.dispatch_plans(base, &plans);
             let gathered =
                 self.gather(base, plans.len(), allow_partial, &make_request, &mut on_slot_event);
             (gathered, sent)
@@ -272,12 +283,13 @@ impl Cluster {
     /// Dispatch of one admission group: every `batch_window`-sized chunk
     /// ships as its own window before any response is gathered, so workers
     /// process their queues concurrently.
-    fn dispatch_plans(&self, base: u64, plans: &[QueryPlan], costs: &[u64]) -> Sent {
+    fn dispatch_plans(&self, base: u64, plans: &[QueryPlan]) -> Sent {
         let window = self.config.batch_window;
         let mut sent = Sent::default();
-        for (w, (chunk, chunk_costs)) in plans.chunks(window).zip(costs.chunks(window)).enumerate()
-        {
-            sent.absorb(self.dispatch_window(base + (w * window) as u64, chunk, chunk_costs));
+        for (w, chunk) in plans.chunks(window).enumerate() {
+            let one = self.dispatch_window(base + (w * window) as u64, chunk);
+            sent.respawns += one.respawns;
+            sent.largest_frame = sent.largest_frame.max(one.largest_frame);
         }
         sent
     }
@@ -286,9 +298,9 @@ impl Cluster {
     /// `window_base+1 ..= window_base+chunk.len()`: a lone plan ships as a
     /// plain `Evaluate`, ≥2 plans merge into one [`SuperPlan`] shipped as a
     /// single `Batch` frame per machine.
-    fn dispatch_window(&self, window_base: u64, chunk: &[QueryPlan], costs: &[u64]) -> Sent {
-        // The window's request; only its fragment list varies by target.
-        let mut request = if chunk.len() >= 2 {
+    fn dispatch_window(&self, window_base: u64, chunk: &[QueryPlan]) -> Sent {
+        // An empty fragment list: each machine evaluates all it hosts.
+        let request = if chunk.len() >= 2 {
             Request::Batch { base: window_base, plan: SuperPlan::merge(chunk), fragments: vec![] }
         } else {
             Request::Evaluate {
@@ -297,19 +309,20 @@ impl Cluster {
                 fragments: vec![],
             }
         };
-        // A single-owner broadcast sends every machine the same bytes:
-        // encode them once.
-        let mut broadcast: Option<Bytes> = None;
-        self.send_routed(costs.iter().sum(), &mut |frags| {
-            if frags.is_empty() {
-                return broadcast.get_or_insert_with(|| encode_frame(&request)).clone();
-            }
-            if let Request::Batch { fragments, .. } | Request::Evaluate { fragments, .. } =
-                &mut request
-            {
-                *fragments = frags;
-            }
-            encode_frame(&request)
-        })
+        self.broadcast(&encode_frame(&request))
+    }
+
+    /// The one initial-dispatch send loop: every busy machine gets `frame`.
+    /// Counts the frames as initial dispatch and folds respawns into the
+    /// lifetime counters.
+    pub(super) fn broadcast(&self, frame: &Bytes) -> Sent {
+        let mut sent = Sent::default();
+        for m in self.placement.busy_machines() {
+            sent.largest_frame = frame.len() as u64;
+            self.send_to_worker(m, frame, &mut sent.respawns);
+            self.gauge.note_dispatch_frames(1);
+        }
+        self.note_respawns(sent.respawns);
+        sent
     }
 }

@@ -1,10 +1,9 @@
 //! The gather state machine: collect one response per `(slot, fragment)`,
-//! dedup, retry stalled or failed fragments with narrowed re-dispatches
-//! under backoff, hedge stragglers onto other replicas, and classify what
-//! arrives late. A gather starts after every window of its group has been
-//! dispatched, so all of its slots are outstanding from the first frame.
+//! dedup, retry stalled or failed fragments with narrowed re-dispatches to
+//! their owners under backoff, and classify what arrives late. A gather
+//! starts after every window of its group has been dispatched, so all of its
+//! slots are outstanding from the first frame.
 
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -16,7 +15,6 @@ use super::Cluster;
 use crate::cache::CacheCounters;
 use crate::message::{decode_frame, decode_gather_items, encode_frame, Request, Response};
 use crate::overload::{backoff_delay, splitmix64};
-use crate::transport::epoch_micros;
 
 /// How long the straggler drain waits for a frame the wire ledger says was
 /// sent but that has not yet been consumed (crossing the TCP pumps takes
@@ -47,15 +45,6 @@ pub(super) struct GatherReport {
     pub(super) duplicate_responses: u64,
     pub(super) corrupt_frames: u64,
     pub(super) out_of_window_responses: u64,
-    /// Narrowed retries moved to a *different* replica of their fragment
-    /// (replicated placements only; counted in `retries` too).
-    pub(super) reroutes: u32,
-    /// Speculative hedge frames sent for slots outstanding past the hedge
-    /// deadline (`DISKS_HEDGE`; never counted in `retries` — attempts are
-    /// untouched, the original dispatch stays outstanding).
-    pub(super) hedges: u32,
-    /// Hedged fragments whose first answer came from the hedge target.
-    pub(super) hedge_wins: u32,
     pub(super) degraded: Vec<(usize, u32)>,
     /// Worker coverage-cache activity summed over this gather's responses.
     pub(super) cache: CacheCounters,
@@ -84,31 +73,17 @@ struct GatherState {
     /// When the gather began, i.e. when the group's dispatch completed —
     /// the start of every slot's service-latency clock.
     dispatched_at: Instant,
-    /// `(service, evaluation)` latency pairs of completed slots, in µs.
-    /// Service is dispatch → last fragment response; evaluation is the
-    /// worker-reported time of the slot's slowest fragment.
-    latencies: Vec<(u64, u64)>,
-    /// Per-slot maximum worker-reported evaluation time (µs) among the
-    /// fragments answered so far.
-    eval_micros: Vec<u64>,
-    /// Deadline offset after which an outstanding slot is hedged (`None` =
-    /// hedging off or no replicas to hedge onto).
-    hedge_after: Option<Duration>,
-    /// Per-slot hedge deadline; cleared once the slot hedges (at most one
-    /// hedge per slot) or is disarmed.
-    hedge_at: Vec<Option<Instant>>,
-    /// `(slot, fragment)` → machine the hedge was sent to, for win
-    /// attribution when the first answer lands.
-    hedge_targets: HashMap<(usize, u32), usize>,
+    /// Service latencies (dispatch → last fragment response, µs) of
+    /// completed slots.
+    latencies: Vec<u64>,
 }
 
 impl GatherState {
     /// All `n` slots outstanding on every fragment, their service-latency
-    /// clocks started and (when hedging is armed) their hedge deadlines set.
+    /// clocks started.
     fn new(cluster: &Cluster, n: usize, allow_partial: bool) -> GatherState {
         let k = cluster.placement.num_fragments();
         let now = Instant::now();
-        let hedge_after = cluster.hedge_after();
         GatherState {
             n,
             k,
@@ -125,17 +100,7 @@ impl GatherState {
             stall_deadline: now + cluster.config.deadline,
             dispatched_at: now,
             latencies: Vec::new(),
-            eval_micros: vec![0; n],
-            hedge_after,
-            hedge_at: vec![hedge_after.map(|d| now + d); n],
-            hedge_targets: HashMap::new(),
         }
-    }
-
-    /// Earliest pending hedge deadline among slots still missing answers
-    /// (`None` when hedging is off or nothing is armed).
-    fn next_hedge_due(&self) -> Option<Instant> {
-        (0..self.n).filter(|&s| self.missing_by_slot[s] > 0).filter_map(|s| self.hedge_at[s]).min()
     }
 
     /// Record one answered `(slot, fragment)` pair — with its payload, or
@@ -147,8 +112,7 @@ impl GatherState {
         self.missing_by_slot[slot] -= 1;
         let complete = self.missing_by_slot[slot] == 0;
         if complete {
-            let service = self.dispatched_at.elapsed().as_micros() as u64;
-            self.latencies.push((service, self.eval_micros[slot]));
+            self.latencies.push(self.dispatched_at.elapsed().as_micros() as u64);
         }
         if let Some((response, bytes)) = payload {
             sink(slot, GatherEvent::Payload(response, bytes));
@@ -161,8 +125,7 @@ impl GatherState {
 
 impl Cluster {
     /// Re-dispatch narrowed requests for the given fragments of one query
-    /// slot, one request per hosting machine. On replicated placements the
-    /// retried fragments are first moved to a different live replica.
+    /// slot, one request per owning machine (respawned first if it died).
     fn redispatch(
         &self,
         slot: usize,
@@ -170,12 +133,7 @@ impl Cluster {
         make_request: &dyn Fn(usize, Vec<u32>) -> Request,
         report: &mut GatherReport,
     ) {
-        let groups = if self.placement.is_replicated() {
-            self.reroute(fragments, report)
-        } else {
-            self.placement.machines_hosting(fragments)
-        };
-        for (m, frags) in groups {
+        for (m, frags) in self.placement.machines_hosting(fragments) {
             let frame = encode_frame(&make_request(slot, frags));
             self.send_to_worker(m, &frame, &mut report.respawned_workers);
             report.retries += 1;
@@ -236,66 +194,6 @@ impl Cluster {
         }
     }
 
-    /// Fire overdue hedges: every slot past its hedge deadline with
-    /// answers still missing gets its missing fragments speculatively
-    /// re-dispatched — narrowed, through the same `make_request` shape a
-    /// retry uses — to an alternate live, un-quarantined replica. At most
-    /// one hedge per slot; the original dispatch stays outstanding, the
-    /// retry budget (`attempts`) is untouched, and whichever answer lands
-    /// first wins — the loser is deduped by the `(slot, fragment)`
-    /// responded table or the straggler drain's duplicate accounting.
-    fn gather_flush_hedges(
-        &self,
-        gs: &mut GatherState,
-        make_request: &dyn Fn(usize, Vec<u32>) -> Request,
-    ) {
-        if gs.hedge_after.is_none() {
-            return;
-        }
-        let now = Instant::now();
-        for slot in 0..gs.n {
-            let Some(due) = gs.hedge_at[slot] else { continue };
-            if due > now {
-                continue;
-            }
-            gs.hedge_at[slot] = None;
-            if gs.missing_by_slot[slot] == 0 {
-                continue;
-            }
-            let mut groups: Vec<(usize, Vec<u32>)> = Vec::new();
-            for f in 0..gs.k {
-                if gs.responded[slot][f] {
-                    continue;
-                }
-                let cur = self.route.borrow()[f];
-                let target = {
-                    let board = self.health.borrow();
-                    self.placement
-                        .replicas_of(FragmentId(f as u32))
-                        .iter()
-                        .copied()
-                        .filter(|&m| {
-                            m != cur && !self.worker_is_dead(m) && !board.is_quarantined(m)
-                        })
-                        .min_by_key(|&m| (self.route_load.borrow()[m], m))
-                };
-                // No alternate live host: the slot falls back to the
-                // ordinary stall-retry path.
-                let Some(m) = target else { continue };
-                gs.hedge_targets.insert((slot, f as u32), m);
-                match groups.iter_mut().find(|(g, _)| *g == m) {
-                    Some((_, frags)) => frags.push(f as u32),
-                    None => groups.push((m, vec![f as u32])),
-                }
-            }
-            for (m, frags) in groups {
-                let frame = encode_frame(&make_request(slot, frags));
-                self.send_to_worker(m, &frame, &mut gs.report.respawned_workers);
-                gs.report.hedges += 1;
-            }
-        }
-    }
-
     /// Pull one already-queued response frame, charging the consumption
     /// ledger the straggler drain reconciles against `from_workers`.
     fn try_recv_response(&self) -> Result<Bytes, TryRecvError> {
@@ -330,15 +228,6 @@ impl Cluster {
                 return Ok(());
             }
         };
-        // Health-plane traffic: a probe ack is proof of life plus one
-        // probation success, never counted against any query window.
-        if let [(Response::ProbeAck { machine, .. }, _)] = items.as_slice() {
-            let m = *machine as usize;
-            if m < self.placement.num_machines() {
-                self.health.borrow_mut().note_probe_ack(m, epoch_micros());
-            }
-            return Ok(());
-        }
         // A batch frame arrives expanded into one positional answer per
         // member query; each flows through the same window/dedup/retry
         // machinery as a standalone frame, charged the bytes its standalone
@@ -350,7 +239,6 @@ impl Cluster {
                 | Response::TopKResults { query_id, fragment, .. }
                 | Response::Failed { query_id, fragment, .. } => (*query_id, *fragment),
                 Response::BatchResults { .. } => unreachable!("expanded by the decoder"),
-                Response::ProbeAck { .. } => unreachable!("intercepted above"),
             };
             if qid <= base || qid > base + gs.n as u64 || fragment as usize >= gs.k {
                 gs.report.out_of_window_responses += 1;
@@ -371,10 +259,6 @@ impl Cluster {
                     if gs.attempts[slot][f] < self.config.max_attempts {
                         gs.attempts[slot][f] += 1;
                         let retry_index = gs.attempts[slot][f] - 1;
-                        // Once a fragment enters the retry path its hedge
-                        // race is void: a later answer from the old hedge
-                        // target is ordinary recovery, not a win.
-                        gs.hedge_targets.remove(&(slot, fragment));
                         self.schedule_retry(
                             base,
                             slot,
@@ -398,24 +282,11 @@ impl Cluster {
                         &payload
                     {
                         gs.report.cache.absorb(&cost.cache_counters());
-                        // Track the slot's slowest evaluation *before*
-                        // note_answered closes its latency sample.
-                        gs.eval_micros[slot] = gs.eval_micros[slot].max(cost.elapsed_micros);
-                        // Credit the observed compute to the replica that
-                        // actually served the task — the lifetime signal
-                        // behind the reported unbalance factor U.
-                        let m = self.serving_machine(fragment, cost);
+                        // Credit the observed compute to the fragment's
+                        // owner — the lifetime signal behind the reported
+                        // unbalance factor U.
+                        let m = self.placement.machine_of(FragmentId(fragment));
                         self.compute_micros.borrow_mut()[m] += cost.elapsed_micros;
-                        if self.health_active() {
-                            let mut board = self.health.borrow_mut();
-                            board.observe_arrival(m, epoch_micros());
-                            board.observe_service(m, cost.elapsed_micros);
-                        }
-                        // First answer settles a hedged fragment's race —
-                        // a win iff it came from the hedge target.
-                        if gs.hedge_targets.remove(&(slot, fragment)) == Some(m) {
-                            gs.report.hedge_wins += 1;
-                        }
                     }
                     gs.note_answered(slot, Some((payload, bytes)), sink);
                 }
@@ -426,9 +297,7 @@ impl Cluster {
 
     /// Attribute one straggler frame drained after a completed gather:
     /// in-window answers are duplicates (every needed response has already
-    /// been consumed), everything else is out-of-window. Probe acks are
-    /// health-plane traffic and fold into the board without touching either
-    /// ledger counter.
+    /// been consumed), everything else is out-of-window.
     fn classify_straggler(&self, frame: Bytes, base: u64, gs: &mut GatherState) {
         let (n, k) = (gs.n, gs.k);
         let mut in_window = |qid: u64, fragment: u32| {
@@ -440,12 +309,6 @@ impl Cluster {
         };
         match decode_frame::<Response>(frame) {
             Err(_) => gs.report.corrupt_frames += 1,
-            Ok(Response::ProbeAck { machine, .. }) => {
-                let m = machine as usize;
-                if m < self.placement.num_machines() {
-                    self.health.borrow_mut().note_probe_ack(m, epoch_micros());
-                }
-            }
             Ok(Response::BatchResults { base: b, fragment, answers }) => {
                 for i in 0..answers.len() {
                     in_window(b + 1 + i as u64, fragment);
@@ -522,8 +385,6 @@ impl Cluster {
                 break Ok(());
             }
             self.gather_flush_retries(gs, make_request);
-            self.health_tick(&mut gs.report.respawned_workers);
-            self.gather_flush_hedges(gs, make_request);
             // Fast path: drain already-queued frames without the
             // park/unpark round-trip `recv_timeout` pays even when a frame
             // is ready (a futex round-trip per frame once two or more
@@ -532,15 +393,13 @@ impl Cluster {
                 Ok(frame) => Ok(frame),
                 Err(TryRecvError::Disconnected) => Err(RecvTimeoutError::Disconnected),
                 Err(TryRecvError::Empty) => {
-                    // Wake at whichever comes first: the stall deadline,
-                    // the next scheduled retry, or the next hedge deadline.
+                    // Wake at whichever comes first: the stall deadline or
+                    // the next scheduled retry.
                     let wake = gs
                         .pending_retries
                         .iter()
                         .map(|&(due, _, _)| due)
-                        .chain(gs.next_hedge_due())
-                        .min()
-                        .map_or(gs.stall_deadline, |due| due.min(gs.stall_deadline));
+                        .fold(gs.stall_deadline, Instant::min);
                     let timeout = wake.saturating_duration_since(Instant::now());
                     self.recv_response_timeout(timeout)
                 }
@@ -588,11 +447,6 @@ impl Cluster {
                     }
                     for (slot, frags) in retry_by_slot.into_iter().enumerate() {
                         if !frags.is_empty() {
-                            // Retried fragments void their hedge race (see
-                            // the NACK retry path above).
-                            for &f in &frags {
-                                gs.hedge_targets.remove(&(slot, f));
-                            }
                             let retry_index = gs.attempts[slot][frags[0] as usize] - 1;
                             self.schedule_retry(
                                 base,
@@ -617,21 +471,15 @@ impl Cluster {
         outcome.map(|()| std::mem::take(&mut gs.report))
     }
 
-    /// Append a gather's completed-query latencies to the cluster's sample
-    /// rings: service time for [`Cluster::take_service_latencies`],
-    /// evaluation time for the hedge deadline.
-    fn note_service_latencies(&self, lats: &[(u64, u64)]) {
+    /// Append a gather's completed-query service latencies to the ring
+    /// [`Cluster::take_service_latencies`] drains.
+    fn note_service_latencies(&self, lats: &[u64]) {
         let mut ring = self.service_lat.borrow_mut();
-        let mut evals = self.eval_lat.borrow_mut();
-        for &(service, eval) in lats {
+        for &service in lats {
             if ring.len() == 4096 {
                 ring.pop_front();
             }
             ring.push_back(service);
-            if evals.len() == 4096 {
-                evals.pop_front();
-            }
-            evals.push_back(eval);
         }
     }
 
@@ -644,9 +492,6 @@ impl Cluster {
         c.duplicate_responses += report.duplicate_responses;
         c.corrupt_frames += report.corrupt_frames;
         c.out_of_window_responses += report.out_of_window_responses;
-        c.reroutes += report.reroutes as u64;
-        c.hedges += report.hedges as u64;
-        c.hedge_wins += report.hedge_wins as u64;
         self.recovery.set(c);
         let mut cache = self.cache.get();
         cache.absorb(&report.cache);

@@ -11,20 +11,19 @@
 //! final result is the union of per-fragment results (Lemma 1).
 //!
 //! The `impl Cluster` is split by responsibility: `config` (the knob
-//! table), `supervise` (build / spawn / respawn / shutdown), `route`
-//! (replica choice, the routed send loop, the health plane), `gather` (the
-//! response state machine), `dispatch` (ladder → group → windows → stats)
-//! and `heat` (the slot-heat ledger). This file keeps the struct, admission
-//! and the public entry points — all of which end in the one path through
-//! `dispatch`.
+//! table), `supervise` (build / spawn / respawn / shutdown), `gather` (the
+//! response state machine), `dispatch` (ladder → group → windows → the
+//! broadcast → stats) and `heat` (the slot-heat ledger). This file keeps the
+//! struct, admission and the public entry points — all of which end in the
+//! one path through `dispatch`.
 //!
 //! # Failure model
 //!
 //! The gather loop never blocks indefinitely: it tracks which `(query_id,
 //! fragment)` pairs have answered, treats prolonged silence as a stalled
 //! task, and re-dispatches a *narrowed* `Evaluate` listing only the missing
-//! fragments. Fragment tasks are stateless and idempotent, so retries and
-//! duplicate deliveries are safe — duplicates are deduplicated by
+//! fragments to their owners. Fragment tasks are stateless and idempotent,
+//! so retries and duplicate deliveries are safe — duplicates are deduplicated by
 //! `(query_id, fragment)` and Lemma 1's union is unchanged. A worker whose
 //! thread died (send failure or finished join handle) is respawned from a
 //! retained rebuild spec. After `max_attempts` dispatches a still-missing
@@ -38,7 +37,6 @@ mod config;
 mod dispatch;
 mod gather;
 mod heat;
-mod route;
 mod supervise;
 
 use std::cell::{Cell, RefCell};
@@ -52,6 +50,7 @@ use disks_core::{
     CostParams, DFunction, DlScope, NodeRuns, QClassQuery, QueryError, QueryPlan,
     RangeKeywordQuery, SgkQuery,
 };
+use disks_partition::FragmentId;
 use disks_roadnet::NodeId;
 
 pub use self::assemble::AnswerGather;
@@ -63,7 +62,6 @@ use self::gather::GatherEvent;
 use self::heat::SlotHeat;
 use self::supervise::{RespawnSpec, WorkerHandle};
 use crate::cache::CacheCounters;
-use crate::health::HealthBoard;
 use crate::message::{encode_frame, Request, Response};
 use crate::overload::{OverloadCounters, PressureGauge};
 use crate::scheduler::Placement;
@@ -100,22 +98,9 @@ pub struct Cluster {
     /// on them again.
     forgiven_responses: Cell<u64>,
     placement: Placement,
-    /// The replica serving each fragment for the in-flight gather, set by
-    /// `route_fragments` at dispatch time. Gathers never overlap
-    /// on the single-threaded coordinator, so one table suffices; narrowed
-    /// retries rewrite entries when they move to a different replica.
-    route: RefCell<Vec<usize>>,
-    /// Cumulative estimated cost routed to each machine — the deterministic
-    /// load signal least-loaded routing balances on.
-    route_load: RefCell<Vec<u64>>,
-    /// Per-fragment routing weight (the placement heat, uniform when none
-    /// was given): each routed dispatch charges its target machine the
-    /// fragment's weighted share of the dispatch cost, so hot fragments
-    /// rotate across their replicas instead of pinning to one host.
-    route_weight: Vec<u64>,
     /// Lifetime worker-reported evaluation time per machine (µs), credited
-    /// to the replica named on each response frame — the observed compute
-    /// behind [`Cluster::unbalance_factor`].
+    /// to each answered fragment's owner — the observed compute behind
+    /// [`Cluster::unbalance_factor`].
     compute_micros: RefCell<Vec<u64>>,
     /// DL scope of the indexes, for query-location validation.
     dl_scope: DlScope,
@@ -134,12 +119,6 @@ pub struct Cluster {
     /// fragment response) — drained by [`Cluster::take_service_latencies`]
     /// for benchmarking.
     service_lat: RefCell<VecDeque<u64>>,
-    /// Ring of recent per-query *evaluation* latencies (µs, the
-    /// worker-reported slowest fragment) — the adaptive hedge deadline's
-    /// signal. Kept separate from `service_lat` deliberately: wire stalls inflate service latency (exactly the tail
-    /// hedging recovers), and feeding recovered tails back into the
-    /// deadline would run it away from the very stall it must beat.
-    eval_lat: RefCell<VecDeque<u64>>,
     /// Theorem 5 cost-model parameters derived from the global network's
     /// keyword statistics, used to estimate plan cost at admission.
     cost_params: CostParams,
@@ -154,10 +133,6 @@ pub struct Cluster {
     recovery: Cell<RecoveryCounters>,
     /// Cumulative coverage-cache counters over the cluster's lifetime.
     cache: Cell<CacheCounters>,
-    /// Per-machine graded health: suspicion scores, quarantine state, and
-    /// probe scheduling. Dormant (never fed or refreshed) unless hedging or
-    /// quarantine is enabled.
-    health: RefCell<HealthBoard>,
     /// The construction parameters, normalised once at build
     /// (`ClusterConfig::normalised`): respawn recreates workers like for
     /// like from it, and every later decision reads it instead of a copy.
@@ -170,14 +145,14 @@ impl Cluster {
         self.workers.borrow().len()
     }
 
-    /// The fragment → machine placement in effect (primaries + replicas).
+    /// The fragment → machine placement in effect.
     pub fn placement(&self) -> &Placement {
         &self.placement
     }
 
     /// Theorem 6's unbalance factor `U` over the cluster lifetime: the
     /// maximum / minimum worker-reported evaluation time across busy
-    /// machines, credited per response frame to the replica that served it.
+    /// machines, each answer credited to its fragment's owner.
     /// `1.0` while any busy machine has yet to report work (the per-query
     /// convention of [`QueryStats::finalize`]).
     pub fn unbalance_factor(&self) -> f64 {
@@ -324,7 +299,7 @@ impl Cluster {
         let mut cache_by_slot: Vec<CacheCounters> = vec![CacheCounters::default(); n];
         let mut on_event = |i: usize, event: GatherEvent| match event {
             GatherEvent::Payload(Response::Results { fragment, nodes, cost, .. }, bytes) => {
-                let m = self.serving_machine(fragment, &cost);
+                let m = self.placement.machine_of(FragmentId(fragment));
                 per_machine[i][m].absorb(fragment, &cost, nodes.len() as u64, bytes);
                 cache_by_slot[i].absorb(&cost.cache_counters());
                 if !nodes.is_empty() {
@@ -428,14 +403,14 @@ impl Cluster {
                 query: q.clone(),
                 fragments: frags,
             };
-            let sent = self.send_routed(cost, &mut |frags| encode_frame(&request(0, frags)));
+            let sent = self.broadcast(&encode_frame(&request(0, Vec::new())));
             let mut on_event = |_: usize, event: GatherEvent| {
                 if let GatherEvent::Payload(
                     Response::TopKResults { fragment, ranked, cost, .. },
                     bytes,
                 ) = event
                 {
-                    let m = self.serving_machine(fragment, &cost);
+                    let m = self.placement.machine_of(FragmentId(fragment));
                     per_machine[m].absorb(fragment, &cost, ranked.len() as u64, bytes);
                     cache.absorb(&cost.cache_counters());
                     lists.push(ranked);
@@ -800,10 +775,6 @@ mod tests {
             ClusterConfig {
                 faults: Some(FaultPlan::new(1).kill_worker(0, 1)),
                 deadline: Duration::from_millis(200),
-                // Pinned: this test asserts the respawn-on-retry path, which
-                // the replicated CI lane would bypass by re-routing the
-                // retry to a surviving replica.
-                replicas: 0,
                 ..ClusterConfig::default()
             },
         );

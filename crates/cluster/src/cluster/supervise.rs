@@ -20,15 +20,13 @@ use disks_roadnet::{RoadNetwork, INF};
 use super::{AnswerGather, Cluster, ClusterConfig};
 use crate::cache::CacheCounters;
 use crate::framing;
-use crate::health::{HealthBoard, HealthConfig};
 use crate::message::{encode_frame, Request};
 use crate::overload::{backoff_delay, splitmix64, PressureGauge};
 use crate::scheduler::Placement;
 use crate::stats::RecoveryCounters;
 use crate::transport::{
-    counted_link, epoch_micros, loopback_pair, tcp_worker_endpoint, ChannelLink, FaultInjector,
-    FaultPlan, Link, LinkCounters, LinkDirection, LinkSender, TcpLink, TransportFaults,
-    TransportKind,
+    counted_link, loopback_pair, tcp_worker_endpoint, ChannelLink, FaultInjector, FaultPlan, Link,
+    LinkCounters, LinkDirection, LinkSender, TcpLink, TransportFaults, TransportKind,
 };
 use crate::worker::{worker_loop, WorkerEngine, WorkerFaults};
 
@@ -182,9 +180,7 @@ fn spawn_local_worker(
     let spawn_thread = move |requests: Receiver<Bytes>, responses: LinkSender| {
         std::thread::Builder::new()
             .name(format!("disks-worker-{m}"))
-            .spawn(move || {
-                worker_loop(m, engines, requests, responses, worker_faults, cache_budget)
-            })
+            .spawn(move || worker_loop(engines, requests, responses, worker_faults, cache_budget))
             .expect("spawn worker")
     };
     match config.transport {
@@ -310,9 +306,7 @@ impl Cluster {
         let (config, plan) = config.normalised();
         let k = spec.partitioning.num_fragments();
         let machines = config.machines.unwrap_or(k).max(1);
-        let heat = config.placement_heat.clone().unwrap_or_else(|| vec![1; k]);
-        assert_eq!(heat.len(), k, "placement_heat needs one entry per fragment");
-        let placement = Placement::replicated(k, machines, config.replicas, &heat);
+        let placement = Placement::round_robin(k, machines);
 
         let (resp_tx, resp_rx, from_workers) = counted_link();
         let mut workers = Vec::with_capacity(machines);
@@ -336,7 +330,7 @@ impl Cluster {
             workers.push(WorkerHandle { link, faults, peer: WorkerPeer::Thread(Some(join)) });
         }
         let responses = (resp_tx, resp_rx, from_workers);
-        Self::assemble(workers, responses, placement, heat, dl_scope, admission_max_r, spec, config)
+        Self::assemble(workers, responses, placement, dl_scope, admission_max_r, spec, config)
     }
 
     /// Build a cluster whose workers are separate OS processes connected
@@ -365,9 +359,8 @@ impl Cluster {
         assert!(plan.is_none(), "fault plans require in-process workers");
         let k = partitioning.num_fragments();
         let machines = commands.len().max(1);
-        // Remote workers rebuild their own engines from seeds under the
-        // round-robin placement (`workload::machine_engines`), so replication
-        // knobs are ignored here — the placement is always single-owner.
+        // Remote workers rebuild their own engines from seeds under this
+        // same placement (`workload::machine_engines`).
         let placement = Placement::round_robin(k, machines);
         let (resp_tx, resp_rx, from_workers) = counted_link();
 
@@ -405,7 +398,6 @@ impl Cluster {
             workers,
             (resp_tx, resp_rx, from_workers),
             placement,
-            vec![1; k],
             index_config.dl_scope,
             index_config.max_r,
             spec,
@@ -415,19 +407,16 @@ impl Cluster {
 
     /// The one place a [`Cluster`] value is put together, shared by the
     /// in-process and remote builders. `config` is already normalised.
-    #[allow(clippy::too_many_arguments)] // private constructor of a wide struct
     fn assemble(
         workers: Vec<WorkerHandle>,
         (resp_tx, responses, from_workers): ResponseLink,
         placement: Placement,
-        route_weight: Vec<u64>,
         dl_scope: DlScope,
         admission_max_r: u64,
         spec: RespawnSpec,
         config: ClusterConfig,
     ) -> Cluster {
         let machines = workers.len();
-        let k = placement.num_fragments();
         Cluster {
             workers: RefCell::new(workers),
             responses,
@@ -435,11 +424,6 @@ impl Cluster {
             from_workers,
             consumed_responses: Cell::new(0),
             forgiven_responses: Cell::new(0),
-            route: RefCell::new(
-                (0..k).map(|f| placement.machine_of(FragmentId(f as u32))).collect(),
-            ),
-            route_load: RefCell::new(vec![0; machines]),
-            route_weight,
             compute_micros: RefCell::new(vec![0; machines]),
             placement,
             dl_scope,
@@ -447,7 +431,6 @@ impl Cluster {
             answer_gather: RefCell::new(AnswerGather::new(spec.net.num_nodes())),
             admission_max_r,
             service_lat: RefCell::new(VecDeque::new()),
-            eval_lat: RefCell::new(VecDeque::new()),
             cost_params: CostParams::from_network(&spec.net),
             gauge: PressureGauge::new(config.cost_limit, config.brownout),
             slot_heat: RefCell::default(),
@@ -455,13 +438,6 @@ impl Cluster {
             respawn: spec,
             recovery: Cell::new(RecoveryCounters::default()),
             cache: Cell::new(CacheCounters::default()),
-            health: RefCell::new(HealthBoard::new(
-                machines,
-                HealthConfig {
-                    expected_interval: config.heartbeat.interval,
-                    ..HealthConfig::default()
-                },
-            )),
             config,
         }
     }
@@ -469,7 +445,7 @@ impl Cluster {
     /// Whether machine `m` is gone: its peer terminated (finished thread,
     /// exited process) or its link supervisor declared the connection down
     /// (EOF, reset, framing loss, heartbeat miss).
-    pub(super) fn worker_is_dead(&self, m: usize) -> bool {
+    fn worker_is_dead(&self, m: usize) -> bool {
         let mut workers = self.workers.borrow_mut();
         let w = &mut workers[m];
         w.peer.is_dead() || w.link.is_down()
@@ -587,9 +563,6 @@ impl Cluster {
     /// peer is dead or its link is down, and routing through the link's
     /// fault injector.
     pub(super) fn send_to_worker(&self, m: usize, frame: &Bytes, respawned: &mut u32) {
-        if self.health_active() {
-            self.health.borrow_mut().observe_dispatch(m, epoch_micros());
-        }
         if self.worker_is_dead(m) {
             self.respawn_worker(m);
             *respawned += 1;

@@ -21,13 +21,9 @@
 //!   factor `U` are measured per query and over the cluster lifetime
 //!   ([`Cluster::unbalance_factor`]).
 //! * **Task scheduling** — when there are fewer machines than fragments the
-//!   §5.2 strategy applies: an unassigned task goes to an idle machine.
-//!   Beyond the paper, the [`Placement`] layer can host replicas of the
-//!   hottest fragments' engines on extra machines
-//!   ([`ClusterConfig::replicas`], env `DISKS_REPLICAS`) and routes each
-//!   per-query fragment evaluation to the least-loaded replica; any replica
-//!   answers the same coverage, so results stay byte-identical (`DESIGN.md`
-//!   §6h).
+//!   §5.2 strategy applies: an unassigned task goes to an idle machine. Every
+//!   fragment has exactly one owner ([`Placement`]), which answers every
+//!   evaluation of it, retries included.
 //!
 //! Beyond the paper's fault-free setting, the runtime is fault-tolerant:
 //! a deterministic [`FaultPlan`] can drop, delay, duplicate, or corrupt
@@ -70,7 +66,6 @@
 pub mod cache;
 pub mod cluster;
 pub mod framing;
-pub mod health;
 pub mod message;
 pub mod overload;
 pub mod scheduler;
@@ -83,7 +78,6 @@ pub use cluster::{
     AnswerGather, Cluster, ClusterConfig, ConfigError, QueryOutcome, RemoteWorkerCommand,
 };
 pub use framing::{FrameAssembler, StreamEvent};
-pub use health::{HealthBoard, HealthConfig, HealthState, HedgeMode};
 pub use message::{BatchAnswer, Request, Response, WireCost};
 pub use overload::{retry_after, OverloadCounters, PressureGauge};
 pub use scheduler::Placement;

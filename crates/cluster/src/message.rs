@@ -44,16 +44,12 @@ pub enum Request {
     Prewarm { slots: Vec<disks_core::DTerm>, fragments: Vec<u32> },
     /// Terminate the worker loop.
     Shutdown,
-    /// Health-plane liveness probe of a quarantined machine: the worker
-    /// answers immediately with a [`Response::ProbeAck`] echoing the nonce.
-    /// Probes carry no query work and do not advance the worker's request
-    /// ordinal (fault schedules keyed on "nth request" are unaffected by
-    /// whether quarantine probing is enabled).
-    Probe { nonce: u64 },
 }
 
 /// The encodable subset of [`QueryCost`] shipped back to the coordinator,
-/// plus the worker's coverage-cache activity for the task.
+/// plus the worker's coverage-cache activity for the task: eleven
+/// fixed-width `u64` fields, 88 bytes on the wire. The coordinator credits
+/// it to the fragment's owner, so it names no machine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireCost {
     pub alpha: u64,
@@ -78,11 +74,6 @@ pub struct WireCost {
     /// they were computed; this field just explains why they never became
     /// hits).
     pub cache_bypassed: u64,
-    /// Machine id of the replica that served this task. With replication
-    /// disabled this is always the fragment's primary; with replication on,
-    /// the coordinator uses it to attribute compute to the machine that
-    /// actually did the work rather than the primary it would have guessed.
-    pub replica: u64,
 }
 
 impl WireCost {
@@ -111,7 +102,6 @@ impl From<&QueryCost> for WireCost {
             cache_evictions: 0,
             batch_shared: 0,
             cache_bypassed: 0,
-            replica: 0,
         }
     }
 }
@@ -135,10 +125,6 @@ pub enum Response {
     /// its own per-query [`WireCost`] so coordinator-side attribution stays
     /// per-query exact under batching.
     BatchResults { base: u64, fragment: u32, answers: Vec<BatchAnswer> },
-    /// Answer to a [`Request::Probe`]: the machine is alive and draining its
-    /// queue. Not query traffic — the gather loop feeds it straight to the
-    /// health board and never counts it against any query window.
-    ProbeAck { machine: u32, nonce: u64 },
 }
 
 /// Tag byte of a [`Response::BatchResults`] frame.
@@ -207,10 +193,10 @@ fn decode_answers<T>(
     Ok(out)
 }
 
-/// Encoded size of a [`WireCost`]: twelve fixed-width `u64` fields. Fixed
-/// width keeps frame byte ledgers independent of the (nondeterministic)
-/// timing values.
-pub(crate) const WIRE_COST_LEN: u64 = 12 * 8;
+/// Encoded size of a [`WireCost`]: eleven fixed-width `u64` fields, 88
+/// bytes. Fixed width keeps frame byte ledgers independent of the
+/// (nondeterministic) timing values.
+pub(crate) const WIRE_COST_LEN: u64 = 11 * 8;
 
 /// Exact encoded size of a [`Response::Results`] frame whose id list
 /// encodes ([`encode_runs`]) to `id_bytes`: tag + query id + fragment + ids +
@@ -386,7 +372,6 @@ impl Encode for WireCost {
         self.cache_evictions.encode(buf);
         self.batch_shared.encode(buf);
         self.cache_bypassed.encode(buf);
-        self.replica.encode(buf);
     }
 }
 impl Decode for WireCost {
@@ -403,7 +388,6 @@ impl Decode for WireCost {
             cache_evictions: u64::decode(buf)?,
             batch_shared: u64::decode(buf)?,
             cache_bypassed: u64::decode(buf)?,
-            replica: u64::decode(buf)?,
         })
     }
 }
@@ -435,10 +419,6 @@ impl Encode for Request {
                 slots.encode(buf);
                 fragments.encode(buf);
             }
-            Request::Probe { nonce } => {
-                6u8.encode(buf);
-                nonce.encode(buf);
-            }
         }
     }
 }
@@ -462,9 +442,9 @@ impl Decode for Request {
                 fragments: Vec::decode(buf)?,
             }),
             4 => Ok(Request::Prewarm { slots: Vec::decode(buf)?, fragments: Vec::decode(buf)? }),
-            // 5 is retired (an earlier build's reference-elided batch), not
-            // reused: such a frame is a typed error, never a misparse.
-            6 => Ok(Request::Probe { nonce: u64::decode(buf)? }),
+            // 5 and 6 are retired (an earlier build's reference-elided batch
+            // and liveness probe), not reused: such a frame is a typed
+            // error, never a misparse.
             tag => Err(DecodeError::BadTag { context: "Request", tag }),
         }
     }
@@ -499,11 +479,6 @@ impl Encode for Response {
                 fragment.encode(buf);
                 answers.encode(buf);
             }
-            Response::ProbeAck { machine, nonce } => {
-                4u8.encode(buf);
-                machine.encode(buf);
-                nonce.encode(buf);
-            }
         }
     }
 }
@@ -532,7 +507,8 @@ impl Decode for Response {
                 fragment: u32::decode(buf)?,
                 answers: decode_answers(buf, |answer, _| answer)?,
             }),
-            4 => Ok(Response::ProbeAck { machine: u32::decode(buf)?, nonce: u64::decode(buf)? }),
+            // 4 is retired (an earlier build's probe acknowledgement), not
+            // reused.
             tag => Err(DecodeError::BadTag { context: "Response", tag }),
         }
     }
@@ -653,7 +629,6 @@ mod tests {
                 cache_evictions: 9,
                 batch_shared: 10,
                 cache_bypassed: 11,
-                replica: 12,
             },
         };
         let frame = encode_frame(&resp);
@@ -705,16 +680,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_round_trip() {
-        let req = Request::Probe { nonce: 0xDEAD_BEEF };
-        let frame = encode_frame(&req);
-        assert_eq!(decode_frame::<Request>(frame).unwrap(), req);
-        let ack = Response::ProbeAck { machine: 3, nonce: 0xDEAD_BEEF };
-        let frame = encode_frame(&ack);
-        assert_eq!(decode_frame::<Response>(frame).unwrap(), ack);
-    }
-
-    #[test]
     fn trailing_garbage_rejected() {
         let frame = encode_frame(&Request::Shutdown);
         let mut extended = BytesMut::from(&frame[..]);
@@ -730,10 +695,16 @@ mod tests {
         let mut buf = BytesMut::new();
         buf.put_u8(250);
         assert!(decode_frame::<Response>(buf.freeze()).is_err());
-        // A retired tag stays unassigned.
+        // A retired tag stays unassigned, whatever follows it.
+        for tag in [5, 6] {
+            assert_eq!(
+                decode_frame::<Request>(Bytes::from(vec![tag, 0, 0, 0, 0, 0, 0, 0, 0])),
+                Err(DecodeError::BadTag { context: "Request", tag })
+            );
+        }
         assert_eq!(
-            decode_frame::<Request>(Bytes::from_static(&[5, 0, 0])),
-            Err(DecodeError::BadTag { context: "Request", tag: 5 })
+            decode_frame::<Response>(Bytes::from_static(&[4, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0])),
+            Err(DecodeError::BadTag { context: "Response", tag: 4 })
         );
     }
 

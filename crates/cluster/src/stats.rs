@@ -109,7 +109,9 @@ pub struct QueryStats {
 
 /// Cumulative recovery events over a cluster's lifetime (all queries,
 /// including pipelined batches) — the coordinator's fault ledger, exposed
-/// via `Cluster::recovery_counters`.
+/// via `Cluster::recovery_counters`. With the overload counters' initial
+/// dispatches it closes the coordinator→worker frame ledger:
+/// `c2w == dispatch_frames + retries + prewarm_frames`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryCounters {
     /// Narrowed re-dispatches sent for stalled or transiently failed tasks.
@@ -132,28 +134,6 @@ pub struct RecoveryCounters {
     pub prewarm_frames: u64,
     /// Coverage slots shipped in those `Prewarm` frames.
     pub prewarmed_slots: u64,
-    /// Narrowed retries moved to a *different* replica of their fragment
-    /// (replicated placements only — always 0 under `DISKS_REPLICAS=0`);
-    /// each is counted in `retries` too.
-    pub reroutes: u64,
-    /// Speculative hedge frames sent to an alternate replica for slots
-    /// outstanding past the hedge deadline (`DISKS_HEDGE`; always 0 when
-    /// off). Part of the extended coordinator→worker frame ledger:
-    /// `c2w == dispatch + retries + prewarm + hedges + probes`.
-    pub hedges: u64,
-    /// Hedged fragments whose *first* answer came from the hedge target
-    /// (the speculation won; the primary's late frame is deduped by the
-    /// straggler ledger as a duplicate).
-    pub hedge_wins: u64,
-    /// Healthy/Suspect → Quarantined transitions (`DISKS_QUARANTINE`;
-    /// always 0 when off).
-    pub quarantines: u64,
-    /// Quarantined → Healthy reinstatements after probation (consecutive
-    /// probe acks with suspicion back below the suspect threshold).
-    pub reinstatements: u64,
-    /// `Probe` frames sent to quarantined machines (part of the extended
-    /// c2w ledger above).
-    pub probe_frames: u64,
 }
 
 impl QueryStats {

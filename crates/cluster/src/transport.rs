@@ -474,16 +474,6 @@ pub enum TransportKind {
     Tcp,
 }
 
-/// Microseconds elapsed since a lazily-pinned process-wide epoch — the
-/// shared clock behind every health-plane timestamp (pump keepalive
-/// arrivals, suspicion scoring). A plain monotonic counter keeps the pumps'
-/// hot path to one `Instant::elapsed` + one atomic store.
-pub fn epoch_micros() -> u64 {
-    use std::sync::OnceLock;
-    static EPOCH: OnceLock<std::time::Instant> = OnceLock::new();
-    EPOCH.get_or_init(std::time::Instant::now).elapsed().as_micros() as u64
-}
-
 /// A rejected [`HeartbeatConfig`]: zero durations or a read timeout that
 /// does not exceed the keepalive interval (a reader whose silence budget is
 /// at or below the sender's idle cadence flaps healthy links on scheduling
@@ -601,17 +591,6 @@ pub trait Link: Send {
     fn deliver_unfaulted(&self, frame: &Bytes) -> bool {
         self.counters().record_send(frame.len() as u64);
         self.send_raw(frame.clone())
-    }
-
-    /// [`epoch_micros`] timestamp of the most recent proof of life the
-    /// transport itself observed from the peer (keepalives *and* payload
-    /// frames seen by the ingress pump). `None` when the transport has no
-    /// reader of its own (channel links — the coordinator sees every frame
-    /// arrival directly) or nothing has arrived yet. The health layer polls
-    /// this so a worker that is alive-but-slow keeps its suspicion low via
-    /// keepalives even while a big answer is still being computed.
-    fn last_arrival_micros(&self) -> Option<u64> {
-        None
     }
 }
 
@@ -759,7 +738,6 @@ fn ingress_pump(
     out: Sender<Bytes>,
     received: Option<Arc<LinkCounters>>,
     down: Arc<AtomicBool>,
-    arrivals: Option<Arc<AtomicU64>>,
 ) {
     let mut asm = FrameAssembler::new();
     let mut buf = [0u8; 16 * 1024];
@@ -771,9 +749,6 @@ fn ingress_pump(
                 loop {
                     match asm.next_event() {
                         Ok(Some(StreamEvent::Frame(f))) => {
-                            if let Some(a) = &arrivals {
-                                a.store(epoch_micros().max(1), Ordering::Release);
-                            }
                             if let Some(c) = &received {
                                 c.record_send(f.len() as u64);
                             }
@@ -783,14 +758,9 @@ fn ingress_pump(
                                 return;
                             }
                         }
-                        Ok(Some(StreamEvent::Keepalive)) => {
-                            // Keepalives are the transport's proof of life:
-                            // export the arrival time for the health layer
-                            // (a payload frame counts identically above).
-                            if let Some(a) = &arrivals {
-                                a.store(epoch_micros().max(1), Ordering::Release);
-                            }
-                        }
+                        // A keepalive exists to keep the read timeout from
+                        // firing; the read that delivered it already has.
+                        Ok(Some(StreamEvent::Keepalive)) => {}
                         Ok(None) => break,
                         Err(_) => break 'link,
                     }
@@ -816,9 +786,6 @@ pub struct TcpLink {
     faults: Option<Arc<FaultInjector>>,
     down: Arc<AtomicBool>,
     stream: TcpStream,
-    /// Last peer proof-of-life ([`epoch_micros`], 0 = none yet), stored by
-    /// the ingress pump on every keepalive or payload frame.
-    last_arrival: Arc<AtomicU64>,
 }
 
 impl TcpLink {
@@ -846,13 +813,11 @@ impl TcpLink {
             .spawn(move || egress_pump(writer, rx, heartbeat.interval, transport_faults, tx_down))
             .expect("spawn link egress pump");
         let rx_down = Arc::clone(&down);
-        let last_arrival = Arc::new(AtomicU64::new(0));
-        let rx_arrivals = Arc::clone(&last_arrival);
         thread::Builder::new()
             .name(format!("disks-link-rx-{machine}"))
-            .spawn(move || ingress_pump(reader, responses, received, rx_down, Some(rx_arrivals)))
+            .spawn(move || ingress_pump(reader, responses, received, rx_down))
             .expect("spawn link ingress pump");
-        Ok(TcpLink { tx, counters, faults, down, stream, last_arrival })
+        Ok(TcpLink { tx, counters, faults, down, stream })
     }
 }
 
@@ -876,13 +841,6 @@ impl Link for TcpLink {
     fn close(&self) {
         self.down.store(true, Ordering::Release);
         let _ = self.stream.shutdown(Shutdown::Both);
-    }
-
-    fn last_arrival_micros(&self) -> Option<u64> {
-        match self.last_arrival.load(Ordering::Acquire) {
-            0 => None,
-            us => Some(us),
-        }
     }
 }
 
@@ -914,7 +872,7 @@ pub fn tcp_worker_endpoint(
     let rx_down = Arc::clone(&down);
     thread::Builder::new()
         .name(format!("disks-peer-rx-{machine}"))
-        .spawn(move || ingress_pump(reader, req_tx, None, rx_down, None))
+        .spawn(move || ingress_pump(reader, req_tx, None, rx_down))
         .expect("spawn worker ingress pump");
     thread::Builder::new()
         .name(format!("disks-peer-tx-{machine}"))

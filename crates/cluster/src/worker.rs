@@ -182,7 +182,6 @@ impl TaskStore for BatchStore<'_> {
 /// `panic_now`, or genuine) becomes a typed [`QueryError::WorkerPanic`]; on
 /// success the wire cost carries the cache activity the task caused.
 fn evaluate_task(
-    machine_id: usize,
     engine: &mut WorkerEngine,
     plan: &QueryPlan,
     store: &mut impl TaskStore,
@@ -205,7 +204,6 @@ fn evaluate_task(
             wire.cache_evictions = delta.evictions;
             wire.cache_bypassed = delta.bypassed;
             wire.batch_shared = shared_after - shared_before;
-            wire.replica = machine_id as u64;
             Ok((nodes, wire))
         }
         Ok(Err(e)) => Err(e),
@@ -220,7 +218,6 @@ fn evaluate_task(
 /// respawned worker gets a fresh (cold) cache because the cache lives and
 /// dies with the thread.
 pub fn worker_loop(
-    machine_id: usize,
     mut engines: Vec<WorkerEngine>,
     requests: Receiver<Bytes>,
     responses: LinkSender,
@@ -234,10 +231,7 @@ pub fn worker_loop(
             Ok(r) => r,
             Err(_) => continue, // malformed frame: drop, as a server would
         };
-        // Probes are health-plane traffic, not work: they do not advance the
-        // request ordinal, so fault schedules keyed on "nth request" replay
-        // identically whether or not quarantine probing is enabled.
-        if !matches!(request, Request::Shutdown | Request::Probe { .. }) {
+        if !matches!(request, Request::Shutdown) {
             request_count += 1;
             if faults.kill_on_request == Some(request_count) {
                 return; // simulated machine crash: no response, thread gone
@@ -246,12 +240,6 @@ pub fn worker_loop(
         let inject_panic = faults.panic_on_request == Some(request_count);
         match request {
             Request::Shutdown => break,
-            Request::Probe { nonce } => {
-                let ack = Response::ProbeAck { machine: machine_id as u32, nonce };
-                if !responses.send(encode_frame(&ack)) {
-                    return; // coordinator gone
-                }
-            }
             Request::TopK { query_id, query, fragments } => {
                 for (i, engine) in hosted(&mut engines, &fragments) {
                     let fragment = engine.fragment().0;
@@ -263,16 +251,12 @@ pub fn worker_loop(
                         engine.topk_local(&query)
                     }));
                     let frame = match outcome {
-                        Ok(Ok((ranked, cost))) => {
-                            let mut wire = WireCost::from(&cost);
-                            wire.replica = machine_id as u64;
-                            encode_frame(&Response::TopKResults {
-                                query_id,
-                                fragment,
-                                ranked,
-                                cost: wire,
-                            })
-                        }
+                        Ok(Ok((ranked, cost))) => encode_frame(&Response::TopKResults {
+                            query_id,
+                            fragment,
+                            ranked,
+                            cost: WireCost::from(&cost),
+                        }),
                         Ok(Err(e)) => {
                             encode_frame(&Response::Failed { query_id, fragment, error: e })
                         }
@@ -291,13 +275,7 @@ pub fn worker_loop(
                 for (i, engine) in hosted(&mut engines, &fragments) {
                     let fragment = engine.fragment().0;
                     let mut store = FragmentCacheStore { fragment, cache: &mut cache };
-                    let task = evaluate_task(
-                        machine_id,
-                        engine,
-                        &plan,
-                        &mut store,
-                        inject_panic && i == 0,
-                    );
+                    let task = evaluate_task(engine, &plan, &mut store, inject_panic && i == 0);
                     let frame = encode_frame(&match task {
                         Ok((nodes, cost)) => Response::Results { query_id, fragment, nodes, cost },
                         Err(error) => Response::Failed { query_id, fragment, error },
@@ -331,7 +309,6 @@ pub fn worker_loop(
                 // unbatched path while each distinct slot is resolved once.
                 let queries = plan.split();
                 if !answer_batch(
-                    machine_id,
                     &mut engines,
                     &fragments,
                     base,
@@ -350,9 +327,7 @@ pub fn worker_loop(
 /// Evaluate a batch of split per-query plans on every hosted fragment,
 /// sharing slots through a per-fragment [`BatchStore`]. Returns `false` when
 /// the coordinator is gone.
-#[allow(clippy::too_many_arguments)]
 fn answer_batch(
-    machine_id: usize,
     engines: &mut [WorkerEngine],
     fragments: &[u32],
     base: u64,
@@ -371,7 +346,7 @@ fn answer_batch(
         let mut answers = Vec::with_capacity(queries.len());
         for (qi, qplan) in queries.iter().enumerate() {
             let panic_now = inject_panic && i == 0 && qi == 0;
-            answers.push(match evaluate_task(machine_id, engine, qplan, &mut store, panic_now) {
+            answers.push(match evaluate_task(engine, qplan, &mut store, panic_now) {
                 Ok((nodes, cost)) => BatchAnswer::Results { nodes, cost },
                 Err(e) => BatchAnswer::Failed(e),
             });
@@ -420,7 +395,7 @@ mod tests {
         let (req_tx, req_rx) = unbounded();
         let (resp_tx, resp_rx, counters) = counted_link();
         let handle = std::thread::spawn(move || {
-            worker_loop(0, engines, req_rx, resp_tx, WorkerFaults::default(), 1 << 20)
+            worker_loop(engines, req_rx, resp_tx, WorkerFaults::default(), 1 << 20)
         });
 
         let freqs = net.keyword_frequencies();
@@ -469,7 +444,7 @@ mod tests {
         let (req_tx, req_rx) = unbounded();
         let (resp_tx, resp_rx, _) = counted_link();
         let handle = std::thread::spawn(move || {
-            worker_loop(0, engines, req_rx, resp_tx, WorkerFaults::default(), 0)
+            worker_loop(engines, req_rx, resp_tx, WorkerFaults::default(), 0)
         });
         let f = DFunction::single(Term::Keyword(KeywordId(0)), 1_000_000_000);
         let plan = QueryPlan::lower(&f);
@@ -501,7 +476,7 @@ mod tests {
         let (req_tx, req_rx) = unbounded();
         let (resp_tx, resp_rx, _) = counted_link();
         let handle = std::thread::spawn(move || {
-            worker_loop(0, engines, req_rx, resp_tx, WorkerFaults::default(), 1 << 20)
+            worker_loop(engines, req_rx, resp_tx, WorkerFaults::default(), 1 << 20)
         });
         let freqs = net.keyword_frequencies();
         let top = KeywordId((0..freqs.len()).max_by_key(|&k| freqs[k]).unwrap() as u32);
@@ -546,7 +521,7 @@ mod tests {
         let (req_tx, req_rx) = unbounded();
         let (resp_tx, resp_rx, _) = counted_link();
         let handle = std::thread::spawn(move || {
-            worker_loop(0, engines, req_rx, resp_tx, WorkerFaults::default(), 1 << 20)
+            worker_loop(engines, req_rx, resp_tx, WorkerFaults::default(), 1 << 20)
         });
         req_tx.send(Bytes::from_static(&[0xde, 0xad])).unwrap();
         // Worker survives; a valid shutdown still works.
@@ -574,7 +549,7 @@ mod tests {
         let (req_tx, req_rx) = unbounded();
         let (resp_tx, resp_rx, _) = counted_link();
         let handle =
-            std::thread::spawn(move || worker_loop(0, engines, req_rx, resp_tx, faults, 1 << 20));
+            std::thread::spawn(move || worker_loop(engines, req_rx, resp_tx, faults, 1 << 20));
         (req_tx, resp_rx, handle, net)
     }
 

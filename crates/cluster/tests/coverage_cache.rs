@@ -105,10 +105,6 @@ fn build_cluster_on(
             coverage_cache_bytes: cache_bytes,
             faults,
             transport,
-            // Pinned: these suites assert exact miss/prewarm counts of the
-            // respawn-on-retry path, which the replicated CI lane would
-            // bypass by re-routing retries to a surviving replica.
-            replicas: 0,
             ..ClusterConfig::default()
         },
     )

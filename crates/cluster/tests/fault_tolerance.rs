@@ -192,9 +192,8 @@ fn a_worker_killed_between_windows_degrades_only_its_fragments() {
         max_attempts: 1,
         allow_partial: true,
         // 40 queries are three windows, so machine 0 dies on the second of
-        // its three frames; pinned single-owner so no replica covers for it.
+        // its three frames.
         batch_window: 16,
-        replicas: 0,
         ..fault_config(FaultPlan::new(99).kill_worker(0, 2))
     };
     let cluster = Cluster::build(&net, &p, indexes, config);

@@ -156,13 +156,13 @@ fn chaos_soak_trichotomy_and_ledger_reconciliation() {
     assert!(rc.retries > 0, "kills and drops must force narrowed retries");
 
     // The ledger closes: every coordinator→worker frame is an initial
-    // dispatch, a narrowed retry, a pre-warm, a hedge, or a quarantine
-    // probe — shed queries contributed nothing. (Measured before shutdown;
-    // shutdown frames are lifecycle, not query traffic.)
+    // dispatch, a narrowed retry, or a pre-warm — shed queries contributed
+    // nothing. (Measured before shutdown; shutdown frames are lifecycle, not
+    // query traffic.)
     let (c2w_frames, _) = cluster.link_message_totals();
     assert_eq!(
         c2w_frames,
-        oc.dispatch_frames + rc.retries + rc.prewarm_frames + rc.hedges + rc.probe_frames,
+        oc.dispatch_frames + rc.retries + rc.prewarm_frames,
         "frame ledger must reconcile exactly: {oc:?} {rc:?}"
     );
 

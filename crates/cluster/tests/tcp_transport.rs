@@ -14,7 +14,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use disks_cluster::{
-    Cluster, ClusterConfig, FaultPlan, HeartbeatConfig, LinkDirection, NetworkModel, TransportKind,
+    Cluster, ClusterConfig, FaultPlan, HeartbeatConfig, HeartbeatConfigError, LinkDirection,
+    NetworkModel, TransportKind,
 };
 use disks_core::{build_all_indexes, CentralizedCoverage, IndexConfig, SgkQuery};
 use disks_partition::{MultilevelPartitioner, Partitioner, Partitioning};
@@ -62,15 +63,14 @@ fn base_config() -> ClusterConfig {
     }
 }
 
-/// Every coordinator→worker frame is an initial dispatch, a retry, a
-/// pre-warm, a hedge, or a quarantine probe — on any transport. Keepalives
-/// never enter this ledger.
+/// Every coordinator→worker frame is an initial dispatch, a retry, or a
+/// pre-warm — on any transport. Keepalives never enter this ledger.
 fn assert_ledger_closes(cluster: &Cluster) {
     let (c2w_frames, _) = cluster.link_message_totals();
     let (oc, rc) = (cluster.overload_counters(), cluster.recovery_counters());
     assert_eq!(
         c2w_frames,
-        oc.dispatch_frames + rc.retries + rc.prewarm_frames + rc.hedges + rc.probe_frames,
+        oc.dispatch_frames + rc.retries + rc.prewarm_frames,
         "frame ledger must reconcile exactly: {oc:?} {rc:?}"
     );
 }
@@ -178,4 +178,36 @@ fn stalled_socket_trips_read_timeout_and_recovers() {
     assert!(rc.respawned_workers >= 1, "the torn-down link must be respawned: {rc:?}");
     assert_ledger_closes(&cluster);
     cluster.shutdown();
+}
+
+/// `HeartbeatConfig::checked` rejects nonsense with *typed* errors an
+/// operator (or `ClusterConfig::from_env`) can match on, and passes valid budgets
+/// through unchanged.
+#[test]
+fn heartbeat_validation_yields_typed_errors() {
+    assert!(matches!(
+        HeartbeatConfig::checked(Duration::ZERO, Duration::from_millis(100)),
+        Err(HeartbeatConfigError::ZeroInterval)
+    ));
+    assert!(matches!(
+        HeartbeatConfig::checked(Duration::from_millis(10), Duration::ZERO),
+        Err(HeartbeatConfigError::ZeroReadTimeout)
+    ));
+    // The read timeout must *strictly* exceed the keepalive interval, or a
+    // perfectly healthy idle link would flap on schedule.
+    match HeartbeatConfig::checked(Duration::from_millis(100), Duration::from_millis(100)) {
+        Err(HeartbeatConfigError::ReadTimeoutNotAboveInterval { interval, read_timeout }) => {
+            assert_eq!(interval, Duration::from_millis(100));
+            assert_eq!(read_timeout, Duration::from_millis(100));
+        }
+        other => panic!("expected the typed gap error, got {other:?}"),
+    }
+    let ok = HeartbeatConfig::checked(Duration::from_millis(20), Duration::from_millis(100))
+        .expect("a 5x budget is valid");
+    assert_eq!(ok.interval, Duration::from_millis(20));
+    assert_eq!(ok.read_timeout, Duration::from_millis(100));
+    // Typed errors still render an actionable message.
+    let msg =
+        HeartbeatConfig::checked(Duration::ZERO, Duration::from_millis(1)).unwrap_err().to_string();
+    assert!(!msg.is_empty());
 }

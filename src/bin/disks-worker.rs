@@ -82,5 +82,5 @@ fn main() {
         }
     };
     let responses = LinkSender::over(endpoint.egress, Arc::new(LinkCounters::default()));
-    worker_loop(machine, engines, endpoint.requests, responses, WorkerFaults::default(), cache);
+    worker_loop(engines, endpoint.requests, responses, WorkerFaults::default(), cache);
 }

@@ -30,10 +30,9 @@ pub fn partition(net: &RoadNetwork, fragments: usize) -> Partitioning {
 }
 
 /// The engines machine `m` owns under the cluster's round-robin fragment
-/// placement — the same placement `Cluster::build_remote` uses (remote
-/// clusters never replicate: each worker process rebuilds its own engines
-/// from these seeds), so a worker rebuilds exactly the fragments the
-/// coordinator will address to it.
+/// placement — the one placement every cluster uses (each worker process
+/// rebuilds its own engines from these seeds), so a worker rebuilds exactly
+/// the fragments the coordinator will address to it.
 pub fn machine_engines(
     net: &RoadNetwork,
     p: &Partitioning,

@@ -22,7 +22,7 @@ use std::time::Duration;
 
 use disks::baseline::centralized::CentralizedEngine;
 use disks::cluster::transport::TransportKind;
-use disks::cluster::{Cluster, ClusterConfig, FaultPlan, HeartbeatConfig, HedgeMode, NetworkModel};
+use disks::cluster::{Cluster, ClusterConfig, FaultPlan, HeartbeatConfig, NetworkModel};
 use disks::core::{
     build_all_indexes, DFunction, IndexConfig, QClassQuery, QueryPlan, RangeKeywordQuery, SetOp,
     SgkQuery, Term,
@@ -50,11 +50,6 @@ fn shipped() -> ClusterConfig {
         queue_capacity: 1024,
         transport: TransportKind::Channel,
         heartbeat: HeartbeatConfig::default(),
-        replicas: 0,
-        placement_heat: None,
-        hedge: HedgeMode::Off,
-        hedge_ms: 50,
-        quarantine: false,
     }
 }
 
@@ -116,13 +111,13 @@ fn lookups(o: &disks::cluster::QueryOutcome) -> u64 {
     o.stats.cache_hits + o.stats.cache_misses + shared
 }
 
-/// `c2w == dispatch + retries + prewarm + hedges + probes`, exactly.
+/// `c2w == dispatch + retries + prewarm`, exactly.
 fn assert_ledger_closes(cluster: &Cluster, what: &str) {
     let (c2w, _) = cluster.link_message_totals();
     let (oc, rc) = (cluster.overload_counters(), cluster.recovery_counters());
     assert_eq!(
         c2w,
-        oc.dispatch_frames + rc.retries + rc.prewarm_frames + rc.hedges + rc.probe_frames,
+        oc.dispatch_frames + rc.retries + rc.prewarm_frames,
         "{what}: frame ledger must close: {oc:?} {rc:?}"
     );
 }
@@ -137,14 +132,11 @@ fn configs() -> [(&'static str, ClusterConfig); 4] {
             ClusterConfig { batch_window: 1, coverage_cache_bytes: 0, ..shipped() },
         ),
         (
-            "replica + hedging + mid-stream kill",
+            "mid-stream kill over TCP",
             ClusterConfig {
-                replicas: 1,
-                hedge: HedgeMode::Adaptive,
-                hedge_ms: 10,
-                // Least-loaded routing hands machine 0 some fragment of
-                // nearly every query, so its 20th request arrives well
-                // inside the 48-query sequential pass.
+                transport: TransportKind::Tcp,
+                // Every query is one frame to each machine, so machine 0's
+                // 20th request arrives inside the 48-query sequential pass.
                 faults: Some(FaultPlan::new(0x0E1A).kill_worker(0, 20)),
                 ..shipped()
             },
@@ -343,7 +335,14 @@ fn a_knob_this_build_does_not_have_is_refused_by_name() {
         };
         refused(&["--threads", "4"], None, "--threads");
         refused(&["--cache-heat", "3"], None, "--cache-heat");
-        refused(&[], Some(("DISKS_THREADS", "4")), "DISKS_THREADS");
+        for (var, value) in [
+            ("DISKS_THREADS", "4"),
+            ("DISKS_REPLICAS", "1"),
+            ("DISKS_HEDGE", "adaptive"),
+            ("DISKS_QUARANTINE", "1"),
+        ] {
+            refused(&[], Some((var, value)), var);
+        }
         refused(&bad_value, None, &format!("{}: expected", bad_value.join(" ")));
         refused(&["--cache", "2MiB"], None, "--cache 2MiB: expected a byte count");
     }
