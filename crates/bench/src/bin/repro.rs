@@ -5,7 +5,7 @@
 //! repro [--scale paper|bench|smoke] [--exp <id>[,<id>...]] [--out DIR]
 //!
 //! ids: tab1 tab2 tab3 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15
-//!      fig16 fig17 comm ablation overload topk all (default: all)
+//!      fig16 fig17 comm ablation topk all (default: all)
 //! ```
 //!
 //! Results are printed and written under `--out` (default `results/`) as
@@ -108,7 +108,7 @@ fn main() {
     let need_bri = ["fig7", "fig10", "fig12", "fig14"].iter().any(|e| wants(e));
     let need_aus = [
         "fig7", "fig8", "tab3", "fig9", "fig11", "fig13", "fig15", "fig16", "fig17", "comm",
-        "ablation", "overload", "topk",
+        "ablation", "topk",
     ]
     .iter()
     .any(|e| wants(e));
@@ -211,49 +211,6 @@ fn main() {
             emit("ablation_minimality_aus", exp::ablation_minimality(ds, &params));
             emit("ablation_partitioner_aus", exp::ablation_partitioner(ds, &params));
             emit("ablation_kw_aggregation_aus", exp::ablation_keyword_aggregation(ds, &params));
-        }
-    }
-    if wants("overload") {
-        if let Some(ds) = &aus {
-            let (table, summary) = exp::overload(ds, &params);
-            emit("overload_aus", table);
-            let path = std::path::Path::new(&args.out).join("BENCH_overload.json");
-            if let Err(e) = std::fs::create_dir_all(&args.out)
-                .and_then(|()| std::fs::write(&path, summary.to_json()))
-            {
-                eprintln!("failed to save BENCH_overload.json: {e}");
-            } else {
-                println!("[json] {} ({} load points)", path.display(), summary.points.len());
-            }
-            // Saturation headline: goodput at 4x offered load, shedding on
-            // vs off — the shed knee the overload lane tracks across PRs.
-            if let (Some(p1), Some(p4)) = (summary.points.first(), summary.points.last()) {
-                println!(
-                    "[overload] 4x load: {:.0} q/s goodput shedding on (peak {:.0}), \
-                     {:.0} q/s off, shed rate {:.0}%",
-                    p4.goodput_on,
-                    p1.goodput_on.max(p4.goodput_on),
-                    p4.goodput_off,
-                    100.0 * p4.shed_rate_on
-                );
-            }
-            // Cost-model calibration read-out (observational, no behavior
-            // change): what one Theorem 5 cost unit costs in observed
-            // wall-clock at 1×, and the DISKS_COST_LIMIT today's p99 tail
-            // implies — next to the configured budget for comparison.
-            if summary.implied_cost_limit > 0 {
-                println!(
-                    "[overload] calibration: {:.3} us per cost unit observed; \
-                     implied DISKS_COST_LIMIT ~= {} (configured {})",
-                    summary.service_micros_per_cost, summary.implied_cost_limit, summary.cost_limit
-                );
-            }
-            // Recovery across the sweep (nonzero only under fault lanes).
-            let retries: u64 = summary.points.iter().map(|p| p.retries).sum();
-            if retries > 0 {
-                println!("[recovery] retries={retries}");
-            }
-            println!();
         }
     }
     if wants("topk") {

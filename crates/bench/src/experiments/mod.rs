@@ -14,14 +14,12 @@
 mod ablation;
 mod comm;
 mod mix;
-mod overload;
 mod size;
 mod time;
 
 pub use ablation::{ablation_keyword_aggregation, ablation_minimality, ablation_partitioner};
 pub use comm::comm_contrast;
 pub use mix::{fig16_dfunctions, fig17_rkq, topk_extension};
-pub use overload::{overload, OverloadPoint, OverloadSummary};
 pub use size::{fig7_index_size, fig8_index_size_unbounded, tab1_datasets, tab3_indexing_time};
 pub use time::{fig10_11_keywords, fig12_13_fragments, fig14_15_radius, fig9_query_time_vs_maxr};
 

@@ -46,27 +46,6 @@ pub struct ClusterConfig {
     /// round. `0` or `1` disables batching (one `Evaluate` frame per query
     /// per worker). Env: `DISKS_BATCH`.
     pub batch_window: usize,
-    /// Per-worker in-flight estimated-cost budget ([`disks_core::CostParams`]
-    /// units) for cost-model admission; `0` disables overload control
-    /// entirely. Queries whose cost cannot fit are shed with
-    /// [`disks_core::QueryError::Overloaded`] before any frame is encoded.
-    /// Env: `DISKS_COST_LIMIT`.
-    pub cost_limit: u64,
-    /// Fraction of [`ClusterConfig::cost_limit`] at which brownout
-    /// degradation begins: above it the cluster serves partial results and
-    /// sheds cache-cold queries rather than queueing more work.
-    /// `f64::INFINITY` disables brownout; meaningless while `cost_limit` is
-    /// 0. Env: `DISKS_BROWNOUT`.
-    pub brownout: f64,
-    /// Base delay of the exponential, deterministically jittered backoff
-    /// applied to narrowed per-fragment retries; `Duration::ZERO` retries
-    /// immediately (the pre-backoff behavior). Env: `DISKS_RETRY_BACKOFF`.
-    pub retry_backoff: Duration,
-    /// Capacity (frames, at least 1) of each worker's bounded request
-    /// queue. The coordinator `try_send`s first and counts
-    /// [`crate::OverloadCounters::queue_full_events`] before falling back
-    /// to a blocking send, so saturation is observed instead of absorbed.
-    pub queue_capacity: usize,
     /// Transport carrying coordinator↔worker frames: in-process crossbeam
     /// channels, or loopback TCP sockets with length-prefixed framing,
     /// keepalives, and read-timeout supervision — same wire codec, same
@@ -142,25 +121,6 @@ const KNOBS: &[Knob] = &[
         set: |c, v| count(v).map(|n: usize| c.batch_window = n.max(1)),
     },
     Knob {
-        var: "DISKS_COST_LIMIT",
-        expected: "an integer cost budget, or 0/off/false to disable admission control",
-        set: |c, v| count(v).map(|n| c.cost_limit = n),
-    },
-    Knob {
-        var: "DISKS_BROWNOUT",
-        expected: "a fraction of the cost budget in (0, 1], or 0/off/false to disable brownout",
-        set: |c, v| {
-            count(v)
-                .filter(|f: &f64| (0.0..=1.0).contains(f))
-                .map(|f| c.brownout = if f == 0.0 { f64::INFINITY } else { f })
-        },
-    },
-    Knob {
-        var: "DISKS_RETRY_BACKOFF",
-        expected: "milliseconds, or 0/off/false for immediate retries",
-        set: |c, v| count(v).map(|ms| c.retry_backoff = Duration::from_millis(ms)),
-    },
-    Knob {
         var: "DISKS_TRANSPORT",
         expected: "channel or tcp",
         set: |c, v| {
@@ -187,8 +147,7 @@ impl ClusterConfig {
     /// defaults, overridden by whichever `DISKS_*` variables are set.
     ///
     /// With every variable unset: 64 MiB coverage cache, fixed batching
-    /// windows of 16, no cost limit (brownout at 0.75 once there is one), 2 ms retry
-    /// backoff, channel transport, 100 ms / 1 s heartbeat.
+    /// windows of 16, channel transport, 100 ms / 1 s heartbeat.
     ///
     /// A `DISKS_*` variable that is not a row of the table is an error
     /// too: a removed or misspelt knob is reported, not run as its default.
@@ -230,10 +189,6 @@ impl ClusterConfig {
             faults: None,
             coverage_cache_bytes: 64 << 20,
             batch_window: 16,
-            cost_limit: 0,
-            brownout: 0.75,
-            retry_backoff: Duration::from_millis(2),
-            queue_capacity: 1024,
             transport: TransportKind::Channel,
             heartbeat: HeartbeatConfig::default(),
         };
@@ -272,7 +227,6 @@ impl ClusterConfig {
     pub(super) fn normalised(mut self) -> (ClusterConfig, Option<FaultPlan>) {
         self.max_attempts = self.max_attempts.max(1);
         self.batch_window = self.batch_window.max(1);
-        self.queue_capacity = self.queue_capacity.max(1);
         let faults = self.faults.take();
         (self, faults)
     }
@@ -304,8 +258,6 @@ mod tests {
         let c = with(&[]).unwrap();
         assert_eq!(c.coverage_cache_bytes, 64 << 20);
         assert_eq!(c.batch_window, 16);
-        assert_eq!((c.cost_limit, c.brownout), (0, 0.75));
-        assert_eq!(c.retry_backoff, Duration::from_millis(2));
         assert_eq!(c.transport, TransportKind::Channel);
         assert_eq!(c.heartbeat.interval, Duration::from_millis(100));
         assert_eq!(c.heartbeat.read_timeout, Duration::from_secs(1));
@@ -314,32 +266,18 @@ mod tests {
     #[test]
     fn every_knob_accepts_its_documented_forms() {
         for off in ["0", "off", "FALSE"] {
-            let c = with(&[
-                ("DISKS_COVERAGE_CACHE", off),
-                ("DISKS_BATCH", off),
-                ("DISKS_COST_LIMIT", off),
-                ("DISKS_BROWNOUT", off),
-                ("DISKS_RETRY_BACKOFF", off),
-            ])
-            .unwrap();
+            let c = with(&[("DISKS_COVERAGE_CACHE", off), ("DISKS_BATCH", off)]).unwrap();
             assert_eq!((c.coverage_cache_bytes, c.batch_window), (0, 1));
-            assert_eq!((c.cost_limit, c.brownout), (0, f64::INFINITY));
-            assert_eq!(c.retry_backoff, Duration::ZERO);
         }
         let c = with(&[
             ("DISKS_COVERAGE_CACHE", " 4096 "),
             ("DISKS_BATCH", "8"),
-            ("DISKS_COST_LIMIT", "5000000"),
-            ("DISKS_BROWNOUT", "0.9"),
-            ("DISKS_RETRY_BACKOFF", "3"),
             ("DISKS_TRANSPORT", "TCP"),
             ("DISKS_HEARTBEAT_MS", "20"),
             ("DISKS_TCP_READ_TIMEOUT_MS", "300"),
         ])
         .unwrap();
         assert_eq!((c.coverage_cache_bytes, c.batch_window), (4096, 8));
-        assert_eq!((c.cost_limit, c.brownout), (5_000_000, 0.9));
-        assert_eq!(c.retry_backoff, Duration::from_millis(3));
         assert_eq!(c.transport, TransportKind::Tcp);
         assert_eq!(c.heartbeat.interval, Duration::from_millis(20));
         assert_eq!(c.heartbeat.read_timeout, Duration::from_millis(300));
@@ -370,13 +308,16 @@ mod tests {
 
     #[test]
     fn a_disks_variable_outside_the_table_is_an_error_naming_it() {
-        // A knob this build never had, three it had and removed, and a
+        // A knob this build never had, six it had and removed, and a
         // misspelt one.
         for (name, value) in [
             ("DISKS_THREADS", "4"),
             ("DISKS_REPLICAS", "1"),
             ("DISKS_HEDGE", "adaptive"),
             ("DISKS_QUARANTINE", "1"),
+            ("DISKS_COST_LIMIT", "5000000"),
+            ("DISKS_BROWNOUT", "0.9"),
+            ("DISKS_RETRY_BACKOFF", "3"),
             ("DISKS_BACTH", "8"),
         ] {
             let err = with(&[("DISKS_BATCH", "8"), (name, value)]).expect_err(name);

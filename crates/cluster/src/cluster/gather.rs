@@ -14,12 +14,36 @@ use disks_partition::FragmentId;
 use super::Cluster;
 use crate::cache::CacheCounters;
 use crate::message::{decode_frame, decode_gather_items, encode_frame, Request, Response};
-use crate::overload::{backoff_delay, splitmix64};
 
 /// How long the straggler drain waits for a frame the wire ledger says was
 /// sent but that has not yet been consumed (crossing the TCP pumps takes
 /// microseconds; a frame that misses this is lost and gets forgiven).
 const STRAGGLER_GRACE: Duration = Duration::from_millis(25);
+
+/// Base delay of the narrowed-retry backoff (and of a respawned remote
+/// worker's accept poll).
+pub(super) const RETRY_BACKOFF: Duration = Duration::from_millis(2);
+
+/// SplitMix64 — the standard 64-bit mixer; deterministic jitter source for
+/// retry backoff (no RNG state to carry, no wall-clock seeding).
+pub(super) fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// Exponential backoff with deterministic jitter for the `retry_index`-th
+/// narrowed re-dispatch (1-based): `RETRY_BACKOFF · 2^(retry_index−1)`
+/// capped at `16 · RETRY_BACKOFF`, plus a seeded jitter in
+/// `[0, RETRY_BACKOFF / 2]` so simultaneous retries against one struggling
+/// worker de-synchronize — replayably.
+pub(super) fn backoff_delay(retry_index: u32, seed: u64) -> Duration {
+    let exp = retry_index.saturating_sub(1).min(4);
+    let scaled = RETRY_BACKOFF * (1u32 << exp);
+    let jitter_us = splitmix64(seed) % (RETRY_BACKOFF.as_micros() as u64 / 2 + 1);
+    scaled + Duration::from_micros(jitter_us)
+}
 
 /// What a gather tells its sink about one query slot.
 pub(super) enum GatherEvent {
@@ -81,13 +105,13 @@ struct GatherState {
 impl GatherState {
     /// All `n` slots outstanding on every fragment, their service-latency
     /// clocks started.
-    fn new(cluster: &Cluster, n: usize, allow_partial: bool) -> GatherState {
+    fn new(cluster: &Cluster, n: usize) -> GatherState {
         let k = cluster.placement.num_fragments();
         let now = Instant::now();
         GatherState {
             n,
             k,
-            allow_partial,
+            allow_partial: cluster.config.allow_partial,
             responded: vec![vec![false; k]; n],
             attempts: vec![vec![1u32; k]; n],
             report: GatherReport { retries_by_slot: vec![0; n], ..GatherReport::default() },
@@ -121,6 +145,19 @@ impl GatherState {
             sink(slot, GatherEvent::Complete);
         }
     }
+
+    /// Queue a narrowed retry of query `base + 1 + slot` behind its
+    /// exponential backoff. The jitter seed mixes query id, slot, fragment,
+    /// and retry ordinal, so a replayed run backs off identically while
+    /// concurrent retries spread out.
+    fn schedule_retry(&mut self, base: u64, slot: usize, frags: Vec<u32>, retry_index: u32) {
+        let seed = base
+            .wrapping_add((slot as u64) << 20)
+            .wrapping_add((retry_index as u64) << 40)
+            .wrapping_add(frags.first().copied().unwrap_or(0) as u64);
+        let delay = backoff_delay(retry_index, splitmix64(seed));
+        self.pending_retries.push((Instant::now() + delay, slot, frags));
+    }
 }
 
 impl Cluster {
@@ -139,33 +176,6 @@ impl Cluster {
             report.retries += 1;
             report.retries_by_slot[slot] += 1;
         }
-    }
-
-    /// Queue a narrowed retry behind its exponential backoff (immediate
-    /// when [`ClusterConfig::retry_backoff`] is zero). The jitter seed mixes
-    /// query id, slot, fragment, and retry ordinal, so a replayed run backs
-    /// off identically while concurrent retries spread out.
-    #[allow(clippy::too_many_arguments)] // private gather helper
-    fn schedule_retry(
-        &self,
-        base: u64,
-        slot: usize,
-        frags: Vec<u32>,
-        retry_index: u32,
-        pending: &mut Vec<(Instant, usize, Vec<u32>)>,
-        make_request: &dyn Fn(usize, Vec<u32>) -> Request,
-        report: &mut GatherReport,
-    ) {
-        if self.config.retry_backoff.is_zero() {
-            self.redispatch(slot, &frags, make_request, report);
-            return;
-        }
-        let seed = base
-            .wrapping_add((slot as u64) << 20)
-            .wrapping_add((retry_index as u64) << 40)
-            .wrapping_add(frags.first().copied().unwrap_or(0) as u64);
-        let delay = backoff_delay(self.config.retry_backoff, retry_index, splitmix64(seed));
-        pending.push((Instant::now() + delay, slot, frags));
     }
 
     /// Flush scheduled retries whose backoff has elapsed, skipping
@@ -218,7 +228,6 @@ impl Cluster {
         base: u64,
         gs: &mut GatherState,
         frame: Bytes,
-        make_request: &dyn Fn(usize, Vec<u32>) -> Request,
         sink: &mut Sink,
     ) -> Result<(), QueryError> {
         let items = match decode_gather_items(frame) {
@@ -259,15 +268,7 @@ impl Cluster {
                     if gs.attempts[slot][f] < self.config.max_attempts {
                         gs.attempts[slot][f] += 1;
                         let retry_index = gs.attempts[slot][f] - 1;
-                        self.schedule_retry(
-                            base,
-                            slot,
-                            vec![fragment],
-                            retry_index,
-                            &mut gs.pending_retries,
-                            make_request,
-                            &mut gs.report,
-                        );
+                        gs.schedule_retry(base, slot, vec![fragment], retry_index);
                     } else if gs.allow_partial {
                         gs.responded[slot][f] = true;
                         gs.report.degraded.push((slot, fragment));
@@ -324,14 +325,11 @@ impl Cluster {
     /// for each of the `n` queries `base+1 ..= base+n`, retrying stalled or
     /// transiently failed fragments with narrowed re-dispatches.
     ///
-    /// `allow_partial` is passed per gather (rather than read from the
-    /// config) because brownout degrades a group to partial semantics even
-    /// when the cluster default is strict.
-    ///
-    /// Retries are spaced by [`ClusterConfig::retry_backoff`]: instead of
-    /// re-dispatching immediately, each narrowed retry is scheduled
-    /// `base · 2^(retry−1)` (plus deterministic jitter) in the future, so a
-    /// struggling worker is not hammered by synchronized retry bursts.
+    /// Retries are spaced by [`backoff_delay`]: instead of re-dispatching
+    /// immediately, each narrowed retry is scheduled
+    /// `RETRY_BACKOFF · 2^(retry−1)` (plus deterministic jitter) in the
+    /// future, so a struggling worker is not hammered by synchronized retry
+    /// bursts.
     ///
     /// `sink` receives each slot's [`GatherEvent`]s: its first-seen
     /// in-window payloads, then `Complete` — on the give-up paths of
@@ -342,11 +340,10 @@ impl Cluster {
         &self,
         base: u64,
         n: usize,
-        allow_partial: bool,
         make_request: &dyn Fn(usize, Vec<u32>) -> Request,
         sink: &mut Sink,
     ) -> Result<GatherReport, QueryError> {
-        let gs = &mut GatherState::new(self, n, allow_partial);
+        let gs = &mut GatherState::new(self, n);
         let k = gs.k;
         let outcome = loop {
             if gs.missing == 0 {
@@ -406,7 +403,7 @@ impl Cluster {
             };
             match received {
                 Ok(frame) => {
-                    if let Err(e) = self.gather_process_frame(base, gs, frame, make_request, sink) {
+                    if let Err(e) = self.gather_process_frame(base, gs, frame, sink) {
                         break Err(e);
                     }
                 }
@@ -448,15 +445,7 @@ impl Cluster {
                     for (slot, frags) in retry_by_slot.into_iter().enumerate() {
                         if !frags.is_empty() {
                             let retry_index = gs.attempts[slot][frags[0] as usize] - 1;
-                            self.schedule_retry(
-                                base,
-                                slot,
-                                frags,
-                                retry_index,
-                                &mut gs.pending_retries,
-                                make_request,
-                                &mut gs.report,
-                            );
+                            gs.schedule_retry(base, slot, frags, retry_index);
                         }
                     }
                     gs.stall_deadline = Instant::now() + self.config.deadline;
@@ -504,5 +493,25 @@ impl Cluster {
             c.respawned_workers += respawned as u64;
             self.recovery.set(c);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn backoff_is_deterministic_exponential_and_jittered() {
+        assert_eq!(backoff_delay(1, 42), backoff_delay(1, 42), "same seed → same delay");
+        // Exponential growth up to the cap, jitter bounded by base/2.
+        for i in 1..=8u32 {
+            let d = backoff_delay(i, 7);
+            let exp = RETRY_BACKOFF * (1 << i.saturating_sub(1).min(4));
+            assert!(d >= exp && d <= exp + RETRY_BACKOFF / 2, "retry {i}: {d:?}");
+        }
+        // Different seeds de-synchronize.
+        let spread: std::collections::HashSet<Duration> =
+            (0..32).map(|s| backoff_delay(1, s)).collect();
+        assert!(spread.len() > 8, "jitter must actually vary: {} distinct", spread.len());
     }
 }

@@ -1,7 +1,7 @@
 //! The slot-heat ledger: dispatch counts per `(term, radius)` coverage
-//! slot, charged at admission. Its two readers are the brownout ladder's
-//! cache-cold test ([`SlotHeat::has_cold`]) and the pre-warm set of a
-//! respawned worker ([`SlotHeat::hottest`]).
+//! slot, charged at admission. Its one reader is respawn pre-warm: a
+//! respawned worker is sent the [`SlotHeat::hottest`] slots before any retry
+//! traffic reaches it.
 //!
 //! Admission is amortized O(plan slots): the ledger is bounded by an epoch
 //! halving and by a trim that runs once per at least [`HEAT_CAP`] inserted
@@ -10,7 +10,7 @@
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
-use disks_core::{DTerm, QueryPlan, Term};
+use disks_core::{DTerm, Term};
 
 /// Admissions between decay epochs: every `HEAT_EPOCH` admitted queries the
 /// ledger halves every count (dropping zeros), so heat tracks recent
@@ -91,18 +91,11 @@ impl SlotHeat {
         top.sort_unstable_by(hotter_first);
         top.into_iter().map(|((term, radius), _)| DTerm { term, radius }).collect()
     }
-
-    /// Whether any of the plan's coverage slots is absent from the ledger —
-    /// the brownout ladder sheds such cache-cold queries first.
-    pub(super) fn has_cold(&self, plan: &QueryPlan) -> bool {
-        plan.slots().iter().any(|s| !self.counts.contains_key(&(s.term, s.radius)))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use disks_core::{DFunction, SgkQuery};
     use disks_roadnet::{KeywordId, NodeId};
 
     fn kw(k: u32, radius: u64) -> DTerm {
@@ -226,22 +219,5 @@ mod tests {
         heat.charge(&[kw(2, 1)]);
         assert_eq!(heat.admissions, HEAT_EPOCH);
         assert_eq!(ranked(&heat), vec![((twice.term, twice.radius), (HEAT_EPOCH - 1) / 2)]);
-    }
-
-    #[test]
-    fn has_cold_reads_the_ledger() {
-        let plan = |kws: &[u32]| {
-            let kws = kws.iter().map(|&k| KeywordId(k)).collect();
-            QueryPlan::lower(&SgkQuery::new(kws, 40).to_dfunction())
-        };
-        let mut heat = SlotHeat::default();
-        let charged = plan(&[1, 2, 3]);
-        assert!(heat.has_cold(&charged));
-        heat.charge(charged.slots());
-        assert!(!heat.has_cold(&charged));
-        assert!(!heat.has_cold(&plan(&[2, 3])));
-        assert!(heat.has_cold(&plan(&[2, 4])), "keyword 4 was never dispatched");
-        let other_radius = DFunction::single(Term::Keyword(KeywordId(1)), 41);
-        assert!(heat.has_cold(&QueryPlan::lower(&other_radius)));
     }
 }

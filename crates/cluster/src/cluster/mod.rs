@@ -12,8 +12,8 @@
 //!
 //! The `impl Cluster` is split by responsibility: `config` (the knob
 //! table), `supervise` (build / spawn / respawn / shutdown), `gather` (the
-//! response state machine), `dispatch` (ladder → group → windows → the
-//! broadcast → stats) and `heat` (the slot-heat ledger). This file keeps the
+//! response state machine), `dispatch` (group → windows → the broadcast →
+//! stats) and `heat` (the slot-heat ledger). This file keeps the
 //! struct, admission and the public entry points — all of which end in the
 //! one path through `dispatch`.
 //!
@@ -47,8 +47,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
 use disks_core::{
-    CostParams, DFunction, DlScope, NodeRuns, QClassQuery, QueryError, QueryPlan,
-    RangeKeywordQuery, SgkQuery,
+    DFunction, DlScope, NodeRuns, QClassQuery, QueryError, QueryPlan, RangeKeywordQuery, SgkQuery,
 };
 use disks_partition::FragmentId;
 use disks_roadnet::NodeId;
@@ -57,15 +56,13 @@ pub use self::assemble::AnswerGather;
 pub use self::config::{ClusterConfig, ConfigError};
 pub use self::supervise::RemoteWorkerCommand;
 
-use self::dispatch::Disposition;
 use self::gather::GatherEvent;
 use self::heat::SlotHeat;
 use self::supervise::{RespawnSpec, WorkerHandle};
 use crate::cache::CacheCounters;
 use crate::message::{encode_frame, Request, Response};
-use crate::overload::{OverloadCounters, PressureGauge};
 use crate::scheduler::Placement;
-use crate::stats::{MachineCost, QueryStats, RecoveryCounters};
+use crate::stats::{MachineCost, OverloadCounters, QueryStats, RecoveryCounters};
 use crate::transport::{LinkCounters, LinkSender};
 
 /// Result + statistics of one distributed query.
@@ -119,15 +116,11 @@ pub struct Cluster {
     /// fragment response) — drained by [`Cluster::take_service_latencies`]
     /// for benchmarking.
     service_lat: RefCell<VecDeque<u64>>,
-    /// Theorem 5 cost-model parameters derived from the global network's
-    /// keyword statistics, used to estimate plan cost at admission.
-    cost_params: CostParams,
-    /// The shared overload dial: in-flight estimated cost vs. the budget.
-    gauge: PressureGauge,
     /// Dispatch counts per `(term, radius)` coverage slot, charged at
-    /// admission — the brownout ladder's notion of cache-warm, and the
-    /// pre-warm set for respawned workers.
+    /// admission — the pre-warm set for respawned workers.
     slot_heat: RefCell<SlotHeat>,
+    /// Lifetime initial-dispatch frames: the first term of the frame ledger.
+    dispatch_frames: Cell<u64>,
     query_counter: Cell<u64>,
     respawn: RespawnSpec,
     recovery: Cell<RecoveryCounters>,
@@ -180,17 +173,9 @@ impl Cluster {
         self.cache.get()
     }
 
-    /// Cumulative overload-control decisions (admitted / shed / browned-out
-    /// queries, queue pauses and saturation events, initial-dispatch frames,
-    /// and the `retry_after` histogram) over the cluster's lifetime.
+    /// Lifetime initial-dispatch frames (and a `shed` that is always 0).
     pub fn overload_counters(&self) -> OverloadCounters {
-        self.gauge.counters()
-    }
-
-    /// Current measured pressure: in-flight estimated cost as a fraction of
-    /// [`ClusterConfig::cost_limit`] (0.0 while overload control is off).
-    pub fn pressure(&self) -> f64 {
-        self.gauge.pressure()
+        OverloadCounters { dispatch_frames: self.dispatch_frames.get(), shed: 0 }
     }
 
     /// Lifetime bytes sent over the coordinator→worker and
@@ -240,36 +225,30 @@ impl Cluster {
     }
 
     /// Run a D-function distributedly: lower it to a [`QueryPlan`], admit
-    /// it (validity, then estimated cost against the overload budget),
-    /// dispatch to busy machines, gather one response per fragment, union
-    /// the results (Lemma 1). A single query is a stream of one: this is
-    /// [`Cluster::run_stream`] on a one-element slice.
+    /// it, dispatch to busy machines, gather one response per fragment,
+    /// union the results (Lemma 1). A single query is a stream of one: this
+    /// is [`Cluster::run_stream`] on a one-element slice.
     pub fn run(&self, f: &DFunction) -> Result<QueryOutcome, QueryError> {
         let (mut outcomes, _) = self.run_stream(std::slice::from_ref(f));
         outcomes.pop().expect("one outcome per query")
     }
 
-    /// Run a stream of D-functions through the overload-controlled batched
-    /// dispatch path, returning a **per-query** `Result`: each query ends in
-    /// exactly one of full results, typed-partial results (degraded
-    /// fragments listed in its stats), or a typed error — notably
-    /// [`QueryError::Overloaded`] for queries shed by cost admission, which
-    /// provably cost zero wire bytes. This is the API overload-tolerant
-    /// clients drive: shed queries are resubmitted after their
-    /// `retry_after` instead of failing the whole stream.
+    /// Run a stream of D-functions through the batched dispatch path,
+    /// returning a **per-query** `Result`: each query ends in exactly one of
+    /// full results, typed-partial results (degraded fragments listed in
+    /// its stats), or a typed error. An invalid query is refused at
+    /// admission, before any dispatch, without failing the rest.
     ///
-    /// All requests of an admission group are dispatched before any
-    /// response is gathered, so worker machines process their queues
-    /// concurrently — the throughput mode the paper's introduction
-    /// motivates ("it will improve query throughput"). Dispatch honours
-    /// [`ClusterConfig::batch_window`]: windows of admitted plans merge into
-    /// per-worker super-plans. Each query's [`QueryOutcome`] carries its own
-    /// exact per-machine wire costs, cache counters, and retry count
-    /// (attribution is per query slot even inside a shared batch frame);
-    /// see `query_stats` for the fields that are group-level by
-    /// construction — notably `wall_time`, the query's *group* completion
-    /// offset from stream start, so queueing delay behind earlier admission
-    /// groups is visible in tail latencies.
+    /// All admitted queries are dispatched before any response is gathered,
+    /// so worker machines process their queues concurrently — the
+    /// throughput mode the paper's introduction motivates ("it will improve
+    /// query throughput"). Dispatch honours [`ClusterConfig::batch_window`]:
+    /// windows of admitted plans merge into per-worker super-plans. Each
+    /// query's [`QueryOutcome`] carries its own exact per-machine wire
+    /// costs, cache counters, and retry count (attribution is per query
+    /// slot even inside a shared batch frame); see `query_stats` for the
+    /// fields that are group-level by construction — notably `wall_time`,
+    /// the group's completion offset from stream start.
     ///
     /// A query's answer is assembled when its last fragment answers, while
     /// the workers evaluate the windows behind it; what is left after the
@@ -279,14 +258,19 @@ impl Cluster {
         fs: &[DFunction],
     ) -> (Vec<Result<QueryOutcome, QueryError>>, Duration) {
         let start = Instant::now();
-        let n = fs.len();
-        let plans: Vec<Result<QueryPlan, QueryError>> = fs
+        // Each query is refused, or slot `pos` of the one group.
+        let mut plans: Vec<QueryPlan> = Vec::with_capacity(fs.len());
+        let slots: Vec<Result<usize, QueryError>> = fs
             .iter()
             .map(|f| {
                 let p = QueryPlan::lower(f);
-                self.admit(&p).map(|()| p)
+                self.admit(&p).map(|()| {
+                    plans.push(p);
+                    plans.len() - 1
+                })
             })
             .collect();
+        let n = plans.len();
         let (c2w_before, _) = self.link_totals();
         let mut gather = self.answer_gather.borrow_mut();
         debug_assert!(gather.is_clear());
@@ -311,48 +295,39 @@ impl Cluster {
                 answers[i] = Some(gather.assemble(&std::mem::take(&mut lists[i])));
             }
         };
-        let stream = self.run_stream_core(plans, start, &mut on_event);
+        let group = (n > 0).then(|| self.run_plans(&plans, start, &mut on_event));
         debug_assert!(gather.is_clear());
         let elapsed = start.elapsed();
         let (c2w_after, _) = self.link_totals();
-        let ran = stream.disposition.iter().filter(|d| matches!(d, Disposition::Ran { .. })).count()
-            as u64;
-        let c2w_each = (c2w_after - c2w_before).checked_div(ran).unwrap_or(0);
+        let c2w_each = (c2w_after - c2w_before).checked_div(n as u64).unwrap_or(0);
 
-        let out = stream
-            .disposition
-            .iter()
-            .enumerate()
-            .map(|(i, d)| match d {
-                Disposition::Invalid(e) => Err(e.clone()),
-                Disposition::Shed(ms) => Err(QueryError::Overloaded { retry_after_millis: *ms }),
-                Disposition::Pending => unreachable!("all admitted queries are flushed"),
-                Disposition::Ran { group, pos } => {
-                    let g = &stream.groups[*group];
-                    if let Some(e) = &g.error {
-                        return Err(e.clone());
-                    }
-                    let nodes = answers[i].take().expect("a gather that ends Ok closed every slot");
-                    let stats = self.query_stats(
-                        g,
-                        *pos,
-                        std::mem::take(&mut per_machine[i]),
-                        cache_by_slot[i],
-                        nodes.len(),
-                        c2w_each,
-                    );
-                    Ok(QueryOutcome { results: nodes, stats })
+        let out = slots
+            .into_iter()
+            .map(|slot| {
+                let pos = slot?;
+                let g = group.as_ref().expect("an admitted query ran");
+                if let Some(e) = &g.error {
+                    return Err(e.clone());
                 }
+                let nodes = answers[pos].take().expect("a gather that ends Ok closed every slot");
+                let stats = self.query_stats(
+                    g,
+                    pos,
+                    std::mem::take(&mut per_machine[pos]),
+                    cache_by_slot[pos],
+                    nodes.len(),
+                    c2w_each,
+                );
+                Ok(QueryOutcome { results: nodes, stats })
             })
             .collect();
         (out, elapsed)
     }
 
     /// [`Cluster::run_stream`] for callers that want all or nothing: the
-    /// whole call fails on the first per-query error — including
-    /// [`QueryError::Overloaded`] for a shed query when a
-    /// [`ClusterConfig::cost_limit`] is set; use [`Cluster::run_stream`]
-    /// when individual outcomes should survive shedding.
+    /// whole call fails on the first per-query error; use
+    /// [`Cluster::run_stream`] when individual outcomes should survive a
+    /// failed query.
     pub fn run_batched(
         &self,
         fs: &[DFunction],
@@ -384,20 +359,12 @@ impl Cluster {
                 max_r: self.admission_max_r,
             });
         }
-        // Cost admission: a top-k query's work is bounded by the coverage
-        // Dijkstras of its keyword terms at the horizon radius.
-        let plan = QueryPlan::lower(&DFunction::intersection_of(&q.keywords, q.horizon));
-        let cost = plan.estimated_cost(&self.cost_params);
-        if let Some(retry_after_millis) = self.shed(&plan, cost, 0) {
-            return Err(QueryError::Overloaded { retry_after_millis });
-        }
-        self.gauge.note_admitted();
         let start = Instant::now();
         let (c2w_before, _) = self.link_totals();
         let mut per_machine: Vec<MachineCost> = vec![MachineCost::default(); self.num_machines()];
         let mut cache = CacheCounters::default();
         let mut lists: Vec<Vec<disks_core::Ranked>> = Vec::new();
-        let group = self.run_group(&[cost], start, &mut |base, allow_partial| {
+        let group = self.run_group(1, start, &mut |base| {
             let request = |_: usize, frags: Vec<u32>| Request::TopK {
                 query_id: base + 1,
                 query: q.clone(),
@@ -416,7 +383,7 @@ impl Cluster {
                     lists.push(ranked);
                 }
             };
-            (self.gather(base, 1, allow_partial, &request, &mut on_event), sent)
+            (self.gather(base, 1, &request, &mut on_event), sent)
         });
         if let Some(e) = group.error {
             return Err(e);

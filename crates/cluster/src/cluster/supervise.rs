@@ -13,20 +13,20 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
-use disks_core::{CostParams, DlScope, FragmentEngine, NpdIndex};
+use disks_core::{DlScope, FragmentEngine, NpdIndex};
 use disks_partition::{FragmentId, Partitioning};
 use disks_roadnet::{RoadNetwork, INF};
 
+use super::gather::{backoff_delay, splitmix64};
 use super::{AnswerGather, Cluster, ClusterConfig};
 use crate::cache::CacheCounters;
 use crate::framing;
 use crate::message::{encode_frame, Request};
-use crate::overload::{backoff_delay, splitmix64, PressureGauge};
 use crate::scheduler::Placement;
 use crate::stats::RecoveryCounters;
 use crate::transport::{
     counted_link, loopback_pair, tcp_worker_endpoint, ChannelLink, FaultInjector, FaultPlan, Link,
-    LinkCounters, LinkDirection, LinkSender, TcpLink, TransportFaults, TransportKind,
+    LinkCounters, LinkDirection, LinkSender, TcpLink, TransportFaults, TransportKind, QUEUE_FRAMES,
 };
 use crate::worker::{worker_loop, WorkerEngine, WorkerFaults};
 
@@ -185,7 +185,7 @@ fn spawn_local_worker(
     };
     match config.transport {
         TransportKind::Channel => {
-            let (req_tx, req_rx) = crossbeam::channel::bounded(config.queue_capacity);
+            let (req_tx, req_rx) = crossbeam::channel::bounded(QUEUE_FRAMES);
             let responses = resp_tx.with_faults(faults.from_worker);
             let join = spawn_thread(req_rx, responses);
             (Box::new(ChannelLink::new(req_tx, counters, faults.to_worker)), join)
@@ -210,7 +210,6 @@ fn spawn_local_worker(
                 resp_tx.raw(),
                 None,
                 config.heartbeat,
-                config.queue_capacity,
             )
             .expect("coordinator tcp link");
             (Box::new(link), join)
@@ -230,18 +229,8 @@ fn remote_link(
     config: &ClusterConfig,
 ) -> io::Result<Box<dyn Link>> {
     let received = Some(Arc::clone(from_workers));
-    let (heartbeat, capacity) = (config.heartbeat, config.queue_capacity);
-    let link = TcpLink::spawn(
-        stream,
-        m,
-        counters,
-        None,
-        None,
-        resp_tx.raw(),
-        received,
-        heartbeat,
-        capacity,
-    )?;
+    let link =
+        TcpLink::spawn(stream, m, counters, None, None, resp_tx.raw(), received, config.heartbeat)?;
     Ok(Box::new(link))
 }
 
@@ -431,9 +420,8 @@ impl Cluster {
             answer_gather: RefCell::new(AnswerGather::new(spec.net.num_nodes())),
             admission_max_r,
             service_lat: RefCell::new(VecDeque::new()),
-            cost_params: CostParams::from_network(&spec.net),
-            gauge: PressureGauge::new(config.cost_limit, config.brownout),
             slot_heat: RefCell::default(),
+            dispatch_frames: Cell::new(0),
             query_counter: Cell::new(0),
             respawn: spec,
             recovery: Cell::new(RecoveryCounters::default()),
@@ -524,11 +512,6 @@ impl Cluster {
         let child = command.spawn()?;
         listener.set_nonblocking(true)?;
         let deadline = Instant::now() + Duration::from_secs(30);
-        let base = if self.config.retry_backoff.is_zero() {
-            Duration::from_millis(2)
-        } else {
-            self.config.retry_backoff
-        };
         let mut attempt = 1u32;
         let stream = loop {
             match listener.accept() {
@@ -547,7 +530,7 @@ impl Cluster {
                         ));
                     }
                     let seed = splitmix64(0x00AC_CE97 ^ ((m as u64) << 32) ^ attempt as u64);
-                    std::thread::sleep(backoff_delay(base, attempt.min(5), seed));
+                    std::thread::sleep(backoff_delay(attempt.min(5), seed));
                     attempt += 1;
                 }
                 Err(e) => return Err(e),
@@ -569,7 +552,7 @@ impl Cluster {
         }
         let undelivered = {
             let workers = self.workers.borrow();
-            workers[m].link.deliver(frame, &mut || self.gauge.note_queue_full())
+            workers[m].link.deliver(frame)
         };
         for f in undelivered {
             // The worker died between the liveness check and the send:

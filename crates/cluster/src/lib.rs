@@ -48,17 +48,9 @@
 //! path, attribution stays per-query exact, and faults inside a batch narrow
 //! to per-query retries (see `DESIGN.md` §"Batched dispatch").
 //!
-//! Under overload the coordinator controls admission instead of collapsing
-//! ([`overload`], `DESIGN.md` §6e): the Theorem 5 cost model prices every
-//! plan, a [`PressureGauge`] bounds in-flight estimated cost per worker
-//! ([`ClusterConfig::cost_limit`], env `DISKS_COST_LIMIT`), over-budget
-//! queries are shed with a typed [`disks_core::QueryError::Overloaded`] and
-//! a pressure-monotone `retry_after` hint *before any frame is encoded*
-//! (zero wire bytes), and above the [`ClusterConfig::brownout`] threshold
-//! the cluster degrades (partial results, cache-cold queries turned away)
-//! before it sheds. Narrowed retries back off exponentially with
-//! deterministic seeded jitter ([`ClusterConfig::retry_backoff`], env
-//! `DISKS_RETRY_BACKOFF`), and respawned workers are pre-warmed with the
+//! The coordinator admits every valid query: it sheds nothing, as the
+//! paper's does not. Narrowed retries back off exponentially with
+//! deterministic seeded jitter, and respawned workers are pre-warmed with the
 //! hottest coverage slots before retry traffic reaches them.
 
 #![forbid(unsafe_code)]
@@ -67,7 +59,6 @@ pub mod cache;
 pub mod cluster;
 pub mod framing;
 pub mod message;
-pub mod overload;
 pub mod scheduler;
 pub mod stats;
 pub mod transport;
@@ -79,9 +70,8 @@ pub use cluster::{
 };
 pub use framing::{FrameAssembler, StreamEvent};
 pub use message::{BatchAnswer, Request, Response, WireCost};
-pub use overload::{retry_after, OverloadCounters, PressureGauge};
 pub use scheduler::Placement;
-pub use stats::{MachineCost, QueryStats, RecoveryCounters};
+pub use stats::{MachineCost, OverloadCounters, QueryStats, RecoveryCounters};
 pub use transport::{
     tcp_worker_endpoint, FaultAction, FaultPlan, HeartbeatConfig, HeartbeatConfigError,
     LinkCounters, LinkDirection, LinkFault, LinkSender, NetworkModel, TcpWorkerEndpoint,

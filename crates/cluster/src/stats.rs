@@ -97,19 +97,11 @@ pub struct QueryStats {
     /// Coverages refused at cache insert because their content was below
     /// the per-entry bookkeeping overhead (see `CacheCounters::bypassed`).
     pub cache_bypassed: u64,
-    /// Theorem 5 estimated cost charged against the overload budget at
-    /// admission (`QueryPlan::estimated_cost`; 0 when stats predate
-    /// admission, e.g. defaults).
-    pub estimated_cost: u64,
-    /// Whether the query ran under brownout degradation: the pressure gauge
-    /// was above `ClusterConfig::brownout`, so partial-result semantics
-    /// applied regardless of `allow_partial`.
-    pub browned_out: bool,
 }
 
 /// Cumulative recovery events over a cluster's lifetime (all queries,
 /// including pipelined batches) — the coordinator's fault ledger, exposed
-/// via `Cluster::recovery_counters`. With the overload counters' initial
+/// via `Cluster::recovery_counters`. With [`OverloadCounters`]' initial
 /// dispatches it closes the coordinator→worker frame ledger:
 /// `c2w == dispatch_frames + retries + prewarm_frames`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -134,6 +126,23 @@ pub struct RecoveryCounters {
     pub prewarm_frames: u64,
     /// Coverage slots shipped in those `Prewarm` frames.
     pub prewarmed_slots: u64,
+}
+
+/// The coordinator's initial-dispatch count, exposed via
+/// `Cluster::overload_counters`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OverloadCounters {
+    /// Initial-dispatch request frames sent (excludes retries, which are
+    /// ledgered in [`RecoveryCounters::retries`], and pre-warm frames, in
+    /// [`RecoveryCounters::prewarm_frames`]). Together the three partition
+    /// every coordinator→worker frame, so they reconcile exactly against
+    /// `Cluster::link_message_totals`.
+    pub dispatch_frames: u64,
+    /// Queries the coordinator refused for load: always 0, since it admits
+    /// every valid query. Kept only because the benchmark
+    /// (`benchmark/src/sut.rs`) reads `overload_counters().shed`, until that
+    /// pinned surface moves (ROADMAP 1(b)).
+    pub shed: u64,
 }
 
 impl QueryStats {
@@ -190,8 +199,6 @@ impl Default for QueryStats {
             cache_misses: 0,
             cache_evictions: 0,
             cache_bypassed: 0,
-            estimated_cost: 0,
-            browned_out: false,
         }
     }
 }

@@ -35,11 +35,13 @@ use std::thread;
 use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{
-    bounded, unbounded, Receiver, RecvTimeoutError, SendError, Sender, TrySendError,
-};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, SendError, Sender};
 
 use crate::framing::{self, FrameAssembler, StreamEvent};
+
+/// Capacity, in frames, of each coordinator→worker request queue. A full
+/// queue blocks the coordinator's send until the worker drains a frame.
+pub(crate) const QUEUE_FRAMES: usize = 1024;
 
 /// Latency/bandwidth model converting message bytes into modeled wire time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -564,13 +566,11 @@ impl Default for HeartbeatConfig {
 /// ([`Link::deliver_unfaulted`]), and shutdown is neither
 /// ([`Link::send_raw`]).
 pub trait Link: Send {
-    /// Deliver one frame through faults and counters. `on_full` fires when
-    /// the peer's bounded queue is full before the blocking hand-off (the
-    /// backpressure signal the overload gauge records). Frames the peer
-    /// never accepted (it vanished mid-send) are returned so the caller can
-    /// respawn it and re-deliver them raw — their bytes are already
-    /// counted.
-    fn deliver(&self, frame: &Bytes, on_full: &mut dyn FnMut()) -> Vec<Bytes>;
+    /// Deliver one frame through faults and counters, blocking while the
+    /// peer's bounded queue is full. Frames the peer never accepted (it
+    /// vanished mid-send) are returned so the caller can respawn it and
+    /// re-deliver them raw — their bytes are already counted.
+    fn deliver(&self, frame: &Bytes) -> Vec<Bytes>;
 
     /// Hand a frame to the peer without counting or faults.
     fn send_raw(&self, frame: Bytes) -> bool;
@@ -595,14 +595,13 @@ pub trait Link: Send {
 }
 
 /// Shared delivery logic of both link kinds: apply the injector, count
-/// every admitted frame, queue with queue-full signalling, and surface
-/// frames the peer never accepted.
+/// every admitted frame, queue it, and surface frames the peer never
+/// accepted.
 fn deliver_via(
     tx: &Sender<Bytes>,
     counters: &LinkCounters,
     faults: &Option<Arc<FaultInjector>>,
     frame: &Bytes,
-    on_full: &mut dyn FnMut(),
 ) -> Vec<Bytes> {
     let frames = match faults {
         None => vec![frame.clone()],
@@ -618,15 +617,8 @@ fn deliver_via(
     let mut undelivered = Vec::new();
     for f in frames {
         counters.record_send(f.len() as u64);
-        match tx.try_send(f) {
-            Ok(()) => {}
-            Err(TrySendError::Full(f)) => {
-                on_full();
-                if let Err(SendError(f)) = tx.send(f) {
-                    undelivered.push(f);
-                }
-            }
-            Err(TrySendError::Disconnected(f)) => undelivered.push(f),
+        if let Err(SendError(f)) = tx.send(f) {
+            undelivered.push(f);
         }
     }
     undelivered
@@ -652,8 +644,8 @@ impl ChannelLink {
 }
 
 impl Link for ChannelLink {
-    fn deliver(&self, frame: &Bytes, on_full: &mut dyn FnMut()) -> Vec<Bytes> {
-        deliver_via(&self.tx, &self.counters, &self.faults, frame, on_full)
+    fn deliver(&self, frame: &Bytes) -> Vec<Bytes> {
+        deliver_via(&self.tx, &self.counters, &self.faults, frame)
     }
 
     fn send_raw(&self, frame: Bytes) -> bool {
@@ -775,7 +767,7 @@ fn ingress_pump(
 }
 
 /// A coordinator→worker link over a real TCP stream. Delivery semantics
-/// (faults, counters, queue-full backpressure) are identical to
+/// (faults, counters, the bounded queue) are identical to
 /// [`ChannelLink`] — the socket machinery lives in two pump threads below
 /// the seam. Incoming response frames are forwarded into the cluster's
 /// shared response channel; `received` counters apply only when the sender
@@ -799,10 +791,9 @@ impl TcpLink {
         responses: Sender<Bytes>,
         received: Option<Arc<LinkCounters>>,
         heartbeat: HeartbeatConfig,
-        queue_capacity: usize,
     ) -> std::io::Result<TcpLink> {
         stream.set_nodelay(true)?;
-        let (tx, rx) = bounded(queue_capacity.max(1));
+        let (tx, rx) = bounded(QUEUE_FRAMES);
         let down = Arc::new(AtomicBool::new(false));
         let writer = stream.try_clone()?;
         let reader = stream.try_clone()?;
@@ -822,8 +813,8 @@ impl TcpLink {
 }
 
 impl Link for TcpLink {
-    fn deliver(&self, frame: &Bytes, on_full: &mut dyn FnMut()) -> Vec<Bytes> {
-        deliver_via(&self.tx, &self.counters, &self.faults, frame, on_full)
+    fn deliver(&self, frame: &Bytes) -> Vec<Bytes> {
+        deliver_via(&self.tx, &self.counters, &self.faults, frame)
     }
 
     fn send_raw(&self, frame: Bytes) -> bool {

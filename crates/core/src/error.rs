@@ -79,12 +79,6 @@ pub enum QueryError {
     /// The listed fragments never answered within the configured deadline,
     /// across `attempts` dispatch attempts.
     WorkerTimeout { fragments: Vec<u32>, attempts: u32 },
-    /// Admission control shed the query before dispatch: its estimated cost
-    /// would push some worker past the configured in-flight budget. The
-    /// client should back off for at least `retry_after_millis` (grows
-    /// monotonically with the measured pressure at shed time). Shedding
-    /// happens coordinator-side, so a shed query costs zero wire bytes.
-    Overloaded { retry_after_millis: u64 },
 }
 
 impl QueryError {
@@ -93,9 +87,7 @@ impl QueryError {
     /// Fragment tasks are stateless and idempotent, so transient failures
     /// (a panicking or stalled worker) are retryable; semantic rejections
     /// (radius over `maxR`, empty query, unindexed location) are
-    /// deterministic and retrying them is futile. `Overloaded` is not
-    /// *immediately* retryable — the same submission would be shed again;
-    /// the client must wait out `retry_after_millis` first.
+    /// deterministic and retrying them is futile.
     pub fn is_retryable(&self) -> bool {
         matches!(self, QueryError::WorkerPanic(_) | QueryError::WorkerTimeout { .. })
     }
@@ -115,9 +107,6 @@ impl fmt::Display for QueryError {
             QueryError::WorkerPanic(msg) => write!(f, "worker panicked: {msg}"),
             QueryError::WorkerTimeout { fragments, attempts } => {
                 write!(f, "fragments {fragments:?} unresponsive after {attempts} attempts")
-            }
-            QueryError::Overloaded { retry_after_millis } => {
-                write!(f, "cluster overloaded; retry after {retry_after_millis}ms")
             }
         }
     }
@@ -153,10 +142,6 @@ impl Encode for QueryError {
                 fragments.encode(buf);
                 attempts.encode(buf);
             }
-            QueryError::Overloaded { retry_after_millis } => {
-                6u8.encode(buf);
-                retry_after_millis.encode(buf);
-            }
         }
     }
 }
@@ -174,9 +159,8 @@ impl Decode for QueryError {
                 fragments: Vec::decode(buf)?,
                 attempts: u32::decode(buf)?,
             }),
-            6 => Ok(QueryError::Overloaded { retry_after_millis: u64::decode(buf)? }),
-            // 7 is retired (an earlier build's slot-reference NACK), not
-            // reused.
+            // 6 (an earlier build's load-shedding refusal) and 7 (its
+            // slot-reference NACK) are retired, not reused.
             tag => Err(DecodeError::BadTag { context: "QueryError", tag }),
         }
     }
@@ -196,7 +180,6 @@ mod tests {
             QueryError::Engine("overflow".into()),
             QueryError::WorkerPanic("index out of bounds".into()),
             QueryError::WorkerTimeout { fragments: vec![1, 3], attempts: 3 },
-            QueryError::Overloaded { retry_after_millis: 12 },
         ];
         for e in cases {
             let mut buf = BytesMut::new();
@@ -205,11 +188,13 @@ mod tests {
             assert_eq!(QueryError::decode(&mut bytes).unwrap(), e);
             assert!(!bytes.has_remaining(), "full consumption for {e}");
         }
-        // A retired tag stays unassigned.
-        assert_eq!(
-            QueryError::decode(&mut &[7u8, 0, 0, 0, 0][..]),
-            Err(DecodeError::BadTag { context: "QueryError", tag: 7 })
-        );
+        // The retired tags stay unassigned.
+        for tag in [6u8, 7] {
+            assert_eq!(
+                QueryError::decode(&mut &[tag, 12, 0, 0, 0, 0, 0, 0, 0][..]),
+                Err(DecodeError::BadTag { context: "QueryError", tag })
+            );
+        }
     }
 
     #[test]
@@ -219,6 +204,5 @@ mod tests {
         assert!(!QueryError::EmptyQuery.is_retryable());
         assert!(!QueryError::RadiusExceedsMaxR { r: 2, max_r: 1 }.is_retryable());
         assert!(!QueryError::Engine("x".into()).is_retryable());
-        assert!(!QueryError::Overloaded { retry_after_millis: 5 }.is_retryable());
     }
 }

@@ -54,7 +54,7 @@ pub use index::{
     build_all_indexes, build_index, build_index_with_threads, build_naive_index, DlScope,
     IndexConfig, IndexStats, NpdIndex,
 };
-pub use plan::{CostParams, QueryPlan, SuperPlan};
+pub use plan::{QueryPlan, SuperPlan};
 pub use query::{QClassQuery, RangeKeywordQuery, SgkQuery};
 pub use runs::NodeRuns;
 pub use topk::{centralized_topk, merge_topk, Ranked, ScoreCombine, TopKQuery};

@@ -17,62 +17,10 @@ use std::sync::Arc;
 use bytes::{Buf, BufMut};
 
 use disks_roadnet::codec::{Decode, Encode};
-use disks_roadnet::{DecodeError, RoadNetwork};
+use disks_roadnet::DecodeError;
 
 use crate::bitset::BitSet;
 use crate::dfunc::{DFunction, DTerm, SetOp, Term};
-
-/// Keyword statistics backing the Theorem 5 pre-dispatch cost estimate.
-///
-/// Theorem 5 bounds a slot's evaluation cost by the size of the coverage it
-/// materializes (`α` settled nodes) times the per-node expansion work. At
-/// admission time neither is known exactly, but both are predictable from
-/// whole-network statistics the coordinator already holds: the keyword's
-/// global frequency bounds the coverage population, and the radius measured
-/// in average edge lengths bounds the Dijkstra expansion depth. The product
-/// is a unitless *cost score* — only ratios between queries matter, so the
-/// admission budget (`DISKS_COST_LIMIT`) is calibrated in the same units.
-#[derive(Debug, Clone)]
-pub struct CostParams {
-    keyword_freq: Vec<u64>,
-    num_nodes: u64,
-    avg_edge_weight: u64,
-}
-
-impl CostParams {
-    /// Capture cost statistics from a road network (coordinator side; the
-    /// coordinator retains the network for respawns, so this is free).
-    pub fn from_network(net: &RoadNetwork) -> Self {
-        CostParams::new(
-            net.keyword_frequencies().into_iter().map(|f| f as u64).collect(),
-            net.num_nodes() as u64,
-            net.avg_edge_weight(),
-        )
-    }
-
-    /// Build from raw statistics (tests / synthetic workloads).
-    pub fn new(keyword_freq: Vec<u64>, num_nodes: u64, avg_edge_weight: u64) -> Self {
-        CostParams { keyword_freq, num_nodes, avg_edge_weight }
-    }
-
-    /// Estimated cost of materializing one coverage slot: expected coverage
-    /// population × radius expressed in average edge lengths (a hop-count
-    /// proxy for Dijkstra expansion depth). Monotone in both the keyword's
-    /// frequency and the slot radius; never zero, so every admitted slot
-    /// charges the pressure gauge. An upper bound per fragment: a worker
-    /// searches the slot only where the plan's lazy driver asks for it.
-    pub fn slot_cost(&self, slot: &DTerm) -> u64 {
-        let population = match slot.term {
-            Term::Keyword(k) => {
-                self.keyword_freq.get(k.0 as usize).copied().unwrap_or(0).min(self.num_nodes)
-            }
-            // A node-anchored slot expands from a single source.
-            Term::Node(_) => 1,
-        };
-        let hops = 1 + slot.radius / self.avg_edge_weight.max(1);
-        population.max(1).saturating_mul(hops)
-    }
-}
 
 /// A normalized query: deduplicated coverage slots plus a combine program.
 ///
@@ -157,16 +105,6 @@ impl QueryPlan {
         } else {
             None
         }
-    }
-
-    /// Theorem 5 pre-dispatch cost estimate: the summed slot costs (distinct
-    /// coverages × expected coverage size). Deduplicated slots are charged
-    /// once. An upper bound on what a worker evaluates — [`Self::evaluate_lazy`]
-    /// skips slots an empty accumulator no longer depends on, which admission
-    /// cannot foresee. Always ≥ 1, so an admitted query is never free under
-    /// the pressure gauge.
-    pub fn estimated_cost(&self, params: &CostParams) -> u64 {
-        self.slots.iter().map(|s| params.slot_cost(s)).fold(0u64, u64::saturating_add).max(1)
     }
 
     /// The order [`Self::evaluate_lazy`] takes the operands in, or `None`
@@ -737,45 +675,6 @@ mod tests {
         sp.encode(&mut buf);
         let mut bytes = buf.freeze();
         assert_eq!(SuperPlan::decode(&mut bytes).unwrap(), sp);
-    }
-
-    #[test]
-    fn estimated_cost_charges_deduplicated_slots_once() {
-        let params = CostParams::new(vec![40, 10], 100, 5);
-        // R(k0,10) ∩ R(k1,10) ∪ R(k0,10): k0 slot shared, charged once.
-        let f = DFunction::single(Term::Keyword(KeywordId(0)), 10)
-            .then(SetOp::Intersect, Term::Keyword(KeywordId(1)), 10)
-            .then(SetOp::Union, Term::Keyword(KeywordId(0)), 10);
-        let plan = QueryPlan::lower(&f);
-        // hops = 1 + 10/5 = 3; cost = 40*3 + 10*3, not 40*3*2 + 10*3.
-        assert_eq!(plan.estimated_cost(&params), 40 * 3 + 10 * 3);
-    }
-
-    #[test]
-    fn estimated_cost_monotone_in_radius_and_frequency() {
-        let params = CostParams::new(vec![7, 70], 1000, 4);
-        let cost = |kw: u32, r: u64| {
-            QueryPlan::lower(&DFunction::single(Term::Keyword(KeywordId(kw)), r))
-                .estimated_cost(&params)
-        };
-        for r in 0..64 {
-            assert!(cost(0, r + 1) >= cost(0, r), "radius monotonicity at r={r}");
-            assert!(cost(1, r) >= cost(0, r), "frequency monotonicity at r={r}");
-        }
-    }
-
-    #[test]
-    fn estimated_cost_floors_at_one_and_caps_population() {
-        // Unknown keyword and node slots still cost at least 1.
-        let params = CostParams::new(vec![], 10, 0);
-        let unknown = QueryPlan::lower(&DFunction::single(Term::Keyword(KeywordId(9)), 0));
-        assert_eq!(unknown.estimated_cost(&params), 1);
-        let node = QueryPlan::lower(&DFunction::single(Term::Node(NodeId(3)), 8));
-        assert!(node.estimated_cost(&params) >= 1);
-        // A frequency claiming more nodes than exist is clamped.
-        let inflated = CostParams::new(vec![u64::MAX], 10, 1);
-        let kw = QueryPlan::lower(&DFunction::single(Term::Keyword(KeywordId(0)), 0));
-        assert_eq!(kw.estimated_cost(&inflated), 10);
     }
 
     #[test]

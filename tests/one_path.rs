@@ -44,10 +44,6 @@ fn shipped() -> ClusterConfig {
         faults: None,
         coverage_cache_bytes: 64 << 20,
         batch_window: 16,
-        cost_limit: 0,
-        brownout: 0.75,
-        retry_backoff: Duration::from_millis(2),
-        queue_capacity: 1024,
         transport: TransportKind::Channel,
         heartbeat: HeartbeatConfig::default(),
     }
@@ -340,6 +336,9 @@ fn a_knob_this_build_does_not_have_is_refused_by_name() {
             ("DISKS_REPLICAS", "1"),
             ("DISKS_HEDGE", "adaptive"),
             ("DISKS_QUARANTINE", "1"),
+            ("DISKS_COST_LIMIT", "5000000"),
+            ("DISKS_BROWNOUT", "0.9"),
+            ("DISKS_RETRY_BACKOFF", "3"),
         ] {
             refused(&[], Some((var, value)), var);
         }
