@@ -212,9 +212,9 @@ impl CoverageCache {
     /// overhead: a dense bitset's resident size is fragment-constant, so
     /// the meaningful size of a coverage is its content at 4 bytes per
     /// covered node (its wire size as a result set) — an entry below
-    /// [`ENTRY_OVERHEAD`] on that measure spends more budget on keys and
-    /// metadata than on coverage, polluting the LRU. Such inserts are
-    /// counted as `bypassed` instead.
+    /// `ENTRY_OVERHEAD` (64 bytes) on that measure spends more budget on
+    /// keys and metadata than on coverage, polluting the LRU. Such inserts
+    /// are counted as `bypassed` instead.
     pub fn insert(&mut self, fragment: u32, term: Term, radius: u64, coverage: Arc<BitSet>) {
         if self.is_disabled() {
             return;

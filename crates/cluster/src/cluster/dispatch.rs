@@ -55,18 +55,15 @@ impl Cluster {
     /// The dispatch/gather core every plan query goes through
     /// ([`Cluster::run_stream`], and through it [`Cluster::run`] and
     /// [`Cluster::run_batched`]): the admitted `plans` of a stream, in
-    /// order, are one group, charged to the slot-heat ledger, cut into
-    /// windows and gathered. `on_event` receives each query's gather events
-    /// ([`Sink`]) keyed by its position in `plans`.
+    /// order, are one group, cut into windows and gathered. `on_event`
+    /// receives each query's gather events ([`Sink`]) keyed by its position
+    /// in `plans`.
     pub(super) fn run_plans(
         &self,
         plans: &[QueryPlan],
         start: Instant,
         on_event: &mut Sink,
     ) -> GroupRun {
-        for plan in plans {
-            self.slot_heat.borrow_mut().charge(plan.slots());
-        }
         self.run_group(plans.len(), start, &mut |base| {
             // Retries always narrow to single-query `Evaluate` frames for
             // only the failed queries, however the window was batched.

@@ -78,9 +78,9 @@ pub(super) struct GatherReport {
 }
 
 /// Bookkeeping of one [`Cluster::gather`]: which `(slot, fragment)` pairs
-/// answered, per-pair retry budgets, and per-slot completion timing. Every
-/// slot is outstanding from construction — a group's windows are all
-/// dispatched before its gather starts.
+/// answered and per-pair retry budgets. Every slot is outstanding from
+/// construction — a group's windows are all dispatched before its gather
+/// starts.
 struct GatherState {
     n: usize,
     k: usize,
@@ -94,20 +94,12 @@ struct GatherState {
     /// Narrowed retries waiting out their backoff: (due, slot, fragments).
     pending_retries: Vec<(Instant, usize, Vec<u32>)>,
     stall_deadline: Instant,
-    /// When the gather began, i.e. when the group's dispatch completed —
-    /// the start of every slot's service-latency clock.
-    dispatched_at: Instant,
-    /// Service latencies (dispatch → last fragment response, µs) of
-    /// completed slots.
-    latencies: Vec<u64>,
 }
 
 impl GatherState {
-    /// All `n` slots outstanding on every fragment, their service-latency
-    /// clocks started.
+    /// All `n` slots outstanding on every fragment.
     fn new(cluster: &Cluster, n: usize) -> GatherState {
         let k = cluster.placement.num_fragments();
-        let now = Instant::now();
         GatherState {
             n,
             k,
@@ -121,27 +113,21 @@ impl GatherState {
             // The deadline measures *silence*, not total time: any
             // in-window frame resets it, so a long streak of slow-but-live
             // responses is never mistaken for a stall.
-            stall_deadline: now + cluster.config.deadline,
-            dispatched_at: now,
-            latencies: Vec::new(),
+            stall_deadline: Instant::now() + cluster.config.deadline,
         }
     }
 
     /// Record one answered `(slot, fragment)` pair — with its payload, or
     /// `None` for a fragment given up on — and hand the sink what follows:
     /// the payload, then [`GatherEvent::Complete`] if it was the slot's last
-    /// outstanding pair, whose service-latency sample closes here too.
+    /// outstanding pair.
     fn note_answered(&mut self, slot: usize, payload: Option<(Response, u64)>, sink: &mut Sink) {
         self.missing -= 1;
         self.missing_by_slot[slot] -= 1;
-        let complete = self.missing_by_slot[slot] == 0;
-        if complete {
-            self.latencies.push(self.dispatched_at.elapsed().as_micros() as u64);
-        }
         if let Some((response, bytes)) = payload {
             sink(slot, GatherEvent::Payload(response, bytes));
         }
-        if complete {
+        if self.missing_by_slot[slot] == 0 {
             sink(slot, GatherEvent::Complete);
         }
     }
@@ -456,20 +442,7 @@ impl Cluster {
             }
         };
         self.note_recovery(&gs.report);
-        self.note_service_latencies(&gs.latencies);
         outcome.map(|()| std::mem::take(&mut gs.report))
-    }
-
-    /// Append a gather's completed-query service latencies to the ring
-    /// [`Cluster::take_service_latencies`] drains.
-    fn note_service_latencies(&self, lats: &[u64]) {
-        let mut ring = self.service_lat.borrow_mut();
-        for &service in lats {
-            if ring.len() == 4096 {
-                ring.pop_front();
-            }
-            ring.push_back(service);
-        }
     }
 
     /// Fold one gather's recovery events into the lifetime counters.

@@ -12,10 +12,9 @@
 //!
 //! The `impl Cluster` is split by responsibility: `config` (the knob
 //! table), `supervise` (build / spawn / respawn / shutdown), `gather` (the
-//! response state machine), `dispatch` (group → windows → the broadcast →
-//! stats) and `heat` (the slot-heat ledger). This file keeps the
-//! struct, admission and the public entry points — all of which end in the
-//! one path through `dispatch`.
+//! response state machine) and `dispatch` (group → windows → the broadcast
+//! → stats). This file keeps the struct, admission and the public entry
+//! points — all of which end in the one path through `dispatch`.
 //!
 //! # Failure model
 //!
@@ -36,11 +35,9 @@ mod assemble;
 mod config;
 mod dispatch;
 mod gather;
-mod heat;
 mod supervise;
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -57,7 +54,6 @@ pub use self::config::{ClusterConfig, ConfigError};
 pub use self::supervise::RemoteWorkerCommand;
 
 use self::gather::GatherEvent;
-use self::heat::SlotHeat;
 use self::supervise::{RespawnSpec, WorkerHandle};
 use crate::cache::CacheCounters;
 use crate::message::{encode_frame, Request, Response};
@@ -112,13 +108,6 @@ pub struct Cluster {
     /// single-level deployment, [`disks_roadnet::INF`] for unbounded or §5.5 bi-level
     /// deployments (whose secondary serves any radius).
     admission_max_r: u64,
-    /// Ring of recent per-query service latencies (µs, dispatch → last
-    /// fragment response) — drained by [`Cluster::take_service_latencies`]
-    /// for benchmarking.
-    service_lat: RefCell<VecDeque<u64>>,
-    /// Dispatch counts per `(term, radius)` coverage slot, charged at
-    /// admission — the pre-warm set for respawned workers.
-    slot_heat: RefCell<SlotHeat>,
     /// Lifetime initial-dispatch frames: the first term of the frame ledger.
     dispatch_frames: Cell<u64>,
     query_counter: Cell<u64>,
@@ -146,8 +135,8 @@ impl Cluster {
     /// Theorem 6's unbalance factor `U` over the cluster lifetime: the
     /// maximum / minimum worker-reported evaluation time across busy
     /// machines, each answer credited to its fragment's owner.
-    /// `1.0` while any busy machine has yet to report work (the per-query
-    /// convention of [`QueryStats::finalize`]).
+    /// `1.0` while any busy machine has yet to report work (the convention
+    /// [`QueryStats::unbalance_factor`] follows per query).
     pub fn unbalance_factor(&self) -> f64 {
         let compute = self.compute_micros.borrow();
         let busy: Vec<u64> = self.placement.busy_machines().map(|m| compute[m]).collect();
@@ -207,13 +196,6 @@ impl Cluster {
             }
         }
         Ok(())
-    }
-
-    /// Drain the recorded per-query service latencies (dispatch → last
-    /// fragment response) of grouped runs since the last call, in
-    /// completion order.
-    pub fn take_service_latencies(&self) -> Vec<Duration> {
-        self.service_lat.borrow_mut().drain(..).map(Duration::from_micros).collect()
     }
 
     /// Lifetime frames (not bytes) sent over the coordinator→worker and

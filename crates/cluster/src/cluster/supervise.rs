@@ -2,7 +2,6 @@
 //! remote processes), detecting and respawning dead ones, and teardown.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -29,10 +28,6 @@ use crate::transport::{
     LinkCounters, LinkDirection, LinkSender, TcpLink, TransportFaults, TransportKind, QUEUE_FRAMES,
 };
 use crate::worker::{worker_loop, WorkerEngine, WorkerFaults};
-
-/// How many of the hottest coverage slots a freshly respawned worker is
-/// pre-warmed with before any retry traffic reaches it.
-const PREWARM_TOP_K: usize = 8;
 
 /// How a worker peer is hosted: an in-process thread (channel and loopback
 /// TCP transports) or a separate OS process (remote clusters).
@@ -419,8 +414,6 @@ impl Cluster {
             is_object: spec.net.node_ids().map(|n| spec.net.is_object(n)).collect(),
             answer_gather: RefCell::new(AnswerGather::new(spec.net.num_nodes())),
             admission_max_r,
-            service_lat: RefCell::new(VecDeque::new()),
-            slot_heat: RefCell::default(),
             dispatch_frames: Cell::new(0),
             query_counter: Cell::new(0),
             respawn: spec,
@@ -444,13 +437,9 @@ impl Cluster {
     /// keep their fault-injector Arcs — ordinal state persists across the
     /// link rebuild — but never inherit one-shot kill/panic faults.
     ///
-    /// The replacement starts with a cold coverage cache (the cache lived
-    /// inside the dead worker), so before any retry traffic reaches it the
-    /// coordinator queues a single `Prewarm` frame listing the hottest
-    /// coverage slots by dispatch count — FIFO ordering guarantees the
-    /// cache is repopulated before the first re-dispatched query arrives,
-    /// instead of every hot slot missing at once (a thundering herd of
-    /// cold Dijkstras).
+    /// The replacement starts with a cold coverage cache, like any new
+    /// worker: the cache lived inside the dead one, and each cold slot
+    /// costs the one search the first query that needs it runs.
     fn respawn_worker(&self, m: usize) {
         let mut workers = self.workers.borrow_mut();
         let w = &mut workers[m];
@@ -483,18 +472,6 @@ impl Cluster {
             );
             w.link = link;
             w.peer = WorkerPeer::Thread(Some(join));
-        }
-        if self.config.coverage_cache_bytes > 0 {
-            let slots = self.slot_heat.borrow().hottest(PREWARM_TOP_K);
-            if !slots.is_empty() {
-                let num_slots = slots.len() as u64;
-                let frame = encode_frame(&Request::Prewarm { slots, fragments: vec![] });
-                let _ = w.link.deliver_unfaulted(&frame);
-                let mut c = self.recovery.get();
-                c.prewarm_frames += 1;
-                c.prewarmed_slots += num_slots;
-                self.recovery.set(c);
-            }
         }
     }
 

@@ -50,8 +50,8 @@
 //!
 //! The coordinator admits every valid query: it sheds nothing, as the
 //! paper's does not. Narrowed retries back off exponentially with
-//! deterministic seeded jitter, and respawned workers are pre-warmed with the
-//! hottest coverage slots before retry traffic reaches them.
+//! deterministic seeded jitter, and a respawned worker starts with a cold
+//! coverage cache like any new one.
 
 #![forbid(unsafe_code)]
 

@@ -36,12 +36,6 @@ pub enum Request {
     /// fragment, answers in batch order. Same fragment-narrowing rule as
     /// `Evaluate`.
     Batch { base: u64, plan: SuperPlan, fragments: Vec<u32> },
-    /// Populate the worker's coverage cache with the listed slots before
-    /// serving further traffic (sent to freshly respawned workers ahead of
-    /// any retry re-delivery, so the replacement does not face a thundering
-    /// herd of cache-cold misses). No response is produced. Same
-    /// fragment-narrowing rule as `Evaluate`.
-    Prewarm { slots: Vec<disks_core::DTerm>, fragments: Vec<u32> },
     /// Terminate the worker loop.
     Shutdown,
 }
@@ -111,7 +105,7 @@ impl From<&QueryCost> for WireCost {
 pub enum Response {
     /// Results for one fragment hosted by the worker: global node ids as
     /// `FragmentEngine::to_global` reads them off the local bitset — the
-    /// form the wire layout ([`encode_runs`]) writes and the coordinator's
+    /// form the wire layout (`encode_runs`) writes and the coordinator's
     /// gather unions, never expanded in between.
     Results { query_id: u64, fragment: u32, nodes: NodeRuns, cost: WireCost },
     /// Locally ranked top-k results for one fragment.
@@ -414,11 +408,6 @@ impl Encode for Request {
                 plan.encode(buf);
                 fragments.encode(buf);
             }
-            Request::Prewarm { slots, fragments } => {
-                4u8.encode(buf);
-                slots.encode(buf);
-                fragments.encode(buf);
-            }
         }
     }
 }
@@ -441,10 +430,9 @@ impl Decode for Request {
                 plan: SuperPlan::decode(buf)?,
                 fragments: Vec::decode(buf)?,
             }),
-            4 => Ok(Request::Prewarm { slots: Vec::decode(buf)?, fragments: Vec::decode(buf)? }),
-            // 5 and 6 are retired (an earlier build's reference-elided batch
-            // and liveness probe), not reused: such a frame is a typed
-            // error, never a misparse.
+            // 4, 5 and 6 are retired (an earlier build's respawn Prewarm,
+            // reference-elided batch and liveness probe), not reused: such a
+            // frame is a typed error, never a misparse.
             tag => Err(DecodeError::BadTag { context: "Request", tag }),
         }
     }
@@ -663,23 +651,6 @@ mod tests {
     }
 
     #[test]
-    fn prewarm_round_trip() {
-        use disks_core::DTerm;
-        let req = Request::Prewarm {
-            slots: vec![
-                DTerm { term: Term::Keyword(KeywordId(2)), radius: 40 },
-                DTerm { term: Term::Keyword(KeywordId(7)), radius: 80 },
-            ],
-            fragments: vec![1, 4],
-        };
-        let frame = encode_frame(&req);
-        assert_eq!(decode_frame::<Request>(frame).unwrap(), req);
-        let empty = Request::Prewarm { slots: vec![], fragments: vec![] };
-        let frame = encode_frame(&empty);
-        assert_eq!(decode_frame::<Request>(frame).unwrap(), empty);
-    }
-
-    #[test]
     fn trailing_garbage_rejected() {
         let frame = encode_frame(&Request::Shutdown);
         let mut extended = BytesMut::from(&frame[..]);
@@ -696,7 +667,7 @@ mod tests {
         buf.put_u8(250);
         assert!(decode_frame::<Response>(buf.freeze()).is_err());
         // A retired tag stays unassigned, whatever follows it.
-        for tag in [5, 6] {
+        for tag in [4, 5, 6] {
             assert_eq!(
                 decode_frame::<Request>(Bytes::from(vec![tag, 0, 0, 0, 0, 0, 0, 0, 0])),
                 Err(DecodeError::BadTag { context: "Request", tag })

@@ -103,7 +103,7 @@ pub struct QueryStats {
 /// including pipelined batches) — the coordinator's fault ledger, exposed
 /// via `Cluster::recovery_counters`. With [`OverloadCounters`]' initial
 /// dispatches it closes the coordinator→worker frame ledger:
-/// `c2w == dispatch_frames + retries + prewarm_frames`.
+/// `c2w == dispatch_frames + retries`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryCounters {
     /// Narrowed re-dispatches sent for stalled or transiently failed tasks.
@@ -121,11 +121,6 @@ pub struct RecoveryCounters {
     /// Well-formed responses outside the active gather window (stale
     /// answers to abandoned queries).
     pub out_of_window_responses: u64,
-    /// `Prewarm` frames sent to respawned workers (one per respawn with a
-    /// non-empty heat map and caching enabled).
-    pub prewarm_frames: u64,
-    /// Coverage slots shipped in those `Prewarm` frames.
-    pub prewarmed_slots: u64,
 }
 
 /// The coordinator's initial-dispatch count, exposed via
@@ -133,10 +128,9 @@ pub struct RecoveryCounters {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OverloadCounters {
     /// Initial-dispatch request frames sent (excludes retries, which are
-    /// ledgered in [`RecoveryCounters::retries`], and pre-warm frames, in
-    /// [`RecoveryCounters::prewarm_frames`]). Together the three partition
-    /// every coordinator→worker frame, so they reconcile exactly against
-    /// `Cluster::link_message_totals`.
+    /// ledgered in [`RecoveryCounters::retries`]). Together the two
+    /// partition every coordinator→worker frame, so they reconcile exactly
+    /// against `Cluster::link_message_totals`.
     pub dispatch_frames: u64,
     /// Queries the coordinator refused for load: always 0, since it admits
     /// every valid query. Kept only because the benchmark

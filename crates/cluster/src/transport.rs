@@ -203,7 +203,11 @@ impl FaultPlan {
         })
     }
 
-    /// Kill worker `m`'s thread on its nth received request.
+    /// Kill worker `m`'s thread on its nth received request, before it
+    /// answers. Every decoded request but `Shutdown` counts: `Evaluate`,
+    /// `TopK` and `Batch`, initial dispatches and narrowed retries alike
+    /// (the thread that dies is the original spawn; respawns carry no
+    /// kill). Frames dropped or corrupted on the way never reach the count.
     pub fn kill_worker(self, m: usize, nth_request: u64) -> Self {
         self.with_fault(LinkFault {
             machine: m,
@@ -213,7 +217,8 @@ impl FaultPlan {
         })
     }
 
-    /// Panic inside worker `m`'s evaluation of its nth received request.
+    /// Panic inside worker `m`'s evaluation of the first fragment task of
+    /// its nth received request, counted as for [`FaultPlan::kill_worker`].
     pub fn panic_worker(self, m: usize, nth_request: u64) -> Self {
         self.with_fault(LinkFault {
             machine: m,
@@ -560,11 +565,10 @@ impl Default for HeartbeatConfig {
 /// byte/frame counters here, identically on every transport, which is what
 /// lets the whole chaos suite run unchanged over channels and sockets.
 ///
-/// The three send entry points encode the ledger's exact counting rules:
-/// dispatch/retry traffic is faulted *and* counted ([`Link::deliver`]),
-/// prewarm repair traffic is counted but never faulted
-/// ([`Link::deliver_unfaulted`]), and shutdown is neither
-/// ([`Link::send_raw`]).
+/// The two send entry points encode the ledger's exact counting rules:
+/// dispatch/retry traffic is faulted *and* counted ([`Link::deliver`]), and
+/// shutdown — like the raw re-delivery of a frame already counted — is
+/// neither ([`Link::send_raw`]).
 pub trait Link: Send {
     /// Deliver one frame through faults and counters, blocking while the
     /// peer's bounded queue is full. Frames the peer never accepted (it
@@ -585,13 +589,6 @@ pub trait Link: Send {
 
     /// Tear the link down (wakes any blocked pump; idempotent).
     fn close(&self);
-
-    /// Counted but unfaulted delivery (the prewarm path: repair traffic is
-    /// part of the wire ledger but never a fault target).
-    fn deliver_unfaulted(&self, frame: &Bytes) -> bool {
-        self.counters().record_send(frame.len() as u64);
-        self.send_raw(frame.clone())
-    }
 }
 
 /// Shared delivery logic of both link kinds: apply the injector, count

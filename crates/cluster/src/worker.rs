@@ -37,9 +37,12 @@ use crate::transport::LinkSender;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerFaults {
     /// Exit the thread (simulated machine crash) upon receiving the nth
-    /// Evaluate/TopK request, before answering it.
+    /// request, before answering it. Every decoded request except
+    /// `Shutdown` counts — `Evaluate`, `TopK` and `Batch` alike, initial
+    /// dispatches and narrowed retries alike.
     pub kill_on_request: Option<u64>,
-    /// Panic while evaluating the nth request's first fragment task.
+    /// Panic while evaluating the first fragment task of the nth request,
+    /// counted as for `kill_on_request`.
     pub panic_on_request: Option<u64>,
 }
 
@@ -73,23 +76,11 @@ impl WorkerEngine {
         }
     }
 
-    /// Evaluate a normalized plan on the hosted fragment, serving coverage
-    /// slots from `cache` where possible (§5.5 bi-level pairs route to the
-    /// level admitting the plan's max radius first — both levels are exact
-    /// for any radius they admit, so cache entries are shared across
-    /// levels).
-    pub fn evaluate_plan(
-        &mut self,
-        plan: &QueryPlan,
-        cache: &mut CoverageCache,
-    ) -> Result<(NodeRuns, QueryCost), QueryError> {
-        let mut store = FragmentCacheStore { fragment: self.fragment().0, cache };
-        self.evaluate_plan_with_store(plan, &mut store)
-    }
-
-    /// Evaluate a normalized plan against an arbitrary coverage store —
-    /// the seam the batched path uses to layer intra-batch slot sharing
-    /// over the per-worker LRU.
+    /// Evaluate a normalized plan against a coverage store — the worker's
+    /// LRU view for one fragment, or the batched path's intra-batch slot
+    /// sharing layered over it (§5.5 bi-level pairs route to the level
+    /// admitting the plan's max radius first — both levels are exact for
+    /// any radius they admit, so cache entries are shared across levels).
     pub fn evaluate_plan_with_store(
         &mut self,
         plan: &QueryPlan,
@@ -282,24 +273,6 @@ pub fn worker_loop(
                     });
                     if !responses.send(frame) {
                         return; // coordinator gone
-                    }
-                }
-            }
-            Request::Prewarm { slots, fragments } => {
-                // Cold-cache fix for respawned workers: resolve each hot
-                // coverage slot once per hosted fragment so retry traffic
-                // lands on a warm cache. Fire-and-forget — no response
-                // frame; failures (e.g. out-of-contract radii) are ignored
-                // because pre-warming is purely an accelerator.
-                for (_, engine) in hosted(&mut engines, &fragments) {
-                    for slot in &slots {
-                        let plan = QueryPlan::lower(&disks_core::DFunction::single(
-                            slot.term,
-                            slot.radius,
-                        ));
-                        let _ = panic::catch_unwind(AssertUnwindSafe(|| {
-                            engine.evaluate_plan(&plan, &mut cache)
-                        }));
                     }
                 }
             }

@@ -2,8 +2,8 @@
 //! memoization, so a cached cluster and a cache-disabled cluster must be
 //! *observably identical* on answers — over a Zipf-skewed stream and over a
 //! rare-keyword stream the lazy plan driver cuts short, across a
-//! mid-stream worker kill/respawn (whose fresh cache is pre-warmed with the
-//! hottest slots before retry traffic reaches it), and against the
+//! mid-stream worker kill/respawn (whose fresh cache starts cold and
+//! re-misses each slot once), and against the
 //! centralized oracle — while Theorem 3's zero inter-worker bytes holds in
 //! both modes.
 
@@ -173,14 +173,13 @@ fn cached_and_disabled_clusters_answer_identically_across_respawn() {
     }
 }
 
-/// A respawned worker is pre-warmed with the hottest coverage slots before
-/// any retry traffic reaches it: the same query run three times with a kill
-/// at the second run shows *no* extra cold-cache miss on the wire — the
-/// respawn's fresh cache resolved the hot slot during the `Prewarm` frame
-/// (which carries no response, so the wire ledger records only run 1's
-/// misses), and the retried task lands on a warm cache.
+/// A respawned worker starts cold, like any new worker, and its one cold
+/// slot costs exactly one search: the same query run three times with a
+/// kill at the second run misses three times in all — run 1's two, plus the
+/// respawn's one re-miss on the retried task, which reports the search it
+/// ran. Every miss is on the response ledger; run 3 hits everywhere.
 #[test]
-fn respawned_worker_is_prewarmed_before_retry_traffic() {
+fn respawned_worker_re_misses_its_slot_once_on_the_retried_task() {
     let net = GridNetworkConfig::tiny(0xC01D).generate();
     let p = MultilevelPartitioner::default().partition(&net, 2);
     let cluster = build_cluster(&net, &p, 64 << 20, Some(2));
@@ -193,34 +192,32 @@ fn respawned_worker_is_prewarmed_before_retry_traffic() {
     let mut oracle = CentralizedCoverage::new(&net);
     let expect = oracle.sgkq(&q).unwrap();
 
-    // Run 1 warms both workers (and the coordinator's slot-heat ledger);
-    // run 2 kills machine 0 — the respawn is pre-warmed, so its retried
-    // task hits; run 3 hits everywhere.
+    // Run 1 warms both workers; run 2 kills machine 0 (fragment 0's owner)
+    // on its second request, so fragment 0 is answered by the retried task
+    // on the cold respawn; run 3 hits everywhere.
     for i in 0..3 {
         let outcome = cluster.run_sgkq(&q).unwrap_or_else(|e| panic!("run {i}: {e}"));
         assert_eq!(outcome.results, expect, "run {i} not exact across respawn");
+        if i == 1 {
+            assert!(outcome.stats.retries >= 1, "fragment 0 must have been retried");
+            assert!(outcome.stats.respawned_workers >= 1, "kill must have fired");
+            let retried = &outcome.stats.per_machine[0];
+            assert!(retried.settled > 0, "the cold respawn must have searched: {retried:?}");
+        }
     }
-    let recovery = cluster.recovery_counters();
-    assert!(recovery.respawned_workers >= 1, "kill must have fired");
-    assert!(recovery.prewarm_frames >= 1, "respawn must have been pre-warmed");
-    assert!(recovery.prewarmed_slots >= 1, "pre-warm must have shipped the hot slot");
     let counters = cluster.cache_counters();
-    // Without pre-warming the cold respawn would re-miss its slot on the
-    // retried task (≥3 wire misses); pre-warming absorbs that miss off the
-    // response ledger, so exactly run 1's two misses remain.
-    assert_eq!(counters.misses, 2, "pre-warm must absorb the cold re-miss: {counters:?}");
-    assert!(counters.hits >= 3, "retried task and run 3 must all hit: {counters:?}");
+    assert_eq!(counters.misses, 3, "run 1's two misses plus the respawn's one: {counters:?}");
+    assert!(counters.hits >= 3, "run 2's live fragment and run 3 must all hit: {counters:?}");
     cluster.shutdown();
 }
 
-/// The kill → respawn → prewarm machinery is transport-invariant: the same
+/// The kill → respawn machinery is transport-invariant: the same
 /// deterministic kill schedule over an in-process channel link and over a
-/// real TCP link produces *identical* recovery counters (respawns,
-/// pre-warm frames and slots), identical cache counters, identical frame
-/// ledgers, and identical exact answers — the socket adds framing and
-/// keepalives, never protocol behavior.
+/// real TCP link produces *identical* recovery counters, identical cache
+/// counters, identical frame ledgers, and identical exact answers — the
+/// socket adds framing and keepalives, never protocol behavior.
 #[test]
-fn kill_respawn_prewarm_counters_are_identical_across_transports() {
+fn kill_respawn_counters_are_identical_across_transports() {
     let net = GridNetworkConfig::tiny(0xC01D).generate();
     let p = MultilevelPartitioner::default().partition(&net, 2);
     let freqs = net.keyword_frequencies();
@@ -247,7 +244,6 @@ fn kill_respawn_prewarm_counters_are_identical_across_transports() {
     let (rc_tcp, cache_tcp, ledger_tcp) = run(TransportKind::Tcp);
 
     assert!(rc_chan.respawned_workers >= 1, "kill must have fired: {rc_chan:?}");
-    assert!(rc_chan.prewarm_frames >= 1, "respawn must have been pre-warmed: {rc_chan:?}");
     assert_eq!(rc_chan, rc_tcp, "recovery counters must be transport-invariant");
     assert_eq!(cache_chan, cache_tcp, "cache counters must be transport-invariant");
     assert_eq!(ledger_chan, ledger_tcp, "frame ledgers must be transport-invariant");

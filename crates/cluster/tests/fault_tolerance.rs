@@ -286,8 +286,8 @@ fn seeded_fault_schedules_are_reproducible() {
 }
 
 /// A seeded Zipf-skewed SGKQ stream over the top-10 keywords — the
-/// repetition a real workload shows, so the slot-heat ledger and the
-/// coverage caches both have something to work with.
+/// repetition a real workload shows, so the coverage caches have something
+/// to work with and a respawn has something to lose.
 fn zipf_stream(net: &RoadNetwork, seed: u64, n: usize) -> Vec<SgkQuery> {
     let freqs = net.keyword_frequencies();
     let mut ranked: Vec<usize> = (0..freqs.len()).filter(|&k| freqs[k] > 0).collect();
@@ -314,7 +314,7 @@ fn zipf_stream(net: &RoadNetwork, seed: u64, n: usize) -> Vec<SgkQuery> {
 /// the coordinator→worker link ledger closes exactly:
 ///
 /// ```text
-/// c2w frames == dispatch_frames + retries + prewarm_frames
+/// c2w frames == dispatch_frames + retries
 /// ```
 #[test]
 fn chaos_soak_is_exact_or_partial_and_the_frame_ledger_closes() {
@@ -373,23 +373,21 @@ fn chaos_soak_is_exact_or_partial_and_the_frame_ledger_closes() {
     assert_eq!(exact + partial, fs.len());
     assert!(exact > 0, "chaos must not drown every query");
 
-    // Recovery: all three kills fired, each respawn was pre-warmed before
-    // its retry traffic, and narrowed retries actually happened.
+    // Recovery: all three kills fired and narrowed retries actually
+    // happened.
     let rc = cluster.recovery_counters();
     assert!(rc.respawned_workers >= 3, "all three kills must fire: {rc:?}");
-    assert_eq!(rc.prewarm_frames, rc.respawned_workers, "every respawn is pre-warmed");
-    assert!(rc.prewarmed_slots >= rc.prewarm_frames, "pre-warm frames carry slots");
     assert!(rc.retries > 0, "kills and drops must force narrowed retries");
 
     // The ledger closes: every coordinator→worker frame is an initial
-    // dispatch, a narrowed retry, or a pre-warm. (Measured before shutdown;
-    // shutdown frames are lifecycle, not query traffic.)
+    // dispatch or a narrowed retry. (Measured before shutdown; shutdown
+    // frames are lifecycle, not query traffic.)
     let oc = cluster.overload_counters();
     assert_eq!(oc.shed, 0, "the coordinator sheds nothing");
     let (c2w_frames, _) = cluster.link_message_totals();
     assert_eq!(
         c2w_frames,
-        oc.dispatch_frames + rc.retries + rc.prewarm_frames,
+        oc.dispatch_frames + rc.retries,
         "frame ledger must reconcile exactly: {oc:?} {rc:?}"
     );
 

@@ -5,8 +5,8 @@
 //! transport chatter, never protocol frames). Faults that only a socket
 //! can exhibit — a connection killed mid-frame, a stalled peer tripping
 //! the read timeout — must surface as the same typed stalls the gather
-//! path already retries on, and recover through the existing respawn +
-//! prewarm machinery with exact per-query results.
+//! path already retries on, and recover through the existing retry +
+//! respawn machinery with exact per-query results.
 
 use std::time::Duration;
 
@@ -63,14 +63,14 @@ fn base_config() -> ClusterConfig {
     }
 }
 
-/// Every coordinator→worker frame is an initial dispatch, a retry, or a
-/// pre-warm — on any transport. Keepalives never enter this ledger.
+/// Every coordinator→worker frame is an initial dispatch or a retry — on
+/// any transport. Keepalives never enter this ledger.
 fn assert_ledger_closes(cluster: &Cluster) {
     let (c2w_frames, _) = cluster.link_message_totals();
     let (oc, rc) = (cluster.overload_counters(), cluster.recovery_counters());
     assert_eq!(
         c2w_frames,
-        oc.dispatch_frames + rc.retries + rc.prewarm_frames,
+        oc.dispatch_frames + rc.retries,
         "frame ledger must reconcile exactly: {oc:?} {rc:?}"
     );
 }
@@ -113,8 +113,8 @@ fn tcp_cluster_matches_channel_cluster_bit_for_bit() {
 /// A connection killed *mid-frame* (length prefix + half the payload, then
 /// shutdown) in both directions: the torn frame can never complete, both
 /// ends observe EOF, and the coordinator recovers through the existing
-/// typed stall → narrowed retry → respawn → prewarm path with exact
-/// results for every query.
+/// typed stall → narrowed retry → respawn path with exact results for
+/// every query.
 #[test]
 fn mid_frame_connection_cut_recovers_through_typed_retry_path() {
     let plan = FaultPlan::new(0x7CF)
@@ -137,7 +137,6 @@ fn mid_frame_connection_cut_recovers_through_typed_retry_path() {
     assert!(rc.retries >= 1, "a torn frame must force a narrowed retry: {rc:?}");
     assert!(rc.timeouts >= 1, "the cut is only visible as a stall: {rc:?}");
     assert!(rc.respawned_workers >= 2, "both cut links must be respawned: {rc:?}");
-    assert_eq!(rc.prewarm_frames, rc.respawned_workers, "every respawn is pre-warmed");
     assert_ledger_closes(&cluster);
     cluster.shutdown();
 }

@@ -259,7 +259,7 @@ fn build_index_with_workspace(
 
 /// Build the NPD-index for one fragment with the per-portal backward
 /// searches spread over up to `threads` scoped OS threads. The searches
-/// are independent (each owns a private [`BuildWorkspace`]) and the merge
+/// are independent (each owns a private `BuildWorkspace`) and the merge
 /// is deterministic — the result is bit-identical to [`build_index`].
 pub fn build_index_with_threads(
     net: &RoadNetwork,

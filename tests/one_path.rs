@@ -9,8 +9,9 @@
 //! frequent keyword at a radius that covers most of a larger network): its
 //! answer costs fewer worker→coordinator bytes than its raw 4-byte ids would.
 //! A third runs 1 728 five-keyword SGKQs at never-repeating radii as 27
-//! four-window submissions: the answers are the oracle's while the
-//! coordinator's slot-heat ledger passes its cap and an epoch halving.
+//! four-window submissions: each chunk's answers are assembled while the
+//! workers evaluate the next, every answer is the oracle's, and the frame
+//! ledger closes with nothing recovered.
 //! A fourth starts both binaries with a knob this build no longer has, as a
 //! flag and as a `DISKS_*` variable, and with a flag value that is not of
 //! the flag's form: each refuses it by name.
@@ -107,13 +108,13 @@ fn lookups(o: &disks::cluster::QueryOutcome) -> u64 {
     o.stats.cache_hits + o.stats.cache_misses + shared
 }
 
-/// `c2w == dispatch + retries + prewarm`, exactly.
+/// `c2w == dispatch + retries`, exactly.
 fn assert_ledger_closes(cluster: &Cluster, what: &str) {
     let (c2w, _) = cluster.link_message_totals();
     let (oc, rc) = (cluster.overload_counters(), cluster.recovery_counters());
     assert_eq!(
         c2w,
-        oc.dispatch_frames + rc.retries + rc.prewarm_frames,
+        oc.dispatch_frames + rc.retries,
         "{what}: frame ledger must close: {oc:?} {rc:?}"
     );
 }
@@ -182,10 +183,10 @@ fn a_single_query_is_a_stream_of_one() {
 
 /// A long stream of never-repeating slots, submitted 64 queries at a time:
 /// every chunk is four windows, so the answers of one are assembled while
-/// the workers evaluate the next, and the 8 640 distinct slots take the
-/// coordinator's slot-heat ledger past its cap and through an epoch halving
-/// mid-stream. None of it shows: every answer is the oracle's, small or
-/// most of the network, every frame is accounted for, nothing is recovered.
+/// the workers evaluate the next, and none of its 8 640 distinct slots
+/// repeats. Every answer is the oracle's, on both sides of the gather
+/// — small answers and ones covering most of the network — every frame is
+/// accounted for, and nothing is recovered.
 #[test]
 fn a_long_stream_of_fresh_slots_is_answered_chunk_by_chunk() {
     const QUERIES: usize = 27 * 64;
