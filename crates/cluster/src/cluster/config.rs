@@ -12,7 +12,7 @@ use std::fmt;
 use std::str::FromStr;
 use std::time::Duration;
 
-use crate::transport::{FaultPlan, HeartbeatConfig, NetworkModel, TransportKind};
+use crate::transport::{FaultPlan, HeartbeatConfig, TransportKind};
 
 /// Cluster construction parameters. Fields with a `DISKS_*` variable take
 /// it as their default (see [`ClusterConfig::from_env`] for the accepted
@@ -22,8 +22,6 @@ pub struct ClusterConfig {
     /// Number of worker machines; `None` = one per fragment (the paper's
     /// default deployment).
     pub machines: Option<usize>,
-    /// Network model for modeled response times.
-    pub network: NetworkModel,
     /// Maximum silence (no worker progress) the gather loop tolerates
     /// before declaring the outstanding fragments stalled and
     /// re-dispatching them.
@@ -41,11 +39,6 @@ pub struct ClusterConfig {
     /// Byte budget of each worker's coverage cache; `0` disables caching.
     /// Env: `DISKS_COVERAGE_CACHE`.
     pub coverage_cache_bytes: usize,
-    /// Cross-query batching window: up to this many admitted plans of a
-    /// stream are merged into one [`disks_core::SuperPlan`] per worker per
-    /// round. `0` or `1` disables batching (one `Evaluate` frame per query
-    /// per worker). Env: `DISKS_BATCH`.
-    pub batch_window: usize,
     /// Transport carrying coordinator↔worker frames: in-process crossbeam
     /// channels, or loopback TCP sockets with length-prefixed framing,
     /// keepalives, and read-timeout supervision — same wire codec, same
@@ -116,11 +109,6 @@ const KNOBS: &[Knob] = &[
         set: |c, v| count(v).map(|n| c.coverage_cache_bytes = n),
     },
     Knob {
-        var: "DISKS_BATCH",
-        expected: "a window size, or 0/1/off/false to disable batching",
-        set: |c, v| count(v).map(|n: usize| c.batch_window = n.max(1)),
-    },
-    Knob {
         var: "DISKS_TRANSPORT",
         expected: "channel or tcp",
         set: |c, v| {
@@ -146,8 +134,9 @@ impl ClusterConfig {
     /// The configuration the process environment asks for: the shipped
     /// defaults, overridden by whichever `DISKS_*` variables are set.
     ///
-    /// With every variable unset: 64 MiB coverage cache, fixed batching
-    /// windows of 16, channel transport, 100 ms / 1 s heartbeat.
+    /// With every variable unset: 64 MiB coverage cache, channel transport,
+    /// 100 ms / 1 s heartbeat. Batching has no knob: a stream is always cut
+    /// into windows of 16 (`dispatch.rs`).
     ///
     /// A `DISKS_*` variable that is not a row of the table is an error
     /// too: a removed or misspelt knob is reported, not run as its default.
@@ -181,14 +170,11 @@ impl ClusterConfig {
         let lookup = |var: &str| vars.get(var).cloned();
         let mut config = ClusterConfig {
             machines: None,
-            // The paper's setting: a 100 Mb TP-LINK switch.
-            network: NetworkModel::switch_100mbps(),
             deadline: Duration::from_secs(30),
             max_attempts: 3,
             allow_partial: false,
             faults: None,
             coverage_cache_bytes: 64 << 20,
-            batch_window: 16,
             transport: TransportKind::Channel,
             heartbeat: HeartbeatConfig::default(),
         };
@@ -226,7 +212,6 @@ impl ClusterConfig {
     /// keeps for its lifetime.
     pub(super) fn normalised(mut self) -> (ClusterConfig, Option<FaultPlan>) {
         self.max_attempts = self.max_attempts.max(1);
-        self.batch_window = self.batch_window.max(1);
         let faults = self.faults.take();
         (self, faults)
     }
@@ -257,7 +242,6 @@ mod tests {
     fn empty_lookup_is_the_shipped_defaults() {
         let c = with(&[]).unwrap();
         assert_eq!(c.coverage_cache_bytes, 64 << 20);
-        assert_eq!(c.batch_window, 16);
         assert_eq!(c.transport, TransportKind::Channel);
         assert_eq!(c.heartbeat.interval, Duration::from_millis(100));
         assert_eq!(c.heartbeat.read_timeout, Duration::from_secs(1));
@@ -266,18 +250,16 @@ mod tests {
     #[test]
     fn every_knob_accepts_its_documented_forms() {
         for off in ["0", "off", "FALSE"] {
-            let c = with(&[("DISKS_COVERAGE_CACHE", off), ("DISKS_BATCH", off)]).unwrap();
-            assert_eq!((c.coverage_cache_bytes, c.batch_window), (0, 1));
+            assert_eq!(with(&[("DISKS_COVERAGE_CACHE", off)]).unwrap().coverage_cache_bytes, 0);
         }
         let c = with(&[
             ("DISKS_COVERAGE_CACHE", " 4096 "),
-            ("DISKS_BATCH", "8"),
             ("DISKS_TRANSPORT", "TCP"),
             ("DISKS_HEARTBEAT_MS", "20"),
             ("DISKS_TCP_READ_TIMEOUT_MS", "300"),
         ])
         .unwrap();
-        assert_eq!((c.coverage_cache_bytes, c.batch_window), (4096, 8));
+        assert_eq!(c.coverage_cache_bytes, 4096);
         assert_eq!(c.transport, TransportKind::Tcp);
         assert_eq!(c.heartbeat.interval, Duration::from_millis(20));
         assert_eq!(c.heartbeat.read_timeout, Duration::from_millis(300));
@@ -298,17 +280,13 @@ mod tests {
                 assert!(err.to_string().starts_with(knob.var), "{err}");
             }
         }
-        // A typo a lenient parser would swallow, and a form an earlier build
-        // accepted.
+        // A typo a lenient parser would swallow.
         assert!(with(&[("DISKS_TRANSPORT", "tpc")]).is_err());
-        let err = with(&[("DISKS_BATCH", "adaptive")]).unwrap_err();
-        assert_eq!(err.var, "DISKS_BATCH");
-        assert_eq!(err.expected, "a window size, or 0/1/off/false to disable batching");
     }
 
     #[test]
     fn a_disks_variable_outside_the_table_is_an_error_naming_it() {
-        // A knob this build never had, six it had and removed, and a
+        // A knob this build never had, seven it had and removed, and a
         // misspelt one.
         for (name, value) in [
             ("DISKS_THREADS", "4"),
@@ -318,9 +296,10 @@ mod tests {
             ("DISKS_COST_LIMIT", "5000000"),
             ("DISKS_BROWNOUT", "0.9"),
             ("DISKS_RETRY_BACKOFF", "3"),
-            ("DISKS_BACTH", "8"),
+            ("DISKS_BATCH", "16"),
+            ("DISKS_TRANSPRT", "tcp"),
         ] {
-            let err = with(&[("DISKS_BATCH", "8"), (name, value)]).expect_err(name);
+            let err = with(&[("DISKS_TRANSPORT", "tcp"), (name, value)]).expect_err(name);
             assert_eq!((err.var.as_str(), err.value.as_str()), (name, value));
             assert!(err.to_string().starts_with(name), "{err}");
             for known in KNOBS.iter().map(|k| k.var) {

@@ -3,14 +3,12 @@
 //! [`QueryStats`] is read off it. A single query is a stream of one — a
 //! group of one, a window of one.
 //!
-//! There is one windowing rule: a group is cut into
-//! [`ClusterConfig::batch_window`]-sized chunks in stream order and every
-//! chunk is dispatched before any response is gathered. A chunk of one
-//! ships as `Evaluate`, a larger one as one merged `Batch` per machine.
-//! Every fragment has one owner, so a window is one frame, encoded once and
-//! sent to every busy machine.
-//!
-//! [`ClusterConfig::batch_window`]: super::ClusterConfig::batch_window
+//! There is one windowing rule, with no knob: a group is cut into
+//! [`BATCH_WINDOW`]-sized chunks in stream order and every chunk is
+//! dispatched before any response is gathered. A chunk of one ships as
+//! `Evaluate`, a larger one as one merged `Batch` per machine. Every
+//! fragment has one owner, so a window is one frame, encoded once and sent
+//! to every busy machine.
 
 use std::time::{Duration, Instant};
 
@@ -22,6 +20,10 @@ use super::Cluster;
 use crate::cache::CacheCounters;
 use crate::message::{encode_frame, Request};
 use crate::stats::{MachineCost, QueryStats};
+
+/// Most queries one window merges into a [`SuperPlan`]. Swept at 1, 4, 16
+/// and 64 on the benchmark (DESIGN §6d).
+const BATCH_WINDOW: usize = 16;
 
 /// What one initial dispatch put on the wire.
 #[derive(Debug, Default, Clone, Copy)]
@@ -53,11 +55,10 @@ type Exchange<'a> = dyn FnMut(u64) -> (Result<GatherReport, QueryError>, Sent) +
 
 impl Cluster {
     /// The dispatch/gather core every plan query goes through
-    /// ([`Cluster::run_stream`], and through it [`Cluster::run`] and
-    /// [`Cluster::run_batched`]): the admitted `plans` of a stream, in
-    /// order, are one group, cut into windows and gathered. `on_event`
-    /// receives each query's gather events ([`Sink`]) keyed by its position
-    /// in `plans`.
+    /// ([`Cluster::run_stream`], and through it [`Cluster::run`]): the
+    /// admitted `plans` of a stream, in order, are one group, cut into
+    /// windows and gathered. `on_event` receives each query's gather events
+    /// ([`Sink`]) keyed by its position in `plans`.
     pub(super) fn run_plans(
         &self,
         plans: &[QueryPlan],
@@ -146,17 +147,16 @@ impl Cluster {
             cache_bypassed: cache.bypassed,
             ..QueryStats::default()
         }
-        .finalize(&self.config.network, request_bytes)
+        .finalize(request_bytes)
     }
 
-    /// Dispatch of one group: every `batch_window`-sized chunk
-    /// ships as its own window before any response is gathered, so workers
-    /// process their queues concurrently.
+    /// Dispatch of one group: every [`BATCH_WINDOW`]-sized chunk ships as
+    /// its own window before any response is gathered, so workers process
+    /// their queues concurrently.
     fn dispatch_plans(&self, base: u64, plans: &[QueryPlan]) -> Sent {
-        let window = self.config.batch_window;
         let mut sent = Sent::default();
-        for (w, chunk) in plans.chunks(window).enumerate() {
-            let one = self.dispatch_window(base + (w * window) as u64, chunk);
+        for (w, chunk) in plans.chunks(BATCH_WINDOW).enumerate() {
+            let one = self.dispatch_window(base + (w * BATCH_WINDOW) as u64, chunk);
             sent.respawns += one.respawns;
             sent.largest_frame = sent.largest_frame.max(one.largest_frame);
         }

@@ -227,7 +227,8 @@ impl Cluster {
         // member query; each flows through the same window/dedup/retry
         // machinery as a standalone frame, charged the bytes its standalone
         // result frame would have cost (`decode_gather_items`), so per-query
-        // byte attribution is comparable across batched and unbatched runs.
+        // byte attribution is the same whether a query rode a window or ran
+        // alone.
         for (response, bytes) in items {
             let (qid, fragment) = match &response {
                 Response::Results { query_id, fragment, .. }

@@ -4,8 +4,8 @@
 //! the [`disks_core::FragmentEngine`]s of its assigned fragments (built from
 //! the global network **once**, here — after that the global network is no
 //! longer consulted by any worker), plus a request channel and a counted
-//! response link. A stream is cut into `batch_window`-sized windows, all
-//! dispatched before any is gathered: a window of one fans out as one
+//! response link. A stream is cut into windows of 16, all dispatched before
+//! any is gathered: a window of one fans out as one
 //! `Evaluate` frame per busy machine and gathers one `Results` frame per
 //! hosted fragment, a larger one as one `Batch` / `BatchResults` pair; the
 //! final result is the union of per-fragment results (Lemma 1).
@@ -224,13 +224,13 @@ impl Cluster {
     /// All admitted queries are dispatched before any response is gathered,
     /// so worker machines process their queues concurrently — the
     /// throughput mode the paper's introduction motivates ("it will improve
-    /// query throughput"). Dispatch honours [`ClusterConfig::batch_window`]:
-    /// windows of admitted plans merge into per-worker super-plans. Each
-    /// query's [`QueryOutcome`] carries its own exact per-machine wire
-    /// costs, cache counters, and retry count (attribution is per query
-    /// slot even inside a shared batch frame); see `query_stats` for the
-    /// fields that are group-level by construction — notably `wall_time`,
-    /// the group's completion offset from stream start.
+    /// query throughput"). Windows of up to 16 admitted plans merge into
+    /// per-worker super-plans. Each query's [`QueryOutcome`] carries its own
+    /// exact per-machine wire costs, cache counters, and retry count
+    /// (attribution is per query slot even inside a shared batch frame);
+    /// see `query_stats` for the fields that are group-level by
+    /// construction — notably `wall_time`, the group's completion offset
+    /// from stream start.
     ///
     /// A query's answer is assembled when its last fragment answers, while
     /// the workers evaluate the windows behind it; what is left after the
@@ -306,24 +306,6 @@ impl Cluster {
         (out, elapsed)
     }
 
-    /// [`Cluster::run_stream`] for callers that want all or nothing: the
-    /// whole call fails on the first per-query error; use
-    /// [`Cluster::run_stream`] when individual outcomes should survive a
-    /// failed query.
-    pub fn run_batched(
-        &self,
-        fs: &[DFunction],
-    ) -> Result<(Vec<QueryOutcome>, Duration), QueryError> {
-        // Validity pre-pass: reject the whole batch before any dispatch,
-        // matching single-query admission semantics.
-        for f in fs {
-            self.admit(&QueryPlan::lower(f))?;
-        }
-        let (items, elapsed) = self.run_stream(fs);
-        let outcomes = items.into_iter().collect::<Result<Vec<_>, _>>()?;
-        Ok((outcomes, elapsed))
-    }
-
     /// Run a top-k group keyword query distributedly: every fragment ships
     /// its local top-k, the coordinator merges (exact within the horizon).
     /// A group of one on the same path as plan queries, with its own
@@ -396,7 +378,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FaultPlan, NetworkModel};
+    use crate::FaultPlan;
     use disks_core::{build_all_indexes, CentralizedCoverage, IndexConfig, SetOp, Term};
     use disks_partition::{MultilevelPartitioner, Partitioner, Partitioning};
     use disks_roadnet::generator::GridNetworkConfig;
@@ -462,11 +444,7 @@ mod tests {
             &net,
             &p,
             indexes,
-            ClusterConfig {
-                machines: Some(2),
-                network: NetworkModel::instant(),
-                ..ClusterConfig::default()
-            },
+            ClusterConfig { machines: Some(2), ..ClusterConfig::default() },
         );
         assert_eq!(cluster.num_machines(), 2);
         let kws = top_keywords(&net, 2);
@@ -623,10 +601,11 @@ mod tests {
         let fs: Vec<DFunction> = (1..=6)
             .map(|i| SgkQuery::new(vec![kws[i % kws.len()]], (i as u64) * e).to_dfunction())
             .collect();
-        let (batch, elapsed) = cluster.run_batched(&fs).unwrap();
+        let (batch, elapsed) = cluster.run_stream(&fs);
         assert_eq!(batch.len(), fs.len());
         assert!(elapsed > std::time::Duration::ZERO);
-        for (f, outcome) in fs.iter().zip(&batch) {
+        for (f, outcome) in fs.iter().zip(batch) {
+            let outcome = outcome.unwrap();
             let solo = cluster.run(f).unwrap();
             assert_eq!(solo.results, outcome.results, "query {f}");
         }

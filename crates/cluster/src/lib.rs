@@ -14,9 +14,9 @@
 //!   headline property (zero inter-worker communication, Theorem 3) holds
 //!   *by construction* and is reported in every [`QueryStats`].
 //! * **Coordinator costs** — task-assignment and result-return messages are
-//!   encoded to real bytes and counted per link, and a configurable
-//!   [`NetworkModel`] (default: the paper's 100 Mb switch) converts bytes to
-//!   modeled wire time.
+//!   encoded to real bytes and counted per link, and the paper's 100 Mb
+//!   switch ([`NetworkModel::switch_100mbps`]) converts bytes to modeled
+//!   wire time.
 //! * **Load balance** — per-machine task costs and the Theorem 6 unbalance
 //!   factor `U` are measured per query and over the cluster lifetime
 //!   ([`Cluster::unbalance_factor`]).
@@ -39,14 +39,15 @@
 //! slot-by-slot through a byte-bounded per-worker [`CoverageCache`], whose
 //! hit/miss/eviction counters ride back on every response frame.
 //!
-//! Pipelined streams additionally batch across queries
-//! ([`ClusterConfig::batch_window`], env `DISKS_BATCH`): a window of
-//! admitted plans merges into one [`disks_core::SuperPlan`] per worker per
+//! Streams always batch across queries; there is no knob. A window of up to
+//! 16 admitted plans merges into one [`disks_core::SuperPlan`] per worker per
 //! round — the union of slots across the batch, deduplicated — so each
 //! distinct coverage is computed once per batch and each worker sends one
-//! multi-answer frame back. Answers stay byte-identical to the unbatched
-//! path, attribution stays per-query exact, and faults inside a batch narrow
-//! to per-query retries (see `DESIGN.md` §"Batched dispatch").
+//! multi-answer frame back. A window of one ships as a plain `Evaluate`,
+//! which the worker answers as a batch of one. Answers are byte-identical
+//! to asking each query alone, attribution stays per-query exact, and
+//! faults inside a batch narrow to per-query retries (see `DESIGN.md`
+//! §"Batched dispatch").
 //!
 //! The coordinator admits every valid query: it sheds nothing, as the
 //! paper's does not. Narrowed retries back off exponentially with

@@ -198,8 +198,8 @@ pub(crate) const WIRE_COST_LEN: u64 = 11 * 8;
 ///
 /// Used to apportion a batch frame's bytes to its member queries — each
 /// answer is charged what its standalone result frame would have cost, so
-/// per-query byte accounting is comparable across batched and unbatched
-/// runs (the batch frame itself is smaller than the sum; the saving is
+/// per-query byte accounting is the same whether a query rode a window or
+/// ran alone (the batch frame itself is smaller than the sum; the saving is
 /// visible in the link totals).
 pub(crate) fn results_frame_len(id_bytes: u64) -> u64 {
     1 + 8 + 4 + id_bytes + WIRE_COST_LEN

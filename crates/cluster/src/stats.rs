@@ -65,8 +65,9 @@ pub struct QueryStats {
     pub inter_worker_bytes: u64,
     /// Communication rounds (coordinator dispatch + gather = 1).
     pub rounds: u32,
-    /// Modeled response time under the configured [`NetworkModel`]:
-    /// dispatch latency + slowest compute + slowest result transfer.
+    /// Modeled response time over the paper's 100 Mb switch
+    /// ([`NetworkModel::switch_100mbps`]): dispatch latency + slowest
+    /// compute + slowest result transfer.
     pub modeled_response_time: Duration,
     /// Total result nodes.
     pub results: usize,
@@ -141,7 +142,8 @@ pub struct OverloadCounters {
 
 impl QueryStats {
     /// Compute the derived fields from per-machine costs.
-    pub(crate) fn finalize(mut self, network: &NetworkModel, request_bytes: u64) -> QueryStats {
+    pub(crate) fn finalize(mut self, request_bytes: u64) -> QueryStats {
+        let network = NetworkModel::switch_100mbps();
         let busy: Vec<&MachineCost> =
             self.per_machine.iter().filter(|m| !m.fragments.is_empty()).collect();
         self.slowest_task = busy.iter().map(|m| m.compute).max().unwrap_or(Duration::ZERO);
@@ -209,10 +211,13 @@ mod tests {
         let mut m2 = MachineCost::default();
         m2.absorb(1, &WireCost { elapsed_micros: 400, ..Default::default() }, 1, 10);
         stats.per_machine = vec![m1, m2];
-        let out = stats.finalize(&NetworkModel::instant(), 32);
+        let out = stats.finalize(32);
         assert_eq!(out.slowest_task, Duration::from_micros(400));
         assert!((out.unbalance_factor - 4.0).abs() < 1e-9);
-        assert_eq!(out.modeled_response_time, Duration::from_micros(400));
+        // Request out, slowest task, largest response back.
+        let net = NetworkModel::switch_100mbps();
+        let modeled = net.transfer_time(32) + Duration::from_micros(400) + net.transfer_time(50);
+        assert_eq!(out.modeled_response_time, modeled);
     }
 
     #[test]
@@ -221,7 +226,7 @@ mod tests {
         let mut m1 = MachineCost::default();
         m1.absorb(0, &WireCost { elapsed_micros: 100, ..Default::default() }, 0, 8);
         stats.per_machine = vec![m1, MachineCost::default()];
-        let out = stats.finalize(&NetworkModel::instant(), 0);
+        let out = stats.finalize(0);
         assert!((out.unbalance_factor - 1.0).abs() < 1e-9);
     }
 
@@ -231,7 +236,7 @@ mod tests {
         let mut m1 = MachineCost::default();
         m1.absorb(0, &WireCost { elapsed_micros: 0, ..Default::default() }, 0, 12_500_000);
         stats.per_machine = vec![m1];
-        let out = stats.finalize(&NetworkModel::switch_100mbps(), 0);
+        let out = stats.finalize(0);
         // 12.5 MB at 12.5 MB/s ≈ 1 s dominated by the response transfer.
         assert!(out.modeled_response_time >= Duration::from_secs(1));
     }

@@ -59,24 +59,10 @@ impl NetworkModel {
         NetworkModel { latency: Duration::from_micros(200), bandwidth_bytes_per_sec: 12_500_000 }
     }
 
-    /// An idealized zero-cost network (isolates pure compute time).
-    pub fn instant() -> Self {
-        NetworkModel { latency: Duration::ZERO, bandwidth_bytes_per_sec: u64::MAX }
-    }
-
     /// Modeled time to move `bytes` over the link (latency + serialization).
     pub fn transfer_time(&self, bytes: u64) -> Duration {
-        if self.bandwidth_bytes_per_sec == u64::MAX {
-            return self.latency;
-        }
         let secs = bytes as f64 / self.bandwidth_bytes_per_sec as f64;
         self.latency + Duration::from_secs_f64(secs)
-    }
-}
-
-impl Default for NetworkModel {
-    fn default() -> Self {
-        NetworkModel::switch_100mbps()
     }
 }
 
@@ -950,8 +936,6 @@ mod tests {
         let m = NetworkModel { latency: Duration::from_millis(1), bandwidth_bytes_per_sec: 1000 };
         assert_eq!(m.transfer_time(0), Duration::from_millis(1));
         assert_eq!(m.transfer_time(1000), Duration::from_millis(1) + Duration::from_secs(1));
-        let fast = NetworkModel::instant();
-        assert_eq!(fast.transfer_time(u64::MAX / 2), Duration::ZERO);
     }
 
     #[test]

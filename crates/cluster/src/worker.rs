@@ -28,7 +28,7 @@ use disks_core::{
     BiLevelIndex, CoverageStore, FragmentEngine, NodeRuns, QueryCost, QueryError, QueryPlan,
 };
 
-use crate::cache::{CacheCounters, CoverageCache};
+use crate::cache::CoverageCache;
 use crate::message::{decode_frame, encode_frame, BatchAnswer, Request, Response, WireCost};
 use crate::transport::LinkSender;
 
@@ -76,11 +76,11 @@ impl WorkerEngine {
         }
     }
 
-    /// Evaluate a normalized plan against a coverage store — the worker's
-    /// LRU view for one fragment, or the batched path's intra-batch slot
-    /// sharing layered over it (§5.5 bi-level pairs route to the level
-    /// admitting the plan's max radius first — both levels are exact for
-    /// any radius they admit, so cache entries are shared across levels).
+    /// Evaluate a normalized plan against a coverage store — in the worker
+    /// loop, one request's shared slots layered over the LRU (§5.5 bi-level
+    /// pairs route to the level admitting the plan's max radius first —
+    /// both levels are exact for any radius they admit, so cache entries
+    /// are shared across levels).
     pub fn evaluate_plan_with_store(
         &mut self,
         plan: &QueryPlan,
@@ -104,31 +104,17 @@ impl WorkerEngine {
     }
 }
 
-/// Adapts the worker's [`CoverageCache`] to one fragment's
-/// [`CoverageStore`] view for the duration of a task.
-struct FragmentCacheStore<'a> {
+/// One fragment's view of the worker's [`CoverageCache`] for the duration
+/// of one request, with a shared result map layered over it: the first plan
+/// of the request to reference a slot resolves it through the LRU (counted
+/// as a hit or miss); every later reference is served from the shared map
+/// and counted in `WireCost::batch_shared` instead, so the LRU ledger stays
+/// exact and the slot's Dijkstra runs at most once per request per
+/// fragment. A plan's slots are distinct, so a request of one plan shares
+/// nothing.
+struct BatchStore<'a> {
     fragment: u32,
     cache: &'a mut CoverageCache,
-}
-
-impl CoverageStore for FragmentCacheStore<'_> {
-    fn lookup(&mut self, slot: &DTerm) -> Option<Arc<BitSet>> {
-        self.cache.get(self.fragment, slot.term, slot.radius)
-    }
-    fn store(&mut self, slot: &DTerm, coverage: &Arc<BitSet>) {
-        self.cache.insert(self.fragment, slot.term, slot.radius, coverage.clone());
-    }
-}
-
-/// Layers the batch-shared result map over one fragment's LRU view for the
-/// duration of a [`Request::Batch`]: the first query of the batch to
-/// reference a slot resolves it through the LRU (counted as a hit or miss
-/// exactly as on the single-query path); every later reference is served
-/// from the shared map and counted in `WireCost::batch_shared` instead, so
-/// the LRU ledger stays exact and the slot's Dijkstra runs at most once per
-/// batch per fragment.
-struct BatchStore<'a> {
-    inner: FragmentCacheStore<'a>,
     resolved: HashMap<(Term, u64), Arc<BitSet>>,
     shared: u64,
 }
@@ -139,67 +125,52 @@ impl CoverageStore for BatchStore<'_> {
             self.shared += 1;
             return Some(Arc::clone(cov));
         }
-        let hit = self.inner.lookup(slot)?;
+        let hit = self.cache.get(self.fragment, slot.term, slot.radius)?;
         self.resolved.insert((slot.term, slot.radius), Arc::clone(&hit));
         Some(hit)
     }
     fn store(&mut self, slot: &DTerm, coverage: &Arc<BitSet>) {
         self.resolved.insert((slot.term, slot.radius), Arc::clone(coverage));
-        self.inner.store(slot, coverage);
+        self.cache.insert(self.fragment, slot.term, slot.radius, Arc::clone(coverage));
     }
 }
 
-/// What the worker reads off a task's store before and after the task, to
-/// report the difference in its [`WireCost`]: the LRU's running counters and
-/// the slots served from the batch-shared map so far.
-trait TaskStore: CoverageStore {
-    fn ledger(&self) -> (CacheCounters, u64);
-}
-
-impl TaskStore for FragmentCacheStore<'_> {
-    fn ledger(&self) -> (CacheCounters, u64) {
-        (self.cache.counters(), 0)
-    }
-}
-
-impl TaskStore for BatchStore<'_> {
-    fn ledger(&self) -> (CacheCounters, u64) {
-        (self.inner.cache.counters(), self.shared)
-    }
-}
-
-/// One plan on one hosted engine — the only way from a decoded frame to an
-/// answer. The evaluation runs under `catch_unwind`, so a panic (injected by
-/// `panic_now`, or genuine) becomes a typed [`QueryError::WorkerPanic`]; on
-/// success the wire cost carries the cache activity the task caused.
-fn evaluate_task(
-    engine: &mut WorkerEngine,
-    plan: &QueryPlan,
-    store: &mut impl TaskStore,
+/// Run one task under `catch_unwind`, so a panic (injected by `panic_now`,
+/// or genuine) becomes a typed [`QueryError::WorkerPanic`] instead of a dead
+/// thread.
+fn guarded<T>(
     panic_now: bool,
-) -> Result<(NodeRuns, WireCost), QueryError> {
-    let (cache_before, shared_before) = store.ledger();
-    let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+    task: impl FnOnce() -> Result<T, QueryError>,
+) -> Result<T, QueryError> {
+    panic::catch_unwind(AssertUnwindSafe(|| {
         if panic_now {
             panic!("injected evaluation fault");
         }
-        engine.evaluate_plan_with_store(plan, store)
-    }));
-    match outcome {
-        Ok(Ok((nodes, cost))) => {
-            let (cache_after, shared_after) = store.ledger();
-            let delta = cache_after.since(&cache_before);
-            let mut wire = WireCost::from(&cost);
-            wire.cache_hits = delta.hits;
-            wire.cache_misses = delta.misses;
-            wire.cache_evictions = delta.evictions;
-            wire.cache_bypassed = delta.bypassed;
-            wire.batch_shared = shared_after - shared_before;
-            Ok((nodes, wire))
-        }
-        Ok(Err(e)) => Err(e),
-        Err(payload) => Err(QueryError::WorkerPanic(panic_message(payload))),
-    }
+        task()
+    }))
+    .unwrap_or_else(|payload| Err(QueryError::WorkerPanic(panic_message(payload))))
+}
+
+/// One plan on one hosted engine — the only way from a decoded frame to an
+/// answer. On success the wire cost carries the cache activity the task
+/// caused: the difference in the LRU's running counters and in the slots
+/// served from the shared map.
+fn evaluate_task(
+    engine: &mut WorkerEngine,
+    plan: &QueryPlan,
+    store: &mut BatchStore,
+    panic_now: bool,
+) -> Result<(NodeRuns, WireCost), QueryError> {
+    let (cache_before, shared_before) = (store.cache.counters(), store.shared);
+    let (nodes, cost) = guarded(panic_now, || engine.evaluate_plan_with_store(plan, store))?;
+    let delta = store.cache.counters().since(&cache_before);
+    let mut wire = WireCost::from(&cost);
+    wire.cache_hits = delta.hits;
+    wire.cache_misses = delta.misses;
+    wire.cache_evictions = delta.evictions;
+    wire.cache_bypassed = delta.bypassed;
+    wire.batch_shared = store.shared - shared_before;
+    Ok((nodes, wire))
 }
 
 /// Run the worker loop until a `Shutdown` request, channel closure, or an
@@ -229,107 +200,85 @@ pub fn worker_loop(
             }
         }
         let inject_panic = faults.panic_on_request == Some(request_count);
-        match request {
+        let sent = match request {
             Request::Shutdown => break,
             Request::TopK { query_id, query, fragments } => {
-                for (i, engine) in hosted(&mut engines, &fragments) {
+                hosted(&mut engines, &fragments).all(|(i, engine)| {
                     let fragment = engine.fragment().0;
-                    let panic_now = inject_panic && i == 0;
-                    let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-                        if panic_now {
-                            panic!("injected evaluation fault");
-                        }
-                        engine.topk_local(&query)
-                    }));
-                    let frame = match outcome {
-                        Ok(Ok((ranked, cost))) => encode_frame(&Response::TopKResults {
+                    let task = guarded(inject_panic && i == 0, || engine.topk_local(&query));
+                    responses.send(encode_frame(&match task {
+                        Ok((ranked, cost)) => Response::TopKResults {
                             query_id,
                             fragment,
                             ranked,
                             cost: WireCost::from(&cost),
-                        }),
-                        Ok(Err(e)) => {
-                            encode_frame(&Response::Failed { query_id, fragment, error: e })
-                        }
-                        Err(payload) => encode_frame(&Response::Failed {
-                            query_id,
-                            fragment,
-                            error: QueryError::WorkerPanic(panic_message(payload)),
-                        }),
-                    };
-                    if !responses.send(frame) {
-                        return;
-                    }
-                }
-            }
-            Request::Evaluate { query_id, plan, fragments } => {
-                for (i, engine) in hosted(&mut engines, &fragments) {
-                    let fragment = engine.fragment().0;
-                    let mut store = FragmentCacheStore { fragment, cache: &mut cache };
-                    let task = evaluate_task(engine, &plan, &mut store, inject_panic && i == 0);
-                    let frame = encode_frame(&match task {
-                        Ok((nodes, cost)) => Response::Results { query_id, fragment, nodes, cost },
+                        },
                         Err(error) => Response::Failed { query_id, fragment, error },
-                    });
-                    if !responses.send(frame) {
-                        return; // coordinator gone
+                    }))
+                })
+            }
+            // A single query is a batch of one, answered in the frames its
+            // own request kind names.
+            Request::Evaluate { query_id, plan, fragments } => answer(
+                &mut engines,
+                &fragments,
+                std::slice::from_ref(&plan),
+                inject_panic,
+                &mut cache,
+                &responses,
+                |fragment, mut answers| match answers.pop().expect("one plan, one answer") {
+                    BatchAnswer::Results { nodes, cost } => {
+                        Response::Results { query_id, fragment, nodes, cost }
                     }
-                }
-            }
-            Request::Batch { base, plan, fragments } => {
-                // Split once: each query evaluates through the shared-slot
-                // store below, so per-query results are bit-identical to the
-                // unbatched path while each distinct slot is resolved once.
-                let queries = plan.split();
-                if !answer_batch(
-                    &mut engines,
-                    &fragments,
-                    base,
-                    &queries,
-                    inject_panic,
-                    &mut cache,
-                    &responses,
-                ) {
-                    return;
-                }
-            }
+                    BatchAnswer::Failed(error) => Response::Failed { query_id, fragment, error },
+                },
+            ),
+            Request::Batch { base, plan, fragments } => answer(
+                &mut engines,
+                &fragments,
+                &plan.split(),
+                inject_panic,
+                &mut cache,
+                &responses,
+                |fragment, answers| Response::BatchResults { base, fragment, answers },
+            ),
+        };
+        if !sent {
+            return; // coordinator gone
         }
     }
 }
 
-/// Evaluate a batch of split per-query plans on every hosted fragment,
-/// sharing slots through a per-fragment [`BatchStore`]. Returns `false` when
-/// the coordinator is gone.
-fn answer_batch(
+/// Evaluate `plans` on every hosted fragment the request selects, sharing
+/// slots across them through a per-fragment [`BatchStore`], and send each
+/// fragment's answers (in plan order) as the frame `reply` makes of them.
+/// An injected panic fails the first plan on the first fragment only.
+/// Returns `false` when the coordinator is gone.
+fn answer(
     engines: &mut [WorkerEngine],
     fragments: &[u32],
-    base: u64,
-    queries: &[QueryPlan],
+    plans: &[QueryPlan],
     inject_panic: bool,
     cache: &mut CoverageCache,
     responses: &LinkSender,
+    reply: impl Fn(u32, Vec<BatchAnswer>) -> Response,
 ) -> bool {
-    for (i, engine) in hosted(engines, fragments) {
+    hosted(engines, fragments).all(|(i, engine)| {
         let fragment = engine.fragment().0;
-        let mut store = BatchStore {
-            inner: FragmentCacheStore { fragment, cache: &mut *cache },
-            resolved: HashMap::new(),
-            shared: 0,
-        };
-        let mut answers = Vec::with_capacity(queries.len());
-        for (qi, qplan) in queries.iter().enumerate() {
-            let panic_now = inject_panic && i == 0 && qi == 0;
-            answers.push(match evaluate_task(engine, qplan, &mut store, panic_now) {
-                Ok((nodes, cost)) => BatchAnswer::Results { nodes, cost },
-                Err(e) => BatchAnswer::Failed(e),
-            });
-        }
-        let frame = encode_frame(&Response::BatchResults { base, fragment, answers });
-        if !responses.send(frame) {
-            return false;
-        }
-    }
-    true
+        let mut store =
+            BatchStore { fragment, cache: &mut *cache, resolved: HashMap::new(), shared: 0 };
+        let answers = plans
+            .iter()
+            .enumerate()
+            .map(|(qi, plan)| {
+                match evaluate_task(engine, plan, &mut store, inject_panic && i == 0 && qi == 0) {
+                    Ok((nodes, cost)) => BatchAnswer::Results { nodes, cost },
+                    Err(e) => BatchAnswer::Failed(e),
+                }
+            })
+            .collect();
+        responses.send(encode_frame(&reply(fragment, answers)))
+    })
 }
 
 /// Iterate the hosted engines selected by a request's fragment filter
@@ -350,7 +299,7 @@ mod tests {
     use crate::message::WireCost;
     use crate::transport::counted_link;
     use crossbeam::channel::unbounded;
-    use disks_core::{build_all_indexes, DFunction, IndexConfig, Term};
+    use disks_core::{build_all_indexes, DFunction, IndexConfig, SetOp, Term};
     use disks_partition::{MultilevelPartitioner, Partitioner};
     use disks_roadnet::generator::GridNetworkConfig;
     use disks_roadnet::KeywordId;
@@ -436,7 +385,9 @@ mod tests {
     }
 
     /// Repeated plans hit the coverage cache: the second response reports
-    /// hits, zero settled nodes, and the identical result set.
+    /// hits, zero settled nodes, and the identical result set. An `Evaluate`
+    /// is a batch of one, and a plan's slots are distinct, so neither
+    /// response reports a slot shared within its request.
     #[test]
     fn repeated_plan_served_from_cache() {
         let net = GridNetworkConfig::tiny(66).generate();
@@ -453,10 +404,15 @@ mod tests {
         });
         let freqs = net.keyword_frequencies();
         let top = KeywordId((0..freqs.len()).max_by_key(|&k| freqs[k]).unwrap() as u32);
-        // A radius wide enough that the coverage clears the cache's
+        // Radii wide enough that both coverages clear the cache's
         // small-content bypass threshold (content ≥ `ENTRY_OVERHEAD`).
-        let plan =
-            QueryPlan::lower(&DFunction::single(Term::Keyword(top), 3 * net.avg_edge_weight()));
+        let e = net.avg_edge_weight();
+        let plan = QueryPlan::lower(&DFunction::single(Term::Keyword(top), 3 * e).then(
+            SetOp::Union,
+            Term::Keyword(top),
+            4 * e,
+        ));
+        assert_eq!(plan.num_slots(), 2);
         for qid in 1..=2u64 {
             let req = Request::Evaluate { query_id: qid, plan: plan.clone(), fragments: vec![] };
             req_tx.send(encode_frame(&req)).unwrap();
@@ -474,8 +430,8 @@ mod tests {
         let (_, cold_nodes, cold) = &outcomes[0];
         let (_, warm_nodes, warm) = &outcomes[1];
         assert_eq!(cold_nodes, warm_nodes, "cache hit never changes the answer");
-        assert_eq!((cold.cache_hits, cold.cache_misses), (0, 1));
-        assert_eq!((warm.cache_hits, warm.cache_misses), (1, 0));
+        assert_eq!((cold.cache_hits, cold.cache_misses, cold.batch_shared), (0, 2, 0));
+        assert_eq!((warm.cache_hits, warm.cache_misses, warm.batch_shared), (2, 0, 0));
         assert!(cold.settled > 0);
         assert_eq!(warm.settled, 0, "hit skips the coverage Dijkstra");
         req_tx.send(encode_frame(&Request::Shutdown)).unwrap();

@@ -1,17 +1,18 @@
 //! Batched-dispatch equivalence: merging a window of queries into one
 //! super-plan per worker per round is a pure transport optimization, so a
-//! batched cluster, an unbatched cluster, and the centralized oracle must
-//! return *byte-identical* answers over a Zipf-skewed stream — with zero
+//! Zipf-skewed stream and the same queries asked one at a time must return
+//! *byte-identical* answers, equal to the centralized oracle — with zero
 //! inter-worker bytes, exact per-query attribution (cache counters summing
 //! to the cluster ledger), and a frame economy of well under one frame per
-//! query per worker. Faults inside a batch narrow to per-query retries.
+//! query per worker for the stream. Faults inside a batch narrow to
+//! per-query retries.
 
 use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use disks_cluster::{CacheCounters, Cluster, ClusterConfig, FaultPlan, NetworkModel, QueryOutcome};
+use disks_cluster::{CacheCounters, Cluster, ClusterConfig, FaultPlan, QueryOutcome};
 use disks_core::{build_all_indexes, CentralizedCoverage, DFunction, IndexConfig, SgkQuery};
 use disks_partition::{MultilevelPartitioner, Partitioner, Partitioning};
 use disks_roadnet::generator::GridNetworkConfig;
@@ -40,12 +41,7 @@ fn zipf_stream(net: &RoadNetwork, seed: u64, n: usize) -> Vec<SgkQuery> {
         .collect()
 }
 
-fn build_cluster(
-    net: &RoadNetwork,
-    p: &Partitioning,
-    batch_window: usize,
-    kill_at: Option<u64>,
-) -> Cluster {
+fn build_cluster(net: &RoadNetwork, p: &Partitioning, kill_at: Option<u64>) -> Cluster {
     let indexes = build_all_indexes(net, p, &IndexConfig::unbounded());
     let faults = kill_at.map(|nth| FaultPlan::new(0xBA7C).kill_worker(0, nth));
     Cluster::build(
@@ -53,7 +49,6 @@ fn build_cluster(
         p,
         indexes,
         ClusterConfig {
-            network: NetworkModel::instant(),
             // Generous stall budget: under TCP lanes with the whole suite
             // running in parallel, a healthy window's answers can be late
             // by scheduler contention alone — only the *kill* may retry.
@@ -61,7 +56,6 @@ fn build_cluster(
             // times, so spurious stall retries are test failures here.)
             deadline: Duration::from_millis(3000),
             coverage_cache_bytes: 64 << 20,
-            batch_window,
             faults,
             ..ClusterConfig::default()
         },
@@ -87,59 +81,63 @@ fn summed_batch_shared(outcomes: &[QueryOutcome]) -> u64 {
     outcomes.iter().flat_map(|o| o.stats.per_machine.iter()).map(|m| m.batch_shared).sum()
 }
 
-/// The acceptance property: 200 Zipf queries through a window-16 batched
-/// cluster and a window-1 unbatched cluster return byte-identical answers,
-/// each exact against the centralized oracle, with zero inter-worker bytes,
-/// per-query cache counters that sum to the cluster ledger, real intra-batch
-/// slot sharing, and < 0.25 coordinator frames per query per worker.
+/// The acceptance property: 200 Zipf queries as one stream (windows of 16)
+/// and the same 200 asked one `Cluster::run` at a time on the same cluster
+/// return byte-identical answers, each exact against the centralized oracle,
+/// with zero inter-worker bytes and per-query cache counters that sum to the
+/// cluster ledger. The stream shares slots within its windows and sends
+/// < 0.25 coordinator frames per query per worker; the single queries send
+/// exactly one frame per query per machine and share nothing.
 #[test]
-fn batched_matches_unbatched_and_oracle_on_zipf_stream() {
+fn a_stream_matches_single_queries_and_the_oracle_on_a_zipf_stream() {
     let net = GridNetworkConfig::tiny(0xD15C).generate();
     let p = MultilevelPartitioner::default().partition(&net, 3);
     let stream = zipf_stream(&net, 0x5EED, 200);
     let fs: Vec<DFunction> = stream.iter().map(|q| q.to_dfunction()).collect();
+    let cluster = build_cluster(&net, &p, None);
+    let one_per_query_per_worker = (fs.len() * cluster.num_machines()) as u64;
 
-    let batched = build_cluster(&net, &p, 16, None);
-    let unbatched = build_cluster(&net, &p, 1, None);
-    let (b, _) = batched.run_batched(&fs).expect("batched stream");
-    let (u, _) = unbatched.run_batched(&fs).expect("unbatched stream");
-    assert_eq!(b.len(), fs.len());
-    assert_eq!(u.len(), fs.len());
+    let (frames_before, _) = cluster.link_message_totals();
+    let (items, _) = cluster.run_stream(&fs);
+    let streamed: Vec<QueryOutcome> =
+        items.into_iter().collect::<Result<_, _>>().expect("streamed queries");
+    let (frames_streamed, _) = cluster.link_message_totals();
+    let ledger_streamed = cluster.cache_counters();
+    let singles: Vec<QueryOutcome> =
+        fs.iter().map(|f| cluster.run(f).expect("single query")).collect();
+    let (frames_single, _) = cluster.link_message_totals();
 
     let mut oracle = CentralizedCoverage::new(&net);
     for (i, q) in stream.iter().enumerate() {
-        assert_eq!(b[i].results, u[i].results, "query {i}: batched != unbatched");
-        assert_eq!(b[i].results, oracle.sgkq(q).unwrap(), "query {i} not exact");
-        assert_eq!(b[i].stats.results, u[i].stats.results, "query {i} result counts diverge");
+        let (b, u) = (&streamed[i], &singles[i]);
+        assert_eq!(b.results, u.results, "query {i}: streamed != single");
+        assert_eq!(b.results, oracle.sgkq(q).unwrap(), "query {i} not exact");
+        assert_eq!(b.stats.results, u.stats.results, "query {i} result counts diverge");
         // Theorem 3 holds identically under batching.
-        assert_eq!(b[i].stats.inter_worker_bytes, 0);
-        assert_eq!(u[i].stats.inter_worker_bytes, 0);
-        assert_eq!(b[i].stats.retries, 0, "fault-free batch must not retry");
+        assert_eq!(b.stats.inter_worker_bytes, 0);
+        assert_eq!(u.stats.inter_worker_bytes, 0);
+        assert_eq!(b.stats.retries, 0, "fault-free batch must not retry");
+        assert_eq!(u.stats.retries, 0, "fault-free query must not retry");
     }
 
     // Per-query attribution is exact: the per-outcome wire counters sum to
-    // the cluster's lifetime cache ledger on both paths.
-    assert_eq!(summed_cache(&b), batched.cache_counters());
-    assert_eq!(summed_cache(&u), unbatched.cache_counters());
-    // The Zipf stream repeats slots within a window, so the batched run
-    // must actually share coverages intra-batch; the unbatched run cannot.
-    assert!(summed_batch_shared(&b) > 0, "expected intra-batch slot sharing");
-    assert_eq!(summed_batch_shared(&u), 0);
+    // the cluster's lifetime cache ledger, stream and singles alike.
+    assert_eq!(summed_cache(&streamed), ledger_streamed);
+    let mut all = summed_cache(&streamed);
+    all.absorb(&summed_cache(&singles));
+    assert_eq!(all, cluster.cache_counters());
+    // The Zipf stream repeats slots within a window, so the stream must
+    // actually share coverages intra-batch; a single query cannot.
+    assert!(summed_batch_shared(&streamed) > 0, "expected intra-batch slot sharing");
+    assert_eq!(summed_batch_shared(&singles), 0);
 
     // Frame economy: ceil(200/16) = 13 super-plan frames per worker versus
-    // 200 Evaluate frames per worker unbatched.
-    let machines = batched.num_machines() as f64;
-    let (b_frames, _) = batched.link_message_totals();
-    let (u_frames, _) = unbatched.link_message_totals();
-    let per_query_per_worker = b_frames as f64 / (fs.len() as f64 * machines);
-    assert!(
-        per_query_per_worker < 0.25,
-        "batched frames/query/worker {per_query_per_worker} too high"
-    );
-    assert!((u_frames as f64 / (fs.len() as f64 * machines) - 1.0).abs() < 1e-9);
+    // one `Evaluate` frame per query per worker.
+    let streamed_rate = (frames_streamed - frames_before) as f64 / one_per_query_per_worker as f64;
+    assert!(streamed_rate < 0.25, "streamed frames/query/worker {streamed_rate} too high");
+    assert_eq!(frames_single - frames_streamed, one_per_query_per_worker);
 
-    batched.shutdown();
-    unbatched.shutdown();
+    cluster.shutdown();
 }
 
 /// A worker killed mid-stream (on its 3rd super-plan frame) loses the rest
@@ -155,8 +153,10 @@ fn mid_batch_worker_kill_narrows_to_individual_retries() {
 
     // Window 16 → 13 super-plan frames per worker; machine 0 crashes upon
     // receiving its 3rd (queries 32.. on its fragment never answered).
-    let cluster = build_cluster(&net, &p, 16, Some(3));
-    let (outcomes, _) = cluster.run_batched(&fs).expect("stream with mid-batch kill");
+    let cluster = build_cluster(&net, &p, Some(3));
+    let (items, _) = cluster.run_stream(&fs);
+    let outcomes: Vec<QueryOutcome> =
+        items.into_iter().collect::<Result<_, _>>().expect("stream with mid-batch kill");
     assert_eq!(outcomes.len(), fs.len());
 
     let mut oracle = CentralizedCoverage::new(&net);

@@ -12,7 +12,7 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use disks_cluster::{Cluster, ClusterConfig, FaultPlan, NetworkModel, TransportKind};
+use disks_cluster::{Cluster, ClusterConfig, FaultPlan, TransportKind};
 use disks_core::{
     build_all_indexes, CentralizedCoverage, DFunction, IndexConfig, QueryPlan, SetOp, SgkQuery,
     Term,
@@ -100,7 +100,6 @@ fn build_cluster_on(
         p,
         indexes,
         ClusterConfig {
-            network: NetworkModel::instant(),
             deadline: Duration::from_millis(200),
             coverage_cache_bytes: cache_bytes,
             faults,

@@ -10,7 +10,7 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use disks_cluster::{Cluster, ClusterConfig, FaultPlan, LinkDirection, NetworkModel};
+use disks_cluster::{Cluster, ClusterConfig, FaultPlan, LinkDirection};
 use disks_core::{
     build_all_indexes, CentralizedCoverage, DFunction, IndexConfig, QueryError, SgkQuery,
 };
@@ -33,11 +33,10 @@ fn top_keyword(net: &RoadNetwork) -> KeywordId {
     KeywordId(best as u32)
 }
 
-/// A config tuned for fast fault tests: instant network, short stall
-/// deadline so dropped frames are re-dispatched within milliseconds.
+/// A config tuned for fast fault tests: a short stall deadline, so dropped
+/// frames are re-dispatched within milliseconds.
 fn fault_config(faults: FaultPlan) -> ClusterConfig {
     ClusterConfig {
-        network: NetworkModel::instant(),
         deadline: Duration::from_millis(200),
         faults: Some(faults),
         ..ClusterConfig::default()
@@ -194,9 +193,8 @@ fn a_worker_killed_between_windows_degrades_only_its_fragments() {
     let config = ClusterConfig {
         max_attempts: 1,
         allow_partial: true,
-        // 40 queries are three windows, so machine 0 dies on the second of
-        // its three frames.
-        batch_window: 16,
+        // 40 queries are three windows of 16, so machine 0 dies on the
+        // second of its three frames.
         ..fault_config(FaultPlan::new(99).kill_worker(0, 2))
     };
     let cluster = Cluster::build(&net, &p, indexes, config);
@@ -242,7 +240,6 @@ fn stale_responses_from_aborted_query_are_dropped_out_of_window() {
         .delay_frame(0, LinkDirection::WorkerToCoordinator, 1, 600)
         .delay_frame(1, LinkDirection::WorkerToCoordinator, 1, 600);
     let config = ClusterConfig {
-        network: NetworkModel::instant(),
         deadline: Duration::from_millis(150),
         max_attempts: 1,
         faults: Some(plan),
@@ -307,7 +304,7 @@ fn zipf_stream(net: &RoadNetwork, seed: u64, n: usize) -> Vec<SgkQuery> {
         .collect()
 }
 
-/// A chaos soak: a 500-query Zipf stream in windows of 8 while every
+/// A chaos soak: a 500-query Zipf stream in windows of 16 while every
 /// machine crashes once mid-stream and the response links delay one frame
 /// and drop another. Every query ends exact or typed-partial (a subset of
 /// the oracle's answer, its unanswered fragments listed), and afterwards
@@ -323,28 +320,26 @@ fn chaos_soak_is_exact_or_partial_and_the_frame_ledger_closes() {
     let stream = zipf_stream(&net, 0xCAFE, 500);
     let fs: Vec<DFunction> = stream.iter().map(|q| q.to_dfunction()).collect();
 
-    // Each machine gets 63 window frames, so every kill fires inside the
+    // Each machine gets 32 window frames, so every kill fires inside the
     // initial dispatch. No coordinator→worker duplicate faults — those
     // legitimately put extra frames on the wire and would (correctly)
     // unbalance the frame ledger this test closes.
     let faults = FaultPlan::new(0x0DD5)
-        .kill_worker(0, 20)
-        .kill_worker(1, 35)
-        .kill_worker(2, 50)
-        .delay_frame(1, LinkDirection::WorkerToCoordinator, 40, 30)
-        .drop_frame(2, LinkDirection::WorkerToCoordinator, 30);
+        .kill_worker(0, 10)
+        .kill_worker(1, 18)
+        .kill_worker(2, 26)
+        .delay_frame(1, LinkDirection::WorkerToCoordinator, 20, 30)
+        .drop_frame(2, LinkDirection::WorkerToCoordinator, 15);
     let indexes = build_all_indexes(&net, &p, &IndexConfig::unbounded());
     let cluster = Cluster::build(
         &net,
         &p,
         indexes,
         ClusterConfig {
-            network: NetworkModel::instant(),
             deadline: Duration::from_millis(150),
             allow_partial: true,
             faults: Some(faults),
             coverage_cache_bytes: 64 << 20,
-            batch_window: 8,
             ..ClusterConfig::default()
         },
     );

@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 
 use disks_cluster::{
     Cluster, ClusterConfig, FaultPlan, HeartbeatConfig, HeartbeatConfigError, LinkDirection,
-    NetworkModel, TransportKind,
+    TransportKind,
 };
 use disks_core::{build_all_indexes, CentralizedCoverage, IndexConfig, SgkQuery};
 use disks_partition::{MultilevelPartitioner, Partitioner, Partitioning};
@@ -56,7 +56,6 @@ fn build_cluster(
 
 fn base_config() -> ClusterConfig {
     ClusterConfig {
-        network: NetworkModel::instant(),
         deadline: Duration::from_millis(200),
         coverage_cache_bytes: 64 << 20,
         ..ClusterConfig::default()

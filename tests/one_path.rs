@@ -23,7 +23,7 @@ use std::time::Duration;
 
 use disks::baseline::centralized::CentralizedEngine;
 use disks::cluster::transport::TransportKind;
-use disks::cluster::{Cluster, ClusterConfig, FaultPlan, HeartbeatConfig, NetworkModel};
+use disks::cluster::{Cluster, ClusterConfig, FaultPlan, HeartbeatConfig};
 use disks::core::{
     build_all_indexes, DFunction, IndexConfig, QClassQuery, QueryPlan, RangeKeywordQuery, SetOp,
     SgkQuery, Term,
@@ -38,13 +38,11 @@ use rand::{Rng, SeedableRng};
 fn shipped() -> ClusterConfig {
     ClusterConfig {
         machines: Some(2),
-        network: NetworkModel::instant(),
         deadline: Duration::from_millis(500),
         max_attempts: 3,
         allow_partial: false,
         faults: None,
         coverage_cache_bytes: 64 << 20,
-        batch_window: 16,
         transport: TransportKind::Channel,
         heartbeat: HeartbeatConfig::default(),
     }
@@ -124,10 +122,7 @@ fn configs() -> [(&'static str, ClusterConfig); 4] {
     [
         ("shipped defaults", shipped()),
         ("fixed windows over TCP", ClusterConfig { transport: TransportKind::Tcp, ..shipped() }),
-        (
-            "windows of one, coverage cache off",
-            ClusterConfig { batch_window: 1, coverage_cache_bytes: 0, ..shipped() },
-        ),
+        ("coverage cache off", ClusterConfig { coverage_cache_bytes: 0, ..shipped() }),
         (
             "mid-stream kill over TCP",
             ClusterConfig {
@@ -340,6 +335,7 @@ fn a_knob_this_build_does_not_have_is_refused_by_name() {
             ("DISKS_COST_LIMIT", "5000000"),
             ("DISKS_BROWNOUT", "0.9"),
             ("DISKS_RETRY_BACKOFF", "3"),
+            ("DISKS_BATCH", "16"),
         ] {
             refused(&[], Some((var, value)), var);
         }
