@@ -8,10 +8,25 @@
 //! they combine, so this is the fixed per-query floor the thread pool
 //! amortises the Dijkstra cost against.
 //!
+//! `list_cut` prices the fetch a keyword list replaced: on one fragment of
+//! the benchmark's dataset (`aus_like(0xA052)`, k = 8, maxR = 40·ē), every
+//! seeded keyword's coverage at maxR/4, maxR/2 and maxR, once as the list's
+//! prefix scattered into a fresh bitset and once as the bounded search it
+//! replaces. Both print **ns per covered node** (the search's unit is then
+//! `core.engine.ns_per_settled`: a bounded search settles exactly what it
+//! covers).
+//!
 //! Run with: `cargo bench -p disks-core --bench bitset_kernels`
+
+use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use disks_core::bitset::{kernels, BitSet};
+use disks_core::index::{build_index, IndexConfig};
+use disks_core::{FragmentEngine, KeywordList, Term};
+use disks_partition::{FragmentId, MultilevelPartitioner, Partitioner};
+use disks_roadnet::generator::GridNetworkConfig;
+use disks_roadnet::KeywordId;
 
 /// Deterministic pseudo-random words (splitmix64) so densities are stable
 /// across runs without pulling in an RNG.
@@ -103,5 +118,57 @@ fn bench_bitset_ops(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(bitsets, bench_word_kernels, bench_bitset_ops);
+fn bench_list_cut(_: &mut Criterion) {
+    let net = GridNetworkConfig::aus_like(0xA052).generate();
+    let part = MultilevelPartitioner::default().partition(&net, 8);
+    let max_r = 40 * net.avg_edge_weight();
+    let index = build_index(&net, &part, FragmentId(0), &IndexConfig::with_max_r(max_r));
+    let mut engine = FragmentEngine::new(&net, &part, &index).expect("engine");
+    let n = engine.num_local_nodes();
+    let seeded: Vec<Term> = (0..net.vocab().len() as u32)
+        .map(|k| Term::Keyword(KeywordId(k)))
+        .filter(|&t| engine.seed_count(t, max_r) > 0)
+        .collect();
+    // Each keyword's first search, kept as the engine keeps it.
+    let lists: Vec<KeywordList> = seeded
+        .iter()
+        .map(|&t| {
+            let (table, _) = engine.distance_table(t, max_r).expect("admissible");
+            KeywordList::new(table.into_iter().map(|(node, d)| (d as u32, node)).collect(), n)
+        })
+        .collect();
+    let listed: usize = lists.iter().map(|l| l.cut_into(max_r, &mut BitSet::new(n))).sum();
+    println!(
+        "list_cut: {n} nodes, {} seeded keywords, {:.0} listed/keyword, {} KiB of lists",
+        seeded.len(),
+        listed as f64 / seeded.len() as f64,
+        lists.iter().map(KeywordList::memory_bytes).sum::<usize>() >> 10
+    );
+    let median = |pass: &mut dyn FnMut() -> usize| {
+        let covered = pass(); // warm-up; the count repeats exactly
+        let mut samples: Vec<f64> = (0..15)
+            .map(|_| {
+                let start = Instant::now();
+                assert_eq!(black_box(pass()), covered);
+                start.elapsed().as_nanos() as f64 / covered.max(1) as f64
+            })
+            .collect();
+        samples.sort_unstable_by(f64::total_cmp);
+        (samples[samples.len() / 2], covered as f64 / seeded.len() as f64)
+    };
+    for bound in [max_r / 4, max_r / 2, max_r] {
+        let (cut, covered) =
+            median(&mut || lists.iter().map(|l| l.cut_into(bound, &mut BitSet::new(n))).sum());
+        let (search, _) = median(&mut || {
+            let cover = |&t: &Term| engine.coverage(t, bound).expect("admissible").0.count();
+            seeded.iter().map(cover).sum()
+        });
+        println!(
+            "list_cut/{bound}: median {cut:.1} ns/node cut vs {search:.1} searched \
+             ({covered:.0} covered/keyword)"
+        );
+    }
+}
+
+criterion_group!(bitsets, bench_word_kernels, bench_bitset_ops, bench_list_cut);
 criterion_main!(bitsets);

@@ -27,9 +27,10 @@ pub enum ServedBy {
 
 /// A bounded primary + unbounded secondary engine pair for one fragment.
 ///
-/// Reach masks (see [`FragmentEngine`]) are each engine's own: the primary
-/// builds them at its `maxR` as its keywords are searched, the secondary
-/// (`maxR = INF`) keeps none — a plan routed there is capped by nothing.
+/// Keyword lists and their reach masks (see [`FragmentEngine`]) are each
+/// engine's own: the primary builds them at its `maxR` as its keywords are
+/// searched, the secondary (`maxR = INF`) keeps none — a plan routed there
+/// is capped by nothing and searches every keyword slot it fetches.
 pub struct BiLevelIndex {
     primary: FragmentEngine,
     secondary: FragmentEngine,
@@ -178,7 +179,7 @@ mod tests {
         );
     }
 
-    /// Each level keeps its own reach masks: the bounded primary builds
+    /// Each level keeps its own keyword lists: the bounded primary builds
     /// them as its keywords are searched, the unbounded secondary never
     /// does, and a conjunction routed to either level is the oracle's the
     /// first time and the second.

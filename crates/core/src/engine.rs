@@ -5,8 +5,15 @@
 //! * the *extended fragment* `P' = P ∪ SC(P)` as a local CSR graph (Step 1),
 //! * the DL component for seeding cross-fragment distances (Steps 2–3),
 //! * a local inverted keyword index (sources of the virtual keyword nodes),
-//! * on a bounded index, a *reach mask* `R(ω, maxR) ∩ P` per keyword searched
-//!   so far — a ceiling on every later coverage of that keyword.
+//! * on a bounded index, per keyword searched so far, a [`KeywordList`]: the
+//!   local nodes within `maxR` of it sorted by distance (8 B a node), beside
+//!   their set, the *reach mask* `R(ω, maxR) ∩ P` — a ceiling on every later
+//!   coverage of the keyword.
+//!
+//! A keyword's first search on a bounded index runs to `maxR` and builds its
+//! list; every later coverage of the keyword, at any `r ≤ maxR`, by a plan or
+//! a top-k, is the list's prefix within `r` and searches nothing. So each
+//! (fragment, keyword) is searched once for the engine's life.
 //!
 //! The paper's "virtual node `Vᵢ` connected by directed 0-weight edges" is
 //! realized as multi-source Dijkstra seeding, which is the same computation
@@ -32,7 +39,7 @@ use std::time::Duration;
 
 use disks_partition::{FragmentId, Partitioning};
 use disks_roadnet::dijkstra::{Control, Graph};
-use disks_roadnet::{DijkstraWorkspace, KeywordId, NodeId, RoadNetwork, Weight, INF};
+use disks_roadnet::{DijkstraWorkspace, KeywordId, NodeId, RoadNetwork, Weight};
 
 use crate::bitset::BitSet;
 use crate::dfunc::{DFunction, DTerm, Term};
@@ -51,9 +58,11 @@ pub struct SlotCost {
     pub radius: u64,
     /// αⱼ — DL pairs inspected for this slot.
     pub alpha: usize,
-    /// Nodes settled by this slot's coverage search (0 on a cache hit).
+    /// Nodes settled by this slot's coverage search (0 on a cache hit or a
+    /// list cut).
     pub settled: usize,
-    /// Heap pushes by this slot's coverage search (0 on a cache hit).
+    /// Heap pushes by this slot's coverage search (0 on a cache hit or a
+    /// list cut).
     pub pushed: usize,
     /// `|P ∩ R(term, r)|`.
     pub coverage_nodes: usize,
@@ -68,9 +77,11 @@ pub struct QueryCost {
     pub alpha: usize,
     /// β = |SC(P)| (constant per engine, counted once per query).
     pub beta: usize,
-    /// Nodes settled across the coverage searches.
+    /// Nodes settled across the coverage searches (0 for a slot served by a
+    /// cache hit or a list cut).
     pub settled: usize,
-    /// Heap pushes across the coverage searches.
+    /// Heap pushes across the coverage searches (0 for a slot served by a
+    /// cache hit or a list cut).
     pub pushed: usize,
     /// Σ |P ∩ R(ωⱼ, r)| — total coverage sizes.
     pub coverage_nodes: usize,
@@ -170,14 +181,55 @@ struct KeywordEntry {
     /// §3.7 aggregation with portals translated to local ids:
     /// (local portal, distance), sorted by distance.
     portals: Vec<(u32, u64)>,
-    /// The reach mask `R(keyword, max_r) ∩ P`, left behind by the first
-    /// search a plan needed of the keyword (which ran to `max_r` for it).
-    /// `R(keyword, r) ⊆ R(keyword, max_r)` for every admissible `r`, so it
-    /// bounds every coverage of the keyword from above. A pure function of
-    /// the immutable index, like the rest of the engine: set once, never
-    /// invalidated, and never set when `max_r == INF` — that mask would be
-    /// the whole fragment.
-    reach: OnceLock<BitSet>,
+    /// The keyword's list, left behind by the first search a plan or a
+    /// top-k needed of the keyword (which ran to `max_r` for it). A pure
+    /// function of the immutable index, like the rest of the engine: set
+    /// once, never invalidated, and never set when the engine keeps no lists
+    /// ([`FragmentEngine::keeps_lists`]).
+    reach: OnceLock<KeywordList>,
+}
+
+/// Every local node within `max_r` of a keyword with its distance, sorted by
+/// distance, and their set: what a [`FragmentEngine`] keeps of a keyword's
+/// first search. `R(keyword, r) ∩ P` for every admissible `r` is a prefix of
+/// the list, and the set bounds every coverage of the keyword from above.
+pub struct KeywordList {
+    /// Distances, ascending; `nodes[i]` is at `dists[i]`.
+    dists: Vec<u32>,
+    nodes: Vec<u32>,
+    /// The reach mask `R(keyword, max_r) ∩ P`: the list's full set.
+    mask: BitSet,
+}
+
+impl KeywordList {
+    /// The list of the `(distance, local id)` pairs one search settled, in
+    /// any order, over a fragment of `num_local` nodes.
+    pub fn new(mut settled: Vec<(u32, u32)>, num_local: usize) -> Self {
+        // The bucket kernel settles in bucket order, not distance order.
+        settled.sort_unstable();
+        let (dists, nodes): (Vec<u32>, Vec<u32>) = settled.into_iter().unzip();
+        let mut mask = BitSet::new(num_local);
+        nodes.iter().for_each(|&n| mask.insert(n as usize));
+        KeywordList { dists, nodes, mask }
+    }
+
+    /// How many nodes are within `r`: the length of the prefix that is
+    /// `R(keyword, r) ∩ P`.
+    fn cut(&self, r: u64) -> usize {
+        self.dists.partition_point(|&d| u64::from(d) <= r)
+    }
+
+    /// Insert the nodes within `r` into `cov`; how many there are.
+    pub fn cut_into(&self, r: u64, cov: &mut BitSet) -> usize {
+        let within = &self.nodes[..self.cut(r)];
+        within.iter().for_each(|&n| cov.insert(n as usize));
+        within.len()
+    }
+
+    /// Resident bytes: 8 a listed node, beside the mask.
+    pub fn memory_bytes(&self) -> usize {
+        (self.dists.len() + self.nodes.len()) * 4 + self.mask.memory_bytes()
+    }
 }
 
 /// What one bounded search starts from, borrowed from the engine.
@@ -337,13 +389,13 @@ impl FragmentEngine {
         self.dl_scope
     }
 
-    /// Approximate resident bytes of the engine's state, the reach masks
-    /// built so far included.
+    /// Approximate resident bytes of the engine's state, the keyword lists
+    /// and reach masks built so far included.
     pub fn memory_bytes(&self) -> usize {
         let keyword = |e: &KeywordEntry| {
             (e.locals.len() * 4 + 8)
                 + (e.portals.len() * 12 + 8)
-                + e.reach.get().map_or(0, BitSet::memory_bytes)
+                + e.reach.get().map_or(0, KeywordList::memory_bytes)
         };
         self.globals.len() * 4
             + self.breaks.memory_bytes()
@@ -459,34 +511,58 @@ impl FragmentEngine {
         Ok((Arc::new(cov), cost.into()))
     }
 
-    /// Fetch a plan slot's coverage by searching. A keyword's first such
-    /// search on a bounded index runs to `max_r` instead of the slot's
-    /// radius and leaves every node it settles behind as the keyword's
-    /// reach mask; the nodes within the radius are the coverage either way
-    /// (distances are exact up to `max_r`, Theorem 3).
-    fn search_slot(&self, ws: &mut DijkstraWorkspace, slot: &DTerm) -> (BitSet, SlotCost) {
+    /// Whether the engine keeps keyword lists: on a bounded index, whose
+    /// distances within `max_r` fit the lists' 32 bits. An unbounded
+    /// engine's list would be the whole fragment.
+    fn keeps_lists(&self) -> bool {
+        self.max_r <= u64::from(u32::MAX)
+    }
+
+    /// Keyword `k`'s list, built by one search to `max_r` if this is the
+    /// first time it is asked for, with that search's cost (a slot of radius
+    /// `max_r`), or nothing searched when the list was already there.
+    /// `None` when the engine keeps no lists or `k` has no seed here.
+    fn keyword_list(
+        &self,
+        ws: &mut DijkstraWorkspace,
+        k: KeywordId,
+    ) -> Option<(&KeywordList, SlotCost)> {
+        let reach = &self.keyword(k).filter(|_| self.keeps_lists())?.reach;
+        let term = Term::Keyword(k);
+        if let Some(list) = reach.get() {
+            let unsearched = SlotCost {
+                term,
+                radius: self.max_r,
+                alpha: 0,
+                settled: 0,
+                pushed: 0,
+                coverage_nodes: list.nodes.len(),
+                cached: false,
+            };
+            return Some((list, unsearched));
+        }
+        let mut settled = Vec::new();
+        // Within `max_r`, so every distance fits (`keeps_lists`).
+        let cost = self.search(ws, term, self.max_r, |n, d| settled.push((d as u32, n)));
+        Some((reach.get_or_init(|| KeywordList::new(settled, self.globals.len())), cost))
+    }
+
+    /// Fetch a plan slot's coverage. A keyword slot on an engine that keeps
+    /// lists is a prefix of the keyword's list — a search to `max_r` the
+    /// first time, none after; any other slot searches to its radius
+    /// (distances are exact up to `max_r` either way, Theorem 3).
+    fn fetch_slot(&self, ws: &mut DijkstraWorkspace, slot: &DTerm) -> (BitSet, SlotCost) {
         let mut cov = BitSet::new(self.globals.len());
-        let unreached = match slot.term {
-            Term::Keyword(k) if self.max_r != INF => {
-                self.keyword(k).map(|e| &e.reach).filter(|reach| reach.get().is_none())
-            }
-            _ => None,
+        let listed = match slot.term {
+            Term::Keyword(k) => self.keyword_list(ws, k),
+            Term::Node(_) => None,
         };
-        let Some(unreached) = unreached else {
+        let Some((list, cost)) = listed else {
             let cost = self.search(ws, slot.term, slot.radius, |n, _| cov.insert(n as usize));
             return (cov, cost);
         };
-        let mut reach = BitSet::new(self.globals.len());
-        let mut cost = self.search(ws, slot.term, self.max_r, |n, d| {
-            reach.insert(n as usize);
-            if d <= slot.radius {
-                cov.insert(n as usize);
-            }
-        });
-        unreached.set(reach).expect("seen unset above, and a plan holds the engine exclusively");
-        cost.radius = slot.radius;
-        cost.coverage_nodes = cov.count();
-        (cov, cost)
+        let within = list.cut_into(slot.radius, &mut cov);
+        (cov, SlotCost { radius: slot.radius, coverage_nodes: within, ..cost })
     }
 
     /// The ⋂ of the reach masks held for the keywords among `conjuncts`, in
@@ -499,7 +575,7 @@ impl FragmentEngine {
         scratch: &'c mut BitSet,
     ) -> Option<&'c BitSet> {
         let mut masks = conjuncts.filter_map(|slot| match slot.term {
-            Term::Keyword(k) => self.keyword(k)?.reach.get(),
+            Term::Keyword(k) => self.keyword(k)?.reach.get().map(|list| &list.mask),
             Term::Node(_) => None,
         });
         scratch.copy_from(masks.next()?);
@@ -514,15 +590,32 @@ impl FragmentEngine {
     /// Local per-node distances for one term: `(local id, d(node, term))`
     /// for every local node within `bound` (the coverage Dijkstra of Alg. 2
     /// with distances kept), in no particular order. Exact for
-    /// `bound ≤ maxR` (Theorem 3).
+    /// `bound ≤ maxR` (Theorem 3). A keyword on an engine that keeps lists
+    /// reads its list's prefix, building the list if it is absent, so plans
+    /// and top-k search a keyword once between them.
     pub fn distance_table(
         &mut self,
         term: Term,
         bound: u64,
     ) -> Result<(Vec<(u32, u64)>, QueryCost), QueryError> {
-        let mut table = Vec::new();
         let mut ws = std::mem::replace(&mut self.ws, DijkstraWorkspace::new(0));
-        let cost = self.search(&mut ws, term, bound, |n, d| table.push((n, d)));
+        let listed = match term {
+            Term::Keyword(k) if bound <= self.max_r => self.keyword_list(&mut ws, k),
+            _ => None,
+        };
+        let (table, cost) = match listed {
+            Some((list, cost)) => {
+                let n = list.cut(bound);
+                let dists = list.dists[..n].iter().map(|&d| u64::from(d));
+                let table: Vec<(u32, u64)> = list.nodes[..n].iter().copied().zip(dists).collect();
+                (table, SlotCost { radius: bound, coverage_nodes: n, ..cost })
+            }
+            None => {
+                let mut table = Vec::new();
+                let cost = self.search(&mut ws, term, bound, |n, d| table.push((n, d)));
+                (table, cost)
+            }
+        };
         self.ws = ws;
         Ok((table, cost.into()))
     }
@@ -594,11 +687,12 @@ impl FragmentEngine {
     /// the plan's lazy driver asks for.
     ///
     /// This is the layered split of Alg. 2: a per-slot coverage stage (each
-    /// fetched slot either served from `store` or computed and offered back)
-    /// driven by [`QueryPlan::evaluate_lazy`], which stops asking once the
-    /// local answer is known to be empty — from the coverages fetched so
-    /// far, or beforehand from the reach masks of the plan's conjuncts.
-    /// Lemma 1 semantics are identical to [`Self::evaluate`]; a hit or a
+    /// fetched slot either served from `store` or computed — searched, or
+    /// cut from a keyword list — and offered back) driven by
+    /// [`QueryPlan::evaluate_lazy`], which stops asking once the local
+    /// answer is known to be empty — from the coverages fetched so far, or
+    /// beforehand from the reach masks of the plan's conjuncts. Lemma 1
+    /// semantics are identical to [`Self::evaluate`]; a hit, a list cut or a
     /// skipped slot saves a Dijkstra, never changes the answer. The answer
     /// stays in the run-level form the wire and the coordinator's gather
     /// take.
@@ -633,7 +727,7 @@ impl FragmentEngine {
                     });
                     return Ok(hit);
                 }
-                let (cov, cost) = engine.search_slot(&mut ws, slot);
+                let (cov, cost) = engine.fetch_slot(&mut ws, slot);
                 let cov = Arc::new(cov);
                 store.store(slot, &cov);
                 total.absorb(cost);
@@ -803,17 +897,19 @@ mod tests {
         assert_eq!(warm_cost.coverage_nodes, cold_cost.coverage_nodes);
     }
 
-    fn masks_built(engine: &FragmentEngine) -> usize {
+    fn lists_built(engine: &FragmentEngine) -> usize {
         engine.kw_entries.iter().filter(|e| e.reach.get().is_some()).count()
     }
 
-    /// On a bounded index a keyword's first search runs to `maxR` and leaves
-    /// its reach mask behind; every later one runs to its own radius. The
-    /// masks cap SGKQs, an RKQ, a `−` tail and a `∪` prefix alike, at every
-    /// radius up to `maxR` itself, and the answers stay the oracle's — on
-    /// the pass that builds the masks and on the passes that use them.
+    /// On a bounded index a keyword's first fetch on a fragment searches to
+    /// `maxR` and leaves its list behind; every later one, at any radius, is
+    /// a cut of the list and settles nothing. The lists' masks cap SGKQs, an
+    /// RKQ, a `−` tail and a `∪` prefix alike, at every radius up to `maxR`
+    /// itself, and the answers stay the oracle's — on the pass that builds
+    /// the lists and on the passes that cut them. A `Term::Node` slot still
+    /// searches to its own radius.
     #[test]
-    fn reach_masks_change_the_searches_never_the_answer() {
+    fn a_keyword_is_searched_once_a_fragment_and_never_changes_the_answer() {
         use crate::dfunc::SetOp::{Intersect, Subtract, Union};
         let net = GridNetworkConfig::tiny(0x4D).generate();
         let e = net.avg_edge_weight();
@@ -841,7 +937,7 @@ mod tests {
         };
         let mut central = CentralizedCoverage::new(&net);
         let mut searched = std::collections::HashSet::new();
-        let mut widened = 0;
+        let (mut widened, mut cut, mut nodes) = (0, 0, 0);
         for pass in 0..3 {
             for r in [0, e, 4 * e, max_r] {
                 for f in queries(r) {
@@ -850,13 +946,18 @@ mod tests {
                         let (local, cost) = engine.evaluate(&f).unwrap();
                         got.extend(local);
                         for slot in &cost.per_slot {
-                            let first = matches!(slot.term, Term::Keyword(_))
-                                && searched.insert((engine.fragment(), slot.term));
-                            assert!(slot.settled >= slot.coverage_nodes, "{f}: {slot:?}");
-                            if !first {
+                            assert!(!slot.cached, "{f}: {slot:?}");
+                            if matches!(slot.term, Term::Node(_)) {
                                 assert_eq!(slot.settled, slot.coverage_nodes, "{f}: {slot:?}");
+                                nodes += 1;
+                            } else if searched.insert((engine.fragment(), slot.term)) {
+                                assert!(slot.settled >= slot.coverage_nodes, "{f}: {slot:?}");
+                                widened += usize::from(slot.settled > slot.coverage_nodes);
+                            } else {
+                                let work = (slot.settled, slot.pushed, slot.alpha);
+                                assert_eq!(work, (0, 0, 0), "{f}: {slot:?}");
+                                cut += usize::from(slot.coverage_nodes > 0);
                             }
-                            widened += usize::from(slot.settled > slot.coverage_nodes);
                         }
                     }
                     got.sort_unstable();
@@ -865,17 +966,19 @@ mod tests {
             }
         }
         assert!(widened > 0, "no first search reached past its radius");
-        let built: usize = engines.iter().map(masks_built).sum();
-        assert!(built > 0 && built <= searched.len(), "{built} masks, {} searched", searched.len());
+        assert!(cut > 0 && nodes > 0, "{cut} non-empty cuts, {nodes} node slots");
+        let built: usize = engines.iter().map(lists_built).sum();
+        assert!(built > 0 && built <= searched.len(), "{built} lists, {} searched", searched.len());
     }
 
     /// Two keywords a fragment is seeded for whose reach masks do not meet:
-    /// the first conjunction searches both and builds their masks, counted
-    /// in `memory_bytes` to the byte; the second, at another radius, is
-    /// answered ∅ with nothing fetched. An unbounded engine keeps no mask —
-    /// it would be the whole fragment — and searches both times.
+    /// the first conjunction searches both and builds their lists and masks,
+    /// counted in `memory_bytes` to the byte (8 B a listed node beside the
+    /// mask); the second, at another radius, is answered ∅ with nothing
+    /// fetched. An unbounded engine keeps no list — it would be the whole
+    /// fragment — and searches both times.
     #[test]
-    fn masks_that_do_not_meet_answer_before_any_fetch() {
+    fn reaches_that_do_not_meet_answer_before_any_fetch() {
         let net = GridNetworkConfig::tiny(0x4E).generate();
         let e = net.avg_edge_weight();
         let max_r = 2 * e;
@@ -902,17 +1005,20 @@ mod tests {
 
         let mut bounded = engines(&net, 4, &IndexConfig::with_max_r(max_r)).swap_remove(index);
         let fresh = bounded.memory_bytes();
+        let mask_bytes = BitSet::new(bounded.num_local_nodes()).memory_bytes();
+        let listed: usize =
+            [a, b].map(|t| bounded.coverage(t, max_r).unwrap().0.count()).iter().sum();
+        assert_eq!(bounded.memory_bytes(), fresh, "a plain coverage keeps nothing");
         let (nodes, cost) = bounded.evaluate(&conjunction(e)).unwrap();
         assert!(nodes.is_empty());
         assert_eq!(cost.per_slot.len(), 2, "nothing is known before the first searches");
-        assert_eq!(masks_built(&bounded), 2);
-        let mask_bytes = BitSet::new(bounded.num_local_nodes()).memory_bytes();
-        assert_eq!(bounded.memory_bytes(), fresh + 2 * mask_bytes);
+        assert_eq!(lists_built(&bounded), 2);
+        assert_eq!(bounded.memory_bytes(), fresh + 8 * listed + 2 * mask_bytes);
         let (nodes, cost) = bounded.evaluate(&conjunction(max_r)).unwrap();
         assert!(nodes.is_empty());
         assert!(cost.per_slot.is_empty(), "fetched for a known ∅: {:?}", cost.per_slot);
         assert_eq!((cost.settled, cost.alpha), (0, 0));
-        assert_eq!(bounded.memory_bytes(), fresh + 2 * mask_bytes);
+        assert_eq!(bounded.memory_bytes(), fresh + 8 * listed + 2 * mask_bytes);
 
         let mut unbounded = engines(&net, 4, &IndexConfig::unbounded()).swap_remove(index);
         let fresh = unbounded.memory_bytes();
@@ -922,8 +1028,118 @@ mod tests {
             assert_eq!(cost.per_slot.len(), 2);
             assert!(cost.per_slot.iter().all(|s| s.settled == s.coverage_nodes));
         }
-        assert_eq!(masks_built(&unbounded), 0);
+        assert_eq!(lists_built(&unbounded), 0);
         assert_eq!(unbounded.memory_bytes(), fresh);
+    }
+
+    /// A network, its 3-way split and the bounded indexes (`maxR` = 8 ē) of
+    /// the split, built once for every case of the property below: `tiny`,
+    /// and `tiny` with unit weights (Dial-width buckets).
+    fn list_fixture(unit: bool) -> &'static (RoadNetwork, Partitioning, Vec<NpdIndex>) {
+        static FIXTURES: OnceLock<[(RoadNetwork, Partitioning, Vec<NpdIndex>); 2]> =
+            OnceLock::new();
+        let build = |base_weight| {
+            let net = GridNetworkConfig { base_weight, ..GridNetworkConfig::tiny(0x4F) }.generate();
+            let p = MultilevelPartitioner::default().partition(&net, 3);
+            let cfg = IndexConfig::with_max_r(8 * net.avg_edge_weight());
+            let indexes = build_all_indexes(&net, &p, &cfg);
+            (net, p, indexes)
+        };
+        let tiny = GridNetworkConfig::tiny(0x4F).base_weight;
+        &FIXTURES.get_or_init(|| [build(tiny), build(1)])[usize::from(unit)]
+    }
+
+    use proptest::prelude::any;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Any keyword of any fragment, its list built at any radius, then
+        /// cut at any `r ∈ 0..=maxR` — a listed distance, one short of one,
+        /// or anything: the cut settles nothing and is the plain
+        /// `r`-bounded search's coverage, the oracle's coverage restricted
+        /// to the fragment, and with its distances the search's table.
+        #[test]
+        fn a_list_cut_is_the_coverage_at_any_radius(
+            (unit, fragment, mode) in (any::<bool>(), 0usize..3, 0u8..3),
+            (keyword, listed) in (any::<u64>(), any::<u64>()),
+            (first_r, any_r) in (any::<u64>(), any::<u64>()),
+        ) {
+            let (net, p, indexes) = list_fixture(unit);
+            let mut engine = FragmentEngine::new(net, p, &indexes[fragment]).unwrap();
+            let max_r = engine.max_r();
+            let k = engine.kw_ids[keyword as usize % engine.kw_ids.len()];
+            let term = Term::Keyword(k);
+            let mut ws = DijkstraWorkspace::new(engine.num_local_nodes());
+            let (_, built) =
+                engine.fetch_slot(&mut ws, &DTerm { term, radius: first_r % (max_r + 1) });
+            proptest::prop_assert!(built.settled > 0, "a keyword with a seed settles it");
+            let dists = &engine.keyword(k).unwrap().reach.get().unwrap().dists;
+            let listed = u64::from(dists[listed as usize % dists.len()]);
+            let r = match mode {
+                0 => listed,
+                1 => listed.saturating_sub(1),
+                _ => any_r % (max_r + 1),
+            };
+
+            let (cut, cost) = engine.fetch_slot(&mut ws, &DTerm { term, radius: r });
+            proptest::prop_assert_eq!((cost.settled, cost.pushed, cost.alpha), (0, 0, 0));
+            proptest::prop_assert_eq!(cost.coverage_nodes, cut.count());
+            let (plain, plain_cost) = engine.coverage(term, r).unwrap();
+            proptest::prop_assert_eq!(&cut, &*plain, "r = {}", r);
+            proptest::prop_assert_eq!(plain_cost.settled, cut.count());
+            let members = p.nodes(engine.fragment());
+            let oracle: Vec<NodeId> = CentralizedCoverage::new(net)
+                .coverage(term, r)
+                .iter()
+                .map(|i| NodeId(i as u32))
+                .filter(|n| members.binary_search(n).is_ok())
+                .collect();
+            proptest::prop_assert_eq!(engine.to_global(&cut).to_vec(), oracle);
+
+            let (mut table, cost) = engine.distance_table(term, r).unwrap();
+            proptest::prop_assert_eq!(cost.settled, 0);
+            let mut searched = Vec::new();
+            engine.search(&mut ws, term, r, |n, d| searched.push((n, d)));
+            table.sort_unstable();
+            searched.sort_unstable();
+            proptest::prop_assert_eq!(table, searched);
+        }
+    }
+
+    /// Top-k reads the lists plans read: the first `topk_local` on each
+    /// fragment searches each keyword once, the second searches nothing,
+    /// both merge to the oracle's ranking, and a plan over the same keywords
+    /// afterwards searches nothing either.
+    #[test]
+    fn topk_reads_the_keyword_lists() {
+        use crate::topk::{centralized_topk, merge_topk, ScoreCombine, TopKQuery};
+        let net = GridNetworkConfig::tiny(0x51).generate();
+        let e = net.avg_edge_weight();
+        let mut engines = engines(&net, 3, &IndexConfig::with_max_r(6 * e));
+        let freqs = net.keyword_frequencies();
+        let mut ranked: Vec<usize> = (0..freqs.len()).collect();
+        ranked.sort_unstable_by_key(|&k| std::cmp::Reverse(freqs[k]));
+        let keywords = vec![KeywordId(ranked[0] as u32), KeywordId(ranked[1] as u32)];
+        let q = TopKQuery::new(keywords.clone(), 10, 4 * e, ScoreCombine::Sum);
+        let expect = centralized_topk(&net, &q).unwrap();
+        assert!(!expect.is_empty());
+        let mut settled = [0; 2];
+        for pass in &mut settled {
+            let mut lists = Vec::new();
+            for engine in &mut engines {
+                let (local, cost) = engine.topk_local(&q).unwrap();
+                assert!(cost.per_slot.iter().all(|s| !s.cached));
+                *pass += cost.settled;
+                lists.push(local);
+            }
+            assert_eq!(merge_topk(lists, q.k), expect);
+        }
+        assert!(settled[0] > 0 && settled[1] == 0, "settled {settled:?}, first call then second");
+        let f = SgkQuery::new(keywords, 5 * e).to_dfunction();
+        for engine in &mut engines {
+            assert_eq!(engine.evaluate(&f).unwrap().1.settled, 0);
+        }
     }
 
     #[test]

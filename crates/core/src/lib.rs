@@ -48,7 +48,7 @@ pub use directed::{
     build_directed_index, directed_sgkq_centralized, directed_sgkq_distributed,
     DirectedFragmentEngine, DirectedNpdIndex, DirectedPartition,
 };
-pub use engine::{CoverageStore, FragmentEngine, NoCache, QueryCost, SlotCost};
+pub use engine::{CoverageStore, FragmentEngine, KeywordList, NoCache, QueryCost, SlotCost};
 pub use error::{IndexError, QueryError};
 pub use index::{
     build_all_indexes, build_index, build_index_with_threads, build_naive_index, DlScope,

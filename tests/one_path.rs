@@ -15,9 +15,11 @@
 //! A fourth starts both binaries with a knob this build no longer has, as a
 //! flag and as a `DISKS_*` variable, and with a flag value that is not of
 //! the flag's form: each refuses it by name.
-//! A fifth asks 32 rare-keyword SGKQs of a bounded index twice, the second
-//! time at larger radii: the engines' reach masks make the second pass
-//! settle fewer nodes than the first under all four configurations.
+//! A fifth asks 32 rare-keyword SGKQs of a bounded index three times, the
+//! second time at larger radii and the third at the second's: the engines'
+//! keyword lists make the second pass settle fewer nodes than the first
+//! under all four configurations, and the third settle none wherever no
+//! worker was respawned, the cache-off configuration included.
 
 use std::time::Duration;
 
@@ -220,16 +222,18 @@ fn a_long_stream_of_fresh_slots_is_answered_chunk_by_chunk() {
     cluster.shutdown();
 }
 
-/// On a bounded index the workers' engines remember how far a keyword
-/// reaches (`R(kw, maxR) ∩ P`, left behind by its first search) and answer ∅
-/// for a conjunction whose reaches do not meet before searching anything.
-/// 32 five-keyword SGKQs over the eight rarest keywords, then the same 32 at
-/// larger radii — no coverage of the first pass can answer a slot of the
-/// second, and without the masks every search of the second pass would
-/// settle at least what its twin in the first did: the answers are the
-/// oracle's both times and the workers settle fewer nodes the second time,
-/// with the coverage cache off as well (the masks are engine state, not
-/// cache entries).
+/// On a bounded index the workers' engines keep a keyword's first search
+/// (its list: the nodes within `maxR` by distance, whose set `R(kw, maxR) ∩ P`
+/// is its reach mask): they answer ∅ for a conjunction whose reaches do not
+/// meet before searching anything, and cut any later coverage of the keyword
+/// from the list without searching. 32 five-keyword SGKQs over the eight
+/// rarest keywords, then the same 32 at larger radii, then the second pass
+/// again. No coverage of the first pass can answer a slot of the second, and
+/// without the lists every search of the second pass would settle at least
+/// what its twin in the first did: the answers are the oracle's every time,
+/// the workers settle fewer nodes the second time, and none the third time —
+/// with the coverage cache off as well (the lists are engine state, not
+/// cache entries) — unless a worker was respawned and lost its engine.
 #[test]
 fn a_keywords_first_search_caps_its_later_conjunctions() {
     let net = GridNetworkConfig::small(0x0E1A).generate();
@@ -246,24 +250,32 @@ fn a_keywords_first_search_caps_its_later_conjunctions() {
             })
             .collect()
     };
-    let passes = [pass(0), pass(e / 8)];
+    let passes = [pass(0), pass(e / 8), pass(e / 8)];
     assert!(passes[1].iter().all(|f| f.max_radius() <= max_r));
     let mut oracle = CentralizedEngine::new(&net);
     for (name, config) in configs() {
         let indexes = build_all_indexes(&net, &p, &IndexConfig::with_max_r(max_r));
         let cluster = Cluster::build(&net, &p, indexes, config);
-        let settled = passes.each_ref().map(|fs| {
-            let (items, _) = cluster.run_stream(fs);
-            let mut settled = 0;
-            for (i, (f, item)) in fs.iter().zip(items).enumerate() {
-                let o = item.unwrap_or_else(|e| panic!("{name}: query {i}: {e}"));
-                assert_eq!(o.results, oracle.run(f).unwrap().0, "{name}: {f} vs oracle");
-                assert_eq!(o.stats.cache_hits, 0, "{name}: {f}: a slot of this stream repeated");
-                settled += o.stats.per_machine.iter().map(|m| m.settled).sum::<u64>();
-            }
-            settled
-        });
-        assert!(settled[1] < settled[0], "{name}: settled {settled:?}, first pass then second");
+        let settled: Vec<u64> = (passes.iter().enumerate())
+            .map(|(pass, fs)| {
+                let (items, _) = cluster.run_stream(fs);
+                let mut settled = 0;
+                for (i, (f, item)) in fs.iter().zip(items).enumerate() {
+                    let o = item.unwrap_or_else(|e| panic!("{name}: query {i}: {e}"));
+                    assert_eq!(o.results, oracle.run(f).unwrap().0, "{name}: {f} vs oracle");
+                    if pass < 2 {
+                        assert_eq!(o.stats.cache_hits, 0, "{name}: {f}: a slot repeated");
+                    }
+                    settled += o.stats.per_machine.iter().map(|m| m.settled).sum::<u64>();
+                }
+                settled
+            })
+            .collect();
+        let hits = cluster.cache_counters().hits;
+        assert!(settled[1] < settled[0], "{name}: settled {settled:?}, by pass");
+        if cluster.recovery_counters().respawned_workers == 0 {
+            assert_eq!(settled[2], 0, "{name}: settled {settled:?}, by pass; {hits} cache hits");
+        }
         cluster.shutdown();
     }
 }
