@@ -13,7 +13,7 @@ use disks_partition::FragmentId;
 
 use super::Cluster;
 use crate::cache::CacheCounters;
-use crate::message::{decode_frame, decode_gather_items, encode_frame, Request, Response};
+use crate::message::{decode_gather_items, encode_frame, Request, Response};
 
 /// How long the straggler drain waits for a frame the wire ledger says was
 /// sent but that has not yet been consumed (crossing the TCP pumps takes
@@ -117,6 +117,20 @@ impl GatherState {
         }
     }
 
+    /// The `(slot, fragment)` pair a gather item ([`decode_gather_items`])
+    /// answers, or `None` when it lies outside this gather's window of
+    /// queries `base+1 ..= base+n`.
+    fn slot_of(&self, base: u64, response: &Response) -> Option<(usize, u32)> {
+        let (qid, fragment) = match *response {
+            Response::Results { query_id, fragment, .. }
+            | Response::TopKResults { query_id, fragment, .. }
+            | Response::Failed { query_id, fragment, .. } => (query_id, fragment),
+            Response::BatchResults { .. } => unreachable!("expanded by the decoder"),
+        };
+        let in_window = qid > base && qid <= base + self.n as u64 && (fragment as usize) < self.k;
+        in_window.then(|| ((qid - base - 1) as usize, fragment))
+    }
+
     /// Record one answered `(slot, fragment)` pair — with its payload, or
     /// `None` for a fragment given up on — and hand the sink what follows:
     /// the payload, then [`GatherEvent::Complete`] if it was the slot's last
@@ -216,12 +230,9 @@ impl Cluster {
         frame: Bytes,
         sink: &mut Sink,
     ) -> Result<(), QueryError> {
-        let items = match decode_gather_items(frame) {
-            Ok(items) => items,
-            Err(_) => {
-                gs.report.corrupt_frames += 1;
-                return Ok(());
-            }
+        let Ok(items) = decode_gather_items(frame) else {
+            gs.report.corrupt_frames += 1;
+            return Ok(());
         };
         // A batch frame arrives expanded into one positional answer per
         // member query; each flows through the same window/dedup/retry
@@ -230,17 +241,10 @@ impl Cluster {
         // byte attribution is the same whether a query rode a window or ran
         // alone.
         for (response, bytes) in items {
-            let (qid, fragment) = match &response {
-                Response::Results { query_id, fragment, .. }
-                | Response::TopKResults { query_id, fragment, .. }
-                | Response::Failed { query_id, fragment, .. } => (*query_id, *fragment),
-                Response::BatchResults { .. } => unreachable!("expanded by the decoder"),
-            };
-            if qid <= base || qid > base + gs.n as u64 || fragment as usize >= gs.k {
+            let Some((slot, fragment)) = gs.slot_of(base, &response) else {
                 gs.report.out_of_window_responses += 1;
                 continue;
-            }
-            let slot = (qid - base - 1) as usize;
+            };
             let f = fragment as usize;
             if gs.responded[slot][f] {
                 gs.report.duplicate_responses += 1;
@@ -287,24 +291,16 @@ impl Cluster {
     /// in-window answers are duplicates (every needed response has already
     /// been consumed), everything else is out-of-window.
     fn classify_straggler(&self, frame: Bytes, base: u64, gs: &mut GatherState) {
-        let (n, k) = (gs.n, gs.k);
-        let mut in_window = |qid: u64, fragment: u32| {
-            if qid > base && qid <= base + n as u64 && (fragment as usize) < k {
+        let Ok(items) = decode_gather_items(frame) else {
+            gs.report.corrupt_frames += 1;
+            return;
+        };
+        for (response, _) in items {
+            if gs.slot_of(base, &response).is_some() {
                 gs.report.duplicate_responses += 1;
             } else {
                 gs.report.out_of_window_responses += 1;
             }
-        };
-        match decode_frame::<Response>(frame) {
-            Err(_) => gs.report.corrupt_frames += 1,
-            Ok(Response::BatchResults { base: b, fragment, answers }) => {
-                for i in 0..answers.len() {
-                    in_window(b + 1 + i as u64, fragment);
-                }
-            }
-            Ok(Response::Results { query_id, fragment, .. })
-            | Ok(Response::TopKResults { query_id, fragment, .. })
-            | Ok(Response::Failed { query_id, fragment, .. }) => in_window(query_id, fragment),
         }
     }
 

@@ -266,7 +266,7 @@ impl Cluster {
         let mut on_event = |i: usize, event: GatherEvent| match event {
             GatherEvent::Payload(Response::Results { fragment, nodes, cost, .. }, bytes) => {
                 let m = self.placement.machine_of(FragmentId(fragment));
-                per_machine[i][m].absorb(fragment, &cost, nodes.len() as u64, bytes);
+                per_machine[i][m].absorb(fragment, &cost, bytes);
                 cache_by_slot[i].absorb(&cost.cache_counters());
                 if !nodes.is_empty() {
                     lists[i].push(nodes);
@@ -342,7 +342,7 @@ impl Cluster {
                 ) = event
                 {
                     let m = self.placement.machine_of(FragmentId(fragment));
-                    per_machine[m].absorb(fragment, &cost, ranked.len() as u64, bytes);
+                    per_machine[m].absorb(fragment, &cost, bytes);
                     cache.absorb(&cost.cache_counters());
                     lists.push(ranked);
                 }
@@ -414,6 +414,28 @@ mod tests {
         assert!(outcome.stats.degraded_fragments.is_empty());
         assert!(outcome.stats.coordinator_to_worker_bytes > 0);
         assert!(outcome.stats.worker_to_coordinator_bytes > 0);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn an_empty_answer_weighs_seventy_bytes_a_fragment() {
+        let k = 3;
+        let (net, _, cluster) = setup(75, k, &IndexConfig::unbounded());
+        // R(kw, r) − R(kw, r) is ∅ on every fragment.
+        let kw = top_keywords(&net, 1)[0];
+        let f = DFunction::single(Term::Keyword(kw), 2 * net.avg_edge_weight()).then(
+            SetOp::Subtract,
+            Term::Keyword(kw),
+            2 * net.avg_edge_weight(),
+        );
+        let (_, w2c_before) = cluster.link_totals();
+        let outcome = cluster.run(&f).unwrap();
+        assert!(outcome.results.is_empty());
+        // One `Results` frame a fragment: tag 1 + query id 8 + fragment 4 +
+        // id count 1 + cost 56.
+        let expected = k as u64 * 70;
+        assert_eq!(outcome.stats.worker_to_coordinator_bytes, expected);
+        assert_eq!(cluster.link_totals().1 - w2c_before, expected);
         cluster.shutdown();
     }
 

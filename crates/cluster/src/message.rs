@@ -40,17 +40,18 @@ pub enum Request {
     Shutdown,
 }
 
-/// The encodable subset of [`QueryCost`] shipped back to the coordinator,
-/// plus the worker's coverage-cache activity for the task: eleven
-/// fixed-width `u64` fields, 88 bytes on the wire. The coordinator credits
-/// it to the fragment's owner, so it names no machine.
+/// What the coordinator reads of a task's cost: the [`QueryCost`] fields
+/// it aggregates plus the worker's coverage-cache activity for the task,
+/// seven fixed-width `u64` fields, 56 bytes on the wire. Theorem 5's α, β
+/// and coverage counts stay on the engine's [`QueryCost`], where they are
+/// measured and tested; no coordinator decision reads them. The coordinator
+/// credits the cost to the fragment's owner, so it names no machine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireCost {
-    pub alpha: u64,
-    pub beta: u64,
+    /// Nodes the task's searches settled (`QueryStats::total_settled`).
     pub settled: u64,
-    pub pushed: u64,
-    pub coverage_nodes: u64,
+    /// The task's compute time: a machine's share of the slowest task and
+    /// of the unbalance factor U.
     pub elapsed_micros: u64,
     /// Coverage-cache hits while serving this task.
     pub cache_hits: u64,
@@ -85,17 +86,9 @@ impl WireCost {
 impl From<&QueryCost> for WireCost {
     fn from(c: &QueryCost) -> Self {
         WireCost {
-            alpha: c.alpha as u64,
-            beta: c.beta as u64,
             settled: c.settled as u64,
-            pushed: c.pushed as u64,
-            coverage_nodes: c.coverage_nodes as u64,
             elapsed_micros: c.elapsed.as_micros() as u64,
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_evictions: 0,
-            batch_shared: 0,
-            cache_bypassed: 0,
+            ..WireCost::default()
         }
     }
 }
@@ -187,14 +180,14 @@ fn decode_answers<T>(
     Ok(out)
 }
 
-/// Encoded size of a [`WireCost`]: eleven fixed-width `u64` fields, 88
+/// Encoded size of a [`WireCost`]: seven fixed-width `u64` fields, 56
 /// bytes. Fixed width keeps frame byte ledgers independent of the
 /// (nondeterministic) timing values.
-pub(crate) const WIRE_COST_LEN: u64 = 11 * 8;
+pub(crate) const WIRE_COST_LEN: u64 = 7 * 8;
 
 /// Exact encoded size of a [`Response::Results`] frame whose id list
 /// encodes ([`encode_runs`]) to `id_bytes`: tag + query id + fragment + ids +
-/// cost.
+/// cost, `13 + id_bytes + 56`.
 ///
 /// Used to apportion a batch frame's bytes to its member queries — each
 /// answer is charged what its standalone result frame would have cost, so
@@ -355,11 +348,7 @@ fn decode_runs(buf: &mut impl Buf) -> Result<NodeRuns, DecodeError> {
 
 impl Encode for WireCost {
     fn encode(&self, buf: &mut impl BufMut) {
-        self.alpha.encode(buf);
-        self.beta.encode(buf);
         self.settled.encode(buf);
-        self.pushed.encode(buf);
-        self.coverage_nodes.encode(buf);
         self.elapsed_micros.encode(buf);
         self.cache_hits.encode(buf);
         self.cache_misses.encode(buf);
@@ -371,11 +360,7 @@ impl Encode for WireCost {
 impl Decode for WireCost {
     fn decode(buf: &mut impl Buf) -> Result<Self, DecodeError> {
         Ok(WireCost {
-            alpha: u64::decode(buf)?,
-            beta: u64::decode(buf)?,
             settled: u64::decode(buf)?,
-            pushed: u64::decode(buf)?,
-            coverage_nodes: u64::decode(buf)?,
             elapsed_micros: u64::decode(buf)?,
             cache_hits: u64::decode(buf)?,
             cache_misses: u64::decode(buf)?,
@@ -606,17 +591,13 @@ mod tests {
             fragment: 2,
             nodes: vec![NodeId(1), NodeId(5)].into(),
             cost: WireCost {
-                alpha: 1,
-                beta: 2,
-                settled: 3,
-                pushed: 4,
-                coverage_nodes: 5,
-                elapsed_micros: 6,
-                cache_hits: 7,
-                cache_misses: 8,
-                cache_evictions: 9,
-                batch_shared: 10,
-                cache_bypassed: 11,
+                settled: 1,
+                elapsed_micros: 2,
+                cache_hits: 3,
+                cache_misses: 4,
+                cache_evictions: 5,
+                batch_shared: 6,
+                cache_bypassed: 7,
             },
         };
         let frame = encode_frame(&resp);
@@ -821,6 +802,9 @@ mod tests {
         // Every node of a 2²⁰-node network costs what three ids do.
         let all: Vec<NodeId> = (0..1 << 20).map(NodeId).collect();
         assert_eq!(id_bytes(&all), [0x80, 0x80, 0x40, 1, 0xfe, 0xff, 0x3f]);
+        // An ∅ batch answer: tag, count 0, the 56-byte cost.
+        let empty = BatchAnswer::Results { nodes: NodeRuns::default(), cost: WireCost::default() };
+        assert_eq!(encode_frame(&empty).len(), 1 + 1 + 56);
     }
 
     #[test]

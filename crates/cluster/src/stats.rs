@@ -1,5 +1,6 @@
-//! Per-query distributed statistics: communication, load balance (Thm. 6),
-//! and the Theorem 5 cost-model aggregates.
+//! Per-query distributed statistics: communication and load balance
+//! (Thm. 6). Theorem 5's cost model is measured on the engine's
+//! `QueryCost`, where it is tested, not aggregated here.
 
 use std::time::Duration;
 
@@ -7,20 +8,16 @@ use crate::message::WireCost;
 use crate::transport::NetworkModel;
 
 /// Cost incurred by one machine for one query (summed over the fragments it
-/// hosts).
+/// hosts): what the slowest task, the unbalance factor and the modeled
+/// response time are computed from.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MachineCost {
     /// Fragments this machine evaluated for the query.
     pub fragments: Vec<u32>,
     /// Compute time (sum of task times on this machine).
     pub compute: Duration,
-    /// Aggregated Theorem 5 counters.
-    pub alpha: u64,
-    pub beta: u64,
+    /// Nodes settled by this machine's searches.
     pub settled: u64,
-    pub coverage_nodes: u64,
-    /// Result nodes this machine produced.
-    pub results: u64,
     /// Bytes this machine sent back to the coordinator.
     pub response_bytes: u64,
     /// Coverage slots served from the intra-batch shared result map
@@ -29,14 +26,10 @@ pub struct MachineCost {
 }
 
 impl MachineCost {
-    pub(crate) fn absorb(&mut self, fragment: u32, cost: &WireCost, results: u64, bytes: u64) {
+    pub(crate) fn absorb(&mut self, fragment: u32, cost: &WireCost, bytes: u64) {
         self.fragments.push(fragment);
         self.compute += Duration::from_micros(cost.elapsed_micros);
-        self.alpha += cost.alpha;
-        self.beta += cost.beta;
         self.settled += cost.settled;
-        self.coverage_nodes += cost.coverage_nodes;
-        self.results += results;
         self.response_bytes += bytes;
         self.batch_shared += cost.batch_shared;
     }
@@ -160,11 +153,6 @@ impl QueryStats {
         self
     }
 
-    /// Aggregate α across machines (Theorem 5).
-    pub fn total_alpha(&self) -> u64 {
-        self.per_machine.iter().map(|m| m.alpha).sum()
-    }
-
     /// Aggregate settled nodes across machines.
     pub fn total_settled(&self) -> u64 {
         self.per_machine.iter().map(|m| m.settled).sum()
@@ -207,9 +195,9 @@ mod tests {
     fn finalize_computes_unbalance_and_slowest() {
         let mut stats = QueryStats::default();
         let mut m1 = MachineCost::default();
-        m1.absorb(0, &WireCost { elapsed_micros: 100, ..Default::default() }, 5, 50);
+        m1.absorb(0, &WireCost { elapsed_micros: 100, ..Default::default() }, 50);
         let mut m2 = MachineCost::default();
-        m2.absorb(1, &WireCost { elapsed_micros: 400, ..Default::default() }, 1, 10);
+        m2.absorb(1, &WireCost { elapsed_micros: 400, ..Default::default() }, 10);
         stats.per_machine = vec![m1, m2];
         let out = stats.finalize(32);
         assert_eq!(out.slowest_task, Duration::from_micros(400));
@@ -224,7 +212,7 @@ mod tests {
     fn idle_machines_excluded_from_unbalance() {
         let mut stats = QueryStats::default();
         let mut m1 = MachineCost::default();
-        m1.absorb(0, &WireCost { elapsed_micros: 100, ..Default::default() }, 0, 8);
+        m1.absorb(0, &WireCost { elapsed_micros: 100, ..Default::default() }, 8);
         stats.per_machine = vec![m1, MachineCost::default()];
         let out = stats.finalize(0);
         assert!((out.unbalance_factor - 1.0).abs() < 1e-9);
@@ -234,7 +222,7 @@ mod tests {
     fn modeled_time_includes_network() {
         let mut stats = QueryStats::default();
         let mut m1 = MachineCost::default();
-        m1.absorb(0, &WireCost { elapsed_micros: 0, ..Default::default() }, 0, 12_500_000);
+        m1.absorb(0, &WireCost { elapsed_micros: 0, ..Default::default() }, 12_500_000);
         stats.per_machine = vec![m1];
         let out = stats.finalize(0);
         // 12.5 MB at 12.5 MB/s ≈ 1 s dominated by the response transfer.

@@ -86,12 +86,6 @@ impl LinkCounters {
         self.bytes.fetch_add(bytes, Ordering::Relaxed);
         self.messages.fetch_add(1, Ordering::Relaxed);
     }
-
-    /// Record a message sent over a link whose sender does not hold the
-    /// counted [`LinkSender`] half (the coordinator's request channels).
-    pub fn record_send(&self, bytes: u64) {
-        self.record(bytes);
-    }
 }
 
 /// One injectable fault.
@@ -400,29 +394,7 @@ impl LinkSender {
     /// Injected faults may drop, duplicate, corrupt, or delay the frame;
     /// dropped frames still count as sent (the wire consumed them).
     pub fn send(&self, frame: Bytes) -> bool {
-        let frames = match &self.faults {
-            None => vec![frame],
-            Some(inj) => match inj.admit(frame) {
-                FrameFate::Deliver(frames) => frames,
-                FrameFate::Dropped(len) => {
-                    self.counters.record(len);
-                    return true;
-                }
-            },
-        };
-        // Count every copy before the first enqueue: the receiver may act
-        // on the first copy the instant it lands, and the straggler drain
-        // reconciles its consumption against these counters — a copy
-        // enqueued before its sibling is counted could slip past the drain.
-        for f in &frames {
-            self.counters.record(f.len() as u64);
-        }
-        for f in frames {
-            if self.tx.send(f).is_err() {
-                return false;
-            }
-        }
-        true
+        deliver_via(&self.tx, &self.counters, &self.faults, &frame).is_empty()
     }
 
     pub fn counters(&self) -> &Arc<LinkCounters> {
@@ -577,9 +549,10 @@ pub trait Link: Send {
     fn close(&self);
 }
 
-/// Shared delivery logic of both link kinds: apply the injector, count
-/// every admitted frame, queue it, and surface frames the peer never
-/// accepted.
+/// Shared delivery logic of every link direction (coordinator→worker
+/// [`Link`]s and the worker→coordinator [`LinkSender`]): apply the
+/// injector, count every admitted frame, queue it, and surface frames the
+/// peer never accepted.
 fn deliver_via(
     tx: &Sender<Bytes>,
     counters: &LinkCounters,
@@ -592,14 +565,20 @@ fn deliver_via(
             FrameFate::Deliver(frames) => frames,
             FrameFate::Dropped(len) => {
                 // The wire consumed the dropped frame: counted, not queued.
-                counters.record_send(len);
+                counters.record(len);
                 return Vec::new();
             }
         },
     };
+    // Count every copy before the first enqueue: the receiver may act on
+    // the first copy the instant it lands, and the straggler drain
+    // reconciles its consumption against these counters — a copy enqueued
+    // before its sibling is counted could slip past the drain.
+    for f in &frames {
+        counters.record(f.len() as u64);
+    }
     let mut undelivered = Vec::new();
     for f in frames {
-        counters.record_send(f.len() as u64);
         if let Err(SendError(f)) = tx.send(f) {
             undelivered.push(f);
         }
@@ -725,7 +704,7 @@ fn ingress_pump(
                     match asm.next_event() {
                         Ok(Some(StreamEvent::Frame(f))) => {
                             if let Some(c) = &received {
-                                c.record_send(f.len() as u64);
+                                c.record(f.len() as u64);
                             }
                             if out.send(f).is_err() {
                                 down.store(true, Ordering::Release);
