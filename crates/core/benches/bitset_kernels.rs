@@ -16,6 +16,16 @@
 //! `core.engine.ns_per_settled`: a bounded search settles exactly what it
 //! covers).
 //!
+//! `rkq_bounded` prices the bounded fetch of a location's slot on the same
+//! fragment: benchmark-shaped RKQs (an object location, one keyword of its
+//! own, `r` in `[maxR/2, maxR]`) whose plan searches the location there,
+//! once as a whole plan evaluation with the keyword lists warm (the
+//! keyword's cut, then the search from the location that stops once the
+//! cut's nodes have settled) and once as the plain `R(l, r)` search the
+//! evaluation used to start with. Both print settled nodes and ns a query,
+//! and the settled nodes again split between the searches that find an
+//! answer on the fragment and those that find none.
+//!
 //! Run with: `cargo bench -p disks-core --bench bitset_kernels`
 
 use std::time::Instant;
@@ -23,10 +33,10 @@ use std::time::Instant;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use disks_core::bitset::{kernels, BitSet};
 use disks_core::index::{build_index, IndexConfig};
-use disks_core::{FragmentEngine, KeywordList, Term};
+use disks_core::{FragmentEngine, KeywordList, QueryPlan, RangeKeywordQuery, Term};
 use disks_partition::{FragmentId, MultilevelPartitioner, Partitioner};
 use disks_roadnet::generator::GridNetworkConfig;
-use disks_roadnet::KeywordId;
+use disks_roadnet::{KeywordId, NodeId};
 
 /// Deterministic pseudo-random words (splitmix64) so densities are stable
 /// across runs without pulling in an RNG.
@@ -170,5 +180,80 @@ fn bench_list_cut(_: &mut Criterion) {
     }
 }
 
-criterion_group!(bitsets, bench_word_kernels, bench_bitset_ops, bench_list_cut);
+fn bench_rkq_bounded(_: &mut Criterion) {
+    const QUERIES: u64 = 512;
+    let net = GridNetworkConfig::aus_like(0xA052).generate();
+    let part = MultilevelPartitioner::default().partition(&net, 8);
+    let max_r = 40 * net.avg_edge_weight();
+    let index = build_index(&net, &part, FragmentId(0), &IndexConfig::with_max_r(max_r));
+    let mut engine = FragmentEngine::new(&net, &part, &index).expect("engine");
+    let objects: Vec<NodeId> = net.node_ids().filter(|&n| net.is_object(n)).collect();
+    let rkqs: Vec<RangeKeywordQuery> = (0..QUERIES)
+        .map(|i| {
+            let l = objects[(i as usize * 97) % objects.len()];
+            let r = max_r / 2 + i * (max_r / 2) / (QUERIES - 1);
+            RangeKeywordQuery::new(l, vec![net.keywords(l)[0]], r)
+        })
+        .collect();
+    // Warm the keyword lists, and keep the RKQs whose plan searches `l` here.
+    let searched: Vec<(QueryPlan, RangeKeywordQuery)> = rkqs
+        .into_iter()
+        .map(|q| (QueryPlan::lower(&q.to_dfunction()), q))
+        .filter(|(plan, q)| {
+            let (_, cost) = engine.evaluate_plan(plan).expect("admissible");
+            cost.per_slot.iter().any(|slot| slot.term == Term::Node(q.location))
+        })
+        .collect();
+    let median = |pass: &mut dyn FnMut() -> usize| {
+        let settled = pass(); // warm-up; the count repeats exactly
+        let mut samples: Vec<f64> = (0..15)
+            .map(|_| {
+                let start = Instant::now();
+                assert_eq!(black_box(pass()), settled);
+                start.elapsed().as_nanos() as f64 / searched.len().max(1) as f64
+            })
+            .collect();
+        samples.sort_unstable_by(f64::total_cmp);
+        (samples[samples.len() / 2], settled as f64 / searched.len().max(1) as f64)
+    };
+    let (bounded_ns, bounded) = median(&mut || {
+        let evaluate = |(plan, _): &(QueryPlan, _)| engine.evaluate_plan(plan).expect("ok").1;
+        searched.iter().map(evaluate).map(|cost| cost.settled).sum()
+    });
+    let (plain_ns, plain) = median(&mut || {
+        let search = |(_, q): &(_, RangeKeywordQuery)| {
+            engine.coverage(Term::Node(q.location), q.radius).expect("admissible").1
+        };
+        searched.iter().map(search).map(|cost| cost.settled).sum()
+    });
+    println!(
+        "rkq_bounded: {} of {QUERIES} RKQs search their location on a {}-node fragment: \
+         {bounded:.0} settled/query bounded vs {plain:.0} plain, \
+         median {bounded_ns:.0} ns/query vs {plain_ns:.0}",
+        searched.len(),
+        engine.num_local_nodes()
+    );
+    // A search stops early only where the fragment holds an answer; one that
+    // finds none runs to `r` like the plain search.
+    for (found, what) in [(true, "find an answer"), (false, "find none")] {
+        let (mut queries, mut bounded, mut plain) = (0, 0, 0);
+        for (plan, q) in &searched {
+            let (local, cost) = engine.evaluate_plan(plan).expect("admissible");
+            if local.is_empty() != found {
+                queries += 1;
+                bounded += cost.settled;
+                let (_, full) = engine.coverage(Term::Node(q.location), q.radius).expect("ok");
+                plain += full.settled;
+            }
+        }
+        let per_query = |settled: usize| settled as f64 / f64::from(queries.max(1));
+        println!(
+            "rkq_bounded: {queries} that {what}: {:.0} settled/query bounded vs {:.0} plain",
+            per_query(bounded),
+            per_query(plain)
+        );
+    }
+}
+
+criterion_group!(bitsets, bench_word_kernels, bench_bitset_ops, bench_list_cut, bench_rkq_bounded);
 criterion_main!(bitsets);

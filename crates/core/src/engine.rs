@@ -15,6 +15,11 @@
 //! a top-k, is the list's prefix within `r` and searches nothing. So each
 //! (fragment, keyword) is searched once for the engine's life.
 //!
+//! A location's slot `R(l, r)` that a plan intersects or subtracts once is
+//! searched after the plan's keywords and only as far as the answer needs:
+//! it reports the nodes of the accumulator it meets and stops once all of
+//! them have settled (the bounded fetch of [`QueryPlan::evaluate_lazy`]).
+//!
 //! The paper's "virtual node `Vᵢ` connected by directed 0-weight edges" is
 //! realized as multi-source Dijkstra seeding, which is the same computation
 //! without materializing the node (seeds cannot be re-entered, exactly like
@@ -64,7 +69,9 @@ pub struct SlotCost {
     /// Heap pushes by this slot's coverage search (0 on a cache hit or a
     /// list cut).
     pub pushed: usize,
-    /// `|P ∩ R(term, r)|`.
+    /// `|P ∩ R(term, r)|`; `|P ∩ R(term, r) ∩ acc|` for a `Term::Node` slot
+    /// fetched against the accumulator `acc` (a bounded fetch,
+    /// [`QueryPlan::evaluate_lazy`]).
     pub coverage_nodes: usize,
     /// Whether the coverage was served from a [`CoverageStore`] hit.
     pub cached: bool,
@@ -83,7 +90,9 @@ pub struct QueryCost {
     /// Heap pushes across the coverage searches (0 for a slot served by a
     /// cache hit or a list cut).
     pub pushed: usize,
-    /// Σ |P ∩ R(ωⱼ, r)| — total coverage sizes.
+    /// Σ |P ∩ R(ωⱼ, r)| — total coverage sizes, each slot's as
+    /// [`SlotCost::coverage_nodes`] counts it (`|P ∩ R ∩ acc|` for a bounded
+    /// fetch).
     pub coverage_nodes: usize,
     /// Result nodes produced.
     pub results: usize,
@@ -464,23 +473,21 @@ impl FragmentEngine {
     /// The one bounded search of the engine, behind [`Self::coverage`],
     /// [`Self::distance_table`] and the plan driver's fetch:
     /// `visit(local id, distance)` for every local node within `bound` of
-    /// `term`, in the kernel's settle order, and the search's Theorem 5
-    /// accounting as a slot of radius `bound`.
+    /// `term`, in the kernel's settle order, until it returns
+    /// [`Control::Stop`], and the search's Theorem 5 accounting as a slot of
+    /// radius `bound`.
     fn search(
         &self,
         ws: &mut DijkstraWorkspace,
         term: Term,
         bound: u64,
-        mut visit: impl FnMut(u32, u64),
+        visit: impl FnMut(u32, u64) -> Control,
     ) -> SlotCost {
         self.debug_assert_admitted(bound);
         let seeds = self.seed_sources(term, bound);
-        let stats = ws.run(self, seeds.iter(), bound, |n, d| {
-            visit(n, d);
-            Control::Continue
-        });
+        let stats = ws.run(self, seeds.iter(), bound, visit);
         // Every node settles once and none is refused: what settled is the
-        // coverage at `bound`.
+        // coverage at `bound`, unless `visit` stopped the search.
         SlotCost {
             term,
             radius: bound,
@@ -506,7 +513,10 @@ impl FragmentEngine {
         let mut cov = BitSet::new(self.globals.len());
         // Split borrows: the search mutates `ws` while reading `self`'s CSR.
         let mut ws = std::mem::replace(&mut self.ws, DijkstraWorkspace::new(0));
-        let cost = self.search(&mut ws, term, radius, |n, _| cov.insert(n as usize));
+        let cost = self.search(&mut ws, term, radius, |n, _| {
+            cov.insert(n as usize);
+            Control::Continue
+        });
         self.ws = ws;
         Ok((Arc::new(cov), cost.into()))
     }
@@ -543,7 +553,10 @@ impl FragmentEngine {
         }
         let mut settled = Vec::new();
         // Within `max_r`, so every distance fits (`keeps_lists`).
-        let cost = self.search(ws, term, self.max_r, |n, d| settled.push((d as u32, n)));
+        let cost = self.search(ws, term, self.max_r, |n, d| {
+            settled.push((d as u32, n));
+            Control::Continue
+        });
         Some((reach.get_or_init(|| KeywordList::new(settled, self.globals.len())), cost))
     }
 
@@ -558,11 +571,44 @@ impl FragmentEngine {
             Term::Node(_) => None,
         };
         let Some((list, cost)) = listed else {
-            let cost = self.search(ws, slot.term, slot.radius, |n, _| cov.insert(n as usize));
+            let cost = self.search(ws, slot.term, slot.radius, |n, _| {
+                cov.insert(n as usize);
+                Control::Continue
+            });
             return (cov, cost);
         };
         let within = list.cut_into(slot.radius, &mut cov);
         (cov, SlotCost { radius: slot.radius, coverage_nodes: within, ..cost })
+    }
+
+    /// A `Term::Node` slot's coverage within `acc`, the accumulator it is
+    /// about to be combined with: `R(l, r) ∩ acc`, searched only until every
+    /// node of `acc` has settled. Nodes outside `acc` settle (the search
+    /// runs through them) but are not reported, so Theorem 5's `|P ∩ R|` is
+    /// `|P ∩ R ∩ acc|` here; an `acc` node beyond `r` never settles, and
+    /// then the search runs to `r`.
+    fn fetch_within(
+        &self,
+        ws: &mut DijkstraWorkspace,
+        slot: &DTerm,
+        acc: &BitSet,
+    ) -> (BitSet, SlotCost) {
+        let mut cov = BitSet::new(self.globals.len());
+        let members = acc.count();
+        let mut left = members;
+        let cost = self.search(ws, slot.term, slot.radius, |n, _| {
+            if !acc.contains(n as usize) {
+                return Control::Continue;
+            }
+            cov.insert(n as usize);
+            left -= 1;
+            if left == 0 {
+                Control::Stop
+            } else {
+                Control::Continue
+            }
+        });
+        (cov, SlotCost { coverage_nodes: members - left, ..cost })
     }
 
     /// The ⋂ of the reach masks held for the keywords among `conjuncts`, in
@@ -612,7 +658,10 @@ impl FragmentEngine {
             }
             None => {
                 let mut table = Vec::new();
-                let cost = self.search(&mut ws, term, bound, |n, d| table.push((n, d)));
+                let cost = self.search(&mut ws, term, bound, |n, d| {
+                    table.push((n, d));
+                    Control::Continue
+                });
                 (table, cost)
             }
         };
@@ -691,11 +740,15 @@ impl FragmentEngine {
     /// cut from a keyword list — and offered back) driven by
     /// [`QueryPlan::evaluate_lazy`], which stops asking once the local
     /// answer is known to be empty — from the coverages fetched so far, or
-    /// beforehand from the reach masks of the plan's conjuncts. Lemma 1
-    /// semantics are identical to [`Self::evaluate`]; a hit, a list cut or a
-    /// skipped slot saves a Dijkstra, never changes the answer. The answer
-    /// stays in the run-level form the wire and the coordinator's gather
-    /// take.
+    /// beforehand from the reach masks of the plan's conjuncts. A
+    /// `Term::Node` slot the driver fetches against its accumulator (named
+    /// once, as a ∩ or − operand) is searched only until every accumulator
+    /// node has settled, and reports only those nodes; that is not the
+    /// slot's coverage, so `store` is neither asked for it nor offered it.
+    /// Lemma 1 semantics are identical to [`Self::evaluate`]; a hit, a list
+    /// cut, a bounded fetch or a skipped slot saves search, never changes
+    /// the answer. The answer stays in the run-level form the wire and the
+    /// coordinator's gather take.
     pub fn evaluate_plan_with_cache(
         &mut self,
         plan: &QueryPlan,
@@ -714,7 +767,14 @@ impl FragmentEngine {
             engine.globals.len(),
             |slot| engine.seed_count(slot.term, slot.radius),
             move |conjuncts| engine.reach_ceiling(conjuncts, ceiling),
-            |slot| {
+            |slot, within| {
+                // A bounded fetch is not the slot's coverage: the store
+                // neither serves nor keeps it.
+                if let (Term::Node(_), Some(acc)) = (slot.term, within) {
+                    let (cov, cost) = engine.fetch_within(&mut ws, slot, acc);
+                    total.absorb(cost);
+                    return Ok(Arc::new(cov));
+                }
                 if let Some(hit) = store.lookup(slot) {
                     total.absorb(SlotCost {
                         term: slot.term,
@@ -906,8 +966,10 @@ mod tests {
     /// a cut of the list and settles nothing. The lists' masks cap SGKQs, an
     /// RKQ, a `−` tail and a `∪` prefix alike, at every radius up to `maxR`
     /// itself, and the answers stay the oracle's — on the pass that builds
-    /// the lists and on the passes that cut them. A `Term::Node` slot still
-    /// searches to its own radius.
+    /// the lists and on the passes that cut them. The RKQ's `Term::Node`
+    /// slot is searched after its keyword, against what the keyword left:
+    /// it settles no more than the plain search to its radius, and reports
+    /// `|R(l, r) ∩ R(kw, 0)|` nodes.
     #[test]
     fn a_keyword_is_searched_once_a_fragment_and_never_changes_the_answer() {
         use crate::dfunc::SetOp::{Intersect, Subtract, Union};
@@ -937,7 +999,7 @@ mod tests {
         };
         let mut central = CentralizedCoverage::new(&net);
         let mut searched = std::collections::HashSet::new();
-        let (mut widened, mut cut, mut nodes) = (0, 0, 0);
+        let (mut widened, mut cut, mut nodes, mut stopped) = (0, 0, 0, 0);
         for pass in 0..3 {
             for r in [0, e, 4 * e, max_r] {
                 for f in queries(r) {
@@ -948,7 +1010,14 @@ mod tests {
                         for slot in &cost.per_slot {
                             assert!(!slot.cached, "{f}: {slot:?}");
                             if matches!(slot.term, Term::Node(_)) {
-                                assert_eq!(slot.settled, slot.coverage_nodes, "{f}: {slot:?}");
+                                let (plain, full) =
+                                    engine.coverage(slot.term, slot.radius).unwrap();
+                                assert!(slot.settled <= full.settled, "{f}: {slot:?}");
+                                let mut within = (*plain).clone();
+                                let kw = Term::Keyword(net.keywords(obj)[0]);
+                                within.intersect_with(&engine.coverage(kw, 0).unwrap().0);
+                                assert_eq!(slot.coverage_nodes, within.count(), "{f}: {slot:?}");
+                                stopped += usize::from(slot.settled < full.settled);
                                 nodes += 1;
                             } else if searched.insert((engine.fragment(), slot.term)) {
                                 assert!(slot.settled >= slot.coverage_nodes, "{f}: {slot:?}");
@@ -967,8 +1036,39 @@ mod tests {
         }
         assert!(widened > 0, "no first search reached past its radius");
         assert!(cut > 0 && nodes > 0, "{cut} non-empty cuts, {nodes} node slots");
+        assert!(stopped > 0, "no node slot of {nodes} stopped short of its radius");
         let built: usize = engines.iter().map(lists_built).sum();
         assert!(built > 0 && built <= searched.len(), "{built} lists, {} searched", searched.len());
+    }
+
+    /// An RKQ from an object whose keyword no other node of its fragment
+    /// bears: there the keyword's `R(kw, 0)` is the location alone, and the
+    /// location's search stops as soon as it has settled its own source.
+    #[test]
+    fn a_location_that_alone_bears_its_keyword_settles_one_node() {
+        let net = GridNetworkConfig::tiny(0x4D).generate();
+        let max_r = 8 * net.avg_edge_weight();
+        let mut engines = engines(&net, 3, &IndexConfig::with_max_r(max_r));
+        let (engine, obj, kw) = net
+            .node_ids()
+            .filter(|&n| net.is_object(n))
+            .find_map(|obj| {
+                let engine = engines.iter().position(|e| local_id(&e.globals, obj).is_some())?;
+                let kw = *net
+                    .keywords(obj)
+                    .iter()
+                    .find(|&&k| engines[engine].seed_count(Term::Keyword(k), 0) == 1)?;
+                Some((engine, obj, kw))
+            })
+            .expect("an object that alone bears one of its keywords on its fragment");
+        let engine = &mut engines[engine];
+        let f = RangeKeywordQuery::new(obj, vec![kw], max_r).to_dfunction();
+        let (local, cost) = engine.evaluate(&f).unwrap();
+        assert_eq!(local, vec![obj]);
+        let node = cost.per_slot.iter().find(|s| s.term == Term::Node(obj)).unwrap();
+        assert_eq!((node.settled, node.coverage_nodes), (1, 1), "{f}: {node:?}");
+        let (_, full) = engine.coverage(Term::Node(obj), max_r).unwrap();
+        assert!(full.settled > 1, "the plain search settles all within {max_r}");
     }
 
     /// Two keywords a fragment is seeded for whose reach masks do not meet:
@@ -1100,7 +1200,10 @@ mod tests {
             let (mut table, cost) = engine.distance_table(term, r).unwrap();
             proptest::prop_assert_eq!(cost.settled, 0);
             let mut searched = Vec::new();
-            engine.search(&mut ws, term, r, |n, d| searched.push((n, d)));
+            engine.search(&mut ws, term, r, |n, d| {
+                searched.push((n, d));
+                Control::Continue
+            });
             table.sort_unstable();
             searched.sort_unstable();
             proptest::prop_assert_eq!(table, searched);

@@ -113,22 +113,30 @@ impl QueryPlan {
     /// The program is split at its last `∪`. Up to there the order is the
     /// program's. What follows is a left-associated run of ∩/−, which
     /// commutes: `acc = prefix ∩ ⋂pos ∖ ⋃neg`, the first operand joining
-    /// `pos` when there is no `∪`. `pos` goes in ascending `seeds` (the
-    /// number of nodes a slot's search would start from; ties keep program
-    /// order), then `neg`. A conjunct with no seed has an empty coverage,
-    /// and so has everything intersected with it.
+    /// `pos` when there is no `∪`. `pos` goes keyword conjuncts first, then
+    /// `Term::Node` ones, each in ascending `seeds` (the number of nodes a
+    /// slot's search would start from; ties keep program order), then
+    /// `neg`. A node conjunct comes last because its search is the one a
+    /// bounded fetch can stop early, and the smaller the accumulator it is
+    /// handed the earlier it stops. A conjunct with no seed has an empty
+    /// coverage, and so has everything intersected with it: it goes first
+    /// whatever its term.
     fn lazy_order(&self, seeds: impl Fn(&DTerm) -> usize) -> Option<LazyOrder> {
         let last_union = self.ops.iter().rposition(|&(op, _)| op == SetOp::Union);
         let (prefix, tail) = self.ops.split_at(last_union.map_or(0, |u| u + 1));
         let of = |want: SetOp| tail.iter().filter(move |&&(op, _)| op == want).map(|&(_, s)| s);
         let head = if last_union.is_none() { Some(self.first) } else { None };
-        let mut pos: Vec<(usize, u32)> = head
+        let rank = |slot: &DTerm| {
+            let seeds = seeds(slot);
+            (seeds > 0 && matches!(slot.term, Term::Node(_)), seeds)
+        };
+        let mut pos: Vec<((bool, usize), u32)> = head
             .into_iter()
             .chain(of(SetOp::Intersect))
-            .map(|slot| (seeds(&self.slots[slot as usize]), slot))
+            .map(|slot| (rank(&self.slots[slot as usize]), slot))
             .collect();
-        pos.sort_by_key(|&(seeds, _)| seeds);
-        if pos.first().is_some_and(|&(seeds, _)| seeds == 0) {
+        pos.sort_by_key(|&(rank, _)| rank);
+        if pos.first().is_some_and(|&((_, seeds), _)| seeds == 0) {
             return None;
         }
         let first = if last_union.is_none() { pos.remove(0).1 } else { self.first };
@@ -139,17 +147,27 @@ impl QueryPlan {
     }
 
     /// Evaluate the program, fetching a slot's coverage only when the
-    /// accumulator still depends on it.
+    /// accumulator still depends on it, and only as far as it does.
     ///
     /// The prefix up to the last `∪` runs in program order; the ∩ operands
-    /// after it run in ascending `seeds` — the number of nodes a slot's
-    /// search would start from — with ties in program order, so cache state
-    /// and counters are reproducible; then the − operands. A ∩/− operand is
-    /// not fetched while the accumulator is empty, which after the last `∪`
-    /// ends the evaluation, and a conjunct with no seed ends it before the
-    /// first fetch. `fetch` is called at most once per slot. The result
-    /// equals [`Self::combine`] over all coverages; `capacity` is the
-    /// coverages' capacity, for a result nothing was fetched for.
+    /// after it run keyword conjuncts first, then `Term::Node` ones, each in
+    /// ascending `seeds` — the number of nodes a slot's search would start
+    /// from — with ties in program order, so cache state and counters are
+    /// reproducible; then the − operands. A ∩/− operand is not fetched while
+    /// the accumulator is empty, which after the last `∪` ends the
+    /// evaluation, and a conjunct with no seed ends it before the first
+    /// fetch. `fetch` is called at most once per slot. The result equals
+    /// [`Self::combine`] over all coverages; `capacity` is the coverages'
+    /// capacity, for a result nothing was fetched for.
+    ///
+    /// `fetch(slot, within)` returns the slot's coverage `R` when `within`
+    /// is `None`. A slot the program names once, as a ∩ or − operand, is
+    /// fetched with `within = Some(acc)`, the live accumulator it is about to
+    /// be combined with, and `fetch` may then return any set between
+    /// `R ∩ acc` and `R`: `acc ∩ X` and `acc − X` depend on `X ∩ acc` alone.
+    /// Such a result is not `R`, so it is used for that operand and nothing
+    /// else; a slot named twice is always fetched whole. Theorem 5's
+    /// `|P ∩ R|` for a fetch that takes the bound is `|P ∩ R ∩ acc|`.
     ///
     /// `ceiling` may name a superset of `⋂pos`, the intersection of the
     /// conjuncts it is handed (`|_| None`: no such set is known). The result
@@ -164,7 +182,7 @@ impl QueryPlan {
         capacity: usize,
         seeds: impl Fn(&DTerm) -> usize,
         ceiling: impl FnOnce(&mut dyn Iterator<Item = &DTerm>) -> Option<&'c BitSet>,
-        mut fetch: impl FnMut(&DTerm) -> Result<Arc<BitSet>, E>,
+        mut fetch: impl FnMut(&DTerm, Option<&BitSet>) -> Result<Arc<BitSet>, E>,
     ) -> Result<Arc<BitSet>, E> {
         let Some(LazyOrder { first, ops, prefix }) = self.lazy_order(seeds) else {
             return Ok(Arc::new(BitSet::new(capacity)));
@@ -182,16 +200,25 @@ impl QueryPlan {
         if ceiling.is_some_and(BitSet::is_empty) {
             return Ok(Arc::new(BitSet::new(capacity)));
         }
+        // The order names every operand of the program once.
+        let mut named = vec![0usize; self.slots.len()];
+        std::iter::once(first).chain(ops.iter().map(|&(_, slot)| slot)).for_each(|slot| {
+            named[slot as usize] += 1;
+        });
         let mut fetched: Vec<Option<Arc<BitSet>>> = vec![None; self.slots.len()];
-        let mut get = |slot: u32| -> Result<Arc<BitSet>, E> {
+        let mut get = |slot: u32, within: Option<&BitSet>| -> Result<Arc<BitSet>, E> {
+            let term = &self.slots[slot as usize];
+            if named[slot as usize] == 1 {
+                return fetch(term, within);
+            }
             Ok(Arc::clone(match &mut fetched[slot as usize] {
                 Some(coverage) => coverage,
-                unfetched => unfetched.insert(fetch(&self.slots[slot as usize])?),
+                unfetched => unfetched.insert(fetch(term, None)?),
             }))
         };
         // `acc` shares the first coverage until an operator has to change
         // it, so a one-operand plan returns that coverage uncopied.
-        let mut acc = get(first)?;
+        let mut acc = get(first, None)?;
         let mut live = !acc.is_empty();
         for (i, (op, slot)) in ops.into_iter().enumerate() {
             if let Some(ceiling) = ceiling.filter(|_| i == prefix && live) {
@@ -200,7 +227,7 @@ impl QueryPlan {
             if !live && op != SetOp::Union {
                 continue; // ∅ ∩ X = ∅ − X = ∅, whatever X is
             }
-            let rhs = get(slot)?;
+            let rhs = get(slot, (op != SetOp::Union).then_some(&*acc))?;
             let set = Arc::make_mut(&mut acc);
             live = match op {
                 SetOp::Union => {
@@ -564,7 +591,7 @@ mod tests {
                 8,
                 |t| slots[index(t)].0,
                 |_| None,
-                |t| {
+                |t, _| {
                     order.push(index(t) as u32);
                     Ok::<_, ()>(set(8, slots[index(t)].1))
                 },
@@ -604,6 +631,57 @@ mod tests {
         let plan = chain(&[Intersect, Intersect, Union]);
         let sets: [(usize, &[usize]); 4] = [(5, &[1]), (0, &[]), (9, &[1]), (1, &[6])];
         assert_eq!(lazy_trace(&plan, &sets), (vec![0, 1, 3], vec![6]));
+    }
+
+    /// A slot the program names twice is fetched whole, once, even where it
+    /// is first a ∩ operand; a slot named once is handed the live
+    /// accumulator as a ∩ or − operand and nothing as a ∪ operand, and a
+    /// fetch that returns only what lies within the accumulator leaves the
+    /// result the eager one.
+    #[test]
+    fn a_once_named_conjunct_or_subtrahend_is_fetched_against_the_accumulator() {
+        use SetOp::{Intersect, Subtract, Union};
+        let kw = |k: u32| Term::Keyword(KeywordId(k));
+        // #0 ∩ #1 ∪ #2 ∪ #1 ∩ #3 − #4: #1 is named twice, first under ∩.
+        let f = DFunction::single(kw(0), 1)
+            .then(Intersect, kw(1), 1)
+            .then(Union, kw(2), 1)
+            .then(Union, kw(1), 1)
+            .then(Intersect, kw(3), 1)
+            .then(Subtract, kw(4), 1);
+        let plan = QueryPlan::lower(&f);
+        let sets: [_; 5] =
+            [&[1, 2, 5][..], &[2, 3, 5, 7], &[0], &[0, 2, 3, 6], &[2, 6]].map(|s| set(8, s));
+        let index = |t: &DTerm| plan.slots().iter().position(|s| s == t).unwrap();
+        let mut handed: Vec<(usize, Option<Vec<usize>>)> = Vec::new();
+        let result = plan
+            .evaluate_lazy(
+                8,
+                |_| 1,
+                |_| None,
+                |t, within| {
+                    let i = index(t);
+                    handed.push((i, within.map(|acc| acc.iter().collect())));
+                    let mut cut = (*sets[i]).clone();
+                    if let Some(acc) = within {
+                        cut.intersect_with(acc);
+                    }
+                    Ok::<_, ()>(Arc::new(cut))
+                },
+            )
+            .unwrap();
+        assert_eq!(*result, plan.combine(&sets), "lazy and eager results differ");
+        assert_eq!(result.iter().collect::<Vec<_>>(), vec![0, 3]);
+        // #1 whole under its ∩ and not again under its ∪; #2 whole under ∪;
+        // #3 against #0 ∩ #1 ∪ #2 ∪ #1; #4 against that ∩ #3.
+        let expect = vec![
+            (0, None),
+            (1, None),
+            (2, None),
+            (3, Some(vec![0, 2, 3, 5, 7])),
+            (4, Some(vec![0, 2, 3])),
+        ];
+        assert_eq!(handed, expect);
     }
 
     fn batch_of_plans() -> Vec<QueryPlan> {

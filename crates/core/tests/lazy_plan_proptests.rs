@@ -10,6 +10,10 @@
 //!    — never changes `evaluate_lazy`'s result; an empty one ends the
 //!    evaluation before the first fetch; none is asked for while a conjunct
 //!    is seedless.
+//! 4. A bounded fetch — any set between `R ∩ acc` and `R` for a slot the
+//!    program names once, handed the live accumulator `acc` as a ∩ or −
+//!    operand — never changes the result either, and a slot named twice is
+//!    never handed one.
 
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
@@ -118,7 +122,9 @@ proptest! {
 
     /// Programs over a pool of 1–5 terms (so slots repeat) with a `∪`
     /// prefix, `∩` and `−` in any mix, over coverages from empty to full on
-    /// a capacity that is not a whole number of words.
+    /// a capacity that is not a whole number of words, each evaluated with
+    /// whole fetches and with bounded ones that return `R ∩ acc` and a
+    /// random part of the rest of `R`.
     #[test]
     fn a_ceiling_never_changes_the_answer(seed in any::<u64>()) {
         const CAPACITY: usize = 150;
@@ -163,8 +169,12 @@ proptest! {
             .map(of)
             .collect();
         let seedless = pos.iter().any(|&t| seeds[t] == 0);
+        let mut named = vec![0; pool as usize];
+        std::iter::once(&f.first).chain(f.rest.iter().map(|(_, t)| t)).for_each(|t| named[of(t)] += 1);
 
-        for kind in [Ceiling::Unknown, Ceiling::Tight, Ceiling::Padded(rng.gen()), Ceiling::Full] {
+        let kinds = [Ceiling::Unknown, Ceiling::Tight, Ceiling::Padded(rng.gen()), Ceiling::Full];
+        for (kind, bounded) in kinds.into_iter().flat_map(|k| [(k, None), (k, Some(rng.gen()))]) {
+            let mut rest = bounded.map(StdRng::seed_from_u64);
             let mut known = BitSet::new(CAPACITY);
             (0..CAPACITY).for_each(|i| known.insert(i));
             if let Ceiling::Tight | Ceiling::Padded(_) = kind {
@@ -188,13 +198,22 @@ proptest! {
                     CAPACITY,
                     |slot| seeds[of(slot)],
                     ceiling,
-                    |slot| {
+                    |slot, within| {
                         fetches.set(fetches.get() + 1);
-                        Ok::<_, ()>(Arc::clone(&coverages[of(slot)]))
+                        let coverage = &coverages[of(slot)];
+                        let (Some(rest), Some(acc)) = (rest.as_mut(), within) else {
+                            return Ok::<_, ()>(Arc::clone(coverage));
+                        };
+                        assert_eq!(named[of(slot)], 1, "{f}: a slot named twice fetched bounded");
+                        assert!(!acc.is_empty(), "{f}: fetched against an empty accumulator");
+                        let mut within = sample(rest, 0.5);
+                        within.union_with(acc);
+                        within.intersect_with(coverage);
+                        Ok(Arc::new(within))
                     },
                 )
                 .unwrap();
-            prop_assert_eq!(&*got, &expect, "{} under {:?}", &f, kind);
+            prop_assert_eq!(&*got, &expect, "{} under {:?}, bounded {:?}", &f, kind, bounded);
             prop_assert!(fetches.get() <= plan.num_slots(), "{}: a slot fetched twice", &f);
             if seedless {
                 prop_assert!(!asked.get(), "{}: a ceiling asked for beside a seedless conjunct", &f);

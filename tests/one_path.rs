@@ -20,15 +20,21 @@
 //! keyword lists make the second pass settle fewer nodes than the first
 //! under all four configurations, and the third settle none wherever no
 //! worker was respawned, the cache-off configuration included.
+//! A sixth asks 48 RKQs after their keywords' lists are built: each
+//! location is searched only until its answer has settled, so the workers
+//! settle fewer nodes than plain searches from the locations would, and a
+//! small coverage cache holds no location's partial search, so evicts
+//! nothing.
 
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 use disks::baseline::centralized::CentralizedEngine;
 use disks::cluster::transport::TransportKind;
 use disks::cluster::{Cluster, ClusterConfig, FaultPlan, HeartbeatConfig};
 use disks::core::{
-    build_all_indexes, DFunction, IndexConfig, QClassQuery, QueryPlan, RangeKeywordQuery, SetOp,
-    SgkQuery, Term,
+    build_all_indexes, DFunction, FragmentEngine, IndexConfig, QClassQuery, QueryPlan,
+    RangeKeywordQuery, SetOp, SgkQuery, Term,
 };
 use disks::partition::{MultilevelPartitioner, Partitioner};
 use disks::roadnet::generator::GridNetworkConfig;
@@ -276,6 +282,75 @@ fn a_keywords_first_search_caps_its_later_conjunctions() {
         if cluster.recovery_counters().respawned_workers == 0 {
             assert_eq!(settled[2], 0, "{name}: settled {settled:?}, by pass; {hits} cache hits");
         }
+        cluster.shutdown();
+    }
+}
+
+/// A location's search goes only as far as its answer. An RKQ
+/// `R(l, r) ∩ R(kw, 0)` cuts its keyword's slot from the keyword's list
+/// first, then searches from `l` against what the cut left and stops once
+/// all of it has settled; that bounded result is not `R(l, r)`, so the
+/// coverage cache never holds it. 48 RKQs from object locations, each with
+/// one keyword of its own at a radius in `[maxR/2, maxR]`, after a pass of
+/// `R(kw, 0)` queries that builds the keywords' lists: the answers are the
+/// oracle's, the workers settle strictly fewer nodes than the plain
+/// `R(l, r)` searches on the fragments each plan searched (unless a worker
+/// was respawned and lost its lists), and a cache of a few coverages a
+/// worker evicts nothing, where one that held each location's `R(l, r)`
+/// would evict.
+#[test]
+fn a_locations_search_stops_once_its_answer_has_settled() {
+    /// A few coverages a worker: an entry is a fragment's bitset and 64
+    /// bytes of the cache's bookkeeping.
+    const BUDGET: usize = 1 << 10;
+    let net = GridNetworkConfig::small(0x0E1A).generate();
+    let p = MultilevelPartitioner::default().partition(&net, FRAGMENTS);
+    let max_r = 12 * net.avg_edge_weight();
+    let objects: Vec<NodeId> = net.node_ids().filter(|&n| net.is_object(n)).collect();
+    let rkqs: Vec<RangeKeywordQuery> = (0..48)
+        .map(|i| {
+            let l = objects[i * 7 % objects.len()];
+            let r = max_r / 2 + i as u64 * (max_r / 2) / 47;
+            RangeKeywordQuery::new(l, vec![net.keywords(l)[0]], r)
+        })
+        .collect();
+    let fs: Vec<DFunction> = rkqs.iter().map(RangeKeywordQuery::to_dfunction).collect();
+    let keywords: BTreeSet<KeywordId> = rkqs.iter().flat_map(|q| q.keywords.clone()).collect();
+    let warm: Vec<DFunction> =
+        keywords.iter().map(|&kw| SgkQuery::new(vec![kw], 0).to_dfunction()).collect();
+    let indexes = build_all_indexes(&net, &p, &IndexConfig::with_max_r(max_r));
+    let mut engines: Vec<FragmentEngine> =
+        indexes.iter().map(|index| FragmentEngine::new(&net, &p, index).unwrap()).collect();
+    // The plain `R(l, r)` search on every fragment where the plan searches `l`.
+    let mut plain = 0;
+    for (f, q) in fs.iter().zip(&rkqs) {
+        for engine in &mut engines {
+            let (_, cost) = engine.evaluate(f).unwrap();
+            let location = Term::Node(q.location);
+            if cost.per_slot.iter().any(|slot| slot.term == location) {
+                plain += engine.coverage(location, q.radius).unwrap().1.settled as u64;
+            }
+        }
+    }
+    let mut oracle = CentralizedEngine::new(&net);
+    for (name, config) in configs() {
+        let budget = if config.coverage_cache_bytes == 0 { 0 } else { BUDGET };
+        let config = ClusterConfig { coverage_cache_bytes: budget, ..config };
+        let indexes = build_all_indexes(&net, &p, &IndexConfig::with_max_r(max_r));
+        let cluster = Cluster::build(&net, &p, indexes, config);
+        let (items, _) = cluster.run_stream(&warm);
+        items.into_iter().for_each(|item| drop(item.unwrap()));
+        let (items, _) = cluster.run_stream(&fs);
+        let mut settled = 0;
+        for (f, item) in fs.iter().zip(items) {
+            let o = item.unwrap_or_else(|e| panic!("{name}: {f}: {e}"));
+            assert_eq!(o.results, oracle.run(f).unwrap().0, "{name}: {f} vs oracle");
+            settled += o.stats.per_machine.iter().map(|m| m.settled).sum::<u64>();
+        }
+        if cluster.recovery_counters().respawned_workers == 0 {
+            assert!(settled < plain, "{name}: settled {settled}, plain searches {plain}");
+        }
+        assert_eq!(cluster.cache_counters().evictions, 0, "{name}: {:?}", cluster.cache_counters());
         cluster.shutdown();
     }
 }
