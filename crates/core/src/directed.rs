@@ -1,37 +1,29 @@
-//! Directed NPD-index — the paper's §2.1 adaptation, made concrete.
+//! The directed NPD-index — §2.1's "can be easily adapted for the directed
+//! graph". Coverage is `R(ω, r) = { A : d(ω → A) ≤ r }`, the nodes reachable
+//! from a keyword within `r` (run on [`DirectedRoadNetwork::reversed`] for
+//! the nodes that can reach one), and a fragment's portals are its
+//! *in-portals*, the nodes with an arc from outside. Index and engine are
+//! the undirected ones; direction changes four things:
 //!
-//! Everything mirrors the undirected construction with directions made
-//! explicit:
-//!
-//! * **Coverage direction.** `R(ω, r) = { A : d(ω → A) ≤ r }` — nodes
-//!   *reachable from* a keyword node within `r`, which is exactly the
-//!   paper's virtual-node formulation (virtual `W` with arcs `W → keyword
-//!   nodes`, forward Dijkstra). For the opposite semantics ("nodes that can
-//!   reach a keyword") run the same machinery on [`DirectedRoadNetwork::reversed`].
-//! * **Portals.** An *in-portal* of fragment `P` is a node of `P` with an
-//!   incoming arc from outside; an *out-portal* has an outgoing arc to
-//!   outside. Forward paths enter `P` through in-portals and leave through
-//!   out-portals.
-//! * **DL(P).** For an external keyword node `A`: `(N, d(A→N))` for
-//!   in-portals `N` whose every shortest `A→N` path meets `P` only at `N`.
-//! * **SC(P).** Directed shortcuts `u → N` (out-portal → in-portal) for
-//!   paths that leave and re-enter `P` with no internal `P` node, excluding
-//!   original arcs of equal weight (the directed Rule 1, including the
-//!   weighted-triple condition 2).
-//!
-//! Both components fall out of one backward search per in-portal over the
-//! **reversed** graph — the directed analogue of Algorithm 1 — so the
-//! construction remains fragment-wise and the query remains one-round and
-//! communication-free.
+//! * Algorithm 1 searches the **reversed** network from each in-portal
+//!   ([`crate::index`]'s one portal search);
+//! * Rule 1's original-arc test asks for the arc `u → portal`, per
+//!   direction;
+//! * shortcuts keep the orientation they were found in, `u → portal`;
+//! * the engine's CSR ([`FragmentEngine::from_directed`]) holds out-arcs and
+//!   one arc a shortcut.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::time::Instant;
 
+use disks_partition::FragmentId;
 use disks_roadnet::digraph::DirectedRoadNetwork;
 use disks_roadnet::dijkstra::Control;
-use disks_roadnet::{DijkstraWorkspace, Graph, KeywordId, NodeId, Weight, INF};
+use disks_roadnet::{DijkstraWorkspace, KeywordId, NodeId, INF};
 
-use crate::error::{IndexError, QueryError};
+use crate::dfunc::DFunction;
+use crate::engine::FragmentEngine;
+use crate::error::QueryError;
+use crate::index::{assemble_index, Alg1, BuildWorkspace, IndexConfig, NpdIndex};
 
 /// A k-way node assignment over a directed network.
 #[derive(Debug, Clone)]
@@ -89,252 +81,62 @@ impl DirectedPartition {
     }
 }
 
-/// The directed NPD-index of one fragment.
+/// The directed NPD-index of one fragment: an [`NpdIndex`] whose shortcuts
+/// are arcs, out-portal → in-portal, and whose DL entries map an external
+/// object `A` to `(in-portal N, d(A → N))`; the engine reads it as one.
 #[derive(Debug, Clone)]
-pub struct DirectedNpdIndex {
-    fragment: u32,
-    max_r: u64,
-    /// Directed shortcuts `(from, to, d(from→to))`, out-portal → in-portal.
-    sc: Vec<(NodeId, NodeId, u64)>,
-    /// External object node → sorted `(in-portal, d(node→portal))`.
-    dl_entries: HashMap<NodeId, Vec<(NodeId, u64)>>,
-    /// Keyword → per-in-portal minimum `d(ω→portal)` over external carriers.
-    keyword_portals: HashMap<KeywordId, Vec<(NodeId, u64)>>,
-}
+pub struct DirectedNpdIndex(pub(crate) NpdIndex);
 
 impl DirectedNpdIndex {
     pub fn fragment(&self) -> u32 {
-        self.fragment
+        self.0.fragment().0
     }
 
+    /// Directed shortcuts `(from, to, d(from → to))`, sorted.
     pub fn shortcuts(&self) -> &[(NodeId, NodeId, u64)] {
-        &self.sc
+        self.0.shortcuts()
     }
 
     pub fn dl_entry(&self, node: NodeId) -> Option<&[(NodeId, u64)]> {
-        self.dl_entries.get(&node).map(Vec::as_slice)
+        self.0.dl_entry(node)
     }
 
     pub fn distances_recorded(&self) -> usize {
-        self.sc.len() + self.dl_entries.values().map(Vec::len).sum::<usize>()
+        self.0.distances_recorded()
     }
 }
 
-/// Build the directed index for `fragment`: one bounded Dijkstra per
-/// in-portal over the reversed graph, with the Rules 3/4 tie-merging flag.
+/// Build the directed index for `fragment`: Algorithm 1 from each in-portal
+/// over the reversed network, DL entries for objects only.
 pub fn build_directed_index(
     net: &DirectedRoadNetwork,
     partition: &DirectedPartition,
     fragment: u32,
     max_r: u64,
 ) -> DirectedNpdIndex {
-    let assignment = partition.assignment();
-    let n = net.num_nodes();
-    let reversed = net.reversed();
-    let mut dist = vec![INF; n];
-    let mut reentered = vec![false; n];
-    let mut stamp = vec![0u32; n];
-    let mut epoch = 0u32;
-    let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-
-    let mut sc: Vec<(NodeId, NodeId, u64)> = Vec::new();
-    let mut dl_entries: HashMap<NodeId, Vec<(NodeId, u64)>> = HashMap::new();
-
-    for &portal in partition.in_portals(fragment) {
-        epoch += 1;
-        heap.clear();
-        let source = portal.0;
-        dist[source as usize] = 0;
-        stamp[source as usize] = epoch;
-        reentered[source as usize] = false;
-        heap.push(Reverse((0, source)));
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if stamp[u as usize] != epoch || d > dist[u as usize] {
-                continue;
-            }
-            // Mark settled by leaving dist as-is; stale entries are filtered
-            // by the distance comparison above.
-            let u_reentered = reentered[u as usize];
-            if u != source && !u_reentered {
-                if assignment[u as usize] == fragment {
-                    // Directed Rule 1: shortcut u → portal, unless an
-                    // original arc of exactly this weight exists.
-                    if net.arc_weight(NodeId(u), portal).map(u64::from) != Some(d) {
-                        sc.push((NodeId(u), portal, d));
-                    }
-                } else if net.is_object(NodeId(u)) {
-                    dl_entries.entry(NodeId(u)).or_default().push((portal, d));
-                }
-            }
-            let flag_through_u = u_reentered || (u != source && assignment[u as usize] == fragment);
-            reversed.for_each_neighbor(u, &mut |v, w| {
-                let nd = d.saturating_add(u64::from(w));
-                if nd > max_r {
-                    return;
-                }
-                let vi = v as usize;
-                let cur = if stamp[vi] == epoch { dist[vi] } else { INF };
-                match nd.cmp(&cur) {
-                    std::cmp::Ordering::Less => {
-                        dist[vi] = nd;
-                        stamp[vi] = epoch;
-                        reentered[vi] = flag_through_u;
-                        heap.push(Reverse((nd, v)));
-                    }
-                    std::cmp::Ordering::Equal => {
-                        // Rules 3/4: merge across equal shortest paths.
-                        reentered[vi] |= flag_through_u;
-                    }
-                    std::cmp::Ordering::Greater => {}
-                }
-            });
-        }
-    }
-    sc.sort_unstable();
-    sc.dedup();
-    for list in dl_entries.values_mut() {
-        list.sort_unstable_by_key(|&(p, d)| (d, p.0));
-    }
-    let mut kw_min: HashMap<(KeywordId, u32), u64> = HashMap::new();
-    for (&node, list) in &dl_entries {
-        for &kw in net.keywords(node) {
-            for &(portal, d) in list {
-                kw_min.entry((kw, portal.0)).and_modify(|c| *c = (*c).min(d)).or_insert(d);
-            }
-        }
-    }
-    let mut keyword_portals: HashMap<KeywordId, Vec<(NodeId, u64)>> = HashMap::new();
-    for ((kw, portal), d) in kw_min {
-        keyword_portals.entry(kw).or_default().push((NodeId(portal), d));
-    }
-    for list in keyword_portals.values_mut() {
-        list.sort_unstable_by_key(|&(p, d)| (d, p.0));
-    }
-    DirectedNpdIndex { fragment, max_r, sc, dl_entries, keyword_portals }
-}
-
-/// The directed per-fragment engine: local directed CSR (intra-fragment
-/// arcs + SC arcs) with DL-seeded forward coverage.
-pub struct DirectedFragmentEngine {
-    fragment: u32,
-    max_r: u64,
-    globals: Vec<NodeId>,
-    /// Local directed CSR, `(head, weight)` interleaved.
-    adj_offsets: Vec<u32>,
-    adj: Vec<(u32, Weight)>,
-    /// Lightest arc of `adj`, SC arcs included.
-    min_arc_weight: Weight,
-    kw_nodes: HashMap<KeywordId, Vec<u32>>,
-    keyword_portals: HashMap<KeywordId, Vec<(u32, u64)>>,
-    ws: DijkstraWorkspace,
-}
-
-impl Graph for DirectedFragmentEngine {
-    fn num_nodes(&self) -> usize {
-        self.globals.len()
-    }
-
-    fn min_arc_weight(&self) -> Weight {
-        self.min_arc_weight
-    }
-
-    fn for_each_neighbor(&self, node: u32, mut f: impl FnMut(u32, Weight)) {
-        let lo = self.adj_offsets[node as usize] as usize;
-        let hi = self.adj_offsets[node as usize + 1] as usize;
-        for &(v, w) in &self.adj[lo..hi] {
-            f(v, w);
-        }
-    }
-}
-
-impl DirectedFragmentEngine {
-    pub fn new(
-        net: &DirectedRoadNetwork,
-        partition: &DirectedPartition,
-        index: &DirectedNpdIndex,
-    ) -> Result<Self, IndexError> {
-        let fragment = index.fragment;
-        let globals: Vec<NodeId> = partition.members(fragment).to_vec();
-        let mut local_of = HashMap::with_capacity(globals.len());
-        for (i, &g) in globals.iter().enumerate() {
-            local_of.insert(g.0, i as u32);
-        }
-        let mut lists: Vec<Vec<(u32, Weight)>> = vec![Vec::new(); globals.len()];
-        for (i, &g) in globals.iter().enumerate() {
-            for (to, w) in net.out_neighbors(g) {
-                if let Some(&lt) = local_of.get(&to.0) {
-                    lists[i].push((lt, w));
-                }
-            }
-        }
-        for &(from, to, d) in &index.sc {
-            let w = Weight::try_from(d).map_err(|_| IndexError::WeightOverflow { distance: d })?;
-            lists[local_of[&from.0] as usize].push((local_of[&to.0], w));
-        }
-        let (adj_offsets, adj, min_arc_weight) = crate::engine::interleaved_csr(&lists);
-        let mut kw_nodes: HashMap<KeywordId, Vec<u32>> = HashMap::new();
-        for (i, &g) in globals.iter().enumerate() {
-            for &k in net.keywords(g) {
-                kw_nodes.entry(k).or_default().push(i as u32);
-            }
-        }
-        let keyword_portals = index
-            .keyword_portals
-            .iter()
-            .map(|(&kw, list)| {
-                (kw, list.iter().map(|&(p, d)| (local_of[&p.0], d)).collect::<Vec<_>>())
-            })
-            .collect();
-        let nl = globals.len();
-        Ok(DirectedFragmentEngine {
-            fragment,
-            max_r: index.max_r,
-            globals,
-            adj_offsets,
-            adj,
-            min_arc_weight,
-            kw_nodes,
-            keyword_portals,
-            ws: DijkstraWorkspace::new(nl),
-        })
-    }
-
-    pub fn fragment(&self) -> u32 {
-        self.fragment
-    }
-
-    /// Local directed coverage `R(ω, r) ∩ P` (global node ids, sorted).
-    pub fn coverage(&mut self, kw: KeywordId, r: u64) -> Result<Vec<NodeId>, QueryError> {
-        if r > self.max_r {
-            return Err(QueryError::RadiusExceedsMaxR { r, max_r: self.max_r });
-        }
-        let mut seeds: Vec<(u32, u64)> = Vec::new();
-        if let Some(locals) = self.kw_nodes.get(&kw) {
-            seeds.extend(locals.iter().map(|&n| (n, 0)));
-        }
-        if let Some(pairs) = self.keyword_portals.get(&kw) {
-            for &(portal, d) in pairs {
-                if d > r {
-                    break;
-                }
-                seeds.push((portal, d));
-            }
-        }
-        let mut covered = Vec::new();
-        let mut ws = std::mem::replace(&mut self.ws, DijkstraWorkspace::new(0));
-        ws.run(&*self, &seeds, r, |n, _| {
-            covered.push(self.globals[n as usize]);
-            Control::Continue
-        });
-        self.ws = ws;
-        covered.sort_unstable();
-        Ok(covered)
-    }
-
-    /// Use by tests: the local ids of this fragment.
-    pub fn num_local_nodes(&self) -> usize {
-        self.globals.len()
-    }
+    let start = Instant::now();
+    let alg1 = Alg1 {
+        graph: &net.reversed(),
+        assignment: partition.assignment(),
+        fragment,
+        max_r,
+        original_arc: |u, portal| net.arc_weight(u, portal),
+        dl_indexed: |u| net.is_object(u),
+    };
+    let mut ws = BuildWorkspace::new(net.num_nodes());
+    let yields =
+        partition.in_portals(fragment).iter().map(|&p| alg1.portal_search(p, &mut ws)).collect();
+    let config = IndexConfig::with_max_r(max_r);
+    // Shortcuts keep their orientation, `u → portal`.
+    let index = assemble_index(
+        FragmentId(fragment),
+        &config,
+        yields,
+        |n| net.keywords(n),
+        |arc| arc,
+        start,
+    );
+    DirectedNpdIndex(index)
 }
 
 /// Centralized directed coverage (ground truth): forward multi-source
@@ -355,8 +157,9 @@ pub fn directed_centralized_coverage(
     out
 }
 
-/// Distributed directed SGKQ (intersection of per-keyword coverages),
-/// evaluated per fragment and unioned — Lemma 1 is direction-agnostic.
+/// Distributed directed SGKQ: `⋂ R(ωᵢ, r)` evaluated on each fragment's
+/// [`FragmentEngine::from_directed`] and unioned — Lemma 1 is
+/// direction-agnostic.
 pub fn directed_sgkq_distributed(
     net: &DirectedRoadNetwork,
     partition: &DirectedPartition,
@@ -367,19 +170,16 @@ pub fn directed_sgkq_distributed(
     if keywords.is_empty() {
         return Err(QueryError::EmptyQuery);
     }
+    let max_r = indexes.iter().map(|idx| idx.0.max_r()).min().unwrap_or(INF);
+    if r > max_r {
+        return Err(QueryError::RadiusExceedsMaxR { r, max_r });
+    }
+    let f = DFunction::intersection_of(keywords, r);
     let mut results = Vec::new();
     for idx in indexes {
-        let mut engine = DirectedFragmentEngine::new(net, partition, idx)
+        let mut engine = FragmentEngine::from_directed(net, partition, idx)
             .map_err(|e| QueryError::Engine(e.to_string()))?;
-        let mut acc: Option<Vec<NodeId>> = None;
-        for &kw in keywords {
-            let cov = engine.coverage(kw, r)?;
-            acc = Some(match acc {
-                None => cov,
-                Some(prev) => prev.into_iter().filter(|n| cov.binary_search(n).is_ok()).collect(),
-            });
-        }
-        results.extend(acc.unwrap_or_default());
+        results.extend(engine.evaluate(&f)?.0);
     }
     results.sort_unstable();
     Ok(results)
@@ -408,7 +208,13 @@ pub fn directed_sgkq_centralized(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coverage::CentralizedCoverage;
+    use crate::index::build_index;
+    use crate::query::{RangeKeywordQuery, SgkQuery};
+    use disks_partition::{MultilevelPartitioner, Partitioner};
     use disks_roadnet::digraph::DirectedRoadNetworkBuilder;
+    use disks_roadnet::generator::GridNetworkConfig;
+    use disks_roadnet::RoadNetwork;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -521,21 +327,129 @@ mod tests {
                 .unwrap_or_else(|e| panic!("trial {trial}: {e}"));
             let expect = directed_sgkq_centralized(&net, &keywords, r).unwrap();
             assert_eq!(got, expect, "trial {trial} r={r} maxR={max_r} k={k}");
+            if max_r == INF {
+                continue;
+            }
+            // A bounded engine keeps each keyword's first search: the same
+            // SGKQ again is list cuts, with the same answer.
+            let f = DFunction::intersection_of(&keywords, r);
+            for idx in &indexes {
+                let mut engine = FragmentEngine::from_directed(&net, &partition, idx).unwrap();
+                let (first, _) = engine.evaluate(&f).unwrap();
+                let (second, cost) = engine.evaluate(&f).unwrap();
+                assert_eq!((second, cost.settled), (first, 0), "trial {trial}");
+            }
         }
     }
 
-    #[test]
-    fn empty_keywords_rejected() {
+    /// One arc `a → c` of weight 1, `a` bearing `x`, as one fragment.
+    fn one_arc() -> (DirectedRoadNetwork, DirectedPartition) {
         let mut b = DirectedRoadNetworkBuilder::new();
         let a = b.add_node(0.0, 0.0, &["x"]);
         let c = b.add_node(1.0, 0.0, &[]);
         b.add_arc(a, c, 1).unwrap();
         let net = b.build().unwrap();
         let partition = DirectedPartition::from_assignment(&net, vec![0, 0], 1);
+        (net, partition)
+    }
+
+    #[test]
+    fn empty_keywords_rejected() {
+        let (net, partition) = one_arc();
         let indexes = vec![build_directed_index(&net, &partition, 0, INF)];
         assert!(matches!(
             directed_sgkq_distributed(&net, &partition, &indexes, &[], 5),
             Err(QueryError::EmptyQuery)
         ));
+    }
+
+    /// A radius beyond the index's `maxR` is refused before any engine is
+    /// built, with the index's real bound.
+    #[test]
+    fn radius_above_max_r_rejected() {
+        let (net, partition) = one_arc();
+        let x = net.vocab().get("x").unwrap();
+        let indexes = vec![build_directed_index(&net, &partition, 0, 4)];
+        let sgkq = |r| directed_sgkq_distributed(&net, &partition, &indexes, &[x], r);
+        assert_eq!(sgkq(5), Err(QueryError::RadiusExceedsMaxR { r: 5, max_r: 4 }));
+        assert_eq!(sgkq(4), Ok(vec![NodeId(0), NodeId(1)]));
+    }
+
+    /// `net` with both arcs for each edge, node ids and keyword ids kept
+    /// (the vocabulary is interned in id order first).
+    fn two_way(net: &RoadNetwork) -> DirectedRoadNetwork {
+        let mut b = DirectedRoadNetworkBuilder::new();
+        for (_, word) in net.vocab().iter() {
+            b.vocab_mut().intern(word);
+        }
+        for n in net.node_ids() {
+            let (x, y) = net.coord(n);
+            let words: Vec<&str> =
+                net.keywords(n).iter().map(|&k| net.vocab().word(k).unwrap()).collect();
+            b.add_node(x, y, &words);
+        }
+        for (a, c, w) in net.edges() {
+            b.add_road(a, c, w).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    /// Direction is the only difference: an undirected network rebuilt with
+    /// both arcs for each edge gets the undirected index, each shortcut as
+    /// its two arcs, and directed engines answer as undirected ones do.
+    #[test]
+    fn a_two_way_network_is_the_undirected_network() {
+        let net = GridNetworkConfig::tiny(1).generate();
+        let dnet = two_way(&net);
+        let ebar = net.avg_edge_weight();
+        let mut oracle = CentralizedCoverage::new(&net);
+        let words: Vec<KeywordId> = net.vocab().iter().map(|(k, _)| k).collect();
+        let objects: Vec<NodeId> = net.node_ids().filter(|&n| net.is_object(n)).take(8).collect();
+        for k in [2, 3, 4] {
+            let p = MultilevelPartitioner::default().partition(&net, k);
+            let dp = DirectedPartition::from_assignment(&dnet, p.assignment().to_vec(), k);
+            for max_r in [INF, 8 * ebar, 3 * ebar] {
+                let cfg = IndexConfig::with_max_r(max_r);
+                let mut undirected = Vec::new();
+                let mut directed = Vec::new();
+                for f in p.fragment_ids() {
+                    let (idx, didx) = (
+                        build_index(&net, &p, f, &cfg),
+                        build_directed_index(&dnet, &dp, f.0, max_r),
+                    );
+                    let at = format!("k={k} maxR={max_r} {f}");
+                    let mut arcs: Vec<_> =
+                        idx.sc.iter().flat_map(|&(a, b, d)| [(a, b, d), (b, a, d)]).collect();
+                    arcs.sort_unstable();
+                    assert_eq!(didx.shortcuts(), arcs, "{at}");
+                    assert_eq!(didx.0.dl_entries, idx.dl_entries, "{at}");
+                    assert_eq!(didx.0.keyword_portals, idx.keyword_portals, "{at}");
+                    let recorded = 2 * idx.sc.len() + idx.dl_pairs();
+                    assert_eq!(didx.distances_recorded(), recorded, "{at}");
+                    undirected.push(FragmentEngine::new(&net, &p, &idx).unwrap());
+                    directed.push(FragmentEngine::from_directed(&dnet, &dp, &didx).unwrap());
+                }
+                let mut queries = Vec::new();
+                for r in [0, ebar, 3 * ebar, 8 * ebar].into_iter().filter(|&r| r <= max_r) {
+                    for pair in words.windows(2) {
+                        queries.push(SgkQuery::new(pair.to_vec(), r).to_dfunction());
+                    }
+                    queries.push(SgkQuery::new(words[..3].to_vec(), r).to_dfunction());
+                    for &l in &objects {
+                        let kw = net.keywords(l)[0];
+                        queries.push(RangeKeywordQuery::new(l, vec![kw], r).to_dfunction());
+                    }
+                }
+                for f in &queries {
+                    let expect = oracle.evaluate(f).unwrap();
+                    for engines in [&mut undirected, &mut directed] {
+                        let mut got: Vec<NodeId> =
+                            engines.iter_mut().flat_map(|e| e.evaluate(f).unwrap().0).collect();
+                        got.sort_unstable();
+                        assert_eq!(got, expect, "k={k} maxR={max_r} {f:?}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -43,11 +43,13 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use disks_partition::{FragmentId, Partitioning};
+use disks_roadnet::digraph::DirectedRoadNetwork;
 use disks_roadnet::dijkstra::{Control, Graph};
 use disks_roadnet::{DijkstraWorkspace, KeywordId, NodeId, RoadNetwork, Weight};
 
 use crate::bitset::BitSet;
 use crate::dfunc::{DFunction, DTerm, Term};
+use crate::directed::{DirectedNpdIndex, DirectedPartition};
 use crate::error::{IndexError, QueryError};
 use crate::index::{DlScope, NpdIndex};
 use crate::plan::QueryPlan;
@@ -157,8 +159,9 @@ pub struct FragmentEngine {
     /// [`NodeRuns::breaks`] of `globals`: where a run of local ids stops
     /// being a run of global ids.
     breaks: BitSet,
-    /// Local CSR over `P ∪ SC(P)` (both arcs for every undirected edge),
-    /// `(neighbor, weight)` interleaved: a relaxation reads both.
+    /// Local CSR over `P ∪ SC(P)` (both arcs for every undirected edge,
+    /// the out-arcs of a directed fragment), `(neighbor, weight)`
+    /// interleaved: a relaxation reads both.
     adj_offsets: Vec<u32>,
     adj: Vec<(u32, Weight)>,
     /// Lightest arc of `adj`, shortcuts included.
@@ -286,9 +289,7 @@ impl Graph for FragmentEngine {
 /// Per-node arc lists as one CSR — `(offsets, arcs, lightest arc)` — the
 /// lightest arc (1 when there is none) being taken over exactly the arcs a
 /// search of the CSR can traverse.
-pub(crate) fn interleaved_csr(
-    lists: &[Vec<(u32, Weight)>],
-) -> (Vec<u32>, Vec<(u32, Weight)>, Weight) {
+fn interleaved_csr(lists: &[Vec<(u32, Weight)>]) -> (Vec<u32>, Vec<(u32, Weight)>, Weight) {
     let mut offsets = Vec::with_capacity(lists.len() + 1);
     offsets.push(0u32);
     let mut arcs = Vec::new();
@@ -315,9 +316,51 @@ impl FragmentEngine {
         partitioning: &Partitioning,
         index: &NpdIndex,
     ) -> Result<Self, IndexError> {
+        // Both arcs of every edge (`neighbors` lists each edge at both ends)
+        // and of every shortcut.
+        let shortcut_arcs = index.shortcuts().iter().flat_map(|&(a, b, d)| [(a, b, d), (b, a, d)]);
+        Self::assemble(
+            index,
+            partitioning.nodes(index.fragment()).to_vec(),
+            |g| net.neighbors(g),
+            shortcut_arcs,
+            |g| net.keywords(g),
+        )
+    }
+
+    /// The engine of a directed index's fragment (§2.1): the out-arcs of the
+    /// fragment's members and one arc a shortcut, so a search runs forward
+    /// and `R(ω, r)` holds the nodes reachable from `ω` within `r`. DL
+    /// entries cover objects only ([`DlScope::ObjectsOnly`]).
+    pub fn from_directed(
+        net: &DirectedRoadNetwork,
+        partition: &DirectedPartition,
+        index: &DirectedNpdIndex,
+    ) -> Result<Self, IndexError> {
+        Self::assemble(
+            &index.0,
+            partition.members(index.fragment()).to_vec(),
+            |g| net.out_neighbors(g),
+            index.shortcuts().iter().copied(),
+            |g| net.keywords(g),
+        )
+    }
+
+    /// What both directions share: `globals` are the fragment's members,
+    /// `arcs(g)` the network's arcs out of member `g` (those leaving the
+    /// fragment are dropped), `shortcut_arcs` the SC arcs `(from, to, d)`
+    /// and `keywords_of(g)` member `g`'s keywords.
+    fn assemble<'n, I>(
+        index: &NpdIndex,
+        globals: Vec<NodeId>,
+        arcs: impl Fn(NodeId) -> I,
+        shortcut_arcs: impl Iterator<Item = (NodeId, NodeId, u64)>,
+        keywords_of: impl Fn(NodeId) -> &'n [KeywordId],
+    ) -> Result<Self, IndexError>
+    where
+        I: Iterator<Item = (NodeId, Weight)>,
+    {
         let fragment = index.fragment();
-        let members = partitioning.nodes(fragment);
-        let globals: Vec<NodeId> = members.to_vec();
         // Local id order is global id order: `to_global` reads an ascending
         // answer off the bitset's words with no sort, and the answer wire
         // layout and the coordinator's gather both need that order.
@@ -327,26 +370,24 @@ impl FragmentEngine {
         );
         // Portals and shortcut ends are members of the fragment.
         let local_of = |g: NodeId| local_id(&globals, g).expect("index node outside its fragment");
-        // Local adjacency: intra-fragment original edges + SC shortcuts.
+        // Local adjacency: intra-fragment original arcs + SC shortcuts.
         let mut lists: Vec<Vec<(u32, Weight)>> = vec![Vec::new(); globals.len()];
         for (i, &g) in globals.iter().enumerate() {
-            for (nb, w) in net.neighbors(g) {
+            for (nb, w) in arcs(g) {
                 if let Some(ln) = local_id(&globals, nb) {
                     lists[i].push((ln, w));
                 }
             }
         }
-        for &(a, b, d) in index.shortcuts() {
+        for (a, b, d) in shortcut_arcs {
             let w = Weight::try_from(d).map_err(|_| IndexError::WeightOverflow { distance: d })?;
-            let (la, lb) = (local_of(a), local_of(b));
-            lists[la as usize].push((lb, w));
-            lists[lb as usize].push((la, w));
+            lists[local_of(a) as usize].push((local_of(b), w));
         }
         let (adj_offsets, adj, min_arc_weight) = interleaved_csr(&lists);
         // Local keyword inverted index, and DL with local portal ids.
         let mut keywords: BTreeMap<KeywordId, KeywordEntry> = BTreeMap::new();
         for (i, &g) in globals.iter().enumerate() {
-            for &k in net.keywords(g) {
+            for &k in keywords_of(g) {
                 keywords.entry(k).or_default().locals.push(i as u32);
             }
         }

@@ -15,6 +15,12 @@
 //! * `u ∉ P` and `u` is DL-indexed  → record `(n, d)` in the DL entry
 //!   `(u, P)` (Rule 2/4).
 //!
+//! The same search builds the directed index (§2.1,
+//! [`crate::directed::build_directed_index`]): it runs over the reversed
+//! network from each in-portal, tests original arcs per direction, and keeps
+//! each shortcut as the arc `u → n` it was found as. Undirected, a shortcut
+//! is found from both of its ends and kept once, as `(a, b, d)` with `a < b`.
+//!
 //! Note on the paper's pseudocode: Algorithm 1 line 8/9 keys the DL entry as
 //! `(n_i, part[p])`, which contradicts the prose of §3.4, Rule 2 and the
 //! Fig. 4 caption ("d(A,C) is recorded in DL mapped by entry (A, P)"). We
@@ -26,12 +32,12 @@ use std::collections::{BinaryHeap, HashMap};
 use std::time::Instant;
 
 use disks_partition::{FragmentId, Partitioning};
-use disks_roadnet::{Graph, KeywordId, NodeId, RoadNetwork, INF};
+use disks_roadnet::{Graph, KeywordId, NodeId, RoadNetwork, Weight, INF};
 
 use super::{DlScope, IndexConfig, NpdIndex};
 
 /// Reusable arrays for the construction searches (sized to the full graph).
-struct BuildWorkspace {
+pub(crate) struct BuildWorkspace {
     dist: Vec<u64>,
     /// Some shortest path from the source passes through an internal node
     /// of the fragment being indexed.
@@ -42,7 +48,7 @@ struct BuildWorkspace {
 }
 
 impl BuildWorkspace {
-    fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         BuildWorkspace {
             dist: vec![INF; n],
             reentered: vec![false; n],
@@ -73,128 +79,170 @@ impl BuildWorkspace {
 }
 
 /// Everything one portal's backward search contributes to the index:
-/// shortcut candidates (normalized endpoint keys), DL pairs `(external
-/// node, distance)` for this portal, and the settled-node count. Pure per
-/// portal, so searches can run sequentially or on scoped threads and merge
-/// to the identical index.
-struct PortalYield {
+/// shortcut candidates `(u, d)` for a shortcut `u → portal`, as found, DL
+/// pairs `(external node, distance)` for this portal, and the settled-node
+/// count. Pure per portal, so searches can run sequentially or on scoped
+/// threads and merge to the identical index.
+pub(crate) struct PortalYield {
     portal: NodeId,
-    sc: Vec<((u32, u32), u64)>,
+    sc: Vec<(NodeId, u64)>,
     dl: Vec<(NodeId, u64)>,
     settled: u64,
 }
 
-/// Algorithm 1's backward search from one portal (see module docs).
-fn portal_search(
-    net: &RoadNetwork,
-    partitioning: &Partitioning,
-    fragment: FragmentId,
-    config: &IndexConfig,
-    portal: NodeId,
-    ws: &mut BuildWorkspace,
-) -> PortalYield {
-    let assignment = partitioning.assignment();
-    let p = fragment.0;
-    let max_r = config.max_r;
-    let mut y = PortalYield { portal, sc: Vec::new(), dl: Vec::new(), settled: 0 };
+/// Algorithm 1 over one fragment, given the facts a direction changes: the
+/// graph searched backward from a portal (the network, or its reversal when
+/// directed), the weight of an original arc `u → portal` if there is one,
+/// and which external nodes get DL entries.
+pub(crate) struct Alg1<'a, G, A, D> {
+    pub(crate) graph: &'a G,
+    pub(crate) assignment: &'a [u32],
+    pub(crate) fragment: u32,
+    pub(crate) max_r: u64,
+    pub(crate) original_arc: A,
+    pub(crate) dl_indexed: D,
+}
 
-    let source = portal.0;
-    ws.begin();
-    ws.dist[source as usize] = 0;
-    ws.reentered[source as usize] = false;
-    ws.stamp[source as usize] = ws.epoch;
-    ws.heap.push(Reverse((0, source)));
-    while let Some(Reverse((d, u))) = ws.heap.pop() {
-        if d > ws.dist_of(u) {
-            continue; // stale
-        }
-        y.settled += 1;
-        let u_reentered = ws.reentered[u as usize];
-        if u != source && !u_reentered {
-            if assignment[u as usize] == p {
-                // Rule 1/3 condition 2 excludes the case where
-                // (A, B, d(A,B)) is an *original edge with that weight*.
-                // An original parallel edge that is LONGER than the
-                // shortest detour does not make the shortcut redundant
-                // (the local fragment would only have the suboptimal
-                // edge), so compare weights, not mere existence.
-                if net.edge_weight(NodeId(u), portal).map(u64::from) != Some(d) {
-                    debug_assert!(
-                        partitioning.portals(fragment).contains(&NodeId(u)),
-                        "SC endpoint must be a portal"
-                    );
-                    let key = if u < source { (u, source) } else { (source, u) };
-                    y.sc.push((key, d));
-                }
-            } else {
-                let indexed = match config.dl_scope {
-                    DlScope::ObjectsOnly => net.is_object(NodeId(u)),
-                    DlScope::AllNodes => true,
-                };
-                if indexed {
+impl<G, A, D> Alg1<'_, G, A, D>
+where
+    G: Graph + Sync,
+    A: Fn(NodeId, NodeId) -> Option<Weight> + Sync,
+    D: Fn(NodeId) -> bool + Sync,
+{
+    /// Algorithm 1's backward search from one portal (see module docs).
+    pub(crate) fn portal_search(&self, portal: NodeId, ws: &mut BuildWorkspace) -> PortalYield {
+        let (assignment, p, max_r) = (self.assignment, self.fragment, self.max_r);
+        let mut y = PortalYield { portal, sc: Vec::new(), dl: Vec::new(), settled: 0 };
+
+        let source = portal.0;
+        ws.begin();
+        ws.dist[source as usize] = 0;
+        ws.reentered[source as usize] = false;
+        ws.stamp[source as usize] = ws.epoch;
+        ws.heap.push(Reverse((0, source)));
+        while let Some(Reverse((d, u))) = ws.heap.pop() {
+            if d > ws.dist_of(u) {
+                continue; // stale
+            }
+            y.settled += 1;
+            let u_reentered = ws.reentered[u as usize];
+            if u != source && !u_reentered {
+                if assignment[u as usize] == p {
+                    // Rule 1/3 condition 2 excludes the case where
+                    // (A, B, d(A,B)) is an *original edge with that weight*.
+                    // An original parallel edge that is LONGER than the
+                    // shortest detour does not make the shortcut redundant
+                    // (the local fragment would only have the suboptimal
+                    // edge), so compare weights, not mere existence.
+                    if (self.original_arc)(NodeId(u), portal).map(u64::from) != Some(d) {
+                        y.sc.push((NodeId(u), d));
+                    }
+                } else if (self.dl_indexed)(NodeId(u)) {
                     y.dl.push((NodeId(u), d));
                 }
             }
+            // A path continuing through `u` has `u` as an internal node, so
+            // the flag for successors must include "u is an internal P node".
+            let flag_through_u = u_reentered || (u != source && assignment[u as usize] == p);
+            let epoch = ws.epoch;
+            let (dist, stamp, reentered, heap) =
+                (&mut ws.dist, &mut ws.stamp, &mut ws.reentered, &mut ws.heap);
+            self.graph.for_each_neighbor(u, &mut |v, w| {
+                let nd = d.saturating_add(u64::from(w));
+                if nd > max_r {
+                    return;
+                }
+                let vi = v as usize;
+                let cur = if stamp[vi] == epoch { dist[vi] } else { INF };
+                if nd < cur {
+                    dist[vi] = nd;
+                    stamp[vi] = epoch;
+                    reentered[vi] = flag_through_u;
+                    heap.push(Reverse((nd, v)));
+                } else if nd == cur && cur != INF {
+                    // Rule 3/4: "ANY shortest path" — merge the flag.
+                    reentered[vi] |= flag_through_u;
+                }
+            });
         }
-        // A path continuing through `u` has `u` as an internal node, so
-        // the flag for successors must include "u is an internal P node".
-        let flag_through_u = u_reentered || (u != source && assignment[u as usize] == p);
-        let epoch = ws.epoch;
-        let (dist, stamp, reentered, heap) =
-            (&mut ws.dist, &mut ws.stamp, &mut ws.reentered, &mut ws.heap);
-        net.for_each_neighbor(u, &mut |v, w| {
-            let nd = d.saturating_add(u64::from(w));
-            if nd > max_r {
-                return;
+        y
+    }
+
+    /// One search per portal, in portal order, over up to `threads` scoped
+    /// OS threads (`ws` serves a single thread). The searches are
+    /// independent and each yield is placed at its portal's position, so
+    /// the result does not depend on `threads`.
+    fn portal_searches(
+        &self,
+        portals: &[NodeId],
+        threads: usize,
+        ws: &mut BuildWorkspace,
+    ) -> Vec<PortalYield> {
+        let threads = threads.min(portals.len()).max(1);
+        if threads == 1 {
+            return portals.iter().map(|&portal| self.portal_search(portal, ws)).collect();
+        }
+        // Work-stealing over portal positions: portals' search frontiers vary
+        // wildly in size (maxR-bounded), so static striping would unbalance.
+        let next = std::sync::atomic::AtomicUsize::new(0);
+        let (tx, rx) = std::sync::mpsc::channel::<(usize, PortalYield)>();
+        let mut slots: Vec<Option<PortalYield>> = Vec::with_capacity(portals.len());
+        slots.resize_with(portals.len(), || None);
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                let tx = tx.clone();
+                let next = &next;
+                scope.spawn(move || {
+                    let mut ws = BuildWorkspace::new(self.graph.num_nodes());
+                    loop {
+                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        if i >= portals.len() {
+                            break;
+                        }
+                        tx.send((i, self.portal_search(portals[i], &mut ws)))
+                            .expect("collector alive");
+                    }
+                });
             }
-            let vi = v as usize;
-            let cur = if stamp[vi] == epoch { dist[vi] } else { INF };
-            if nd < cur {
-                dist[vi] = nd;
-                stamp[vi] = epoch;
-                reentered[vi] = flag_through_u;
-                heap.push(Reverse((nd, v)));
-            } else if nd == cur && cur != INF {
-                // Rule 3/4: "ANY shortest path" — merge the flag.
-                reentered[vi] |= flag_through_u;
+            drop(tx);
+            for (i, y) in rx {
+                slots[i] = Some(y);
             }
         });
+        slots.into_iter().map(|o| o.expect("every portal searched")).collect()
     }
-    y
 }
 
-/// Merge per-portal yields (in portal order) into the finished index. Every
-/// downstream structure is either keyed (SC dedup), sorted by a total order
-/// (DL entry lists, keyword-portal lists), or a commutative min/sum — so
-/// the assembled index is identical however the searches were scheduled.
-fn assemble_index(
-    net: &RoadNetwork,
+/// Merge per-portal yields (in portal order) into the finished index, each
+/// shortcut candidate `(u, portal, d)` kept once under the key `orient`
+/// gives it. Every structure is either keyed (SC dedup), sorted by a total
+/// order (SC, DL entry lists, keyword-portal lists), or a commutative
+/// min/sum — so the assembled index is identical however the searches were
+/// scheduled.
+pub(crate) fn assemble_index<'k>(
     fragment: FragmentId,
     config: &IndexConfig,
     yields: Vec<PortalYield>,
+    keywords: impl Fn(NodeId) -> &'k [KeywordId],
+    orient: impl Fn((NodeId, NodeId, u64)) -> (NodeId, NodeId, u64),
     start: Instant,
 ) -> NpdIndex {
     let mut settled_total: u64 = 0;
-    // SC shortcuts are discovered from both endpoints; normalize and dedup.
-    let mut sc_map: HashMap<(u32, u32), u64> = HashMap::new();
+    let mut sc = Vec::new();
     let mut dl_entries: HashMap<NodeId, Vec<(NodeId, u64)>> = HashMap::new();
     for y in yields {
         settled_total += y.settled;
-        for (key, d) in y.sc {
-            let prev = sc_map.insert(key, d);
-            debug_assert!(
-                prev.is_none() || prev == Some(d),
-                "shortcut rediscovered with a different distance"
-            );
-        }
+        sc.extend(y.sc.iter().map(|&(u, d)| orient((u, y.portal, d))));
         for (node, d) in y.dl {
             dl_entries.entry(node).or_default().push((y.portal, d));
         }
     }
-
-    let mut sc: Vec<(NodeId, NodeId, u64)> =
-        sc_map.into_iter().map(|((a, b), d)| (NodeId(a), NodeId(b), d)).collect();
     sc.sort_unstable();
+    sc.dedup();
+    debug_assert!(
+        sc.windows(2).all(|w| (w[0].0, w[0].1) != (w[1].0, w[1].1)),
+        "shortcut rediscovered with a different distance"
+    );
 
     // Rule 2 condition 3: sort each entry list by distance (ties by portal).
     for list in dl_entries.values_mut() {
@@ -204,7 +252,7 @@ fn assemble_index(
     // §3.7 keyword aggregation: per (keyword, portal) minimum over entries.
     let mut kw_min: HashMap<(KeywordId, u32), u64> = HashMap::new();
     for (&node, list) in &dl_entries {
-        for &kw in net.keywords(node) {
+        for &kw in keywords(node) {
             for &(portal, d) in list {
                 kw_min.entry((kw, portal.0)).and_modify(|cur| *cur = (*cur).min(d)).or_insert(d);
             }
@@ -238,23 +286,36 @@ pub fn build_index(
     config: &IndexConfig,
 ) -> NpdIndex {
     let mut ws = BuildWorkspace::new(net.num_nodes());
-    build_index_with_workspace(net, partitioning, fragment, config, &mut ws)
+    build_index_with_workspace(net, partitioning, fragment, config, 1, &mut ws)
 }
 
+/// The undirected build: Algorithm 1 over the network itself, each
+/// shortcut found from both of its ends and kept once, as `(a, b, d)` with
+/// `a < b`.
 fn build_index_with_workspace(
     net: &RoadNetwork,
     partitioning: &Partitioning,
     fragment: FragmentId,
     config: &IndexConfig,
+    threads: usize,
     ws: &mut BuildWorkspace,
 ) -> NpdIndex {
     let start = Instant::now();
-    let yields = partitioning
-        .portals(fragment)
-        .iter()
-        .map(|&portal| portal_search(net, partitioning, fragment, config, portal, ws))
-        .collect();
-    assemble_index(net, fragment, config, yields, start)
+    let alg1 = Alg1 {
+        graph: net,
+        assignment: partitioning.assignment(),
+        fragment: fragment.0,
+        max_r: config.max_r,
+        original_arc: |u, portal| net.edge_weight(u, portal),
+        dl_indexed: |u| config.dl_scope == DlScope::AllNodes || net.is_object(u),
+    };
+    let portals = partitioning.portals(fragment);
+    let yields = alg1.portal_searches(portals, threads, ws);
+    let normalize = |(u, portal, d): (NodeId, NodeId, u64)| {
+        debug_assert!(portals.contains(&u), "SC endpoint must be a portal");
+        (u.min(portal), u.max(portal), d)
+    };
+    assemble_index(fragment, config, yields, |n| net.keywords(n), normalize, start)
 }
 
 /// Build the NPD-index for one fragment with the per-portal backward
@@ -268,42 +329,8 @@ pub fn build_index_with_threads(
     config: &IndexConfig,
     threads: usize,
 ) -> NpdIndex {
-    let portals = partitioning.portals(fragment);
-    let threads = threads.min(portals.len()).max(1);
-    if threads == 1 {
-        return build_index(net, partitioning, fragment, config);
-    }
-    let start = Instant::now();
-    // Work-stealing over portal positions: portals' search frontiers vary
-    // wildly in size (maxR-bounded), so static striping would unbalance.
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, PortalYield)>();
-    let mut slots: Vec<Option<PortalYield>> = Vec::with_capacity(portals.len());
-    slots.resize_with(portals.len(), || None);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let next = &next;
-            scope.spawn(move || {
-                let mut ws = BuildWorkspace::new(net.num_nodes());
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= portals.len() {
-                        break;
-                    }
-                    let y = portal_search(net, partitioning, fragment, config, portals[i], &mut ws);
-                    tx.send((i, y)).expect("collector alive");
-                }
-            });
-        }
-        drop(tx);
-        for (i, y) in rx {
-            slots[i] = Some(y);
-        }
-    });
-    // Reassemble in portal order (not completion order).
-    let yields = slots.into_iter().map(|o| o.expect("every portal searched")).collect();
-    assemble_index(net, fragment, config, yields, start)
+    let mut ws = BuildWorkspace::new(net.num_nodes());
+    build_index_with_workspace(net, partitioning, fragment, config, threads, &mut ws)
 }
 
 /// Build the index for every fragment, in parallel across OS threads (the
@@ -338,11 +365,14 @@ pub fn build_all_indexes(
                         break;
                     }
                     let fragment = FragmentId(f as u32);
-                    let idx = if within > 1 {
-                        build_index_with_threads(net, partitioning, fragment, config, within)
-                    } else {
-                        build_index_with_workspace(net, partitioning, fragment, config, &mut ws)
-                    };
+                    let idx = build_index_with_workspace(
+                        net,
+                        partitioning,
+                        fragment,
+                        config,
+                        within,
+                        &mut ws,
+                    );
                     tx.send(idx).expect("collector alive");
                 }
             });

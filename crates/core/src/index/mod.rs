@@ -25,6 +25,7 @@ mod build;
 mod naive;
 mod persist;
 
+pub(crate) use build::{assemble_index, Alg1, BuildWorkspace};
 pub use build::{build_all_indexes, build_index, build_index_with_threads};
 pub use naive::build_naive_index;
 pub use persist::{load_index, save_index, INDEX_MAGIC};
@@ -82,7 +83,8 @@ pub struct NpdIndex {
     pub(crate) fragment: FragmentId,
     pub(crate) max_r: u64,
     pub(crate) dl_scope: DlScope,
-    /// SC(P): shortcut edges `(a, b, d)` with `a < b`, sorted.
+    /// SC(P): shortcut edges `(a, b, d)` with `a < b`, sorted; inside a
+    /// [`crate::DirectedNpdIndex`], arcs `a → b` as found, sorted.
     pub(crate) sc: Vec<(NodeId, NodeId, u64)>,
     /// DL(P): external node → list of `(portal, distance)` sorted by
     /// distance (Rule 2 condition 3).

@@ -19,6 +19,8 @@
 //! * [`engine`] — the per-fragment query engine of Algorithm 2: extended
 //!   fragment construction and per-term coverage Dijkstra, instrumented with
 //!   the Theorem 5 cost model.
+//! * [`directed`] — the §2.1 adaptation to directed networks: the same
+//!   Algorithm 1 over the reversed graph and the same engine over out-arcs.
 //! * [`runs`] — the run-level form a fragment's answer keeps from the
 //!   engine's bitset to the coordinator's bitmap.
 //! * [`coverage`] — centralized whole-graph evaluation used as ground truth
@@ -45,8 +47,8 @@ pub use bilevel::BiLevelIndex;
 pub use coverage::CentralizedCoverage;
 pub use dfunc::{DFunction, DTerm, SetOp, Term};
 pub use directed::{
-    build_directed_index, directed_sgkq_centralized, directed_sgkq_distributed,
-    DirectedFragmentEngine, DirectedNpdIndex, DirectedPartition,
+    build_directed_index, directed_sgkq_centralized, directed_sgkq_distributed, DirectedNpdIndex,
+    DirectedPartition,
 };
 pub use engine::{CoverageStore, FragmentEngine, KeywordList, NoCache, QueryCost, SlotCost};
 pub use error::{IndexError, QueryError};

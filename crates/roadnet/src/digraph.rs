@@ -187,13 +187,6 @@ impl DirectedRoadNetwork {
         self.out_node[lo..hi].iter().zip(&self.out_weight[lo..hi]).map(|(&u, &w)| (NodeId(u), w))
     }
 
-    /// In-neighbors (sources of incoming arcs).
-    pub fn in_neighbors(&self, n: NodeId) -> impl Iterator<Item = (NodeId, Weight)> + '_ {
-        let lo = self.in_offsets[n.index()] as usize;
-        let hi = self.in_offsets[n.index() + 1] as usize;
-        self.in_node[lo..hi].iter().zip(&self.in_weight[lo..hi]).map(|(&u, &w)| (NodeId(u), w))
-    }
-
     /// Weight of the arc `from → to`, if present.
     pub fn arc_weight(&self, from: NodeId, to: NodeId) -> Option<Weight> {
         self.out_neighbors(from).find(|&(n, _)| n == to).map(|(_, w)| w)

@@ -2,11 +2,12 @@
 //!
 //! Every shortest-path computation in the system — fragment query evaluation
 //! (Alg. 2), centralized ground truth, and the baselines — goes through
-//! [`DijkstraWorkspace`] (NPD-index construction, Alg. 1, keeps a heap of its
-//! own: its tie rules depend on the settle order). The workspace owns the
-//! distance array and the queues and is reused across runs; a run resets only
-//! the entries the previous one wrote, so repeated searches on a large graph
-//! do not pay O(n) re-initialization.
+//! [`DijkstraWorkspace`], except NPD-index construction: Alg. 1 keeps one
+//! heap loop of its own, `disks-core`'s `index::build` portal search, for
+//! both directions, because its tie rules depend on the settle order. The
+//! workspace owns the distance array and the queues and is reused across
+//! runs; a run resets only the entries the previous one wrote, so repeated
+//! searches on a large graph do not pay O(n) re-initialization.
 
 use std::borrow::Borrow;
 use std::cmp::Reverse;
@@ -150,13 +151,6 @@ impl DijkstraWorkspace {
         if self.dist.len() < num_nodes {
             self.dist.resize(num_nodes, INF);
         }
-    }
-
-    /// Distance computed by the **last** run for `node` (INF if untouched).
-    /// Only settled nodes have final distances; unsettled touched nodes hold
-    /// tentative values that are still upper bounds.
-    pub fn last_dist(&self, node: u32) -> u64 {
-        self.dist[node as usize]
     }
 
     /// Run Dijkstra from `sources` (each with an initial distance), bounded
