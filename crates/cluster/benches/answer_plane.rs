@@ -36,14 +36,22 @@
 //! the assembly cost more than the per-id plane did: a run is two words
 //! where an id was one, and is found by two bit scans where an id took one.
 //!
+//! `targets/sgkq5_over_8` prices what the coordinator decides before it
+//! encodes a query: the fragments a 5-keyword SGKQ targets, one
+//! `SeedFloors::can_answer` for each of 8 fragments of `small`'s bounded
+//! indexes, collected as the dispatch collects them (~0.1 µs a query on
+//! this host: well under the µs that would show beside a window's encode).
+//!
 //! Run with: `cargo bench --offline -p disks-cluster --bench answer_plane`
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use disks_cluster::message::{decode_frame, encode_frame};
 use disks_cluster::{AnswerGather, Response, WireCost};
 use disks_core::bitset::BitSet;
-use disks_core::NodeRuns;
-use disks_roadnet::NodeId;
+use disks_core::{build_all_indexes, IndexConfig, NodeRuns, QueryPlan, SeedFloors, SgkQuery};
+use disks_partition::{FragmentId, MultilevelPartitioner, Partitioner};
+use disks_roadnet::generator::GridNetworkConfig;
+use disks_roadnet::{KeywordId, NodeId};
 
 /// A 200 × 200 row-major grid.
 const ROW: u32 = 200;
@@ -150,5 +158,45 @@ fn bench_answer_plane(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(answer_plane, bench_answer_plane);
+/// The coordinator's target decision for one cold 5-keyword SGKQ (keywords
+/// uniform over the vocabulary, a radius in `[maxR/2, maxR]`) over 8
+/// fragments, cycling through 64 such queries.
+fn bench_targets(c: &mut Criterion) {
+    let net = GridNetworkConfig::small(0xA052).generate();
+    let p = MultilevelPartitioner::default().partition(&net, FRAGMENTS);
+    let max_r = 12 * net.avg_edge_weight();
+    let indexes = build_all_indexes(&net, &p, &IndexConfig::with_max_r(max_r));
+    let floors = SeedFloors::new(&net, &p, &indexes);
+    let vocab = net.vocab().len() as u32;
+    let plans: Vec<QueryPlan> = (0..64u32)
+        .map(|i| {
+            let kws = (0..5).map(|j| KeywordId((i * 7 + j * 13) % vocab)).collect();
+            let r = max_r / 2 + u64::from(i) * (max_r / 2) / 63;
+            QueryPlan::lower(&SgkQuery::new(kws, r).to_dfunction())
+        })
+        .collect();
+    let targeted: usize = (plans.iter())
+        .map(|plan| {
+            (0..FRAGMENTS as u32).filter(|&f| floors.can_answer(plan, FragmentId(f))).count()
+        })
+        .sum();
+    println!(
+        "targets/sgkq5_over_8: {targeted} of {} (query, fragment) pairs targeted",
+        64 * FRAGMENTS
+    );
+    let mut group = c.benchmark_group("targets");
+    group.sample_size(20);
+    let mut next = 0;
+    group.bench_with_input(BenchmarkId::new("sgkq5_over_8", "one query"), &plans, |b, plans| {
+        b.iter(|| {
+            next = (next + 1) % plans.len();
+            (0..FRAGMENTS as u32)
+                .map(|f| floors.can_answer(&plans[next], FragmentId(f)))
+                .collect::<Vec<bool>>()
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(answer_plane, bench_answer_plane, bench_targets);
 criterion_main!(answer_plane);

@@ -8,12 +8,15 @@
 //! dispatched before any response is gathered. A chunk of one ships as
 //! `Evaluate`, a larger one as one merged `Batch` per machine. Every
 //! fragment has one owner, so a window is one frame, encoded once and sent
-//! to every busy machine.
+//! to every machine hosting a fragment the window targets: a plan targets
+//! the fragments where none of its conjuncts is seedless
+//! ([`disks_core::SeedFloors`]).
 
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use disks_core::{QueryError, QueryPlan, SuperPlan};
+use disks_core::{QueryError, QueryPlan, SuperPlan, Targets};
+use disks_partition::FragmentId;
 
 use super::gather::{GatherReport, Sink};
 use super::Cluster;
@@ -65,6 +68,7 @@ impl Cluster {
         start: Instant,
         on_event: &mut Sink,
     ) -> GroupRun {
+        let targeted: Vec<Vec<bool>> = plans.iter().map(|plan| self.targeted(plan)).collect();
         self.run_group(plans.len(), start, &mut |base| {
             // Retries always narrow to single-query `Evaluate` frames for
             // only the failed queries, however the window was batched.
@@ -73,9 +77,20 @@ impl Cluster {
                 plan: plans[slot].clone(),
                 fragments: frags,
             };
-            let sent = self.dispatch_plans(base, plans);
-            (self.gather(base, plans.len(), &make_request, on_event), sent)
+            let sent = self.dispatch_plans(base, plans, &targeted);
+            (self.gather(base, &targeted, &make_request, on_event), sent)
         })
+    }
+
+    /// The fragments `plan` targets, `targeted[f]`: those whose seed floors
+    /// leave no conjunct seedless — every one when the coordinator holds no
+    /// floors. Another fragment would answer ∅ before fetching anything.
+    fn targeted(&self, plan: &QueryPlan) -> Vec<bool> {
+        let k = self.placement.num_fragments();
+        match &self.floors {
+            Some(floors) => (0..k).map(|f| floors.can_answer(plan, FragmentId(f as u32))).collect(),
+            None => vec![true; k],
+        }
     }
 
     /// The one place a group of `members` queries is numbered and exchanged
@@ -152,43 +167,86 @@ impl Cluster {
 
     /// Dispatch of one group: every [`BATCH_WINDOW`]-sized chunk ships as
     /// its own window before any response is gathered, so workers process
-    /// their queues concurrently.
-    fn dispatch_plans(&self, base: u64, plans: &[QueryPlan]) -> Sent {
+    /// their queues concurrently. `targeted[i]` is plan `i`'s targets.
+    fn dispatch_plans(&self, base: u64, plans: &[QueryPlan], targeted: &[Vec<bool>]) -> Sent {
+        let windows = plans.chunks(BATCH_WINDOW).zip(targeted.chunks(BATCH_WINDOW));
         let mut sent = Sent::default();
-        for (w, chunk) in plans.chunks(BATCH_WINDOW).enumerate() {
-            let one = self.dispatch_window(base + (w * BATCH_WINDOW) as u64, chunk);
+        for (w, (chunk, targeted)) in windows.enumerate() {
+            let window_base = base + (w * BATCH_WINDOW) as u64;
+            let one = self.dispatch(self.window_frames(window_base, chunk, targeted));
             sent.respawns += one.respawns;
             sent.largest_frame = sent.largest_frame.max(one.largest_frame);
         }
         sent
     }
 
-    /// Dispatch one window of admitted plans for queries
-    /// `window_base+1 ..= window_base+chunk.len()`: a lone plan ships as a
-    /// plain `Evaluate`, ≥2 plans merge into one [`SuperPlan`] shipped as a
-    /// single `Batch` frame per machine.
-    fn dispatch_window(&self, window_base: u64, chunk: &[QueryPlan]) -> Sent {
-        // An empty fragment list: each machine evaluates all it hosts.
-        let request = if chunk.len() >= 2 {
-            Request::Batch { base: window_base, plan: SuperPlan::merge(chunk), fragments: vec![] }
-        } else {
-            Request::Evaluate {
-                query_id: window_base + 1,
-                plan: chunk[0].clone(),
-                fragments: vec![],
+    /// The frames of one window of admitted plans for queries
+    /// `window_base+1 ..= window_base+chunk.len()`, each with the machine it
+    /// goes to. ≥2 plans merge into one [`SuperPlan`], each program naming
+    /// its targets, shipped as one `Batch` frame to every machine hosting a
+    /// target of any of them. A lone plan ships as an `Evaluate` to every
+    /// machine hosting one of its targets, narrowed to those fragments
+    /// unless it hosts nothing else. A machine that hosts no target gets
+    /// nothing, and a window with no target no frame at all.
+    fn window_frames(
+        &self,
+        window_base: u64,
+        chunk: &[QueryPlan],
+        targeted: &[Vec<bool>],
+    ) -> Vec<(usize, Bytes)> {
+        let hosted = |m: usize| self.placement.fragments_of(m).iter().map(|f| f.index());
+        if chunk.len() >= 2 {
+            let machines: Vec<usize> = (self.placement.busy_machines())
+                .filter(|&m| hosted(m).any(|f| targeted.iter().any(|t| t[f])))
+                .collect();
+            if machines.is_empty() {
+                return Vec::new();
             }
+            let plan =
+                SuperPlan::merge_targeted(chunk, targeted.iter().map(|t| Targets::of_mask(t)));
+            let frame =
+                encode_frame(&Request::Batch { base: window_base, plan, fragments: vec![] });
+            return machines.into_iter().map(|m| (m, frame.clone())).collect();
+        }
+        let targeted = &targeted[0];
+        let request = |fragments: Vec<u32>| Request::Evaluate {
+            query_id: window_base + 1,
+            plan: chunk[0].clone(),
+            fragments,
         };
-        self.broadcast(&encode_frame(&request))
+        // An empty fragment list: the machine evaluates all it hosts.
+        let mut every: Option<Bytes> = None;
+        let mut frames = Vec::new();
+        for m in self.placement.busy_machines() {
+            let hits = hosted(m).filter(|&f| targeted[f]).count();
+            if hits == 0 {
+                continue;
+            }
+            let frame = if hits == hosted(m).len() {
+                every.get_or_insert_with(|| encode_frame(&request(Vec::new()))).clone()
+            } else {
+                encode_frame(&request(
+                    hosted(m).filter(|&f| targeted[f]).map(|f| f as u32).collect(),
+                ))
+            };
+            frames.push((m, frame));
+        }
+        frames
     }
 
-    /// The one initial-dispatch send loop: every busy machine gets `frame`.
+    /// Broadcast `frame` to every busy machine ([`Cluster::dispatch`]).
+    pub(super) fn broadcast(&self, frame: &Bytes) -> Sent {
+        self.dispatch(self.placement.busy_machines().map(|m| (m, frame.clone())))
+    }
+
+    /// The one initial-dispatch send loop: each machine gets its frame.
     /// Counts the frames as initial dispatch and folds respawns into the
     /// lifetime counters.
-    pub(super) fn broadcast(&self, frame: &Bytes) -> Sent {
+    fn dispatch(&self, frames: impl IntoIterator<Item = (usize, Bytes)>) -> Sent {
         let mut sent = Sent::default();
-        for m in self.placement.busy_machines() {
-            sent.largest_frame = frame.len() as u64;
-            self.send_to_worker(m, frame, &mut sent.respawns);
+        for (m, frame) in frames {
+            sent.largest_frame = sent.largest_frame.max(frame.len() as u64);
+            self.send_to_worker(m, &frame, &mut sent.respawns);
             self.dispatch_frames.set(self.dispatch_frames.get() + 1);
         }
         self.note_respawns(sent.respawns);

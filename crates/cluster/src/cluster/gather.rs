@@ -78,9 +78,9 @@ pub(super) struct GatherReport {
 }
 
 /// Bookkeeping of one [`Cluster::gather`]: which `(slot, fragment)` pairs
-/// answered and per-pair retry budgets. Every slot is outstanding from
-/// construction — a group's windows are all dispatched before its gather
-/// starts.
+/// answered and per-pair retry budgets. Every targeted pair is outstanding
+/// from construction — a group's windows are all dispatched before its
+/// gather starts — and every pruned pair is complete.
 struct GatherState {
     n: usize,
     k: usize,
@@ -97,18 +97,24 @@ struct GatherState {
 }
 
 impl GatherState {
-    /// All `n` slots outstanding on every fragment.
-    fn new(cluster: &Cluster, n: usize) -> GatherState {
-        let k = cluster.placement.num_fragments();
+    /// Slot `i` outstanding on the fragments `targeted[i]` names, and
+    /// answered on the rest: a pruned pair was sent nothing and expects
+    /// nothing.
+    fn new(cluster: &Cluster, targeted: &[Vec<bool>]) -> GatherState {
+        let (n, k) = (targeted.len(), cluster.placement.num_fragments());
+        let responded: Vec<Vec<bool>> =
+            targeted.iter().map(|t| t.iter().map(|&target| !target).collect()).collect();
+        let missing_by_slot: Vec<usize> =
+            targeted.iter().map(|t| t.iter().filter(|&&target| target).count()).collect();
         GatherState {
             n,
             k,
             allow_partial: cluster.config.allow_partial,
-            responded: vec![vec![false; k]; n],
+            responded,
             attempts: vec![vec![1u32; k]; n],
             report: GatherReport { retries_by_slot: vec![0; n], ..GatherReport::default() },
-            missing: n * k,
-            missing_by_slot: vec![k; n],
+            missing: missing_by_slot.iter().sum(),
+            missing_by_slot,
             pending_retries: Vec::new(),
             // The deadline measures *silence*, not total time: any
             // in-window frame resets it, so a long streak of slow-but-live
@@ -304,9 +310,12 @@ impl Cluster {
         }
     }
 
-    /// The shared deadline-aware gather: collect one response per fragment
-    /// for each of the `n` queries `base+1 ..= base+n`, retrying stalled or
-    /// transiently failed fragments with narrowed re-dispatches.
+    /// The shared deadline-aware gather: collect one response per targeted
+    /// fragment for each of the `n = targeted.len()` queries
+    /// `base+1 ..= base+n` (`targeted[i][f]`: query `i` was sent to fragment
+    /// `f`), retrying stalled or transiently failed fragments with narrowed
+    /// re-dispatches. A pruned pair is never waited for, retried or
+    /// degraded; a query with no target completes before any frame.
     ///
     /// Retries are spaced by [`backoff_delay`]: instead of re-dispatching
     /// immediately, each narrowed retry is scheduled
@@ -322,12 +331,15 @@ impl Cluster {
     pub(super) fn gather(
         &self,
         base: u64,
-        n: usize,
+        targeted: &[Vec<bool>],
         make_request: &dyn Fn(usize, Vec<u32>) -> Request,
         sink: &mut Sink,
     ) -> Result<GatherReport, QueryError> {
-        let gs = &mut GatherState::new(self, n);
-        let k = gs.k;
+        let gs = &mut GatherState::new(self, targeted);
+        let (n, k) = (gs.n, gs.k);
+        for slot in (0..n).filter(|&slot| gs.missing_by_slot[slot] == 0) {
+            sink(slot, GatherEvent::Complete);
+        }
         let outcome = loop {
             if gs.missing == 0 {
                 // Drain stragglers (duplicated frames, late answers landing

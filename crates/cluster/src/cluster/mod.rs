@@ -6,9 +6,11 @@
 //! longer consulted by any worker), plus a request channel and a counted
 //! response link. A stream is cut into windows of 16, all dispatched before
 //! any is gathered: a window of one fans out as one
-//! `Evaluate` frame per busy machine and gathers one `Results` frame per
-//! hosted fragment, a larger one as one `Batch` / `BatchResults` pair; the
-//! final result is the union of per-fragment results (Lemma 1).
+//! `Evaluate` frame per machine hosting a fragment the query targets and
+//! gathers one `Results` frame per targeted fragment, a larger one as one
+//! `Batch` / `BatchResults` pair; the final result is the union of
+//! per-fragment results (Lemma 1). A query targets the fragments where
+//! none of its keyword conjuncts is seedless; the others would answer ∅.
 //!
 //! The `impl Cluster` is split by responsibility: `config` (the knob
 //! table), `supervise` (build / spawn / respawn / shutdown), `gather` (the
@@ -30,6 +32,11 @@
 //! [`QueryError::WorkerTimeout`] or, under
 //! [`ClusterConfig::allow_partial`], degrades the result and lists the
 //! fragment in [`QueryStats::degraded_fragments`].
+//!
+//! A `(query_id, fragment)` pair the coordinator pruned — the fragment has
+//! no seed for one of the query's conjuncts ([`disks_core::SeedFloors`]) —
+//! is complete from the start: nothing was sent for it, so it is never
+//! waited for, retried or listed as degraded.
 
 mod assemble;
 mod config;
@@ -44,7 +51,8 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
 use disks_core::{
-    DFunction, DlScope, NodeRuns, QClassQuery, QueryError, QueryPlan, RangeKeywordQuery, SgkQuery,
+    DFunction, DlScope, NodeRuns, QClassQuery, QueryError, QueryPlan, RangeKeywordQuery,
+    SeedFloors, SgkQuery,
 };
 use disks_partition::FragmentId;
 use disks_roadnet::NodeId;
@@ -97,6 +105,10 @@ pub struct Cluster {
     compute_micros: RefCell<Vec<u64>>,
     /// DL scope of the indexes, for query-location validation.
     dl_scope: DlScope,
+    /// The indexes' seed floors: a plan targets the fragments that can
+    /// answer it. `None` (bi-level and remote clusters, whose indexes the
+    /// coordinator does not hold): every fragment is a target.
+    floors: Option<SeedFloors>,
     /// Global object bitmap: the coordinator validates RKQ locations before
     /// dispatch (workers cannot — they are share-nothing; see
     /// `FragmentEngine::coverage`).
@@ -347,7 +359,9 @@ impl Cluster {
                     lists.push(ranked);
                 }
             };
-            (self.gather(base, 1, &request, &mut on_event), sent)
+            // Top-k is never pruned: every fragment ranks its own nodes.
+            let every = [vec![true; self.placement.num_fragments()]];
+            (self.gather(base, &every, &request, &mut on_event), sent)
         });
         if let Some(e) = group.error {
             return Err(e);
@@ -470,7 +484,14 @@ mod tests {
         );
         assert_eq!(cluster.num_machines(), 2);
         let kws = top_keywords(&net, 2);
-        let q = SgkQuery::new(kws, 3 * net.avg_edge_weight());
+        // Wide enough that both keywords seed every fragment: the query
+        // targets all six, so each machine answers for all it hosts.
+        let q = SgkQuery::new(kws, 30 * net.avg_edge_weight());
+        let plan = QueryPlan::lower(&q.to_dfunction());
+        for index in &build_all_indexes(&net, &p, &IndexConfig::unbounded()) {
+            let engine = disks_core::FragmentEngine::new(&net, &p, index).unwrap();
+            assert!(plan.can_answer(|s| engine.seed_count(s.term, s.radius) > 0));
+        }
         let outcome = cluster.run_sgkq(&q).unwrap();
         let mut central = CentralizedCoverage::new(&net);
         assert_eq!(outcome.results, central.sgkq(&q).unwrap());

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
-use disks_core::{DlScope, FragmentEngine, NpdIndex};
+use disks_core::{DlScope, FragmentEngine, NpdIndex, SeedFloors};
 use disks_partition::{FragmentId, Partitioning};
 use disks_roadnet::{RoadNetwork, INF};
 
@@ -229,6 +229,17 @@ fn remote_link(
     Ok(Box::new(link))
 }
 
+/// What the coordinator decides before dispatch with, read off the indexes
+/// when it holds them.
+struct Admission {
+    dl_scope: DlScope,
+    /// Largest admissible radius.
+    max_r: u64,
+    /// The seed floors of the indexes; `None` when the coordinator holds no
+    /// index, and then every fragment is a target.
+    floors: Option<SeedFloors>,
+}
+
 /// The shared worker→coordinator response channel, as [`counted_link`]
 /// returns it: sender, receiver, and the counters both ends share.
 type ResponseLink = (LinkSender, Receiver<Bytes>, Arc<LinkCounters>);
@@ -254,12 +265,14 @@ impl Cluster {
         }
         let dl_scope = indexes.first().map(|i| i.dl_scope()).unwrap_or(DlScope::ObjectsOnly);
         let admission_max_r = indexes.first().map(|i| i.max_r()).unwrap_or(INF);
+        let floors = SeedFloors::new(net, partitioning, &indexes);
         let spec = RespawnSpec {
             net: net.clone(),
             partitioning: partitioning.clone(),
             source: EngineSource::Indexes(indexes),
         };
-        Self::build_from_spec(spec, dl_scope, admission_max_r, config)
+        let admission = Admission { dl_scope, max_r: admission_max_r, floors: Some(floors) };
+        Self::build_from_spec(spec, admission, config)
     }
 
     /// Build a §5.5 **bi-level** cluster: every machine holds a bounded
@@ -277,16 +290,13 @@ impl Cluster {
             partitioning: partitioning.clone(),
             source: EngineSource::BiLevel(*config_primary),
         };
-        // The secondary level is unbounded, so no radius is inadmissible.
-        Self::build_from_spec(spec, config_primary.dl_scope, INF, config)
+        // The secondary level is unbounded, so no radius is inadmissible;
+        // the coordinator holds no index, so every fragment is a target.
+        let admission = Admission { dl_scope: config_primary.dl_scope, max_r: INF, floors: None };
+        Self::build_from_spec(spec, admission, config)
     }
 
-    fn build_from_spec(
-        spec: RespawnSpec,
-        dl_scope: DlScope,
-        admission_max_r: u64,
-        config: ClusterConfig,
-    ) -> Cluster {
+    fn build_from_spec(spec: RespawnSpec, admission: Admission, config: ClusterConfig) -> Cluster {
         let (config, plan) = config.normalised();
         let k = spec.partitioning.num_fragments();
         let machines = config.machines.unwrap_or(k).max(1);
@@ -314,7 +324,7 @@ impl Cluster {
             workers.push(WorkerHandle { link, faults, peer: WorkerPeer::Thread(Some(join)) });
         }
         let responses = (resp_tx, resp_rx, from_workers);
-        Self::assemble(workers, responses, placement, dl_scope, admission_max_r, spec, config)
+        Self::assemble(workers, responses, placement, admission, spec, config)
     }
 
     /// Build a cluster whose workers are separate OS processes connected
@@ -378,12 +388,15 @@ impl Cluster {
             partitioning: partitioning.clone(),
             source: EngineSource::Remote { listener, commands },
         };
+        // The indexes live in the worker processes: every fragment is a
+        // target.
+        let admission =
+            Admission { dl_scope: index_config.dl_scope, max_r: index_config.max_r, floors: None };
         Ok(Self::assemble(
             workers,
             (resp_tx, resp_rx, from_workers),
             placement,
-            index_config.dl_scope,
-            index_config.max_r,
+            admission,
             spec,
             config,
         ))
@@ -395,8 +408,7 @@ impl Cluster {
         workers: Vec<WorkerHandle>,
         (resp_tx, responses, from_workers): ResponseLink,
         placement: Placement,
-        dl_scope: DlScope,
-        admission_max_r: u64,
+        admission: Admission,
         spec: RespawnSpec,
         config: ClusterConfig,
     ) -> Cluster {
@@ -410,10 +422,11 @@ impl Cluster {
             forgiven_responses: Cell::new(0),
             compute_micros: RefCell::new(vec![0; machines]),
             placement,
-            dl_scope,
+            dl_scope: admission.dl_scope,
+            floors: admission.floors,
             is_object: spec.net.node_ids().map(|n| spec.net.is_object(n)).collect(),
             answer_gather: RefCell::new(AnswerGather::new(spec.net.num_nodes())),
-            admission_max_r,
+            admission_max_r: admission.max_r,
             dispatch_frames: Cell::new(0),
             query_counter: Cell::new(0),
             respawn: spec,

@@ -7,7 +7,11 @@
 //! A plan's evaluation is asked for two ways — [`Request::Evaluate`] for one
 //! query, [`Request::Batch`] for a merged window — and either names every
 //! coverage slot by its full `(term, radius)` spec, so a frame means the same
-//! to a worker whatever it has or has not seen before.
+//! to a worker whatever it has or has not seen before. Either also says which
+//! fragments to evaluate on: an `Evaluate`'s `fragments` list (empty: all the
+//! worker hosts), and each `Batch` program's [`disks_core::Targets`]. A batch
+//! answers a program on a fragment it does not target with the one-byte
+//! [`BatchAnswer::Skipped`], and a fragment no program targets with no frame.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -31,9 +35,10 @@ pub enum Request {
     /// narrowing rule as `Evaluate`).
     TopK { query_id: u64, query: TopKQuery, fragments: Vec<u32> },
     /// Evaluate a merged batch of query plans on hosted fragments in one
-    /// round. Query `i` of the batch (0-based) has id `base + 1 + i`; the
-    /// worker answers with one [`Response::BatchResults`] frame per hosted
-    /// fragment, answers in batch order. Same fragment-narrowing rule as
+    /// round. Query `i` of the batch (0-based) has id `base + 1 + i` and is
+    /// evaluated on its program's targets; the worker answers with one
+    /// [`Response::BatchResults`] frame per hosted fragment some program
+    /// targets, answers in batch order. Same fragment-narrowing rule as
     /// `Evaluate`.
     Batch { base: u64, plan: SuperPlan, fragments: Vec<u32> },
     /// Terminate the worker loop.
@@ -126,6 +131,9 @@ pub enum BatchAnswer {
     /// The query failed on this fragment; the rest of the batch is
     /// unaffected (the coordinator re-dispatches just this query).
     Failed(QueryError),
+    /// The query does not target this fragment ([`disks_core::Targets`]):
+    /// the coordinator pruned the pair and expects no answer. One tag byte.
+    Skipped,
 }
 
 impl Encode for BatchAnswer {
@@ -140,14 +148,15 @@ impl Encode for BatchAnswer {
                 1u8.encode(buf);
                 error.encode(buf);
             }
+            BatchAnswer::Skipped => 2u8.encode(buf),
         }
     }
 }
 impl BatchAnswer {
     /// Decode one answer and report what its standalone
     /// [`Response::Results`] frame would have weighed
-    /// ([`results_frame_len`] of the id bytes just read; 0 for a failure,
-    /// which is charged nothing).
+    /// ([`results_frame_len`] of the id bytes just read; 0 for a failure or
+    /// a skipped query, which are charged nothing).
     fn decode_measured(buf: &mut impl Buf) -> Result<(Self, u64), DecodeError> {
         match u8::decode(buf)? {
             0 => {
@@ -158,6 +167,7 @@ impl BatchAnswer {
                 Ok((BatchAnswer::Results { nodes, cost }, results_frame_len(id_bytes)))
             }
             1 => Ok((BatchAnswer::Failed(QueryError::decode(buf)?), 0)),
+            2 => Ok((BatchAnswer::Skipped, 0)),
             tag => Err(DecodeError::BadTag { context: "BatchAnswer", tag }),
         }
     }
@@ -165,17 +175,17 @@ impl BatchAnswer {
 
 /// Decode the answer list of a [`Response::BatchResults`] frame, handing
 /// each answer and its byte charge (see [`BatchAnswer::decode_measured`]) to
-/// `keep` — the one reader behind both [`Response::decode`] and
-/// [`decode_gather_items`].
+/// `keep` and collecting what it keeps — the one reader behind both
+/// [`Response::decode`] and [`decode_gather_items`].
 fn decode_answers<T>(
     buf: &mut impl Buf,
-    mut keep: impl FnMut(BatchAnswer, u64) -> T,
+    mut keep: impl FnMut(BatchAnswer, u64) -> Option<T>,
 ) -> Result<Vec<T>, DecodeError> {
     let len = decode_len(buf, "BatchResults.answers")?;
     let mut out = Vec::with_capacity(len.min(buf.remaining() / size_of::<T>()));
     for _ in 0..len {
         let (answer, bytes) = BatchAnswer::decode_measured(buf)?;
-        out.push(keep(answer, bytes));
+        out.extend(keep(answer, bytes));
     }
     Ok(out)
 }
@@ -478,7 +488,7 @@ impl Decode for Response {
             BATCH_RESULTS_TAG => Ok(Response::BatchResults {
                 base: u64::decode(buf)?,
                 fragment: u32::decode(buf)?,
-                answers: decode_answers(buf, |answer, _| answer)?,
+                answers: decode_answers(buf, |answer, _| Some(answer))?,
             }),
             // 4 is retired (an earlier build's probe acknowledgement), not
             // reused.
@@ -513,10 +523,12 @@ fn expect_consumed(bytes: &Bytes) -> Result<(), DecodeError> {
 
 /// Decode a worker's frame into the responses the gather handles one at a
 /// time, each with the worker→coordinator bytes charged to it. A batch
-/// frame expands into one standalone response per member query (`answers[i]`
-/// answers query `base + 1 + i`), charged what its own result frame would
-/// have weighed — measured while its ids are read, not by walking them
-/// again; any other frame is one item charged the frame's length.
+/// frame expands into one standalone response per member query the frame's
+/// fragment answers (`answers[i]` answers query `base + 1 + i`; a
+/// [`BatchAnswer::Skipped`] yields nothing), charged what its own result
+/// frame would have weighed — measured while its ids are read, not by
+/// walking them again; any other frame is one item charged the frame's
+/// length.
 pub(crate) fn decode_gather_items(mut frame: Bytes) -> Result<Vec<(Response, u64)>, DecodeError> {
     if frame.first() != Some(&BATCH_RESULTS_TAG) {
         let frame_bytes = frame.len() as u64;
@@ -535,8 +547,9 @@ pub(crate) fn decode_gather_items(mut frame: Bytes) -> Result<Vec<(Response, u64
                 Response::Results { query_id, fragment, nodes, cost }
             }
             BatchAnswer::Failed(error) => Response::Failed { query_id, fragment, error },
+            BatchAnswer::Skipped => return None,
         };
-        (response, bytes)
+        Some((response, bytes))
     })?;
     expect_consumed(&frame)?;
     Ok(items)
@@ -658,6 +671,61 @@ mod tests {
             decode_frame::<Response>(Bytes::from_static(&[4, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0])),
             Err(DecodeError::BadTag { context: "Response", tag: 4 })
         );
+    }
+
+    /// A batch answer is a result (tag 0), a failure (tag 1) or a skipped
+    /// query (tag 2, the whole answer); any other tag is refused.
+    #[test]
+    fn batch_answer_tags() {
+        let empty = BatchAnswer::Results { nodes: NodeRuns::default(), cost: WireCost::default() };
+        assert_eq!(encode_frame(&empty)[0], 0);
+        assert_eq!(encode_frame(&BatchAnswer::Failed(QueryError::EmptyQuery))[0], 1);
+        assert_eq!(&encode_frame(&BatchAnswer::Skipped)[..], [2]);
+        let frame = |answer: u8| {
+            let mut buf = BytesMut::new();
+            buf.put_u8(BATCH_RESULTS_TAG);
+            buf.put_u64_le(7);
+            buf.put_u32_le(0);
+            buf.put_u32_le(1);
+            buf.put_u8(answer);
+            buf.freeze()
+        };
+        let skipped =
+            Response::BatchResults { base: 7, fragment: 0, answers: vec![BatchAnswer::Skipped] };
+        assert_eq!(decode_frame::<Response>(frame(2)), Ok(skipped));
+        for tag in [3, 250] {
+            let refused = DecodeError::BadTag { context: "BatchAnswer", tag };
+            assert_eq!(decode_frame::<Response>(frame(tag)), Err(refused.clone()));
+            assert_eq!(decode_gather_items(frame(tag)), Err(refused));
+        }
+    }
+
+    /// A skipped answer yields no gather item: the coordinator pruned the
+    /// pair and expects nothing; its neighbours keep their query ids.
+    #[test]
+    fn a_skipped_answer_is_no_gather_item() {
+        let results =
+            BatchAnswer::Results { nodes: vec![NodeId(4)].into(), cost: WireCost::default() };
+        let batch = Response::BatchResults {
+            base: 10,
+            fragment: 2,
+            answers: vec![
+                BatchAnswer::Skipped,
+                results,
+                BatchAnswer::Skipped,
+                BatchAnswer::Skipped,
+            ],
+        };
+        let frame = encode_frame(&batch);
+        assert_eq!(decode_frame::<Response>(frame.clone()), Ok(batch));
+        let items = decode_gather_items(frame).unwrap();
+        assert_eq!(items.len(), 1);
+        assert!(matches!(items[0], (Response::Results { query_id: 12, fragment: 2, .. }, _)));
+        // Every query skipped: a frame of no items (which no worker sends).
+        let none =
+            Response::BatchResults { base: 0, fragment: 1, answers: vec![BatchAnswer::Skipped; 3] };
+        assert_eq!(encode_frame(&none).len(), 1 + 8 + 4 + 4 + 3);
+        assert_eq!(decode_gather_items(encode_frame(&none)), Ok(vec![]));
     }
 
     #[test]

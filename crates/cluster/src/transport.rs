@@ -545,7 +545,10 @@ pub trait Link: Send {
     /// liveness covers them.
     fn is_down(&self) -> bool;
 
-    /// Tear the link down (wakes any blocked pump; idempotent).
+    /// Tear the link down (idempotent): nothing more is sent, and the peer
+    /// sees the end of the stream. What the peer had already sent is still
+    /// received — a dead worker's last answers — until it closes its end or
+    /// its link goes silent past the read timeout.
     fn close(&self);
 }
 
@@ -793,7 +796,9 @@ impl Link for TcpLink {
 
     fn close(&self) {
         self.down.store(true, Ordering::Release);
-        let _ = self.stream.shutdown(Shutdown::Both);
+        // The sending half only: the ingress pump reads on to the peer's end
+        // of the stream (a dead worker's egress pump flushes, then closes).
+        let _ = self.stream.shutdown(Shutdown::Write);
     }
 }
 

@@ -26,6 +26,7 @@ use disks_core::bitset::BitSet;
 use disks_core::dfunc::{DTerm, Term};
 use disks_core::{
     BiLevelIndex, CoverageStore, FragmentEngine, NodeRuns, QueryCost, QueryError, QueryPlan,
+    Targets,
 };
 
 use crate::cache::CoverageCache;
@@ -41,8 +42,8 @@ pub struct WorkerFaults {
     /// `Shutdown` counts — `Evaluate`, `TopK` and `Batch` alike, initial
     /// dispatches and narrowed retries alike.
     pub kill_on_request: Option<u64>,
-    /// Panic while evaluating the first fragment task of the nth request,
-    /// counted as for `kill_on_request`.
+    /// Panic while evaluating the first fragment task the nth request
+    /// evaluates, counted as for `kill_on_request`.
     pub panic_on_request: Option<u64>,
 }
 
@@ -203,9 +204,11 @@ pub fn worker_loop(
         let sent = match request {
             Request::Shutdown => break,
             Request::TopK { query_id, query, fragments } => {
-                hosted(&mut engines, &fragments).all(|(i, engine)| {
+                let mut inject_panic = inject_panic;
+                hosted(&mut engines, &fragments).all(|engine| {
                     let fragment = engine.fragment().0;
-                    let task = guarded(inject_panic && i == 0, || engine.topk_local(&query));
+                    let panic_now = std::mem::take(&mut inject_panic);
+                    let task = guarded(panic_now, || engine.topk_local(&query));
                     responses.send(encode_frame(&match task {
                         Ok((ranked, cost)) => Response::TopKResults {
                             query_id,
@@ -217,12 +220,13 @@ pub fn worker_loop(
                     }))
                 })
             }
-            // A single query is a batch of one, answered in the frames its
-            // own request kind names.
+            // A single query is a batch of one that targets every fragment
+            // its request selects, answered in the frames its own request
+            // kind names.
             Request::Evaluate { query_id, plan, fragments } => answer(
                 &mut engines,
                 &fragments,
-                std::slice::from_ref(&plan),
+                &[(plan, Targets::Every)],
                 inject_panic,
                 &mut cache,
                 &responses,
@@ -231,12 +235,13 @@ pub fn worker_loop(
                         Response::Results { query_id, fragment, nodes, cost }
                     }
                     BatchAnswer::Failed(error) => Response::Failed { query_id, fragment, error },
+                    BatchAnswer::Skipped => unreachable!("a lone plan targets every fragment"),
                 },
             ),
             Request::Batch { base, plan, fragments } => answer(
                 &mut engines,
                 &fragments,
-                &plan.split(),
+                &plan.split().into_iter().zip(plan.targets().cloned()).collect::<Vec<_>>(),
                 inject_panic,
                 &mut cache,
                 &responses,
@@ -252,26 +257,34 @@ pub fn worker_loop(
 /// Evaluate `plans` on every hosted fragment the request selects, sharing
 /// slots across them through a per-fragment [`BatchStore`], and send each
 /// fragment's answers (in plan order) as the frame `reply` makes of them.
-/// An injected panic fails the first plan on the first fragment only.
-/// Returns `false` when the coordinator is gone.
+/// A plan is evaluated only on its targets, and answers
+/// [`BatchAnswer::Skipped`] elsewhere; a fragment no plan targets gets no
+/// frame. An injected panic fails the first task evaluated only. Returns
+/// `false` when the coordinator is gone.
 fn answer(
     engines: &mut [WorkerEngine],
     fragments: &[u32],
-    plans: &[QueryPlan],
-    inject_panic: bool,
+    plans: &[(QueryPlan, Targets)],
+    mut inject_panic: bool,
     cache: &mut CoverageCache,
     responses: &LinkSender,
     reply: impl Fn(u32, Vec<BatchAnswer>) -> Response,
 ) -> bool {
-    hosted(engines, fragments).all(|(i, engine)| {
+    hosted(engines, fragments).all(|engine| {
         let fragment = engine.fragment().0;
+        if !plans.iter().any(|(_, targets)| targets.contains(fragment)) {
+            return true;
+        }
         let mut store =
             BatchStore { fragment, cache: &mut *cache, resolved: HashMap::new(), shared: 0 };
         let answers = plans
             .iter()
-            .enumerate()
-            .map(|(qi, plan)| {
-                match evaluate_task(engine, plan, &mut store, inject_panic && i == 0 && qi == 0) {
+            .map(|(plan, targets)| {
+                if !targets.contains(fragment) {
+                    return BatchAnswer::Skipped;
+                }
+                let panic_now = std::mem::take(&mut inject_panic);
+                match evaluate_task(engine, plan, &mut store, panic_now) {
                     Ok((nodes, cost)) => BatchAnswer::Results { nodes, cost },
                     Err(e) => BatchAnswer::Failed(e),
                 }
@@ -282,15 +295,12 @@ fn answer(
 }
 
 /// Iterate the hosted engines selected by a request's fragment filter
-/// (empty = all), with a running index for per-request fault targeting.
+/// (empty = all).
 fn hosted<'a>(
     engines: &'a mut [WorkerEngine],
     fragments: &'a [u32],
-) -> impl Iterator<Item = (usize, &'a mut WorkerEngine)> {
-    engines
-        .iter_mut()
-        .filter(move |e| fragments.is_empty() || fragments.contains(&e.fragment().0))
-        .enumerate()
+) -> impl Iterator<Item = &'a mut WorkerEngine> {
+    engines.iter_mut().filter(move |e| fragments.is_empty() || fragments.contains(&e.fragment().0))
 }
 
 #[cfg(test)]
@@ -577,6 +587,42 @@ mod tests {
         }
         req_tx.send(encode_frame(&Request::Shutdown)).unwrap();
         handle.join().unwrap();
+    }
+
+    /// A batch program is evaluated on its targets only: fragment 1, the
+    /// only target, answers every program, skipping the one that targets
+    /// nothing; fragment 0, no program's target, sends no frame — nor does
+    /// either for a batch that targets nothing.
+    #[test]
+    fn a_batch_answers_only_on_its_targets() {
+        use disks_core::SuperPlan;
+        let (req_tx, resp_rx, handle, net) = spawn_worker(68, WorkerFaults::default());
+        let plan = QueryPlan::lower(&DFunction::single(
+            Term::Keyword(top_kw(&net)),
+            2 * net.avg_edge_weight(),
+        ));
+        let plans = vec![plan.clone(), plan.clone(), plan];
+        let targets = [Targets::Only(vec![1]), Targets::Only(vec![]), Targets::Only(vec![1, 3])];
+        let merged = SuperPlan::merge_targeted(&plans, targets);
+        req_tx
+            .send(encode_frame(&Request::Batch { base: 5, plan: merged, fragments: vec![] }))
+            .unwrap();
+        let none = [Targets::Only(vec![]), Targets::Only(vec![]), Targets::Only(vec![])];
+        let merged = SuperPlan::merge_targeted(&plans, none);
+        req_tx
+            .send(encode_frame(&Request::Batch { base: 8, plan: merged, fragments: vec![] }))
+            .unwrap();
+        req_tx.send(encode_frame(&Request::Shutdown)).unwrap();
+        handle.join().unwrap();
+        match decode_frame::<Response>(resp_rx.try_recv().unwrap()).unwrap() {
+            Response::BatchResults { base: 5, fragment: 1, answers } => {
+                assert!(matches!(answers[0], BatchAnswer::Results { .. }));
+                assert_eq!(answers[1], BatchAnswer::Skipped);
+                assert!(matches!(answers[2], BatchAnswer::Results { .. }));
+            }
+            other => panic!("expected fragment 1's answers, got {other:?}"),
+        }
+        assert!(resp_rx.try_recv().is_err(), "no frame for an untargeted fragment");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! `NodeRuns` in `Response::Results` / `BatchAnswer::Results` round-trips
 //! every strictly ascending id set — ids and bytes both: a set has one
 //! encoding — and rejects everything else typed, without panicking and
-//! without committing memory to a claim it has not validated; and the
+//! without committing memory to a claim it has not validated; a batch
+//! frame's one-byte skipped answers sit anywhere among its answers; and the
 //! coordinator's gather returns the sorted union of its fragments' answers
 //! on both sides of its density rule, leaving its scratch bitmap zero.
 
@@ -82,6 +83,7 @@ fn batch(lists: Vec<Vec<NodeId>>) -> Response {
         .map(|nodes| BatchAnswer::Results { nodes: nodes.into(), cost: WireCost::default() })
         .collect();
     answers.insert(answers.len() / 2, BatchAnswer::Failed(QueryError::EmptyQuery));
+    answers.insert(answers.len() / 3, BatchAnswer::Skipped);
     Response::BatchResults { base: 40, fragment: 1, answers }
 }
 
@@ -93,7 +95,7 @@ fn answers_of(response: Response) -> Vec<NodeRuns> {
             .into_iter()
             .filter_map(|a| match a {
                 BatchAnswer::Results { nodes, .. } => Some(nodes),
-                BatchAnswer::Failed(_) => None,
+                BatchAnswer::Failed(_) | BatchAnswer::Skipped => None,
             })
             .collect(),
         _ => vec![],
@@ -172,6 +174,34 @@ proptest! {
             prop_assert_eq!(answer.len(), list.len());
             prop_assert_eq!(&answer.into_iter().collect::<Vec<_>>(), list);
         }
+    }
+
+    /// Skipped answers anywhere among a batch frame's answers round-trip at
+    /// one byte each and leave the other answers as they were.
+    #[test]
+    fn skipped_answers_round_trip_at_one_byte(
+        lists in proptest::collection::vec(arb_ids(), 0..4),
+        skipped in proptest::collection::vec(any::<bool>(), 0..12),
+    ) {
+        let mut answers: Vec<BatchAnswer> = lists
+            .iter()
+            .map(|nodes| BatchAnswer::Results { nodes: nodes.clone().into(), cost: WireCost::default() })
+            .collect();
+        let plain = encode_frame(&Response::BatchResults { base: 3, fragment: 0, answers: answers.clone() });
+        for (i, &skip) in skipped.iter().enumerate() {
+            if skip {
+                answers.insert(i.min(answers.len()), BatchAnswer::Skipped);
+            }
+        }
+        let extra = answers.len() - lists.len();
+        let message = Response::BatchResults { base: 3, fragment: 0, answers };
+        let frame = encode_frame(&message);
+        prop_assert_eq!(frame.len(), plain.len() + extra);
+        let decoded = decode_frame::<Response>(frame).unwrap();
+        prop_assert_eq!(&decoded, &message);
+        let ids: Vec<Vec<NodeId>> =
+            answers_of(decoded).into_iter().map(|a| a.into_iter().collect()).collect();
+        prop_assert_eq!(ids, lists);
     }
 
     /// No strict prefix of a valid frame decodes: a cut anywhere — inside a

@@ -14,8 +14,8 @@ use rand::{Rng, SeedableRng};
 
 use disks_cluster::{Cluster, ClusterConfig, FaultPlan, TransportKind};
 use disks_core::{
-    build_all_indexes, CentralizedCoverage, DFunction, IndexConfig, QueryPlan, SetOp, SgkQuery,
-    Term,
+    build_all_indexes, CentralizedCoverage, DFunction, FragmentEngine, IndexConfig, QueryPlan,
+    SetOp, SgkQuery, Term,
 };
 use disks_partition::{MultilevelPartitioner, Partitioner, Partitioning};
 use disks_roadnet::generator::GridNetworkConfig;
@@ -77,6 +77,18 @@ fn rare_stream(net: &RoadNetwork, seed: u64, n: usize) -> Vec<DFunction> {
         .collect()
 }
 
+/// How many of `fs` target fragment 0 — the requests its machine receives
+/// when they run one at a time, before any retry: the queries where the
+/// worker's own seed test finds every conjunct seeded there, counted on an
+/// engine built from the index the cluster serves.
+fn requests_to_fragment_zero(net: &RoadNetwork, p: &Partitioning, fs: &[DFunction]) -> u64 {
+    let index = &build_all_indexes(net, p, &IndexConfig::unbounded())[0];
+    let engine = FragmentEngine::new(net, p, index).unwrap();
+    let targeted =
+        |f: &DFunction| QueryPlan::lower(f).can_answer(|s| engine.seed_count(s.term, s.radius) > 0);
+    fs.iter().filter(|f| targeted(f)).count() as u64
+}
+
 fn build_cluster(
     net: &RoadNetwork,
     p: &Partitioning,
@@ -110,7 +122,7 @@ fn build_cluster_on(
 }
 
 /// The acceptance property: 200 queries, worker 0 killed mid-stream on both
-/// clusters, and the cached and cache-disabled runs return identical
+/// clusters (on the middle one of the requests the stream sends it), and the cached and cache-disabled runs return identical
 /// answers and identical `QueryStats.results` for every query — each one
 /// also exact against the centralized oracle, with zero inter-worker bytes
 /// in both modes. Twice: a Zipf stream, whose repetition the cache serves,
@@ -127,10 +139,13 @@ fn cached_and_disabled_clusters_answer_identically_across_respawn() {
     let mut oracle = CentralizedCoverage::new(&net);
     for (name, stream, cache_bytes) in inputs {
         // The same deterministic kill schedule on both clusters: machine 0
-        // dies on its 100th request — mid-stream — and is respawned with a
-        // cold cache on the cached cluster.
-        let cached = build_cluster(&net, &p, cache_bytes, Some(100));
-        let uncached = build_cluster(&net, &p, 0, Some(100));
+        // dies on the request halfway through those the stream sends it —
+        // mid-stream — and is respawned with a cold cache on the cached
+        // cluster. (A query is sent only to the fragments it targets.)
+        let kill_at = requests_to_fragment_zero(&net, &p, &stream) / 2;
+        assert!(kill_at >= 10, "{name}: {kill_at}: the stream must reach machine 0");
+        let cached = build_cluster(&net, &p, cache_bytes, Some(kill_at));
+        let uncached = build_cluster(&net, &p, 0, Some(kill_at));
 
         let (mut fetched, mut eager) = (0, 0);
         for (i, f) in stream.iter().enumerate() {

@@ -2,12 +2,41 @@
 //! kernel applies to a TCP byte stream — one byte at a time, giant
 //! coalesced reads, anything between — the [`FrameAssembler`] must yield
 //! exactly the frames the writer framed, in order, without ever panicking;
-//! and a corrupt length prefix must fail typed *before* any allocation.
+//! and a corrupt length prefix must fail typed *before* any allocation. A
+//! `Batch` request whose programs name their target fragments crosses the
+//! framing intact, and arbitrary bytes where its target lists are read
+//! decode typed or not at all.
 
 use proptest::prelude::*;
 
 use disks_cluster::framing::{write_frame, write_keepalive, FrameAssembler, StreamEvent};
-use disks_roadnet::DecodeError;
+use disks_cluster::message::{decode_frame, encode_frame};
+use disks_cluster::Request;
+use disks_core::{DFunction, QueryPlan, SetOp, SuperPlan, Targets, Term};
+use disks_roadnet::{DecodeError, KeywordId};
+
+/// A `Batch` of one keyword-pair plan a target set: `(true, _)` is every
+/// fragment, `(false, mask)` the fragments whose bit is set (none for 0).
+fn batch(base: u64, targets: &[(bool, u16)]) -> Request {
+    let plans: Vec<QueryPlan> = (0..targets.len() as u32)
+        .map(|i| {
+            let f = DFunction::single(Term::Keyword(KeywordId(i % 3)), 5).then(
+                SetOp::Intersect,
+                Term::Keyword(KeywordId(i)),
+                7,
+            );
+            QueryPlan::lower(&f)
+        })
+        .collect();
+    let targets = targets.iter().map(|&(every, mask)| {
+        if every {
+            Targets::Every
+        } else {
+            Targets::Only((0..16).filter(|f| mask >> f & 1 == 1).collect())
+        }
+    });
+    Request::Batch { base, plan: SuperPlan::merge_targeted(&plans, targets), fragments: vec![] }
+}
 
 /// A frame payload mix spanning the real protocol's range: empty-adjacent
 /// tiny frames through multi-KiB responses.
@@ -67,6 +96,54 @@ proptest! {
         }
         prop_assert_eq!(events, expected);
         prop_assert_eq!(asm.pending(), 0, "no bytes may be left behind");
+    }
+
+    /// `Batch` frames with any mix of targets, framed with keepalives
+    /// between and delivered at arbitrary byte boundaries, decode to the
+    /// requests written, targets and all.
+    #[test]
+    fn targeted_batches_cross_the_framing_intact(
+        windows in proptest::collection::vec(
+            proptest::collection::vec((any::<bool>(), any::<u16>()), 1..17),
+            1..6,
+        ),
+        raw_cuts in proptest::collection::vec(any::<usize>(), 0..40),
+    ) {
+        let requests: Vec<Request> =
+            windows.iter().enumerate().map(|(w, t)| batch(16 * w as u64, t)).collect();
+        let mut bytes = Vec::new();
+        for request in &requests {
+            write_keepalive(&mut bytes).unwrap();
+            write_frame(&mut bytes, &encode_frame(request)).unwrap();
+        }
+        let mut asm = FrameAssembler::new();
+        let mut decoded = Vec::new();
+        for chunk in chunk_stream(&bytes, &raw_cuts) {
+            asm.extend(&chunk);
+            while let Some(e) = asm.next_event().unwrap() {
+                if let StreamEvent::Frame(frame) = e {
+                    decoded.push(decode_frame::<Request>(frame).unwrap());
+                }
+            }
+        }
+        prop_assert_eq!(decoded, requests);
+    }
+
+    /// Arbitrary bytes in place of a `Batch` frame's first target list —
+    /// behind a valid header, slot table and program — never panic: they
+    /// decode to a request that re-encodes to them, or fail typed.
+    #[test]
+    fn arbitrary_target_bytes_never_panic(
+        tail in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let valid = encode_frame(&batch(0, &[(true, 0)]));
+        // The header, the slots and the one program, less its target byte
+        // and the request's (empty) fragment list.
+        let head = &valid[..valid.len() - 1 - 4];
+        let frame: Vec<u8> = head.iter().chain(&tail).copied().collect();
+        if let Ok(request) = decode_frame::<Request>(frame.clone().into()) {
+            prop_assert_eq!(&encode_frame(&request)[..], &frame[..]);
+        }
     }
 
     /// A length prefix past the frame bound fails with the typed

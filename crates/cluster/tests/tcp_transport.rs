@@ -17,7 +17,9 @@ use disks_cluster::{
     Cluster, ClusterConfig, FaultPlan, HeartbeatConfig, HeartbeatConfigError, LinkDirection,
     TransportKind,
 };
-use disks_core::{build_all_indexes, CentralizedCoverage, IndexConfig, SgkQuery};
+use disks_core::{
+    build_all_indexes, CentralizedCoverage, FragmentEngine, IndexConfig, QueryPlan, SgkQuery,
+};
 use disks_partition::{MultilevelPartitioner, Partitioner, Partitioning};
 use disks_roadnet::generator::GridNetworkConfig;
 use disks_roadnet::zipf::Zipf;
@@ -42,6 +44,28 @@ fn zipf_stream(net: &RoadNetwork, seed: u64, n: usize) -> Vec<SgkQuery> {
             SgkQuery::new(kws, radii[rng.gen_range(0..radii.len())])
         })
         .collect()
+}
+
+/// The first `n` queries of a Zipf stream that target every fragment: the
+/// worker's own seed test finds each conjunct seeded on each, counted on
+/// engines built from the indexes the cluster serves. Each is sent to every
+/// machine, so a fault on a machine's nth frame fires on the nth query.
+fn stream_to_every_fragment(
+    net: &RoadNetwork,
+    p: &Partitioning,
+    seed: u64,
+    n: usize,
+) -> Vec<SgkQuery> {
+    let indexes = build_all_indexes(net, p, &IndexConfig::unbounded());
+    let engines: Vec<FragmentEngine> =
+        indexes.iter().map(|index| FragmentEngine::new(net, p, index).unwrap()).collect();
+    let every = |q: &SgkQuery| {
+        let plan = QueryPlan::lower(&q.to_dfunction());
+        engines.iter().all(|e| plan.can_answer(|s| e.seed_count(s.term, s.radius) > 0))
+    };
+    let stream: Vec<SgkQuery> = zipf_stream(net, seed, 20 * n).into_iter().filter(every).collect();
+    assert!(stream.len() >= n, "{} of {} queries target every fragment", stream.len(), 20 * n);
+    stream.into_iter().take(n).collect()
 }
 
 fn build_cluster(
@@ -110,7 +134,9 @@ fn tcp_cluster_matches_channel_cluster_bit_for_bit() {
 }
 
 /// A connection killed *mid-frame* (length prefix + half the payload, then
-/// shutdown) in both directions: the torn frame can never complete, both
+/// shutdown) in both directions — on machine 0's 2nd request and machine
+/// 1's 3rd answer, of a stream whose every query both machines are sent:
+/// the torn frame can never complete, both
 /// ends observe EOF, and the coordinator recovers through the existing
 /// typed stall → narrowed retry → respawn path with exact results for
 /// every query.
@@ -123,7 +149,7 @@ fn mid_frame_connection_cut_recovers_through_typed_retry_path() {
     let p = MultilevelPartitioner::default().partition(&net, 2);
     let config = ClusterConfig { faults: Some(plan), ..base_config() };
     let cluster = build_cluster(&net, &p, TransportKind::Tcp, config);
-    let stream = zipf_stream(&net, 0x7CF, 8);
+    let stream = stream_to_every_fragment(&net, &p, 0x7CF, 8);
     let mut oracle = CentralizedCoverage::new(&net);
 
     for (i, q) in stream.iter().enumerate() {

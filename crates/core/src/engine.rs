@@ -1251,6 +1251,106 @@ mod tests {
         }
     }
 
+    /// A D-function over a list fixture's network from drawn operands
+    /// `(operator, kind, pick, radius)`: ∪, ∩ (twice as likely) or −; a
+    /// keyword of the vocabulary, or — one kind in five — an object as the
+    /// location (the fixture's DL covers objects only); a radius anywhere
+    /// in `0..=max_r`, half the time below two edges, where seeds are scarce.
+    fn drawn_dfunction(
+        net: &RoadNetwork,
+        max_r: u64,
+        operands: &[(u8, u8, u64, u64)],
+    ) -> DFunction {
+        use crate::dfunc::SetOp;
+        let objects: Vec<NodeId> = net.node_ids().filter(|&n| net.is_object(n)).collect();
+        let term = |&(_, kind, pick, radius): &(u8, u8, u64, u64)| {
+            let term = if kind == 0 {
+                Term::Node(objects[pick as usize % objects.len()])
+            } else {
+                Term::Keyword(KeywordId((pick % net.vocab().len() as u64) as u32))
+            };
+            let r = match radius % 2 {
+                0 => radius / 2 % (2 * net.avg_edge_weight()),
+                _ => radius / 2 % (max_r + 1),
+            };
+            (term, r)
+        };
+        let (first, r) = term(&operands[0]);
+        operands[1..].iter().fold(DFunction::single(first, r), |f, operand| {
+            let op = match operand.0 % 4 {
+                0 => SetOp::Union,
+                1 => SetOp::Subtract,
+                _ => SetOp::Intersect,
+            };
+            let (t, r) = term(operand);
+            f.then(op, t, r)
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The coordinator's prune is the worker's own ∅ exit: on every
+        /// fragment of a list fixture, a random plan the seed floors prune
+        /// is answered ∅ with no slot fetched, and a plan answered ∅ with no
+        /// slot fetched is one they prune — or one with a seedless
+        /// `Term::Node` conjunct, which the coordinator never prunes. Each
+        /// plan runs on a fresh engine: no reach mask cuts it short before a
+        /// fetch.
+        #[test]
+        fn a_pruned_pair_is_one_the_worker_answers_empty_without_fetching(
+            unit in any::<bool>(),
+            operands in proptest::collection::vec(
+                (any::<u8>(), 0u8..5, any::<u64>(), any::<u64>()),
+                1..6,
+            ),
+        ) {
+            let (net, p, indexes) = list_fixture(unit);
+            let floors = crate::floors::SeedFloors::new(net, p, indexes);
+            let f = drawn_dfunction(net, indexes[0].max_r(), &operands);
+            let plan = QueryPlan::lower(&f);
+            for index in indexes {
+                let mut engine = FragmentEngine::new(net, p, index).unwrap();
+                let pruned = !floors.can_answer(&plan, index.fragment());
+                let node_seedless = !plan.can_answer(|s| {
+                    matches!(s.term, Term::Keyword(_)) || engine.seed_count(s.term, s.radius) > 0
+                });
+                let (answer, cost) = engine.evaluate_plan_with_cache(&plan, &mut NoCache).unwrap();
+                let empty_unfetched = answer.is_empty() && cost.per_slot.is_empty();
+                proptest::prop_assert!(!pruned || empty_unfetched, "{}: pruned on {:?}", plan, index.fragment());
+                proptest::prop_assert_eq!(
+                    empty_unfetched,
+                    pruned || node_seedless,
+                    "{} on {:?}", plan, index.fragment()
+                );
+            }
+        }
+
+        /// The answers of the fragments the seed floors leave a random
+        /// plan, unioned, are the oracle's answer (Lemma 1 over the targets
+        /// alone).
+        #[test]
+        fn the_targets_answers_union_to_the_oracles(
+            unit in any::<bool>(),
+            operands in proptest::collection::vec(
+                (any::<u8>(), 0u8..5, any::<u64>(), any::<u64>()),
+                1..6,
+            ),
+        ) {
+            let (net, p, indexes) = list_fixture(unit);
+            let floors = crate::floors::SeedFloors::new(net, p, indexes);
+            let f = drawn_dfunction(net, indexes[0].max_r(), &operands);
+            let plan = QueryPlan::lower(&f);
+            let mut union: Vec<NodeId> = Vec::new();
+            for index in indexes.iter().filter(|index| floors.can_answer(&plan, index.fragment())) {
+                let mut engine = FragmentEngine::new(net, p, index).unwrap();
+                union.extend(engine.evaluate_plan(&plan).unwrap().0);
+            }
+            union.sort_unstable();
+            proptest::prop_assert_eq!(union, CentralizedCoverage::new(net).evaluate(&f).unwrap(), "{}", plan);
+        }
+    }
+
     /// Top-k reads the lists plans read: the first `topk_local` on each
     /// fragment searches each keyword once, the second searches nothing,
     /// both merge to the oracle's ranking, and a plan over the same keywords

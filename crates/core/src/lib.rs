@@ -16,6 +16,8 @@
 //! * [`plan`] — normalized query plans: deduplicated `(term, radius)`
 //!   coverage slots plus a combine program over slot indexes, the unit the
 //!   coordinator admits/ships and the cluster layer caches.
+//! * [`floors`] — the coordinator's copy of Alg. 2's seed test, which
+//!   leaves out a (query, fragment) pair with a seedless conjunct.
 //! * [`engine`] — the per-fragment query engine of Algorithm 2: extended
 //!   fragment construction and per-term coverage Dijkstra, instrumented with
 //!   the Theorem 5 cost model.
@@ -37,6 +39,7 @@ pub mod dfunc;
 pub mod directed;
 pub mod engine;
 pub mod error;
+pub mod floors;
 pub mod index;
 pub mod plan;
 pub mod query;
@@ -52,11 +55,12 @@ pub use directed::{
 };
 pub use engine::{CoverageStore, FragmentEngine, KeywordList, NoCache, QueryCost, SlotCost};
 pub use error::{IndexError, QueryError};
+pub use floors::SeedFloors;
 pub use index::{
     build_all_indexes, build_index, build_index_with_threads, build_naive_index, DlScope,
     IndexConfig, IndexStats, NpdIndex,
 };
-pub use plan::{QueryPlan, SuperPlan};
+pub use plan::{QueryPlan, SuperPlan, Targets};
 pub use query::{QClassQuery, RangeKeywordQuery, SgkQuery};
 pub use runs::NodeRuns;
 pub use topk::{centralized_topk, merge_topk, Ranked, ScoreCombine, TopKQuery};

@@ -107,8 +107,31 @@ impl QueryPlan {
         }
     }
 
+    /// Whether the plan can answer anything on a fragment where
+    /// `seeded(slot)` says if the slot's search would start from a node:
+    /// `false` when a conjunct — a ∩ operand after the last `∪`, or the
+    /// first operand when there is no `∪` — has no seed, for its coverage
+    /// is then empty and so is everything intersected with it. The worker's
+    /// lazy driver and the coordinator's prune both ask this, so a pair the
+    /// coordinator leaves out is one the worker would have answered ∅
+    /// without fetching anything.
+    pub fn can_answer(&self, mut seeded: impl FnMut(&DTerm) -> bool) -> bool {
+        self.conjuncts().all(|slot| seeded(&self.slots[slot as usize]))
+    }
+
+    /// The conjuncts' slots in program order: the first operand when the
+    /// program has no `∪`, then the ∩ operands after its last `∪`.
+    fn conjuncts(&self) -> impl Iterator<Item = u32> + '_ {
+        let last_union = self.ops.iter().rposition(|&(op, _)| op == SetOp::Union);
+        let head = if last_union.is_none() { Some(self.first) } else { None };
+        let tail = &self.ops[last_union.map_or(0, |u| u + 1)..];
+        let pos = tail.iter().filter(|&&(op, _)| op == SetOp::Intersect).map(|&(_, slot)| slot);
+        head.into_iter().chain(pos)
+    }
+
     /// The order [`Self::evaluate_lazy`] takes the operands in, or `None`
-    /// when the result is empty before anything is fetched.
+    /// when the result is empty before anything is fetched: a conjunct has
+    /// no seed ([`Self::can_answer`]).
     ///
     /// The program is split at its last `∪`. Up to there the order is the
     /// program's. What follows is a left-associated run of ∩/−, which
@@ -118,30 +141,20 @@ impl QueryPlan {
     /// slot's search would start from; ties keep program order), then
     /// `neg`. A node conjunct comes last because its search is the one a
     /// bounded fetch can stop early, and the smaller the accumulator it is
-    /// handed the earlier it stops. A conjunct with no seed has an empty
-    /// coverage, and so has everything intersected with it: it goes first
-    /// whatever its term.
+    /// handed the earlier it stops.
     fn lazy_order(&self, seeds: impl Fn(&DTerm) -> usize) -> Option<LazyOrder> {
-        let last_union = self.ops.iter().rposition(|&(op, _)| op == SetOp::Union);
-        let (prefix, tail) = self.ops.split_at(last_union.map_or(0, |u| u + 1));
-        let of = |want: SetOp| tail.iter().filter(move |&&(op, _)| op == want).map(|&(_, s)| s);
-        let head = if last_union.is_none() { Some(self.first) } else { None };
-        let rank = |slot: &DTerm| {
-            let seeds = seeds(slot);
-            (seeds > 0 && matches!(slot.term, Term::Node(_)), seeds)
-        };
-        let mut pos: Vec<((bool, usize), u32)> = head
-            .into_iter()
-            .chain(of(SetOp::Intersect))
-            .map(|slot| (rank(&self.slots[slot as usize]), slot))
-            .collect();
-        pos.sort_by_key(|&(rank, _)| rank);
-        if pos.first().is_some_and(|&((_, seeds), _)| seeds == 0) {
+        if !self.can_answer(|slot| seeds(slot) > 0) {
             return None;
         }
+        let last_union = self.ops.iter().rposition(|&(op, _)| op == SetOp::Union);
+        let (prefix, tail) = self.ops.split_at(last_union.map_or(0, |u| u + 1));
+        let rank = |slot: &DTerm| (matches!(slot.term, Term::Node(_)), seeds(slot));
+        let mut pos: Vec<((bool, usize), u32)> =
+            self.conjuncts().map(|slot| (rank(&self.slots[slot as usize]), slot)).collect();
+        pos.sort_by_key(|&(rank, _)| rank);
         let first = if last_union.is_none() { pos.remove(0).1 } else { self.first };
         let pos = pos.into_iter().map(|(_, slot)| (SetOp::Intersect, slot));
-        let neg = of(SetOp::Subtract).map(|slot| (SetOp::Subtract, slot));
+        let neg = tail.iter().filter(|&&(op, _)| op == SetOp::Subtract).copied();
         let ops = prefix.iter().copied().chain(pos).chain(neg).collect();
         Some(LazyOrder { first, ops, prefix: prefix.len() })
     }
@@ -275,7 +288,8 @@ impl QueryPlan {
 /// the payload of a cross-query batched dispatch. Slot indices in each
 /// per-query program refer to the *shared* table, so a worker evaluates
 /// each distinct `(term, radius)` coverage once per batch and runs every
-/// program against the shared results.
+/// program against the shared results. Each program names the fragments it
+/// is evaluated on ([`Targets`]).
 ///
 /// Invariants (enforced by [`SuperPlan::merge`] and checked on decode):
 /// `slots` and `programs` are non-empty and every program index is
@@ -294,15 +308,135 @@ pub struct SuperPlan {
 struct Program {
     first: u32,
     ops: Vec<(SetOp, u32)>,
+    targets: Targets,
+}
+
+/// The fragments one program of a [`SuperPlan`] is evaluated on.
+///
+/// On the wire `Every` is one byte; `Only` is a second tag byte, a varint
+/// count and one varint a fragment, each the gap above the fragment before
+/// it (above −1 for the first), so the ids ascend by construction:
+///
+/// ```text
+/// targets := 0x00 | 0x01 varint(n) varint(gap){n}
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Targets {
+    /// Every fragment.
+    Every,
+    /// These fragments, strictly ascending; none when empty.
+    Only(Vec<u32>),
+}
+
+impl Targets {
+    /// Whether `fragment` is a target.
+    pub fn contains(&self, fragment: u32) -> bool {
+        match self {
+            Targets::Every => true,
+            Targets::Only(fragments) => fragments.binary_search(&fragment).is_ok(),
+        }
+    }
+
+    /// The targets of a per-fragment mask (`targeted[f]`): `Every` when it
+    /// holds every fragment.
+    pub fn of_mask(targeted: &[bool]) -> Targets {
+        if targeted.iter().all(|&t| t) {
+            return Targets::Every;
+        }
+        Targets::Only((0..targeted.len() as u32).filter(|&f| targeted[f as usize]).collect())
+    }
+}
+
+/// Longest varint of a target list: a gap is below 2³², 5 × 7 bits.
+const TARGET_VARINT_BYTES: usize = 5;
+
+fn put_varint(mut v: u64, buf: &mut impl BufMut) {
+    while v >= 0x80 {
+        buf.put_u8(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.put_u8(v as u8);
+}
+
+/// A varint of at most [`TARGET_VARINT_BYTES`] bytes.
+fn get_varint(buf: &mut impl Buf) -> Result<u64, DecodeError> {
+    let mut v = 0u64;
+    for i in 0..TARGET_VARINT_BYTES {
+        let b = u8::decode(buf)?;
+        v |= u64::from(b & 0x7f) << (7 * i);
+        if b & 0x80 == 0 {
+            return Ok(v);
+        }
+    }
+    Err(DecodeError::LengthOutOfRange { context: "target varint longer than 5 bytes", len: v })
+}
+
+impl Encode for Targets {
+    fn encode(&self, buf: &mut impl BufMut) {
+        match self {
+            Targets::Every => buf.put_u8(0),
+            Targets::Only(fragments) => {
+                buf.put_u8(1);
+                put_varint(fragments.len() as u64, buf);
+                let mut next = 0u64;
+                for &f in fragments {
+                    let f = u64::from(f);
+                    assert!(f >= next, "target fragments must be strictly ascending");
+                    put_varint(f - next, buf);
+                    next = f + 1;
+                }
+            }
+        }
+    }
+}
+impl Decode for Targets {
+    /// Refuses a count the remaining bytes cannot hold (a gap is at least
+    /// a byte) before reserving for it, and a fragment past `u32::MAX`.
+    fn decode(buf: &mut impl Buf) -> Result<Self, DecodeError> {
+        match u8::decode(buf)? {
+            0 => Ok(Targets::Every),
+            1 => {
+                let n = get_varint(buf)?;
+                if n > buf.remaining() as u64 {
+                    return Err(DecodeError::LengthOutOfRange { context: "target count", len: n });
+                }
+                let mut fragments = Vec::with_capacity(n as usize);
+                let mut next = 0u64;
+                for _ in 0..n {
+                    let f = next + get_varint(buf)?;
+                    if f > u64::from(u32::MAX) {
+                        return Err(DecodeError::LengthOutOfRange {
+                            context: "target fragment past u32::MAX",
+                            len: f,
+                        });
+                    }
+                    fragments.push(f as u32);
+                    next = f + 1;
+                }
+                Ok(Targets::Only(fragments))
+            }
+            tag => Err(DecodeError::BadTag { context: "Targets", tag }),
+        }
+    }
 }
 
 impl SuperPlan {
     /// Merge admitted plans into one super-plan, deduplicating slots across
-    /// queries and remapping each program onto the shared table.
+    /// queries and remapping each program onto the shared table. Every
+    /// program targets every fragment.
     ///
     /// # Panics
     /// Panics if `plans` is empty.
     pub fn merge(plans: &[QueryPlan]) -> Self {
+        Self::merge_targeted(plans, plans.iter().map(|_| Targets::Every))
+    }
+
+    /// [`Self::merge`], program `i` evaluated on the `i`-th of `targets`.
+    ///
+    /// # Panics
+    /// Panics if `plans` is empty or `targets` does not name one [`Targets`]
+    /// a plan.
+    pub fn merge_targeted(plans: &[QueryPlan], targets: impl IntoIterator<Item = Targets>) -> Self {
         assert!(!plans.is_empty(), "cannot merge an empty batch");
         let mut slots: Vec<DTerm> = Vec::new();
         let shared = |slots: &mut Vec<DTerm>, t: &DTerm| -> u32 {
@@ -314,16 +448,19 @@ impl SuperPlan {
                 }
             }
         };
-        let programs = plans
+        let programs: Vec<Program> = plans
             .iter()
-            .map(|p| {
+            .zip(targets)
+            .map(|(p, targets)| {
                 let map: Vec<u32> = p.slots.iter().map(|t| shared(&mut slots, t)).collect();
                 Program {
                     first: map[p.first as usize],
                     ops: p.ops.iter().map(|&(op, i)| (op, map[i as usize])).collect(),
+                    targets,
                 }
             })
             .collect();
+        assert_eq!(programs.len(), plans.len(), "one target set a plan required");
         SuperPlan { slots, programs }
     }
 
@@ -351,6 +488,11 @@ impl SuperPlan {
                 QueryPlan { slots, first, ops }
             })
             .collect()
+    }
+
+    /// Each program's targets, in batch order.
+    pub fn targets(&self) -> impl Iterator<Item = &Targets> {
+        self.programs.iter().map(|p| &p.targets)
     }
 
     /// Number of queries in the batch.
@@ -382,6 +524,7 @@ impl Encode for SuperPlan {
         for p in &self.programs {
             p.first.encode(buf);
             p.ops.encode(buf);
+            p.targets.encode(buf);
         }
     }
 }
@@ -408,7 +551,8 @@ impl Decode for SuperPlan {
                     });
                 }
             }
-            programs.push(Program { first, ops });
+            let targets = Targets::decode(buf)?;
+            programs.push(Program { first, ops, targets });
         }
         Ok(SuperPlan { slots, programs })
     }
@@ -747,12 +891,115 @@ mod tests {
 
     #[test]
     fn super_plan_codec_round_trip() {
-        use bytes::BytesMut;
-        let sp = SuperPlan::merge(&batch_of_plans());
-        let mut buf = BytesMut::new();
-        sp.encode(&mut buf);
-        let mut bytes = buf.freeze();
-        assert_eq!(SuperPlan::decode(&mut bytes).unwrap(), sp);
+        let plans = batch_of_plans();
+        let sp = SuperPlan::merge(&plans);
+        assert!(sp.targets().all(|t| *t == Targets::Every));
+        assert_eq!(decoded::<SuperPlan>(&bytes_of(&sp)), Ok(sp.clone()));
+        let targets = [Targets::Every, Targets::Only(vec![]), Targets::Only(vec![0, 2, 70_000])];
+        let targeted = SuperPlan::merge_targeted(&plans, targets.clone());
+        assert_eq!(targeted.targets().cloned().collect::<Vec<_>>(), targets);
+        assert_eq!(targeted.split(), plans, "targets leave the programs as they were");
+        assert_eq!(decoded::<SuperPlan>(&bytes_of(&targeted)), Ok(targeted.clone()));
+        // Every fragment is one byte a program, no fragment two, and a
+        // fragment one more byte per 7 bits of its gap.
+        let len = |t: [Targets; 3]| bytes_of(&SuperPlan::merge_targeted(&plans, t)).len();
+        let every = bytes_of(&sp).len();
+        assert_eq!(len(targets) - every, 1 + (1 + 1 + 1 + 3));
+    }
+
+    fn bytes_of(msg: &impl Encode) -> Vec<u8> {
+        let mut buf = bytes::BytesMut::new();
+        msg.encode(&mut buf);
+        buf.to_vec()
+    }
+
+    /// `bytes` decoded, every byte consumed.
+    fn decoded<T: Decode>(bytes: &[u8]) -> Result<T, DecodeError> {
+        let mut buf = bytes::Bytes::from(bytes.to_vec());
+        let msg = T::decode(&mut buf)?;
+        match buf.remaining() {
+            0 => Ok(msg),
+            n => Err(DecodeError::LengthOutOfRange { context: "trailing", len: n as u64 }),
+        }
+    }
+
+    #[test]
+    fn targets_layout_byte_by_byte() {
+        let only = |f: &[u32]| Targets::Only(f.to_vec());
+        let layouts: [(Targets, &[u8]); 6] = [
+            (Targets::Every, &[0]),
+            (only(&[]), &[1, 0]),
+            (only(&[3]), &[1, 1, 3]),
+            // 0, then 1 (gap 0 above 0), then 7 (gap 5 above 1).
+            (only(&[0, 1, 7]), &[1, 3, 0, 0, 5]),
+            (only(&[200]), &[1, 1, 0xc8, 0x01]),
+            (only(&[u32::MAX]), &[1, 1, 0xff, 0xff, 0xff, 0xff, 0x0f]),
+        ];
+        for (targets, bytes) in layouts {
+            assert_eq!(bytes_of(&targets), bytes, "{targets:?}");
+            assert_eq!(decoded::<Targets>(bytes), Ok(targets));
+        }
+        assert!(only(&[0, 2]).contains(2) && !only(&[0, 2]).contains(1));
+        assert!(Targets::Every.contains(9) && !only(&[]).contains(0));
+        assert_eq!(Targets::of_mask(&[true, true]), Targets::Every);
+        assert_eq!(Targets::of_mask(&[false, true, false]), only(&[1]));
+        assert_eq!(Targets::of_mask(&[false]), only(&[]));
+    }
+
+    #[test]
+    fn targets_decoder_refuses_what_it_cannot_trust() {
+        let refused = |bytes: &[u8]| match decoded::<Targets>(bytes) {
+            Err(DecodeError::LengthOutOfRange { context, .. }) => context,
+            other => panic!("{bytes:?}: expected a typed length error, got {other:?}"),
+        };
+        // More fragments than bytes behind the count: refused before any
+        // reservation, whatever the count claims.
+        assert_eq!(refused(&[1, 2, 0]), "target count");
+        assert_eq!(refused(&[1, 0xff, 0xff, 0xff, 0xff, 0x0f]), "target count");
+        // A fragment above u32::MAX, directly or as the sum of two gaps.
+        assert_eq!(refused(&[1, 1, 0x80, 0x80, 0x80, 0x80, 0x10]), "target fragment past u32::MAX");
+        assert_eq!(
+            refused(&[1, 2, 0xff, 0xff, 0xff, 0xff, 0x0f, 0]),
+            "target fragment past u32::MAX"
+        );
+        // A varint that does not end within 5 bytes.
+        assert_eq!(
+            refused(&[1, 0x80, 0x80, 0x80, 0x80, 0x80, 0]),
+            "target varint longer than 5 bytes"
+        );
+        assert_eq!(refused(&[1, 1]), "target count");
+        assert!(matches!(
+            decoded::<Targets>(&[1, 1, 0x80]),
+            Err(DecodeError::UnexpectedEof { .. })
+        ));
+        assert!(matches!(decoded::<Targets>(&[]), Err(DecodeError::UnexpectedEof { .. })));
+        assert_eq!(
+            decoded::<Targets>(&[2]),
+            Err(DecodeError::BadTag { context: "Targets", tag: 2 })
+        );
+    }
+
+    #[test]
+    fn can_answer_asks_only_the_conjuncts() {
+        use SetOp::{Intersect, Subtract, Union};
+        // Which of the five slots each plan's answer needs seeded.
+        let needs = |plan: &QueryPlan| -> Vec<u32> {
+            (0..plan.num_slots() as u32)
+                .filter(|&seedless| {
+                    !plan.can_answer(|t| {
+                        plan.slots().iter().position(|s| s == t) != Some(seedless as usize)
+                    })
+                })
+                .collect()
+        };
+        // No ∪: the first operand and every ∩ operand, not the subtrahend.
+        assert_eq!(needs(&chain(&[Intersect, Subtract, Intersect])), vec![0, 1, 3]);
+        assert_eq!(needs(&chain(&[Subtract])), vec![0]);
+        // Only the ∩ operands after the last ∪.
+        assert_eq!(needs(&chain(&[Intersect, Union, Intersect, Subtract])), vec![3]);
+        assert_eq!(needs(&chain(&[Intersect, Union])), Vec::<u32>::new());
+        // Every slot seeded: the answer may be anything.
+        assert!(chain(&[Intersect]).can_answer(|_| true));
     }
 
     #[test]
@@ -760,7 +1007,7 @@ mod tests {
         use bytes::BytesMut;
         let sp = SuperPlan {
             slots: vec![DTerm { term: Term::Keyword(KeywordId(0)), radius: 1 }],
-            programs: vec![Program { first: 9, ops: Vec::new() }],
+            programs: vec![Program { first: 9, ops: Vec::new(), targets: Targets::Every }],
         };
         let mut buf = BytesMut::new();
         sp.encode(&mut buf);

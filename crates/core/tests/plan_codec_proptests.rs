@@ -2,7 +2,8 @@
 //! `Evaluate`, [`SuperPlan`] in `Batch`):
 //!
 //! 1. encode → decode is the identity and consumes the frame fully, and a
-//!    decoded super-plan splits back into the plans it was merged from;
+//!    decoded super-plan splits back into the plans it was merged from,
+//!    each program with the targets it was merged with;
 //! 2. arbitrary bytes, and valid encodings with one bit flipped, never make
 //!    a decoder panic, and whatever does decode upholds the invariants the
 //!    workers rely on — at least one slot (and one program), every program
@@ -16,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use disks_core::bitset::BitSet;
-use disks_core::{DFunction, QueryPlan, SetOp, SuperPlan, Term};
+use disks_core::{DFunction, QueryPlan, SetOp, SuperPlan, Targets, Term};
 use disks_roadnet::codec::{Decode, Encode};
 use disks_roadnet::{KeywordId, NodeId};
 
@@ -40,6 +41,26 @@ fn random_plans(seed: u64, n: usize) -> Vec<QueryPlan> {
                 f = f.then(op, term(&mut rng), 1 + rng.gen_range(0..4) as u64);
             }
             QueryPlan::lower(&f)
+        })
+        .collect()
+}
+
+/// Seeded random targets, one a plan: every fragment, none, or an
+/// ascending subset of fragment ids up to 70 000 (gaps of one to three
+/// varint bytes).
+fn random_targets(seed: u64, n: usize) -> Vec<Targets> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x7A6E);
+    (0..n)
+        .map(|_| match rng.gen_range(0..4) {
+            0 => Targets::Every,
+            1 => Targets::Only(Vec::new()),
+            _ => {
+                let mut fragments: Vec<u32> =
+                    (0..rng.gen_range(1..6)).map(|_| rng.gen_range(0..70_000)).collect();
+                fragments.sort_unstable();
+                fragments.dedup();
+                Targets::Only(fragments)
+            }
         })
         .collect()
 }
@@ -69,6 +90,7 @@ fn decode_and_check(bytes: &[u8]) -> Result<(), TestCaseError> {
     let mut rest = bytes;
     if let Ok(sp) = SuperPlan::decode(&mut rest) {
         prop_assert!(sp.num_slots() >= 1 && sp.num_queries() >= 1);
+        prop_assert_eq!(sp.targets().count(), sp.num_queries());
         let plans = sp.split();
         prop_assert_eq!(plans.len(), sp.num_queries());
         plans.iter().for_each(run_program);
@@ -89,13 +111,17 @@ proptest! {
             prop_assert_eq!(&QueryPlan::decode(&mut rest).unwrap(), plan);
             prop_assert!(!rest.has_remaining());
         }
-        let sp = SuperPlan::merge(&plans);
-        let bytes = encoded(&sp);
-        let mut rest = &bytes[..];
-        let decoded = SuperPlan::decode(&mut rest).unwrap();
-        prop_assert!(!rest.has_remaining());
-        prop_assert_eq!(&decoded, &sp);
-        prop_assert_eq!(decoded.split(), plans);
+        let targets = random_targets(seed, n);
+        for sp in [SuperPlan::merge(&plans), SuperPlan::merge_targeted(&plans, targets.clone())] {
+            let bytes = encoded(&sp);
+            let mut rest = &bytes[..];
+            let decoded = SuperPlan::decode(&mut rest).unwrap();
+            prop_assert!(!rest.has_remaining());
+            prop_assert_eq!(&decoded, &sp);
+            prop_assert_eq!(decoded.split(), plans.clone());
+        }
+        let sp = SuperPlan::merge_targeted(&plans, targets.clone());
+        prop_assert_eq!(sp.targets().cloned().collect::<Vec<_>>(), targets);
     }
 
     #[test]
@@ -110,7 +136,8 @@ proptest! {
         seed in 0u64..10_000, n in 1usize..6, at in any::<usize>(), bit in 0u8..8
     ) {
         let plans = random_plans(seed, n);
-        for mut bytes in [encoded(&plans[0]), encoded(&SuperPlan::merge(&plans))] {
+        let targeted = SuperPlan::merge_targeted(&plans, random_targets(seed, n));
+        for mut bytes in [encoded(&plans[0]), encoded(&SuperPlan::merge(&plans)), encoded(&targeted)] {
             let at = at % bytes.len();
             bytes[at] ^= 1 << bit;
             decode_and_check(&bytes)?;

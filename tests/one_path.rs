@@ -25,6 +25,11 @@
 //! settle fewer nodes than plain searches from the locations would, and a
 //! small coverage cache holds no location's partial search, so evicts
 //! nothing.
+//! A seventh asks a cold SGKQ stream and an RKQ stream of a bounded index:
+//! each query is answered by exactly the fragments where none of its
+//! conjuncts is seedless — counted on the workers' own engines — a query
+//! with no such fragment puts nothing on the wire, and an eighth kills a
+//! worker mid stream: only targeted pairs are retried, or degraded.
 
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -33,7 +38,7 @@ use disks::baseline::centralized::CentralizedEngine;
 use disks::cluster::transport::TransportKind;
 use disks::cluster::{Cluster, ClusterConfig, FaultPlan, HeartbeatConfig};
 use disks::core::{
-    build_all_indexes, DFunction, FragmentEngine, IndexConfig, QClassQuery, QueryPlan,
+    build_all_indexes, DFunction, FragmentEngine, IndexConfig, NpdIndex, QClassQuery, QueryPlan,
     RangeKeywordQuery, SetOp, SgkQuery, Term,
 };
 use disks::partition::{MultilevelPartitioner, Partitioner};
@@ -429,4 +434,171 @@ fn a_knob_this_build_does_not_have_is_refused_by_name() {
         refused(&bad_value, None, &format!("{}: expected", bad_value.join(" ")));
         refused(&["--cache", "2MiB"], None, "--cache 2MiB: expected a byte count");
     }
+}
+
+/// A cold SGKQ stream — five keywords drawn uniformly from the vocabulary,
+/// a radius in `[maxR/2, maxR]` — then an RKQ stream from object locations,
+/// each with one keyword drawn the same way, over `small`'s bounded
+/// indexes.
+fn cold_and_rkq_streams(net: &RoadNetwork, max_r: u64) -> [Vec<DFunction>; 2] {
+    let vocab = net.vocab().len() as u32;
+    let objects: Vec<NodeId> = net.node_ids().filter(|&n| net.is_object(n)).collect();
+    let mut rng = StdRng::seed_from_u64(0xC01D);
+    let cold = (0..96)
+        .map(|_| {
+            let kws = (0..5).map(|_| KeywordId(rng.gen_range(0..vocab))).collect();
+            SgkQuery::new(kws, rng.gen_range(max_r / 2..=max_r)).to_dfunction()
+        })
+        .collect();
+    let rkq = (0..48)
+        .map(|_| {
+            let l = objects[rng.gen_range(0..objects.len())];
+            let kw = KeywordId(rng.gen_range(0..vocab));
+            RangeKeywordQuery::new(l, vec![kw], rng.gen_range(max_r / 2..=max_r)).to_dfunction()
+        })
+        .collect();
+    [cold, rkq]
+}
+
+/// The fragments each query targets, ascending: those where every keyword
+/// conjunct of its plan has a seed, by the engines' own `seed_count` on
+/// engines built from `indexes` — counted without the coordinator. A
+/// `Term::Node` conjunct is never pruned, so it counts as seeded.
+fn seeded_fragments(
+    net: &RoadNetwork,
+    p: &disks::partition::Partitioning,
+    indexes: &[NpdIndex],
+    fs: &[DFunction],
+) -> Vec<Vec<u32>> {
+    let engines: Vec<FragmentEngine> =
+        indexes.iter().map(|index| FragmentEngine::new(net, p, index).unwrap()).collect();
+    fs.iter()
+        .map(|f| {
+            let plan = QueryPlan::lower(f);
+            (0..engines.len() as u32)
+                .filter(|&i| {
+                    let e = &engines[i as usize];
+                    plan.can_answer(|s| {
+                        matches!(s.term, Term::Node(_)) || e.seed_count(s.term, s.radius) > 0
+                    })
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The fragments a query's answers came from, ascending.
+fn answered(o: &disks::cluster::QueryOutcome) -> Vec<u32> {
+    let mut fragments: Vec<u32> =
+        o.stats.per_machine.iter().flat_map(|m| m.fragments.iter().copied()).collect();
+    fragments.sort_unstable();
+    fragments
+}
+
+/// A query is asked only of the fragments that can answer it. Under all
+/// four configurations a cold SGKQ stream and an RKQ stream are answered as
+/// the oracle answers them, each query by exactly the fragments where none
+/// of its keyword conjuncts is seedless — fewer pairs than queries ×
+/// fragments — and
+/// a query no fragment can answer is answered ∅ with no byte on the wire.
+#[test]
+fn a_query_is_asked_only_of_the_fragments_that_can_answer_it() {
+    let net = GridNetworkConfig::small(0x0E1A).generate();
+    let p = MultilevelPartitioner::default().partition(&net, FRAGMENTS);
+    let max_r = 12 * net.avg_edge_weight();
+    let streams = cold_and_rkq_streams(&net, max_r);
+    let indexes = build_all_indexes(&net, &p, &IndexConfig::with_max_r(max_r));
+    let seeded: Vec<Vec<Vec<u32>>> =
+        streams.iter().map(|fs| seeded_fragments(&net, &p, &indexes, fs)).collect();
+    let mut oracle = CentralizedEngine::new(&net);
+    let expected: Vec<Vec<Vec<NodeId>>> =
+        streams.iter().map(|fs| fs.iter().map(|f| oracle.run(f).unwrap().0).collect()).collect();
+    for (fs, seeded) in streams.iter().zip(&seeded) {
+        let pairs: usize = seeded.iter().map(Vec::len).sum();
+        assert!(pairs > 0 && pairs < fs.len() * FRAGMENTS, "{pairs} pairs of {}", fs.len());
+    }
+    let nowhere = (streams[0].iter().zip(&seeded[0]))
+        .find_map(|(f, seeded)| seeded.is_empty().then_some(f))
+        .expect("a cold query no fragment can answer");
+    for (name, config) in configs() {
+        let indexes = build_all_indexes(&net, &p, &IndexConfig::with_max_r(max_r));
+        let cluster = Cluster::build(&net, &p, indexes, config);
+        for (s, fs) in streams.iter().enumerate() {
+            let (items, _) = cluster.run_stream(fs);
+            for (i, item) in items.into_iter().enumerate() {
+                let o = item.unwrap_or_else(|e| panic!("{name}: stream {s} query {i}: {e}"));
+                assert_eq!(o.results, expected[s][i], "{name}: stream {s} query {i} vs oracle");
+                assert_eq!(answered(&o), seeded[s][i], "{name}: stream {s} query {i}");
+            }
+        }
+        let before = cluster.link_totals();
+        let o = cluster.run(nowhere).unwrap_or_else(|e| panic!("{name}: {nowhere}: {e}"));
+        assert!(o.results.is_empty() && answered(&o).is_empty(), "{name}: {nowhere}");
+        assert_eq!(cluster.link_totals(), before, "{name}: {nowhere} put bytes on the wire");
+        assert_ledger_closes(&cluster, name);
+        cluster.shutdown();
+    }
+}
+
+/// A worker killed mid cold stream is retried, or given up on, for the
+/// pairs it was sent alone. Machine 0 (fragments 0 and 2) dies on its
+/// second window. With retries every answer is the oracle's from exactly
+/// the fragments that can answer it, and a query none of whose targets
+/// machine 0 hosts is never retried; with one attempt and partial answers,
+/// every degraded fragment is a target on machine 0 and the answered and
+/// degraded fragments are exactly the targets.
+#[test]
+fn a_killed_worker_is_retried_only_for_its_targets() {
+    let net = GridNetworkConfig::small(0x0E1A).generate();
+    let p = MultilevelPartitioner::default().partition(&net, FRAGMENTS);
+    let max_r = 12 * net.avg_edge_weight();
+    let [cold, _] = cold_and_rkq_streams(&net, max_r);
+    let indexes = build_all_indexes(&net, &p, &IndexConfig::with_max_r(max_r));
+    let seeded = seeded_fragments(&net, &p, &indexes, &cold);
+    // Four fragments round-robin over the two machines.
+    let on_machine_zero = |f: &u32| f.is_multiple_of(2);
+    let mut oracle = CentralizedEngine::new(&net);
+    let kill = || Some(FaultPlan::new(0x0E1A).kill_worker(0, 2));
+
+    let retried = ClusterConfig { faults: kill(), ..shipped() };
+    let cluster = Cluster::build(&net, &p, indexes, retried);
+    let (items, _) = cluster.run_stream(&cold);
+    for (i, (f, item)) in cold.iter().zip(items).enumerate() {
+        let o = item.unwrap_or_else(|e| panic!("query {i}: {e}"));
+        assert_eq!(o.results, oracle.run(f).unwrap().0, "query {i} vs oracle");
+        assert_eq!(answered(&o), seeded[i], "query {i}");
+        if !seeded[i].iter().any(on_machine_zero) {
+            assert_eq!(o.stats.retries, 0, "query {i} retried with no target on machine 0");
+        }
+    }
+    let recovery = cluster.recovery_counters();
+    assert!(recovery.respawned_workers >= 1 && recovery.retries >= 1, "{recovery:?}");
+    assert_eq!(recovery.duplicate_responses, 0, "{recovery:?}");
+    assert_ledger_closes(&cluster, "retried");
+    cluster.shutdown();
+
+    let partial = ClusterConfig {
+        faults: kill(),
+        allow_partial: true,
+        max_attempts: 1,
+        deadline: Duration::from_millis(200),
+        ..shipped()
+    };
+    let indexes = build_all_indexes(&net, &p, &IndexConfig::with_max_r(max_r));
+    let cluster = Cluster::build(&net, &p, indexes, partial);
+    let (items, _) = cluster.run_stream(&cold);
+    let mut degraded = 0;
+    for (i, item) in items.into_iter().enumerate() {
+        let o = item.unwrap_or_else(|e| panic!("query {i}: {e}"));
+        let lost = &o.stats.degraded_fragments;
+        assert!(lost.iter().all(on_machine_zero), "query {i}: degraded {lost:?}");
+        let mut asked: Vec<u32> = answered(&o).into_iter().chain(lost.iter().copied()).collect();
+        asked.sort_unstable();
+        assert_eq!(asked, seeded[i], "query {i}: answered and degraded");
+        degraded += lost.len();
+    }
+    assert!(degraded > 0, "the kill must have cost some target its answer");
+    assert_eq!(cluster.recovery_counters().retries, 0);
+    assert_ledger_closes(&cluster, "partial");
+    cluster.shutdown();
 }
