@@ -14,20 +14,25 @@
 //! prefix scattered into a fresh bitset and once as the bounded search it
 //! replaces. Both print **ns per covered node** (the search's unit is then
 //! `core.engine.ns_per_settled`: a bounded search settles exactly what it
-//! covers).
+//! covers), and the lists' memory beside their floors'.
 //!
 //! `rkq_bounded` prices the bounded fetch of a location's slot on the same
 //! fragment: benchmark-shaped RKQs (an object location, one keyword of its
 //! own, `r` in `[maxR/2, maxR]`) whose plan searches the location there,
 //! once as a whole plan evaluation with the keyword lists warm (the
-//! keyword's cut, then the search from the location that stops once the
-//! cut's nodes have settled) and once as the plain `R(l, r)` search the
-//! evaluation used to start with. Both print settled nodes and ns a query,
-//! and the settled nodes again split between the searches that find an
-//! answer on the fragment and those that find none.
+//! keyword's cut, then the search from the location that pushes no node
+//! the keyword's floor puts out of reach and stops once the cut's nodes
+//! have settled) and once as the plain `R(l, r)` search the evaluation used
+//! to start with. Both print settled nodes and ns a query, for all of them
+//! and split between the searches that find an answer on the fragment and
+//! those that find none, beside how many searches settle nothing. It
+//! asserts every answer is `R(l, r) ∩ R(kw, 0)` by the plain searches and
+//! no search settles more than the plain one, so `cargo test --bench
+//! bitset_kernels` checks both.
 //!
 //! Run with: `cargo bench -p disks-core --bench bitset_kernels`
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -144,15 +149,20 @@ fn bench_list_cut(_: &mut Criterion) {
         .iter()
         .map(|&t| {
             let (table, _) = engine.distance_table(t, max_r).expect("admissible");
-            KeywordList::new(table.into_iter().map(|(node, d)| (d as u32, node)).collect(), n)
+            let settled = table.into_iter().map(|(node, d)| (d as u32, node)).collect();
+            KeywordList::new(settled, n, max_r)
         })
         .collect();
     let listed: usize = lists.iter().map(|l| l.cut_into(max_r, &mut BitSet::new(n))).sum();
+    let list_bytes = lists.iter().map(KeywordList::memory_bytes).sum::<usize>();
+    let floor_bytes = lists.iter().map(|l| l.floors().memory_bytes()).sum::<usize>();
     println!(
-        "list_cut: {n} nodes, {} seeded keywords, {:.0} listed/keyword, {} KiB of lists",
+        "list_cut: {n} nodes, {} seeded keywords, {:.0} listed/keyword, \
+         {} KiB of lists and masks beside {} KiB of floors",
         seeded.len(),
         listed as f64 / seeded.len() as f64,
-        lists.iter().map(KeywordList::memory_bytes).sum::<usize>() >> 10
+        list_bytes >> 10,
+        floor_bytes >> 10
     );
     let median = |pass: &mut dyn FnMut() -> usize| {
         let covered = pass(); // warm-up; the count repeats exactly
@@ -204,53 +214,68 @@ fn bench_rkq_bounded(_: &mut Criterion) {
             cost.per_slot.iter().any(|slot| slot.term == Term::Node(q.location))
         })
         .collect();
-    let median = |pass: &mut dyn FnMut() -> usize| {
-        let settled = pass(); // warm-up; the count repeats exactly
-        let mut samples: Vec<f64> = (0..15)
-            .map(|_| {
-                let start = Instant::now();
-                assert_eq!(black_box(pass()), settled);
-                start.elapsed().as_nanos() as f64 / searched.len().max(1) as f64
-            })
-            .collect();
-        samples.sort_unstable_by(f64::total_cmp);
-        (samples[samples.len() / 2], settled as f64 / searched.len().max(1) as f64)
-    };
-    let (bounded_ns, bounded) = median(&mut || {
-        let evaluate = |(plan, _): &(QueryPlan, _)| engine.evaluate_plan(plan).expect("ok").1;
-        searched.iter().map(evaluate).map(|cost| cost.settled).sum()
-    });
-    let (plain_ns, plain) = median(&mut || {
-        let search = |(_, q): &(_, RangeKeywordQuery)| {
-            engine.coverage(Term::Node(q.location), q.radius).expect("admissible").1
+    // Every answer is `R(l, r) ∩ R(kw, 0)` from the plain searches, and no
+    // location's search settles more than the plain one; split the RKQs by
+    // whether the fragment answers them, and count the searches the floor
+    // refuses before a settle.
+    let (mut found, mut none, mut zero) = (Vec::new(), Vec::new(), 0);
+    for pair in &searched {
+        let (plan, q) = pair;
+        let (local, cost) = engine.evaluate_plan(plan).expect("admissible");
+        let location = Term::Node(q.location);
+        let (mut expect, full) = engine.coverage(location, q.radius).expect("admissible");
+        let (bearers, _) = engine.coverage(Term::Keyword(q.keywords[0]), 0).expect("admissible");
+        Arc::make_mut(&mut expect).intersect_with(&bearers);
+        assert_eq!(local, engine.to_global(&expect).to_vec(), "{}", plan);
+        let node = cost.per_slot.iter().find(|slot| slot.term == location).expect("searched");
+        assert!(node.settled <= full.settled, "{}: {node:?} vs {full:?}", plan);
+        zero += usize::from(node.settled == 0);
+        if local.is_empty() { &mut none } else { &mut found }.push(pair);
+    }
+    let fragment_nodes = engine.num_local_nodes();
+    let mut per_query = |set: &[&(QueryPlan, RangeKeywordQuery)]| {
+        let queries = set.len().max(1) as f64;
+        let median = |pass: &mut dyn FnMut() -> usize| {
+            let settled = pass(); // warm-up; the count repeats exactly
+            let mut samples: Vec<f64> = (0..15)
+                .map(|_| {
+                    let start = Instant::now();
+                    assert_eq!(black_box(pass()), settled);
+                    start.elapsed().as_nanos() as f64 / queries
+                })
+                .collect();
+            samples.sort_unstable_by(f64::total_cmp);
+            (samples[samples.len() / 2], settled as f64 / queries)
         };
-        searched.iter().map(search).map(|cost| cost.settled).sum()
-    });
+        let bounded = median(&mut || {
+            let evaluate = |(plan, _): &&(QueryPlan, _)| engine.evaluate_plan(plan).expect("ok").1;
+            set.iter().map(evaluate).map(|cost| cost.settled).sum()
+        });
+        let plain = median(&mut || {
+            let search = |(_, q): &&(_, RangeKeywordQuery)| {
+                engine.coverage(Term::Node(q.location), q.radius).expect("admissible").1
+            };
+            set.iter().map(search).map(|cost| cost.settled).sum()
+        });
+        (bounded, plain)
+    };
+    let all: Vec<_> = searched.iter().collect();
+    let ((bounded_ns, bounded), (plain_ns, plain)) = per_query(&all);
     println!(
         "rkq_bounded: {} of {QUERIES} RKQs search their location on a {}-node fragment: \
-         {bounded:.0} settled/query bounded vs {plain:.0} plain, \
-         median {bounded_ns:.0} ns/query vs {plain_ns:.0}",
+         {bounded:.0} settled/query bounded and floored vs {plain:.0} plain, \
+         median {bounded_ns:.0} ns/query vs {plain_ns:.0}; {zero} settle 0",
         searched.len(),
-        engine.num_local_nodes()
+        fragment_nodes
     );
     // A search stops early only where the fragment holds an answer; one that
-    // finds none runs to `r` like the plain search.
-    for (found, what) in [(true, "find an answer"), (false, "find none")] {
-        let (mut queries, mut bounded, mut plain) = (0, 0, 0);
-        for (plan, q) in &searched {
-            let (local, cost) = engine.evaluate_plan(plan).expect("admissible");
-            if local.is_empty() != found {
-                queries += 1;
-                bounded += cost.settled;
-                let (_, full) = engine.coverage(Term::Node(q.location), q.radius).expect("ok");
-                plain += full.settled;
-            }
-        }
-        let per_query = |settled: usize| settled as f64 / f64::from(queries.max(1));
+    // finds none runs out where the floor refuses every push.
+    for (set, what) in [(&found, "find an answer"), (&none, "find none")] {
+        let ((bounded_ns, bounded), (plain_ns, plain)) = per_query(set);
         println!(
-            "rkq_bounded: {queries} that {what}: {:.0} settled/query bounded vs {:.0} plain",
-            per_query(bounded),
-            per_query(plain)
+            "rkq_bounded: {} that {what}: {bounded:.0} settled/query bounded and floored \
+             vs {plain:.0} plain, median {bounded_ns:.0} ns/query vs {plain_ns:.0}",
+            set.len()
         );
     }
 }

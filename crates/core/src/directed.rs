@@ -209,6 +209,7 @@ pub fn directed_sgkq_centralized(
 mod tests {
     use super::*;
     use crate::coverage::CentralizedCoverage;
+    use crate::dfunc::Term;
     use crate::index::build_index;
     use crate::query::{RangeKeywordQuery, SgkQuery};
     use disks_partition::{MultilevelPartitioner, Partitioner};
@@ -373,6 +374,45 @@ mod tests {
         let sgkq = |r| directed_sgkq_distributed(&net, &partition, &indexes, &[x], r);
         assert_eq!(sgkq(5), Err(QueryError::RadiusExceedsMaxR { r: 5, max_r: 4 }));
         assert_eq!(sgkq(4), Ok(vec![NodeId(0), NodeId(1)]));
+    }
+
+    /// A directed keyword list holds `d(ω → v)`, no lower bound on how far
+    /// `v` is from `ω`'s bearers, so a directed engine's location search
+    /// takes no floor from it. One fragment `u ← l → v → a`, `u → w`, unit
+    /// arcs, `a` the one bearer of `x` and without out-arcs: `x`'s list is
+    /// `a` alone, and a floor read off it would refuse every push from `l`.
+    /// The RKQ `R(l, 3) ∩ R(x, 0)` is the oracle's `{a}`, and since `a` is
+    /// the farthest node within 3 the search settles what the plain search
+    /// does.
+    #[test]
+    fn a_directed_location_search_takes_no_floor_from_a_keyword_list() {
+        let mut b = DirectedRoadNetworkBuilder::new();
+        let [l, u, v, w] = [0.0, 1.0, 2.0, 3.0].map(|at| b.add_node(at, 0.0, &["o"]));
+        let a = b.add_node(4.0, 0.0, &["x"]);
+        for (from, to) in [(l, u), (u, w), (l, v), (v, a)] {
+            b.add_arc(from, to, 1).unwrap();
+        }
+        let net = b.build().unwrap();
+        let partition = DirectedPartition::from_assignment(&net, vec![0; 5], 1);
+        let index = build_directed_index(&net, &partition, 0, 5);
+        let mut engine = FragmentEngine::from_directed(&net, &partition, &index).unwrap();
+        let x = net.vocab().get("x").unwrap();
+        let f = RangeKeywordQuery::new(l, vec![x], 3).to_dfunction();
+
+        let mut ws = DijkstraWorkspace::new(net.num_nodes());
+        let mut expect = Vec::new();
+        ws.run(&net.forward(), [(l.0, 0)], 3, |n, _| {
+            expect.extend(net.nodes_with_keyword(x).iter().filter(|b| b.0 == n));
+            Control::Continue
+        });
+        assert_eq!(expect, [a]);
+        for _ in 0..2 {
+            let (got, cost) = engine.evaluate(&f).unwrap();
+            assert_eq!(got, expect);
+            let node = cost.per_slot.iter().find(|s| s.term == Term::Node(l)).unwrap();
+            let (_, plain) = engine.coverage(Term::Node(l), 3).unwrap();
+            assert_eq!((node.settled, plain.settled), (5, 5), "{node:?}");
+        }
     }
 
     /// `net` with both arcs for each edge, node ids and keyword ids kept

@@ -8,7 +8,9 @@
 //! * on a bounded index, per keyword searched so far, a [`KeywordList`]: the
 //!   local nodes within `maxR` of it sorted by distance (8 B a node), beside
 //!   their set, the *reach mask* `R(ω, maxR) ∩ P` — a ceiling on every later
-//!   coverage of the keyword.
+//!   coverage of the keyword — and, once a location's search has steered
+//!   by it, a floor byte a fragment node, a lower bound on each node's
+//!   distance to the keyword.
 //!
 //! A keyword's first search on a bounded index runs to `maxR` and builds its
 //! list; every later coverage of the keyword, at any `r ≤ maxR`, by a plan or
@@ -19,6 +21,10 @@
 //! searched after the plan's keywords and only as far as the answer needs:
 //! it reports the nodes of the accumulator it meets and stops once all of
 //! them have settled (the bounded fetch of [`QueryPlan::evaluate_lazy`]).
+//! On an undirected engine it also goes only toward the answer: the
+//! accumulator lies within the keyword conjuncts already intersected, so
+//! their floors bound how far each node is from it, and the search pushes
+//! no node that cannot reach it within `r`.
 //!
 //! The paper's "virtual node `Vᵢ` connected by directed 0-weight edges" is
 //! realized as multi-source Dijkstra seeding, which is the same computation
@@ -52,7 +58,7 @@ use crate::dfunc::{DFunction, DTerm, Term};
 use crate::directed::{DirectedNpdIndex, DirectedPartition};
 use crate::error::{IndexError, QueryError};
 use crate::index::{DlScope, NpdIndex};
-use crate::plan::QueryPlan;
+use crate::plan::{QueryPlan, Within};
 use crate::runs::NodeRuns;
 
 /// Local sentinel for "not reached this term" in the top-k scorer.
@@ -181,6 +187,10 @@ pub struct FragmentEngine {
     dl_node_entries: HashMap<u32, Vec<(u32, u64)>>,
     /// |SC(P)| — β of Theorem 5.
     sc_size: usize,
+    /// Whether every arc has its reverse. Only then is a keyword list's
+    /// `d(ω → v)` also `d(v → ω)`, the lower bound a location's search
+    /// steers by ([`TowardKeywords`]).
+    undirected: bool,
     ws: DijkstraWorkspace,
 }
 
@@ -205,24 +215,74 @@ struct KeywordEntry {
 /// distance, and their set: what a [`FragmentEngine`] keeps of a keyword's
 /// first search. `R(keyword, r) ∩ P` for every admissible `r` is a prefix of
 /// the list, and the set bounds every coverage of the keyword from above.
+/// The first location search that steers by the keyword adds its
+/// [`Floors`], a lower bound on every local node's distance to it.
 pub struct KeywordList {
     /// Distances, ascending; `nodes[i]` is at `dists[i]`.
     dists: Vec<u32>,
     nodes: Vec<u32>,
     /// The reach mask `R(keyword, max_r) ∩ P`: the list's full set.
     mask: BitSet,
+    /// The radius the list was searched to.
+    max_r: u64,
+    floors: OnceLock<Floors>,
+}
+
+/// A floor byte a fragment node, read off a keyword's list: for each local
+/// node `v`, a lower bound on `d(keyword, v)` in O(1).
+pub struct Floors {
+    /// By local id, `⌊d(keyword, v) / quantum⌋` (≤ 254) for a listed `v`,
+    /// [`UNLISTED`] for any other.
+    bytes: Vec<u8>,
+    /// `⌈(max_r + 1) / 255⌉`, so a listed distance's byte stays below
+    /// [`UNLISTED`].
+    quantum: u64,
+    /// `max_r + 1`: what an unlisted node is at least from the keyword.
+    beyond: u64,
+}
+
+/// [`Floors`]' byte for a node farther than `max_r`.
+const UNLISTED: u8 = u8::MAX;
+
+impl Floors {
+    /// The lower bound on `d(keyword, v)`: the listed distance rounded down
+    /// to a multiple of the quantum, and `max_r + 1` for an unlisted node
+    /// (`255 · quantum ≥ max_r + 1`, while a listed node's rounded distance
+    /// is at most the distance itself, ≤ `max_r`).
+    #[inline]
+    fn floor(&self, v: u32) -> u64 {
+        (u64::from(self.bytes[v as usize]) * self.quantum).min(self.beyond)
+    }
+
+    /// Resident bytes: one a fragment node.
+    pub fn memory_bytes(&self) -> usize {
+        self.bytes.len()
+    }
 }
 
 impl KeywordList {
-    /// The list of the `(distance, local id)` pairs one search settled, in
-    /// any order, over a fragment of `num_local` nodes.
-    pub fn new(mut settled: Vec<(u32, u32)>, num_local: usize) -> Self {
+    /// The list of the `(distance, local id)` pairs one search to `max_r`
+    /// settled, in any order, over a fragment of `num_local` nodes.
+    pub fn new(mut settled: Vec<(u32, u32)>, num_local: usize, max_r: u64) -> Self {
         // The bucket kernel settles in bucket order, not distance order.
         settled.sort_unstable();
         let (dists, nodes): (Vec<u32>, Vec<u32>) = settled.into_iter().unzip();
         let mut mask = BitSet::new(num_local);
         nodes.iter().for_each(|&n| mask.insert(n as usize));
-        KeywordList { dists, nodes, mask }
+        KeywordList { dists, nodes, mask, max_r, floors: OnceLock::new() }
+    }
+
+    /// The list's floors, built from it the first time they are asked for.
+    pub fn floors(&self) -> &Floors {
+        self.floors.get_or_init(|| {
+            let quantum = (self.max_r + 1).div_ceil(u64::from(UNLISTED));
+            let mut bytes = vec![UNLISTED; self.mask.capacity()];
+            for (&d, &n) in self.dists.iter().zip(&self.nodes) {
+                let byte = u8::try_from(u64::from(d) / quantum).ok().filter(|&b| b < UNLISTED);
+                bytes[n as usize] = byte.expect("a listed distance is within max_r");
+            }
+            Floors { bytes, quantum, beyond: self.max_r + 1 }
+        })
     }
 
     /// How many nodes are within `r`: the length of the prefix that is
@@ -238,9 +298,47 @@ impl KeywordList {
         within.len()
     }
 
-    /// Resident bytes: 8 a listed node, beside the mask.
+    /// Resident bytes: 8 a listed node, beside the mask and, once built, the
+    /// floors.
     pub fn memory_bytes(&self) -> usize {
-        (self.dists.len() + self.nodes.len()) * 4 + self.mask.memory_bytes()
+        let floors = self.floors.get().map_or(0, Floors::memory_bytes);
+        (self.dists.len() + self.nodes.len()) * 4 + self.mask.memory_bytes() + floors
+    }
+}
+
+/// A fragment engine as a location's search against an accumulator sees it:
+/// each node's [`Graph::floor`] is how far it is at least from every
+/// accumulator node, by the floors of keyword conjuncts the accumulator lies
+/// within. With `acc ⊆ R(ω, r_ω)` and an undirected network, the triangle
+/// inequality gives `d(v, a) ≥ d(ω, v) − r_ω` for every `a ∈ acc`, and ω's
+/// floor is below `d(ω, v)`; over several conjuncts the largest of these
+/// bounds holds. So a node whose distance from the location plus its floor
+/// exceeds `r` leads to no answer, and the search never pushes it.
+struct TowardKeywords<'e> {
+    engine: &'e FragmentEngine,
+    /// `(floors of ω, r_ω)` for each keyword conjunct with a list.
+    bounds: Vec<(&'e Floors, u64)>,
+}
+
+impl Graph for TowardKeywords<'_> {
+    fn num_nodes(&self) -> usize {
+        self.engine.num_nodes()
+    }
+
+    #[inline]
+    fn min_arc_weight(&self) -> Weight {
+        self.engine.min_arc_weight()
+    }
+
+    #[inline]
+    fn for_each_neighbor(&self, node: u32, f: impl FnMut(u32, Weight)) {
+        self.engine.for_each_neighbor(node, f);
+    }
+
+    #[inline]
+    fn floor(&self, node: u32) -> u64 {
+        let bound = |&(floors, r): &(&Floors, u64)| floors.floor(node).saturating_sub(r);
+        self.bounds.iter().map(bound).max().unwrap_or(0)
     }
 }
 
@@ -325,6 +423,7 @@ impl FragmentEngine {
             |g| net.neighbors(g),
             shortcut_arcs,
             |g| net.keywords(g),
+            true,
         )
     }
 
@@ -343,19 +442,22 @@ impl FragmentEngine {
             |g| net.out_neighbors(g),
             index.shortcuts().iter().copied(),
             |g| net.keywords(g),
+            false,
         )
     }
 
     /// What both directions share: `globals` are the fragment's members,
     /// `arcs(g)` the network's arcs out of member `g` (those leaving the
-    /// fragment are dropped), `shortcut_arcs` the SC arcs `(from, to, d)`
-    /// and `keywords_of(g)` member `g`'s keywords.
+    /// fragment are dropped), `shortcut_arcs` the SC arcs `(from, to, d)`,
+    /// `keywords_of(g)` member `g`'s keywords, and `undirected` whether
+    /// every arc has its reverse.
     fn assemble<'n, I>(
         index: &NpdIndex,
         globals: Vec<NodeId>,
         arcs: impl Fn(NodeId) -> I,
         shortcut_arcs: impl Iterator<Item = (NodeId, NodeId, u64)>,
         keywords_of: impl Fn(NodeId) -> &'n [KeywordId],
+        undirected: bool,
     ) -> Result<Self, IndexError>
     where
         I: Iterator<Item = (NodeId, Weight)>,
@@ -416,6 +518,7 @@ impl FragmentEngine {
             ceiling: BitSet::new(num_local),
             dl_node_entries,
             sc_size: index.shortcuts().len(),
+            undirected,
             ws: DijkstraWorkspace::new(num_local),
         })
     }
@@ -524,11 +627,26 @@ impl FragmentEngine {
         bound: u64,
         visit: impl FnMut(u32, u64) -> Control,
     ) -> SlotCost {
+        self.search_on(self, ws, term, bound, visit)
+    }
+
+    /// [`Self::search`] over `graph`, the engine or a view of it that only
+    /// adds [`Graph::floor`]s: the nodes a nonzero floor refuses are neither
+    /// settled nor visited.
+    fn search_on(
+        &self,
+        graph: &impl Graph,
+        ws: &mut DijkstraWorkspace,
+        term: Term,
+        bound: u64,
+        visit: impl FnMut(u32, u64) -> Control,
+    ) -> SlotCost {
         self.debug_assert_admitted(bound);
         let seeds = self.seed_sources(term, bound);
-        let stats = ws.run(self, seeds.iter(), bound, visit);
-        // Every node settles once and none is refused: what settled is the
-        // coverage at `bound`, unless `visit` stopped the search.
+        let stats = ws.run(graph, seeds.iter(), bound, visit);
+        // Every node settles once and, under a zero floor, none is refused:
+        // what settled is the coverage at `bound`, unless `visit` stopped the
+        // search.
         SlotCost {
             term,
             radius: bound,
@@ -598,7 +716,8 @@ impl FragmentEngine {
             settled.push((d as u32, n));
             Control::Continue
         });
-        Some((reach.get_or_init(|| KeywordList::new(settled, self.globals.len())), cost))
+        let list = reach.get_or_init(|| KeywordList::new(settled, self.globals.len(), self.max_r));
+        Some((list, cost))
     }
 
     /// Fetch a plan slot's coverage. A keyword slot on an engine that keeps
@@ -622,22 +741,33 @@ impl FragmentEngine {
         (cov, SlotCost { radius: slot.radius, coverage_nodes: within, ..cost })
     }
 
-    /// A `Term::Node` slot's coverage within `acc`, the accumulator it is
-    /// about to be combined with: `R(l, r) ∩ acc`, searched only until every
-    /// node of `acc` has settled. Nodes outside `acc` settle (the search
-    /// runs through them) but are not reported, so Theorem 5's `|P ∩ R|` is
-    /// `|P ∩ R ∩ acc|` here; an `acc` node beyond `r` never settles, and
-    /// then the search runs to `r`.
+    /// A `Term::Node` slot's coverage within `within.acc`, the accumulator
+    /// it is about to be combined with: `R(l, r) ∩ acc`, searched only until
+    /// every node of `acc` has settled, and only toward `acc`. Nodes outside
+    /// `acc` settle (the search runs through them) but are not reported, so
+    /// Theorem 5's `|P ∩ R|` is `|P ∩ R ∩ acc|` here; an `acc` node beyond
+    /// `r` never settles, and then the search runs out. On an undirected
+    /// engine each listed keyword conjunct in `within.inside` is a floor
+    /// ([`TowardKeywords`]): a node that cannot reach `acc` within `r` is
+    /// never pushed, and a location none of whose seeds can is ∅ with
+    /// nothing settled.
     fn fetch_within(
         &self,
         ws: &mut DijkstraWorkspace,
         slot: &DTerm,
-        acc: &BitSet,
+        within: Within<'_>,
     ) -> (BitSet, SlotCost) {
+        let acc = within.acc;
+        let listed = |inside: &DTerm| match inside.term {
+            Term::Keyword(k) => Some((self.keyword(k)?.reach.get()?.floors(), inside.radius)),
+            Term::Node(_) => None,
+        };
+        let bounds = within.inside.iter().filter(|_| self.undirected).filter_map(listed).collect();
+        let toward = TowardKeywords { engine: self, bounds };
         let mut cov = BitSet::new(self.globals.len());
         let members = acc.count();
         let mut left = members;
-        let cost = self.search(ws, slot.term, slot.radius, |n, _| {
+        let cost = self.search_on(&toward, ws, slot.term, slot.radius, |n, _| {
             if !acc.contains(n as usize) {
                 return Control::Continue;
             }
@@ -811,8 +941,8 @@ impl FragmentEngine {
             |slot, within| {
                 // A bounded fetch is not the slot's coverage: the store
                 // neither serves nor keeps it.
-                if let (Term::Node(_), Some(acc)) = (slot.term, within) {
-                    let (cov, cost) = engine.fetch_within(&mut ws, slot, acc);
+                if let (Term::Node(_), Some(within)) = (slot.term, within) {
+                    let (cov, cost) = engine.fetch_within(&mut ws, slot, within);
                     total.absorb(cost);
                     return Ok(Arc::new(cov));
                 }
@@ -1085,6 +1215,8 @@ mod tests {
     /// An RKQ from an object whose keyword no other node of its fragment
     /// bears: there the keyword's `R(kw, 0)` is the location alone, and the
     /// location's search stops as soon as it has settled its own source.
+    /// The evaluation leaves the keyword's list, mask and floors, counted
+    /// in `memory_bytes` to the byte.
     #[test]
     fn a_location_that_alone_bears_its_keyword_settles_one_node() {
         let net = GridNetworkConfig::tiny(0x4D).generate();
@@ -1103,9 +1235,16 @@ mod tests {
             })
             .expect("an object that alone bears one of its keywords on its fragment");
         let engine = &mut engines[engine];
+        let fresh = engine.memory_bytes();
         let f = RangeKeywordQuery::new(obj, vec![kw], max_r).to_dfunction();
         let (local, cost) = engine.evaluate(&f).unwrap();
         assert_eq!(local, vec![obj]);
+        // The keyword's list and mask, and the floors the location's search
+        // steered by: one byte a fragment node.
+        let listed = engine.coverage(Term::Keyword(kw), max_r).unwrap().0.count();
+        let n = engine.num_local_nodes();
+        let built = 8 * listed + BitSet::new(n).memory_bytes() + n;
+        assert_eq!(engine.memory_bytes(), fresh + built);
         let node = cost.per_slot.iter().find(|s| s.term == Term::Node(obj)).unwrap();
         assert_eq!((node.settled, node.coverage_nodes), (1, 1), "{f}: {node:?}");
         let (_, full) = engine.coverage(Term::Node(obj), max_r).unwrap();
@@ -1349,6 +1488,105 @@ mod tests {
             union.sort_unstable();
             proptest::prop_assert_eq!(union, CentralizedCoverage::new(net).evaluate(&f).unwrap(), "{}", plan);
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// A location's search steered by the floors of the keyword
+        /// conjuncts its accumulator lies within never changes an answer
+        /// and settles no more than the plain search to its radius: RKQs
+        /// from any object with one of its own keywords or any keyword at
+        /// any radius, the keyword's too, and random plans with node
+        /// conjuncts, subtrahends and ∪ prefixes, on every fragment of both
+        /// list fixtures, answered as the oracle answers them.
+        #[test]
+        fn a_floored_location_search_keeps_the_answer_and_settles_no_more(
+            unit in any::<bool>(),
+            (object, keyword, own) in (any::<u64>(), any::<u64>(), any::<bool>()),
+            (r, r_kw) in (any::<u64>(), any::<u64>()),
+            operands in proptest::collection::vec(
+                (any::<u8>(), 0u8..5, any::<u64>(), any::<u64>()),
+                1..6,
+            ),
+        ) {
+            let (net, p, indexes) = list_fixture(unit);
+            let max_r = indexes[0].max_r();
+            let objects: Vec<NodeId> = net.node_ids().filter(|&n| net.is_object(n)).collect();
+            let l = objects[object as usize % objects.len()];
+            let kw = if own {
+                net.keywords(l)[keyword as usize % net.keywords(l).len()]
+            } else {
+                KeywordId((keyword % net.vocab().len() as u64) as u32)
+            };
+            let (r, r_kw) = (r % (max_r + 1), r_kw % (max_r + 1));
+            let rkq = RangeKeywordQuery::new(l, vec![kw], r).to_dfunction();
+            let widened = DFunction::single(Term::Node(l), r).then(
+                crate::dfunc::SetOp::Intersect,
+                Term::Keyword(kw),
+                r_kw,
+            );
+            let mut engines: Vec<FragmentEngine> =
+                indexes.iter().map(|index| FragmentEngine::new(net, p, index).unwrap()).collect();
+            let mut central = CentralizedCoverage::new(net);
+            for f in [rkq, widened, drawn_dfunction(net, max_r, &operands)] {
+                let mut got: Vec<NodeId> = Vec::new();
+                for engine in &mut engines {
+                    let (local, cost) = engine.evaluate(&f).unwrap();
+                    got.extend(local);
+                    for slot in cost.per_slot.iter().filter(|s| matches!(s.term, Term::Node(_))) {
+                        let (_, plain) = engine.coverage(slot.term, slot.radius).unwrap();
+                        proptest::prop_assert!(slot.settled <= plain.settled, "{}: {:?}", f, slot);
+                    }
+                }
+                got.sort_unstable();
+                proptest::prop_assert_eq!(got, central.evaluate(&f).unwrap(), "{}", f);
+            }
+        }
+    }
+
+    /// A location outside a fragment whose DL seeds are all farther from
+    /// the keyword's bearers there than the radius allows: the RKQ's
+    /// keyword cut is not empty, so the location is searched, and the floor
+    /// refuses every seed — nothing settles, where the plain search to the
+    /// same radius settles nodes, and the answer is the oracle's: nothing
+    /// on that fragment.
+    #[test]
+    fn a_location_whose_seeds_the_floor_refuses_settles_nothing() {
+        let net = GridNetworkConfig::tiny(0x4D).generate();
+        let e = net.avg_edge_weight();
+        let mut engines = engines(&net, 3, &IndexConfig::with_max_r(8 * e));
+        let objects: Vec<NodeId> = net.node_ids().filter(|&n| net.is_object(n)).collect();
+        let refused = |engine: &mut FragmentEngine| {
+            let borne: Vec<KeywordId> = (engine.kw_ids.iter().zip(&engine.kw_entries))
+                .filter(|(_, entry)| !entry.locals.is_empty())
+                .map(|(&k, _)| k)
+                .collect();
+            let outside = objects.iter().filter(|&&l| local_id(&engine.globals, l).is_none());
+            let rkqs: Vec<RangeKeywordQuery> = outside
+                .flat_map(|&l| borne.iter().map(move |&kw| (l, kw)))
+                .flat_map(|(l, kw)| {
+                    [e, 2 * e, 4 * e].map(|r| RangeKeywordQuery::new(l, vec![kw], r))
+                })
+                .filter(|q| engine.seed_count(Term::Node(q.location), q.radius) > 0)
+                .collect();
+            rkqs.into_iter().find_map(|q| {
+                let (local, cost) = engine.evaluate(&q.to_dfunction()).unwrap();
+                let node = *cost.per_slot.iter().find(|s| s.term == Term::Node(q.location))?;
+                (node.settled == 0).then_some((q, local, node))
+            })
+        };
+        let (engine, (q, local, node)) = engines
+            .iter_mut()
+            .find_map(|engine| refused(engine).map(|hit| (engine, hit)))
+            .expect("a location every seed of which the floor refuses");
+        assert_eq!((node.pushed, node.coverage_nodes), (0, 0), "{node:?}");
+        assert!(local.is_empty());
+        let members = &engine.globals;
+        let oracle = CentralizedCoverage::new(&net).evaluate(&q.to_dfunction()).unwrap();
+        assert!(oracle.iter().all(|n| members.binary_search(n).is_err()), "{oracle:?}");
+        let (_, plain) = engine.coverage(Term::Node(q.location), q.radius).unwrap();
+        assert!(plain.settled > 0, "the plain search settles its seeds");
     }
 
     /// Top-k reads the lists plans read: the first `topk_local` on each

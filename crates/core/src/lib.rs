@@ -53,14 +53,16 @@ pub use directed::{
     build_directed_index, directed_sgkq_centralized, directed_sgkq_distributed, DirectedNpdIndex,
     DirectedPartition,
 };
-pub use engine::{CoverageStore, FragmentEngine, KeywordList, NoCache, QueryCost, SlotCost};
+pub use engine::{
+    CoverageStore, Floors, FragmentEngine, KeywordList, NoCache, QueryCost, SlotCost,
+};
 pub use error::{IndexError, QueryError};
 pub use floors::SeedFloors;
 pub use index::{
     build_all_indexes, build_index, build_index_with_threads, build_naive_index, DlScope,
     IndexConfig, IndexStats, NpdIndex,
 };
-pub use plan::{QueryPlan, SuperPlan, Targets};
+pub use plan::{QueryPlan, SuperPlan, Targets, Within};
 pub use query::{QClassQuery, RangeKeywordQuery, SgkQuery};
 pub use runs::NodeRuns;
 pub use topk::{centralized_topk, merge_topk, Ranked, ScoreCombine, TopKQuery};

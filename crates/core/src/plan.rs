@@ -37,6 +37,19 @@ pub struct QueryPlan {
     ops: Vec<(SetOp, u32)>,
 }
 
+/// What [`QueryPlan::evaluate_lazy`] hands the fetch of a ∩ or − operand
+/// the program names once.
+#[derive(Debug, Clone, Copy)]
+pub struct Within<'a> {
+    /// The live accumulator the operand is about to be combined with.
+    pub acc: &'a BitSet,
+    /// Slots whose coverage holds every node of `acc`: in the ∩/− run after
+    /// the last `∪`, the conjuncts `acc` has been intersected with so far
+    /// (keyword conjuncts run first, so a `Term::Node` conjunct or a
+    /// subtrahend sees all of them); none before the last `∪`.
+    pub inside: &'a [DTerm],
+}
+
 /// The order [`QueryPlan::evaluate_lazy`] takes a plan's operands in.
 struct LazyOrder {
     first: u32,
@@ -175,9 +188,12 @@ impl QueryPlan {
     ///
     /// `fetch(slot, within)` returns the slot's coverage `R` when `within`
     /// is `None`. A slot the program names once, as a ∩ or − operand, is
-    /// fetched with `within = Some(acc)`, the live accumulator it is about to
-    /// be combined with, and `fetch` may then return any set between
-    /// `R ∩ acc` and `R`: `acc ∩ X` and `acc − X` depend on `X ∩ acc` alone.
+    /// fetched with `within = Some(Within { acc, inside })`, `acc` being the
+    /// live accumulator it is about to be combined with, and `fetch` may then
+    /// return any set between `R ∩ acc` and `R`: `acc ∩ X` and `acc − X`
+    /// depend on `X ∩ acc` alone. `inside` names the conjuncts `acc` is known
+    /// to lie within ([`Within::inside`]), which a search for `R ∩ acc` may
+    /// steer by.
     /// Such a result is not `R`, so it is used for that operand and nothing
     /// else; a slot named twice is always fetched whole. Theorem 5's
     /// `|P ∩ R|` for a fetch that takes the bound is `|P ∩ R ∩ acc|`.
@@ -195,7 +211,7 @@ impl QueryPlan {
         capacity: usize,
         seeds: impl Fn(&DTerm) -> usize,
         ceiling: impl FnOnce(&mut dyn Iterator<Item = &DTerm>) -> Option<&'c BitSet>,
-        mut fetch: impl FnMut(&DTerm, Option<&BitSet>) -> Result<Arc<BitSet>, E>,
+        mut fetch: impl FnMut(&DTerm, Option<Within<'_>>) -> Result<Arc<BitSet>, E>,
     ) -> Result<Arc<BitSet>, E> {
         let Some(LazyOrder { first, ops, prefix }) = self.lazy_order(seeds) else {
             return Ok(Arc::new(BitSet::new(capacity)));
@@ -219,7 +235,7 @@ impl QueryPlan {
             named[slot as usize] += 1;
         });
         let mut fetched: Vec<Option<Arc<BitSet>>> = vec![None; self.slots.len()];
-        let mut get = |slot: u32, within: Option<&BitSet>| -> Result<Arc<BitSet>, E> {
+        let mut get = |slot: u32, within: Option<Within<'_>>| -> Result<Arc<BitSet>, E> {
             let term = &self.slots[slot as usize];
             if named[slot as usize] == 1 {
                 return fetch(term, within);
@@ -233,6 +249,11 @@ impl QueryPlan {
         // it, so a one-operand plan returns that coverage uncopied.
         let mut acc = get(first, None)?;
         let mut live = !acc.is_empty();
+        // The conjuncts `acc` has been intersected with in the ∩/− run.
+        let mut inside: Vec<DTerm> = Vec::with_capacity(1 + ops.len() - prefix);
+        if prefix == 0 {
+            inside.push(self.slots[first as usize]);
+        }
         for (i, (op, slot)) in ops.into_iter().enumerate() {
             if let Some(ceiling) = ceiling.filter(|_| i == prefix && live) {
                 live = Arc::make_mut(&mut acc).intersect_with(ceiling);
@@ -240,7 +261,9 @@ impl QueryPlan {
             if !live && op != SetOp::Union {
                 continue; // ∅ ∩ X = ∅ − X = ∅, whatever X is
             }
-            let rhs = get(slot, (op != SetOp::Union).then_some(&*acc))?;
+            let inside_acc = if i < prefix { &[][..] } else { &inside };
+            let within = (op != SetOp::Union).then_some(Within { acc: &acc, inside: inside_acc });
+            let rhs = get(slot, within)?;
             let set = Arc::make_mut(&mut acc);
             live = match op {
                 SetOp::Union => {
@@ -250,6 +273,9 @@ impl QueryPlan {
                 SetOp::Intersect => set.intersect_with(&rhs),
                 SetOp::Subtract => set.subtract(&rhs),
             };
+            if i >= prefix && op == SetOp::Intersect {
+                inside.push(self.slots[slot as usize]);
+            }
         }
         Ok(acc)
     }
@@ -797,7 +823,9 @@ mod tests {
         let sets: [_; 5] =
             [&[1, 2, 5][..], &[2, 3, 5, 7], &[0], &[0, 2, 3, 6], &[2, 6]].map(|s| set(8, s));
         let index = |t: &DTerm| plan.slots().iter().position(|s| s == t).unwrap();
-        let mut handed: Vec<(usize, Option<Vec<usize>>)> = Vec::new();
+        // Per fetch: the slot, and for a bounded one `acc` and `inside`.
+        type Bounded = (Vec<usize>, Vec<usize>);
+        let mut handed: Vec<(usize, Option<Bounded>)> = Vec::new();
         let result = plan
             .evaluate_lazy(
                 8,
@@ -805,10 +833,11 @@ mod tests {
                 |_| None,
                 |t, within| {
                     let i = index(t);
-                    handed.push((i, within.map(|acc| acc.iter().collect())));
+                    let inside = |w: &Within| w.inside.iter().map(index).collect();
+                    handed.push((i, within.map(|w| (w.acc.iter().collect(), inside(&w)))));
                     let mut cut = (*sets[i]).clone();
-                    if let Some(acc) = within {
-                        cut.intersect_with(acc);
+                    if let Some(w) = within {
+                        cut.intersect_with(w.acc);
                     }
                     Ok::<_, ()>(Arc::new(cut))
                 },
@@ -817,13 +846,14 @@ mod tests {
         assert_eq!(*result, plan.combine(&sets), "lazy and eager results differ");
         assert_eq!(result.iter().collect::<Vec<_>>(), vec![0, 3]);
         // #1 whole under its ∩ and not again under its ∪; #2 whole under ∪;
-        // #3 against #0 ∩ #1 ∪ #2 ∪ #1; #4 against that ∩ #3.
+        // #3 against #0 ∩ #1 ∪ #2 ∪ #1, inside nothing known; #4 against
+        // that ∩ #3, inside #3.
         let expect = vec![
             (0, None),
             (1, None),
             (2, None),
-            (3, Some(vec![0, 2, 3, 5, 7])),
-            (4, Some(vec![0, 2, 3])),
+            (3, Some((vec![0, 2, 3, 5, 7], vec![]))),
+            (4, Some((vec![0, 2, 3], vec![3]))),
         ];
         assert_eq!(handed, expect);
     }

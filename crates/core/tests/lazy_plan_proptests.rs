@@ -12,8 +12,9 @@
 //!    is seedless.
 //! 4. A bounded fetch — any set between `R ∩ acc` and `R` for a slot the
 //!    program names once, handed the live accumulator `acc` as a ∩ or −
-//!    operand — never changes the result either, and a slot named twice is
-//!    never handed one.
+//!    operand — never changes the result either, a slot named twice is
+//!    never handed one, and every conjunct the driver says holds `acc`
+//!    does.
 
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
@@ -201,7 +202,12 @@ proptest! {
                     |slot, within| {
                         fetches.set(fetches.get() + 1);
                         let coverage = &coverages[of(slot)];
-                        let (Some(rest), Some(acc)) = (rest.as_mut(), within) else {
+                        for inside in within.iter().flat_map(|w| w.inside) {
+                            let mut outside = within.unwrap().acc.clone();
+                            outside.subtract(&coverages[of(inside)]);
+                            assert!(outside.is_empty(), "{f}: acc is not inside {inside:?}");
+                        }
+                        let (Some(rest), Some(acc)) = (rest.as_mut(), within.map(|w| w.acc)) else {
                             return Ok::<_, ()>(Arc::clone(coverage));
                         };
                         assert_eq!(named[of(slot)], 1, "{f}: a slot named twice fetched bounded");

@@ -20,6 +20,9 @@ use crate::INF;
 ///
 /// Implementations include [`crate::RoadNetwork`] (undirected: both arcs) and
 /// the query engine's extended fragment graph (mixed directed/undirected).
+/// A graph may also steer a search toward its targets with a per-node
+/// [`Graph::floor`]; every implementation but the engine's location search
+/// keeps the default 0, which is the plain search.
 pub trait Graph {
     /// Number of nodes; node ids are `0..num_nodes()`.
     fn num_nodes(&self) -> usize;
@@ -30,6 +33,21 @@ pub trait Graph {
     fn min_arc_weight(&self) -> Weight;
     /// Invoke `f(neighbor, weight)` for every outgoing arc of `node`.
     fn for_each_neighbor(&self, node: u32, f: impl FnMut(u32, Weight));
+    /// A lower bound on how much farther a search must go past `node` to
+    /// reach any of its targets; 0, the default, when every node within the
+    /// bound is one. The kernels push `node` at distance `d` only when
+    /// `d + floor(node)` is within the bound, and test that before the push
+    /// writes `dist`, so a node whose first path was pruned is still
+    /// admitted by a shorter one. The search still runs in order of `d`.
+    /// With an *admissible* floor (never above `node`'s distance to a
+    /// target) every target within the bound settles, with its exact
+    /// distance, and nothing settles that the plain search would not; a
+    /// non-target may settle with a longer distance than its own unless the
+    /// floor is also consistent (`floor(u) ≤ w(u, v) + floor(v)`).
+    #[inline]
+    fn floor(&self, _node: u32) -> u64 {
+        0
+    }
 }
 
 /// What the settle callback tells the search to do next.
@@ -155,8 +173,10 @@ impl DijkstraWorkspace {
 
     /// Run Dijkstra from `sources` (each with an initial distance), bounded
     /// by `bound` (nodes farther than `bound` are neither settled nor
-    /// reported). `on_settle(node, dist)` fires exactly once per settled
-    /// node, with its exact distance, and steers the search via [`Control`].
+    /// reported, nor are those whose distance plus [`Graph::floor`] is).
+    /// `on_settle(node, dist)` fires exactly once per settled node, with its
+    /// exact distance under a zero or consistent floor (see
+    /// [`Graph::floor`]), and steers the search via [`Control`].
     ///
     /// **Settle order** is nondecreasing in ⌊d/Δ⌋ and unspecified inside a
     /// bucket, Δ being 1 under the heap and the bucket width (≤ the graph's
@@ -219,7 +239,7 @@ impl DijkstraWorkspace {
         let mut hi = 0usize; // highest touched bucket
         for source in sources {
             let &(s, d0) = source.borrow();
-            if d0 <= bound && improve(dist, touched, s, d0) {
+            if d0.saturating_add(graph.floor(s)) <= bound && improve(dist, touched, s, d0) {
                 let b = (d0 >> shift) as usize;
                 buckets[b].push((d0, s));
                 stats.pushed += 1;
@@ -251,9 +271,9 @@ impl DijkstraWorkspace {
                 }
                 graph.for_each_neighbor(u, |v, w| {
                     debug_assert!(w >= w_min, "arc {u}→{v} of weight {w} is below w_min {w_min}");
-                    // `nd <= bound` comes before any narrowing or index.
+                    // `nd + floor ≤ bound` comes before any narrowing or index.
                     let nd = d.saturating_add(u64::from(w));
-                    if nd <= bound && improve(dist, touched, v, nd) {
+                    if nd.saturating_add(graph.floor(v)) <= bound && improve(dist, touched, v, nd) {
                         let to = (nd >> shift) as usize;
                         buckets[to].push((nd, v));
                         stats.pushed += 1;
@@ -280,7 +300,7 @@ impl DijkstraWorkspace {
         let mut stats = SearchStats::default();
         for source in sources {
             let &(s, d0) = source.borrow();
-            if d0 <= bound && improve(dist, touched, s, d0) {
+            if d0.saturating_add(graph.floor(s)) <= bound && improve(dist, touched, s, d0) {
                 heap.push(Reverse((d0, s)));
                 stats.pushed += 1;
             }
@@ -297,7 +317,7 @@ impl DijkstraWorkspace {
             }
             graph.for_each_neighbor(u, |v, w| {
                 let nd = d.saturating_add(u64::from(w));
-                if nd <= bound && improve(dist, touched, v, nd) {
+                if nd.saturating_add(graph.floor(v)) <= bound && improve(dist, touched, v, nd) {
                     heap.push(Reverse((nd, v)));
                     stats.pushed += 1;
                 }
@@ -435,6 +455,7 @@ pub fn shortest_path<G: Graph + ?Sized>(
 mod tests {
     use super::*;
     use crate::graph::figure1_network;
+    use std::collections::HashMap;
 
     #[test]
     fn figure1_distances_match_paper() {
@@ -655,6 +676,145 @@ mod tests {
         let after = settled_with(&mut ws, Kernel::Bucket, &g, &[(0, 0)], 120);
         let reference = settled_with(&mut ws, Kernel::Heap, &g, &[(0, 0)], 120);
         assert_eq!(after, reference);
+    }
+
+    /// `graph` with a floor a node.
+    struct Floored<'g, G> {
+        graph: &'g G,
+        floor: Vec<u64>,
+    }
+
+    impl<G: Graph> Graph for Floored<'_, G> {
+        fn num_nodes(&self) -> usize {
+            self.graph.num_nodes()
+        }
+        fn min_arc_weight(&self) -> Weight {
+            self.graph.min_arc_weight()
+        }
+        fn for_each_neighbor(&self, node: u32, f: impl FnMut(u32, Weight)) {
+            self.graph.for_each_neighbor(node, f);
+        }
+        fn floor(&self, node: u32) -> u64 {
+            self.floor[node as usize]
+        }
+    }
+
+    /// Every `(node, dist)` one search settles, in settle order, and its stats.
+    fn trace(
+        ws: &mut DijkstraWorkspace,
+        kernel: Kernel,
+        g: &impl Graph,
+        sources: &[(u32, u64)],
+        bound: u64,
+    ) -> (Vec<(u32, u64)>, SearchStats) {
+        let mut out = Vec::new();
+        let stats = ws.run_with(kernel, g, sources, bound, |n, d| {
+            out.push((n, d));
+            Control::Continue
+        });
+        (out, stats)
+    }
+
+    #[test]
+    fn a_zero_floor_is_the_plain_search() {
+        let sources = [(0u32, 0u64), (17, 3), (42, 11)];
+        for w_lo in [1, 8] {
+            let g = lcg_network(200, 600, w_lo);
+            let zero = Floored { graph: &g, floor: vec![0; g.num_nodes()] };
+            let mut ws = DijkstraWorkspace::new(g.num_nodes());
+            for bound in [0u64, 7, 40, 200, 1000] {
+                for kernel in [Kernel::Bucket, Kernel::Heap] {
+                    let plain = trace(&mut ws, kernel, &g, &sources, bound);
+                    let floored = trace(&mut ws, kernel, &zero, &sources, bound);
+                    assert_eq!(plain, floored, "{kernel:?} at bound {bound}, w_lo {w_lo}");
+                }
+            }
+        }
+    }
+
+    /// The floor toward a target set is each node's distance to the nearest
+    /// target, rounded down to a multiple of `q` (admissible, and not
+    /// consistent once `q > 1`): every target within the bound settles with
+    /// the plain search's distance, and the search settles a subset of the
+    /// plain one's nodes, strictly fewer at some bounds.
+    #[test]
+    fn an_admissible_floor_keeps_every_targets_distance_and_settles_a_subset() {
+        let mut fewer = 0;
+        for w_lo in [1, 8] {
+            let g = lcg_network(200, 600, w_lo);
+            let targets = [60u32, 61, 120];
+            let mut ws = DijkstraWorkspace::new(g.num_nodes());
+            let mut to_target = vec![INF; g.num_nodes()];
+            for (n, d) in ws.coverage(&g, &targets, INF - 1) {
+                to_target[n as usize] = d;
+            }
+            for q in [1, 7, 40] {
+                let floor = to_target.iter().map(|&d| if d == INF { INF } else { d / q * q });
+                let floored = Floored { graph: &g, floor: floor.collect() };
+                for bound in [0u64, 40, 200, 1000] {
+                    for kernel in [Kernel::Bucket, Kernel::Heap] {
+                        let what = format!("{kernel:?}, q {q}, bound {bound}, w_lo {w_lo}");
+                        let sources = [(3u32, 0u64), (150, 5)];
+                        let (plain, _) = trace(&mut ws, kernel, &g, &sources, bound);
+                        let (pruned, _) = trace(&mut ws, kernel, &floored, &sources, bound);
+                        let plain_nodes: HashMap<u32, u64> = plain.iter().copied().collect();
+                        assert!(pruned.iter().all(|(n, _)| plain_nodes.contains_key(n)), "{what}");
+                        for t in &targets {
+                            let pruned_d = pruned.iter().find(|(n, _)| n == t).map(|&(_, d)| d);
+                            assert_eq!(pruned_d, plain_nodes.get(t).copied(), "{what}: target {t}");
+                        }
+                        fewer += usize::from(pruned.len() < plain.len());
+                    }
+                }
+            }
+        }
+        assert!(fewer > 0, "no search settled fewer nodes than the plain one");
+    }
+
+    /// `s → x` (1) `→ v` (10) is relaxed before `s → y` (5) `→ v` (1): with
+    /// `floor(v) = 3` and a bound of 10 the first push of `v` (11 + 3) is
+    /// refused and the second (6 + 3) admitted, so `v` settles at 6.
+    #[test]
+    fn a_push_refused_by_the_floor_is_admitted_by_a_shorter_path() {
+        use crate::graph::RoadNetworkBuilder;
+        let mut b = RoadNetworkBuilder::new();
+        let [s, x, y, v] = [0.0, 1.0, 2.0, 3.0].map(|at| b.add_node(at, 0.0, &[]));
+        for (from, to, w) in [(s, x, 1), (x, v, 10), (s, y, 5), (y, v, 1)] {
+            b.add_edge(from, to, w).unwrap();
+        }
+        let g = b.build().unwrap();
+        let mut floor = vec![0; 4];
+        floor[v.0 as usize] = 3;
+        let floored = Floored { graph: &g, floor };
+        let mut ws = DijkstraWorkspace::new(4);
+        for kernel in [Kernel::Bucket, Kernel::Heap] {
+            let (settled, stats) = trace(&mut ws, kernel, &floored, &[(s.0, 0)], 10);
+            assert_eq!(settled, [(s.0, 0), (x.0, 1), (y.0, 5), (v.0, 6)], "{kernel:?}");
+            assert_eq!(stats, SearchStats { settled: 4, pushed: 4 }, "{kernel:?}");
+        }
+    }
+
+    /// A floor of `u64::MAX` (an unreachable target) or just above what is
+    /// left of a bound near `u32::MAX` refuses the push without overflow,
+    /// seeds included.
+    #[test]
+    fn a_sentinel_floor_saturates() {
+        let g = lcg_network(50, 150, 1);
+        let bound = u64::from(u32::MAX);
+        let mut floor = vec![0; g.num_nodes()];
+        floor[0] = u64::MAX;
+        floor[1] = bound;
+        let floored = Floored { graph: &g, floor };
+        let mut ws = DijkstraWorkspace::new(g.num_nodes());
+        let sources = [(0u32, 0u64), (1, 1), (2, bound - 1)];
+        for kernel in [Kernel::Heap, Kernel::Bucket] {
+            // The bucket kernel needs `bound / Δ < 2^16`.
+            let bound = if kernel == Kernel::Bucket { (1 << 16) - 1 } else { bound };
+            let (settled, _) = trace(&mut ws, kernel, &floored, &sources, bound);
+            assert!(settled.iter().all(|&(n, _)| n != 0 && n != 1), "{kernel:?}: {settled:?}");
+        }
+        let (settled, _) = trace(&mut ws, Kernel::Heap, &floored, &[(0, u64::MAX)], u64::MAX);
+        assert!(settled.is_empty());
     }
 
     #[test]

@@ -24,7 +24,10 @@
 //! location is searched only until its answer has settled, so the workers
 //! settle fewer nodes than plain searches from the locations would, and a
 //! small coverage cache holds no location's partial search, so evicts
-//! nothing.
+//! nothing. Another asks them again: each search pushes only nodes from
+//! which its keyword is within reach, so the workers settle fewer nodes
+//! than when it pushed every node within `r`, some searches none at all,
+//! and the answers stay the oracle's.
 //! A seventh asks a cold SGKQ stream and an RKQ stream of a bounded index:
 //! each query is answered by exactly the fragments where none of its
 //! conjuncts is seedless — counted on the workers' own engines — a query
@@ -308,21 +311,8 @@ fn a_locations_search_stops_once_its_answer_has_settled() {
     /// A few coverages a worker: an entry is a fragment's bitset and 64
     /// bytes of the cache's bookkeeping.
     const BUDGET: usize = 1 << 10;
-    let net = GridNetworkConfig::small(0x0E1A).generate();
-    let p = MultilevelPartitioner::default().partition(&net, FRAGMENTS);
-    let max_r = 12 * net.avg_edge_weight();
-    let objects: Vec<NodeId> = net.node_ids().filter(|&n| net.is_object(n)).collect();
-    let rkqs: Vec<RangeKeywordQuery> = (0..48)
-        .map(|i| {
-            let l = objects[i * 7 % objects.len()];
-            let r = max_r / 2 + i as u64 * (max_r / 2) / 47;
-            RangeKeywordQuery::new(l, vec![net.keywords(l)[0]], r)
-        })
-        .collect();
-    let fs: Vec<DFunction> = rkqs.iter().map(RangeKeywordQuery::to_dfunction).collect();
-    let keywords: BTreeSet<KeywordId> = rkqs.iter().flat_map(|q| q.keywords.clone()).collect();
-    let warm: Vec<DFunction> =
-        keywords.iter().map(|&kw| SgkQuery::new(vec![kw], 0).to_dfunction()).collect();
+    let (net, p, max_r) = rkq_network();
+    let (rkqs, fs, warm) = rkq_stream(&net, max_r);
     let indexes = build_all_indexes(&net, &p, &IndexConfig::with_max_r(max_r));
     let mut engines: Vec<FragmentEngine> =
         indexes.iter().map(|index| FragmentEngine::new(&net, &p, index).unwrap()).collect();
@@ -356,6 +346,86 @@ fn a_locations_search_stops_once_its_answer_has_settled() {
             assert!(settled < plain, "{name}: settled {settled}, plain searches {plain}");
         }
         assert_eq!(cluster.cache_counters().evictions, 0, "{name}: {:?}", cluster.cache_counters());
+        cluster.shutdown();
+    }
+}
+
+/// The network, split and `maxR` (12 ē) the RKQ tests ask.
+fn rkq_network() -> (RoadNetwork, disks::partition::Partitioning, u64) {
+    let net = GridNetworkConfig::small(0x0E1A).generate();
+    let p = MultilevelPartitioner::default().partition(&net, FRAGMENTS);
+    let max_r = 12 * net.avg_edge_weight();
+    (net, p, max_r)
+}
+
+/// 48 RKQs from object locations, each with one keyword of its own at a
+/// radius in `[maxR/2, maxR]`, as queries and as D-functions, and the
+/// `R(kw, 0)` queries that build their keywords' lists first.
+fn rkq_stream(
+    net: &RoadNetwork,
+    max_r: u64,
+) -> (Vec<RangeKeywordQuery>, Vec<DFunction>, Vec<DFunction>) {
+    let objects: Vec<NodeId> = net.node_ids().filter(|&n| net.is_object(n)).collect();
+    let rkqs: Vec<RangeKeywordQuery> = (0..48)
+        .map(|i| {
+            let l = objects[i * 7 % objects.len()];
+            let r = max_r / 2 + i as u64 * (max_r / 2) / 47;
+            RangeKeywordQuery::new(l, vec![net.keywords(l)[0]], r)
+        })
+        .collect();
+    let fs: Vec<DFunction> = rkqs.iter().map(RangeKeywordQuery::to_dfunction).collect();
+    let keywords: BTreeSet<KeywordId> = rkqs.iter().flat_map(|q| q.keywords.clone()).collect();
+    let warm: Vec<DFunction> =
+        keywords.iter().map(|&kw| SgkQuery::new(vec![kw], 0).to_dfunction()).collect();
+    (rkqs, fs, warm)
+}
+
+/// A location's search goes only toward its keyword: the keyword's list
+/// bounds from below how far each node is from the keyword's bearers, so
+/// the search pushes no node whose distance from the location plus that
+/// bound exceeds `r`. The 48 RKQs of the previous test, after the same
+/// warm pass: answers are the oracle's under all four configurations, the
+/// workers settle strictly fewer nodes than the 3 693 they settled when the
+/// search pushed every node within `r` (the counts repeat exactly on this
+/// stream), unless a worker was respawned and lost its lists, and on at
+/// least one (RKQ, fragment) pair that searches its location the floor
+/// refuses every seed, so it settles nothing.
+#[test]
+fn a_locations_search_pushes_only_toward_its_keyword() {
+    /// Σ `per_machine.settled` over the stream when every node within `r`
+    /// was pushed.
+    const UNFLOORED: u64 = 3_693;
+    let (net, p, max_r) = rkq_network();
+    let (_, fs, warm) = rkq_stream(&net, max_r);
+    let indexes = build_all_indexes(&net, &p, &IndexConfig::with_max_r(max_r));
+    let mut engines: Vec<FragmentEngine> =
+        indexes.iter().map(|index| FragmentEngine::new(&net, &p, index).unwrap()).collect();
+    let mut searched_nothing = 0;
+    for f in warm.iter().chain(&fs) {
+        for engine in &mut engines {
+            let (_, cost) = engine.evaluate(f).unwrap();
+            let node = cost.per_slot.iter().find(|slot| matches!(slot.term, Term::Node(_)));
+            searched_nothing += usize::from(node.is_some_and(|slot| slot.settled == 0));
+        }
+    }
+    assert!(searched_nothing > 0, "no searched pair had every seed refused");
+    let mut oracle = CentralizedEngine::new(&net);
+    for (name, config) in configs() {
+        let indexes = build_all_indexes(&net, &p, &IndexConfig::with_max_r(max_r));
+        let cluster = Cluster::build(&net, &p, indexes, config);
+        let (items, _) = cluster.run_stream(&warm);
+        items.into_iter().for_each(|item| drop(item.unwrap()));
+        let (items, _) = cluster.run_stream(&fs);
+        let mut settled = 0;
+        for (f, item) in fs.iter().zip(items) {
+            let o = item.unwrap_or_else(|e| panic!("{name}: {f}: {e}"));
+            assert_eq!(o.results, oracle.run(f).unwrap().0, "{name}: {f} vs oracle");
+            settled += o.stats.per_machine.iter().map(|m| m.settled).sum::<u64>();
+        }
+        if cluster.recovery_counters().respawned_workers == 0 {
+            assert!(settled < UNFLOORED, "{name}: settled {settled}, unfloored {UNFLOORED}");
+        }
+        assert_ledger_closes(&cluster, name);
         cluster.shutdown();
     }
 }
