@@ -36,11 +36,17 @@
 //! the assembly cost more than the per-id plane did: a run is two words
 //! where an id was one, and is found by two bit scans where an id took one.
 //!
-//! `targets/sgkq5_over_8` prices what the coordinator decides before it
-//! encodes a query: the fragments a 5-keyword SGKQ targets, one
-//! `SeedFloors::can_answer` for each of 8 fragments of `small`'s bounded
-//! indexes, collected as the dispatch collects them (~0.1 µs a query on
-//! this host: well under the µs that would show beside a window's encode).
+//! `targets/sgkq5_over_8` and `targets/rkq_over_8` price what the
+//! coordinator decides before it encodes a query: the fragments a cold
+//! 5-keyword SGKQ, or an RKQ from an object with one keyword of its own,
+//! targets, one `SeedFloors::can_answer` for each of 8 fragments of
+//! `small`'s bounded indexes, collected as the dispatch collects them
+//! (~0.1–0.2 µs a query on this host for either: well under the µs that
+//! would show beside a window's encode). The SGKQs target 4 of their 512
+//! pairs, the RKQs 144 (~2.3 of 8 fragments a query), and both assert the
+//! decision equals the engines' own `seed_count` test on every pair, so
+//! `cargo test -p disks-cluster --bench answer_plane --release` is a check
+//! as well as a print.
 //!
 //! Run with: `cargo bench --offline -p disks-cluster --bench answer_plane`
 
@@ -48,7 +54,10 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use disks_cluster::message::{decode_frame, encode_frame};
 use disks_cluster::{AnswerGather, Response, WireCost};
 use disks_core::bitset::BitSet;
-use disks_core::{build_all_indexes, IndexConfig, NodeRuns, QueryPlan, SeedFloors, SgkQuery};
+use disks_core::{
+    build_all_indexes, FragmentEngine, IndexConfig, NodeRuns, QueryPlan, RangeKeywordQuery,
+    SeedFloors, SgkQuery,
+};
 use disks_partition::{FragmentId, MultilevelPartitioner, Partitioner};
 use disks_roadnet::generator::GridNetworkConfig;
 use disks_roadnet::{KeywordId, NodeId};
@@ -158,43 +167,62 @@ fn bench_answer_plane(c: &mut Criterion) {
     group.finish();
 }
 
-/// The coordinator's target decision for one cold 5-keyword SGKQ (keywords
-/// uniform over the vocabulary, a radius in `[maxR/2, maxR]`) over 8
-/// fragments, cycling through 64 such queries.
+/// The coordinator's target decision over 8 fragments, cycling through 64
+/// queries of each of two shapes: a cold 5-keyword SGKQ (keywords uniform
+/// over the vocabulary) and an RKQ from an object location with one keyword
+/// of its own, both at a radius in `[maxR/2, maxR]`. Before it is timed,
+/// each shape asserts that the decision is the engines' own seed test on
+/// every (query, fragment) pair.
 fn bench_targets(c: &mut Criterion) {
     let net = GridNetworkConfig::small(0xA052).generate();
     let p = MultilevelPartitioner::default().partition(&net, FRAGMENTS);
     let max_r = 12 * net.avg_edge_weight();
     let indexes = build_all_indexes(&net, &p, &IndexConfig::with_max_r(max_r));
     let floors = SeedFloors::new(&net, &p, &indexes);
+    let engines: Vec<FragmentEngine> =
+        indexes.iter().map(|index| FragmentEngine::new(&net, &p, index).unwrap()).collect();
     let vocab = net.vocab().len() as u32;
-    let plans: Vec<QueryPlan> = (0..64u32)
+    let objects: Vec<NodeId> = net.node_ids().filter(|&n| net.is_object(n)).collect();
+    let radius = |i: u32| max_r / 2 + u64::from(i) * (max_r / 2) / 63;
+    let sgkq5: Vec<QueryPlan> = (0..64u32)
         .map(|i| {
             let kws = (0..5).map(|j| KeywordId((i * 7 + j * 13) % vocab)).collect();
-            let r = max_r / 2 + u64::from(i) * (max_r / 2) / 63;
-            QueryPlan::lower(&SgkQuery::new(kws, r).to_dfunction())
+            QueryPlan::lower(&SgkQuery::new(kws, radius(i)).to_dfunction())
         })
         .collect();
-    let targeted: usize = (plans.iter())
-        .map(|plan| {
-            (0..FRAGMENTS as u32).filter(|&f| floors.can_answer(plan, FragmentId(f))).count()
+    let rkq: Vec<QueryPlan> = (0..64u32)
+        .map(|i| {
+            let l = objects[i as usize * 7 % objects.len()];
+            let q = RangeKeywordQuery::new(l, vec![net.keywords(l)[0]], radius(i));
+            QueryPlan::lower(&q.to_dfunction())
         })
-        .sum();
-    println!(
-        "targets/sgkq5_over_8: {targeted} of {} (query, fragment) pairs targeted",
-        64 * FRAGMENTS
-    );
+        .collect();
     let mut group = c.benchmark_group("targets");
     group.sample_size(20);
-    let mut next = 0;
-    group.bench_with_input(BenchmarkId::new("sgkq5_over_8", "one query"), &plans, |b, plans| {
-        b.iter(|| {
-            next = (next + 1) % plans.len();
-            (0..FRAGMENTS as u32)
-                .map(|f| floors.can_answer(&plans[next], FragmentId(f)))
-                .collect::<Vec<bool>>()
+    for (name, plans) in [("sgkq5_over_8", sgkq5), ("rkq_over_8", rkq)] {
+        let mut targeted = 0;
+        for plan in &plans {
+            for (f, engine) in engines.iter().enumerate() {
+                let asked = floors.can_answer(plan, FragmentId(f as u32));
+                let seeded = plan.can_answer(|s| engine.seed_count(s.term, s.radius) > 0);
+                assert_eq!(asked, seeded, "{name}: {plan} on fragment {f}");
+                targeted += usize::from(asked);
+            }
+        }
+        println!(
+            "targets/{name}: {targeted} of {} (query, fragment) pairs targeted",
+            plans.len() * FRAGMENTS
+        );
+        let mut next = 0;
+        group.bench_with_input(BenchmarkId::new(name, "one query"), &plans, |b, plans| {
+            b.iter(|| {
+                next = (next + 1) % plans.len();
+                (0..FRAGMENTS as u32)
+                    .map(|f| floors.can_answer(&plans[next], FragmentId(f)))
+                    .collect::<Vec<bool>>()
+            });
         });
-    });
+    }
     group.finish();
 }
 

@@ -10,7 +10,10 @@
 //! gathers one `Results` frame per targeted fragment, a larger one as one
 //! `Batch` / `BatchResults` pair; the final result is the union of
 //! per-fragment results (Lemma 1). A query targets the fragments where
-//! none of its keyword conjuncts is seedless; the others would answer ∅.
+//! none of its conjuncts is seedless: a keyword has a seed where a node
+//! bears it or its keyword-portal list is within the radius, a location
+//! in its own fragment and where its DL entry is within the radius. The
+//! others would answer ∅.
 //!
 //! The `impl Cluster` is split by responsibility: `config` (the knob
 //! table), `supervise` (build / spawn / respawn / shutdown), `gather` (the

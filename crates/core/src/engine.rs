@@ -1432,10 +1432,9 @@ mod tests {
         /// The coordinator's prune is the worker's own ∅ exit: on every
         /// fragment of a list fixture, a random plan the seed floors prune
         /// is answered ∅ with no slot fetched, and a plan answered ∅ with no
-        /// slot fetched is one they prune — or one with a seedless
-        /// `Term::Node` conjunct, which the coordinator never prunes. Each
-        /// plan runs on a fresh engine: no reach mask cuts it short before a
-        /// fetch.
+        /// slot fetched is one they prune, whether the seedless conjunct is
+        /// a keyword or a location. Each plan runs on a fresh engine: no
+        /// reach mask cuts it short before a fetch.
         #[test]
         fn a_pruned_pair_is_one_the_worker_answers_empty_without_fetching(
             unit in any::<bool>(),
@@ -1451,17 +1450,9 @@ mod tests {
             for index in indexes {
                 let mut engine = FragmentEngine::new(net, p, index).unwrap();
                 let pruned = !floors.can_answer(&plan, index.fragment());
-                let node_seedless = !plan.can_answer(|s| {
-                    matches!(s.term, Term::Keyword(_)) || engine.seed_count(s.term, s.radius) > 0
-                });
                 let (answer, cost) = engine.evaluate_plan_with_cache(&plan, &mut NoCache).unwrap();
                 let empty_unfetched = answer.is_empty() && cost.per_slot.is_empty();
-                proptest::prop_assert!(!pruned || empty_unfetched, "{}: pruned on {:?}", plan, index.fragment());
-                proptest::prop_assert_eq!(
-                    empty_unfetched,
-                    pruned || node_seedless,
-                    "{} on {:?}", plan, index.fragment()
-                );
+                proptest::prop_assert_eq!(empty_unfetched, pruned, "{} on {:?}", plan, index.fragment());
             }
         }
 

@@ -30,9 +30,11 @@
 //! and the answers stay the oracle's.
 //! A seventh asks a cold SGKQ stream and an RKQ stream of a bounded index:
 //! each query is answered by exactly the fragments where none of its
-//! conjuncts is seedless — counted on the workers' own engines — a query
-//! with no such fragment puts nothing on the wire, and an eighth kills a
-//! worker mid stream: only targeted pairs are retried, or degraded.
+//! conjuncts, keyword or location, is seedless — counted on the workers'
+//! own engines — and a query with no such fragment puts nothing on the
+//! wire, an RKQ whose location reaches none of its keyword's bearers
+//! included. An eighth kills a worker mid cold stream and mid RKQ stream:
+//! only targeted pairs are retried, or degraded.
 
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -530,10 +532,10 @@ fn cold_and_rkq_streams(net: &RoadNetwork, max_r: u64) -> [Vec<DFunction>; 2] {
     [cold, rkq]
 }
 
-/// The fragments each query targets, ascending: those where every keyword
-/// conjunct of its plan has a seed, by the engines' own `seed_count` on
-/// engines built from `indexes` — counted without the coordinator. A
-/// `Term::Node` conjunct is never pruned, so it counts as seeded.
+/// The fragments each query targets, ascending: those where every
+/// conjunct of its plan, keyword or location, has a seed, by the engines'
+/// own `seed_count` on engines built from `indexes` — counted without the
+/// coordinator.
 fn seeded_fragments(
     net: &RoadNetwork,
     p: &disks::partition::Partitioning,
@@ -548,13 +550,39 @@ fn seeded_fragments(
             (0..engines.len() as u32)
                 .filter(|&i| {
                     let e = &engines[i as usize];
-                    plan.can_answer(|s| {
-                        matches!(s.term, Term::Node(_)) || e.seed_count(s.term, s.radius) > 0
-                    })
+                    plan.can_answer(|s| e.seed_count(s.term, s.radius) > 0)
                 })
                 .collect()
         })
         .collect()
+}
+
+/// An RKQ at `maxR/2` from an object with one of the rarest keywords,
+/// whose keyword alone has a seed on some fragment, but whose location
+/// reaches — holds, or has a portal within `r` of — no fragment where its
+/// keyword has one: a query the location's DL entries alone prune
+/// everywhere.
+fn rkq_reaching_no_bearer(
+    net: &RoadNetwork,
+    p: &disks::partition::Partitioning,
+    indexes: &[NpdIndex],
+    max_r: u64,
+) -> DFunction {
+    let engines: Vec<FragmentEngine> =
+        indexes.iter().map(|index| FragmentEngine::new(net, p, index).unwrap()).collect();
+    let rare: Vec<KeywordId> =
+        keywords_by_frequency(net).iter().rev().take(8).map(|&k| KeywordId(k as u32)).collect();
+    let seeded = |e: &FragmentEngine, term, r| e.seed_count(term, r) > 0;
+    (net.node_ids().filter(|&n| net.is_object(n)))
+        .flat_map(|l| rare.iter().map(move |&kw| RangeKeywordQuery::new(l, vec![kw], max_r / 2)))
+        .find(|q| {
+            let plan = QueryPlan::lower(&q.to_dfunction());
+            let kw = Term::Keyword(q.keywords[0]);
+            engines.iter().any(|e| seeded(e, kw, q.radius))
+                && !engines.iter().any(|e| plan.can_answer(|s| seeded(e, s.term, s.radius)))
+        })
+        .expect("an RKQ whose location reaches no bearer of its keyword")
+        .to_dfunction()
 }
 
 /// The fragments a query's answers came from, ascending.
@@ -568,9 +596,11 @@ fn answered(o: &disks::cluster::QueryOutcome) -> Vec<u32> {
 /// A query is asked only of the fragments that can answer it. Under all
 /// four configurations a cold SGKQ stream and an RKQ stream are answered as
 /// the oracle answers them, each query by exactly the fragments where none
-/// of its keyword conjuncts is seedless — fewer pairs than queries ×
-/// fragments — and
-/// a query no fragment can answer is answered ∅ with no byte on the wire.
+/// of its conjuncts, keyword or location, is seedless — fewer pairs than
+/// queries × fragments — and a query no fragment can answer is answered ∅
+/// with no byte on the wire: a cold SGKQ with a keyword seedless
+/// everywhere, and an RKQ whose keyword has seeds but whose location
+/// reaches none of their fragments.
 #[test]
 fn a_query_is_asked_only_of_the_fragments_that_can_answer_it() {
     let net = GridNetworkConfig::small(0x0E1A).generate();
@@ -590,6 +620,8 @@ fn a_query_is_asked_only_of_the_fragments_that_can_answer_it() {
     let nowhere = (streams[0].iter().zip(&seeded[0]))
         .find_map(|(f, seeded)| seeded.is_empty().then_some(f))
         .expect("a cold query no fragment can answer");
+    let unreached = rkq_reaching_no_bearer(&net, &p, &indexes, max_r);
+    assert!(oracle.run(&unreached).unwrap().0.is_empty(), "{unreached}: the oracle's answer");
     for (name, config) in configs() {
         let indexes = build_all_indexes(&net, &p, &IndexConfig::with_max_r(max_r));
         let cluster = Cluster::build(&net, &p, indexes, config);
@@ -601,74 +633,79 @@ fn a_query_is_asked_only_of_the_fragments_that_can_answer_it() {
                 assert_eq!(answered(&o), seeded[s][i], "{name}: stream {s} query {i}");
             }
         }
-        let before = cluster.link_totals();
-        let o = cluster.run(nowhere).unwrap_or_else(|e| panic!("{name}: {nowhere}: {e}"));
-        assert!(o.results.is_empty() && answered(&o).is_empty(), "{name}: {nowhere}");
-        assert_eq!(cluster.link_totals(), before, "{name}: {nowhere} put bytes on the wire");
+        for f in [nowhere, &unreached] {
+            let before = cluster.link_totals();
+            let o = cluster.run(f).unwrap_or_else(|e| panic!("{name}: {f}: {e}"));
+            assert!(o.results.is_empty() && answered(&o).is_empty(), "{name}: {f}");
+            assert_eq!(cluster.link_totals(), before, "{name}: {f} put bytes on the wire");
+        }
         assert_ledger_closes(&cluster, name);
         cluster.shutdown();
     }
 }
 
-/// A worker killed mid cold stream is retried, or given up on, for the
-/// pairs it was sent alone. Machine 0 (fragments 0 and 2) dies on its
-/// second window. With retries every answer is the oracle's from exactly
-/// the fragments that can answer it, and a query none of whose targets
-/// machine 0 hosts is never retried; with one attempt and partial answers,
-/// every degraded fragment is a target on machine 0 and the answered and
-/// degraded fragments are exactly the targets.
+/// A worker killed mid stream is retried, or given up on, for the pairs
+/// it was sent alone, on the cold SGKQ stream and on the RKQ stream, whose
+/// locations prune pairs too. Machine 0 (fragments 0 and 2) dies on its
+/// second window. With retries every answer is the oracle's from
+/// exactly the fragments that can answer it, and a query none of whose
+/// targets machine 0 hosts is never retried; with one attempt and partial
+/// answers, every degraded fragment is a target on machine 0 and the
+/// answered and degraded fragments are exactly the targets.
 #[test]
 fn a_killed_worker_is_retried_only_for_its_targets() {
     let net = GridNetworkConfig::small(0x0E1A).generate();
     let p = MultilevelPartitioner::default().partition(&net, FRAGMENTS);
     let max_r = 12 * net.avg_edge_weight();
-    let [cold, _] = cold_and_rkq_streams(&net, max_r);
-    let indexes = build_all_indexes(&net, &p, &IndexConfig::with_max_r(max_r));
-    let seeded = seeded_fragments(&net, &p, &indexes, &cold);
     // Four fragments round-robin over the two machines.
     let on_machine_zero = |f: &u32| f.is_multiple_of(2);
     let mut oracle = CentralizedEngine::new(&net);
     let kill = || Some(FaultPlan::new(0x0E1A).kill_worker(0, 2));
+    for (stream, fs) in ["cold", "rkq"].into_iter().zip(cold_and_rkq_streams(&net, max_r)) {
+        let indexes = build_all_indexes(&net, &p, &IndexConfig::with_max_r(max_r));
+        let seeded = seeded_fragments(&net, &p, &indexes, &fs);
 
-    let retried = ClusterConfig { faults: kill(), ..shipped() };
-    let cluster = Cluster::build(&net, &p, indexes, retried);
-    let (items, _) = cluster.run_stream(&cold);
-    for (i, (f, item)) in cold.iter().zip(items).enumerate() {
-        let o = item.unwrap_or_else(|e| panic!("query {i}: {e}"));
-        assert_eq!(o.results, oracle.run(f).unwrap().0, "query {i} vs oracle");
-        assert_eq!(answered(&o), seeded[i], "query {i}");
-        if !seeded[i].iter().any(on_machine_zero) {
-            assert_eq!(o.stats.retries, 0, "query {i} retried with no target on machine 0");
+        let retried = ClusterConfig { faults: kill(), ..shipped() };
+        let cluster = Cluster::build(&net, &p, indexes, retried);
+        let (items, _) = cluster.run_stream(&fs);
+        for (i, (f, item)) in fs.iter().zip(items).enumerate() {
+            let o = item.unwrap_or_else(|e| panic!("{stream} query {i}: {e}"));
+            assert_eq!(o.results, oracle.run(f).unwrap().0, "{stream} query {i} vs oracle");
+            assert_eq!(answered(&o), seeded[i], "{stream} query {i}");
+            if !seeded[i].iter().any(on_machine_zero) {
+                assert_eq!(o.stats.retries, 0, "{stream} query {i} retried with no target on 0");
+            }
         }
-    }
-    let recovery = cluster.recovery_counters();
-    assert!(recovery.respawned_workers >= 1 && recovery.retries >= 1, "{recovery:?}");
-    assert_eq!(recovery.duplicate_responses, 0, "{recovery:?}");
-    assert_ledger_closes(&cluster, "retried");
-    cluster.shutdown();
+        let recovery = cluster.recovery_counters();
+        assert!(recovery.respawned_workers >= 1 && recovery.retries >= 1, "{stream}: {recovery:?}");
+        assert_eq!(recovery.duplicate_responses, 0, "{stream}: {recovery:?}");
+        assert_ledger_closes(&cluster, &format!("{stream}, retried"));
+        cluster.shutdown();
 
-    let partial = ClusterConfig {
-        faults: kill(),
-        allow_partial: true,
-        max_attempts: 1,
-        deadline: Duration::from_millis(200),
-        ..shipped()
-    };
-    let indexes = build_all_indexes(&net, &p, &IndexConfig::with_max_r(max_r));
-    let cluster = Cluster::build(&net, &p, indexes, partial);
-    let (items, _) = cluster.run_stream(&cold);
-    let mut degraded = 0;
-    for (i, item) in items.into_iter().enumerate() {
-        let o = item.unwrap_or_else(|e| panic!("query {i}: {e}"));
-        let lost = &o.stats.degraded_fragments;
-        assert!(lost.iter().all(on_machine_zero), "query {i}: degraded {lost:?}");
-        let mut asked: Vec<u32> = answered(&o).into_iter().chain(lost.iter().copied()).collect();
-        asked.sort_unstable();
-        assert_eq!(asked, seeded[i], "query {i}: answered and degraded");
-        degraded += lost.len();
+        let partial = ClusterConfig {
+            faults: kill(),
+            allow_partial: true,
+            max_attempts: 1,
+            deadline: Duration::from_millis(200),
+            ..shipped()
+        };
+        let indexes = build_all_indexes(&net, &p, &IndexConfig::with_max_r(max_r));
+        let cluster = Cluster::build(&net, &p, indexes, partial);
+        let (items, _) = cluster.run_stream(&fs);
+        let mut degraded = 0;
+        for (i, item) in items.into_iter().enumerate() {
+            let o = item.unwrap_or_else(|e| panic!("{stream} query {i}: {e}"));
+            let lost = &o.stats.degraded_fragments;
+            assert!(lost.iter().all(on_machine_zero), "{stream} query {i}: degraded {lost:?}");
+            let mut asked: Vec<u32> =
+                answered(&o).into_iter().chain(lost.iter().copied()).collect();
+            asked.sort_unstable();
+            assert_eq!(asked, seeded[i], "{stream} query {i}: answered and degraded");
+            degraded += lost.len();
+        }
+        assert!(degraded > 0, "{stream}: the kill must have cost some target its answer");
+        assert_eq!(cluster.recovery_counters().retries, 0, "{stream}");
+        assert_ledger_closes(&cluster, &format!("{stream}, partial"));
+        cluster.shutdown();
     }
-    assert!(degraded > 0, "the kill must have cost some target its answer");
-    assert_eq!(cluster.recovery_counters().retries, 0);
-    assert_ledger_closes(&cluster, "partial");
-    cluster.shutdown();
 }
