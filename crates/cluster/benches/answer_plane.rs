@@ -14,7 +14,10 @@
 //! `to_runs` is one fragment's share of the stage: a 4 900-bit bitset over a
 //! 70 × 70 patch of the 200-wide row-major grid, holding the shape's ids
 //! that fall in the patch. `encode`, `decode` and `assemble` take the
-//! shape's ids dealt to 8 fragment answers. The two `*_reference` lines are
+//! shape's ids dealt to 8 fragment answers, each in the one-answer
+//! `BatchResults` frame a worker sends for a lone query (5 B more than the
+//! `Results` frame the table's figures were measured on: an answer count
+//! and an answer tag). The two `*_reference` lines are
 //! what the plane replaced, on the same inputs: the per-id walk of the
 //! bitset, and concatenating the ids and `sort_unstable`. The vendored
 //! criterion stub prints the median wall-clock per iteration.
@@ -52,7 +55,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use disks_cluster::message::{decode_frame, encode_frame};
-use disks_cluster::{AnswerGather, Response, WireCost};
+use disks_cluster::{AnswerGather, BatchAnswer, Response, WireCost};
 use disks_core::bitset::BitSet;
 use disks_core::{
     build_all_indexes, FragmentEngine, IndexConfig, NodeRuns, QueryPlan, RangeKeywordQuery,
@@ -102,15 +105,15 @@ fn patch(ids: &[u32]) -> (Vec<NodeId>, BitSet) {
     (globals, cov)
 }
 
+/// Each fragment's answer to query 1, as its worker sends it.
 fn frames(lists: &[NodeRuns]) -> Vec<Response> {
     lists
         .iter()
         .enumerate()
-        .map(|(f, nodes)| Response::Results {
-            query_id: 1,
+        .map(|(f, nodes)| Response::BatchResults {
+            base: 0,
             fragment: f as u32,
-            nodes: nodes.clone(),
-            cost: WireCost::default(),
+            answers: vec![BatchAnswer::Results { nodes: nodes.clone(), cost: WireCost::default() }],
         })
         .collect()
 }

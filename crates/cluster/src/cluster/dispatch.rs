@@ -5,12 +5,12 @@
 //!
 //! There is one windowing rule, with no knob: a group is cut into
 //! [`BATCH_WINDOW`]-sized chunks in stream order and every chunk is
-//! dispatched before any response is gathered. A chunk of one ships as
-//! `Evaluate`, a larger one as one merged `Batch` per machine. Every
-//! fragment has one owner, so a window is one frame, encoded once and sent
-//! to every machine hosting a fragment the window targets: a plan targets
-//! the fragments where none of its conjuncts is seedless
-//! ([`disks_core::SeedFloors`]).
+//! dispatched before any response is gathered. There is one plan frame too:
+//! a chunk, of one plan or of sixteen, merges into one `Batch`, and a
+//! narrowed retry is a `Batch` of one. Every fragment has one owner, so a
+//! window is one frame, encoded once and sent to every machine hosting a
+//! fragment the window targets: a plan targets the fragments where none of
+//! its conjuncts is seedless ([`disks_core::SeedFloors`]).
 
 use std::time::{Duration, Instant};
 
@@ -27,6 +27,14 @@ use crate::stats::{MachineCost, QueryStats};
 /// Most queries one window merges into a [`SuperPlan`]. Swept at 1, 4, 16
 /// and 64 on the benchmark (DESIGN §6d).
 const BATCH_WINDOW: usize = 16;
+
+/// The narrowed retry of query `base + 1`: a batch of one that targets just
+/// `fragments`, in the ascending order its encoding requires.
+fn retry_request(base: u64, plan: &QueryPlan, mut fragments: Vec<u32>) -> Request {
+    fragments.sort_unstable();
+    let plan = SuperPlan::merge_targeted(std::slice::from_ref(plan), [Targets::Only(fragments)]);
+    Request::Batch { base, plan, fragments: vec![] }
+}
 
 /// What one initial dispatch put on the wire.
 #[derive(Debug, Default, Clone, Copy)]
@@ -70,12 +78,10 @@ impl Cluster {
     ) -> GroupRun {
         let targeted: Vec<Vec<bool>> = plans.iter().map(|plan| self.targeted(plan)).collect();
         self.run_group(plans.len(), start, &mut |base| {
-            // Retries always narrow to single-query `Evaluate` frames for
-            // only the failed queries, however the window was batched.
-            let make_request = |slot: usize, frags: Vec<u32>| Request::Evaluate {
-                query_id: base + 1 + slot as u64,
-                plan: plans[slot].clone(),
-                fragments: frags,
+            // Retries narrow to a batch of one per failed query, however the
+            // window was batched.
+            let make_request = |slot: usize, frags: Vec<u32>| {
+                retry_request(base + slot as u64, &plans[slot], frags)
             };
             let sent = self.dispatch_plans(base, plans, &targeted);
             (self.gather(base, &targeted, &make_request, on_event), sent)
@@ -182,56 +188,27 @@ impl Cluster {
 
     /// The frames of one window of admitted plans for queries
     /// `window_base+1 ..= window_base+chunk.len()`, each with the machine it
-    /// goes to. ≥2 plans merge into one [`SuperPlan`], each program naming
+    /// goes to: the plans merge into one [`SuperPlan`], each program naming
     /// its targets, shipped as one `Batch` frame to every machine hosting a
-    /// target of any of them. A lone plan ships as an `Evaluate` to every
-    /// machine hosting one of its targets, narrowed to those fragments
-    /// unless it hosts nothing else. A machine that hosts no target gets
-    /// nothing, and a window with no target no frame at all.
+    /// target of any of them. A machine that hosts no target gets nothing,
+    /// and a window with no target no frame at all.
     fn window_frames(
         &self,
         window_base: u64,
         chunk: &[QueryPlan],
         targeted: &[Vec<bool>],
     ) -> Vec<(usize, Bytes)> {
-        let hosted = |m: usize| self.placement.fragments_of(m).iter().map(|f| f.index());
-        if chunk.len() >= 2 {
-            let machines: Vec<usize> = (self.placement.busy_machines())
-                .filter(|&m| hosted(m).any(|f| targeted.iter().any(|t| t[f])))
-                .collect();
-            if machines.is_empty() {
-                return Vec::new();
-            }
-            let plan =
-                SuperPlan::merge_targeted(chunk, targeted.iter().map(|t| Targets::of_mask(t)));
-            let frame =
-                encode_frame(&Request::Batch { base: window_base, plan, fragments: vec![] });
-            return machines.into_iter().map(|m| (m, frame.clone())).collect();
-        }
-        let targeted = &targeted[0];
-        let request = |fragments: Vec<u32>| Request::Evaluate {
-            query_id: window_base + 1,
-            plan: chunk[0].clone(),
-            fragments,
+        let hosts_target = |m: usize| {
+            self.placement.fragments_of(m).iter().any(|f| targeted.iter().any(|t| t[f.index()]))
         };
-        // An empty fragment list: the machine evaluates all it hosts.
-        let mut every: Option<Bytes> = None;
-        let mut frames = Vec::new();
-        for m in self.placement.busy_machines() {
-            let hits = hosted(m).filter(|&f| targeted[f]).count();
-            if hits == 0 {
-                continue;
-            }
-            let frame = if hits == hosted(m).len() {
-                every.get_or_insert_with(|| encode_frame(&request(Vec::new()))).clone()
-            } else {
-                encode_frame(&request(
-                    hosted(m).filter(|&f| targeted[f]).map(|f| f as u32).collect(),
-                ))
-            };
-            frames.push((m, frame));
+        let machines: Vec<usize> =
+            self.placement.busy_machines().filter(|&m| hosts_target(m)).collect();
+        if machines.is_empty() {
+            return Vec::new();
         }
-        frames
+        let plan = SuperPlan::merge_targeted(chunk, targeted.iter().map(|t| Targets::of_mask(t)));
+        let frame = encode_frame(&Request::Batch { base: window_base, plan, fragments: vec![] });
+        machines.into_iter().map(|m| (m, frame.clone())).collect()
     }
 
     /// Broadcast `frame` to every busy machine ([`Cluster::dispatch`]).
@@ -251,5 +228,76 @@ impl Cluster {
         }
         self.note_respawns(sent.respawns);
         sent
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::message::decode_frame;
+    use crate::ClusterConfig;
+    use disks_core::{build_all_indexes, DFunction, IndexConfig, Term};
+    use disks_partition::{MultilevelPartitioner, Partitioner};
+    use disks_roadnet::generator::GridNetworkConfig;
+    use disks_roadnet::KeywordId;
+
+    /// Every window, of one plan or of sixteen, is one `Batch` frame sent to
+    /// exactly the machines hosting a target, each program naming its
+    /// plan's targets; a retry is a batch of one on the retried fragments.
+    #[test]
+    fn every_plan_frame_is_a_batch_naming_its_targets() {
+        let net = GridNetworkConfig::tiny(76).generate();
+        let p = MultilevelPartitioner::default().partition(&net, 4);
+        let indexes = build_all_indexes(&net, &p, &IndexConfig::unbounded());
+        let config = ClusterConfig { machines: Some(2), ..ClusterConfig::default() };
+        let cluster = Cluster::build(&net, &p, indexes, config);
+        let e = net.avg_edge_weight();
+        let freqs = net.keyword_frequencies();
+        let plans: Vec<QueryPlan> = (0..freqs.len())
+            .filter(|&kw| freqs[kw] > 0)
+            .flat_map(|kw| {
+                [e, 2 * e].map(|r| DFunction::single(Term::Keyword(KeywordId(kw as u32)), r))
+            })
+            .map(|f| QueryPlan::lower(&f))
+            .take(16)
+            .collect();
+        assert_eq!(plans.len(), 16);
+        let targeted: Vec<Vec<bool>> = plans.iter().map(|plan| cluster.targeted(plan)).collect();
+        assert!(
+            targeted.iter().any(|t| t.contains(&false)),
+            "some plan must leave a fragment out, or targets are not tested"
+        );
+        for n in [1, 2, 16] {
+            let frames = cluster.window_frames(40, &plans[..n], &targeted[..n]);
+            let hosts_target = |m: usize| {
+                let hosted = cluster.placement.fragments_of(m);
+                hosted.iter().any(|f| targeted[..n].iter().any(|t| t[f.index()]))
+            };
+            let machines: Vec<usize> = frames.iter().map(|&(m, _)| m).collect();
+            let expected: Vec<usize> =
+                cluster.placement.busy_machines().filter(|&m| hosts_target(m)).collect();
+            assert_eq!(machines, expected, "window of {n}");
+            for (_, frame) in frames {
+                match decode_frame::<Request>(frame).unwrap() {
+                    Request::Batch { base: 40, plan, fragments } => {
+                        assert!(fragments.is_empty());
+                        assert_eq!(plan.split(), plans[..n]);
+                        let want = targeted[..n].iter().map(|t| Targets::of_mask(t));
+                        assert!(plan.targets().cloned().eq(want), "window of {n}");
+                    }
+                    other => panic!("window of {n} sent {other:?}"),
+                }
+            }
+        }
+        let retry = encode_frame(&retry_request(41, &plans[3], vec![3, 0, 2]));
+        match decode_frame::<Request>(retry).unwrap() {
+            Request::Batch { base: 41, plan, fragments } => {
+                assert!(fragments.is_empty());
+                assert_eq!(plan.split(), [plans[3].clone()]);
+                assert!(plan.targets().eq([&Targets::Only(vec![0, 2, 3])]));
+            }
+            other => panic!("a retry sent {other:?}"),
+        }
+        cluster.shutdown();
     }
 }

@@ -5,15 +5,14 @@
 //! the global network **once**, here — after that the global network is no
 //! longer consulted by any worker), plus a request channel and a counted
 //! response link. A stream is cut into windows of 16, all dispatched before
-//! any is gathered: a window of one fans out as one
-//! `Evaluate` frame per machine hosting a fragment the query targets and
-//! gathers one `Results` frame per targeted fragment, a larger one as one
-//! `Batch` / `BatchResults` pair; the final result is the union of
-//! per-fragment results (Lemma 1). A query targets the fragments where
-//! none of its conjuncts is seedless: a keyword has a seed where a node
-//! bears it or its keyword-portal list is within the radius, a location
-//! in its own fragment and where its DL entry is within the radius. The
-//! others would answer ∅.
+//! any is gathered: a window, of one query or of sixteen, fans out as one
+//! `Batch` frame per machine hosting a fragment some query of it targets
+//! and gathers one `BatchResults` frame per targeted fragment; the final
+//! result is the union of per-fragment results (Lemma 1). A query targets
+//! the fragments where none of its conjuncts is seedless: a keyword has a
+//! seed where a node bears it or its keyword-portal list is within the
+//! radius, a location in its own fragment and where its DL entry is within
+//! the radius. The others would answer ∅.
 //!
 //! The `impl Cluster` is split by responsibility: `config` (the knob
 //! table), `supervise` (build / spawn / respawn / shutdown), `gather` (the
@@ -25,10 +24,11 @@
 //!
 //! The gather loop never blocks indefinitely: it tracks which `(query_id,
 //! fragment)` pairs have answered, treats prolonged silence as a stalled
-//! task, and re-dispatches a *narrowed* `Evaluate` listing only the missing
-//! fragments to their owners. Fragment tasks are stateless and idempotent,
-//! so retries and duplicate deliveries are safe — duplicates are deduplicated by
-//! `(query_id, fragment)` and Lemma 1's union is unchanged. A worker whose
+//! task, and re-dispatches a *narrowed* `Batch` of one, its program
+//! targeting only the missing fragments, to their owners. Fragment tasks
+//! are stateless and idempotent, so retries and duplicate deliveries are
+//! safe — duplicates are deduplicated by `(query_id, fragment)` and Lemma
+//! 1's union is unchanged. A worker whose
 //! thread died (send failure or finished join handle) is respawned from a
 //! retained rebuild spec. After `max_attempts` dispatches a still-missing
 //! fragment either fails the query with a typed
@@ -448,11 +448,13 @@ mod tests {
         let (_, w2c_before) = cluster.link_totals();
         let outcome = cluster.run(&f).unwrap();
         assert!(outcome.results.is_empty());
-        // One `Results` frame a fragment: tag 1 + query id 8 + fragment 4 +
-        // id count 1 + cost 56.
-        let expected = k as u64 * 70;
-        assert_eq!(outcome.stats.worker_to_coordinator_bytes, expected);
-        assert_eq!(cluster.link_totals().1 - w2c_before, expected);
+        // Each answer is charged its standalone `Results` frame: tag 1 +
+        // query id 8 + fragment 4 + id count 1 + cost 56.
+        assert_eq!(outcome.stats.worker_to_coordinator_bytes, k as u64 * 70);
+        // The link carries one `BatchResults` frame a fragment: tag 1 + base
+        // 8 + fragment 4 + answer count 4 + answer tag 1 + id count 1 +
+        // cost 56.
+        assert_eq!(cluster.link_totals().1 - w2c_before, k as u64 * 75);
         cluster.shutdown();
     }
 

@@ -43,11 +43,12 @@
 //! 16 admitted plans merges into one [`disks_core::SuperPlan`] per worker per
 //! round — the union of slots across the batch, deduplicated — so each
 //! distinct coverage is computed once per batch and each worker sends one
-//! multi-answer frame back. A window of one ships as a plain `Evaluate`,
-//! which the worker answers as a batch of one. Answers are byte-identical
-//! to asking each query alone, attribution stays per-query exact, and
-//! faults inside a batch narrow to per-query retries (see `DESIGN.md`
-//! §"Batched dispatch").
+//! multi-answer frame back. A window of one is a batch of one, and so is
+//! every narrowed retry: `Batch`/`BatchResults` is the only plan frame the
+//! coordinator and workers send. Answers are byte-identical to asking each
+//! query alone, attribution stays per-query exact, and faults inside a
+//! batch narrow to per-query retries (see `DESIGN.md` §"Batched
+//! dispatch").
 //!
 //! The coordinator admits every valid query: it sheds nothing, as the
 //! paper's does not. Narrowed retries back off exponentially with

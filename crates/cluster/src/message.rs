@@ -4,14 +4,14 @@
 //! counts reported in the communication experiments are exactly what a TCP
 //! implementation would put on the wire (minus transport framing).
 //!
-//! A plan's evaluation is asked for two ways — [`Request::Evaluate`] for one
-//! query, [`Request::Batch`] for a merged window — and either names every
-//! coverage slot by its full `(term, radius)` spec, so a frame means the same
-//! to a worker whatever it has or has not seen before. Either also says which
-//! fragments to evaluate on: an `Evaluate`'s `fragments` list (empty: all the
-//! worker hosts), and each `Batch` program's [`disks_core::Targets`]. A batch
-//! answers a program on a fragment it does not target with the one-byte
-//! [`BatchAnswer::Skipped`], and a fragment no program targets with no frame.
+//! A plan's evaluation is asked for one way, [`Request::Batch`], and
+//! answered in [`Response::BatchResults`] frames. A batch names every
+//! coverage slot by its full `(term, radius)` spec, so a frame means the
+//! same to a worker whatever it has or has not seen before, and each of its
+//! programs names its fragments ([`disks_core::Targets`]). It answers a
+//! program on a fragment it does not target with the one-byte
+//! [`BatchAnswer::Skipped`], and a fragment no program targets with no
+//! frame.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -25,21 +25,23 @@ use crate::framing::MAX_FRAME_LEN;
 /// Coordinator → worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
-    /// Evaluate a normalized query plan on hosted fragments. An empty
+    /// One query plan (`fragments` as for `TopK`). Kept for the benchmark,
+    /// which builds it (`benchmark/src/layers.rs`); the coordinator no
+    /// longer sends it, and a worker answers it as a `Batch` of one with
+    /// `base = query_id − 1`.
+    Evaluate { query_id: u64, plan: QueryPlan, fragments: Vec<u32> },
+    /// Evaluate a top-k group keyword query on hosted fragments. An empty
     /// `fragments` list means every fragment the worker hosts; a non-empty
     /// list narrows the task to just those fragments (retry re-dispatch
-    /// after a fault). The plan was admitted by the coordinator, so workers
-    /// assume its radii and locations are valid.
-    Evaluate { query_id: u64, plan: QueryPlan, fragments: Vec<u32> },
-    /// Evaluate a top-k group keyword query on hosted fragments (same
-    /// narrowing rule as `Evaluate`).
+    /// after a fault).
     TopK { query_id: u64, query: TopKQuery, fragments: Vec<u32> },
-    /// Evaluate a merged batch of query plans on hosted fragments in one
-    /// round. Query `i` of the batch (0-based) has id `base + 1 + i` and is
+    /// Evaluate a merged batch of admitted query plans on hosted fragments
+    /// in one round: a window of one to sixteen, or a narrowed retry of
+    /// one. Query `i` of the batch (0-based) has id `base + 1 + i` and is
     /// evaluated on its program's targets; the worker answers with one
     /// [`Response::BatchResults`] frame per hosted fragment some program
-    /// targets, answers in batch order. Same fragment-narrowing rule as
-    /// `Evaluate`.
+    /// targets, answers in batch order. `fragments` narrows as for `TopK`;
+    /// the coordinator leaves it empty.
     Batch { base: u64, plan: SuperPlan, fragments: Vec<u32> },
     /// Terminate the worker loop.
     Shutdown,
@@ -65,9 +67,9 @@ pub struct WireCost {
     /// Coverage-cache evictions triggered while serving this task.
     pub cache_evictions: u64,
     /// Coverage slots served from the batch-shared result map (computed or
-    /// fetched once by an earlier query of the same batch). Always 0 on the
-    /// single-query path; not counted as LRU hits so the cache ledger stays
-    /// exact.
+    /// fetched once by an earlier query of the same batch). A batch of one
+    /// shares nothing, since a plan's slots are distinct. Not counted as
+    /// LRU hits so the cache ledger stays exact.
     pub batch_shared: u64,
     /// Coverages whose payload was below the cache's per-entry bookkeeping
     /// overhead and therefore skipped insertion (counted as misses too —
@@ -104,7 +106,10 @@ pub enum Response {
     /// Results for one fragment hosted by the worker: global node ids as
     /// `FragmentEngine::to_global` reads them off the local bitset — the
     /// form the wire layout (`encode_runs`) writes and the coordinator's
-    /// gather unions, never expanded in between.
+    /// gather unions, never expanded in between. No worker sends it: it is
+    /// the shape the gather expands a batch answer into
+    /// (`decode_gather_items`), and the benchmark encodes it
+    /// (`benchmark/src/layers.rs`).
     Results { query_id: u64, fragment: u32, nodes: NodeRuns, cost: WireCost },
     /// Locally ranked top-k results for one fragment.
     TopKResults { query_id: u64, fragment: u32, ranked: Vec<Ranked>, cost: WireCost },

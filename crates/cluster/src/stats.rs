@@ -129,7 +129,7 @@ pub struct OverloadCounters {
     /// Queries the coordinator refused for load: always 0, since it admits
     /// every valid query. Kept only because the benchmark
     /// (`benchmark/src/sut.rs`) reads `overload_counters().shed`, until that
-    /// pinned surface moves (ROADMAP 1(b)).
+    /// pinned surface moves (ROADMAP 4(b)).
     pub shed: u64,
 }
 

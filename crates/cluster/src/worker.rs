@@ -11,9 +11,9 @@
 //! answers its first frame like any other.
 //!
 //! Engine evaluation runs under `catch_unwind`, so a panicking task becomes
-//! a typed [`Response::Failed`] on the wire instead of a dead thread; a
-//! thread that does die (simulated crash) is detected and respawned by the
-//! coordinator.
+//! a typed [`BatchAnswer::Failed`] (a top-k task's [`Response::Failed`]) on
+//! the wire instead of a dead thread; a thread that does die (simulated
+//! crash) is detected and respawned by the coordinator.
 
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
@@ -220,32 +220,26 @@ pub fn worker_loop(
                     }))
                 })
             }
-            // A single query is a batch of one that targets every fragment
-            // its request selects, answered in the frames its own request
-            // kind names.
+            // Kept for the benchmark's pinned surface: a lone `Evaluate` is
+            // answered as the batch of one it is, on every fragment its
+            // request selects.
             Request::Evaluate { query_id, plan, fragments } => answer(
                 &mut engines,
                 &fragments,
-                &[(plan, Targets::Every)],
+                query_id.wrapping_sub(1),
+                &[(plan, &Targets::Every)],
                 inject_panic,
                 &mut cache,
                 &responses,
-                |fragment, mut answers| match answers.pop().expect("one plan, one answer") {
-                    BatchAnswer::Results { nodes, cost } => {
-                        Response::Results { query_id, fragment, nodes, cost }
-                    }
-                    BatchAnswer::Failed(error) => Response::Failed { query_id, fragment, error },
-                    BatchAnswer::Skipped => unreachable!("a lone plan targets every fragment"),
-                },
             ),
             Request::Batch { base, plan, fragments } => answer(
                 &mut engines,
                 &fragments,
-                &plan.split().into_iter().zip(plan.targets().cloned()).collect::<Vec<_>>(),
+                base,
+                &plan.split().into_iter().zip(plan.targets()).collect::<Vec<_>>(),
                 inject_panic,
                 &mut cache,
                 &responses,
-                |fragment, answers| Response::BatchResults { base, fragment, answers },
             ),
         };
         if !sent {
@@ -254,21 +248,21 @@ pub fn worker_loop(
     }
 }
 
-/// Evaluate `plans` on every hosted fragment the request selects, sharing
-/// slots across them through a per-fragment [`BatchStore`], and send each
-/// fragment's answers (in plan order) as the frame `reply` makes of them.
-/// A plan is evaluated only on its targets, and answers
-/// [`BatchAnswer::Skipped`] elsewhere; a fragment no plan targets gets no
-/// frame. An injected panic fails the first task evaluated only. Returns
-/// `false` when the coordinator is gone.
+/// Evaluate `plans`, queries `base+1 ..`, on every hosted fragment the
+/// request selects, sharing slots across them through a per-fragment
+/// [`BatchStore`], and send each fragment's answers (in plan order) as one
+/// [`Response::BatchResults`] frame. A plan is evaluated only on its
+/// targets, and answers [`BatchAnswer::Skipped`] elsewhere; a fragment no
+/// plan targets gets no frame. An injected panic fails the first task
+/// evaluated only. Returns `false` when the coordinator is gone.
 fn answer(
     engines: &mut [WorkerEngine],
     fragments: &[u32],
-    plans: &[(QueryPlan, Targets)],
+    base: u64,
+    plans: &[(QueryPlan, &Targets)],
     mut inject_panic: bool,
     cache: &mut CoverageCache,
     responses: &LinkSender,
-    reply: impl Fn(u32, Vec<BatchAnswer>) -> Response,
 ) -> bool {
     hosted(engines, fragments).all(|engine| {
         let fragment = engine.fragment().0;
@@ -290,7 +284,7 @@ fn answer(
                 }
             })
             .collect();
-        responses.send(encode_frame(&reply(fragment, answers)))
+        responses.send(encode_frame(&Response::BatchResults { base, fragment, answers }))
     })
 }
 
@@ -306,13 +300,31 @@ fn hosted<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::WireCost;
+    use crate::message::{decode_gather_items, WireCost};
     use crate::transport::counted_link;
     use crossbeam::channel::unbounded;
-    use disks_core::{build_all_indexes, DFunction, IndexConfig, SetOp, Term};
+    use disks_core::{build_all_indexes, DFunction, IndexConfig, SetOp, SuperPlan, Term};
     use disks_partition::{MultilevelPartitioner, Partitioner};
     use disks_roadnet::generator::GridNetworkConfig;
     use disks_roadnet::KeywordId;
+
+    /// Query `query_id` as the coordinator sends it: a batch of one that
+    /// evaluates `plan` on `targets`.
+    fn batch_of_one(query_id: u64, plan: QueryPlan, targets: Targets) -> Request {
+        let plan = SuperPlan::merge_targeted(&[plan], [targets]);
+        Request::Batch { base: query_id - 1, plan, fragments: vec![] }
+    }
+
+    /// The reply to a batch of one: its query id, fragment and one answer.
+    fn lone_answer(frame: Bytes) -> (u64, u32, BatchAnswer) {
+        match decode_frame::<Response>(frame).unwrap() {
+            Response::BatchResults { base, fragment, mut answers } => {
+                assert_eq!(answers.len(), 1, "one program, one answer");
+                (base + 1, fragment, answers.pop().unwrap())
+            }
+            other => panic!("unexpected response: {other:?}"),
+        }
+    }
 
     #[test]
     fn worker_answers_and_shuts_down() {
@@ -334,21 +346,18 @@ mod tests {
         let top = KeywordId((0..freqs.len()).max_by_key(|&k| freqs[k]).unwrap() as u32);
         let f = DFunction::single(Term::Keyword(top), 3 * net.avg_edge_weight());
         let plan = QueryPlan::lower(&f);
-        req_tx
-            .send(encode_frame(&Request::Evaluate { query_id: 1, plan, fragments: vec![] }))
-            .unwrap();
+        req_tx.send(encode_frame(&batch_of_one(1, plan, Targets::Every))).unwrap();
 
         // Two fragments hosted → two responses.
         let mut fragments = Vec::new();
         for _ in 0..2 {
-            let frame = resp_rx.recv().unwrap();
-            match decode_frame::<Response>(frame).unwrap() {
-                Response::Results { query_id, fragment, cost, .. } => {
+            match lone_answer(resp_rx.recv().unwrap()) {
+                (query_id, fragment, BatchAnswer::Results { cost, .. }) => {
                     assert_eq!(query_id, 1);
                     assert_ne!(cost, WireCost::default());
                     fragments.push(fragment);
                 }
-                other => panic!("unexpected response: {other:?}"),
+                other => panic!("unexpected answer: {other:?}"),
             }
         }
         fragments.sort_unstable();
@@ -380,11 +389,9 @@ mod tests {
         });
         let f = DFunction::single(Term::Keyword(KeywordId(0)), 1_000_000_000);
         let plan = QueryPlan::lower(&f);
-        req_tx
-            .send(encode_frame(&Request::Evaluate { query_id: 2, plan, fragments: vec![] }))
-            .unwrap();
-        match decode_frame::<Response>(resp_rx.recv().unwrap()).unwrap() {
-            Response::Failed { query_id, error: QueryError::WorkerPanic(msg), .. } => {
+        req_tx.send(encode_frame(&batch_of_one(2, plan, Targets::Every))).unwrap();
+        match lone_answer(resp_rx.recv().unwrap()) {
+            (query_id, _, BatchAnswer::Failed(QueryError::WorkerPanic(msg))) => {
                 assert_eq!(query_id, 2);
                 assert!(msg.contains("maxR"), "debug guard names the violated bound: {msg}");
             }
@@ -395,7 +402,7 @@ mod tests {
     }
 
     /// Repeated plans hit the coverage cache: the second response reports
-    /// hits, zero settled nodes, and the identical result set. An `Evaluate`
+    /// hits, zero settled nodes, and the identical result set. Each request
     /// is a batch of one, and a plan's slots are distinct, so neither
     /// response reports a slot shared within its request.
     #[test]
@@ -424,16 +431,16 @@ mod tests {
         ));
         assert_eq!(plan.num_slots(), 2);
         for qid in 1..=2u64 {
-            let req = Request::Evaluate { query_id: qid, plan: plan.clone(), fragments: vec![] };
+            let req = batch_of_one(qid, plan.clone(), Targets::Every);
             req_tx.send(encode_frame(&req)).unwrap();
         }
         let mut outcomes = Vec::new();
         for _ in 0..2 {
-            match decode_frame::<Response>(resp_rx.recv().unwrap()).unwrap() {
-                Response::Results { query_id, nodes, cost, .. } => {
+            match lone_answer(resp_rx.recv().unwrap()) {
+                (query_id, _, BatchAnswer::Results { nodes, cost }) => {
                     outcomes.push((query_id, nodes, cost))
                 }
-                other => panic!("unexpected response: {other:?}"),
+                other => panic!("unexpected answer: {other:?}"),
             }
         }
         outcomes.sort_by_key(|(qid, _, _)| *qid);
@@ -503,29 +510,27 @@ mod tests {
         let (req_tx, resp_rx, handle, net) = spawn_worker(63, faults);
         let f = DFunction::single(Term::Keyword(top_kw(&net)), 3 * net.avg_edge_weight());
         let plan = QueryPlan::lower(&f);
-        let request = Request::Evaluate { query_id: 1, plan: plan.clone(), fragments: vec![] };
-        req_tx.send(encode_frame(&request)).unwrap();
+        req_tx.send(encode_frame(&batch_of_one(1, plan.clone(), Targets::Every))).unwrap();
         // First fragment panics (typed Failed), second still answers: the
         // thread survived the panic.
         let mut failed = 0;
         let mut ok = 0;
         for _ in 0..2 {
-            match decode_frame::<Response>(resp_rx.recv().unwrap()).unwrap() {
-                Response::Failed { error: QueryError::WorkerPanic(msg), .. } => {
+            match lone_answer(resp_rx.recv().unwrap()) {
+                (_, _, BatchAnswer::Failed(QueryError::WorkerPanic(msg))) => {
                     assert!(msg.contains("injected"));
                     failed += 1;
                 }
-                Response::Results { .. } => ok += 1,
-                other => panic!("unexpected response: {other:?}"),
+                (_, _, BatchAnswer::Results { .. }) => ok += 1,
+                other => panic!("unexpected answer: {other:?}"),
             }
         }
         assert_eq!((failed, ok), (1, 1));
         // The fault was one-shot: a retry of the same request succeeds.
-        let retry = Request::Evaluate { query_id: 2, plan, fragments: vec![] };
-        req_tx.send(encode_frame(&retry)).unwrap();
+        req_tx.send(encode_frame(&batch_of_one(2, plan, Targets::Every))).unwrap();
         for _ in 0..2 {
-            match decode_frame::<Response>(resp_rx.recv().unwrap()).unwrap() {
-                Response::Results { query_id, .. } => assert_eq!(query_id, 2),
+            match lone_answer(resp_rx.recv().unwrap()) {
+                (query_id, _, BatchAnswer::Results { .. }) => assert_eq!(query_id, 2),
                 other => panic!("retry must succeed, got {other:?}"),
             }
         }
@@ -631,9 +636,7 @@ mod tests {
         let (req_tx, resp_rx, handle, net) = spawn_worker(64, faults);
         let f = DFunction::single(Term::Keyword(top_kw(&net)), net.avg_edge_weight());
         let plan = QueryPlan::lower(&f);
-        req_tx
-            .send(encode_frame(&Request::Evaluate { query_id: 1, plan, fragments: vec![] }))
-            .unwrap();
+        req_tx.send(encode_frame(&batch_of_one(1, plan, Targets::Every))).unwrap();
         handle.join().unwrap(); // thread exits on the killed request
         assert!(resp_rx.try_recv().is_err(), "crashed worker must not respond");
     }
@@ -643,12 +646,40 @@ mod tests {
         let (req_tx, resp_rx, handle, net) = spawn_worker(65, WorkerFaults::default());
         let f = DFunction::single(Term::Keyword(top_kw(&net)), 2 * net.avg_edge_weight());
         let plan = QueryPlan::lower(&f);
-        req_tx
-            .send(encode_frame(&Request::Evaluate { query_id: 1, plan, fragments: vec![1] }))
-            .unwrap();
-        match decode_frame::<Response>(resp_rx.recv().unwrap()).unwrap() {
-            Response::Results { fragment, .. } => assert_eq!(fragment, 1),
-            other => panic!("unexpected response: {other:?}"),
+        req_tx.send(encode_frame(&batch_of_one(1, plan, Targets::Only(vec![1])))).unwrap();
+        match lone_answer(resp_rx.recv().unwrap()) {
+            (_, fragment, BatchAnswer::Results { .. }) => assert_eq!(fragment, 1),
+            other => panic!("unexpected answer: {other:?}"),
+        }
+        req_tx.send(encode_frame(&Request::Shutdown)).unwrap();
+        handle.join().unwrap();
+        assert!(resp_rx.try_recv().is_err(), "only the narrowed fragment answers");
+    }
+
+    /// A decoded `Evaluate` is answered as the batch of one it is: one
+    /// `BatchResults` frame a fragment with `base = query_id − 1`, which the
+    /// gather reads back as query `query_id`'s `Results` — query 0's base
+    /// wraps, and wraps back.
+    #[test]
+    fn an_evaluate_is_answered_as_a_batch_of_one() {
+        let (req_tx, resp_rx, handle, net) = spawn_worker(69, WorkerFaults::default());
+        let f = DFunction::single(Term::Keyword(top_kw(&net)), 2 * net.avg_edge_weight());
+        let plan = QueryPlan::lower(&f);
+        for query_id in [0, 7] {
+            let request = Request::Evaluate { query_id, plan: plan.clone(), fragments: vec![1] };
+            req_tx.send(encode_frame(&request)).unwrap();
+            let frame = resp_rx.recv().unwrap();
+            match decode_frame::<Response>(frame.clone()).unwrap() {
+                Response::BatchResults { base, fragment: 1, answers } => {
+                    assert_eq!(base, query_id.wrapping_sub(1));
+                    assert!(matches!(answers[..], [BatchAnswer::Results { .. }]));
+                }
+                other => panic!("expected a batch of one, got {other:?}"),
+            }
+            let items = decode_gather_items(frame).unwrap();
+            assert!(
+                matches!(items[..], [(Response::Results { query_id: q, fragment: 1, .. }, _)] if q == query_id)
+            );
         }
         req_tx.send(encode_frame(&Request::Shutdown)).unwrap();
         handle.join().unwrap();

@@ -154,7 +154,7 @@ fn a_stream_matches_single_queries_and_the_oracle_on_a_zipf_stream() {
     assert_eq!(summed_batch_shared(&singles), 0);
 
     // Frame economy: at most ceil(200/16) = 13 super-plan frames per worker
-    // versus one `Evaluate` frame per query per targeted worker.
+    // versus one frame per query per targeted worker when each is asked alone.
     let streamed_rate = (frames_streamed - frames_before) as f64 / one_per_query_per_worker as f64;
     assert!(streamed_rate < 0.25, "streamed frames/query/worker {streamed_rate} too high");
     let targeted: u64 = targets(&net, &p, &fs).iter().flatten().map(|&t| u64::from(t)).sum();
