@@ -39,17 +39,19 @@
 //! the assembly cost more than the per-id plane did: a run is two words
 //! where an id was one, and is found by two bit scans where an id took one.
 //!
-//! `targets/sgkq5_over_8` and `targets/rkq_over_8` price what the
-//! coordinator decides before it encodes a query: the fragments a cold
-//! 5-keyword SGKQ, or an RKQ from an object with one keyword of its own,
-//! targets, one `SeedFloors::can_answer` for each of 8 fragments of
+//! `targets/sgkq5_over_8`, `targets/rkq_over_8` and `targets/topk_over_8`
+//! price what the coordinator decides before it encodes a query: the
+//! fragments a cold 5-keyword SGKQ, an RKQ from an object with one keyword
+//! of its own, or a top-k (`k = 10`) of one to three keywords some node
+//! bears targets, one `SeedFloors::can_answer` for each of 8 fragments of
 //! `small`'s bounded indexes, collected as the dispatch collects them
-//! (~0.1–0.2 µs a query on this host for either: well under the µs that
-//! would show beside a window's encode). The SGKQs target 4 of their 512
-//! pairs, the RKQs 144 (~2.3 of 8 fragments a query), and both assert the
-//! decision equals the engines' own `seed_count` test on every pair, so
-//! `cargo test -p disks-cluster --bench answer_plane --release` is a check
-//! as well as a print.
+//! (~0.1–0.2 µs a query on this host for any: well under the µs that would
+//! show beside a window's encode). The SGKQs target 4 of their 512 pairs,
+//! the RKQs 144 (~2.3 of 8 fragments a query), the top-ks 243 (~3.8 of 8).
+//! Each shape asserts the decision equals the engines' own `seed_count` test
+//! on every pair, and the top-ks that every pair they leave out ranks
+//! nothing on its engine, so `cargo test -p disks-cluster --bench
+//! answer_plane --release` is a check as well as a print.
 //!
 //! Run with: `cargo bench --offline -p disks-cluster --bench answer_plane`
 
@@ -59,7 +61,7 @@ use disks_cluster::{AnswerGather, BatchAnswer, Response, WireCost};
 use disks_core::bitset::BitSet;
 use disks_core::{
     build_all_indexes, FragmentEngine, IndexConfig, NodeRuns, QueryPlan, RangeKeywordQuery,
-    SeedFloors, SgkQuery,
+    ScoreCombine, SeedFloors, SgkQuery, TopKQuery,
 };
 use disks_partition::{FragmentId, MultilevelPartitioner, Partitioner};
 use disks_roadnet::generator::GridNetworkConfig;
@@ -171,18 +173,19 @@ fn bench_answer_plane(c: &mut Criterion) {
 }
 
 /// The coordinator's target decision over 8 fragments, cycling through 64
-/// queries of each of two shapes: a cold 5-keyword SGKQ (keywords uniform
-/// over the vocabulary) and an RKQ from an object location with one keyword
-/// of its own, both at a radius in `[maxR/2, maxR]`. Before it is timed,
-/// each shape asserts that the decision is the engines' own seed test on
-/// every (query, fragment) pair.
+/// queries of each of three shapes: a cold 5-keyword SGKQ (keywords uniform
+/// over the vocabulary), an RKQ from an object location with one keyword of
+/// its own and a top-k of one to three keywords some node bears, all at a
+/// radius in `[maxR/2, maxR]`. Before it is timed, each shape asserts that
+/// the decision is the engines' own seed test on every (query, fragment)
+/// pair, and that a top-k ranks nothing on a pair it leaves out.
 fn bench_targets(c: &mut Criterion) {
     let net = GridNetworkConfig::small(0xA052).generate();
     let p = MultilevelPartitioner::default().partition(&net, FRAGMENTS);
     let max_r = 12 * net.avg_edge_weight();
     let indexes = build_all_indexes(&net, &p, &IndexConfig::with_max_r(max_r));
     let floors = SeedFloors::new(&net, &p, &indexes);
-    let engines: Vec<FragmentEngine> =
+    let mut engines: Vec<FragmentEngine> =
         indexes.iter().map(|index| FragmentEngine::new(&net, &p, index).unwrap()).collect();
     let vocab = net.vocab().len() as u32;
     let objects: Vec<NodeId> = net.node_ids().filter(|&n| net.is_object(n)).collect();
@@ -200,16 +203,30 @@ fn bench_targets(c: &mut Criterion) {
             QueryPlan::lower(&q.to_dfunction())
         })
         .collect();
+    let freqs = net.keyword_frequencies();
+    let used: Vec<KeywordId> =
+        (0..vocab).map(KeywordId).filter(|kw| freqs[kw.index()] > 0).collect();
+    let topk: Vec<QueryPlan> = (0..64u32)
+        .map(|i| {
+            let n = 1 + i as usize % 3;
+            let kws = (0..n).map(|j| used[(i as usize * 7 + j * 13) % used.len()]).collect();
+            QueryPlan::topk(&TopKQuery::new(kws, 10, radius(i), ScoreCombine::Max))
+        })
+        .collect();
     let mut group = c.benchmark_group("targets");
     group.sample_size(20);
-    for (name, plans) in [("sgkq5_over_8", sgkq5), ("rkq_over_8", rkq)] {
+    for (name, plans) in [("sgkq5_over_8", sgkq5), ("rkq_over_8", rkq), ("topk_over_8", topk)] {
         let mut targeted = 0;
         for plan in &plans {
-            for (f, engine) in engines.iter().enumerate() {
+            for (f, engine) in engines.iter_mut().enumerate() {
                 let asked = floors.can_answer(plan, FragmentId(f as u32));
                 let seeded = plan.can_answer(|s| engine.seed_count(s.term, s.radius) > 0);
                 assert_eq!(asked, seeded, "{name}: {plan} on fragment {f}");
                 targeted += usize::from(asked);
+                if let Some(q) = plan.as_topk().filter(|_| !asked) {
+                    let (ranked, _) = engine.topk_local(&q).unwrap();
+                    assert!(ranked.is_empty(), "{name}: {plan} ranks on pruned fragment {f}");
+                }
             }
         }
         println!(

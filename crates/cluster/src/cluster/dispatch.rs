@@ -1,7 +1,8 @@
 //! The one request path: a stream's admitted queries are one group, the
 //! group is cut into windows, sent and gathered, and each member's
 //! [`QueryStats`] is read off it. A single query is a stream of one — a
-//! group of one, a window of one.
+//! group of one, a window of one — and a top-k is a single query whose
+//! plan is ranked.
 //!
 //! There is one windowing rule, with no knob: a group is cut into
 //! [`BATCH_WINDOW`]-sized chunks in stream order and every chunk is
@@ -38,7 +39,7 @@ fn retry_request(base: u64, plan: &QueryPlan, mut fragments: Vec<u32>) -> Reques
 
 /// What one initial dispatch put on the wire.
 #[derive(Debug, Default, Clone, Copy)]
-pub(super) struct Sent {
+struct Sent {
     /// Dead workers respawned on the way.
     respawns: u32,
     /// Size of the largest single frame (links are parallel, so this — not
@@ -61,31 +62,36 @@ pub(super) struct GroupRun {
     elapsed: Duration,
 }
 
-/// Dispatch and gather one group's slots given its first query id.
-type Exchange<'a> = dyn FnMut(u64) -> (Result<GatherReport, QueryError>, Sent) + 'a;
-
 impl Cluster {
-    /// The dispatch/gather core every plan query goes through
-    /// ([`Cluster::run_stream`], and through it [`Cluster::run`]): the
-    /// admitted `plans` of a stream, in order, are one group, cut into
-    /// windows and gathered. `on_event` receives each query's gather events
-    /// ([`Sink`]) keyed by its position in `plans`.
+    /// The dispatch/gather core every query goes through
+    /// ([`Cluster::run_stream`], and through it [`Cluster::run`], and
+    /// [`Cluster::run_topk`]): the admitted `plans` of a stream, in order,
+    /// are one group, numbered here, cut into windows and gathered.
+    /// `on_event` receives each query's gather events ([`Sink`]) keyed by
+    /// its position in `plans`.
     pub(super) fn run_plans(
         &self,
         plans: &[QueryPlan],
         start: Instant,
         on_event: &mut Sink,
     ) -> GroupRun {
+        let members = plans.len();
+        let base = self.query_counter.get();
+        self.query_counter.set(base + members as u64);
         let targeted: Vec<Vec<bool>> = plans.iter().map(|plan| self.targeted(plan)).collect();
-        self.run_group(plans.len(), start, &mut |base| {
-            // Retries narrow to a batch of one per failed query, however the
-            // window was batched.
-            let make_request = |slot: usize, frags: Vec<u32>| {
-                retry_request(base + slot as u64, &plans[slot], frags)
-            };
-            let sent = self.dispatch_plans(base, plans, &targeted);
-            (self.gather(base, &targeted, &make_request, on_event), sent)
-        })
+        // Retries narrow to a batch of one per failed query, however the
+        // window was batched.
+        let make_request =
+            |slot: usize, frags: Vec<u32>| retry_request(base + slot as u64, &plans[slot], frags);
+        let sent = self.dispatch_plans(base, plans, &targeted);
+        let (report, error) = match self.gather(base, &targeted, &make_request, on_event) {
+            Ok(r) => (r, None),
+            Err(e) => (
+                GatherReport { retries_by_slot: vec![0; members], ..GatherReport::default() },
+                Some(e),
+            ),
+        };
+        GroupRun { members, report, error, sent, elapsed: start.elapsed() }
     }
 
     /// The fragments `plan` targets, `targeted[f]`: those whose seed floors
@@ -97,27 +103,6 @@ impl Cluster {
             Some(floors) => (0..k).map(|f| floors.can_answer(plan, FragmentId(f as u32))).collect(),
             None => vec![true; k],
         }
-    }
-
-    /// The one place a group of `members` queries is numbered and exchanged
-    /// with the workers.
-    pub(super) fn run_group(
-        &self,
-        members: usize,
-        start: Instant,
-        exchange: &mut Exchange<'_>,
-    ) -> GroupRun {
-        let base = self.query_counter.get();
-        self.query_counter.set(base + members as u64);
-        let (gathered, sent) = exchange(base);
-        let (report, error) = match gathered {
-            Ok(r) => (r, None),
-            Err(e) => (
-                GatherReport { retries_by_slot: vec![0; members], ..GatherReport::default() },
-                Some(e),
-            ),
-        };
-        GroupRun { members, report, error, sent, elapsed: start.elapsed() }
     }
 
     /// The one [`QueryStats`] constructor: the stats of member `pos` of a
@@ -209,11 +194,6 @@ impl Cluster {
         let plan = SuperPlan::merge_targeted(chunk, targeted.iter().map(|t| Targets::of_mask(t)));
         let frame = encode_frame(&Request::Batch { base: window_base, plan, fragments: vec![] });
         machines.into_iter().map(|m| (m, frame.clone())).collect()
-    }
-
-    /// Broadcast `frame` to every busy machine ([`Cluster::dispatch`]).
-    pub(super) fn broadcast(&self, frame: &Bytes) -> Sent {
-        self.dispatch(self.placement.busy_machines().map(|m| (m, frame.clone())))
     }
 
     /// The one initial-dispatch send loop: each machine gets its frame.

@@ -13,7 +13,7 @@ use disks_partition::FragmentId;
 
 use super::Cluster;
 use crate::cache::CacheCounters;
-use crate::message::{decode_gather_items, encode_frame, Request, Response};
+use crate::message::{decode_gather_items, encode_frame, BatchAnswer, Request};
 
 /// How long the straggler drain waits for a frame the wire ledger says was
 /// sent but that has not yet been consumed (crossing the TCP pumps takes
@@ -47,9 +47,9 @@ pub(super) fn backoff_delay(retry_index: u32, seed: u64) -> Duration {
 
 /// What a gather tells its sink about one query slot.
 pub(super) enum GatherEvent {
-    /// A first-seen in-window `Results` / `TopKResults` payload and the
-    /// bytes its standalone frame would have cost.
-    Payload(Response, u64),
+    /// A first-seen in-window answer, `Results` or `Ranked`, from a
+    /// fragment, and the bytes it is charged.
+    Payload(u32, BatchAnswer, u64),
     /// The slot's last outstanding fragment has answered or been given up
     /// on under `allow_partial`; every payload it will ever get has been
     /// delivered. Sent once per slot of a gather that returns `Ok`.
@@ -123,29 +123,23 @@ impl GatherState {
         }
     }
 
-    /// The `(slot, fragment)` pair a gather item ([`decode_gather_items`])
-    /// answers, or `None` when it lies outside this gather's window of
+    /// The slot of a gather item ([`decode_gather_items`]) for query `qid`
+    /// on `fragment`, or `None` when it lies outside this gather's window of
     /// queries `base+1 ..= base+n`.
-    fn slot_of(&self, base: u64, response: &Response) -> Option<(usize, u32)> {
-        let (qid, fragment) = match *response {
-            Response::Results { query_id, fragment, .. }
-            | Response::TopKResults { query_id, fragment, .. }
-            | Response::Failed { query_id, fragment, .. } => (query_id, fragment),
-            Response::BatchResults { .. } => unreachable!("expanded by the decoder"),
-        };
+    fn slot_of(&self, base: u64, qid: u64, fragment: u32) -> Option<usize> {
         let in_window = qid > base && qid <= base + self.n as u64 && (fragment as usize) < self.k;
-        in_window.then(|| ((qid - base - 1) as usize, fragment))
+        in_window.then(|| (qid - base - 1) as usize)
     }
 
     /// Record one answered `(slot, fragment)` pair — with its payload, or
     /// `None` for a fragment given up on — and hand the sink what follows:
     /// the payload, then [`GatherEvent::Complete`] if it was the slot's last
     /// outstanding pair.
-    fn note_answered(&mut self, slot: usize, payload: Option<(Response, u64)>, sink: &mut Sink) {
+    fn note_answered(&mut self, slot: usize, payload: Option<GatherEvent>, sink: &mut Sink) {
         self.missing -= 1;
         self.missing_by_slot[slot] -= 1;
-        if let Some((response, bytes)) = payload {
-            sink(slot, GatherEvent::Payload(response, bytes));
+        if let Some(payload) = payload {
+            sink(slot, payload);
         }
         if self.missing_by_slot[slot] == 0 {
             sink(slot, GatherEvent::Complete);
@@ -241,13 +235,12 @@ impl Cluster {
             return Ok(());
         };
         // A batch frame arrives expanded into one positional answer per
-        // member query; each flows through the same window/dedup/retry
-        // machinery as a standalone frame, charged the bytes its standalone
-        // result frame would have cost (`decode_gather_items`), so per-query
-        // byte attribution is the same whether a query rode a window or ran
-        // alone.
-        for (response, bytes) in items {
-            let Some((slot, fragment)) = gs.slot_of(base, &response) else {
+        // member query; each flows through the window/dedup/retry machinery
+        // on its own, charged the bytes its standalone frame would have cost
+        // (`decode_gather_items`), so per-query byte attribution is the same
+        // whether a query rode a window or ran alone.
+        for (qid, fragment, answer, bytes) in items {
+            let Some(slot) = gs.slot_of(base, qid, fragment) else {
                 gs.report.out_of_window_responses += 1;
                 continue;
             };
@@ -257,8 +250,8 @@ impl Cluster {
                 continue;
             }
             gs.stall_deadline = Instant::now() + self.config.deadline;
-            match response {
-                Response::Failed { error, .. } => {
+            match answer {
+                BatchAnswer::Failed(error) => {
                     if !error.is_retryable() {
                         return Err(error);
                     }
@@ -276,7 +269,7 @@ impl Cluster {
                 }
                 payload => {
                     gs.responded[slot][f] = true;
-                    if let Response::Results { cost, .. } | Response::TopKResults { cost, .. } =
+                    if let BatchAnswer::Results { cost, .. } | BatchAnswer::Ranked { cost, .. } =
                         &payload
                     {
                         gs.report.cache.absorb(&cost.cache_counters());
@@ -286,7 +279,11 @@ impl Cluster {
                         let m = self.placement.machine_of(FragmentId(fragment));
                         self.compute_micros.borrow_mut()[m] += cost.elapsed_micros;
                     }
-                    gs.note_answered(slot, Some((payload, bytes)), sink);
+                    gs.note_answered(
+                        slot,
+                        Some(GatherEvent::Payload(fragment, payload, bytes)),
+                        sink,
+                    );
                 }
             }
         }
@@ -301,8 +298,8 @@ impl Cluster {
             gs.report.corrupt_frames += 1;
             return;
         };
-        for (response, _) in items {
-            if gs.slot_of(base, &response).is_some() {
+        for (qid, fragment, ..) in items {
+            if gs.slot_of(base, qid, fragment).is_some() {
                 gs.report.duplicate_responses += 1;
             } else {
                 gs.report.out_of_window_responses += 1;

@@ -12,12 +12,15 @@
 //! the fragments where none of its conjuncts is seedless: a keyword has a
 //! seed where a node bears it or its keyword-portal list is within the
 //! radius, a location in its own fragment and where its DL entry is within
-//! the radius. The others would answer ∅.
+//! the radius. The others would answer ∅. A top-k is the plan of its
+//! keywords' conjunction at the horizon, ranked (`QueryPlan::topk`): it
+//! targets, rides and retries as any plan does, and each target answers
+//! with its local top-k.
 //!
 //! The `impl Cluster` is split by responsibility: `config` (the knob
 //! table), `supervise` (build / spawn / respawn / shutdown), `gather` (the
-//! response state machine) and `dispatch` (group → windows → the broadcast
-//! → stats). This file keeps the struct, admission and the public entry
+//! response state machine) and `dispatch` (group → windows → frames →
+//! stats). This file keeps the struct, admission and the public entry
 //! points — all of which end in the one path through `dispatch`.
 //!
 //! # Failure model
@@ -54,8 +57,8 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
 use disks_core::{
-    DFunction, DlScope, NodeRuns, QClassQuery, QueryError, QueryPlan, RangeKeywordQuery,
-    SeedFloors, SgkQuery,
+    merge_topk, DFunction, DlScope, NodeRuns, QClassQuery, QueryError, QueryPlan,
+    RangeKeywordQuery, Ranked, SeedFloors, SgkQuery, TopKQuery,
 };
 use disks_partition::FragmentId;
 use disks_roadnet::NodeId;
@@ -67,7 +70,7 @@ pub use self::supervise::RemoteWorkerCommand;
 use self::gather::GatherEvent;
 use self::supervise::{RespawnSpec, WorkerHandle};
 use crate::cache::CacheCounters;
-use crate::message::{encode_frame, Request, Response};
+use crate::message::BatchAnswer;
 use crate::scheduler::Placement;
 use crate::stats::{MachineCost, OverloadCounters, QueryStats, RecoveryCounters};
 use crate::transport::{LinkCounters, LinkSender};
@@ -279,7 +282,7 @@ impl Cluster {
             vec![vec![MachineCost::default(); self.num_machines()]; n];
         let mut cache_by_slot: Vec<CacheCounters> = vec![CacheCounters::default(); n];
         let mut on_event = |i: usize, event: GatherEvent| match event {
-            GatherEvent::Payload(Response::Results { fragment, nodes, cost, .. }, bytes) => {
+            GatherEvent::Payload(fragment, BatchAnswer::Results { nodes, cost }, bytes) => {
                 let m = self.placement.machine_of(FragmentId(fragment));
                 per_machine[i][m].absorb(fragment, &cost, bytes);
                 cache_by_slot[i].absorb(&cost.cache_counters());
@@ -321,55 +324,35 @@ impl Cluster {
         (out, elapsed)
     }
 
-    /// Run a top-k group keyword query distributedly: every fragment ships
-    /// its local top-k, the coordinator merges (exact within the horizon).
-    /// A group of one on the same path as plan queries, with its own
-    /// `TopK`/`TopKResults` frame kind.
-    pub fn run_topk(
-        &self,
-        q: &disks_core::TopKQuery,
-    ) -> Result<(Vec<disks_core::Ranked>, QueryStats), QueryError> {
-        if q.keywords.is_empty() {
-            return Err(QueryError::EmptyQuery);
-        }
-        if q.horizon > self.admission_max_r {
-            return Err(QueryError::RadiusExceedsMaxR {
-                r: q.horizon,
-                max_r: self.admission_max_r,
-            });
-        }
+    /// Run a top-k group keyword query distributedly: the plan of its
+    /// keywords' conjunction at the horizon, ranked ([`QueryPlan::topk`]),
+    /// is admitted and run like any plan, each fragment it targets ships its
+    /// local top-k, and the coordinator merges them (exact within the
+    /// horizon). A fragment where a keyword is seedless within the horizon
+    /// ranks nothing, so it is not asked.
+    pub fn run_topk(&self, q: &TopKQuery) -> Result<(Vec<Ranked>, QueryStats), QueryError> {
+        let plan = QueryPlan::topk(q);
+        self.admit(&plan)?;
         let start = Instant::now();
         let (c2w_before, _) = self.link_totals();
         let mut per_machine: Vec<MachineCost> = vec![MachineCost::default(); self.num_machines()];
         let mut cache = CacheCounters::default();
-        let mut lists: Vec<Vec<disks_core::Ranked>> = Vec::new();
-        let group = self.run_group(1, start, &mut |base| {
-            let request = |_: usize, frags: Vec<u32>| Request::TopK {
-                query_id: base + 1,
-                query: q.clone(),
-                fragments: frags,
-            };
-            let sent = self.broadcast(&encode_frame(&request(0, Vec::new())));
-            let mut on_event = |_: usize, event: GatherEvent| {
-                if let GatherEvent::Payload(
-                    Response::TopKResults { fragment, ranked, cost, .. },
-                    bytes,
-                ) = event
-                {
-                    let m = self.placement.machine_of(FragmentId(fragment));
-                    per_machine[m].absorb(fragment, &cost, bytes);
-                    cache.absorb(&cost.cache_counters());
-                    lists.push(ranked);
-                }
-            };
-            // Top-k is never pruned: every fragment ranks its own nodes.
-            let every = [vec![true; self.placement.num_fragments()]];
-            (self.gather(base, &every, &request, &mut on_event), sent)
-        });
+        let mut lists: Vec<Vec<Ranked>> = Vec::new();
+        let mut on_event = |_: usize, event: GatherEvent| {
+            if let GatherEvent::Payload(fragment, BatchAnswer::Ranked { ranked, cost }, bytes) =
+                event
+            {
+                let m = self.placement.machine_of(FragmentId(fragment));
+                per_machine[m].absorb(fragment, &cost, bytes);
+                cache.absorb(&cost.cache_counters());
+                lists.push(ranked);
+            }
+        };
+        let group = self.run_plans(std::slice::from_ref(&plan), start, &mut on_event);
         if let Some(e) = group.error {
             return Err(e);
         }
-        let merged = disks_core::merge_topk(lists, q.k);
+        let merged = merge_topk(lists, q.k);
         let c2w = self.link_totals().0 - c2w_before;
         let stats = self.query_stats(&group, 0, per_machine, cache, merged.len(), c2w);
         Ok((merged, stats))
@@ -672,7 +655,7 @@ mod tests {
 
     #[test]
     fn distributed_topk_matches_centralized() {
-        use disks_core::{centralized_topk, ScoreCombine, TopKQuery};
+        use disks_core::{centralized_topk, ScoreCombine};
         let (net, _, cluster) = setup(80, 4, &IndexConfig::unbounded());
         let kws = top_keywords(&net, 2);
         let e = net.avg_edge_weight();

@@ -4,18 +4,21 @@
 //! counts reported in the communication experiments are exactly what a TCP
 //! implementation would put on the wire (minus transport framing).
 //!
-//! A plan's evaluation is asked for one way, [`Request::Batch`], and
-//! answered in [`Response::BatchResults`] frames. A batch names every
-//! coverage slot by its full `(term, radius)` spec, so a frame means the
-//! same to a worker whatever it has or has not seen before, and each of its
-//! programs names its fragments ([`disks_core::Targets`]). It answers a
-//! program on a fragment it does not target with the one-byte
-//! [`BatchAnswer::Skipped`], and a fragment no program targets with no
-//! frame.
+//! A plan's evaluation, a top-k's included, is asked for one way,
+//! [`Request::Batch`], and answered in [`Response::BatchResults`] frames. A
+//! batch names every coverage slot by its full `(term, radius)` spec, so a
+//! frame means the same to a worker whatever it has or has not seen before,
+//! and each of its programs names its fragments ([`disks_core::Targets`]).
+//! It answers a program on a fragment it does not target with the one-byte
+//! [`BatchAnswer::Skipped`], a ranked program with its fragment's
+//! [`BatchAnswer::Ranked`] list, and a fragment no program targets with no
+//! frame. `Request::Evaluate`, `Response::Results` and `Response::Failed`
+//! keep their codec for the benchmark (`benchmark/src/layers.rs`); no
+//! coordinator or worker sends them.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use disks_core::{NodeRuns, QueryCost, QueryError, QueryPlan, Ranked, SuperPlan, TopKQuery};
+use disks_core::{NodeRuns, QueryCost, QueryError, QueryPlan, Ranked, SuperPlan};
 use disks_roadnet::codec::{decode_len, Decode, Encode};
 use disks_roadnet::DecodeError;
 
@@ -25,23 +28,18 @@ use crate::framing::MAX_FRAME_LEN;
 /// Coordinator → worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
-    /// One query plan (`fragments` as for `TopK`). Kept for the benchmark,
-    /// which builds it (`benchmark/src/layers.rs`); the coordinator no
-    /// longer sends it, and a worker answers it as a `Batch` of one with
-    /// `base = query_id − 1`.
+    /// One query plan (`fragments` as for `Batch`). Kept for the benchmark,
+    /// which builds it (`benchmark/src/layers.rs`); no coordinator sends it,
+    /// and a worker drops it like a malformed frame.
     Evaluate { query_id: u64, plan: QueryPlan, fragments: Vec<u32> },
-    /// Evaluate a top-k group keyword query on hosted fragments. An empty
-    /// `fragments` list means every fragment the worker hosts; a non-empty
-    /// list narrows the task to just those fragments (retry re-dispatch
-    /// after a fault).
-    TopK { query_id: u64, query: TopKQuery, fragments: Vec<u32> },
     /// Evaluate a merged batch of admitted query plans on hosted fragments
     /// in one round: a window of one to sixteen, or a narrowed retry of
     /// one. Query `i` of the batch (0-based) has id `base + 1 + i` and is
     /// evaluated on its program's targets; the worker answers with one
     /// [`Response::BatchResults`] frame per hosted fragment some program
-    /// targets, answers in batch order. `fragments` narrows as for `TopK`;
-    /// the coordinator leaves it empty.
+    /// targets, answers in batch order. A non-empty `fragments` list
+    /// narrows the batch to those hosted fragments; the coordinator leaves
+    /// it empty.
     Batch { base: u64, plan: SuperPlan, fragments: Vec<u32> },
     /// Terminate the worker loop.
     Shutdown,
@@ -103,19 +101,14 @@ impl From<&QueryCost> for WireCost {
 /// Worker → coordinator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
-    /// Results for one fragment hosted by the worker: global node ids as
-    /// `FragmentEngine::to_global` reads them off the local bitset — the
-    /// form the wire layout (`encode_runs`) writes and the coordinator's
-    /// gather unions, never expanded in between. No worker sends it: it is
-    /// the shape the gather expands a batch answer into
-    /// (`decode_gather_items`), and the benchmark encodes it
-    /// (`benchmark/src/layers.rs`).
+    /// Results for one fragment: global node ids in the wire layout
+    /// (`encode_runs`) a [`BatchAnswer::Results`] carries too. No worker
+    /// sends it; the benchmark encodes it (`benchmark/src/layers.rs`), and
+    /// a batch answer is charged what this frame would weigh.
     Results { query_id: u64, fragment: u32, nodes: NodeRuns, cost: WireCost },
-    /// Locally ranked top-k results for one fragment.
-    TopKResults { query_id: u64, fragment: u32, ranked: Vec<Ranked>, cost: WireCost },
-    /// The query failed on this worker, with the typed error encoded on the
-    /// wire — the coordinator can classify it (retryable vs. permanent)
-    /// without sniffing display strings.
+    /// One query's typed failure on one fragment. No worker sends it (a
+    /// failure is a [`BatchAnswer::Failed`]); its codec stays because the
+    /// benchmark matches on this enum.
     Failed { query_id: u64, fragment: u32, error: QueryError },
     /// One fragment's answers for a whole [`Request::Batch`], in batch
     /// order: `answers[i]` answers query `base + 1 + i`. Each answer carries
@@ -139,6 +132,9 @@ pub enum BatchAnswer {
     /// The query does not target this fragment ([`disks_core::Targets`]):
     /// the coordinator pruned the pair and expects no answer. One tag byte.
     Skipped,
+    /// A ranked program's answer ([`disks_core::Rank`]): the fragment's
+    /// best `k` `(score, node)` pairs, exact within the horizon.
+    Ranked { ranked: Vec<Ranked>, cost: WireCost },
 }
 
 impl Encode for BatchAnswer {
@@ -154,25 +150,35 @@ impl Encode for BatchAnswer {
                 error.encode(buf);
             }
             BatchAnswer::Skipped => 2u8.encode(buf),
+            BatchAnswer::Ranked { ranked, cost } => {
+                3u8.encode(buf);
+                ranked.encode(buf);
+                cost.encode(buf);
+            }
         }
     }
 }
 impl BatchAnswer {
-    /// Decode one answer and report what its standalone
-    /// [`Response::Results`] frame would have weighed
-    /// ([`results_frame_len`] of the id bytes just read; 0 for a failure or
-    /// a skipped query, which are charged nothing).
+    /// Decode one answer and report what a standalone frame of it would
+    /// have weighed ([`results_frame_len`] of the id or ranked-list bytes
+    /// just read; 0 for a failure or a skipped query, which are charged
+    /// nothing).
     fn decode_measured(buf: &mut impl Buf) -> Result<(Self, u64), DecodeError> {
-        match u8::decode(buf)? {
+        let tag = u8::decode(buf)?;
+        let before = buf.remaining();
+        match tag {
             0 => {
-                let before = buf.remaining();
                 let nodes = decode_runs(buf)?;
-                let id_bytes = (before - buf.remaining()) as u64;
-                let cost = WireCost::decode(buf)?;
-                Ok((BatchAnswer::Results { nodes, cost }, results_frame_len(id_bytes)))
+                let charge = results_frame_len((before - buf.remaining()) as u64);
+                Ok((BatchAnswer::Results { nodes, cost: WireCost::decode(buf)? }, charge))
             }
             1 => Ok((BatchAnswer::Failed(QueryError::decode(buf)?), 0)),
             2 => Ok((BatchAnswer::Skipped, 0)),
+            3 => {
+                let ranked = Vec::decode(buf)?;
+                let charge = results_frame_len((before - buf.remaining()) as u64);
+                Ok((BatchAnswer::Ranked { ranked, cost: WireCost::decode(buf)? }, charge))
+            }
             tag => Err(DecodeError::BadTag { context: "BatchAnswer", tag }),
         }
     }
@@ -202,7 +208,8 @@ pub(crate) const WIRE_COST_LEN: u64 = 7 * 8;
 
 /// Exact encoded size of a [`Response::Results`] frame whose id list
 /// encodes ([`encode_runs`]) to `id_bytes`: tag + query id + fragment + ids +
-/// cost, `13 + id_bytes + 56`.
+/// cost, `13 + id_bytes + 56`. A ranked answer is charged the same around
+/// its list's bytes: what its top-k frame weighed before top-k rode a batch.
 ///
 /// Used to apportion a batch frame's bytes to its member queries — each
 /// answer is charged what its standalone result frame would have cost, so
@@ -246,7 +253,7 @@ fn write_varint(mut v: u64, out: &mut [u8]) -> usize {
 
 /// Read a little-endian base-128 varint of at most [`VARINT_MAX_BYTES`]
 /// bytes (so the value is below 2³⁵ and no later sum can overflow `u64`)
-/// off the front of `unread`.
+/// off the front of `unread`, in its one shortest encoding.
 fn get_varint(unread: &mut &[u8]) -> Result<u64, DecodeError> {
     // Most gaps and lengths are below 128: one byte, no loop.
     if let [b @ 0..0x80, rest @ ..] = *unread {
@@ -256,6 +263,14 @@ fn get_varint(unread: &mut &[u8]) -> Result<u64, DecodeError> {
     let mut v = 0u64;
     for (i, &b) in unread.iter().take(VARINT_MAX_BYTES).enumerate() {
         v |= u64::from(b & 0x7f) << (7 * i);
+        if b == 0 && i > 0 {
+            // Over-long: the value has a shorter encoding, and each answer
+            // has one.
+            return Err(DecodeError::LengthOutOfRange {
+                context: "answer varint over-long",
+                len: v,
+            });
+        }
         if b & 0x80 == 0 {
             *unread = &unread[i + 1..];
             return Ok(v);
@@ -396,12 +411,6 @@ impl Encode for Request {
                 fragments.encode(buf);
             }
             Request::Shutdown => 1u8.encode(buf),
-            Request::TopK { query_id, query, fragments } => {
-                2u8.encode(buf);
-                query_id.encode(buf);
-                query.encode(buf);
-                fragments.encode(buf);
-            }
             Request::Batch { base, plan, fragments } => {
                 3u8.encode(buf);
                 base.encode(buf);
@@ -420,19 +429,14 @@ impl Decode for Request {
                 fragments: Vec::decode(buf)?,
             }),
             1 => Ok(Request::Shutdown),
-            2 => Ok(Request::TopK {
-                query_id: u64::decode(buf)?,
-                query: TopKQuery::decode(buf)?,
-                fragments: Vec::decode(buf)?,
-            }),
             3 => Ok(Request::Batch {
                 base: u64::decode(buf)?,
                 plan: SuperPlan::decode(buf)?,
                 fragments: Vec::decode(buf)?,
             }),
-            // 4, 5 and 6 are retired (an earlier build's respawn Prewarm,
-            // reference-elided batch and liveness probe), not reused: such a
-            // frame is a typed error, never a misparse.
+            // 2, 4, 5 and 6 are retired (an earlier build's top-k, respawn
+            // Prewarm, reference-elided batch and liveness probe), not
+            // reused: such a frame is a typed error, never a misparse.
             tag => Err(DecodeError::BadTag { context: "Request", tag }),
         }
     }
@@ -453,13 +457,6 @@ impl Encode for Response {
                 query_id.encode(buf);
                 fragment.encode(buf);
                 error.encode(buf);
-            }
-            Response::TopKResults { query_id, fragment, ranked, cost } => {
-                2u8.encode(buf);
-                query_id.encode(buf);
-                fragment.encode(buf);
-                ranked.encode(buf);
-                cost.encode(buf);
             }
             Response::BatchResults { base, fragment, answers } => {
                 BATCH_RESULTS_TAG.encode(buf);
@@ -484,19 +481,13 @@ impl Decode for Response {
                 fragment: u32::decode(buf)?,
                 error: QueryError::decode(buf)?,
             }),
-            2 => Ok(Response::TopKResults {
-                query_id: u64::decode(buf)?,
-                fragment: u32::decode(buf)?,
-                ranked: Vec::decode(buf)?,
-                cost: WireCost::decode(buf)?,
-            }),
             BATCH_RESULTS_TAG => Ok(Response::BatchResults {
                 base: u64::decode(buf)?,
                 fragment: u32::decode(buf)?,
                 answers: decode_answers(buf, |answer, _| Some(answer))?,
             }),
-            // 4 is retired (an earlier build's probe acknowledgement), not
-            // reused.
+            // 2 and 4 are retired (an earlier build's top-k results and probe
+            // acknowledgement), not reused.
             tag => Err(DecodeError::BadTag { context: "Response", tag }),
         }
     }
@@ -526,20 +517,21 @@ fn expect_consumed(bytes: &Bytes) -> Result<(), DecodeError> {
     Ok(())
 }
 
-/// Decode a worker's frame into the responses the gather handles one at a
-/// time, each with the worker→coordinator bytes charged to it. A batch
-/// frame expands into one standalone response per member query the frame's
-/// fragment answers (`answers[i]` answers query `base + 1 + i`; a
-/// [`BatchAnswer::Skipped`] yields nothing), charged what its own result
-/// frame would have weighed — measured while its ids are read, not by
-/// walking them again; any other frame is one item charged the frame's
-/// length.
-pub(crate) fn decode_gather_items(mut frame: Bytes) -> Result<Vec<(Response, u64)>, DecodeError> {
-    if frame.first() != Some(&BATCH_RESULTS_TAG) {
-        let frame_bytes = frame.len() as u64;
-        return Ok(vec![(decode_frame(frame)?, frame_bytes)]);
+/// One answer a gather handles: `(query_id, fragment, answer, bytes)`, the
+/// bytes being what the answer is charged.
+pub(crate) type GatherItem = (u64, u32, BatchAnswer, u64);
+
+/// Decode a worker's frame, which is a [`Response::BatchResults`] or
+/// corrupt, into the answers the gather handles one at a time: one per
+/// member query the frame's fragment answers (`answers[i]` answers query
+/// `base + 1 + i`; a [`BatchAnswer::Skipped`] yields nothing), charged what
+/// its own standalone frame would have weighed — measured while it is read,
+/// not by walking it again.
+pub(crate) fn decode_gather_items(mut frame: Bytes) -> Result<Vec<GatherItem>, DecodeError> {
+    match u8::decode(&mut frame)? {
+        BATCH_RESULTS_TAG => {}
+        tag => return Err(DecodeError::BadTag { context: "gathered frame", tag }),
     }
-    frame.advance(1);
     let base = u64::decode(&mut frame)?;
     let fragment = u32::decode(&mut frame)?;
     let mut query_id = base;
@@ -547,14 +539,7 @@ pub(crate) fn decode_gather_items(mut frame: Bytes) -> Result<Vec<(Response, u64
         // A corrupt base that wraps lands outside every window and is
         // dropped there; it must not overflow here.
         query_id = query_id.wrapping_add(1);
-        let response = match answer {
-            BatchAnswer::Results { nodes, cost } => {
-                Response::Results { query_id, fragment, nodes, cost }
-            }
-            BatchAnswer::Failed(error) => Response::Failed { query_id, fragment, error },
-            BatchAnswer::Skipped => return None,
-        };
-        Some((response, bytes))
+        (!matches!(answer, BatchAnswer::Skipped)).then_some((query_id, fragment, answer, bytes))
     })?;
     expect_consumed(&frame)?;
     Ok(items)
@@ -629,24 +614,21 @@ mod tests {
         assert_eq!(decode_frame::<Response>(frame).unwrap(), fail);
     }
 
+    /// A ranked answer round-trips, and the gather charges it what the
+    /// standalone top-k frame it replaced weighed: tag, query id, fragment,
+    /// the list (a count and 12 bytes a pair) and the cost.
     #[test]
-    fn topk_round_trip() {
-        use disks_core::{ScoreCombine, TopKQuery};
-        let req = Request::TopK {
-            query_id: 4,
-            query: TopKQuery::new(vec![KeywordId(1)], 5, 40, ScoreCombine::Max),
-            fragments: vec![1],
-        };
-        let frame = encode_frame(&req);
-        assert_eq!(decode_frame::<Request>(frame).unwrap(), req);
-        let resp = Response::TopKResults {
-            query_id: 4,
-            fragment: 1,
-            ranked: vec![(3, NodeId(7)), (9, NodeId(2))],
-            cost: WireCost::default(),
-        };
-        let frame = encode_frame(&resp);
-        assert_eq!(decode_frame::<Response>(frame).unwrap(), resp);
+    fn a_ranked_answer_is_charged_its_standalone_frame() {
+        for ranked in [vec![], vec![(3, NodeId(7)), (9, NodeId(2))]] {
+            let cost = WireCost { settled: 4, ..WireCost::default() };
+            let answer = BatchAnswer::Ranked { ranked: ranked.clone(), cost };
+            let answers = vec![BatchAnswer::Skipped, answer.clone()];
+            let batch = Response::BatchResults { base: 3, fragment: 1, answers };
+            let frame = encode_frame(&batch);
+            assert_eq!(decode_frame::<Response>(frame.clone()), Ok(batch));
+            let standalone = 1 + 8 + 4 + (4 + 12 * ranked.len() as u64) + 56;
+            assert_eq!(decode_gather_items(frame), Ok(vec![(5, 1, answer, standalone)]));
+        }
     }
 
     #[test]
@@ -665,27 +647,34 @@ mod tests {
         let mut buf = BytesMut::new();
         buf.put_u8(250);
         assert!(decode_frame::<Response>(buf.freeze()).is_err());
-        // A retired tag stays unassigned, whatever follows it.
-        for tag in [4, 5, 6] {
+        // A retired tag stays unassigned, whatever follows it: 2 was top-k's
+        // request and its answer.
+        for tag in [2, 4, 5, 6] {
             assert_eq!(
                 decode_frame::<Request>(Bytes::from(vec![tag, 0, 0, 0, 0, 0, 0, 0, 0])),
                 Err(DecodeError::BadTag { context: "Request", tag })
             );
         }
-        assert_eq!(
-            decode_frame::<Response>(Bytes::from_static(&[4, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0])),
-            Err(DecodeError::BadTag { context: "Response", tag: 4 })
-        );
+        for tag in [2, 4] {
+            let frame = [tag, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+            assert_eq!(
+                decode_frame::<Response>(Bytes::from(frame.to_vec())),
+                Err(DecodeError::BadTag { context: "Response", tag })
+            );
+        }
     }
 
-    /// A batch answer is a result (tag 0), a failure (tag 1) or a skipped
-    /// query (tag 2, the whole answer); any other tag is refused.
+    /// A batch answer is a result (tag 0), a failure (tag 1), a skipped
+    /// query (tag 2, the whole answer) or a ranked list (tag 3); any other
+    /// tag is refused.
     #[test]
     fn batch_answer_tags() {
         let empty = BatchAnswer::Results { nodes: NodeRuns::default(), cost: WireCost::default() };
         assert_eq!(encode_frame(&empty)[0], 0);
         assert_eq!(encode_frame(&BatchAnswer::Failed(QueryError::EmptyQuery))[0], 1);
         assert_eq!(&encode_frame(&BatchAnswer::Skipped)[..], [2]);
+        let ranked = BatchAnswer::Ranked { ranked: vec![], cost: WireCost::default() };
+        assert_eq!(encode_frame(&ranked)[0], 3);
         let frame = |answer: u8| {
             let mut buf = BytesMut::new();
             buf.put_u8(BATCH_RESULTS_TAG);
@@ -698,7 +687,7 @@ mod tests {
         let skipped =
             Response::BatchResults { base: 7, fragment: 0, answers: vec![BatchAnswer::Skipped] };
         assert_eq!(decode_frame::<Response>(frame(2)), Ok(skipped));
-        for tag in [3, 250] {
+        for tag in [4, 250] {
             let refused = DecodeError::BadTag { context: "BatchAnswer", tag };
             assert_eq!(decode_frame::<Response>(frame(tag)), Err(refused.clone()));
             assert_eq!(decode_gather_items(frame(tag)), Err(refused));
@@ -725,7 +714,7 @@ mod tests {
         assert_eq!(decode_frame::<Response>(frame.clone()), Ok(batch));
         let items = decode_gather_items(frame).unwrap();
         assert_eq!(items.len(), 1);
-        assert!(matches!(items[0], (Response::Results { query_id: 12, fragment: 2, .. }, _)));
+        assert!(matches!(items[0], (12, 2, BatchAnswer::Results { .. }, _)));
         // Every query skipped: a frame of no items (which no worker sends).
         let none =
             Response::BatchResults { base: 0, fragment: 1, answers: vec![BatchAnswer::Skipped; 3] };
@@ -853,8 +842,13 @@ mod tests {
                 ],
             };
             let items = decode_gather_items(encode_frame(&batch)).unwrap();
-            assert!(matches!(items[0], (Response::Failed { query_id: 42, fragment: 3, .. }, 0)));
-            assert_eq!(items[1], (results(43), standalone));
+            assert!(matches!(items[0], (42, 3, BatchAnswer::Failed(_), 0)));
+            let answer =
+                BatchAnswer::Results { nodes: nodes.clone().into(), cost: WireCost::default() };
+            assert_eq!(items[1], (43, 3, answer, standalone));
+            // No worker sends a standalone frame: the gather refuses it.
+            let refused = DecodeError::BadTag { context: "gathered frame", tag: 0 };
+            assert_eq!(decode_gather_items(encode_frame(&results(42))), Err(refused));
         }
     }
 
@@ -961,6 +955,11 @@ mod tests {
             out_of_range(decode_id_bytes(&[1, 0x80, 0x80, 0x80, 0x80, 0x80, 0])),
             "answer varint longer than 5 bytes"
         );
+        // An over-long varint: 0x81 0x00 reads 1, whose one encoding is 0x01,
+        // as a count and as a run.
+        assert_eq!(decode_id_bytes(&[1, 0]).unwrap(), [NodeId(0)]);
+        assert_eq!(out_of_range(decode_id_bytes(&[0x81, 0x00, 0])), "answer varint over-long");
+        assert_eq!(out_of_range(decode_id_bytes(&[1, 0x80, 0x00])), "answer varint over-long");
         // Bytes after the last declared id are trailing garbage.
         assert_eq!(out_of_range(decode_id_bytes(&[1, 0, 0])), "trailing bytes after frame");
         // A list that does not ascend has no encoding: a gap counts up from

@@ -18,7 +18,7 @@ pub struct Placement {
     /// `fragments_of[m]` = fragments hosted by machine `m`, ascending.
     fragments_of: Vec<Vec<FragmentId>>,
     /// Machines hosting at least one fragment, ascending — precomputed so
-    /// the per-gather broadcast loop never rescans the hosting tables.
+    /// the dispatch loop never rescans the hosting tables.
     busy: Vec<usize>,
 }
 

@@ -184,8 +184,8 @@ impl FaultPlan {
     }
 
     /// Kill worker `m`'s thread on its nth received request, before it
-    /// answers. Every decoded request but `Shutdown` counts: `Evaluate`,
-    /// `TopK` and `Batch`, initial dispatches and narrowed retries alike
+    /// answers. Every decoded `Batch` counts, a top-k's included, initial
+    /// dispatches and narrowed retries alike
     /// (the thread that dies is the original spawn; respawns carry no
     /// kill). Frames dropped or corrupted on the way never reach the count.
     pub fn kill_worker(self, m: usize, nth_request: u64) -> Self {

@@ -10,10 +10,15 @@
 //! carries the full specs of the slots it needs, so a respawned worker
 //! answers its first frame like any other.
 //!
+//! Its one request is a [`Request::Batch`], answered in one
+//! [`Response::BatchResults`] frame a targeted fragment: a plan's answer, or
+//! a ranked (top-k) plan's local top-k. Any other frame but `Shutdown` is
+//! dropped unanswered, a pinned `Evaluate` included.
+//!
 //! Engine evaluation runs under `catch_unwind`, so a panicking task becomes
-//! a typed [`BatchAnswer::Failed`] (a top-k task's [`Response::Failed`]) on
-//! the wire instead of a dead thread; a thread that does die (simulated
-//! crash) is detected and respawned by the coordinator.
+//! a typed [`BatchAnswer::Failed`] on the wire instead of a dead thread; a
+//! thread that does die (simulated crash) is detected and respawned by the
+//! coordinator.
 
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
@@ -26,7 +31,7 @@ use disks_core::bitset::BitSet;
 use disks_core::dfunc::{DTerm, Term};
 use disks_core::{
     BiLevelIndex, CoverageStore, FragmentEngine, NodeRuns, QueryCost, QueryError, QueryPlan,
-    Targets,
+    Ranked, Targets, TopKQuery,
 };
 
 use crate::cache::CoverageCache;
@@ -38,8 +43,7 @@ use crate::transport::LinkSender;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerFaults {
     /// Exit the thread (simulated machine crash) upon receiving the nth
-    /// request, before answering it. Every decoded request except
-    /// `Shutdown` counts — `Evaluate`, `TopK` and `Batch` alike, initial
+    /// request, before answering it. Every decoded `Batch` counts, initial
     /// dispatches and narrowed retries alike.
     pub kill_on_request: Option<u64>,
     /// Panic while evaluating the first fragment task the nth request
@@ -93,11 +97,8 @@ impl WorkerEngine {
         }
     }
 
-    /// Local top-k on the hosted fragment.
-    pub fn topk_local(
-        &mut self,
-        q: &disks_core::TopKQuery,
-    ) -> Result<(Vec<disks_core::Ranked>, QueryCost), QueryError> {
+    /// Local top-k on the hosted fragment: a ranked plan's answer.
+    pub fn topk_local(&mut self, q: &TopKQuery) -> Result<(Vec<Ranked>, QueryCost), QueryError> {
         match self {
             WorkerEngine::Single(e) => e.topk_local(q),
             WorkerEngine::BiLevel(b) => b.topk_local(q),
@@ -153,17 +154,27 @@ fn guarded<T>(
 }
 
 /// One plan on one hosted engine — the only way from a decoded frame to an
-/// answer. On success the wire cost carries the cache activity the task
-/// caused: the difference in the LRU's running counters and in the slots
-/// served from the shared map.
+/// answer: a ranked plan's local top-k, any other plan's answer. The wire
+/// cost of a plan's answer carries the cache activity the task caused: the
+/// difference in the LRU's running counters and in the slots served from
+/// the shared map.
 fn evaluate_task(
     engine: &mut WorkerEngine,
     plan: &QueryPlan,
     store: &mut BatchStore,
     panic_now: bool,
-) -> Result<(NodeRuns, WireCost), QueryError> {
+) -> BatchAnswer {
+    if let Some(q) = plan.as_topk() {
+        return match guarded(panic_now, || engine.topk_local(&q)) {
+            Ok((ranked, cost)) => BatchAnswer::Ranked { ranked, cost: WireCost::from(&cost) },
+            Err(e) => BatchAnswer::Failed(e),
+        };
+    }
     let (cache_before, shared_before) = (store.cache.counters(), store.shared);
-    let (nodes, cost) = guarded(panic_now, || engine.evaluate_plan_with_store(plan, store))?;
+    let (nodes, cost) = match guarded(panic_now, || engine.evaluate_plan_with_store(plan, store)) {
+        Ok(answer) => answer,
+        Err(e) => return BatchAnswer::Failed(e),
+    };
     let delta = store.cache.counters().since(&cache_before);
     let mut wire = WireCost::from(&cost);
     wire.cache_hits = delta.hits;
@@ -171,7 +182,7 @@ fn evaluate_task(
     wire.cache_evictions = delta.evictions;
     wire.cache_bypassed = delta.bypassed;
     wire.batch_shared = store.shared - shared_before;
-    Ok((nodes, wire))
+    BatchAnswer::Results { nodes, cost: wire }
 }
 
 /// Run the worker loop until a `Shutdown` request, channel closure, or an
@@ -190,59 +201,20 @@ pub fn worker_loop(
     let mut cache = CoverageCache::new(cache_budget);
     let mut request_count: u64 = 0;
     while let Ok(frame) = requests.recv() {
-        let request = match decode_frame::<Request>(frame) {
-            Ok(r) => r,
-            Err(_) => continue, // malformed frame: drop, as a server would
+        let (base, plan, fragments) = match decode_frame::<Request>(frame) {
+            Ok(Request::Batch { base, plan, fragments }) => (base, plan, fragments),
+            Ok(Request::Shutdown) => break,
+            // A malformed frame, or an `Evaluate` no coordinator sends:
+            // drop it, as a server would.
+            _ => continue,
         };
-        if !matches!(request, Request::Shutdown) {
-            request_count += 1;
-            if faults.kill_on_request == Some(request_count) {
-                return; // simulated machine crash: no response, thread gone
-            }
+        request_count += 1;
+        if faults.kill_on_request == Some(request_count) {
+            return; // simulated machine crash: no response, thread gone
         }
+        let plans: Vec<_> = plan.split().into_iter().zip(plan.targets()).collect();
         let inject_panic = faults.panic_on_request == Some(request_count);
-        let sent = match request {
-            Request::Shutdown => break,
-            Request::TopK { query_id, query, fragments } => {
-                let mut inject_panic = inject_panic;
-                hosted(&mut engines, &fragments).all(|engine| {
-                    let fragment = engine.fragment().0;
-                    let panic_now = std::mem::take(&mut inject_panic);
-                    let task = guarded(panic_now, || engine.topk_local(&query));
-                    responses.send(encode_frame(&match task {
-                        Ok((ranked, cost)) => Response::TopKResults {
-                            query_id,
-                            fragment,
-                            ranked,
-                            cost: WireCost::from(&cost),
-                        },
-                        Err(error) => Response::Failed { query_id, fragment, error },
-                    }))
-                })
-            }
-            // Kept for the benchmark's pinned surface: a lone `Evaluate` is
-            // answered as the batch of one it is, on every fragment its
-            // request selects.
-            Request::Evaluate { query_id, plan, fragments } => answer(
-                &mut engines,
-                &fragments,
-                query_id.wrapping_sub(1),
-                &[(plan, &Targets::Every)],
-                inject_panic,
-                &mut cache,
-                &responses,
-            ),
-            Request::Batch { base, plan, fragments } => answer(
-                &mut engines,
-                &fragments,
-                base,
-                &plan.split().into_iter().zip(plan.targets()).collect::<Vec<_>>(),
-                inject_panic,
-                &mut cache,
-                &responses,
-            ),
-        };
-        if !sent {
+        if !answer(&mut engines, &fragments, base, &plans, inject_panic, &mut cache, &responses) {
             return; // coordinator gone
         }
     }
@@ -278,10 +250,7 @@ fn answer(
                     return BatchAnswer::Skipped;
                 }
                 let panic_now = std::mem::take(&mut inject_panic);
-                match evaluate_task(engine, plan, &mut store, panic_now) {
-                    Ok((nodes, cost)) => BatchAnswer::Results { nodes, cost },
-                    Err(e) => BatchAnswer::Failed(e),
-                }
+                evaluate_task(engine, plan, &mut store, panic_now)
             })
             .collect();
         responses.send(encode_frame(&Response::BatchResults { base, fragment, answers }))
@@ -300,7 +269,7 @@ fn hosted<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{decode_gather_items, WireCost};
+    use crate::message::WireCost;
     use crate::transport::counted_link;
     use crossbeam::channel::unbounded;
     use disks_core::{build_all_indexes, DFunction, IndexConfig, SetOp, SuperPlan, Term};
@@ -656,33 +625,22 @@ mod tests {
         assert!(resp_rx.try_recv().is_err(), "only the narrowed fragment answers");
     }
 
-    /// A decoded `Evaluate` is answered as the batch of one it is: one
-    /// `BatchResults` frame a fragment with `base = query_id − 1`, which the
-    /// gather reads back as query `query_id`'s `Results` — query 0's base
-    /// wraps, and wraps back.
+    /// No coordinator sends an `Evaluate`, so a worker drops it unanswered,
+    /// as it drops a malformed frame, and answers the `Batch` behind it.
     #[test]
-    fn an_evaluate_is_answered_as_a_batch_of_one() {
+    fn an_evaluate_gets_no_answer() {
         let (req_tx, resp_rx, handle, net) = spawn_worker(69, WorkerFaults::default());
         let f = DFunction::single(Term::Keyword(top_kw(&net)), 2 * net.avg_edge_weight());
         let plan = QueryPlan::lower(&f);
-        for query_id in [0, 7] {
-            let request = Request::Evaluate { query_id, plan: plan.clone(), fragments: vec![1] };
-            req_tx.send(encode_frame(&request)).unwrap();
-            let frame = resp_rx.recv().unwrap();
-            match decode_frame::<Response>(frame.clone()).unwrap() {
-                Response::BatchResults { base, fragment: 1, answers } => {
-                    assert_eq!(base, query_id.wrapping_sub(1));
-                    assert!(matches!(answers[..], [BatchAnswer::Results { .. }]));
-                }
-                other => panic!("expected a batch of one, got {other:?}"),
-            }
-            let items = decode_gather_items(frame).unwrap();
-            assert!(
-                matches!(items[..], [(Response::Results { query_id: q, fragment: 1, .. }, _)] if q == query_id)
-            );
-        }
+        let evaluate = Request::Evaluate { query_id: 7, plan: plan.clone(), fragments: vec![1] };
+        req_tx.send(encode_frame(&evaluate)).unwrap();
+        req_tx.send(encode_frame(&batch_of_one(8, plan, Targets::Only(vec![1])))).unwrap();
         req_tx.send(encode_frame(&Request::Shutdown)).unwrap();
         handle.join().unwrap();
-        assert!(resp_rx.try_recv().is_err(), "only the narrowed fragment answers");
+        assert!(matches!(
+            lone_answer(resp_rx.try_recv().unwrap()),
+            (8, 1, BatchAnswer::Results { .. })
+        ));
+        assert!(resp_rx.try_recv().is_err(), "the Evaluate got no answer");
     }
 }

@@ -95,7 +95,7 @@ fn answers_of(response: Response) -> Vec<NodeRuns> {
             .into_iter()
             .filter_map(|a| match a {
                 BatchAnswer::Results { nodes, .. } => Some(nodes),
-                BatchAnswer::Failed(_) | BatchAnswer::Skipped => None,
+                BatchAnswer::Failed(_) | BatchAnswer::Skipped | BatchAnswer::Ranked { .. } => None,
             })
             .collect(),
         _ => vec![],

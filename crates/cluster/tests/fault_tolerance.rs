@@ -10,9 +10,11 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use disks_cluster::{Cluster, ClusterConfig, FaultPlan, LinkDirection};
+use disks_cluster::message::encode_frame;
+use disks_cluster::{Cluster, ClusterConfig, FaultPlan, LinkDirection, QueryStats, Request};
 use disks_core::{
-    build_all_indexes, CentralizedCoverage, DFunction, IndexConfig, QueryError, SgkQuery,
+    build_all_indexes, centralized_topk, CentralizedCoverage, DFunction, IndexConfig, QueryError,
+    QueryPlan, ScoreCombine, SeedFloors, SgkQuery, SuperPlan, Targets, TopKQuery,
 };
 use disks_partition::{MultilevelPartitioner, Partitioner, Partitioning};
 use disks_roadnet::generator::GridNetworkConfig;
@@ -178,6 +180,110 @@ fn exhausted_budget_with_allow_partial_degrades() {
         outcome.results.iter().all(|n| exact.contains(n)),
         "a degraded answer must be a subset of the exact answer"
     );
+    cluster.shutdown();
+}
+
+/// A top-k on `tiny` in four fragments, fragment `f` on machine `f`, whose
+/// two keywords leave two fragments unranked: the network, the cluster
+/// built with the config `config` makes of the targets, the query and the
+/// fragments its plan targets by the indexes' seed floors.
+fn topk_setup(
+    config: impl FnOnce(&[u32]) -> ClusterConfig,
+) -> (RoadNetwork, Cluster, TopKQuery, Vec<u32>) {
+    let net = GridNetworkConfig::tiny(0x70CC).generate();
+    let p: Partitioning = MultilevelPartitioner::default().partition(&net, 4);
+    let e = net.avg_edge_weight();
+    let indexes = build_all_indexes(&net, &p, &IndexConfig::with_max_r(4 * e));
+    let floors = SeedFloors::new(&net, &p, &indexes);
+    let freqs = net.keyword_frequencies();
+    let used: Vec<KeywordId> =
+        (0..freqs.len()).filter(|&k| freqs[k] > 0).map(|k| KeywordId(k as u32)).collect();
+    let targets_of = |q: &TopKQuery| -> Vec<u32> {
+        let plan = QueryPlan::topk(q);
+        (0..4).filter(|&f| floors.can_answer(&plan, disks_partition::FragmentId(f))).collect()
+    };
+    let (q, targets) = (used.iter().flat_map(|&a| used.iter().map(move |&b| (a, b))))
+        .map(|(a, b)| TopKQuery::new(vec![a, b], 10, 2 * e, ScoreCombine::Sum))
+        .map(|q| (targets_of(&q), q))
+        .find(|(targets, q)| q.keywords.len() == 2 && targets.len() == 2)
+        .map(|(targets, q)| (q, targets))
+        .expect("a two-keyword top-k ranked on two of the four fragments");
+    let cluster = Cluster::build(&net, &p, indexes, config(&targets));
+    (net, cluster, q, targets)
+}
+
+/// The fragments whose answers a query's stats credit, ascending.
+fn answered(stats: &QueryStats) -> Vec<u32> {
+    let mut fragments: Vec<u32> =
+        stats.per_machine.iter().flat_map(|m| m.fragments.iter().copied()).collect();
+    fragments.sort_unstable();
+    fragments
+}
+
+/// Every coordinator→worker frame is an initial dispatch or a retry.
+fn assert_ledger_closes(cluster: &Cluster) {
+    let (oc, rc) = (cluster.overload_counters(), cluster.recovery_counters());
+    assert_eq!(cluster.link_message_totals().0, oc.dispatch_frames + rc.retries);
+}
+
+/// A top-k whose target's machine dies on it is retried, once the stall
+/// deadline passes, as a one-program `Batch` naming only that target, on a
+/// respawned worker: the ranking is the oracle's, from exactly the targets,
+/// and the frame ledger closes. Every coordinator→worker byte is one of the
+/// two targets' dispatch frames or that retry.
+#[test]
+fn a_topk_on_a_killed_worker_is_retried_on_the_missing_target_alone() {
+    let kill =
+        |targets: &[u32]| fault_config(FaultPlan::new(1).kill_worker(targets[0] as usize, 1));
+    let (net, cluster, q, targets) = topk_setup(kill);
+    let dead = targets[0];
+    let (ranked, stats) = cluster.run_topk(&q).unwrap();
+    assert_eq!(ranked, centralized_topk(&net, &q).unwrap());
+    assert_eq!(answered(&stats), targets);
+    assert_eq!((stats.retries, stats.inter_worker_bytes), (1, 0));
+    assert!(stats.respawned_workers >= 1);
+    let batch = |targets: Targets| {
+        let plan = SuperPlan::merge_targeted(&[QueryPlan::topk(&q)], [targets]);
+        encode_frame(&Request::Batch { base: 0, plan, fragments: vec![] }).len() as u64
+    };
+    let dispatch = batch(Targets::Only(targets.clone()));
+    assert_eq!(cluster.link_totals().0, 2 * dispatch + batch(Targets::Only(vec![dead])));
+    assert_ledger_closes(&cluster);
+    cluster.shutdown();
+}
+
+/// A panic while a worker ranks its fragment is a typed failure on the
+/// wire, retried like any other: the ranking stays exact.
+#[test]
+fn a_topk_whose_worker_panics_is_retried_and_exact() {
+    let panic =
+        |targets: &[u32]| fault_config(FaultPlan::new(2).panic_worker(targets[1] as usize, 1));
+    let (net, cluster, q, targets) = topk_setup(panic);
+    let (ranked, stats) = cluster.run_topk(&q).unwrap();
+    assert_eq!(ranked, centralized_topk(&net, &q).unwrap());
+    assert_eq!(answered(&stats), targets);
+    assert!(stats.retries >= 1, "the panicked fragment must be asked again");
+    assert_ledger_closes(&cluster);
+    cluster.shutdown();
+}
+
+/// With one attempt and partial answers, a top-k whose target's machine
+/// dies degrades that target alone: its degraded fragments are among its
+/// targets, and the rest of them answered.
+#[test]
+fn a_degraded_topk_loses_only_targets() {
+    let (_, cluster, q, targets) = topk_setup(|targets| ClusterConfig {
+        max_attempts: 1,
+        allow_partial: true,
+        ..fault_config(FaultPlan::new(3).kill_worker(targets[0] as usize, 1))
+    });
+    let (_, stats) = cluster.run_topk(&q).unwrap();
+    let lost = &stats.degraded_fragments;
+    assert!(lost.iter().all(|f| targets.contains(f)), "degraded {lost:?} of {targets:?}");
+    assert_eq!(lost, &[targets[0]], "the dead machine's target, and it alone");
+    assert_eq!(answered(&stats), targets[1..]);
+    assert_eq!(stats.retries, 0);
+    assert_ledger_closes(&cluster);
     cluster.shutdown();
 }
 

@@ -137,9 +137,10 @@ proptest! {
         tail in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
         let valid = encode_frame(&batch(0, &[(true, 0)]));
-        // The header, the slots and the one program, less its target byte
-        // and the request's (empty) fragment list.
-        let head = &valid[..valid.len() - 1 - 4];
+        // The header, the slots and the one program, less its target byte,
+        // the ranked-program count (0) and the request's (empty) fragment
+        // list.
+        let head = &valid[..valid.len() - 1 - 1 - 4];
         let frame: Vec<u8> = head.iter().chain(&tail).copied().collect();
         if let Ok(request) = decode_frame::<Request>(frame.clone().into()) {
             prop_assert_eq!(&encode_frame(&request)[..], &frame[..]);

@@ -114,7 +114,7 @@ impl fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-// Wire codec for `QueryError` so `Response::Failed` carries the typed error
+// Wire codec for `QueryError` so `BatchAnswer::Failed` carries the typed error
 // end-to-end instead of a display string the coordinator would have to sniff.
 impl Encode for QueryError {
     fn encode(&self, buf: &mut impl BufMut) {

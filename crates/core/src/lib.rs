@@ -62,7 +62,7 @@ pub use index::{
     build_all_indexes, build_index, build_index_with_threads, build_naive_index, DlScope,
     IndexConfig, IndexStats, NpdIndex,
 };
-pub use plan::{QueryPlan, SuperPlan, Targets, Within};
+pub use plan::{QueryPlan, Rank, SuperPlan, Targets, Within};
 pub use query::{QClassQuery, RangeKeywordQuery, SgkQuery};
 pub use runs::NodeRuns;
 pub use topk::{centralized_topk, merge_topk, Ranked, ScoreCombine, TopKQuery};

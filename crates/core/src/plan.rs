@@ -11,6 +11,10 @@
 //! unaffected: the program is evaluated per fragment over local coverages,
 //! and the union over fragments is taken by the coordinator exactly as for
 //! the original D-function.
+//!
+//! A top-k query is a plan too ([`QueryPlan::topk`]): the conjunction of its
+//! keywords at the horizon, plus a [`Rank`] that asks each fragment for its
+//! best `k` instead of its whole answer.
 
 use std::sync::Arc;
 
@@ -21,6 +25,7 @@ use disks_roadnet::DecodeError;
 
 use crate::bitset::BitSet;
 use crate::dfunc::{DFunction, DTerm, SetOp, Term};
+use crate::topk::{ScoreCombine, TopKQuery};
 
 /// A normalized query: deduplicated coverage slots plus a combine program.
 ///
@@ -35,6 +40,17 @@ pub struct QueryPlan {
     first: u32,
     /// The operator chain `θ₁ X_{i₁} θ₂ X_{i₂} …` over slot indexes.
     ops: Vec<(SetOp, u32)>,
+    /// The ranking of a top-k plan; `None` asks for the whole answer.
+    rank: Option<Rank>,
+}
+
+/// What a top-k plan asks of a fragment instead of its answer: the best `k`
+/// of the nodes its program leaves, scored by `combine` over their keyword
+/// distances (`FragmentEngine::topk_local`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rank {
+    pub k: usize,
+    pub combine: ScoreCombine,
 }
 
 /// What [`QueryPlan::evaluate_lazy`] hands the fetch of a ∩ or − operand
@@ -76,7 +92,34 @@ impl QueryPlan {
         };
         let first = slot_of(&mut slots, &f.first);
         let ops = f.rest.iter().map(|(op, t)| (*op, slot_of(&mut slots, t))).collect();
-        QueryPlan { slots, first, ops }
+        QueryPlan { slots, first, ops, rank: None }
+    }
+
+    /// A top-k query as the plan it is. A fragment ranks only the nodes
+    /// within the horizon of every keyword, `⋂ R(kw, h) ∩ P`, so the plan is
+    /// `#0 ∩ #1 ∩ …` over the distinct keywords at the horizon, ranked. No
+    /// keyword makes a plan of no slot, which admission refuses.
+    pub fn topk(q: &TopKQuery) -> Self {
+        let mut keywords = q.keywords.clone();
+        keywords.sort_unstable();
+        keywords.dedup();
+        let slots: Vec<DTerm> = keywords
+            .into_iter()
+            .map(|kw| DTerm { term: Term::Keyword(kw), radius: q.horizon })
+            .collect();
+        let ops = (1..slots.len() as u32).map(|i| (SetOp::Intersect, i)).collect();
+        QueryPlan { slots, first: 0, ops, rank: Some(Rank { k: q.k, combine: q.combine }) }
+    }
+
+    /// The top-k query a ranked plan asks ([`Self::topk`]): its keywords at
+    /// its largest radius. `None` when the plan is not ranked.
+    pub fn as_topk(&self) -> Option<TopKQuery> {
+        let Rank { k, combine } = self.rank?;
+        let keywords = self.slots.iter().filter_map(|s| match s.term {
+            Term::Keyword(kw) => Some(kw),
+            Term::Node(_) => None,
+        });
+        Some(TopKQuery { keywords: keywords.collect(), k, horizon: self.max_radius(), combine })
     }
 
     /// The deduplicated coverage slots, in first-occurrence order.
@@ -320,6 +363,13 @@ impl QueryPlan {
 /// Invariants (enforced by [`SuperPlan::merge`] and checked on decode):
 /// `slots` and `programs` are non-empty and every program index is
 /// `< slots.len()`.
+///
+/// On the wire the ranked programs follow the programs, indices ascending,
+/// so a batch with none costs one byte:
+///
+/// ```text
+/// ranked := varint(n) (varint(index) u64(k) u8(combine)){n}
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SuperPlan {
     /// Distinct `(term, radius)` coverages across the batch, in
@@ -335,6 +385,7 @@ struct Program {
     first: u32,
     ops: Vec<(SetOp, u32)>,
     targets: Targets,
+    rank: Option<Rank>,
 }
 
 /// The fragments one program of a [`SuperPlan`] is evaluated on.
@@ -384,12 +435,19 @@ fn put_varint(mut v: u64, buf: &mut impl BufMut) {
     buf.put_u8(v as u8);
 }
 
-/// A varint of at most [`TARGET_VARINT_BYTES`] bytes.
+/// A varint of at most [`TARGET_VARINT_BYTES`] bytes, in its one shortest
+/// encoding: a zero final byte after a continuation byte is refused.
 fn get_varint(buf: &mut impl Buf) -> Result<u64, DecodeError> {
     let mut v = 0u64;
     for i in 0..TARGET_VARINT_BYTES {
         let b = u8::decode(buf)?;
         v |= u64::from(b & 0x7f) << (7 * i);
+        if b == 0 && i > 0 {
+            return Err(DecodeError::LengthOutOfRange {
+                context: "target varint over-long",
+                len: v,
+            });
+        }
         if b & 0x80 == 0 {
             return Ok(v);
         }
@@ -483,6 +541,7 @@ impl SuperPlan {
                     first: map[p.first as usize],
                     ops: p.ops.iter().map(|&(op, i)| (op, map[i as usize])).collect(),
                     targets,
+                    rank: p.rank,
                 }
             })
             .collect();
@@ -511,7 +570,7 @@ impl SuperPlan {
                 };
                 let first = local(&mut slots, prog.first);
                 let ops = prog.ops.iter().map(|&(op, i)| (op, local(&mut slots, i))).collect();
-                QueryPlan { slots, first, ops }
+                QueryPlan { slots, first, ops, rank: prog.rank }
             })
             .collect()
     }
@@ -552,6 +611,13 @@ impl Encode for SuperPlan {
             p.ops.encode(buf);
             p.targets.encode(buf);
         }
+        let ranked: Vec<(usize, Rank)> =
+            self.programs.iter().enumerate().filter_map(|(i, p)| Some((i, p.rank?))).collect();
+        put_varint(ranked.len() as u64, buf);
+        for (i, rank) in ranked {
+            put_varint(i as u64, buf);
+            rank.encode(buf);
+        }
     }
 }
 impl Decode for SuperPlan {
@@ -578,7 +644,21 @@ impl Decode for SuperPlan {
                 }
             }
             let targets = Targets::decode(buf)?;
-            programs.push(Program { first, ops, targets });
+            programs.push(Program { first, ops, targets, rank: None });
+        }
+        // Each index names a later program than the one before it, so the
+        // loop ends within `n` ranks whatever count it read.
+        let mut next = 0;
+        for _ in 0..get_varint(buf)? {
+            let i = get_varint(buf)?;
+            if i < next || i >= n as u64 {
+                return Err(DecodeError::LengthOutOfRange {
+                    context: "ranked program index",
+                    len: i,
+                });
+            }
+            programs[i as usize].rank = Some(Rank::decode(buf)?);
+            next = i + 1;
         }
         Ok(SuperPlan { slots, programs })
     }
@@ -597,11 +677,24 @@ impl std::fmt::Display for QueryPlan {
     }
 }
 
+impl Encode for Rank {
+    fn encode(&self, buf: &mut impl BufMut) {
+        (self.k as u64).encode(buf);
+        self.combine.encode(buf);
+    }
+}
+impl Decode for Rank {
+    fn decode(buf: &mut impl Buf) -> Result<Self, DecodeError> {
+        Ok(Rank { k: u64::decode(buf)? as usize, combine: ScoreCombine::decode(buf)? })
+    }
+}
+
 impl Encode for QueryPlan {
     fn encode(&self, buf: &mut impl BufMut) {
         self.slots.encode(buf);
         self.first.encode(buf);
         self.ops.encode(buf);
+        self.rank.encode(buf);
     }
 }
 impl Decode for QueryPlan {
@@ -621,7 +714,7 @@ impl Decode for QueryPlan {
                 });
             }
         }
-        Ok(QueryPlan { slots, first, ops })
+        Ok(QueryPlan { slots, first, ops, rank: Option::decode(buf)? })
     }
 }
 
@@ -697,8 +790,14 @@ mod tests {
         let plan = QueryPlan::lower(&f);
         let mut buf = BytesMut::new();
         plan.encode(&mut buf);
+        assert_eq!(buf.last(), Some(&0), "no rank: the option's zero byte");
         let mut bytes = buf.freeze();
         assert_eq!(QueryPlan::decode(&mut bytes).unwrap(), plan);
+        let q = TopKQuery::new(vec![KeywordId(4), KeywordId(1)], 5, 30, ScoreCombine::Max);
+        let ranked = QueryPlan::topk(&q);
+        assert_eq!(decoded::<QueryPlan>(&bytes_of(&ranked)), Ok(ranked.clone()));
+        assert_eq!(ranked.as_topk(), Some(q));
+        assert_eq!(plan.as_topk(), None);
     }
 
     #[test]
@@ -708,6 +807,7 @@ mod tests {
             slots: vec![DTerm { term: Term::Keyword(KeywordId(0)), radius: 1 }],
             first: 3, // invalid: only one slot
             ops: Vec::new(),
+            rank: None,
         };
         let mut buf = BytesMut::new();
         plan.encode(&mut buf);
@@ -721,7 +821,7 @@ mod tests {
     #[test]
     fn decode_rejects_empty_plan() {
         use bytes::BytesMut;
-        let plan = QueryPlan { slots: Vec::new(), first: 0, ops: Vec::new() };
+        let plan = QueryPlan { slots: Vec::new(), first: 0, ops: Vec::new(), rank: None };
         let mut buf = BytesMut::new();
         plan.encode(&mut buf);
         let mut bytes = buf.freeze();
@@ -998,6 +1098,10 @@ mod tests {
             "target varint longer than 5 bytes"
         );
         assert_eq!(refused(&[1, 1]), "target count");
+        // 0x83 0x00 reads 3, whose one encoding is 0x03.
+        assert_eq!(decoded::<Targets>(&[1, 1, 3]), Ok(Targets::Only(vec![3])));
+        assert_eq!(refused(&[1, 1, 0x83, 0x00]), "target varint over-long");
+        assert_eq!(refused(&[1, 0x81, 0x00, 3]), "target varint over-long");
         assert!(matches!(
             decoded::<Targets>(&[1, 1, 0x80]),
             Err(DecodeError::UnexpectedEof { .. })
@@ -1007,6 +1111,37 @@ mod tests {
             decoded::<Targets>(&[2]),
             Err(DecodeError::BadTag { context: "Targets", tag: 2 })
         );
+    }
+
+    /// The ranked programs follow the programs: a zero count when there is
+    /// none; otherwise each one's index, `k` (eight bytes) and combine byte,
+    /// indices ascending. An index past the last program, repeated or out
+    /// of order is refused.
+    #[test]
+    fn ranked_programs_layout_byte_by_byte() {
+        let plans = batch_of_plans();
+        assert_eq!(bytes_of(&SuperPlan::merge(&plans)).last(), Some(&0));
+        let q = TopKQuery::new(vec![KeywordId(2), KeywordId(1)], 300, 9, ScoreCombine::Sum);
+        let ranked = QueryPlan::topk(&q);
+        let mixed = [plans[0].clone(), ranked.clone(), plans[1].clone(), ranked];
+        let sp = SuperPlan::merge(&mixed);
+        let bytes = bytes_of(&sp);
+        let rank = [&300u64.to_le_bytes()[..], &[1]].concat();
+        let trailer = [&[2, 1][..], &rank, &[3], &rank].concat();
+        let head = &bytes[..bytes.len() - trailer.len()];
+        assert_eq!([head, &trailer].concat(), bytes);
+        assert_eq!(decoded::<SuperPlan>(&bytes), Ok(sp.clone()));
+        assert_eq!(sp.split(), mixed);
+        assert_eq!(sp.split()[3].as_topk(), Some(q));
+        let past_the_end = [&[1, 4][..], &rank].concat();
+        let out_of_order = [&[2, 3][..], &rank, &[1], &rank].concat();
+        let repeated = [&[2, 1][..], &rank, &[1], &rank].concat();
+        for (ranks, at) in [(past_the_end, 4), (out_of_order, 1), (repeated, 1)] {
+            assert_eq!(
+                decoded::<SuperPlan>(&[head, &ranks].concat()),
+                Err(DecodeError::LengthOutOfRange { context: "ranked program index", len: at })
+            );
+        }
     }
 
     #[test]
@@ -1037,7 +1172,12 @@ mod tests {
         use bytes::BytesMut;
         let sp = SuperPlan {
             slots: vec![DTerm { term: Term::Keyword(KeywordId(0)), radius: 1 }],
-            programs: vec![Program { first: 9, ops: Vec::new(), targets: Targets::Every }],
+            programs: vec![Program {
+                first: 9,
+                ops: Vec::new(),
+                targets: Targets::Every,
+                rank: None,
+            }],
         };
         let mut buf = BytesMut::new();
         sp.encode(&mut buf);

@@ -90,25 +90,6 @@ impl Decode for ScoreCombine {
     }
 }
 
-impl Encode for TopKQuery {
-    fn encode(&self, buf: &mut impl BufMut) {
-        self.keywords.encode(buf);
-        (self.k as u64).encode(buf);
-        self.horizon.encode(buf);
-        self.combine.encode(buf);
-    }
-}
-impl Decode for TopKQuery {
-    fn decode(buf: &mut impl Buf) -> Result<Self, DecodeError> {
-        Ok(TopKQuery {
-            keywords: Vec::decode(buf)?,
-            k: u64::decode(buf)? as usize,
-            horizon: u64::decode(buf)?,
-            combine: ScoreCombine::decode(buf)?,
-        })
-    }
-}
-
 /// A ranked result: `(score, node)`, ordered by score then node id (the
 /// deterministic tie-break used by both the distributed and centralized
 /// paths, so results are comparable bit-for-bit).
@@ -199,16 +180,6 @@ mod tests {
         let (net, _) = figure1_network();
         let q = TopKQuery::new(vec![], 3, 10, ScoreCombine::Max);
         assert!(matches!(centralized_topk(&net, &q), Err(QueryError::EmptyQuery)));
-    }
-
-    #[test]
-    fn query_codec_round_trip() {
-        use bytes::BytesMut;
-        let q = TopKQuery::new(vec![KeywordId(3), KeywordId(1)], 7, 99, ScoreCombine::Sum);
-        let mut buf = BytesMut::new();
-        q.encode(&mut buf);
-        let mut bytes = buf.freeze();
-        assert_eq!(TopKQuery::decode(&mut bytes).unwrap(), q);
     }
 
     #[test]

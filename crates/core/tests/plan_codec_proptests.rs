@@ -3,7 +3,8 @@
 //!
 //! 1. encode → decode is the identity and consumes the frame fully, and a
 //!    decoded super-plan splits back into the plans it was merged from,
-//!    each program with the targets it was merged with;
+//!    each program with the targets it was merged with, and each ranked
+//!    program the top-k query it was lowered from;
 //! 2. arbitrary bytes, and valid encodings with one bit flipped, never make
 //!    a decoder panic, and whatever does decode upholds the invariants the
 //!    workers rely on — at least one slot (and one program), every program
@@ -17,12 +18,19 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use disks_core::bitset::BitSet;
-use disks_core::{DFunction, QueryPlan, SetOp, SuperPlan, Targets, Term};
+use disks_core::{DFunction, QueryPlan, ScoreCombine, SetOp, SuperPlan, Targets, Term, TopKQuery};
 use disks_roadnet::codec::{Decode, Encode};
 use disks_roadnet::{KeywordId, NodeId};
 
+/// A seeded random top-k query over the keywords [`random_plans`] draws.
+fn random_topk(rng: &mut StdRng) -> TopKQuery {
+    let keywords = (0..rng.gen_range(1..4)).map(|_| KeywordId(rng.gen_range(0..6))).collect();
+    let combine = if rng.gen_bool(0.5) { ScoreCombine::Max } else { ScoreCombine::Sum };
+    TopKQuery::new(keywords, rng.gen_range(1..1 << 20), 1 + rng.gen_range(0..4), combine)
+}
+
 /// Seeded random plans over a tiny `(term, radius)` space so slots are
-/// shared both within and across queries.
+/// shared both within and across queries; one in five is a top-k's.
 fn random_plans(seed: u64, n: usize) -> Vec<QueryPlan> {
     let mut rng = StdRng::seed_from_u64(seed);
     let term = |rng: &mut StdRng| match rng.gen_range(0..4) {
@@ -31,6 +39,9 @@ fn random_plans(seed: u64, n: usize) -> Vec<QueryPlan> {
     };
     (0..n)
         .map(|_| {
+            if rng.gen_range(0..5) == 0 {
+                return QueryPlan::topk(&random_topk(&mut rng));
+            }
             let mut f = DFunction::single(term(&mut rng), 1 + rng.gen_range(0..4) as u64);
             for _ in 0..rng.gen_range(0..4) {
                 let op = match rng.gen_range(0..3) {
@@ -85,6 +96,7 @@ fn decode_and_check(bytes: &[u8]) -> Result<(), TestCaseError> {
     let mut rest = bytes;
     if let Ok(plan) = QueryPlan::decode(&mut rest) {
         run_program(&plan);
+        let _ = plan.as_topk();
         prop_assert_eq!(&encoded(&plan)[..], &bytes[..bytes.len() - rest.remaining()]);
     }
     let mut rest = bytes;
@@ -94,6 +106,7 @@ fn decode_and_check(bytes: &[u8]) -> Result<(), TestCaseError> {
         let plans = sp.split();
         prop_assert_eq!(plans.len(), sp.num_queries());
         plans.iter().for_each(run_program);
+        plans.iter().for_each(|plan| drop(plan.as_topk()));
         prop_assert_eq!(&encoded(&sp)[..], &bytes[..bytes.len() - rest.remaining()]);
     }
     Ok(())
@@ -122,6 +135,31 @@ proptest! {
         }
         let sp = SuperPlan::merge_targeted(&plans, targets.clone());
         prop_assert_eq!(sp.targets().cloned().collect::<Vec<_>>(), targets);
+    }
+
+    /// Top-k plans anywhere in a batch ride its trailer and split back to
+    /// plans that are the queries they were lowered from.
+    #[test]
+    fn ranked_programs_split_back_to_their_queries(seed in 0u64..10_000, n in 1usize..6) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x704B);
+        let queries: Vec<Option<TopKQuery>> =
+            (0..n).map(|_| rng.gen_bool(0.5).then(|| random_topk(&mut rng))).collect();
+        let plans: Vec<QueryPlan> = (queries.iter().zip(random_plans(seed, n)))
+            .map(|(q, plain)| q.as_ref().map_or(plain, QueryPlan::topk))
+            .collect();
+        let sp = SuperPlan::merge_targeted(&plans, random_targets(seed, n));
+        let bytes = encoded(&sp);
+        let mut rest = &bytes[..];
+        let decoded = SuperPlan::decode(&mut rest).unwrap();
+        prop_assert!(!rest.has_remaining());
+        prop_assert_eq!(&decoded, &sp);
+        let split = decoded.split();
+        prop_assert_eq!(&split, &plans);
+        for (plan, q) in split.iter().zip(&queries) {
+            if let Some(q) = q {
+                prop_assert_eq!(plan.as_topk(), Some(q.clone()));
+            }
+        }
     }
 
     #[test]

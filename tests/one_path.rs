@@ -28,12 +28,13 @@
 //! which its keyword is within reach, so the workers settle fewer nodes
 //! than when it pushed every node within `r`, some searches none at all,
 //! and the answers stay the oracle's.
-//! A seventh asks a cold SGKQ stream and an RKQ stream of a bounded index:
-//! each query is answered by exactly the fragments where none of its
-//! conjuncts, keyword or location, is seedless — counted on the workers'
-//! own engines — and a query with no such fragment puts nothing on the
-//! wire, an RKQ whose location reaches none of its keyword's bearers
-//! included. An eighth kills a worker mid cold stream and mid RKQ stream:
+//! A seventh asks a cold SGKQ stream, an RKQ stream and top-ks of a
+//! bounded index: each query is answered by exactly the fragments where
+//! none of its conjuncts, keyword or location, is seedless — counted on the
+//! workers' own engines, a top-k's being its keywords at the horizon — and
+//! a query with no such fragment puts nothing on the wire, an RKQ whose
+//! location reaches none of its keyword's bearers and a top-k on a keyword
+//! no node bears included. An eighth kills a worker mid cold stream and mid RKQ stream:
 //! only targeted pairs are retried, or degraded.
 
 use std::collections::BTreeSet;
@@ -43,8 +44,8 @@ use disks::baseline::centralized::CentralizedEngine;
 use disks::cluster::transport::TransportKind;
 use disks::cluster::{Cluster, ClusterConfig, FaultPlan, HeartbeatConfig};
 use disks::core::{
-    build_all_indexes, DFunction, FragmentEngine, IndexConfig, NpdIndex, QClassQuery, QueryPlan,
-    RangeKeywordQuery, SetOp, SgkQuery, Term,
+    build_all_indexes, centralized_topk, DFunction, FragmentEngine, IndexConfig, NpdIndex,
+    QClassQuery, QueryPlan, RangeKeywordQuery, ScoreCombine, SetOp, SgkQuery, Term, TopKQuery,
 };
 use disks::partition::{MultilevelPartitioner, Partitioner};
 use disks::roadnet::generator::GridNetworkConfig;
@@ -532,6 +533,27 @@ fn cold_and_rkq_streams(net: &RoadNetwork, max_r: u64) -> [Vec<DFunction>; 2] {
     [cold, rkq]
 }
 
+/// The plans of `fs`.
+fn lowered(fs: &[DFunction]) -> Vec<QueryPlan> {
+    fs.iter().map(QueryPlan::lower).collect()
+}
+
+/// 32 top-ks of one to three keywords drawn uniformly from those some node
+/// bears, `k = 10`, at a horizon in `[maxR/2, maxR]`, combined by max and
+/// by sum in turn.
+fn topks(net: &RoadNetwork, max_r: u64) -> Vec<TopKQuery> {
+    let used = keywords_by_frequency(net);
+    let mut rng = StdRng::seed_from_u64(0x70C5);
+    (0..32)
+        .map(|i| {
+            let n = rng.gen_range(1..=3);
+            let kws = (0..n).map(|_| KeywordId(used[rng.gen_range(0..used.len())] as u32));
+            let combine = if i % 2 == 0 { ScoreCombine::Max } else { ScoreCombine::Sum };
+            TopKQuery::new(kws.collect(), 10, rng.gen_range(max_r / 2..=max_r), combine)
+        })
+        .collect()
+}
+
 /// The fragments each query targets, ascending: those where every
 /// conjunct of its plan, keyword or location, has a seed, by the engines'
 /// own `seed_count` on engines built from `indexes` — counted without the
@@ -540,13 +562,13 @@ fn seeded_fragments(
     net: &RoadNetwork,
     p: &disks::partition::Partitioning,
     indexes: &[NpdIndex],
-    fs: &[DFunction],
+    plans: impl IntoIterator<Item = QueryPlan>,
 ) -> Vec<Vec<u32>> {
     let engines: Vec<FragmentEngine> =
         indexes.iter().map(|index| FragmentEngine::new(net, p, index).unwrap()).collect();
-    fs.iter()
-        .map(|f| {
-            let plan = QueryPlan::lower(f);
+    plans
+        .into_iter()
+        .map(|plan| {
             (0..engines.len() as u32)
                 .filter(|&i| {
                     let e = &engines[i as usize];
@@ -586,9 +608,9 @@ fn rkq_reaching_no_bearer(
 }
 
 /// The fragments a query's answers came from, ascending.
-fn answered(o: &disks::cluster::QueryOutcome) -> Vec<u32> {
+fn answered(stats: &disks::cluster::QueryStats) -> Vec<u32> {
     let mut fragments: Vec<u32> =
-        o.stats.per_machine.iter().flat_map(|m| m.fragments.iter().copied()).collect();
+        stats.per_machine.iter().flat_map(|m| m.fragments.iter().copied()).collect();
     fragments.sort_unstable();
     fragments
 }
@@ -600,7 +622,10 @@ fn answered(o: &disks::cluster::QueryOutcome) -> Vec<u32> {
 /// queries × fragments — and a query no fragment can answer is answered ∅
 /// with no byte on the wire: a cold SGKQ with a keyword seedless
 /// everywhere, and an RKQ whose keyword has seeds but whose location
-/// reaches none of their fragments.
+/// reaches none of their fragments. Top-ks are ranked as the oracle ranks
+/// them, each by exactly the fragments where every keyword has a seed
+/// within the horizon, and a top-k on a keyword no node bears is `[]` with
+/// no byte on the wire.
 #[test]
 fn a_query_is_asked_only_of_the_fragments_that_can_answer_it() {
     let net = GridNetworkConfig::small(0x0E1A).generate();
@@ -609,7 +634,7 @@ fn a_query_is_asked_only_of_the_fragments_that_can_answer_it() {
     let streams = cold_and_rkq_streams(&net, max_r);
     let indexes = build_all_indexes(&net, &p, &IndexConfig::with_max_r(max_r));
     let seeded: Vec<Vec<Vec<u32>>> =
-        streams.iter().map(|fs| seeded_fragments(&net, &p, &indexes, fs)).collect();
+        streams.iter().map(|fs| seeded_fragments(&net, &p, &indexes, lowered(fs))).collect();
     let mut oracle = CentralizedEngine::new(&net);
     let expected: Vec<Vec<Vec<NodeId>>> =
         streams.iter().map(|fs| fs.iter().map(|f| oracle.run(f).unwrap().0).collect()).collect();
@@ -622,6 +647,15 @@ fn a_query_is_asked_only_of_the_fragments_that_can_answer_it() {
         .expect("a cold query no fragment can answer");
     let unreached = rkq_reaching_no_bearer(&net, &p, &indexes, max_r);
     assert!(oracle.run(&unreached).unwrap().0.is_empty(), "{unreached}: the oracle's answer");
+    let topks = topks(&net, max_r);
+    let ranked: Vec<_> = topks.iter().map(|q| centralized_topk(&net, q).unwrap()).collect();
+    let ranked_by = seeded_fragments(&net, &p, &indexes, topks.iter().map(QueryPlan::topk));
+    let pairs: usize = ranked_by.iter().map(Vec::len).sum();
+    assert!(pairs < topks.len() * FRAGMENTS, "some top-k must leave a fragment out");
+    let freqs = net.keyword_frequencies();
+    let unborne = KeywordId(freqs.iter().position(|&n| n == 0).expect("an unborne keyword") as u32);
+    let unborne = TopKQuery::new(vec![unborne], 10, max_r, ScoreCombine::Max);
+    assert_eq!(centralized_topk(&net, &unborne).unwrap(), [], "the oracle's ranking");
     for (name, config) in configs() {
         let indexes = build_all_indexes(&net, &p, &IndexConfig::with_max_r(max_r));
         let cluster = Cluster::build(&net, &p, indexes, config);
@@ -630,15 +664,28 @@ fn a_query_is_asked_only_of_the_fragments_that_can_answer_it() {
             for (i, item) in items.into_iter().enumerate() {
                 let o = item.unwrap_or_else(|e| panic!("{name}: stream {s} query {i}: {e}"));
                 assert_eq!(o.results, expected[s][i], "{name}: stream {s} query {i} vs oracle");
-                assert_eq!(answered(&o), seeded[s][i], "{name}: stream {s} query {i}");
+                assert_eq!(answered(&o.stats), seeded[s][i], "{name}: stream {s} query {i}");
             }
         }
         for f in [nowhere, &unreached] {
             let before = cluster.link_totals();
             let o = cluster.run(f).unwrap_or_else(|e| panic!("{name}: {f}: {e}"));
-            assert!(o.results.is_empty() && answered(&o).is_empty(), "{name}: {f}");
+            assert!(o.results.is_empty() && answered(&o.stats).is_empty(), "{name}: {f}");
             assert_eq!(cluster.link_totals(), before, "{name}: {f} put bytes on the wire");
         }
+        for (i, q) in topks.iter().enumerate() {
+            let (top, stats) =
+                cluster.run_topk(q).unwrap_or_else(|e| panic!("{name}: top-k {i}: {e}"));
+            assert_eq!(top, ranked[i], "{name}: top-k {i} vs oracle");
+            assert_eq!(answered(&stats), ranked_by[i], "{name}: top-k {i}");
+        }
+        let before = cluster.link_totals();
+        assert_eq!(cluster.run_topk(&unborne).unwrap().0, [], "{name}: unborne top-k");
+        assert_eq!(
+            cluster.link_totals(),
+            before,
+            "{name}: the unborne top-k put bytes on the wire"
+        );
         assert_ledger_closes(&cluster, name);
         cluster.shutdown();
     }
@@ -663,7 +710,7 @@ fn a_killed_worker_is_retried_only_for_its_targets() {
     let kill = || Some(FaultPlan::new(0x0E1A).kill_worker(0, 2));
     for (stream, fs) in ["cold", "rkq"].into_iter().zip(cold_and_rkq_streams(&net, max_r)) {
         let indexes = build_all_indexes(&net, &p, &IndexConfig::with_max_r(max_r));
-        let seeded = seeded_fragments(&net, &p, &indexes, &fs);
+        let seeded = seeded_fragments(&net, &p, &indexes, lowered(&fs));
 
         let retried = ClusterConfig { faults: kill(), ..shipped() };
         let cluster = Cluster::build(&net, &p, indexes, retried);
@@ -671,7 +718,7 @@ fn a_killed_worker_is_retried_only_for_its_targets() {
         for (i, (f, item)) in fs.iter().zip(items).enumerate() {
             let o = item.unwrap_or_else(|e| panic!("{stream} query {i}: {e}"));
             assert_eq!(o.results, oracle.run(f).unwrap().0, "{stream} query {i} vs oracle");
-            assert_eq!(answered(&o), seeded[i], "{stream} query {i}");
+            assert_eq!(answered(&o.stats), seeded[i], "{stream} query {i}");
             if !seeded[i].iter().any(on_machine_zero) {
                 assert_eq!(o.stats.retries, 0, "{stream} query {i} retried with no target on 0");
             }
@@ -698,7 +745,7 @@ fn a_killed_worker_is_retried_only_for_its_targets() {
             let lost = &o.stats.degraded_fragments;
             assert!(lost.iter().all(on_machine_zero), "{stream} query {i}: degraded {lost:?}");
             let mut asked: Vec<u32> =
-                answered(&o).into_iter().chain(lost.iter().copied()).collect();
+                answered(&o.stats).into_iter().chain(lost.iter().copied()).collect();
             asked.sort_unstable();
             assert_eq!(asked, seeded[i], "{stream} query {i}: answered and degraded");
             degraded += lost.len();
