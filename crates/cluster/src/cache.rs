@@ -13,9 +13,9 @@
 //! levels are exact for any radius they admit, so the level is *not* part
 //! of the key).
 //!
-//! Under batched dispatch a per-batch shared result map sits *above* this
-//! LRU (`worker::BatchStore`): only the first query of a batch to reference
-//! a slot reaches the LRU, so these counters stay exact — intra-batch
+//! A worker keeps what a request resolves by the request's slot index
+//! *above* this LRU: only the first query of a batch to reference a slot
+//! reaches the LRU, so these counters stay exact — intra-batch
 //! re-references are reported separately as `WireCost::batch_shared`.
 //!
 //! Recency is one intrusive doubly-linked list over an arena (O(1) evict,

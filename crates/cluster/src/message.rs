@@ -64,10 +64,10 @@ pub struct WireCost {
     pub cache_misses: u64,
     /// Coverage-cache evictions triggered while serving this task.
     pub cache_evictions: u64,
-    /// Coverage slots served from the batch-shared result map (computed or
-    /// fetched once by an earlier query of the same batch). A batch of one
-    /// shares nothing, since a plan's slots are distinct. Not counted as
-    /// LRU hits so the cache ledger stays exact.
+    /// Coverage slots served from the batch's slot table (computed or
+    /// fetched once by an earlier query of the same batch, on the same
+    /// fragment). A batch of one shares nothing, since a plan's slots are
+    /// distinct. Not counted as LRU hits so the cache ledger stays exact.
     pub batch_shared: u64,
     /// Coverages whose payload was below the cache's per-entry bookkeeping
     /// overhead and therefore skipped insertion (counted as misses too —

@@ -20,7 +20,6 @@
 //! thread that does die (simulated crash) is detected and respawned by the
 //! coordinator.
 
-use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -28,10 +27,10 @@ use bytes::Bytes;
 use crossbeam::channel::Receiver;
 
 use disks_core::bitset::BitSet;
-use disks_core::dfunc::{DTerm, Term};
+use disks_core::dfunc::DTerm;
 use disks_core::{
     BiLevelIndex, CoverageStore, FragmentEngine, NodeRuns, QueryCost, QueryError, QueryPlan,
-    Ranked, Targets, TopKQuery,
+    Ranked, SuperPlan, TopKQuery,
 };
 
 use crate::cache::CoverageCache;
@@ -107,33 +106,32 @@ impl WorkerEngine {
 }
 
 /// One fragment's view of the worker's [`CoverageCache`] for the duration
-/// of one request, with a shared result map layered over it: the first plan
-/// of the request to reference a slot resolves it through the LRU (counted
-/// as a hit or miss); every later reference is served from the shared map
-/// and counted in `WireCost::batch_shared` instead, so the LRU ledger stays
-/// exact and the slot's Dijkstra runs at most once per request per
-/// fragment. A plan's slots are distinct, so a request of one plan shares
-/// nothing.
+/// of one request, with what it resolved by the request's (deduplicated)
+/// slot indexes layered over it: the first program to reference a slot
+/// resolves it through the LRU (counted as a hit or miss); every later
+/// reference is served from `resolved` and counted in
+/// `WireCost::batch_shared` instead, so the LRU ledger stays exact and the
+/// slot's Dijkstra runs at most once per request per fragment.
 struct BatchStore<'a> {
     fragment: u32,
     cache: &'a mut CoverageCache,
-    resolved: HashMap<(Term, u64), Arc<BitSet>>,
+    resolved: Vec<Option<Arc<BitSet>>>,
     shared: u64,
 }
 
 impl CoverageStore for BatchStore<'_> {
-    fn lookup(&mut self, slot: &DTerm) -> Option<Arc<BitSet>> {
-        if let Some(cov) = self.resolved.get(&(slot.term, slot.radius)) {
+    fn lookup(&mut self, slot: u32, term: &DTerm) -> Option<Arc<BitSet>> {
+        if let Some(cov) = &self.resolved[slot as usize] {
             self.shared += 1;
             return Some(Arc::clone(cov));
         }
-        let hit = self.cache.get(self.fragment, slot.term, slot.radius)?;
-        self.resolved.insert((slot.term, slot.radius), Arc::clone(&hit));
+        let hit = self.cache.get(self.fragment, term.term, term.radius)?;
+        self.resolved[slot as usize] = Some(Arc::clone(&hit));
         Some(hit)
     }
-    fn store(&mut self, slot: &DTerm, coverage: &Arc<BitSet>) {
-        self.resolved.insert((slot.term, slot.radius), Arc::clone(coverage));
-        self.cache.insert(self.fragment, slot.term, slot.radius, Arc::clone(coverage));
+    fn store(&mut self, slot: u32, term: &DTerm, coverage: &Arc<BitSet>) {
+        self.resolved[slot as usize] = Some(Arc::clone(coverage));
+        self.cache.insert(self.fragment, term.term, term.radius, Arc::clone(coverage));
     }
 }
 
@@ -153,11 +151,12 @@ fn guarded<T>(
     .unwrap_or_else(|payload| Err(QueryError::WorkerPanic(panic_message(payload))))
 }
 
-/// One plan on one hosted engine — the only way from a decoded frame to an
-/// answer: a ranked plan's local top-k, any other plan's answer. The wire
-/// cost of a plan's answer carries the cache activity the task caused: the
+/// One program of a decoded frame on one hosted engine, evaluated in place
+/// over the frame's slot table — the only way from a frame to an answer: a
+/// ranked program's local top-k, any other program's answer. The wire cost
+/// of a plan's answer carries the cache activity the task caused: the
 /// difference in the LRU's running counters and in the slots served from
-/// the shared map.
+/// the request's table.
 fn evaluate_task(
     engine: &mut WorkerEngine,
     plan: &QueryPlan,
@@ -212,37 +211,40 @@ pub fn worker_loop(
         if faults.kill_on_request == Some(request_count) {
             return; // simulated machine crash: no response, thread gone
         }
-        let plans: Vec<_> = plan.split().into_iter().zip(plan.targets()).collect();
         let inject_panic = faults.panic_on_request == Some(request_count);
-        if !answer(&mut engines, &fragments, base, &plans, inject_panic, &mut cache, &responses) {
+        if !answer(&mut engines, &fragments, base, &plan, inject_panic, &mut cache, &responses) {
             return; // coordinator gone
         }
     }
 }
 
-/// Evaluate `plans`, queries `base+1 ..`, on every hosted fragment the
-/// request selects, sharing slots across them through a per-fragment
-/// [`BatchStore`], and send each fragment's answers (in plan order) as one
-/// [`Response::BatchResults`] frame. A plan is evaluated only on its
+/// Evaluate `plan`'s programs, queries `base+1 ..`, on every hosted fragment
+/// the request's `fragments` list selects (all when it is empty), sharing
+/// slots across them through a per-fragment [`BatchStore`], and send each
+/// fragment's answers (in program order) as one
+/// [`Response::BatchResults`] frame. A program is evaluated only on its
 /// targets, and answers [`BatchAnswer::Skipped`] elsewhere; a fragment no
-/// plan targets gets no frame. An injected panic fails the first task
+/// program targets gets no frame. An injected panic fails the first task
 /// evaluated only. Returns `false` when the coordinator is gone.
 fn answer(
     engines: &mut [WorkerEngine],
     fragments: &[u32],
     base: u64,
-    plans: &[(QueryPlan, &Targets)],
+    plan: &SuperPlan,
     mut inject_panic: bool,
     cache: &mut CoverageCache,
     responses: &LinkSender,
 ) -> bool {
-    hosted(engines, fragments).all(|engine| {
+    let plans = plan.programs();
+    let selected =
+        |e: &&mut WorkerEngine| fragments.is_empty() || fragments.contains(&e.fragment().0);
+    engines.iter_mut().filter(selected).all(|engine| {
         let fragment = engine.fragment().0;
         if !plans.iter().any(|(_, targets)| targets.contains(fragment)) {
             return true;
         }
-        let mut store =
-            BatchStore { fragment, cache: &mut *cache, resolved: HashMap::new(), shared: 0 };
+        let resolved = vec![None; plan.num_slots()];
+        let mut store = BatchStore { fragment, cache: &mut *cache, resolved, shared: 0 };
         let answers = plans
             .iter()
             .map(|(plan, targets)| {
@@ -257,22 +259,13 @@ fn answer(
     })
 }
 
-/// Iterate the hosted engines selected by a request's fragment filter
-/// (empty = all).
-fn hosted<'a>(
-    engines: &'a mut [WorkerEngine],
-    fragments: &'a [u32],
-) -> impl Iterator<Item = &'a mut WorkerEngine> {
-    engines.iter_mut().filter(move |e| fragments.is_empty() || fragments.contains(&e.fragment().0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::message::WireCost;
     use crate::transport::counted_link;
     use crossbeam::channel::unbounded;
-    use disks_core::{build_all_indexes, DFunction, IndexConfig, SetOp, SuperPlan, Term};
+    use disks_core::{build_all_indexes, DFunction, IndexConfig, SetOp, SuperPlan, Targets, Term};
     use disks_partition::{MultilevelPartitioner, Partitioner};
     use disks_roadnet::generator::GridNetworkConfig;
     use disks_roadnet::KeywordId;
@@ -611,7 +604,7 @@ mod tests {
     }
 
     #[test]
-    fn fragment_filter_narrows_evaluation() {
+    fn a_lone_program_answers_only_on_its_targets() {
         let (req_tx, resp_rx, handle, net) = spawn_worker(65, WorkerFaults::default());
         let f = DFunction::single(Term::Keyword(top_kw(&net)), 2 * net.avg_edge_weight());
         let plan = QueryPlan::lower(&f);
@@ -623,6 +616,33 @@ mod tests {
         req_tx.send(encode_frame(&Request::Shutdown)).unwrap();
         handle.join().unwrap();
         assert!(resp_rx.try_recv().is_err(), "only the narrowed fragment answers");
+    }
+
+    /// A non-empty `fragments` list on the frame narrows a batch whose
+    /// programs target every fragment to the hosted fragments it lists; a
+    /// listed fragment the worker does not host adds nothing.
+    #[test]
+    fn the_frames_fragment_list_selects_the_hosted_fragments_that_answer() {
+        let (req_tx, resp_rx, handle, net) = spawn_worker(70, WorkerFaults::default());
+        let f = DFunction::single(Term::Keyword(top_kw(&net)), 2 * net.avg_edge_weight());
+        let plan = SuperPlan::merge(&[QueryPlan::lower(&f), QueryPlan::lower(&f)]);
+        for (base, fragments) in [(0, vec![1]), (2, vec![0, 7]), (4, vec![7])] {
+            let req = Request::Batch { base, plan: plan.clone(), fragments };
+            req_tx.send(encode_frame(&req)).unwrap();
+        }
+        req_tx.send(encode_frame(&Request::Shutdown)).unwrap();
+        handle.join().unwrap();
+        let mut answered = Vec::new();
+        while let Ok(frame) = resp_rx.try_recv() {
+            match decode_frame::<Response>(frame).unwrap() {
+                Response::BatchResults { base, fragment, answers } => {
+                    assert!(answers.iter().all(|a| matches!(a, BatchAnswer::Results { .. })));
+                    answered.push((base, fragment));
+                }
+                other => panic!("unexpected response: {other:?}"),
+            }
+        }
+        assert_eq!(answered, vec![(0, 1), (2, 0)], "only listed hosted fragments answer");
     }
 
     /// No coordinator sends an `Evaluate`, so a worker drops it unanswered,

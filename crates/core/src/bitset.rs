@@ -149,11 +149,11 @@ impl BitSet {
         !kernels::any(&self.words)
     }
 
-    /// Overwrite `self` with `other`'s elements, reusing the backing words.
-    /// Panics on capacity mismatch.
+    /// Overwrite `self` with `other`, capacity included, reusing the
+    /// backing words when they are large enough.
     pub fn copy_from(&mut self, other: &BitSet) {
-        assert_eq!(self.len, other.len, "bitset capacity mismatch");
-        self.words.copy_from_slice(&other.words);
+        self.words.clone_from(&other.words);
+        self.len = other.len;
     }
 
     /// In-place union. Panics on capacity mismatch.
@@ -238,6 +238,9 @@ mod tests {
         assert_eq!(d.iter().collect::<Vec<_>>(), vec![1, 7]);
         d.copy_from(&b);
         assert_eq!(d, b);
+        let mut grown = BitSet::new(0);
+        grown.copy_from(&b);
+        assert_eq!(grown, b, "a copy takes the capacity of what it copies");
     }
 
     #[test]

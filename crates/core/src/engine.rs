@@ -133,25 +133,26 @@ impl From<SlotCost> for QueryCost {
 /// A pluggable coverage store consulted per plan slot — the seam between the
 /// pure per-term coverage stage and the cluster layer's per-worker cache.
 ///
-/// Implementations must be transparent: `lookup` may only return a value
-/// previously passed to `store` for the *same* slot on the *same* engine
-/// (coverage is a pure function of the immutable engine, so a stored value
-/// never goes stale while the engine lives).
+/// A slot comes as its index in the plan's table (a window's, for a window
+/// program) and its spec. Implementations must be transparent: `lookup`
+/// may only return a value previously passed to `store` for the *same*
+/// spec on the *same* engine (coverage is a pure function of the immutable
+/// engine, so a stored value never goes stale while the engine lives).
 pub trait CoverageStore {
-    /// A previously stored coverage for `slot`, if any.
-    fn lookup(&mut self, slot: &DTerm) -> Option<Arc<BitSet>>;
-    /// Offer a freshly computed coverage for `slot`.
-    fn store(&mut self, slot: &DTerm, coverage: &Arc<BitSet>);
+    /// A previously stored coverage for `term`, if any.
+    fn lookup(&mut self, slot: u32, term: &DTerm) -> Option<Arc<BitSet>>;
+    /// Offer a freshly computed coverage for `term`.
+    fn store(&mut self, slot: u32, term: &DTerm, coverage: &Arc<BitSet>);
 }
 
 /// The no-op [`CoverageStore`]: every lookup misses, stores are dropped.
 pub struct NoCache;
 
 impl CoverageStore for NoCache {
-    fn lookup(&mut self, _slot: &DTerm) -> Option<Arc<BitSet>> {
+    fn lookup(&mut self, _slot: u32, _term: &DTerm) -> Option<Arc<BitSet>> {
         None
     }
-    fn store(&mut self, _slot: &DTerm, _coverage: &Arc<BitSet>) {}
+    fn store(&mut self, _slot: u32, _term: &DTerm, _coverage: &Arc<BitSet>) {}
 }
 
 /// One machine's query-evaluation state for its fragment.
@@ -930,7 +931,10 @@ impl FragmentEngine {
         let start = std::time::Instant::now();
         let mut total = QueryCost { beta: self.sc_size, ..QueryCost::default() };
         // Split borrows: a search mutates `ws`, and the ceiling is built in
-        // `scratch`, while the driver's closures read the engine.
+        // `scratch`, while the driver's closures read the engine. A panic
+        // unwinding through the driver leaves the empty placeholders behind,
+        // which grow on first use: `ws` in its next run, `scratch` as a
+        // reach mask is copied into it.
         let mut ws = std::mem::replace(&mut self.ws, DijkstraWorkspace::new(0));
         let mut scratch = std::mem::replace(&mut self.ceiling, BitSet::new(0));
         let (engine, ceiling) = (&*self, &mut scratch);
@@ -938,7 +942,8 @@ impl FragmentEngine {
             engine.globals.len(),
             |slot| engine.seed_count(slot.term, slot.radius),
             move |conjuncts| engine.reach_ceiling(conjuncts, ceiling),
-            |slot, within| {
+            |index, within| {
+                let slot = &plan.slots()[index as usize];
                 // A bounded fetch is not the slot's coverage: the store
                 // neither serves nor keeps it.
                 if let (Term::Node(_), Some(within)) = (slot.term, within) {
@@ -946,7 +951,7 @@ impl FragmentEngine {
                     total.absorb(cost);
                     return Ok(Arc::new(cov));
                 }
-                if let Some(hit) = store.lookup(slot) {
+                if let Some(hit) = store.lookup(index, slot) {
                     total.absorb(SlotCost {
                         term: slot.term,
                         radius: slot.radius,
@@ -960,7 +965,7 @@ impl FragmentEngine {
                 }
                 let (cov, cost) = engine.fetch_slot(&mut ws, slot);
                 let cov = Arc::new(cov);
-                store.store(slot, &cov);
+                store.store(index, slot, &cov);
                 total.absorb(cost);
                 Ok(cov)
             },
@@ -1094,10 +1099,10 @@ mod tests {
 
         struct MapStore(Map<(Term, u64), Arc<crate::bitset::BitSet>>);
         impl crate::engine::CoverageStore for MapStore {
-            fn lookup(&mut self, slot: &crate::dfunc::DTerm) -> Option<Arc<crate::bitset::BitSet>> {
+            fn lookup(&mut self, _: u32, slot: &DTerm) -> Option<Arc<BitSet>> {
                 self.0.get(&(slot.term, slot.radius)).cloned()
             }
-            fn store(&mut self, slot: &crate::dfunc::DTerm, cov: &Arc<crate::bitset::BitSet>) {
+            fn store(&mut self, _: u32, slot: &DTerm, cov: &Arc<BitSet>) {
                 self.0.insert((slot.term, slot.radius), cov.clone());
             }
         }
@@ -1126,6 +1131,44 @@ mod tests {
         assert!(warm_cost.per_slot.iter().all(|s| s.cached && s.settled == 0));
         assert_eq!(warm_cost.settled, 0);
         assert_eq!(warm_cost.coverage_nodes, cold_cost.coverage_nodes);
+    }
+
+    /// A panic that unwinds through an evaluation, as the worker's
+    /// `catch_unwind` catches it, leaves the engine answering: the next
+    /// evaluation that builds a reach ceiling gets the same answer as
+    /// before the panic.
+    #[test]
+    fn a_caught_panic_leaves_the_engine_answering() {
+        use crate::plan::QueryPlan;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        struct Panicking;
+        impl CoverageStore for Panicking {
+            fn lookup(&mut self, _: u32, _: &DTerm) -> Option<Arc<BitSet>> {
+                panic!("a store that fails mid-evaluation")
+            }
+            fn store(&mut self, _: u32, _: &DTerm, _: &Arc<BitSet>) {}
+        }
+
+        let net = GridNetworkConfig::tiny(49).generate();
+        let p = MultilevelPartitioner::default().partition(&net, 2);
+        let e = net.avg_edge_weight();
+        let indexes = build_all_indexes(&net, &p, &IndexConfig::with_max_r(8 * e));
+        let mut engine = FragmentEngine::new(&net, &p, &indexes[0]).unwrap();
+        let freqs = net.keyword_frequencies();
+        let mut ranked: Vec<usize> = (0..freqs.len()).collect();
+        ranked.sort_unstable_by_key(|&k| std::cmp::Reverse(freqs[k]));
+        let kws = vec![KeywordId(ranked[0] as u32), KeywordId(ranked[1] as u32)];
+        let plan = QueryPlan::lower(&SgkQuery::new(kws, 4 * e).to_dfunction());
+        // The first evaluation leaves both keywords' lists, so later ones
+        // build a reach ceiling before their first fetch.
+        let (expect, _) = engine.evaluate_plan(&plan).unwrap();
+        assert_eq!(lists_built(&engine), 2);
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            engine.evaluate_plan_with_cache(&plan, &mut Panicking)
+        }));
+        assert!(unwound.is_err(), "the store's panic unwinds through the evaluation");
+        assert_eq!(engine.evaluate_plan(&plan).unwrap().0, expect);
     }
 
     fn lists_built(engine: &FragmentEngine) -> usize {

@@ -30,12 +30,16 @@ use crate::topk::{ScoreCombine, TopKQuery};
 /// A normalized query: deduplicated coverage slots plus a combine program.
 ///
 /// Invariants (enforced by [`QueryPlan::lower`] and checked on decode):
-/// `slots` is non-empty, every slot is referenced by the program, and every
-/// program index is `< slots.len()`.
+/// `slots` is non-empty and every program index is `< slots.len()`. A
+/// lowered plan names every slot, in first-occurrence order; a window's
+/// program ([`SuperPlan::programs`]) shares the window's table, which may
+/// hold slots it does not name, so [`Self::max_radius`],
+/// [`Self::locations`] and [`Self::as_topk`] read only the slots it names.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryPlan {
-    /// Distinct `(term, radius)` coverages, in first-occurrence order.
-    slots: Vec<DTerm>,
+    /// Distinct `(term, radius)` coverages: the plan's own, in
+    /// first-occurrence order, or its window's.
+    slots: Arc<[DTerm]>,
     /// Slot index of the program's first operand `X₁`.
     first: u32,
     /// The operator chain `θ₁ X_{i₁} θ₂ X_{i₂} …` over slot indexes.
@@ -76,23 +80,26 @@ struct LazyOrder {
     prefix: usize,
 }
 
+/// The index of `t` in `slots`, appended if absent: a table built by
+/// interning stays deduplicated, in first-occurrence order.
+fn intern(slots: &mut Vec<DTerm>, t: &DTerm) -> u32 {
+    match slots.iter().position(|s| s == t) {
+        Some(i) => i as u32,
+        None => {
+            slots.push(*t);
+            (slots.len() - 1) as u32
+        }
+    }
+}
+
 impl QueryPlan {
     /// Lower a D-function, deduplicating identical `(term, radius)` terms
     /// into shared slots.
     pub fn lower(f: &DFunction) -> Self {
         let mut slots: Vec<DTerm> = Vec::with_capacity(f.num_terms());
-        let slot_of = |slots: &mut Vec<DTerm>, t: &DTerm| -> u32 {
-            match slots.iter().position(|s| s == t) {
-                Some(i) => i as u32,
-                None => {
-                    slots.push(*t);
-                    (slots.len() - 1) as u32
-                }
-            }
-        };
-        let first = slot_of(&mut slots, &f.first);
-        let ops = f.rest.iter().map(|(op, t)| (*op, slot_of(&mut slots, t))).collect();
-        QueryPlan { slots, first, ops, rank: None }
+        let first = intern(&mut slots, &f.first);
+        let ops = f.rest.iter().map(|(op, t)| (*op, intern(&mut slots, t))).collect();
+        QueryPlan { slots: slots.into(), first, ops, rank: None }
     }
 
     /// A top-k query as the plan it is. A fragment ranks only the nodes
@@ -103,7 +110,7 @@ impl QueryPlan {
         let mut keywords = q.keywords.clone();
         keywords.sort_unstable();
         keywords.dedup();
-        let slots: Vec<DTerm> = keywords
+        let slots: Arc<[DTerm]> = keywords
             .into_iter()
             .map(|kw| DTerm { term: Term::Keyword(kw), radius: q.horizon })
             .collect();
@@ -115,22 +122,36 @@ impl QueryPlan {
     /// its largest radius. `None` when the plan is not ranked.
     pub fn as_topk(&self) -> Option<TopKQuery> {
         let Rank { k, combine } = self.rank?;
-        let keywords = self.slots.iter().filter_map(|s| match s.term {
+        let keywords = self.named().filter_map(|s| match s.term {
             Term::Keyword(kw) => Some(kw),
             Term::Node(_) => None,
         });
         Some(TopKQuery { keywords: keywords.collect(), k, horizon: self.max_radius(), combine })
     }
 
-    /// The deduplicated coverage slots, in first-occurrence order.
+    /// The slot table the program indexes: the plan's own deduplicated
+    /// slots in first-occurrence order, or its window's.
     pub fn slots(&self) -> &[DTerm] {
         &self.slots
     }
 
-    /// Number of distinct coverages to compute (`≤` the D-function's term
-    /// count).
+    /// Number of slots in the table (for a lowered plan, the distinct
+    /// coverages to compute, `≤` the D-function's term count).
     pub fn num_slots(&self) -> usize {
         self.slots.len()
+    }
+
+    /// The program's operands' slot indexes, in program order.
+    fn operands(&self) -> impl Iterator<Item = u32> + Clone + '_ {
+        std::iter::once(self.first).chain(self.ops.iter().map(|&(_, slot)| slot))
+    }
+
+    /// The slots the program names, each once, in first-occurrence order.
+    fn named(&self) -> impl Iterator<Item = &DTerm> + '_ {
+        let ops = self.operands();
+        let firsts =
+            ops.clone().enumerate().filter(move |&(i, s)| !ops.clone().take(i).any(|t| t == s));
+        firsts.map(|(_, slot)| &self.slots[slot as usize])
     }
 
     /// Number of operands in the combine program (the D-function's `k`).
@@ -138,15 +159,16 @@ impl QueryPlan {
         1 + self.ops.len()
     }
 
-    /// Largest radius across slots (used for `maxR` admission and §5.5
-    /// bi-level routing).
+    /// Largest radius across the slots the program names (used for `maxR`
+    /// admission and §5.5 bi-level routing).
     pub fn max_radius(&self) -> u64 {
-        self.slots.iter().map(|s| s.radius).max().unwrap_or(0)
+        self.named().map(|s| s.radius).max().unwrap_or(0)
     }
 
-    /// Iterate the distinct query locations (`Term::Node` slots).
+    /// Iterate the distinct query locations (`Term::Node` slots the program
+    /// names).
     pub fn locations(&self) -> impl Iterator<Item = disks_roadnet::NodeId> + '_ {
-        self.slots.iter().filter_map(|s| match s.term {
+        self.named().filter_map(|s| match s.term {
             Term::Node(n) => Some(n),
             Term::Keyword(_) => None,
         })
@@ -161,6 +183,16 @@ impl QueryPlan {
         } else {
             None
         }
+    }
+
+    /// The same program over `table`, which holds every slot it names.
+    fn over(&self, table: &Arc<[DTerm]>) -> QueryPlan {
+        let at = |slot: u32| {
+            let t = &self.slots[slot as usize];
+            table.iter().position(|s| s == t).expect("the table holds every named slot") as u32
+        };
+        let ops = self.ops.iter().map(|&(op, slot)| (op, at(slot))).collect();
+        QueryPlan { slots: Arc::clone(table), first: at(self.first), ops, rank: self.rank }
     }
 
     /// Whether the plan can answer anything on a fragment where
@@ -229,8 +261,8 @@ impl QueryPlan {
     /// [`Self::combine`] over all coverages; `capacity` is the coverages'
     /// capacity, for a result nothing was fetched for.
     ///
-    /// `fetch(slot, within)` returns the slot's coverage `R` when `within`
-    /// is `None`. A slot the program names once, as a ∩ or − operand, is
+    /// `fetch(slot, within)` returns the coverage `R` of `slots()[slot]` when
+    /// `within` is `None`. A slot the program names once, as a ∩ or − operand, is
     /// fetched with `within = Some(Within { acc, inside })`, `acc` being the
     /// live accumulator it is about to be combined with, and `fetch` may then
     /// return any set between `R ∩ acc` and `R`: `acc ∩ X` and `acc − X`
@@ -254,7 +286,7 @@ impl QueryPlan {
         capacity: usize,
         seeds: impl Fn(&DTerm) -> usize,
         ceiling: impl FnOnce(&mut dyn Iterator<Item = &DTerm>) -> Option<&'c BitSet>,
-        mut fetch: impl FnMut(&DTerm, Option<Within<'_>>) -> Result<Arc<BitSet>, E>,
+        mut fetch: impl FnMut(u32, Option<Within<'_>>) -> Result<Arc<BitSet>, E>,
     ) -> Result<Arc<BitSet>, E> {
         let Some(LazyOrder { first, ops, prefix }) = self.lazy_order(seeds) else {
             return Ok(Arc::new(BitSet::new(capacity)));
@@ -272,20 +304,24 @@ impl QueryPlan {
         if ceiling.is_some_and(BitSet::is_empty) {
             return Ok(Arc::new(BitSet::new(capacity)));
         }
-        // The order names every operand of the program once.
-        let mut named = vec![0usize; self.slots.len()];
-        std::iter::once(first).chain(ops.iter().map(|&(_, slot)| slot)).for_each(|slot| {
-            named[slot as usize] += 1;
-        });
-        let mut fetched: Vec<Option<Arc<BitSet>>> = vec![None; self.slots.len()];
-        let mut get = |slot: u32, within: Option<Within<'_>>| -> Result<Arc<BitSet>, E> {
-            let term = &self.slots[slot as usize];
-            if named[slot as usize] == 1 {
-                return fetch(term, within);
+        // Per slot the program names: how often, and its coverage once
+        // fetched whole. Sized by the program, not by a window's table.
+        let mut uses: Vec<(u32, usize, Option<Arc<BitSet>>)> = Vec::with_capacity(1 + ops.len());
+        for slot in self.operands() {
+            match uses.iter_mut().find(|(s, ..)| *s == slot) {
+                Some((_, times, _)) => *times += 1,
+                None => uses.push((slot, 1, None)),
             }
-            Ok(Arc::clone(match &mut fetched[slot as usize] {
+        }
+        let mut get = |slot: u32, within: Option<Within<'_>>| -> Result<Arc<BitSet>, E> {
+            let entry = uses.iter_mut().find(|(s, ..)| *s == slot);
+            let (_, times, fetched) = entry.expect("the order takes only the program's operands");
+            if *times == 1 {
+                return fetch(slot, within);
+            }
+            Ok(Arc::clone(match fetched {
                 Some(coverage) => coverage,
-                unfetched => unfetched.insert(fetch(term, None)?),
+                unfetched => unfetched.insert(fetch(slot, None)?),
             }))
         };
         // `acc` shares the first coverage until an operator has to change
@@ -354,11 +390,11 @@ impl QueryPlan {
 }
 
 /// A merged batch of [`QueryPlan`]s sharing one deduplicated slot table —
-/// the payload of a cross-query batched dispatch. Slot indices in each
-/// per-query program refer to the *shared* table, so a worker evaluates
-/// each distinct `(term, radius)` coverage once per batch and runs every
-/// program against the shared results. Each program names the fragments it
-/// is evaluated on ([`Targets`]).
+/// the payload of a cross-query batched dispatch. Each program is a
+/// [`QueryPlan`] over the *shared* table, so a worker evaluates each one as
+/// it arrives, computes each distinct `(term, radius)` coverage once per
+/// batch, and runs every program against the shared results. Each program
+/// names the fragments it is evaluated on ([`Targets`]).
 ///
 /// Invariants (enforced by [`SuperPlan::merge`] and checked on decode):
 /// `slots` and `programs` are non-empty and every program index is
@@ -374,18 +410,10 @@ impl QueryPlan {
 pub struct SuperPlan {
     /// Distinct `(term, radius)` coverages across the batch, in
     /// first-occurrence order.
-    slots: Vec<DTerm>,
-    /// One combine program per query, in batch order, over shared slots.
-    programs: Vec<Program>,
-}
-
-/// One query's combine program inside a [`SuperPlan`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Program {
-    first: u32,
-    ops: Vec<(SetOp, u32)>,
-    targets: Targets,
-    rank: Option<Rank>,
+    slots: Arc<[DTerm]>,
+    /// One plan per query, in batch order, each over `slots`, with its
+    /// targets.
+    programs: Vec<(QueryPlan, Targets)>,
 }
 
 /// The fragments one program of a [`SuperPlan`] is evaluated on.
@@ -522,62 +550,39 @@ impl SuperPlan {
     /// a plan.
     pub fn merge_targeted(plans: &[QueryPlan], targets: impl IntoIterator<Item = Targets>) -> Self {
         assert!(!plans.is_empty(), "cannot merge an empty batch");
-        let mut slots: Vec<DTerm> = Vec::new();
-        let shared = |slots: &mut Vec<DTerm>, t: &DTerm| -> u32 {
-            match slots.iter().position(|s| s == t) {
-                Some(i) => i as u32,
-                None => {
-                    slots.push(*t);
-                    (slots.len() - 1) as u32
+        let slots: Arc<[DTerm]> = match plans {
+            // A lowered plan's slots are distinct and in first-occurrence
+            // order: interning them would rebuild the same table.
+            [plan] => Arc::clone(&plan.slots),
+            _ => {
+                let mut slots = Vec::new();
+                for t in plans.iter().flat_map(QueryPlan::named) {
+                    intern(&mut slots, t);
                 }
+                slots.into()
             }
         };
-        let programs: Vec<Program> = plans
-            .iter()
-            .zip(targets)
-            .map(|(p, targets)| {
-                let map: Vec<u32> = p.slots.iter().map(|t| shared(&mut slots, t)).collect();
-                Program {
-                    first: map[p.first as usize],
-                    ops: p.ops.iter().map(|&(op, i)| (op, map[i as usize])).collect(),
-                    targets,
-                    rank: p.rank,
-                }
-            })
-            .collect();
+        let programs: Vec<_> = plans.iter().map(|p| p.over(&slots)).zip(targets).collect();
         assert_eq!(programs.len(), plans.len(), "one target set a plan required");
         SuperPlan { slots, programs }
     }
 
     /// Recover the per-query plans, each with its own slot table in
-    /// first-occurrence order. `split(merge(plans)) == plans` exactly, so
-    /// workers evaluating split plans (against a batch-shared coverage
-    /// store) reproduce unbatched evaluation bit for bit.
+    /// first-occurrence order. `split(merge(plans)) == plans` exactly: the
+    /// reference a program evaluated in place over the shared table is
+    /// tested against.
     pub fn split(&self) -> Vec<QueryPlan> {
-        self.programs
-            .iter()
-            .map(|prog| {
-                let mut slots: Vec<DTerm> = Vec::new();
-                let local = |slots: &mut Vec<DTerm>, gi: u32| -> u32 {
-                    let t = self.slots[gi as usize];
-                    match slots.iter().position(|s| *s == t) {
-                        Some(i) => i as u32,
-                        None => {
-                            slots.push(t);
-                            (slots.len() - 1) as u32
-                        }
-                    }
-                };
-                let first = local(&mut slots, prog.first);
-                let ops = prog.ops.iter().map(|&(op, i)| (op, local(&mut slots, i))).collect();
-                QueryPlan { slots, first, ops, rank: prog.rank }
-            })
-            .collect()
+        self.programs.iter().map(|(p, _)| p.over(&p.named().copied().collect())).collect()
+    }
+
+    /// Each program with its targets, in batch order.
+    pub fn programs(&self) -> &[(QueryPlan, Targets)] {
+        &self.programs
     }
 
     /// Each program's targets, in batch order.
     pub fn targets(&self) -> impl Iterator<Item = &Targets> {
-        self.programs.iter().map(|p| &p.targets)
+        self.programs.iter().map(|(_, targets)| targets)
     }
 
     /// Number of queries in the batch.
@@ -594,25 +599,19 @@ impl SuperPlan {
     pub fn num_slots(&self) -> usize {
         self.slots.len()
     }
-
-    /// Largest radius across all shared slots (used for §5.5 bi-level
-    /// routing of the batch).
-    pub fn max_radius(&self) -> u64 {
-        self.slots.iter().map(|s| s.radius).max().unwrap_or(0)
-    }
 }
 
 impl Encode for SuperPlan {
     fn encode(&self, buf: &mut impl BufMut) {
         self.slots.encode(buf);
         (self.programs.len() as u32).encode(buf);
-        for p in &self.programs {
+        for (p, targets) in &self.programs {
             p.first.encode(buf);
             p.ops.encode(buf);
-            p.targets.encode(buf);
+            targets.encode(buf);
         }
         let ranked: Vec<(usize, Rank)> =
-            self.programs.iter().enumerate().filter_map(|(i, p)| Some((i, p.rank?))).collect();
+            self.programs.iter().enumerate().filter_map(|(i, (p, _))| Some((i, p.rank?))).collect();
         put_varint(ranked.len() as u64, buf);
         for (i, rank) in ranked {
             put_varint(i as u64, buf);
@@ -622,7 +621,7 @@ impl Encode for SuperPlan {
 }
 impl Decode for SuperPlan {
     fn decode(buf: &mut impl Buf) -> Result<Self, DecodeError> {
-        let slots = Vec::<DTerm>::decode(buf)?;
+        let slots: Arc<[DTerm]> = Vec::<DTerm>::decode(buf)?.into();
         if slots.is_empty() {
             return Err(DecodeError::LengthOutOfRange { context: "SuperPlan.slots", len: 0 });
         }
@@ -643,8 +642,8 @@ impl Decode for SuperPlan {
                     });
                 }
             }
-            let targets = Targets::decode(buf)?;
-            programs.push(Program { first, ops, targets, rank: None });
+            let plan = QueryPlan { slots: Arc::clone(&slots), first, ops, rank: None };
+            programs.push((plan, Targets::decode(buf)?));
         }
         // Each index names a later program than the one before it, so the
         // loop ends within `n` ranks whatever count it read.
@@ -657,7 +656,7 @@ impl Decode for SuperPlan {
                     len: i,
                 });
             }
-            programs[i as usize].rank = Some(Rank::decode(buf)?);
+            programs[i as usize].0.rank = Some(Rank::decode(buf)?);
             next = i + 1;
         }
         Ok(SuperPlan { slots, programs })
@@ -699,7 +698,7 @@ impl Encode for QueryPlan {
 }
 impl Decode for QueryPlan {
     fn decode(buf: &mut impl Buf) -> Result<Self, DecodeError> {
-        let slots = Vec::<DTerm>::decode(buf)?;
+        let slots: Arc<[DTerm]> = Vec::<DTerm>::decode(buf)?.into();
         if slots.is_empty() {
             return Err(DecodeError::LengthOutOfRange { context: "QueryPlan.slots", len: 0 });
         }
@@ -804,7 +803,7 @@ mod tests {
     fn decode_rejects_out_of_range_slot_index() {
         use bytes::BytesMut;
         let plan = QueryPlan {
-            slots: vec![DTerm { term: Term::Keyword(KeywordId(0)), radius: 1 }],
+            slots: vec![DTerm { term: Term::Keyword(KeywordId(0)), radius: 1 }].into(),
             first: 3, // invalid: only one slot
             ops: Vec::new(),
             rank: None,
@@ -821,7 +820,7 @@ mod tests {
     #[test]
     fn decode_rejects_empty_plan() {
         use bytes::BytesMut;
-        let plan = QueryPlan { slots: Vec::new(), first: 0, ops: Vec::new(), rank: None };
+        let plan = QueryPlan { slots: Vec::new().into(), first: 0, ops: Vec::new(), rank: None };
         let mut buf = BytesMut::new();
         plan.encode(&mut buf);
         let mut bytes = buf.freeze();
@@ -861,9 +860,9 @@ mod tests {
                 8,
                 |t| slots[index(t)].0,
                 |_| None,
-                |t, _| {
-                    order.push(index(t) as u32);
-                    Ok::<_, ()>(set(8, slots[index(t)].1))
+                |i, _| {
+                    order.push(i);
+                    Ok::<_, ()>(set(8, slots[i as usize].1))
                 },
             )
             .unwrap();
@@ -931,8 +930,8 @@ mod tests {
                 8,
                 |_| 1,
                 |_| None,
-                |t, within| {
-                    let i = index(t);
+                |i, within| {
+                    let i = i as usize;
                     let inside = |w: &Within| w.inside.iter().map(index).collect();
                     handed.push((i, within.map(|w| (w.acc.iter().collect(), inside(&w)))));
                     let mut cut = (*sets[i]).clone();
@@ -986,8 +985,38 @@ mod tests {
         // 3 distinct (term, radius) pairs across 5 plan slots.
         assert_eq!(sp.num_slots(), 3);
         assert_eq!(sp.num_queries(), 3);
-        assert_eq!(sp.max_radius(), 9);
         assert_eq!(sp.split(), plans);
+    }
+
+    /// A program of a window reads only the slots it names: a ranked
+    /// program beside RKQs of larger radii keeps its own keywords and
+    /// horizon, and each program its own radius and locations. A window of
+    /// one shares its plan's table as is.
+    #[test]
+    fn a_window_program_reads_only_the_slots_it_names() {
+        let q = TopKQuery::new(vec![KeywordId(2), KeywordId(1)], 4, 9, ScoreCombine::Sum);
+        let rkq = |loc: u32, kw: u32, r: u64| {
+            let f = DFunction::single(Term::Node(NodeId(loc)), r).then(
+                SetOp::Intersect,
+                Term::Keyword(KeywordId(kw)),
+                r,
+            );
+            QueryPlan::lower(&f)
+        };
+        let plans = [QueryPlan::topk(&q), rkq(7, 3, 50), rkq(8, 1, 80)];
+        let sp = SuperPlan::merge(&plans);
+        assert_eq!(sp.num_slots(), 6);
+        let programs: Vec<&QueryPlan> = sp.programs().iter().map(|(p, _)| p).collect();
+        assert!(programs.iter().all(|p| p.num_slots() == 6), "the programs share the table");
+        assert_eq!(programs[0].as_topk(), Some(q));
+        let locations = |p: &QueryPlan| p.locations().collect::<Vec<_>>();
+        assert_eq!((programs[0].max_radius(), locations(programs[0])), (9, vec![]));
+        assert_eq!((programs[1].max_radius(), locations(programs[1])), (50, vec![NodeId(7)]));
+        assert_eq!((programs[2].max_radius(), locations(programs[2])), (80, vec![NodeId(8)]));
+        assert_eq!(programs[1].as_topk(), None);
+        let alone = SuperPlan::merge(&plans[1..2]);
+        assert!(Arc::ptr_eq(&alone.slots, &plans[1].slots));
+        assert_eq!(alone.split(), &plans[1..2]);
     }
 
     #[test]
@@ -1170,15 +1199,11 @@ mod tests {
     #[test]
     fn super_plan_decode_rejects_out_of_range_index() {
         use bytes::BytesMut;
-        let sp = SuperPlan {
-            slots: vec![DTerm { term: Term::Keyword(KeywordId(0)), radius: 1 }],
-            programs: vec![Program {
-                first: 9,
-                ops: Vec::new(),
-                targets: Targets::Every,
-                rank: None,
-            }],
-        };
+        let slots: Arc<[DTerm]> =
+            vec![DTerm { term: Term::Keyword(KeywordId(0)), radius: 1 }].into();
+        let program =
+            QueryPlan { slots: Arc::clone(&slots), first: 9, ops: Vec::new(), rank: None };
+        let sp = SuperPlan { slots, programs: vec![(program, Targets::Every)] };
         let mut buf = BytesMut::new();
         sp.encode(&mut buf);
         let mut bytes = buf.freeze();

@@ -15,6 +15,9 @@
 //!    operand — never changes the result either, a slot named twice is
 //!    never handed one, and every conjunct the driver says holds `acc`
 //!    does.
+//! 5. A program of a decoded window, evaluated in place over the window's
+//!    shared slot table, is the plan `SuperPlan::split` recovers for it:
+//!    the same answer and the same per-slot costs on every fragment.
 
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
@@ -27,9 +30,10 @@ use rand::{Rng, SeedableRng};
 use disks_core::bitset::BitSet;
 use disks_core::{
     build_all_indexes, CentralizedCoverage, CoverageStore, DFunction, DTerm, FragmentEngine,
-    IndexConfig, QueryPlan, SetOp, Term,
+    IndexConfig, QueryPlan, ScoreCombine, SetOp, SuperPlan, Targets, Term, TopKQuery,
 };
 use disks_partition::{MultilevelPartitioner, Partitioner};
+use disks_roadnet::codec::{Decode, Encode};
 use disks_roadnet::generator::GridNetworkConfig;
 use disks_roadnet::{KeywordId, NodeId, RoadNetwork};
 
@@ -101,6 +105,56 @@ proptest! {
             }
             distributed.sort_unstable();
             prop_assert_eq!(distributed, central.evaluate(&f).unwrap(), "{}", &f);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A window of 1–16 plans, one in five a top-k's, each targeting a
+    /// random set of fragments, goes through the codec; each decoded
+    /// program is evaluated in place on every engine of one set, and its
+    /// `split` plan on the same engine of a twin set, in the same order,
+    /// since a keyword's first fetch leaves a list that later ones cut.
+    #[test]
+    fn a_window_program_evaluated_in_place_is_its_split_plan(
+        net_seed in 0x70u64..0x78, k in 2usize..=4, stream_seed in any::<u64>()
+    ) {
+        let net = GridNetworkConfig::tiny(net_seed).generate();
+        let max_r = MAX_R_EDGES * net.avg_edge_weight();
+        let (mut in_place, mut twins) = (engines(&net, k, max_r), engines(&net, k, max_r));
+        let mut rng = StdRng::seed_from_u64(stream_seed);
+        let vocab = net.keyword_frequencies().len() as u32;
+        let plans: Vec<QueryPlan> = (0..rng.gen_range(1..=16))
+            .map(|_| {
+                if rng.gen_bool(0.2) {
+                    let kws: Vec<KeywordId> =
+                        (0..rng.gen_range(1..4)).map(|_| KeywordId(rng.gen_range(0..vocab))).collect();
+                    let horizon = rng.gen_range(0..=max_r);
+                    return QueryPlan::topk(&TopKQuery::new(kws, 3, horizon, ScoreCombine::Sum));
+                }
+                QueryPlan::lower(&random_dfunction(&mut rng, &net, max_r))
+            })
+            .collect();
+        let targets: Vec<Targets> = plans
+            .iter()
+            .map(|_| Targets::of_mask(&(0..k).map(|_| rng.gen_bool(0.7)).collect::<Vec<_>>()))
+            .collect();
+        let window = SuperPlan::merge_targeted(&plans, targets);
+        let mut bytes = bytes::BytesMut::new();
+        window.encode(&mut bytes);
+        let decoded = SuperPlan::decode(&mut bytes.freeze()).unwrap();
+        prop_assert_eq!(&decoded, &window);
+        let split = window.split();
+        for ((program, _), plan) in decoded.programs().iter().zip(&split) {
+            prop_assert_eq!(program.as_topk(), plan.as_topk());
+            for (engine, twin) in in_place.iter_mut().zip(&mut twins) {
+                let (got, got_cost) = engine.evaluate_plan(program).unwrap();
+                let (want, want_cost) = twin.evaluate_plan(plan).unwrap();
+                prop_assert_eq!(&got, &want, "{} on fragment {:?}", plan, engine.fragment());
+                prop_assert_eq!(&got_cost.per_slot, &want_cost.per_slot, "{}", plan);
+            }
         }
     }
 }
@@ -199,8 +253,9 @@ proptest! {
                     CAPACITY,
                     |slot| seeds[of(slot)],
                     ceiling,
-                    |slot, within| {
+                    |index, within| {
                         fetches.set(fetches.get() + 1);
+                        let slot = &plan.slots()[index as usize];
                         let coverage = &coverages[of(slot)];
                         for inside in within.iter().flat_map(|w| w.inside) {
                             let mut outside = within.unwrap().acc.clone();
@@ -239,11 +294,11 @@ struct Counting {
 }
 
 impl CoverageStore for Counting {
-    fn lookup(&mut self, slot: &DTerm) -> Option<Arc<BitSet>> {
+    fn lookup(&mut self, _: u32, slot: &DTerm) -> Option<Arc<BitSet>> {
         self.lookups.push(*slot);
         None
     }
-    fn store(&mut self, slot: &DTerm, _coverage: &Arc<BitSet>) {
+    fn store(&mut self, _: u32, slot: &DTerm, _coverage: &Arc<BitSet>) {
         self.stores.push(*slot);
     }
 }

@@ -119,12 +119,17 @@ impl<A: Decode, B: Decode> Decode for (A, B) {
     }
 }
 
-impl<T: Encode> Encode for Vec<T> {
+impl<T: Encode> Encode for [T] {
     fn encode(&self, buf: &mut impl BufMut) {
         encode_len(self.len(), buf);
         for item in self {
             item.encode(buf);
         }
+    }
+}
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, buf: &mut impl BufMut) {
+        self.as_slice().encode(buf);
     }
 }
 impl<T: Decode> Decode for Vec<T> {
