@@ -1,11 +1,14 @@
 //! Criterion bench for the top-k extension: ranked group-keyword queries
-//! vs the equivalent radius-coverage SGKQ, per k.
+//! on every fragment of a bounded (list-keeping) deployment, per k. Each
+//! query's merged ranking at each k is asserted against `centralized_topk`
+//! once before it is timed, so a test-mode run (`cargo test --bench
+//! topk_extension`) is a check too.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use disks_bench::datasets::{load, DatasetId, Scale};
 use disks_bench::experiments::Deployment;
 use disks_bench::queries::QueryGenerator;
-use disks_core::{IndexConfig, ScoreCombine, TopKQuery};
+use disks_core::{centralized_topk, merge_topk, IndexConfig, ScoreCombine, TopKQuery};
 
 fn bench_topk(c: &mut Criterion) {
     let ds = load(DatasetId::Aus, Scale::Bench);
@@ -22,12 +25,15 @@ fn bench_topk(c: &mut Criterion) {
             .iter()
             .map(|q| TopKQuery::new(q.keywords.clone(), k, 10 * e, ScoreCombine::Max))
             .collect();
+        for q in &qs {
+            let lists = dep.topk(q).into_iter().map(|(ranked, _)| ranked).collect();
+            let expect = centralized_topk(&ds.net, q).expect("centralized");
+            assert_eq!(merge_topk(lists, k), expect, "k = {k}: {q:?}");
+        }
         group.bench_with_input(BenchmarkId::new("k", k), &k, |b, _| {
             b.iter(|| {
                 for q in &qs {
-                    for engine in &mut dep.engines {
-                        std::hint::black_box(engine.topk_local(q).unwrap());
-                    }
+                    std::hint::black_box(dep.topk(q));
                 }
             });
         });

@@ -109,11 +109,7 @@ pub fn topk_extension(ds: &Dataset, params: &Params) -> Table {
             continue;
         }
         // Verify once per point against the centralized ranking.
-        let lists: Vec<Vec<disks_core::Ranked>> = dep
-            .engines
-            .iter_mut()
-            .map(|engine| engine.topk_local(&qs[0]).expect("topk").0)
-            .collect();
+        let lists = dep.topk(&qs[0]).into_iter().map(|(ranked, _)| ranked).collect();
         assert_eq!(
             merge_topk(lists, k),
             centralized_topk(&ds.net, &qs[0]).expect("centralized"),
@@ -122,17 +118,11 @@ pub fn topk_extension(ds: &Dataset, params: &Params) -> Table {
         // Warmup + median of per-query slowest-task times.
         let mut times = Vec::with_capacity(qs.len());
         for q in &qs {
-            for engine in &mut dep.engines {
-                let _ = engine.topk_local(q).expect("warmup");
-            }
+            let _ = dep.topk(q);
         }
         for q in &qs {
-            let slowest = dep
-                .engines
-                .iter_mut()
-                .map(|engine| engine.topk_local(q).expect("topk").1.elapsed)
-                .max()
-                .unwrap_or_default();
+            let slowest =
+                dep.topk(q).into_iter().map(|(_, cost)| cost.elapsed).max().unwrap_or_default();
             times.push(slowest);
         }
         t.push(vec![k.to_string(), fmt_duration(crate::report::median_duration(&times))]);

@@ -25,7 +25,10 @@ pub use time::{fig10_11_keywords, fig12_13_fragments, fig14_15_radius, fig9_quer
 
 use std::time::Duration;
 
-use disks_core::{build_all_indexes, DFunction, FragmentEngine, IndexConfig, NpdIndex, QueryCost};
+use disks_core::{
+    build_all_indexes, Answer, DFunction, FragmentEngine, IndexConfig, NoCache, NpdIndex,
+    QueryCost, QueryPlan, Ranked, TopKQuery,
+};
 use disks_partition::{MultilevelPartitioner, Partitioner, Partitioning};
 use disks_roadnet::{NodeId, RoadNetwork};
 
@@ -64,6 +67,20 @@ impl Deployment {
         }
         results.sort_unstable();
         (results, costs)
+    }
+
+    /// Rank a top-k on every fragment, its plan evaluated as the workers
+    /// evaluate it; returns each fragment's local top-k and its cost.
+    pub fn topk(&mut self, q: &TopKQuery) -> Vec<(Vec<Ranked>, QueryCost)> {
+        let plan = QueryPlan::topk(q).expect("a top-k names a keyword");
+        let rank = |engine: &mut FragmentEngine| match engine
+            .evaluate_plan_with_cache(&plan, &mut NoCache)
+            .expect("horizon within maxR")
+        {
+            (Answer::Ranked(ranked), cost) => (ranked, cost),
+            (answer, _) => unreachable!("a ranked plan answered {answer:?}"),
+        };
+        self.engines.iter_mut().map(rank).collect()
     }
 
     /// The distributed response time of one query: slowest task + the

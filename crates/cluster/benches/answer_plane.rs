@@ -60,8 +60,8 @@ use disks_cluster::message::{decode_frame, encode_frame};
 use disks_cluster::{AnswerGather, BatchAnswer, Response, WireCost};
 use disks_core::bitset::BitSet;
 use disks_core::{
-    build_all_indexes, FragmentEngine, IndexConfig, NodeRuns, QueryPlan, RangeKeywordQuery,
-    ScoreCombine, SeedFloors, SgkQuery, TopKQuery,
+    build_all_indexes, Answer, FragmentEngine, IndexConfig, NoCache, NodeRuns, QueryPlan,
+    RangeKeywordQuery, ScoreCombine, SeedFloors, SgkQuery, TopKQuery,
 };
 use disks_partition::{FragmentId, MultilevelPartitioner, Partitioner};
 use disks_roadnet::generator::GridNetworkConfig;
@@ -210,7 +210,7 @@ fn bench_targets(c: &mut Criterion) {
         .map(|i| {
             let n = 1 + i as usize % 3;
             let kws = (0..n).map(|j| used[(i as usize * 7 + j * 13) % used.len()]).collect();
-            QueryPlan::topk(&TopKQuery::new(kws, 10, radius(i), ScoreCombine::Max))
+            QueryPlan::topk(&TopKQuery::new(kws, 10, radius(i), ScoreCombine::Max)).unwrap()
         })
         .collect();
     let mut group = c.benchmark_group("targets");
@@ -223,9 +223,10 @@ fn bench_targets(c: &mut Criterion) {
                 let seeded = plan.can_answer(|s| engine.seed_count(s.term, s.radius) > 0);
                 assert_eq!(asked, seeded, "{name}: {plan} on fragment {f}");
                 targeted += usize::from(asked);
-                if let Some(q) = plan.as_topk().filter(|_| !asked) {
-                    let (ranked, _) = engine.topk_local(&q).unwrap();
-                    assert!(ranked.is_empty(), "{name}: {plan} ranks on pruned fragment {f}");
+                if plan.rank().is_some() && !asked {
+                    let (answer, _) = engine.evaluate_plan_with_cache(plan, &mut NoCache).unwrap();
+                    let nothing = Answer::Ranked(vec![]);
+                    assert_eq!(answer, nothing, "{name}: {plan} ranks on pruned fragment {f}");
                 }
             }
         }

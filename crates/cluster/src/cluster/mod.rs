@@ -198,9 +198,6 @@ impl Cluster {
     /// [`QueryError`] a centralized engine raises. Workers therefore assume
     /// admitted plans and only carry `debug_assert` guards.
     fn admit(&self, plan: &QueryPlan) -> Result<(), QueryError> {
-        if plan.num_slots() == 0 {
-            return Err(QueryError::EmptyQuery);
-        }
         let r = plan.max_radius();
         if r > self.admission_max_r {
             return Err(QueryError::RadiusExceedsMaxR { r, max_r: self.admission_max_r });
@@ -331,7 +328,7 @@ impl Cluster {
     /// horizon). A fragment where a keyword is seedless within the horizon
     /// ranks nothing, so it is not asked.
     pub fn run_topk(&self, q: &TopKQuery) -> Result<(Vec<Ranked>, QueryStats), QueryError> {
-        let plan = QueryPlan::topk(q);
+        let plan = QueryPlan::topk(q)?;
         self.admit(&plan)?;
         let start = Instant::now();
         let (c2w_before, _) = self.link_totals();
@@ -645,11 +642,18 @@ mod tests {
         cluster.shutdown();
     }
 
+    /// An SGKQ or a top-k of no keyword is refused before anything is
+    /// sent; a top-k of none has no plan.
     #[test]
-    fn empty_sgkq_rejected() {
+    fn empty_queries_are_refused_before_dispatch() {
         let (_, _, cluster) = setup(76, 2, &IndexConfig::unbounded());
+        let before = cluster.link_totals();
         let q = SgkQuery { keywords: vec![], radius: 5 };
         assert!(matches!(cluster.run_sgkq(&q), Err(QueryError::EmptyQuery)));
+        let q = TopKQuery::new(vec![], 5, 10, disks_core::ScoreCombine::Max);
+        assert_eq!(QueryPlan::topk(&q), Err(QueryError::EmptyQuery));
+        assert_eq!(cluster.run_topk(&q).map(|(ranked, _)| ranked), Err(QueryError::EmptyQuery));
+        assert_eq!(cluster.link_totals(), before, "no byte for a refused query");
         cluster.shutdown();
     }
 
@@ -668,6 +672,28 @@ mod tests {
                 assert_eq!(stats.inter_worker_bytes, 0);
             }
         }
+        cluster.shutdown();
+    }
+
+    /// A top-k's keyword slots ride the workers' coverage cache as any
+    /// plan's do: the same top-k again is served from it, ranked the same.
+    /// The horizon gives coverages of more than 16 nodes, which the cache
+    /// keeps.
+    #[test]
+    fn a_repeated_topk_hits_the_coverage_cache() {
+        let net = GridNetworkConfig::tiny(87).generate();
+        let p = MultilevelPartitioner::default().partition(&net, 2);
+        let indexes = build_all_indexes(&net, &p, &IndexConfig::unbounded());
+        let config = ClusterConfig { coverage_cache_bytes: 1 << 20, ..ClusterConfig::default() };
+        let cluster = Cluster::build(&net, &p, indexes, config);
+        let e = net.avg_edge_weight();
+        let q = TopKQuery::new(top_keywords(&net, 2), 10, 8 * e, disks_core::ScoreCombine::Sum);
+        let (cold, cold_stats) = cluster.run_topk(&q).unwrap();
+        let (warm, warm_stats) = cluster.run_topk(&q).unwrap();
+        assert_eq!(cold, disks_core::centralized_topk(&net, &q).unwrap());
+        assert_eq!(warm, cold);
+        assert_eq!((cold_stats.cache_hits, warm_stats.cache_misses), (0, 0));
+        assert!(cold_stats.cache_misses > 0 && warm_stats.cache_hits > 0, "{warm_stats:?}");
         cluster.shutdown();
     }
 

@@ -11,9 +11,11 @@
 //! answers its first frame like any other.
 //!
 //! Its one request is a [`Request::Batch`], answered in one
-//! [`Response::BatchResults`] frame a targeted fragment: a plan's answer, or
-//! a ranked (top-k) plan's local top-k. Any other frame but `Shutdown` is
-//! dropped unanswered, a pinned `Evaluate` included.
+//! [`Response::BatchResults`] frame a targeted fragment. Every program,
+//! ranked (top-k) or not, is evaluated one way, through the frame's slot
+//! table and the coverage cache: a plan's answer is its nodes, a ranked
+//! plan's its fragment's top-k. Any other frame but `Shutdown` is dropped
+//! unanswered, a pinned `Evaluate` included.
 //!
 //! Engine evaluation runs under `catch_unwind`, so a panicking task becomes
 //! a typed [`BatchAnswer::Failed`] on the wire instead of a dead thread; a
@@ -29,8 +31,7 @@ use crossbeam::channel::Receiver;
 use disks_core::bitset::BitSet;
 use disks_core::dfunc::DTerm;
 use disks_core::{
-    BiLevelIndex, CoverageStore, FragmentEngine, NodeRuns, QueryCost, QueryError, QueryPlan,
-    Ranked, SuperPlan, TopKQuery,
+    Answer, BiLevelIndex, CoverageStore, FragmentEngine, QueryError, QueryPlan, SuperPlan,
 };
 
 use crate::cache::CoverageCache;
@@ -77,30 +78,6 @@ impl WorkerEngine {
         match self {
             WorkerEngine::Single(e) => e.fragment(),
             WorkerEngine::BiLevel(b) => b.fragment(),
-        }
-    }
-
-    /// Evaluate a normalized plan against a coverage store — in the worker
-    /// loop, one request's shared slots layered over the LRU (§5.5 bi-level
-    /// pairs route to the level admitting the plan's max radius first —
-    /// both levels are exact for any radius they admit, so cache entries
-    /// are shared across levels).
-    pub fn evaluate_plan_with_store(
-        &mut self,
-        plan: &QueryPlan,
-        store: &mut dyn CoverageStore,
-    ) -> Result<(NodeRuns, QueryCost), QueryError> {
-        match self {
-            WorkerEngine::Single(e) => e.evaluate_plan_with_cache(plan, store),
-            WorkerEngine::BiLevel(b) => b.evaluate_plan_with_cache(plan, store),
-        }
-    }
-
-    /// Local top-k on the hosted fragment: a ranked plan's answer.
-    pub fn topk_local(&mut self, q: &TopKQuery) -> Result<(Vec<Ranked>, QueryCost), QueryError> {
-        match self {
-            WorkerEngine::Single(e) => e.topk_local(q),
-            WorkerEngine::BiLevel(b) => b.topk_local(q),
         }
     }
 }
@@ -152,25 +129,25 @@ fn guarded<T>(
 }
 
 /// One program of a decoded frame on one hosted engine, evaluated in place
-/// over the frame's slot table — the only way from a frame to an answer: a
-/// ranked program's local top-k, any other program's answer. The wire cost
-/// of a plan's answer carries the cache activity the task caused: the
-/// difference in the LRU's running counters and in the slots served from
-/// the request's table.
+/// over the frame's slot table, the request's shared slots layered over the
+/// LRU — the only way from a frame to an answer: a plan's nodes, or a ranked
+/// program's local top-k. (A §5.5 bi-level pair routes to the level
+/// admitting the plan's max radius; both are exact for any radius they
+/// admit, so cache entries are shared across levels.) The wire cost of
+/// either carries the cache activity the task caused: the difference in the
+/// LRU's running counters and in the slots served from the request's table.
 fn evaluate_task(
     engine: &mut WorkerEngine,
     plan: &QueryPlan,
     store: &mut BatchStore,
     panic_now: bool,
 ) -> BatchAnswer {
-    if let Some(q) = plan.as_topk() {
-        return match guarded(panic_now, || engine.topk_local(&q)) {
-            Ok((ranked, cost)) => BatchAnswer::Ranked { ranked, cost: WireCost::from(&cost) },
-            Err(e) => BatchAnswer::Failed(e),
-        };
-    }
     let (cache_before, shared_before) = (store.cache.counters(), store.shared);
-    let (nodes, cost) = match guarded(panic_now, || engine.evaluate_plan_with_store(plan, store)) {
+    let evaluate = || match engine {
+        WorkerEngine::Single(e) => e.evaluate_plan_with_cache(plan, store),
+        WorkerEngine::BiLevel(b) => b.evaluate_plan_with_cache(plan, store),
+    };
+    let (answer, cost) = match guarded(panic_now, evaluate) {
         Ok(answer) => answer,
         Err(e) => return BatchAnswer::Failed(e),
     };
@@ -181,7 +158,10 @@ fn evaluate_task(
     wire.cache_evictions = delta.evictions;
     wire.cache_bypassed = delta.bypassed;
     wire.batch_shared = store.shared - shared_before;
-    BatchAnswer::Results { nodes, cost: wire }
+    match answer {
+        Answer::Nodes(nodes) => BatchAnswer::Results { nodes, cost: wire },
+        Answer::Ranked(ranked) => BatchAnswer::Ranked { ranked, cost: wire },
+    }
 }
 
 /// Run the worker loop until a `Shutdown` request, channel closure, or an
@@ -502,7 +482,7 @@ mod tests {
 
     #[test]
     fn batch_request_shares_slots_and_isolates_failures() {
-        use disks_core::SuperPlan;
+        use disks_core::{ScoreCombine, SgkQuery, SuperPlan, TopKQuery};
         // A one-shot panic hits fragment 0's first query only; the rest of
         // the batch — including the same query on fragment 1 — still answers.
         let faults = WorkerFaults { kill_on_request: None, panic_on_request: Some(1) };
@@ -511,7 +491,14 @@ mod tests {
         let r = 2 * net.avg_edge_weight();
         let shared = QueryPlan::lower(&DFunction::single(Term::Keyword(kw), r));
         let other = QueryPlan::lower(&DFunction::single(Term::Keyword(kw), 2 * r));
-        let plans = vec![shared.clone(), other, shared];
+        // An SGKQ and the top-k over its keyword slots: the ranked program
+        // resolves both through the batch's table.
+        let freqs = net.keyword_frequencies();
+        let second = (0..freqs.len() as u32).map(KeywordId).filter(|&k| k != kw);
+        let second = second.max_by_key(|k| freqs[k.index()]).unwrap();
+        let sgkq = QueryPlan::lower(&SgkQuery::new(vec![kw, second], 2 * r).to_dfunction());
+        let topk = TopKQuery::new(vec![kw, second], 5, 2 * r, ScoreCombine::Sum);
+        let plans = vec![shared.clone(), other, shared, sgkq, QueryPlan::topk(&topk).unwrap()];
         let req = Request::Batch { base: 10, plan: SuperPlan::merge(&plans), fragments: vec![] };
         req_tx.send(encode_frame(&req)).unwrap();
 
@@ -520,7 +507,7 @@ mod tests {
             match decode_frame::<Response>(resp_rx.recv().unwrap()).unwrap() {
                 Response::BatchResults { base, fragment, answers } => {
                     assert_eq!(base, 10);
-                    assert_eq!(answers.len(), 3, "one answer per batched query");
+                    assert_eq!(answers.len(), 5, "one answer per batched query");
                     frames.push((fragment, answers));
                 }
                 found => panic!("unexpected response: {found:?}"),
@@ -533,8 +520,20 @@ mod tests {
             matches!(&f0[0], BatchAnswer::Failed(QueryError::WorkerPanic(_))),
             "injected fault fails exactly the first query of the first fragment"
         );
-        for answer in f0[1..].iter().chain(f1.iter()) {
+        for answer in f0[1..4].iter().chain(&f1[..4]) {
             assert!(matches!(answer, BatchAnswer::Results { .. }));
+        }
+        // The ranked program found both its slots in the batch's table, on
+        // either fragment, and ranked only nodes the SGKQ answers.
+        for answers in [f0, f1] {
+            let (BatchAnswer::Results { nodes, .. }, BatchAnswer::Ranked { ranked, cost }) =
+                (&answers[3], &answers[4])
+            else {
+                panic!("expected the SGKQ's nodes and the top-k's ranking, got {answers:?}");
+            };
+            assert!(!ranked.is_empty());
+            assert!(ranked.iter().all(|(_, node)| nodes.to_vec().contains(node)));
+            assert_eq!((cost.cache_hits, cost.cache_misses, cost.batch_shared), (0, 0, 2));
         }
         // On the untouched fragment, queries 0 and 2 ran the same plan: the
         // first resolves the slot (LRU miss), the repeat is batch-shared —

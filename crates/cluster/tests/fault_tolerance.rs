@@ -199,7 +199,7 @@ fn topk_setup(
     let used: Vec<KeywordId> =
         (0..freqs.len()).filter(|&k| freqs[k] > 0).map(|k| KeywordId(k as u32)).collect();
     let targets_of = |q: &TopKQuery| -> Vec<u32> {
-        let plan = QueryPlan::topk(q);
+        let plan = QueryPlan::topk(q).unwrap();
         (0..4).filter(|&f| floors.can_answer(&plan, disks_partition::FragmentId(f))).collect()
     };
     let (q, targets) = (used.iter().flat_map(|&a| used.iter().map(move |&b| (a, b))))
@@ -243,7 +243,7 @@ fn a_topk_on_a_killed_worker_is_retried_on_the_missing_target_alone() {
     assert_eq!((stats.retries, stats.inter_worker_bytes), (1, 0));
     assert!(stats.respawned_workers >= 1);
     let batch = |targets: Targets| {
-        let plan = SuperPlan::merge_targeted(&[QueryPlan::topk(&q)], [targets]);
+        let plan = SuperPlan::merge_targeted(&[QueryPlan::topk(&q).unwrap()], [targets]);
         encode_frame(&Request::Batch { base: 0, plan, fragments: vec![] }).len() as u64
     };
     let dispatch = batch(Targets::Only(targets.clone()));

@@ -10,11 +10,10 @@ use disks_partition::{FragmentId, Partitioning};
 use disks_roadnet::{NodeId, RoadNetwork, INF};
 
 use crate::dfunc::DFunction;
-use crate::engine::{CoverageStore, FragmentEngine, NoCache, QueryCost};
+use crate::engine::{Answer, CoverageStore, FragmentEngine, QueryCost};
 use crate::error::{IndexError, QueryError};
 use crate::index::{build_index, IndexConfig, NpdIndex};
 use crate::plan::QueryPlan;
-use crate::runs::NodeRuns;
 
 /// Which level served a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,29 +82,16 @@ impl BiLevelIndex {
         self.primary.dl_scope()
     }
 
-    /// Top-k, routed by the query horizon (§5.5 routing applies to any
-    /// radius-bounded computation).
-    pub fn topk_local(
-        &mut self,
-        q: &crate::topk::TopKQuery,
-    ) -> Result<(Vec<crate::topk::Ranked>, QueryCost), QueryError> {
-        if q.horizon <= self.max_r {
-            self.primary.topk_local(q)
-        } else {
-            self.secondary.topk_local(q)
-        }
-    }
-
     /// Evaluate, routing by the query's largest radius.
     pub fn evaluate(
         &mut self,
         f: &DFunction,
     ) -> Result<(Vec<NodeId>, QueryCost, ServedBy), QueryError> {
         let plan = QueryPlan::lower(f);
-        let (r, c) = self.evaluate_plan_with_cache(&plan, &mut NoCache)?;
+        let (r, c) = self.engine_for(plan.max_radius()).evaluate_plan(&plan)?;
         let served =
             if plan.max_radius() <= self.max_r { ServedBy::Primary } else { ServedBy::Secondary };
-        Ok((r.to_vec(), c, served))
+        Ok((r, c, served))
     }
 
     /// The engine that would serve a plan with the given max radius (§5.5
@@ -120,13 +106,13 @@ impl BiLevelIndex {
         }
     }
 
-    /// Evaluate a normalized plan, routing by its max radius and consulting
-    /// `store` per coverage slot.
+    /// Evaluate a normalized plan, ranked or not, routing by its max radius
+    /// (a top-k's horizon) and consulting `store` per coverage slot.
     pub fn evaluate_plan_with_cache(
         &mut self,
         plan: &QueryPlan,
         store: &mut dyn CoverageStore,
-    ) -> Result<(NodeRuns, QueryCost), QueryError> {
+    ) -> Result<(Answer, QueryCost), QueryError> {
         self.engine_for(plan.max_radius()).evaluate_plan_with_cache(plan, store)
     }
 }

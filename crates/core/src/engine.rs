@@ -13,9 +13,9 @@
 //!   distance to the keyword.
 //!
 //! A keyword's first search on a bounded index runs to `maxR` and builds its
-//! list; every later coverage of the keyword, at any `r ≤ maxR`, by a plan or
-//! a top-k, is the list's prefix within `r` and searches nothing. So each
-//! (fragment, keyword) is searched once for the engine's life.
+//! list; every later coverage or distance read of the keyword, at any
+//! `r ≤ maxR`, is the list's prefix within `r` and searches nothing. So
+//! each (fragment, keyword) is searched once for the engine's life.
 //!
 //! A location's slot `R(l, r)` that a plan intersects or subtracts once is
 //! searched after the plan's keywords and only as far as the answer needs:
@@ -58,11 +58,28 @@ use crate::dfunc::{DFunction, DTerm, Term};
 use crate::directed::{DirectedNpdIndex, DirectedPartition};
 use crate::error::{IndexError, QueryError};
 use crate::index::{DlScope, NpdIndex};
-use crate::plan::{QueryPlan, Within};
+use crate::plan::{QueryPlan, Rank, Within};
 use crate::runs::NodeRuns;
+use crate::topk::Ranked;
 
-/// Local sentinel for "not reached this term" in the top-k scorer.
-const INF_LOCAL: u64 = u64::MAX;
+/// What a plan answers on one fragment.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Answer {
+    /// The nodes the program leaves, as global ids in runs.
+    Nodes(NodeRuns),
+    /// A ranked plan's best `k` of them, by `(score, global id)`.
+    Ranked(Vec<Ranked>),
+}
+
+impl Answer {
+    /// The global ids: a plan's ascending, a ranked plan's best first.
+    pub fn to_vec(&self) -> Vec<NodeId> {
+        match self {
+            Answer::Nodes(runs) => runs.to_vec(),
+            Answer::Ranked(ranked) => ranked.iter().map(|&(_, node)| node).collect(),
+        }
+    }
+}
 
 /// Theorem 5 cost attribution for one coverage slot (one `R(term, r) ∩ P`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,10 +221,10 @@ struct KeywordEntry {
     /// §3.7 aggregation with portals translated to local ids:
     /// (local portal, distance), sorted by distance.
     portals: Vec<(u32, u64)>,
-    /// The keyword's list, left behind by the first search a plan or a
-    /// top-k needed of the keyword (which ran to `max_r` for it). A pure
-    /// function of the immutable index, like the rest of the engine: set
-    /// once, never invalidated, and never set when the engine keeps no lists
+    /// The keyword's list, left behind by the first search a plan needed of
+    /// the keyword (which ran to `max_r` for it). A pure function of the
+    /// immutable index, like the rest of the engine: set once, never
+    /// invalidated, and never set when the engine keeps no lists
     /// ([`FragmentEngine::keeps_lists`]).
     reach: OnceLock<KeywordList>,
 }
@@ -616,7 +633,7 @@ impl FragmentEngine {
     }
 
     /// The one bounded search of the engine, behind [`Self::coverage`],
-    /// [`Self::distance_table`] and the plan driver's fetch:
+    /// [`Self::distances`] and the plan driver's fetch:
     /// `visit(local id, distance)` for every local node within `bound` of
     /// `term`, in the kernel's settle order, until it returns
     /// [`Control::Stop`], and the search's Theorem 5 accounting as a slot of
@@ -805,84 +822,84 @@ impl FragmentEngine {
         Some(scratch)
     }
 
+    /// The one distance reader, behind [`Self::distance_table`] and the rank
+    /// pass: `visit(local id, d(node, term))` for local nodes within `bound`
+    /// of `term` until it returns [`Control::Stop`], and the read's cost. A
+    /// keyword's list prefix where the engine keeps lists, else a search.
+    fn distances(
+        &self,
+        ws: &mut DijkstraWorkspace,
+        term: Term,
+        bound: u64,
+        mut visit: impl FnMut(u32, u64) -> Control,
+    ) -> SlotCost {
+        let listed = match term {
+            Term::Keyword(k) if bound <= self.max_r => self.keyword_list(ws, k),
+            _ => None,
+        };
+        let Some((list, cost)) = listed else {
+            return self.search(ws, term, bound, visit);
+        };
+        let within = list.nodes[..list.cut(bound)].iter().zip(&list.dists);
+        let read = within.take_while(|&(&n, &d)| visit(n, u64::from(d)) == Control::Continue);
+        SlotCost { radius: bound, coverage_nodes: read.count(), ..cost }
+    }
+
     /// Local per-node distances for one term: `(local id, d(node, term))`
-    /// for every local node within `bound` (the coverage Dijkstra of Alg. 2
-    /// with distances kept), in no particular order. Exact for
-    /// `bound ≤ maxR` (Theorem 3). A keyword on an engine that keeps lists
-    /// reads its list's prefix, building the list if it is absent, so plans
-    /// and top-k search a keyword once between them.
+    /// for every local node within `bound` (the engine's one distance
+    /// reader), in no particular order. Exact for `bound ≤ maxR` (Theorem 3).
     pub fn distance_table(
         &mut self,
         term: Term,
         bound: u64,
     ) -> Result<(Vec<(u32, u64)>, QueryCost), QueryError> {
         let mut ws = std::mem::replace(&mut self.ws, DijkstraWorkspace::new(0));
-        let listed = match term {
-            Term::Keyword(k) if bound <= self.max_r => self.keyword_list(&mut ws, k),
-            _ => None,
-        };
-        let (table, cost) = match listed {
-            Some((list, cost)) => {
-                let n = list.cut(bound);
-                let dists = list.dists[..n].iter().map(|&d| u64::from(d));
-                let table: Vec<(u32, u64)> = list.nodes[..n].iter().copied().zip(dists).collect();
-                (table, SlotCost { radius: bound, coverage_nodes: n, ..cost })
-            }
-            None => {
-                let mut table = Vec::new();
-                let cost = self.search(&mut ws, term, bound, |n, d| {
-                    table.push((n, d));
-                    Control::Continue
-                });
-                (table, cost)
-            }
-        };
+        let mut table = Vec::new();
+        let cost = self.distances(&mut ws, term, bound, |n, d| {
+            table.push((n, d));
+            Control::Continue
+        });
         self.ws = ws;
         Ok((table, cost.into()))
     }
 
-    /// The fragment's local contribution to a top-k query: its best `k`
-    /// `(score, global node)` pairs, exact within the query horizon.
-    pub fn topk_local(
-        &mut self,
-        q: &crate::topk::TopKQuery,
-    ) -> Result<(Vec<crate::topk::Ranked>, QueryCost), QueryError> {
-        debug_assert!(
-            !q.keywords.is_empty(),
-            "empty top-k query — admission should have rejected this query"
-        );
-        let start = std::time::Instant::now();
-        let mut total = QueryCost { beta: self.sc_size, ..QueryCost::default() };
-        // score[i] = Some(partial aggregate) while node i is within the
-        // horizon of every term processed so far.
-        let mut scores: Vec<Option<u64>> = vec![Some(0); self.globals.len()];
-        let mut this_term = vec![INF_LOCAL; self.globals.len()];
-        for &kw in &q.keywords {
-            let (table, cost) = self.distance_table(Term::Keyword(kw), q.horizon)?;
-            cost.per_slot.into_iter().for_each(|slot| total.absorb(slot));
-            for &(n, d) in &table {
-                this_term[n as usize] = d;
-            }
-            for (i, slot) in scores.iter_mut().enumerate() {
-                if let Some(acc) = *slot {
-                    let d = this_term[i];
-                    *slot = if d == INF_LOCAL { None } else { Some(q.combine.fold(acc, d)) };
+    /// A ranked plan's rank pass: the best `rank.k` by `(score, global id)`
+    /// of `acc`, what its program left, scored by `rank.combine` over their
+    /// distances to the keyword slots it names, each within reach of them
+    /// all; a slot is read until every node has one, into `total`.
+    fn rank(
+        &self,
+        ws: &mut DijkstraWorkspace,
+        plan: &QueryPlan,
+        rank: Rank,
+        acc: &BitSet,
+        total: &mut QueryCost,
+    ) -> Vec<Ranked> {
+        let members: Vec<u32> = acc.iter().map(|n| n as u32).collect();
+        let mut scores = vec![0; members.len()];
+        for slot in plan.named().filter(|_| !members.is_empty()) {
+            let mut left = members.len();
+            let cost = self.distances(ws, slot.term, slot.radius, |n, d| {
+                // A bit test turns away the read's other nodes sooner than a search.
+                if !acc.contains(n as usize) {
+                    return Control::Continue;
                 }
-            }
-            for &(n, _) in &table {
-                this_term[n as usize] = INF_LOCAL;
-            }
+                let i = members.binary_search(&n).expect("a node of acc is a member");
+                scores[i] = rank.combine.fold(scores[i], d);
+                left -= 1;
+                if left == 0 {
+                    Control::Stop
+                } else {
+                    Control::Continue
+                }
+            });
+            total.absorb(SlotCost { coverage_nodes: members.len() - left, ..cost });
         }
-        let mut ranked: Vec<crate::topk::Ranked> = scores
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.map(|score| (score, self.globals[i])))
-            .collect();
+        let globals = members.iter().map(|&n| self.globals[n as usize]);
+        let mut ranked: Vec<Ranked> = scores.into_iter().zip(globals).collect();
         ranked.sort_unstable();
-        ranked.truncate(q.k);
-        total.results = ranked.len();
-        total.elapsed = start.elapsed();
-        Ok((ranked, total))
+        ranked.truncate(rank.k);
+        ranked
     }
 
     /// Evaluate a D-function on this fragment (Alg. 2), returning the local
@@ -895,13 +912,12 @@ impl FragmentEngine {
     }
 
     /// Evaluate a normalized plan without a coverage store, the answer
-    /// expanded to ids.
+    /// expanded to ids ([`Answer::to_vec`]).
     pub fn evaluate_plan(
         &mut self,
         plan: &QueryPlan,
     ) -> Result<(Vec<NodeId>, QueryCost), QueryError> {
-        let (runs, cost) = self.evaluate_plan_with_cache(plan, &mut NoCache)?;
-        Ok((runs.to_vec(), cost))
+        self.evaluate_plan_with_cache(plan, &mut NoCache).map(|(a, cost)| (a.to_vec(), cost))
     }
 
     /// Evaluate a normalized plan, consulting `store` for each coverage slot
@@ -920,12 +936,12 @@ impl FragmentEngine {
     /// Lemma 1 semantics are identical to [`Self::evaluate`]; a hit, a list
     /// cut, a bounded fetch or a skipped slot saves search, never changes
     /// the answer. The answer stays in the run-level form the wire and the
-    /// coordinator's gather take.
+    /// coordinator's gather take; a ranked plan's is the rank pass over it.
     pub fn evaluate_plan_with_cache(
         &mut self,
         plan: &QueryPlan,
         store: &mut dyn CoverageStore,
-    ) -> Result<(NodeRuns, QueryCost), QueryError> {
+    ) -> Result<(Answer, QueryCost), QueryError> {
         // Checked here as well as per search: a plan may never search.
         self.debug_assert_admitted(plan.max_radius());
         let start = std::time::Instant::now();
@@ -970,12 +986,18 @@ impl FragmentEngine {
                 Ok(cov)
             },
         );
+        let answer = local.map(|local| match plan.rank() {
+            None => Answer::Nodes(self.to_global(&local)),
+            Some(rank) => Answer::Ranked(self.rank(&mut ws, plan, rank, &local, &mut total)),
+        });
         (self.ws, self.ceiling) = (ws, scratch);
-        let local = local?;
-        let result = self.to_global(&local);
-        total.results = result.len();
+        let answer = answer?;
+        total.results = match &answer {
+            Answer::Nodes(runs) => runs.len(),
+            Answer::Ranked(ranked) => ranked.len(),
+        };
         total.elapsed = start.elapsed();
-        Ok((result, total))
+        Ok((answer, total))
     }
 
     /// Translate a local coverage bitset to global node ids, strictly
@@ -1494,7 +1516,7 @@ mod tests {
                 let mut engine = FragmentEngine::new(net, p, index).unwrap();
                 let pruned = !floors.can_answer(&plan, index.fragment());
                 let (answer, cost) = engine.evaluate_plan_with_cache(&plan, &mut NoCache).unwrap();
-                let empty_unfetched = answer.is_empty() && cost.per_slot.is_empty();
+                let empty_unfetched = answer.to_vec().is_empty() && cost.per_slot.is_empty();
                 proptest::prop_assert_eq!(empty_unfetched, pruned, "{} on {:?}", plan, index.fragment());
             }
         }
@@ -1623,10 +1645,10 @@ mod tests {
         assert!(plain.settled > 0, "the plain search settles its seeds");
     }
 
-    /// Top-k reads the lists plans read: the first `topk_local` on each
-    /// fragment searches each keyword once, the second searches nothing,
-    /// both merge to the oracle's ranking, and a plan over the same keywords
-    /// afterwards searches nothing either.
+    /// Top-k reads the lists plans read: the first evaluation of a top-k's
+    /// ranked plan on each fragment searches each keyword once, the second
+    /// searches nothing, both merge to the oracle's ranking, and a plan over
+    /// the same keywords afterwards searches nothing either.
     #[test]
     fn topk_reads_the_keyword_lists() {
         use crate::topk::{centralized_topk, merge_topk, ScoreCombine, TopKQuery};
@@ -1638,15 +1660,17 @@ mod tests {
         ranked.sort_unstable_by_key(|&k| std::cmp::Reverse(freqs[k]));
         let keywords = vec![KeywordId(ranked[0] as u32), KeywordId(ranked[1] as u32)];
         let q = TopKQuery::new(keywords.clone(), 10, 4 * e, ScoreCombine::Sum);
+        let plan = QueryPlan::topk(&q).unwrap();
         let expect = centralized_topk(&net, &q).unwrap();
         assert!(!expect.is_empty());
         let mut settled = [0; 2];
         for pass in &mut settled {
             let mut lists = Vec::new();
             for engine in &mut engines {
-                let (local, cost) = engine.topk_local(&q).unwrap();
+                let (answer, cost) = engine.evaluate_plan_with_cache(&plan, &mut NoCache).unwrap();
                 assert!(cost.per_slot.iter().all(|s| !s.cached));
                 *pass += cost.settled;
+                let Answer::Ranked(local) = answer else { panic!("{answer:?}") };
                 lists.push(local);
             }
             assert_eq!(merge_topk(lists, q.k), expect);

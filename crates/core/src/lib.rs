@@ -54,7 +54,7 @@ pub use directed::{
     DirectedPartition,
 };
 pub use engine::{
-    CoverageStore, Floors, FragmentEngine, KeywordList, NoCache, QueryCost, SlotCost,
+    Answer, CoverageStore, Floors, FragmentEngine, KeywordList, NoCache, QueryCost, SlotCost,
 };
 pub use error::{IndexError, QueryError};
 pub use floors::SeedFloors;

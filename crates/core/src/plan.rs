@@ -14,7 +14,7 @@
 //!
 //! A top-k query is a plan too ([`QueryPlan::topk`]): the conjunction of its
 //! keywords at the horizon, plus a [`Rank`] that asks each fragment for its
-//! best `k` instead of its whole answer.
+//! best `k` of the nodes its program leaves instead of all of them.
 
 use std::sync::Arc;
 
@@ -25,6 +25,7 @@ use disks_roadnet::DecodeError;
 
 use crate::bitset::BitSet;
 use crate::dfunc::{DFunction, DTerm, SetOp, Term};
+use crate::error::QueryError;
 use crate::topk::{ScoreCombine, TopKQuery};
 
 /// A normalized query: deduplicated coverage slots plus a combine program.
@@ -33,8 +34,9 @@ use crate::topk::{ScoreCombine, TopKQuery};
 /// `slots` is non-empty and every program index is `< slots.len()`. A
 /// lowered plan names every slot, in first-occurrence order; a window's
 /// program ([`SuperPlan::programs`]) shares the window's table, which may
-/// hold slots it does not name, so [`Self::max_radius`],
-/// [`Self::locations`] and [`Self::as_topk`] read only the slots it names.
+/// hold slots it does not name, so [`Self::max_radius`] and
+/// [`Self::locations`] read only the slots it names. A ranked program is a
+/// ∩ of keyword slots ([`Self::topk`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryPlan {
     /// Distinct `(term, radius)` coverages: the plan's own, in
@@ -49,8 +51,8 @@ pub struct QueryPlan {
 }
 
 /// What a top-k plan asks of a fragment instead of its answer: the best `k`
-/// of the nodes its program leaves, scored by `combine` over their keyword
-/// distances (`FragmentEngine::topk_local`).
+/// of the nodes its program leaves, scored by `combine` over their distances
+/// to the keyword slots it names (`FragmentEngine`'s rank pass).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Rank {
     pub k: usize,
@@ -104,9 +106,9 @@ impl QueryPlan {
 
     /// A top-k query as the plan it is. A fragment ranks only the nodes
     /// within the horizon of every keyword, `⋂ R(kw, h) ∩ P`, so the plan is
-    /// `#0 ∩ #1 ∩ …` over the distinct keywords at the horizon, ranked. No
-    /// keyword makes a plan of no slot, which admission refuses.
-    pub fn topk(q: &TopKQuery) -> Self {
+    /// `#0 ∩ #1 ∩ …` over the distinct keywords at the horizon, ranked.
+    /// [`QueryError::EmptyQuery`] when there is no keyword.
+    pub fn topk(q: &TopKQuery) -> Result<Self, QueryError> {
         let mut keywords = q.keywords.clone();
         keywords.sort_unstable();
         keywords.dedup();
@@ -114,19 +116,27 @@ impl QueryPlan {
             .into_iter()
             .map(|kw| DTerm { term: Term::Keyword(kw), radius: q.horizon })
             .collect();
+        if slots.is_empty() {
+            return Err(QueryError::EmptyQuery);
+        }
         let ops = (1..slots.len() as u32).map(|i| (SetOp::Intersect, i)).collect();
-        QueryPlan { slots, first: 0, ops, rank: Some(Rank { k: q.k, combine: q.combine }) }
+        Ok(QueryPlan { slots, first: 0, ops, rank: Some(Rank { k: q.k, combine: q.combine }) })
     }
 
-    /// The top-k query a ranked plan asks ([`Self::topk`]): its keywords at
-    /// its largest radius. `None` when the plan is not ranked.
-    pub fn as_topk(&self) -> Option<TopKQuery> {
-        let Rank { k, combine } = self.rank?;
-        let keywords = self.named().filter_map(|s| match s.term {
-            Term::Keyword(kw) => Some(kw),
-            Term::Node(_) => None,
-        });
-        Some(TopKQuery { keywords: keywords.collect(), k, horizon: self.max_radius(), combine })
+    /// The ranking a top-k plan asks for; `None` asks for the whole answer.
+    pub fn rank(&self) -> Option<Rank> {
+        self.rank
+    }
+
+    /// `Ok` unless the plan is ranked but not a ∩ of keyword slots
+    /// ([`Self::topk`]), whose nodes alone all lie within every slot: then
+    /// the tag of its first ∪ or − (`SetOp`'s order), or a `Term::Node`'s 1.
+    fn check_rank(&self) -> Result<(), DecodeError> {
+        let op = self.ops.iter().map(|&(op, _)| op as u8).find(|&op| op != SetOp::Intersect as u8);
+        match op.or(self.locations().next().map(|_| 1)).filter(|_| self.rank.is_some()) {
+            Some(tag) => Err(DecodeError::BadTag { context: "ranked program operand", tag }),
+            None => Ok(()),
+        }
     }
 
     /// The slot table the program indexes: the plan's own deduplicated
@@ -147,7 +157,7 @@ impl QueryPlan {
     }
 
     /// The slots the program names, each once, in first-occurrence order.
-    fn named(&self) -> impl Iterator<Item = &DTerm> + '_ {
+    pub(crate) fn named(&self) -> impl Iterator<Item = &DTerm> + '_ {
         let ops = self.operands();
         let firsts =
             ops.clone().enumerate().filter(move |&(i, s)| !ops.clone().take(i).any(|t| t == s));
@@ -656,7 +666,9 @@ impl Decode for SuperPlan {
                     len: i,
                 });
             }
-            programs[i as usize].0.rank = Some(Rank::decode(buf)?);
+            let program = &mut programs[i as usize].0;
+            program.rank = Some(Rank::decode(buf)?);
+            program.check_rank()?;
             next = i + 1;
         }
         Ok(SuperPlan { slots, programs })
@@ -713,7 +725,8 @@ impl Decode for QueryPlan {
                 });
             }
         }
-        Ok(QueryPlan { slots, first, ops, rank: Option::decode(buf)? })
+        let plan = QueryPlan { slots, first, ops, rank: Option::decode(buf)? };
+        plan.check_rank().map(|()| plan)
     }
 }
 
@@ -793,10 +806,55 @@ mod tests {
         let mut bytes = buf.freeze();
         assert_eq!(QueryPlan::decode(&mut bytes).unwrap(), plan);
         let q = TopKQuery::new(vec![KeywordId(4), KeywordId(1)], 5, 30, ScoreCombine::Max);
-        let ranked = QueryPlan::topk(&q);
+        let ranked = QueryPlan::topk(&q).unwrap();
         assert_eq!(decoded::<QueryPlan>(&bytes_of(&ranked)), Ok(ranked.clone()));
-        assert_eq!(ranked.as_topk(), Some(q));
-        assert_eq!(plan.as_topk(), None);
+        let kw = |k: u32| DTerm { term: Term::Keyword(KeywordId(k)), radius: 30 };
+        assert_eq!(
+            (ranked.slots(), ranked.ops.as_slice()),
+            (&[kw(1), kw(4)][..], &[(SetOp::Intersect, 1)][..])
+        );
+        assert_eq!(ranked.rank(), Some(Rank { k: 5, combine: ScoreCombine::Max }));
+        assert_eq!(plan.rank(), None);
+    }
+
+    /// A rank on anything but a ∩ of keyword slots is refused by both
+    /// decoders, with the tag of what breaks it: a ∪ (or −) operator, or a
+    /// location's slot. A rank pass could not score such a program's nodes.
+    #[test]
+    fn a_rank_on_a_program_it_cannot_score_is_refused() {
+        let rank = Some(Rank { k: 3, combine: ScoreCombine::Sum });
+        let kw = DTerm { term: Term::Keyword(KeywordId(2)), radius: 9 };
+        let at = DTerm { term: Term::Node(NodeId(7)), radius: 9 };
+        let ranked = |slots: Vec<DTerm>, op: SetOp| QueryPlan {
+            slots: slots.into(),
+            first: 0,
+            ops: vec![(op, 1)],
+            rank,
+        };
+        let union = ranked(vec![kw, DTerm { radius: 4, ..kw }], SetOp::Union);
+        let subtract = ranked(vec![kw, DTerm { radius: 4, ..kw }], SetOp::Subtract);
+        let located = ranked(vec![kw, at], SetOp::Intersect);
+        let refusals = [
+            (union, DecodeError::BadTag { context: "ranked program operand", tag: 0 }),
+            (subtract, DecodeError::BadTag { context: "ranked program operand", tag: 2 }),
+            (located, DecodeError::BadTag { context: "ranked program operand", tag: 1 }),
+        ];
+        for (plan, refused) in refusals {
+            assert_eq!(decoded::<QueryPlan>(&bytes_of(&plan)), Err(refused.clone()), "{plan}");
+            let window = SuperPlan {
+                slots: Arc::clone(&plan.slots),
+                programs: vec![(plan, Targets::Every)],
+            };
+            assert_eq!(decoded::<SuperPlan>(&bytes_of(&window)), Err(refused));
+            let unranked = SuperPlan {
+                slots: Arc::clone(&window.slots),
+                programs: vec![(
+                    QueryPlan { rank: None, ..window.programs[0].0.clone() },
+                    Targets::Every,
+                )],
+            };
+            assert_eq!(decoded::<SuperPlan>(&bytes_of(&unranked)), Ok(unranked));
+        }
     }
 
     #[test]
@@ -1003,17 +1061,19 @@ mod tests {
             );
             QueryPlan::lower(&f)
         };
-        let plans = [QueryPlan::topk(&q), rkq(7, 3, 50), rkq(8, 1, 80)];
+        let topk = QueryPlan::topk(&q).unwrap();
+        let plans = [topk.clone(), rkq(7, 3, 50), rkq(8, 1, 80)];
         let sp = SuperPlan::merge(&plans);
         assert_eq!(sp.num_slots(), 6);
         let programs: Vec<&QueryPlan> = sp.programs().iter().map(|(p, _)| p).collect();
         assert!(programs.iter().all(|p| p.num_slots() == 6), "the programs share the table");
-        assert_eq!(programs[0].as_topk(), Some(q));
+        assert!(programs[0].named().eq(topk.slots()), "the ranked program's own keywords");
+        assert_eq!(programs[0].rank(), topk.rank());
         let locations = |p: &QueryPlan| p.locations().collect::<Vec<_>>();
         assert_eq!((programs[0].max_radius(), locations(programs[0])), (9, vec![]));
         assert_eq!((programs[1].max_radius(), locations(programs[1])), (50, vec![NodeId(7)]));
         assert_eq!((programs[2].max_radius(), locations(programs[2])), (80, vec![NodeId(8)]));
-        assert_eq!(programs[1].as_topk(), None);
+        assert_eq!(programs[1].rank(), None);
         let alone = SuperPlan::merge(&plans[1..2]);
         assert!(Arc::ptr_eq(&alone.slots, &plans[1].slots));
         assert_eq!(alone.split(), &plans[1..2]);
@@ -1151,7 +1211,7 @@ mod tests {
         let plans = batch_of_plans();
         assert_eq!(bytes_of(&SuperPlan::merge(&plans)).last(), Some(&0));
         let q = TopKQuery::new(vec![KeywordId(2), KeywordId(1)], 300, 9, ScoreCombine::Sum);
-        let ranked = QueryPlan::topk(&q);
+        let ranked = QueryPlan::topk(&q).unwrap();
         let mixed = [plans[0].clone(), ranked.clone(), plans[1].clone(), ranked];
         let sp = SuperPlan::merge(&mixed);
         let bytes = bytes_of(&sp);
@@ -1161,7 +1221,7 @@ mod tests {
         assert_eq!([head, &trailer].concat(), bytes);
         assert_eq!(decoded::<SuperPlan>(&bytes), Ok(sp.clone()));
         assert_eq!(sp.split(), mixed);
-        assert_eq!(sp.split()[3].as_topk(), Some(q));
+        assert_eq!(sp.split()[3].rank(), Some(Rank { k: 300, combine: ScoreCombine::Sum }));
         let past_the_end = [&[1, 4][..], &rank].concat();
         let out_of_order = [&[2, 3][..], &rank, &[1], &rank].concat();
         let repeated = [&[2, 1][..], &rank, &[1], &rank].concat();

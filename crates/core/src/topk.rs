@@ -11,13 +11,13 @@
 //! * [`ScoreCombine::Sum`] — `score(A) = Σᵢ d(A, ωᵢ)`: total travel cost to
 //!   visit one instance of each keyword from `A` (a collective-style cost).
 //!
-//! The NPD-index machinery applies unchanged: each fragment computes its
-//! local per-term **distance tables** with exactly the seeded Dijkstra of
-//! Alg. 2 (the coverage computation with distances kept), aggregates, and
-//! ships only its local top-k; the coordinator merges k-way. Scores are
-//! exact for every node with all term distances ≤ `horizon`, which must be
-//! ≤ the index `maxR`; nodes beyond the horizon are not ranked (the same
-//! contract the paper's bounded index offers coverage queries).
+//! The NPD-index machinery applies unchanged: each fragment evaluates the
+//! plan `⋂ R(ωᵢ, horizon) ∩ P` (Alg. 2), scores only the nodes it leaves by
+//! their keyword distances (Alg. 2's search with distances kept, or a list's
+//! prefix), and ships its local top-k; the coordinator merges k-way. Scores are exact for every node with all term
+//! distances ≤ `horizon`, which must be ≤ the index `maxR`; nodes beyond the
+//! horizon are not ranked (the same contract the paper's bounded index
+//! offers coverage queries).
 
 use bytes::{Buf, BufMut};
 

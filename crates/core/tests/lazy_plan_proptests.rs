@@ -30,7 +30,7 @@ use rand::{Rng, SeedableRng};
 use disks_core::bitset::BitSet;
 use disks_core::{
     build_all_indexes, CentralizedCoverage, CoverageStore, DFunction, DTerm, FragmentEngine,
-    IndexConfig, QueryPlan, ScoreCombine, SetOp, SuperPlan, Targets, Term, TopKQuery,
+    IndexConfig, NoCache, QueryPlan, ScoreCombine, SetOp, SuperPlan, Targets, Term, TopKQuery,
 };
 use disks_partition::{MultilevelPartitioner, Partitioner};
 use disks_roadnet::codec::{Decode, Encode};
@@ -132,7 +132,8 @@ proptest! {
                     let kws: Vec<KeywordId> =
                         (0..rng.gen_range(1..4)).map(|_| KeywordId(rng.gen_range(0..vocab))).collect();
                     let horizon = rng.gen_range(0..=max_r);
-                    return QueryPlan::topk(&TopKQuery::new(kws, 3, horizon, ScoreCombine::Sum));
+                    let q = TopKQuery::new(kws, 3, horizon, ScoreCombine::Sum);
+                    return QueryPlan::topk(&q).expect("a keyword");
                 }
                 QueryPlan::lower(&random_dfunction(&mut rng, &net, max_r))
             })
@@ -148,10 +149,10 @@ proptest! {
         prop_assert_eq!(&decoded, &window);
         let split = window.split();
         for ((program, _), plan) in decoded.programs().iter().zip(&split) {
-            prop_assert_eq!(program.as_topk(), plan.as_topk());
+            prop_assert_eq!(program.rank(), plan.rank());
             for (engine, twin) in in_place.iter_mut().zip(&mut twins) {
-                let (got, got_cost) = engine.evaluate_plan(program).unwrap();
-                let (want, want_cost) = twin.evaluate_plan(plan).unwrap();
+                let (got, got_cost) = engine.evaluate_plan_with_cache(program, &mut NoCache).unwrap();
+                let (want, want_cost) = twin.evaluate_plan_with_cache(plan, &mut NoCache).unwrap();
                 prop_assert_eq!(&got, &want, "{} on fragment {:?}", plan, engine.fragment());
                 prop_assert_eq!(&got_cost.per_slot, &want_cost.per_slot, "{}", plan);
             }
@@ -337,8 +338,8 @@ fn a_zero_seed_conjunct_ends_evaluation_before_the_first_fetch() {
     let f = DFunction::single(a, 0).then(SetOp::Intersect, b, 0).then(SetOp::Intersect, absent, 0);
     let plan = QueryPlan::lower(&f);
     let mut store = Counting::default();
-    let (nodes, cost) = engine.evaluate_plan_with_cache(&plan, &mut store).unwrap();
-    assert!(nodes.is_empty());
+    let (answer, cost) = engine.evaluate_plan_with_cache(&plan, &mut store).unwrap();
+    assert!(answer.to_vec().is_empty());
     assert_eq!(cost.settled, 0, "nothing was searched");
     assert!(store.lookups.is_empty() && store.stores.is_empty(), "nothing was fetched");
     assert!(cost.per_slot.len() < plan.num_slots());

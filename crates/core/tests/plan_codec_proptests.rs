@@ -40,7 +40,7 @@ fn random_plans(seed: u64, n: usize) -> Vec<QueryPlan> {
     (0..n)
         .map(|_| {
             if rng.gen_range(0..5) == 0 {
-                return QueryPlan::topk(&random_topk(&mut rng));
+                return QueryPlan::topk(&random_topk(&mut rng)).expect("a keyword");
             }
             let mut f = DFunction::single(term(&mut rng), 1 + rng.gen_range(0..4) as u64);
             for _ in 0..rng.gen_range(0..4) {
@@ -90,13 +90,23 @@ fn run_program(plan: &QueryPlan) {
     let _ = plan.combine(&coverages);
 }
 
+/// Panics if `plan`'s named slots are out of its table; a ranked plan must
+/// name no location.
+fn read_named(plan: &QueryPlan) -> Result<(), TestCaseError> {
+    let _ = plan.max_radius();
+    if plan.rank().is_some() {
+        prop_assert_eq!(plan.locations().count(), 0, "a ranked plan names keywords only");
+    }
+    Ok(())
+}
+
 /// Decode both plan kinds from `bytes`; neither may panic, and a plan that
 /// decodes must be usable and canonical.
 fn decode_and_check(bytes: &[u8]) -> Result<(), TestCaseError> {
     let mut rest = bytes;
     if let Ok(plan) = QueryPlan::decode(&mut rest) {
         run_program(&plan);
-        let _ = plan.as_topk();
+        read_named(&plan)?;
         prop_assert_eq!(&encoded(&plan)[..], &bytes[..bytes.len() - rest.remaining()]);
     }
     let mut rest = bytes;
@@ -106,7 +116,7 @@ fn decode_and_check(bytes: &[u8]) -> Result<(), TestCaseError> {
         let plans = sp.split();
         prop_assert_eq!(plans.len(), sp.num_queries());
         plans.iter().for_each(run_program);
-        plans.iter().for_each(|plan| drop(plan.as_topk()));
+        plans.iter().try_for_each(read_named)?;
         prop_assert_eq!(&encoded(&sp)[..], &bytes[..bytes.len() - rest.remaining()]);
     }
     Ok(())
@@ -145,7 +155,7 @@ proptest! {
         let queries: Vec<Option<TopKQuery>> =
             (0..n).map(|_| rng.gen_bool(0.5).then(|| random_topk(&mut rng))).collect();
         let plans: Vec<QueryPlan> = (queries.iter().zip(random_plans(seed, n)))
-            .map(|(q, plain)| q.as_ref().map_or(plain, QueryPlan::topk))
+            .map(|(q, plain)| q.as_ref().map_or(plain, |q| QueryPlan::topk(q).unwrap()))
             .collect();
         let sp = SuperPlan::merge_targeted(&plans, random_targets(seed, n));
         let bytes = encoded(&sp);
@@ -157,7 +167,7 @@ proptest! {
         prop_assert_eq!(&split, &plans);
         for (plan, q) in split.iter().zip(&queries) {
             if let Some(q) = q {
-                prop_assert_eq!(plan.as_topk(), Some(q.clone()));
+                prop_assert_eq!(plan, &QueryPlan::topk(q).unwrap());
             }
         }
     }

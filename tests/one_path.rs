@@ -649,7 +649,8 @@ fn a_query_is_asked_only_of_the_fragments_that_can_answer_it() {
     assert!(oracle.run(&unreached).unwrap().0.is_empty(), "{unreached}: the oracle's answer");
     let topks = topks(&net, max_r);
     let ranked: Vec<_> = topks.iter().map(|q| centralized_topk(&net, q).unwrap()).collect();
-    let ranked_by = seeded_fragments(&net, &p, &indexes, topks.iter().map(QueryPlan::topk));
+    let ranked_by =
+        seeded_fragments(&net, &p, &indexes, topks.iter().map(|q| QueryPlan::topk(q).unwrap()));
     let pairs: usize = ranked_by.iter().map(Vec::len).sum();
     assert!(pairs < topks.len() * FRAGMENTS, "some top-k must leave a fragment out");
     let freqs = net.keyword_frequencies();

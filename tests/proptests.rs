@@ -194,16 +194,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Top-k extension: distributed merge equals the centralized ranking on
-    /// arbitrary graphs and arbitrary fragment assignments.
+    /// arbitrary graphs and arbitrary fragment assignments, both where a
+    /// fragment reads distances from searches (an unbounded index) and
+    /// where it reads them from its keyword lists (a bounded index whose
+    /// `maxR` is `slack` above the horizon).
     #[test]
     fn topk_distributed_equals_centralized(
         arb in arb_network(),
         ks in proptest::collection::vec(0usize..VOCAB.len(), 1..4),
         k in 1usize..20,
         horizon in 0u64..80,
+        slack in 0u64..40,
         seed in any::<u64>(),
     ) {
-        use disks::core::{centralized_topk, merge_topk, ScoreCombine, TopKQuery};
+        use disks::core::{
+            centralized_topk, merge_topk, Answer, NoCache, QueryPlan, ScoreCombine, TopKQuery,
+        };
         let net = &arb.net;
         let (assignment, frags) = {
             use rand::{Rng, SeedableRng};
@@ -218,16 +224,25 @@ proptest! {
         let combine = if seed.is_multiple_of(2) { ScoreCombine::Max } else { ScoreCombine::Sum };
         let keywords: Vec<KeywordId> = ks.iter().map(|&i| KeywordId(i as u32)).collect();
         let q = TopKQuery::new(keywords, k, horizon, combine);
-        let indexes = build_all_indexes(net, &partitioning, &IndexConfig::unbounded());
-        let lists: Vec<Vec<disks::core::Ranked>> = indexes
-            .iter()
-            .map(|idx| {
-                let mut engine = FragmentEngine::new(net, &partitioning, idx).expect("engine");
-                engine.topk_local(&q).expect("topk").0
-            })
-            .collect();
-        let got = merge_topk(lists, q.k);
+        let plan = QueryPlan::topk(&q).unwrap();
         let expect = centralized_topk(net, &q).unwrap();
-        prop_assert_eq!(got, expect, "combine = {:?} horizon = {}", combine, horizon);
+        for config in [IndexConfig::unbounded(), IndexConfig::with_max_r(horizon + slack)] {
+            let indexes = build_all_indexes(net, &partitioning, &config);
+            let lists: Vec<Vec<disks::core::Ranked>> = indexes
+                .iter()
+                .map(|idx| {
+                    let mut engine = FragmentEngine::new(net, &partitioning, idx).expect("engine");
+                    match engine.evaluate_plan_with_cache(&plan, &mut NoCache).expect("topk") {
+                        (Answer::Ranked(ranked), _) => ranked,
+                        (answer, _) => panic!("a ranked plan answered {answer:?}"),
+                    }
+                })
+                .collect();
+            let got = merge_topk(lists, q.k);
+            prop_assert_eq!(
+                &got, &expect,
+                "combine = {:?} horizon = {} maxR = {}", combine, horizon, config.max_r
+            );
+        }
     }
 }
